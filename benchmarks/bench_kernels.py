@@ -1,8 +1,11 @@
 #!/usr/bin/env python3
 """Benchmark the DP kernels: numba backend vs pure-NumPy fallback.
 
-Builds a seeded desk-scale lattice, verifies both backends agree, then
-times each kernel.  Run from the repo root:
+Builds a seeded desk-scale lattice and verifies every available backend
+before timing anything: the emission sweep's log-likelihood must match the
+backward table's, and the unit-weight gradient sweep must match the oracle
+occupancy gradient, both to 1e-9.  With numba present the two backends'
+emission-sweep tables must also be bit-identical.  Run from the repo root:
 
     python3 benchmarks/bench_kernels.py [--frames 50 --labels 20 --vocab 32]
 """
@@ -13,6 +16,10 @@ import time
 import numpy as np
 
 from twrnnt import kernels
+from twrnnt.lattice import PosteriorLattice
+from twrnnt.oracle import loglik_grad
+
+TOL = 1e-9
 
 
 def make_instance(T, U, V, seed=0):
@@ -31,6 +38,22 @@ def time_call(fn, args, repeats):
     return (time.perf_counter() - t0) / repeats
 
 
+def verify(name, table, logp, labels, occupancy):
+    """Check one backend against the independent references; exit on failure."""
+    A, R, prefix, ll = table["emission_sweep"](logp, labels)
+    _, ll_b = table["backward_fill"](logp, labels)
+    ones = np.ones(labels.size)
+    g = table["weighted_grad"](logp, labels, A, R, prefix, ll, ones, 1.0)
+    ll_gap = abs(ll - ll_b)
+    grad_gap = float(np.max(np.abs(g + occupancy)))
+    print(
+        f"{name}: emission_sweep vs backward_fill loglik gap {ll_gap:.1e}, "
+        f"unit-weight grad vs oracle occupancy gap {grad_gap:.1e}"
+    )
+    if not (ll_gap <= TOL and grad_gap <= TOL):
+        raise SystemExit(f"{name} backend failed verification (tolerance {TOL})")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--frames", type=int, default=50)
@@ -43,37 +66,41 @@ def main():
     impls = kernels.implementations()
     if impls["numba"] is None:
         print("numba unavailable or disabled; benchmarking the NumPy path only")
+    tables = {name: table for name, table in impls.items() if table is not None}
+
+    occupancy = loglik_grad(PosteriorLattice(logp), labels)
+    for name, table in tables.items():
+        verify(name, table, logp, labels, occupancy)
+    if len(tables) == 2:
+        py = tables["numpy"]["emission_sweep"](logp, labels)
+        nb = tables["numba"]["emission_sweep"](logp, labels)
+        if not all(np.array_equal(a, b) for a, b in zip(py, nb)):
+            raise SystemExit("backends disagree on the emission sweep")
+        print("backend agreement check: OK")
 
     lam = np.linspace(0.5, 1.5, args.labels)
+    level = args.labels // 2
     cases = {}
-    for name, table in impls.items():
-        if table is None:
-            continue
-        alpha, ll = table["forward_fill"](logp, labels)
-        beta, _ = table["backward_fill"](logp, labels)
-        A, R, prefix, ll2 = table["emission_sweep"](logp, labels)
+    for name, table in tables.items():
+        A, R, prefix, ll = table["emission_sweep"](logp, labels)
         cases[name] = {
-            "forward_fill": (table["forward_fill"], (logp, labels)),
             "backward_fill": (table["backward_fill"], (logp, labels)),
-            "loglik_grad": (table["loglik_grad"], (logp, labels, alpha, beta, ll)),
             "emission_sweep": (table["emission_sweep"], (logp, labels)),
             "weighted_grad": (
                 table["weighted_grad"],
-                (logp, labels, A, R, prefix, ll2, lam, 1.0),
+                (logp, labels, A, R, prefix, ll, lam, 1.0),
+            ),
+            "next_symbol_masses": (
+                table["next_symbol_masses"],
+                (logp, np.ascontiguousarray(A[:, level]), level),
             ),
         }
-
-    if len(cases) == 2:
-        a, _ = impls["numpy"]["forward_fill"](logp, labels)
-        b, _ = impls["numba"]["forward_fill"](logp, labels)
-        assert np.array_equal(a, b), "backends disagree!"
-        print("backend agreement check: OK")
 
     print(
         f"\nlattice T={args.frames} U={args.labels} |V|={args.vocab}, "
         f"{args.repeats} repeats\n"
     )
-    header = f"{'kernel':<18}" + "".join(f"{n:>14}" for n in cases)
+    header = f"{'kernel':<20}" + "".join(f"{n:>14}" for n in cases)
     if len(cases) == 2:
         header += f"{'speedup':>10}"
     print(header)
@@ -83,7 +110,7 @@ def main():
         for backend, table in cases.items():
             fn, fargs = table[kernel_name]
             times[backend] = time_call(fn, fargs, args.repeats)
-        row = f"{kernel_name:<18}" + "".join(
+        row = f"{kernel_name:<20}" + "".join(
             f"{times[b] * 1e3:>12.3f}ms" for b in cases
         )
         if len(times) == 2:

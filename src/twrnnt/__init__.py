@@ -11,7 +11,6 @@ from .conditionals import (
     EmissionForward,
     conditional_profile,
     emission_forward,
-    emission_forward_quadratic,
     next_token_distribution,
 )
 from .errors import ConfigError, DataError, NumericalError, TwrnntError
@@ -58,7 +57,6 @@ __all__ = [
     "compute_weights",
     "conditional_profile",
     "emission_forward",
-    "emission_forward_quadratic",
     "forward",
     "lattice_from_json",
     "lattice_to_json",

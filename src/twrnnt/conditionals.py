@@ -21,13 +21,12 @@ import numpy as np
 
 from . import kernels
 from .errors import DataError, NumericalError
-from .lattice import PosteriorLattice, as_labels
+from .lattice import PosteriorLattice, _check_dims, as_labels
 
 __all__ = [
     "EmissionForward",
     "ConditionalProfile",
     "emission_forward",
-    "emission_forward_quadratic",
     "conditional_profile",
     "next_token_distribution",
     "profile_to_json",
@@ -42,7 +41,9 @@ class EmissionForward:
     A[t, u-1] (shape (T, U)) is the log joint probability of the prefix
     y[:u] with its last token emitted exactly at frame t.  prefix_logp[u]
     is the log prefix mass logsumexp_t A[t, u-1]; prefix_logp[0] = 0 and
-    the vector is non-increasing.
+    the vector is non-increasing.  Both come from the emission sweep, the
+    same recursion whose running table is the forward table alpha of
+    ``lattice.forward``.
     """
 
     A: np.ndarray
@@ -69,19 +70,11 @@ class ConditionalProfile:
         return len(self.conditionals)
 
 
-def _sweep(lattice: PosteriorLattice, y, require_tokens: bool = True):
+def _sweep(lattice: PosteriorLattice, y):
     labels = as_labels(y)
-    if require_tokens and labels.size == 0:
+    if labels.size == 0:
         raise DataError("conditional computation needs U >= 1 (no tokens to condition on)")
-    if lattice.U != labels.size:
-        raise DataError(
-            f"label/lattice mismatch: lattice has (T={lattice.T}, U={lattice.U}) "
-            f"but the label sequence has U={labels.size}"
-        )
-    if labels.size and labels.max() >= lattice.blank:
-        raise DataError(
-            f"token index {int(labels.max())} is not below the blank index {lattice.blank}"
-        )
+    _check_dims(lattice, labels)
     return labels, kernels.emission_sweep(lattice.logp, labels)
 
 
@@ -89,21 +82,6 @@ def emission_forward(lattice: PosteriorLattice, y) -> EmissionForward:
     """Emission-time forward table for y over the lattice, O(T*U) via the
     running-prefix form of the blank-run sums."""
     _, (A, _, prefix, _) = _sweep(lattice, y)
-    return EmissionForward(A=A[:, 1:].copy(), prefix_logp=prefix.copy())
-
-
-def emission_forward_quadratic(lattice: PosteriorLattice, y) -> EmissionForward:
-    """Reference table with the explicit O(T^2 * U) blank-run inner sum;
-    agrees with ``emission_forward`` to ~1e-12."""
-    labels = as_labels(y)
-    if labels.size == 0:
-        raise DataError("conditional computation needs U >= 1 (no tokens to condition on)")
-    if lattice.U != labels.size:
-        raise DataError(
-            f"label/lattice mismatch: lattice has (T={lattice.T}, U={lattice.U}) "
-            f"but the label sequence has U={labels.size}"
-        )
-    A, prefix, _ = kernels.emission_sweep_quadratic(lattice.logp, labels)
     return EmissionForward(A=A[:, 1:].copy(), prefix_logp=prefix.copy())
 
 

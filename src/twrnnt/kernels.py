@@ -1,5 +1,21 @@
 """Log-domain dynamic-programming kernels with numba acceleration.
 
+Four kernels cover every loss, gradient and conditional in the package:
+
+  * ``emission_sweep`` -- the one forward recursion.  Its running table R is
+    the standard forward table alpha; it also yields the emission-time
+    masses A, the prefix masses and the sequence log-likelihood.
+  * ``weighted_grad`` -- the one gradient: a reverse sweep over the emission
+    recursion for the token-weighted loss.  Unit weights give the standard
+    transducer loss gradient.
+  * ``backward_fill`` -- the suffix table beta, kept as an independent
+    cross-check of the forward recursion (``lattice.backward``).
+  * ``next_symbol_masses`` -- one-step extension masses for next-token
+    distributions.
+
+Slow reference forms (the occupancy gradient, the quadratic emission sweep)
+live in ``oracle``, not here.
+
 These inner loops are the hot path of every loss evaluation and training
 step, so they are JIT-compiled with numba when available.  Backend selection
 is controlled by the ``TWRNNT_BACKEND`` environment variable:
@@ -9,7 +25,7 @@ is controlled by the ``TWRNNT_BACKEND`` environment variable:
   * ``numpy`` -- force the pure-NumPy fallback (identical results, slower).
 
 Both backends run the same source with the same operation order: the DP
-tables come out bit-identical, and the exp() in gradient occupancies agrees
+tables come out bit-identical, and the exp() in the gradient sweep agrees
 to an ULP (numba links its own libm).  ``benchmarks/bench_kernels.py``
 compares the two.
 
@@ -32,31 +48,6 @@ import os
 import numpy as np
 
 NEG_INF = float("-inf")
-
-
-def _forward_fill(logp, labels):
-    """Fill the forward table alpha; return (alpha, loglik).
-
-    alpha[t, u] is the log-probability of emitting labels[:u] within the
-    first t+1 frame-steps and sitting at frame t.  alpha[0, 0] = 0.
-    """
-    T, U1, nsym = logp.shape
-    U = U1 - 1
-    blank = nsym - 1
-    alpha = np.full((T, U1), NEG_INF)
-    alpha[0, 0] = 0.0
-    for t in range(T):
-        for u in range(U1):
-            if t == 0 and u == 0:
-                continue
-            a = NEG_INF
-            if t > 0:
-                a = alpha[t - 1, u] + logp[t - 1, u, blank]
-            if u > 0:
-                a = np.logaddexp(a, alpha[t, u - 1] + logp[t, u - 1, labels[u - 1]])
-            alpha[t, u] = a
-    loglik = alpha[T - 1, U] + logp[T - 1, U, blank]
-    return alpha, loglik
 
 
 def _backward_fill(logp, labels):
@@ -83,33 +74,6 @@ def _backward_fill(logp, labels):
     return beta, beta[0, 0]
 
 
-def _loglik_grad(logp, labels, alpha, beta, loglik):
-    """Gradient of loglik w.r.t. every logp entry (occupancy form).
-
-    Entries never touched by a valid alignment stay exactly 0.
-    """
-    T, U1, nsym = logp.shape
-    U = U1 - 1
-    blank = nsym - 1
-    g = np.zeros((T, U1, nsym))
-    if loglik == NEG_INF:
-        return g
-    for t in range(T):
-        for u in range(U1):
-            if alpha[t, u] == NEG_INF:
-                continue
-            if u < U:
-                g[t, u, labels[u]] = np.exp(
-                    alpha[t, u] + logp[t, u, labels[u]] + beta[t, u + 1] - loglik
-                )
-            if t < T - 1:
-                g[t, u, blank] = np.exp(
-                    alpha[t, u] + logp[t, u, blank] + beta[t + 1, u] - loglik
-                )
-    g[T - 1, U, blank] = np.exp(alpha[T - 1, U] + logp[T - 1, U, blank] - loglik)
-    return g
-
-
 def _emission_sweep(logp, labels):
     """Emission-time factorized forward pass (running-prefix form).
 
@@ -122,7 +86,8 @@ def _emission_sweep(logp, labels):
       * prefix[u] = logsumexp_t A[t, u]; prefix[0] = 0.
       * loglik closes level U with blanks and the final blank at (T-1, U).
 
-    Cost O(T*U); the quadratic reference below must agree to ~1e-12.
+    R is the standard forward table alpha: ``lattice.forward`` returns it.
+    Cost O(T*U); ``oracle.emission_sweep_quadratic`` must agree to ~1e-12.
     """
     T, U1, nsym = logp.shape
     U = U1 - 1
@@ -145,47 +110,6 @@ def _emission_sweep(logp, labels):
             prefix[j + 1] = s
     loglik = R[T - 1, U] + logp[T - 1, U, blank]
     return A, R, prefix, loglik
-
-
-def _emission_sweep_quadratic(logp, labels):
-    """Reference emission-time sweep with the explicit O(T^2 * U) inner sum.
-
-    Spells out the blank-run products between consecutive emission frames
-    instead of carrying a running prefix.  Used to pin down the fast form.
-    """
-    T, U1, nsym = logp.shape
-    U = U1 - 1
-    blank = nsym - 1
-    A = np.full((T, U1), NEG_INF)
-    prefix = np.full(U1, NEG_INF)
-    A[0, 0] = 0.0
-    prefix[0] = 0.0
-    for u in range(1, U1):
-        j = u - 1
-        y = labels[j]
-        s_u = NEG_INF
-        for t in range(T):
-            s = NEG_INF
-            for tp in range(t + 1):
-                if A[tp, j] == NEG_INF:
-                    continue
-                run = A[tp, j]
-                for f in range(tp, t):
-                    run += logp[f, j, blank]
-                s = np.logaddexp(s, run)
-            A[t, u] = s + logp[t, j, y]
-            s_u = np.logaddexp(s_u, A[t, u])
-        prefix[u] = s_u
-    s = NEG_INF
-    for tp in range(T):
-        if A[tp, U] == NEG_INF:
-            continue
-        run = A[tp, U]
-        for f in range(tp, T - 1):
-            run += logp[f, U, blank]
-        s = np.logaddexp(s, run)
-    loglik = s + logp[T - 1, U, blank]
-    return A, prefix, loglik
 
 
 def _weighted_grad(logp, labels, A, R, prefix, loglik, lam, final_blank_weight):
@@ -275,11 +199,8 @@ def _next_symbol_masses(logp, A_prev, level):
 
 
 _PY_IMPLS = {
-    "forward_fill": _forward_fill,
     "backward_fill": _backward_fill,
-    "loglik_grad": _loglik_grad,
     "emission_sweep": _emission_sweep,
-    "emission_sweep_quadratic": _emission_sweep_quadratic,
     "weighted_grad": _weighted_grad,
     "next_symbol_masses": _next_symbol_masses,
 }
@@ -305,11 +226,8 @@ if _BACKEND_ENV in {"auto", "numba"}:
 BACKEND = "numba" if _JIT_IMPLS is not None else "numpy"
 _ACTIVE = _JIT_IMPLS if _JIT_IMPLS is not None else _PY_IMPLS
 
-forward_fill = _ACTIVE["forward_fill"]
 backward_fill = _ACTIVE["backward_fill"]
-loglik_grad = _ACTIVE["loglik_grad"]
 emission_sweep = _ACTIVE["emission_sweep"]
-emission_sweep_quadratic = _ACTIVE["emission_sweep_quadratic"]
 weighted_grad = _ACTIVE["weighted_grad"]
 next_symbol_masses = _ACTIVE["next_symbol_masses"]
 

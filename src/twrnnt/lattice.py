@@ -135,8 +135,9 @@ class PosteriorLattice:
 class ForwardBackwardTables:
     """Forward/backward DP tables plus the sequence log-likelihood.
 
-    ``forward`` fills alpha, ``backward`` fills beta; either determines
-    ``loglik`` on its own, and the two agree to ~1e-9.
+    ``forward`` returns the emission sweep's running table as alpha;
+    ``backward`` fills beta with an independent suffix recursion.  Either
+    determines ``loglik`` on its own, and the two agree to ~1e-9.
     """
 
     alpha: Optional[np.ndarray]
@@ -184,7 +185,7 @@ def forward(lattice: PosteriorLattice, y) -> ForwardBackwardTables:
     """
     labels = as_labels(y)
     _check_dims(lattice, labels)
-    alpha, loglik = kernels.forward_fill(lattice.logp, labels)
+    _, alpha, _, loglik = kernels.emission_sweep(lattice.logp, labels)
     return ForwardBackwardTables(alpha=alpha, beta=None, loglik=float(loglik))
 
 
@@ -204,19 +205,20 @@ def rnnt_loss(lattice: PosteriorLattice, y) -> float:
 def rnnt_loss_grad(lattice: PosteriorLattice, y) -> np.ndarray:
     """Gradient of ``rnnt_loss`` w.r.t. every lattice log-probability.
 
-    Occupancy form from one forward and one backward sweep; cells unreachable
-    by any alignment get exactly 0.  The final-blank cell always gets -1.
+    The token-weighted gradient sweep with every weight 1, which is the
+    standard loss.  Cells unreachable by any alignment get exactly 0; the
+    final-blank cell always gets -1.
     """
     labels = as_labels(y)
     _check_dims(lattice, labels)
-    alpha, loglik = kernels.forward_fill(lattice.logp, labels)
+    A, R, prefix, loglik = kernels.emission_sweep(lattice.logp, labels)
     if loglik == -np.inf:
         raise NumericalError(
             "sequence has zero probability under the lattice; loss gradient "
             "is undefined"
         )
-    beta, _ = kernels.backward_fill(lattice.logp, labels)
-    return -kernels.loglik_grad(lattice.logp, labels, alpha, beta, loglik)
+    lam = np.ones(labels.size)
+    return kernels.weighted_grad(lattice.logp, labels, A, R, prefix, loglik, lam, 1.0)
 
 
 def lattice_to_json(lattice: PosteriorLattice, grad: Optional[np.ndarray] = None) -> str:

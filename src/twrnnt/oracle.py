@@ -2,7 +2,9 @@
 
 Everything here trades speed for transparency: alignments are enumerated
 one by one, probabilities are summed in sorted order, gradients come from
-central finite differences.  Shipped (not test-only) so the CLI can vet
+central finite differences.  Two slow DP forms pin the fast kernels: the
+occupancy gradient from forward and backward tables, and the emission sweep
+with its blank-run sums spelled out.  Shipped (not test-only) so the CLI can vet
 serialized lattices from any source against these references.
 """
 
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .lattice import PosteriorLattice, as_labels
+from .lattice import PosteriorLattice, _check_dims, as_labels, backward, forward
 
 __all__ = [
     "BLANK_STEP",
@@ -28,6 +30,8 @@ __all__ = [
     "exact_conditionals",
     "exact_final_blank_logp",
     "finite_diff_grad",
+    "loglik_grad",
+    "emission_sweep_quadratic",
 ]
 
 BLANK_STEP = 0
@@ -126,10 +130,7 @@ def _sorted_logsumexp(values) -> float:
 def exact_sequence_logp(lattice: PosteriorLattice, y) -> float:
     """log P(y | x) by brute-force summation over every complete alignment."""
     labels = as_labels(y)
-    if labels.size != lattice.U:
-        raise DataError(
-            f"label/lattice mismatch: lattice U={lattice.U}, labels U={labels.size}"
-        )
+    _check_dims(lattice, labels)
     paths = enumerate_paths(lattice.T, labels.size)
     return _sorted_logsumexp(path_logp(lattice, labels, p) for p in paths)
 
@@ -211,3 +212,82 @@ def finite_diff_grad(f, lattice: PosteriorLattice, step: float = 1e-6) -> np.nda
         lo = f(PosteriorLattice(bumped.reshape(base.shape)))
         flat[i] = (hi - lo) / (2.0 * step)
     return grad
+
+
+def loglik_grad(lattice: PosteriorLattice, y) -> np.ndarray:
+    """Gradient of log P(y | x) w.r.t. every lattice entry, occupancy form.
+
+    A cell's gradient is the posterior probability that an alignment takes
+    its arc, exp(alpha + logp + beta - loglik), from the forward and backward
+    tables.  Entries never touched by a valid alignment stay exactly 0, and
+    a zero-probability sequence gives an all-zero table.
+    """
+    labels = as_labels(y)
+    fwd = forward(lattice, labels)
+    alpha, loglik = fwd.alpha, fwd.loglik
+    beta = backward(lattice, labels).beta
+    logp = lattice.logp
+    T, U, blank = lattice.T, lattice.U, lattice.blank
+    g = np.zeros_like(logp)
+    if loglik == -np.inf:
+        return g
+    for t in range(T):
+        for u in range(U + 1):
+            if alpha[t, u] == -np.inf:
+                continue
+            if u < U:
+                g[t, u, labels[u]] = np.exp(
+                    alpha[t, u] + logp[t, u, labels[u]] + beta[t, u + 1] - loglik
+                )
+            if t < T - 1:
+                g[t, u, blank] = np.exp(
+                    alpha[t, u] + logp[t, u, blank] + beta[t + 1, u] - loglik
+                )
+    g[T - 1, U, blank] = np.exp(alpha[T - 1, U] + logp[T - 1, U, blank] - loglik)
+    return g
+
+
+def emission_sweep_quadratic(lattice: PosteriorLattice, y):
+    """Emission-time masses with the explicit O(T^2 * U) blank-run inner sum.
+
+    Returns (A, prefix, loglik) in the layout of ``kernels.emission_sweep``:
+    A[t, u] for u >= 1 is the log joint mass of emitting y[:u] with the u-th
+    label at frame t, prefix[u] = logsumexp_t A[t, u], and loglik closes
+    level U with blanks and the final blank.  Spells out the blank-run
+    products between consecutive emission frames instead of carrying a
+    running prefix.
+    """
+    labels = as_labels(y)
+    _check_dims(lattice, labels)
+    logp = lattice.logp
+    T, U, blank = lattice.T, lattice.U, lattice.blank
+    A = np.full((T, U + 1), -np.inf)
+    prefix = np.full(U + 1, -np.inf)
+    A[0, 0] = 0.0
+    prefix[0] = 0.0
+    for u in range(1, U + 1):
+        j = u - 1
+        y_j = labels[j]
+        s_u = -np.inf
+        for t in range(T):
+            s = -np.inf
+            for tp in range(t + 1):
+                if A[tp, j] == -np.inf:
+                    continue
+                run = A[tp, j]
+                for f in range(tp, t):
+                    run += logp[f, j, blank]
+                s = np.logaddexp(s, run)
+            A[t, u] = s + logp[t, j, y_j]
+            s_u = np.logaddexp(s_u, A[t, u])
+        prefix[u] = s_u
+    s = -np.inf
+    for tp in range(T):
+        if A[tp, U] == -np.inf:
+            continue
+        run = A[tp, U]
+        for f in range(tp, T - 1):
+            run += logp[f, U, blank]
+        s = np.logaddexp(s, run)
+    loglik = s + logp[T - 1, U, blank]
+    return A, prefix, loglik

@@ -1,9 +1,9 @@
 """Batched training loops over the toy transducer.
 
-Three objectives share one loop: plain sequence loss, per-utterance
-confidence weighting (one scalar per utterance applied in batch
-aggregation), and per-token weighting through the emission-factorized
-gradient.  Batch losses are summed and divided by the batch's token count
+Three objectives share one loss: the token-weighted transducer loss, whose
+weights are all 1 for plain sequence training, one confidence-derived scalar
+per utterance for utterance weighting, and one per token for token
+weighting.  Batch losses are summed and divided by the batch's token count
 so the weight exponent does not rescale the effective learning rate.
 
 Confidence scores ride on utterances (``Utterance.confidences``); utterances
@@ -21,7 +21,6 @@ import numpy as np
 from .conditionals import conditional_profile
 from .datagen import Utterance
 from .errors import DataError, NumericalError
-from .lattice import rnnt_loss_grad
 from .metrics import wer
 from .model import (
     AdamConfig,
@@ -32,8 +31,7 @@ from .model import (
     model_backward,
     model_forward,
 )
-from .weighting import WeightConfig, compute_weights, weighted_loss_and_grad
-from . import kernels
+from .weighting import TokenWeights, WeightConfig, compute_weights, weighted_loss_and_grad
 
 __all__ = [
     "MODES",
@@ -91,58 +89,49 @@ def _confidences_of(utt: Utterance) -> np.ndarray:
     return np.ones(utt.tokens.size)
 
 
-def _batch_loss_and_grad(model: TransducerModel, batch, cfg: TrainConfig):
-    """Summed loss and parameter gradient for one batch under cfg.mode."""
-    total_tokens = max(1, sum(u.tokens.size for u in batch))
-    dtype = np.float32 if cfg.float32_forward else np.float64
-    lattices = [
-        model_forward(model, u.features, u.tokens, compute_dtype=dtype)
-        for u in batch
-    ]
+def _batch_weights(batch, cfg: TrainConfig) -> list:
+    """One TokenWeights per utterance; the training mode only chooses these.
 
+    Standard training is unit weights.  Utterance weighting gives every
+    token of utterance i, and its sentence-end term, the same weight
+    w_i = mean(c)^alpha normalized to mean 1 over the batch.
+    """
+    if cfg.mode == "standard":
+        return [TokenWeights.uniform(u.tokens.size) for u in batch]
+    confidences = [_confidences_of(u) for u in batch]
     if cfg.mode == "token_weights":
         wcfg = WeightConfig(
             alpha=cfg.alpha,
             final_blank_weight=cfg.final_blank_weight,
             normalization="per_batch",
         )
-        weights = compute_weights([_confidences_of(u) for u in batch], wcfg)
-        pairs = [
-            weighted_loss_and_grad(lat, u.tokens, w)
-            for lat, u, w in zip(lattices, batch, weights)
-        ]
-        losses = [p[0] for p in pairs]
-        dlogps = [p[1] for p in pairs]
-    else:
-        losses = []
-        dlogps = []
-        for lat, u in zip(lattices, batch):
-            labels = u.tokens
-            alpha_tab, loglik = kernels.forward_fill(lat.logp, labels)
-            if loglik == -np.inf:
-                raise NumericalError(
-                    f"utterance {u.id} has zero probability under the model"
-                )
-            losses.append(-float(loglik))
-            dlogps.append(rnnt_loss_grad(lat, labels))
-        if cfg.mode == "utterance_weights":
-            means = np.array(
-                [
-                    float(np.mean(_confidences_of(u))) if u.tokens.size else 1.0
-                    for u in batch
-                ]
-            )
-            powered = means**cfg.alpha
-            w = powered / np.mean(powered)
-            losses = [wi * li for wi, li in zip(w, losses)]
-            dlogps = [wi * gi for wi, gi in zip(w, dlogps)]
+        return compute_weights(confidences, wcfg)
+    means = np.array([float(np.mean(c)) if c.size else 1.0 for c in confidences])
+    powered = means**cfg.alpha
+    w = powered / np.mean(powered)
+    return [
+        TokenWeights(
+            lambdas=np.full(c.size, wi),
+            source_confidences=c,
+            config=WeightConfig(alpha=cfg.alpha, final_blank_weight=float(wi)),
+        )
+        for wi, c in zip(w, confidences)
+    ]
 
-    loss = float(sum(losses)) / total_tokens
+
+def _batch_loss_and_grad(model: TransducerModel, batch, cfg: TrainConfig):
+    """Summed loss and parameter gradient for one batch under cfg.mode."""
+    total_tokens = max(1, sum(u.tokens.size for u in batch))
+    dtype = np.float32 if cfg.float32_forward else np.float64
+    loss = 0.0
     grad = np.zeros_like(model.params)
-    for u, dlogp in zip(batch, dlogps):
+    for u, weights in zip(batch, _batch_weights(batch, cfg)):
+        lat = model_forward(model, u.features, u.tokens, compute_dtype=dtype)
+        loss_u, dlogp = weighted_loss_and_grad(lat, u.tokens, weights)
+        loss += loss_u
         grad += model_backward(model, u.features, u.tokens, dlogp)
     grad /= total_tokens
-    return loss, grad
+    return loss / total_tokens, grad
 
 
 def batch_iterator(utterances: Sequence[Utterance], cfg: TrainConfig, rng):

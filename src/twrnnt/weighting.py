@@ -20,7 +20,7 @@ import numpy as np
 from . import kernels
 from .conditionals import ConditionalProfile
 from .errors import DataError, NumericalError
-from .lattice import PosteriorLattice, as_labels
+from .lattice import PosteriorLattice, _check_dims, as_labels
 
 __all__ = [
     "WeightConfig",
@@ -137,15 +137,7 @@ def compute_weights(
 
 def _prepare(lattice: PosteriorLattice, y, weights: TokenWeights):
     labels = as_labels(y)
-    if lattice.U != labels.size:
-        raise DataError(
-            f"label/lattice mismatch: lattice has (T={lattice.T}, U={lattice.U}) "
-            f"but the label sequence has U={labels.size}"
-        )
-    if labels.size and labels.max() >= lattice.blank:
-        raise DataError(
-            f"token index {int(labels.max())} is not below the blank index {lattice.blank}"
-        )
+    _check_dims(lattice, labels)
     lam = np.ascontiguousarray(np.asarray(weights.lambdas, dtype=np.float64))
     if lam.size != labels.size:
         raise DataError(

@@ -1,0 +1,112 @@
+"""Property tests on small random lattices.
+
+Generated lattices range over T = 1, U = 0, U > T, logits up to 1e3 in
+magnitude and -inf hard-zero cells; explicit examples pin each of those
+cases.  Example counts stay small so the suite's wall time barely moves.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from twrnnt.errors import NumericalError
+from twrnnt.lattice import PosteriorLattice, backward, forward, normalize_logits, rnnt_loss_grad
+from twrnnt.oracle import loglik_grad
+from twrnnt.weighting import TokenWeights, WeightConfig, weighted_loss_and_grad
+
+PROPERTY = settings(max_examples=50, deadline=None, derandomize=True, database=None)
+
+
+def _with_hard_zeros(raw, labels, zeros):
+    logp = normalize_logits(raw).logp.copy()
+    for cell in zeros:
+        logp[cell] = -np.inf
+    return PosteriorLattice(logp), np.asarray(labels, dtype=np.int64)
+
+
+@st.composite
+def cases(draw, hard_zeros=True):
+    """(lattice, labels) with T in 1..6, U in 0..5 and |V| in 1..3."""
+    T = draw(st.integers(1, 6))
+    U = draw(st.integers(0, 5))
+    V = draw(st.integers(1, 3))
+    shape = (T, U + 1, V + 1)
+    raw = draw(
+        hnp.arrays(np.float64, shape, elements=st.floats(-1e3, 1e3), fill=st.nothing())
+    )
+    labels = draw(st.lists(st.integers(0, V - 1), min_size=U, max_size=U))
+    cell = st.tuples(st.integers(0, T - 1), st.integers(0, U), st.integers(0, V))
+    zeros = draw(st.lists(cell, max_size=3)) if hard_zeros else []
+    return _with_hard_zeros(raw, labels, zeros)
+
+
+def seeded(T, U, V, scale=1.5, zeros=(), seed=0):
+    rng = np.random.default_rng(seed)
+    raw = scale * rng.normal(size=(T, U + 1, V + 1))
+    return _with_hard_zeros(raw, rng.integers(0, V, size=U), zeros)
+
+
+EDGE_CASES = [
+    seeded(T=1, U=0, V=2),
+    seeded(T=1, U=3, V=2),
+    seeded(T=2, U=5, V=3),
+    seeded(T=4, U=3, V=3, scale=1e3),
+    seeded(T=3, U=2, V=2, zeros=[(0, 1, 2), (1, 0, 2)]),
+    seeded(T=3, U=2, V=2, zeros=[(2, 2, 2)]),
+]
+
+
+def _edge_examples(fn):
+    for case in EDGE_CASES:
+        fn = example(case=case)(fn)
+    return fn
+
+
+@PROPERTY
+@given(case=cases())
+@_edge_examples
+def test_forward_and_backward_loglik_agree(case):
+    lat, y = case
+    f, b = forward(lat, y).loglik, backward(lat, y).loglik
+    if f == -np.inf or b == -np.inf:
+        assert f == b
+    else:
+        assert abs(f - b) <= 1e-9 * max(1.0, abs(f))
+
+
+@PROPERTY
+@given(case=cases())
+@_edge_examples
+def test_standard_gradient_matches_occupancy_oracle(case):
+    lat, y = case
+    if forward(lat, y).loglik == -np.inf:
+        with pytest.raises(NumericalError, match="zero probability"):
+            rnnt_loss_grad(lat, y)
+        return
+    g = rnnt_loss_grad(lat, y)
+    np.testing.assert_allclose(g, -loglik_grad(lat, y), rtol=0, atol=1e-9)
+    assert g[lat.T - 1, lat.U, lat.blank] == -1.0
+
+
+@PROPERTY
+@given(case=cases(hard_zeros=False), data=st.data())
+def test_weighted_loss_is_linear_in_weights(case, data):
+    lat, y = case
+    weights = hnp.arrays(np.float64, y.size, elements=st.floats(0.0, 4.0))
+    lam1, lam2 = data.draw(weights), data.draw(weights)
+    fb1, fb2 = data.draw(st.floats(0.0, 4.0)), data.draw(st.floats(0.0, 4.0))
+    a = data.draw(st.floats(0.0, 3.0))
+
+    def loss_and_grad(lam, fb):
+        w = TokenWeights(lam, np.ones(y.size), WeightConfig(final_blank_weight=fb))
+        return weighted_loss_and_grad(lat, y, w)
+
+    l1, g1 = loss_and_grad(lam1, fb1)
+    l2, g2 = loss_and_grad(lam2, fb2)
+    l12, g12 = loss_and_grad(lam1 + a * lam2, fb1 + a * fb2)
+    # Every term is a nonnegative weight times a nonnegative -log mass.
+    assert abs(l12 - (l1 + a * l2)) <= 1e-10 * (1.0 + l1 + a * l2)
+    scale = 1.0 + np.max(np.abs(g1)) + a * np.max(np.abs(g2))
+    assert np.max(np.abs(g12 - (g1 + a * g2))) <= 1e-10 * scale

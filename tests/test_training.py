@@ -1,11 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from twrnnt.datagen import SyntheticSpec, Utterance, generate_synthetic_dataset, read_dataset
 from twrnnt.errors import DataError, NumericalError
+from twrnnt.lattice import rnnt_loss, rnnt_loss_grad
+from twrnnt.model import TransducerModel, model_backward, model_forward
 from twrnnt.seeds import stream
 from twrnnt.training import (
     TrainConfig,
+    _batch_loss_and_grad,
     evaluate_wer,
     score_confidences,
     train_model,
@@ -72,6 +77,34 @@ class TestTrainingLoop:
             traces[mode] = np.asarray(res.batch_losses)
         for mode in ("token_weights", "utterance_weights"):
             assert np.max(np.abs(traces[mode] - traces["standard"])) < 1e-9
+
+    def test_utterance_mode_scales_standard_terms(self, small_data):
+        # Utterance weighting is the standard loss and gradient of utterance
+        # i scaled by w_i = mean(c_i)^alpha / batch mean, sentence-end term
+        # included, summed and divided by the batch's token count.
+        rng = np.random.default_rng(17)
+        model = TransducerModel.random(8, 16, 16, rng)
+        batch = [
+            replace(u, confidences=rng.uniform(0.05, 1.0, size=u.tokens.size))
+            for u in small_data["train"][:6]
+        ]
+        alpha = 3.0
+        loss, grad = _batch_loss_and_grad(
+            model, batch, TrainConfig(mode="utterance_weights", alpha=alpha)
+        )
+        powered = np.array([np.mean(u.confidences) ** alpha for u in batch])
+        w = powered / np.mean(powered)
+        tokens = sum(u.tokens.size for u in batch)
+        ref_loss = 0.0
+        ref_grad = np.zeros_like(model.params)
+        for wi, u in zip(w, batch):
+            lat = model_forward(model, u.features, u.tokens)
+            dlogp = rnnt_loss_grad(lat, u.tokens)
+            ref_loss += wi * rnnt_loss(lat, u.tokens)
+            ref_grad += wi * model_backward(model, u.features, u.tokens, dlogp)
+        assert np.ptp(w) > 0.5  # the weights really differ across utterances
+        assert abs(loss - ref_loss / tokens) <= 1e-12
+        assert np.max(np.abs(grad - ref_grad / tokens)) <= 1e-12
 
     def test_token_mode_requires_matching_confidences(self, small_data):
         utt = small_data["train"][0]
