@@ -1,11 +1,18 @@
 #!/usr/bin/env python3
-"""Benchmark the DP kernels: numba backend vs pure-NumPy fallback.
+"""Benchmark the DP kernels.
 
-Builds a seeded desk-scale lattice and verifies every available backend
-before timing anything: the emission sweep's log-likelihood must match the
-backward table's, and the unit-weight gradient sweep must match the oracle
-occupancy gradient, both to 1e-9.  With numba present the two backends'
-emission-sweep tables must also be bit-identical.  Run from the repo root:
+The batched emission sweep and weighted gradient run over padded batches
+of B = 1 and B = 8 lattices of mixed size (at most --frames x --labels),
+and are timed in microseconds per utterance next to the per-cell loops in
+``oracle`` that they replace.  The single-lattice kernels (backward fill,
+next-symbol masses) are timed on every available backend, numba included
+when installed.
+
+Nothing is timed before it is verified.  On the B = 8 batch the batched
+tables and gradients must equal the per-cell loops exactly, the
+log-likelihood must match the backward table's, and the unit-weight
+gradient must match the oracle occupancy gradient, both to 1e-9.  Run from
+the repo root:
 
     python3 benchmarks/bench_kernels.py [--frames 50 --labels 20 --vocab 32]
 """
@@ -17,41 +24,98 @@ import numpy as np
 
 from twrnnt import kernels
 from twrnnt.lattice import PosteriorLattice
-from twrnnt.oracle import loglik_grad
+from twrnnt.oracle import emission_sweep_scalar, loglik_grad, weighted_grad_scalar
 
 TOL = 1e-9
+BATCH = 8
 
 
-def make_instance(T, U, V, seed=0):
+def make_batch(T, U, V, B, seed=0):
+    """B seeded softmax lattices; the first has the full size (T, U), the
+    rest shrink by up to a quarter in each dimension."""
     rng = np.random.default_rng(seed)
-    raw = rng.normal(scale=1.5, size=(T, U + 1, V + 1))
-    logp = raw - np.log(np.sum(np.exp(raw), axis=-1, keepdims=True))
-    labels = rng.integers(0, V, size=U).astype(np.int64)
-    return np.ascontiguousarray(logp), labels
+    out = []
+    for b in range(B):
+        t = T if b == 0 else int(rng.integers(max(1, 3 * T // 4), T + 1))
+        u = U if b == 0 else int(rng.integers(3 * U // 4, U + 1))
+        raw = rng.normal(scale=1.5, size=(t, u + 1, V + 1))
+        logp = raw - np.log(np.sum(np.exp(raw), axis=-1, keepdims=True))
+        labels = rng.integers(0, V, size=u).astype(np.int64)
+        lam = rng.uniform(0.5, 1.5, size=u)
+        out.append((np.ascontiguousarray(logp), labels, lam))
+    return out
 
 
-def time_call(fn, args, repeats):
-    fn(*args)  # warmup (and JIT compile for the numba table)
+def padded(items):
+    cols = kernels.PaddedColumns([l.shape[0] for l, _, _ in items], [y.size for _, y, _ in items])
+    lam = np.zeros((len(items), cols.emit.shape[2]))
+    for b, (logp, labels, lam_b) in enumerate(items):
+        cols.put(b, logp, labels)
+        lam[b, : labels.size] = lam_b
+    return cols, lam, np.ones(len(items))
+
+
+def time_call(fn, repeats):
+    fn()  # warmup (and JIT compile for the numba table)
     t0 = time.perf_counter()
     for _ in range(repeats):
-        fn(*args)
+        fn()
     return (time.perf_counter() - t0) / repeats
 
 
-def verify(name, table, logp, labels, occupancy):
-    """Check one backend against the independent references; exit on failure."""
-    A, R, prefix, ll = table["emission_sweep"](logp, labels)
-    _, ll_b = table["backward_fill"](logp, labels)
-    ones = np.ones(labels.size)
-    g = table["weighted_grad"](logp, labels, A, R, prefix, ll, ones, 1.0)
-    ll_gap = abs(ll - ll_b)
-    grad_gap = float(np.max(np.abs(g + occupancy)))
+def verify(items):
+    """Check the batched kernels on one padded batch; exit on failure."""
+    cols, lam, fb = padded(items)
+    sweep = cols.sweep()
+    g_blank, g_emit = cols.grad(sweep, lam, fb)
+    g_unit = cols.grad(sweep, np.where(lam > 0, 1.0, 0.0), fb)
+    ll_gap = grad_gap = 0.0
+    for b, (logp, labels, lam_b) in enumerate(items):
+        T, U = logp.shape[0], labels.size
+        ref = emission_sweep_scalar(logp, labels)
+        batched = (sweep[0][b, :T, : U + 1], sweep[1][b, :T, : U + 1], sweep[2][b, : U + 1], sweep[3][b])
+        if not all(np.array_equal(x, r) for x, r in zip(batched, ref)):
+            raise SystemExit(f"utterance {b}: batched emission sweep differs from the per-cell loop")
+        g_ref = weighted_grad_scalar(logp, labels, *ref, lam_b, 1.0)
+        dense = kernels.dense_grad(g_blank[b, :T], g_emit[b, :T], labels, logp.shape[2])
+        if not np.array_equal(dense, g_ref):
+            raise SystemExit(f"utterance {b}: batched weighted gradient differs from the per-cell loop")
+        _, ll_b = kernels.backward_fill(logp, labels)
+        ll_gap = max(ll_gap, abs(sweep[3][b] - ll_b))
+        occupancy = loglik_grad(PosteriorLattice(logp), labels)
+        unit = kernels.dense_grad(g_unit[0][b, :T], g_unit[1][b, :T], labels, logp.shape[2])
+        grad_gap = max(grad_gap, float(np.max(np.abs(unit + occupancy))))
     print(
-        f"{name}: emission_sweep vs backward_fill loglik gap {ll_gap:.1e}, "
-        f"unit-weight grad vs oracle occupancy gap {grad_gap:.1e}"
+        f"B={len(items)}: batched == per-cell loops exactly; loglik vs backward_fill gap "
+        f"{ll_gap:.1e}, unit-weight grad vs oracle occupancy gap {grad_gap:.1e}"
     )
     if not (ll_gap <= TOL and grad_gap <= TOL):
-        raise SystemExit(f"{name} backend failed verification (tolerance {TOL})")
+        raise SystemExit(f"batched kernels failed verification (tolerance {TOL})")
+
+
+def batched_times(items, repeats):
+    """Microseconds per utterance: the per-cell loops one lattice at a time,
+    the batched kernels at B = 1 on each lattice, and at B = len(items)."""
+    scalar = {"emission_sweep": 0.0, "weighted_grad": 0.0}
+    single = {"emission_sweep": 0.0, "weighted_grad": 0.0}
+    for logp, labels, lam in items:
+        ref = emission_sweep_scalar(logp, labels)
+        scalar["emission_sweep"] += time_call(lambda: emission_sweep_scalar(logp, labels), repeats)
+        scalar["weighted_grad"] += time_call(
+            lambda: weighted_grad_scalar(logp, labels, *ref, lam, 1.0), repeats
+        )
+        cols, lam1, fb = padded([(logp, labels, lam)])
+        sweep = cols.sweep()
+        single["emission_sweep"] += time_call(cols.sweep, repeats)
+        single["weighted_grad"] += time_call(lambda: cols.grad(sweep, lam1, fb), repeats)
+    cols, lam, fb = padded(items)
+    sweep = cols.sweep()
+    batch = {
+        "emission_sweep": time_call(cols.sweep, repeats),
+        "weighted_grad": time_call(lambda: cols.grad(sweep, lam, fb), repeats),
+    }
+    n = len(items)
+    return {k: (scalar[k] / n * 1e6, single[k] / n * 1e6, batch[k] / n * 1e6) for k in scalar}
 
 
 def main():
@@ -62,59 +126,45 @@ def main():
     parser.add_argument("--repeats", type=int, default=30)
     args = parser.parse_args()
 
-    logp, labels = make_instance(args.frames, args.labels, args.vocab)
+    items = make_batch(args.frames, args.labels, args.vocab, BATCH)
+    verify(items)
     impls = kernels.implementations()
     if impls["numba"] is None:
-        print("numba unavailable or disabled; benchmarking the NumPy path only")
+        print("numba unavailable or disabled; single-lattice kernels run on NumPy only")
     tables = {name: table for name, table in impls.items() if table is not None}
-
-    occupancy = loglik_grad(PosteriorLattice(logp), labels)
-    for name, table in tables.items():
-        verify(name, table, logp, labels, occupancy)
+    logp, labels, _ = items[0]
+    A = kernels.PaddedColumns.of(logp, labels).sweep()[0][0]
+    level = args.labels // 2
+    cases = {
+        "backward_fill": (logp, labels),
+        "next_symbol_masses": (logp, np.ascontiguousarray(A[:, level]), level),
+    }
     if len(tables) == 2:
-        py = tables["numpy"]["emission_sweep"](logp, labels)
-        nb = tables["numba"]["emission_sweep"](logp, labels)
-        if not all(np.array_equal(a, b) for a, b in zip(py, nb)):
-            raise SystemExit("backends disagree on the emission sweep")
+        for name, fargs in cases.items():
+            py, nb = tables["numpy"][name](*fargs), tables["numba"][name](*fargs)
+            py, nb = (py, nb) if isinstance(py, tuple) else ((py,), (nb,))
+            if not all(np.array_equal(a, b) for a, b in zip(py, nb)):
+                raise SystemExit(f"backends disagree on {name}")
         print("backend agreement check: OK")
 
-    lam = np.linspace(0.5, 1.5, args.labels)
-    level = args.labels // 2
-    cases = {}
-    for name, table in tables.items():
-        A, R, prefix, ll = table["emission_sweep"](logp, labels)
-        cases[name] = {
-            "backward_fill": (table["backward_fill"], (logp, labels)),
-            "emission_sweep": (table["emission_sweep"], (logp, labels)),
-            "weighted_grad": (
-                table["weighted_grad"],
-                (logp, labels, A, R, prefix, ll, lam, 1.0),
-            ),
-            "next_symbol_masses": (
-                table["next_symbol_masses"],
-                (logp, np.ascontiguousarray(A[:, level]), level),
-            ),
-        }
-
     print(
-        f"\nlattice T={args.frames} U={args.labels} |V|={args.vocab}, "
-        f"{args.repeats} repeats\n"
+        f"\nbatched kernels, lattices up to T={args.frames} U={args.labels} "
+        f"|V|={args.vocab}, {args.repeats} repeats, microseconds per utterance\n"
     )
-    header = f"{'kernel':<20}" + "".join(f"{n:>14}" for n in cases)
-    if len(cases) == 2:
-        header += f"{'speedup':>10}"
+    header = f"{'kernel':<20}{'per-cell loop':>15}{'B=1':>10}{f'B={BATCH}':>10}{'speedup':>10}"
     print(header)
     print("-" * len(header))
-    for kernel_name in next(iter(cases.values())):
-        times = {}
-        for backend, table in cases.items():
-            fn, fargs = table[kernel_name]
-            times[backend] = time_call(fn, fargs, args.repeats)
-        row = f"{kernel_name:<20}" + "".join(
-            f"{times[b] * 1e3:>12.3f}ms" for b in cases
-        )
-        if len(times) == 2:
-            row += f"{times['numpy'] / times['numba']:>9.1f}x"
+    for name, (scalar, single, batch) in batched_times(items, args.repeats).items():
+        print(f"{name:<20}{scalar:>15.0f}{single:>10.0f}{batch:>10.0f}{scalar / batch:>9.1f}x")
+
+    print(f"\nsingle-lattice kernels, T={args.frames} U={args.labels}, milliseconds\n")
+    header = f"{'kernel':<20}" + "".join(f"{n:>14}" for n in tables)
+    print(header)
+    print("-" * len(header))
+    for name, fargs in cases.items():
+        row = f"{name:<20}"
+        for table in tables.values():
+            row += f"{time_call(lambda: table[name](*fargs), args.repeats) * 1e3:>12.3f}ms"
         print(row)
 
 

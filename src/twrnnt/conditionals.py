@@ -28,6 +28,7 @@ __all__ = [
     "ConditionalProfile",
     "emission_forward",
     "conditional_profile",
+    "padded_profiles",
     "next_token_distribution",
     "profile_to_json",
     "profile_from_json",
@@ -70,19 +71,19 @@ class ConditionalProfile:
         return len(self.conditionals)
 
 
-def _sweep(lattice: PosteriorLattice, y):
+def _columns(lattice: PosteriorLattice, y):
     labels = as_labels(y)
     if labels.size == 0:
         raise DataError("conditional computation needs U >= 1 (no tokens to condition on)")
     _check_dims(lattice, labels)
-    return labels, kernels.emission_sweep(lattice.logp, labels)
+    return kernels.PaddedColumns.of(lattice.logp, labels)
 
 
 def emission_forward(lattice: PosteriorLattice, y) -> EmissionForward:
     """Emission-time forward table for y over the lattice, O(T*U) via the
     running-prefix form of the blank-run sums."""
-    _, (A, _, prefix, _) = _sweep(lattice, y)
-    return EmissionForward(A=A[:, 1:].copy(), prefix_logp=prefix.copy())
+    A, _, prefix, _ = _columns(lattice, y).sweep()
+    return EmissionForward(A=A[0, :, 1:].copy(), prefix_logp=prefix[0].copy())
 
 
 def conditional_profile(lattice: PosteriorLattice, y) -> ConditionalProfile:
@@ -91,8 +92,18 @@ def conditional_profile(lattice: PosteriorLattice, y) -> ConditionalProfile:
     c_u = exp(prefix_logp[u] - prefix_logp[u-1]); a zero-probability prefix
     raises rather than propagating NaN into training.
     """
-    labels, (A, R, prefix, loglik) = _sweep(lattice, y)
-    U = labels.size
+    return padded_profiles(_columns(lattice, y))[0]
+
+
+def padded_profiles(cols: kernels.PaddedColumns) -> list:
+    """``conditional_profile`` of every utterance in a padded batch, from
+    one emission sweep."""
+    _, _, prefix, loglik = cols.sweep()
+    return [_profile(prefix[b, : U + 1], loglik[b]) for b, U in enumerate(cols.U)]
+
+
+def _profile(prefix, loglik) -> ConditionalProfile:
+    U = prefix.size - 1
     for u in range(1, U + 1):
         if prefix[u - 1] == -np.inf:
             raise NumericalError(
@@ -137,8 +148,9 @@ def next_token_distribution(lattice: PosteriorLattice, prefix, u: int) -> np.nda
             f"token index {int(labels.max())} is not below the blank index {lattice.blank}"
         )
     # Emission sweep for the prefix alone, on the sliced lattice.
-    sub = np.ascontiguousarray(lattice.logp[:, : level + 1, :])
-    A, _, prefix_logp, _ = kernels.emission_sweep(sub, labels)
+    cols = kernels.PaddedColumns.of(lattice.logp[:, : level + 1], labels)
+    A, _, prefix_logp, _ = cols.sweep()
+    A, prefix_logp = A[0], prefix_logp[0]
     if prefix_logp[level] == -np.inf:
         raise NumericalError(
             f"prefix y[:{level}] has zero probability; next-token distribution "

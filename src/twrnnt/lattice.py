@@ -185,8 +185,8 @@ def forward(lattice: PosteriorLattice, y) -> ForwardBackwardTables:
     """
     labels = as_labels(y)
     _check_dims(lattice, labels)
-    _, alpha, _, loglik = kernels.emission_sweep(lattice.logp, labels)
-    return ForwardBackwardTables(alpha=alpha, beta=None, loglik=float(loglik))
+    _, alpha, _, loglik = kernels.PaddedColumns.of(lattice.logp, labels).sweep()
+    return ForwardBackwardTables(alpha=alpha[0], beta=None, loglik=float(loglik[0]))
 
 
 def backward(lattice: PosteriorLattice, y) -> ForwardBackwardTables:
@@ -211,14 +211,15 @@ def rnnt_loss_grad(lattice: PosteriorLattice, y) -> np.ndarray:
     """
     labels = as_labels(y)
     _check_dims(lattice, labels)
-    A, R, prefix, loglik = kernels.emission_sweep(lattice.logp, labels)
-    if loglik == -np.inf:
+    cols = kernels.PaddedColumns.of(lattice.logp, labels)
+    sweep = cols.sweep()
+    if sweep[3][0] == -np.inf:
         raise NumericalError(
             "sequence has zero probability under the lattice; loss gradient "
             "is undefined"
         )
-    lam = np.ones(labels.size)
-    return kernels.weighted_grad(lattice.logp, labels, A, R, prefix, loglik, lam, 1.0)
+    g_blank, g_emit = cols.grad(sweep, np.ones((1, labels.size)), np.ones(1))
+    return kernels.dense_grad(g_blank[0], g_emit[0], labels, lattice.logp.shape[2])
 
 
 def lattice_to_json(lattice: PosteriorLattice, grad: Optional[np.ndarray] = None) -> str:

@@ -63,6 +63,14 @@ def param_count(dim_in: int, dim_hidden: int, vocab_size: int) -> int:
     return param_layout(dim_in, dim_hidden, vocab_size)[1]
 
 
+def _views(flat: np.ndarray, layout) -> dict:
+    """Name -> shaped view into a flat vector laid out by ``param_layout``."""
+    return {
+        name: flat[start:stop].reshape(shape)
+        for name, (start, stop, shape) in layout.items()
+    }
+
+
 @dataclass(frozen=True)
 class TransducerModel:
     dim_in: int
@@ -71,7 +79,7 @@ class TransducerModel:
     params: np.ndarray
 
     def __post_init__(self):
-        expected = param_count(self.dim_in, self.dim_hidden, self.vocab_size)
+        layout, expected = param_layout(self.dim_in, self.dim_hidden, self.vocab_size)
         params = np.ascontiguousarray(np.asarray(self.params, dtype=np.float64))
         if params.shape != (expected,):
             raise DataError(
@@ -79,6 +87,9 @@ class TransducerModel:
                 f"for D={self.dim_in}, H={self.dim_hidden}, V={self.vocab_size}"
             )
         object.__setattr__(self, "params", params)
+        # The layout is fixed by the dimensions, so its views are built once.
+        object.__setattr__(self, "_layout", layout)
+        object.__setattr__(self, "_views", _views(params, layout))
 
     @property
     def vocab(self) -> Vocabulary:
@@ -89,9 +100,7 @@ class TransducerModel:
         return self.vocab_size
 
     def slice(self, name: str) -> np.ndarray:
-        layout, _ = param_layout(self.dim_in, self.dim_hidden, self.vocab_size)
-        start, stop, shape = layout[name]
-        return self.params[start:stop].reshape(shape)
+        return self._views[name]
 
     @classmethod
     def zeros(cls, dim_in: int, dim_hidden: int, vocab_size: int) -> "TransducerModel":
@@ -177,26 +186,21 @@ def model_backward(
     dlogit = dlogp - softmax * dlogp.sum(axis=-1, keepdims=True)
 
     grad = np.zeros_like(model.params)
-    layout, _ = param_layout(model.dim_in, model.dim_hidden, model.vocab_size)
-
-    def gslice(name):
-        start, stop, shape = layout[name]
-        return grad[start:stop].reshape(shape)
-
-    gslice("join_w")[...] = np.einsum("tuk,tuh->kh", dlogit, z)
-    gslice("join_b")[...] = dlogit.sum(axis=(0, 1))
+    g = _views(grad, model._layout)
+    g["join_w"][...] = np.einsum("tuk,tuh->kh", dlogit, z)
+    g["join_b"][...] = dlogit.sum(axis=(0, 1))
     dz = dlogit @ model.slice("join_w")
     dpre = dz * (1.0 - z * z)
     denc_h = dpre.sum(axis=1)
     dpred_h = dpre.sum(axis=0)
     denc_pre = denc_h * (1.0 - enc * enc)
-    gslice("enc_w")[...] = denc_pre.T @ feats
-    gslice("enc_b")[...] = denc_pre.sum(axis=0)
+    g["enc_w"][...] = denc_pre.T @ feats
+    g["enc_b"][...] = denc_pre.sum(axis=0)
     dpred_pre = dpred_h * (1.0 - pred * pred)
-    gslice("pred_w")[...] = dpred_pre.T @ rows
-    gslice("pred_b")[...] = dpred_pre.sum(axis=0)
+    g["pred_w"][...] = dpred_pre.T @ rows
+    g["pred_b"][...] = dpred_pre.sum(axis=0)
     drows = dpred_pre @ model.slice("pred_w")
-    np.add.at(gslice("emb"), ids, drows)
+    np.add.at(g["emb"], ids, drows)
     return grad
 
 

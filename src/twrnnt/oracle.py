@@ -2,9 +2,11 @@
 
 Everything here trades speed for transparency: alignments are enumerated
 one by one, probabilities are summed in sorted order, gradients come from
-central finite differences.  Two slow DP forms pin the fast kernels: the
-occupancy gradient from forward and backward tables, and the emission sweep
-with its blank-run sums spelled out.  Shipped (not test-only) so the CLI can vet
+central finite differences.  Slow DP forms pin the fast kernels: the
+occupancy gradient from forward and backward tables, the emission sweep
+with its blank-run sums spelled out, and the per-cell loops of the emission
+sweep and the weighted gradient, which the batched wavefront kernels must
+reproduce bit for bit.  Shipped (not test-only) so the CLI can vet
 serialized lattices from any source against these references.
 """
 
@@ -32,6 +34,8 @@ __all__ = [
     "finite_diff_grad",
     "loglik_grad",
     "emission_sweep_quadratic",
+    "emission_sweep_scalar",
+    "weighted_grad_scalar",
 ]
 
 BLANK_STEP = 0
@@ -291,3 +295,90 @@ def emission_sweep_quadratic(lattice: PosteriorLattice, y):
         s = np.logaddexp(s, run)
     loglik = s + logp[T - 1, U, blank]
     return A, prefix, loglik
+
+
+def emission_sweep_scalar(logp, labels):
+    """Per-cell loop form of ``kernels.emission_sweep`` for one (T, U+1, V+1)
+    table.  Returns (A, R, prefix, loglik) with the batch axis dropped; the
+    batched kernel must match it exactly on every utterance's corner."""
+    T, U1, nsym = logp.shape
+    U = U1 - 1
+    blank = nsym - 1
+    A = np.full((T, U1), -np.inf)
+    R = np.full((T, U1), -np.inf)
+    prefix = np.full(U1, -np.inf)
+    A[0, 0] = 0.0
+    prefix[0] = 0.0
+    for j in range(U1):
+        R[0, j] = A[0, j]
+        for t in range(1, T):
+            R[t, j] = np.logaddexp(R[t - 1, j] + logp[t - 1, j, blank], A[t, j])
+        if j < U:
+            y = labels[j]
+            s = -np.inf
+            for t in range(T):
+                A[t, j + 1] = R[t, j] + logp[t, j, y]
+                s = np.logaddexp(s, A[t, j + 1])
+            prefix[j + 1] = s
+    loglik = R[T - 1, U] + logp[T - 1, U, blank]
+    return A, R, prefix, loglik
+
+
+def weighted_grad_scalar(logp, labels, A, R, prefix, loglik, lam, final_blank_weight):
+    """Per-cell loop form of ``kernels.weighted_grad`` for one table, from
+    the outputs of ``emission_sweep_scalar``.  Returns the dense
+    (T, U+1, V+1) gradient of the token-weighted loss
+
+        L = sum_u lam[u-1] * (prefix[u-1] - prefix[u])
+            + final_blank_weight * (prefix[U] - loglik)
+
+    reverse-accumulated through the logaddexp graph cell by cell.
+    """
+    T, U1, nsym = logp.shape
+    U = U1 - 1
+    blank = nsym - 1
+    g = np.zeros((T, U1, nsym))
+    adjA = np.zeros((T, U1))
+    # Termination sweep: loglik = R[T-1, U] + logp[T-1, U, blank].
+    adjR = np.zeros(T)
+    if final_blank_weight != 0.0 and loglik != -np.inf:
+        adjR[T - 1] = -final_blank_weight
+        g[T - 1, U, blank] = -final_blank_weight
+    for t in range(T - 1, 0, -1):
+        if adjR[t] == 0.0 or R[t, U] == -np.inf:
+            continue
+        w1 = np.exp(R[t - 1, U] + logp[t - 1, U, blank] - R[t, U])
+        w2 = np.exp(A[t, U] - R[t, U])
+        adjR[t - 1] += adjR[t] * w1
+        g[t - 1, U, blank] += adjR[t] * w1
+        adjA[t, U] += adjR[t] * w2
+    adjA[0, U] += adjR[0]
+    for u in range(U, 0, -1):
+        j = u - 1
+        # d L / d prefix[u]; lam is 0-based, lam[j] weights the (j+1)-th token.
+        if u == U:
+            cu = final_blank_weight - lam[j]
+        else:
+            cu = lam[u] - lam[j]
+        if cu != 0.0 and prefix[u] != -np.inf:
+            for t in range(T):
+                if A[t, u] != -np.inf:
+                    adjA[t, u] += cu * np.exp(A[t, u] - prefix[u])
+        # Emission step: A[t, u] = R[t, j] + logp[t, j, labels[j]].
+        y = labels[j]
+        adjR2 = np.zeros(T)
+        for t in range(T):
+            a = adjA[t, u]
+            if a != 0.0:
+                adjR2[t] = a
+                g[t, j, y] += a
+        for t in range(T - 1, 0, -1):
+            if adjR2[t] == 0.0 or R[t, j] == -np.inf:
+                continue
+            w1 = np.exp(R[t - 1, j] + logp[t - 1, j, blank] - R[t, j])
+            w2 = np.exp(A[t, j] - R[t, j])
+            adjR2[t - 1] += adjR2[t] * w1
+            g[t - 1, j, blank] += adjR2[t] * w1
+            adjA[t, j] += adjR2[t] * w2
+        adjA[0, j] += adjR2[0]
+    return g

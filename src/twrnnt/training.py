@@ -18,9 +18,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .conditionals import conditional_profile
+from .conditionals import padded_profiles
 from .datagen import Utterance
 from .errors import DataError, NumericalError
+from .kernels import PaddedColumns, dense_grad
 from .metrics import wer
 from .model import (
     AdamConfig,
@@ -31,7 +32,7 @@ from .model import (
     model_backward,
     model_forward,
 )
-from .weighting import TokenWeights, WeightConfig, compute_weights, weighted_loss_and_grad
+from .weighting import TokenWeights, WeightConfig, compute_weights, padded_loss_and_grad
 
 __all__ = [
     "MODES",
@@ -45,6 +46,12 @@ __all__ = [
 ]
 
 MODES = ("standard", "utterance_weights", "token_weights")
+
+# Utterances per emission sweep when scoring a pool.  Twice the default
+# training batch: larger chunks buy little speed, and at 32 the sweep over a
+# pool of long lattices needs as much memory as a training step's model
+# backward, the process's peak.
+_SCORE_CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -119,16 +126,36 @@ def _batch_weights(batch, cfg: TrainConfig) -> list:
     ]
 
 
+def _forward_columns(model: TransducerModel, utts, dtype=np.float64) -> PaddedColumns:
+    """Model lattices of ``utts``, one at a time, kept only as padded columns."""
+    cols = PaddedColumns(
+        [np.shape(u.features)[0] for u in utts], [u.tokens.size for u in utts]
+    )
+    for b, u in enumerate(utts):
+        lat = model_forward(model, u.features, u.tokens, compute_dtype=dtype)
+        cols.put(b, lat.logp, u.tokens)  # tokens checked by model_forward
+    return cols
+
+
 def _batch_loss_and_grad(model: TransducerModel, batch, cfg: TrainConfig):
-    """Summed loss and parameter gradient for one batch under cfg.mode."""
+    """Summed loss and parameter gradient for one batch under cfg.mode.
+
+    The DP runs once over the padded batch; each utterance's dense lattice
+    gradient is built only for its own ``model_backward``, after the padded
+    log-probability columns are gone.
+    """
     total_tokens = max(1, sum(u.tokens.size for u in batch))
     dtype = np.float32 if cfg.float32_forward else np.float64
+    weights = _batch_weights(batch, cfg)
+    losses, g_blank, g_emit = padded_loss_and_grad(
+        _forward_columns(model, batch, dtype), weights
+    )
     loss = 0.0
     grad = np.zeros_like(model.params)
-    for u, weights in zip(batch, _batch_weights(batch, cfg)):
-        lat = model_forward(model, u.features, u.tokens, compute_dtype=dtype)
-        loss_u, dlogp = weighted_loss_and_grad(lat, u.tokens, weights)
+    for b, (u, loss_u) in enumerate(zip(batch, losses)):
         loss += loss_u
+        T = np.shape(u.features)[0]
+        dlogp = dense_grad(g_blank[b, :T], g_emit[b, :T], u.tokens, model.vocab.num_symbols)
         grad += model_backward(model, u.features, u.tokens, dlogp)
     grad /= total_tokens
     return loss / total_tokens, grad
@@ -231,14 +258,16 @@ def evaluate_wer(model: TransducerModel, utterances, max_symbols_per_frame=4) ->
 def score_confidences(model: TransducerModel, utterances) -> list:
     """Attach teacher conditionals c_u = P(y_u | y_<u) to every utterance.
 
-    Empty transcripts get an empty confidence vector.
+    Empty transcripts get an empty confidence vector.  The pool is scored
+    in chunks of ``_SCORE_CHUNK`` utterances, one emission sweep each.
     """
+    utterances = list(utterances)
     out = []
-    for u in utterances:
-        if u.tokens.size == 0:
-            out.append(replace(u, confidences=np.zeros(0)))
-            continue
-        lat = model_forward(model, u.features, u.tokens)
-        prof = conditional_profile(lat, u.tokens)
-        out.append(replace(u, confidences=prof.conditionals))
+    for start in range(0, len(utterances), _SCORE_CHUNK):
+        chunk = utterances[start : start + _SCORE_CHUNK]
+        spoken = [u for u in chunk if u.tokens.size]
+        profiles = iter(padded_profiles(_forward_columns(model, spoken)) if spoken else [])
+        for u in chunk:
+            conf = next(profiles).conditionals if u.tokens.size else np.zeros(0)
+            out.append(replace(u, confidences=conf))
     return out

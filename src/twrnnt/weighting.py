@@ -29,6 +29,7 @@ __all__ = [
     "weighted_rnnt_loss",
     "weighted_rnnt_loss_grad",
     "weighted_loss_and_grad",
+    "padded_loss_and_grad",
 ]
 
 NORMALIZATIONS = ("per_utterance", "per_batch")
@@ -135,17 +136,21 @@ def compute_weights(
     return out[0] if single else out
 
 
-def _prepare(lattice: PosteriorLattice, y, weights: TokenWeights):
-    labels = as_labels(y)
-    _check_dims(lattice, labels)
+def _lambdas(weights: TokenWeights, num_tokens: int) -> np.ndarray:
     lam = np.ascontiguousarray(np.asarray(weights.lambdas, dtype=np.float64))
-    if lam.size != labels.size:
+    if lam.size != num_tokens:
         raise DataError(
-            f"weights/labels mismatch: {lam.size} weights for {labels.size} tokens"
+            f"weights/labels mismatch: {lam.size} weights for {num_tokens} tokens"
         )
     if np.any(lam < 0):
         raise DataError("token weights must be nonnegative")
-    return labels, lam
+    return lam
+
+
+def _prepare(lattice: PosteriorLattice, y, weights: TokenWeights):
+    labels = as_labels(y)
+    _check_dims(lattice, labels)
+    return labels, _lambdas(weights, labels.size)
 
 
 def _loss_from_prefix(prefix, loglik, lam, w_fb) -> float:
@@ -173,8 +178,10 @@ def weighted_rnnt_loss(lattice: PosteriorLattice, y, weights: TokenWeights) -> f
     With lambda = 1 and final_blank_weight = 1 this equals the standard loss.
     """
     labels, lam = _prepare(lattice, y, weights)
-    _, _, prefix, loglik = kernels.emission_sweep(lattice.logp, labels)
-    return _loss_from_prefix(prefix, loglik, lam, weights.config.final_blank_weight)
+    _, _, prefix, loglik = kernels.PaddedColumns.of(lattice.logp, labels).sweep()
+    return _loss_from_prefix(
+        prefix[0], loglik[0], lam, weights.config.final_blank_weight
+    )
 
 
 def weighted_rnnt_loss_grad(
@@ -187,10 +194,34 @@ def weighted_rnnt_loss_grad(
 
 
 def weighted_loss_and_grad(lattice: PosteriorLattice, y, weights: TokenWeights):
-    """(loss, gradient) in one pass; the training loop's workhorse."""
-    labels, lam = _prepare(lattice, y, weights)
-    w_fb = float(weights.config.final_blank_weight)
-    A, R, prefix, loglik = kernels.emission_sweep(lattice.logp, labels)
-    loss = _loss_from_prefix(prefix, loglik, lam, w_fb)
-    grad = kernels.weighted_grad(lattice.logp, labels, A, R, prefix, loglik, lam, w_fb)
-    return loss, grad
+    """(loss, gradient) in one pass: ``padded_loss_and_grad`` on a batch of one."""
+    labels, _ = _prepare(lattice, y, weights)
+    cols = kernels.PaddedColumns.of(lattice.logp, labels)
+    (loss,), g_blank, g_emit = padded_loss_and_grad(cols, [weights])
+    return loss, kernels.dense_grad(g_blank[0], g_emit[0], labels, lattice.logp.shape[2])
+
+
+def padded_loss_and_grad(cols: kernels.PaddedColumns, weights):
+    """Per-utterance weighted losses and column gradients of a padded batch,
+    from one emission sweep and one gradient sweep; the training loop's
+    workhorse.
+
+    ``weights`` holds one TokenWeights per row of ``cols``.  Returns
+    (losses, g_blank, g_emit); ``kernels.dense_grad`` turns a row of the
+    column gradients into the dense gradient of that utterance's loss.  A
+    zero-probability prefix in any utterance raises NumericalError.
+    """
+    B, Umax = cols.emit.shape[0], cols.emit.shape[2]
+    lam = np.zeros((B, Umax))
+    w_fb = np.empty(B)
+    for b, w in enumerate(weights):
+        lam[b, : cols.U[b]] = _lambdas(w, int(cols.U[b]))
+        w_fb[b] = float(w.config.final_blank_weight)
+    sweep = cols.sweep()
+    _, _, prefix, loglik = sweep
+    losses = [
+        _loss_from_prefix(prefix[b, : U + 1], loglik[b], lam[b, :U], w_fb[b])
+        for b, U in enumerate(cols.U)
+    ]
+    g_blank, g_emit = cols.grad(sweep, lam, w_fb)
+    return losses, g_blank, g_emit

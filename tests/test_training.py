@@ -5,16 +5,20 @@ import pytest
 
 from twrnnt.datagen import SyntheticSpec, Utterance, generate_synthetic_dataset, read_dataset
 from twrnnt.errors import DataError, NumericalError
-from twrnnt.lattice import rnnt_loss, rnnt_loss_grad
+from twrnnt.conditionals import conditional_profile
+from twrnnt.lattice import PosteriorLattice, rnnt_loss, rnnt_loss_grad
 from twrnnt.model import TransducerModel, model_backward, model_forward
 from twrnnt.seeds import stream
 from twrnnt.training import (
+    MODES,
     TrainConfig,
     _batch_loss_and_grad,
+    _batch_weights,
     evaluate_wer,
     score_confidences,
     train_model,
 )
+from twrnnt.weighting import weighted_loss_and_grad
 
 
 @pytest.fixture(scope="module")
@@ -134,7 +138,70 @@ class TestTrainingLoop:
             )
 
 
+class TestPaddedBatchStep:
+    """One padded DP sweep per batch must reproduce the per-utterance path
+    bit for bit: every loss term and gradient, summed in batch order."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_batch_step_equals_per_utterance_sum(self, small_data, mode):
+        rng = np.random.default_rng(40)
+        model = TransducerModel.random(8, 16, 16, rng)
+        batch = [
+            replace(u, confidences=rng.uniform(0.05, 1.0, size=u.tokens.size))
+            for u in small_data["train"][:8]
+        ]
+        assert len({u.features.shape[0] for u in batch}) > 1  # real padding
+        cfg = TrainConfig(mode=mode, alpha=2.0, final_blank_weight=0.5)
+        loss, grad = _batch_loss_and_grad(model, batch, cfg)
+        tokens = sum(u.tokens.size for u in batch)
+        ref_loss = 0.0
+        ref_grad = np.zeros_like(model.params)
+        for u, w in zip(batch, _batch_weights(batch, cfg)):
+            lat = model_forward(model, u.features, u.tokens)
+            loss_u, dlogp = weighted_loss_and_grad(lat, u.tokens, w)
+            ref_loss += loss_u
+            ref_grad += model_backward(model, u.features, u.tokens, dlogp)
+        ref_grad /= tokens
+        assert loss == ref_loss / tokens
+        np.testing.assert_array_equal(grad, ref_grad)
+
+    def test_zero_probability_prefix_raises(self, small_data, monkeypatch):
+        import twrnnt.training as training_mod
+
+        def forward_with_hole(model, features, tokens, compute_dtype=np.float64):
+            lat = model_forward(model, features, tokens, compute_dtype)
+            if features is batch[2].features:
+                logp = lat.logp.copy()
+                logp[:, 0, tokens[0]] = -np.inf  # the first token can never be emitted
+                return PosteriorLattice(logp)
+            return lat
+
+        batch = small_data["train"][:4]
+        monkeypatch.setattr(training_mod, "model_forward", forward_with_hole)
+        model = TransducerModel.random(8, 16, 16, np.random.default_rng(41))
+        with pytest.raises(NumericalError, match="zero probability"):
+            _batch_loss_and_grad(model, batch, TrainConfig())
+
+
 class TestScoring:
+    def test_chunked_scores_equal_per_utterance_profiles(self, small_data):
+        # More utterances than one scoring chunk, with empty transcripts
+        # mixed in, including one that ends a chunk.
+        model = TransducerModel.random(8, 16, 16, np.random.default_rng(42))
+        pool = list(small_data["train"][:40])
+        for i in (0, 31, 37):
+            pool[i] = replace(pool[i], tokens=np.zeros(0, np.int64))
+        scored = score_confidences(model, pool)
+        assert [u.id for u in scored] == [u.id for u in pool]
+        for u in scored:
+            if u.tokens.size == 0:
+                np.testing.assert_array_equal(u.confidences, np.zeros(0))
+                continue
+            lat = model_forward(model, u.features, u.tokens)
+            np.testing.assert_array_equal(
+                u.confidences, conditional_profile(lat, u.tokens).conditionals
+            )
+
     def test_scores_are_valid_confidences(self, small_data):
         model = train_model(
             small_data["train"], 8, 16, TrainConfig(epochs=6),
