@@ -4,15 +4,16 @@
 The batched emission sweep and weighted gradient run over padded batches
 of B = 1 and B = 8 lattices of mixed size (at most --frames x --labels),
 and are timed in microseconds per utterance next to the per-cell loops in
-``oracle`` that they replace.  The single-lattice kernels (backward fill,
-next-symbol masses) are timed on every available backend, numba included
-when installed.
+``oracle`` that they replace.  The single-lattice calls, the backward fill
+and the next-token distribution, are timed in milliseconds on the largest
+lattice.
 
 Nothing is timed before it is verified.  On the B = 8 batch the batched
 tables and gradients must equal the per-cell loops exactly, the
 log-likelihood must match the backward table's, and the unit-weight
-gradient must match the oracle occupancy gradient, both to 1e-9.  Run from
-the repo root:
+gradient must match the oracle occupancy gradient, both to 1e-9.  The
+next-token distribution must sum to 1 within 1e-9.  Run from the repo
+root:
 
     python3 benchmarks/bench_kernels.py [--frames 50 --labels 20 --vocab 32]
 """
@@ -23,6 +24,7 @@ import time
 import numpy as np
 
 from twrnnt import kernels
+from twrnnt.conditionals import next_token_distribution
 from twrnnt.lattice import PosteriorLattice
 from twrnnt.oracle import emission_sweep_scalar, loglik_grad, weighted_grad_scalar
 
@@ -56,7 +58,7 @@ def padded(items):
 
 
 def time_call(fn, repeats):
-    fn()  # warmup (and JIT compile for the numba table)
+    fn()  # warmup
     t0 = time.perf_counter()
     for _ in range(repeats):
         fn()
@@ -128,24 +130,16 @@ def main():
 
     items = make_batch(args.frames, args.labels, args.vocab, BATCH)
     verify(items)
-    impls = kernels.implementations()
-    if impls["numba"] is None:
-        print("numba unavailable or disabled; single-lattice kernels run on NumPy only")
-    tables = {name: table for name, table in impls.items() if table is not None}
     logp, labels, _ = items[0]
-    A = kernels.PaddedColumns.of(logp, labels).sweep()[0][0]
-    level = args.labels // 2
-    cases = {
-        "backward_fill": (logp, labels),
-        "next_symbol_masses": (logp, np.ascontiguousarray(A[:, level]), level),
+    lat, level = PosteriorLattice(logp), args.labels // 2
+    calls = {
+        "backward_fill": lambda: kernels.backward_fill(logp, labels),
+        "next_token_distribution": lambda: next_token_distribution(lat, labels[:level], level + 1),
     }
-    if len(tables) == 2:
-        for name, fargs in cases.items():
-            py, nb = tables["numpy"][name](*fargs), tables["numba"][name](*fargs)
-            py, nb = (py, nb) if isinstance(py, tuple) else ((py,), (nb,))
-            if not all(np.array_equal(a, b) for a, b in zip(py, nb)):
-                raise SystemExit(f"backends disagree on {name}")
-        print("backend agreement check: OK")
+    total = float(np.sum(calls["next_token_distribution"]()))
+    if abs(total - 1.0) > TOL:
+        raise SystemExit(f"next-token distribution sums to {total!r}, not 1 within {TOL}")
+    print(f"next-token distribution at u={level + 1} sums to 1 (gap {abs(total - 1.0):.1e})")
 
     print(
         f"\nbatched kernels, lattices up to T={args.frames} U={args.labels} "
@@ -157,15 +151,12 @@ def main():
     for name, (scalar, single, batch) in batched_times(items, args.repeats).items():
         print(f"{name:<20}{scalar:>15.0f}{single:>10.0f}{batch:>10.0f}{scalar / batch:>9.1f}x")
 
-    print(f"\nsingle-lattice kernels, T={args.frames} U={args.labels}, milliseconds\n")
-    header = f"{'kernel':<20}" + "".join(f"{n:>14}" for n in tables)
+    print(f"\nsingle-lattice calls, T={args.frames} U={args.labels}, milliseconds\n")
+    header = f"{'call':<25}{'ms':>10}"
     print(header)
     print("-" * len(header))
-    for name, fargs in cases.items():
-        row = f"{name:<20}"
-        for table in tables.values():
-            row += f"{time_call(lambda: table[name](*fargs), args.repeats) * 1e3:>12.3f}ms"
-        print(row)
+    for name, fn in calls.items():
+        print(f"{name:<25}{time_call(fn, args.repeats) * 1e3:>10.3f}")
 
 
 if __name__ == "__main__":

@@ -14,7 +14,6 @@ from .conditionals import (
     next_token_distribution,
 )
 from .errors import ConfigError, DataError, NumericalError, TwrnntError
-from .kernels import BACKEND
 from .lattice import (
     ForwardBackwardTables,
     PosteriorLattice,
@@ -40,7 +39,6 @@ from .weighting import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
     "ConditionalProfile",
     "ConfigError",
     "DataError",

@@ -295,8 +295,18 @@ def cmd_loss_check(args) -> int:
         obj = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise DataError(f"{path}: expected a JSON object, got {type(obj).__name__}")
     lattice = lattice_from_json(obj)
-    tokens = np.asarray(obj.get("tokens", []), dtype=np.int64)
+    tokens = obj.get("tokens", [])
+    if not isinstance(tokens, list) or not all(
+        type(k) is int and 0 <= k < lattice.blank for k in tokens
+    ):
+        raise DataError(
+            f"{path}: tokens must be a list of integers in 0..{lattice.blank - 1}, "
+            f"got {tokens!r}"
+        )
+    tokens = np.asarray(tokens, dtype=np.int64)
     print(
         f"lattice: T={lattice.T} U={lattice.U} |V|={lattice.vocab.size}  "
         f"row normalization error {lattice.row_normalization_error():.3e}"

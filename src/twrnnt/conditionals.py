@@ -147,19 +147,18 @@ def next_token_distribution(lattice: PosteriorLattice, prefix, u: int) -> np.nda
         raise DataError(
             f"token index {int(labels.max())} is not below the blank index {lattice.blank}"
         )
-    # Emission sweep for the prefix alone, on the sliced lattice.
+    # Emission sweep for the prefix alone, on the sliced lattice.  Column
+    # ``level`` of R is the mass of having emitted the prefix and reached
+    # frame t; the sweep's own loglik closes it with the final blank.
     cols = kernels.PaddedColumns.of(lattice.logp[:, : level + 1], labels)
-    A, _, prefix_logp, _ = cols.sweep()
-    A, prefix_logp = A[0], prefix_logp[0]
-    if prefix_logp[level] == -np.inf:
+    _, R, prefix_logp, loglik = cols.sweep()
+    if prefix_logp[0, level] == -np.inf:
         raise NumericalError(
             f"prefix y[:{level}] has zero probability; next-token distribution "
             "is undefined"
         )
-    masses = kernels.next_symbol_masses(
-        lattice.logp, np.ascontiguousarray(A[:, level]), level
-    )
-    return np.exp(masses - prefix_logp[level])
+    masses = np.logaddexp.reduce(R[0, :, level, None] + lattice.logp[:, level, :-1], axis=0)
+    return np.exp(np.append(masses, loglik[0]) - prefix_logp[0, level])
 
 
 def profile_to_json(profile: ConditionalProfile) -> str:

@@ -1,6 +1,6 @@
 """Log-domain dynamic-programming kernels.
 
-Four kernels cover every loss, gradient and conditional in the package:
+Three kernels cover every loss, gradient and conditional in the package:
 
   * ``emission_sweep`` -- the one forward recursion, over a padded batch.
     Its running table R is the standard forward table alpha; it also yields
@@ -11,8 +11,6 @@ Four kernels cover every loss, gradient and conditional in the package:
     Unit weights give the standard transducer loss gradient.
   * ``backward_fill`` -- the suffix table beta of one lattice, kept as an
     independent cross-check of the forward recursion (``lattice.backward``).
-  * ``next_symbol_masses`` -- one-step extension masses for next-token
-    distributions.
 
 Padded batches.  The two batched kernels read only the columns a path can
 use: ``blank[b, t, j]`` = logp[t, j, blank] with shape (B, Tmax, Umax+1),
@@ -42,16 +40,6 @@ The results are bit-identical to the per-cell loops kept in ``oracle``
   * prefix masses are a sequential ``np.logaddexp.reduce`` over ascending t;
   * w1 and w2 are 0 where R is ``-inf``, as the scalar loop skips the cell.
 
-The two single-lattice kernels are JIT-compiled with numba when available.
-Backend selection is controlled by the ``TWRNNT_BACKEND`` environment
-variable:
-
-  * ``auto``  (default) -- numba if importable, else the pure-NumPy loops.
-  * ``numba`` -- require numba, fail at import time if missing.
-  * ``numpy`` -- force the pure-NumPy loops (identical results, slower).
-
-The batched kernels are plain NumPy under every backend.
-
 Conventions shared by every kernel:
 
   * A lattice ``logp`` has shape (T, U+1, V+1) holding log-probabilities;
@@ -66,7 +54,6 @@ Conventions shared by every kernel:
 
 from __future__ import annotations
 
-import os
 from functools import lru_cache
 
 import numpy as np
@@ -271,7 +258,7 @@ def weighted_grad(blank, emit, T, U, A, R, prefix, loglik, lam, final_blank_weig
     return g_blank, g_emit
 
 
-def _backward_fill(logp, labels):
+def backward_fill(logp, labels):
     """Fill the suffix table beta; return (beta, loglik).
 
     beta[t, u] is the log-probability of completing the remaining labels and
@@ -293,67 +280,3 @@ def _backward_fill(logp, labels):
                 a = np.logaddexp(a, beta[t, u + 1] + logp[t, u, labels[u]])
             beta[t, u] = a
     return beta, beta[0, 0]
-
-
-def _next_symbol_masses(logp, A_prev, level):
-    """Unnormalized log masses for extending a prefix whose emission-time
-    vector is A_prev, by one symbol at label level ``level``.
-
-    Returns an array of length V+1: entries 0..V-1 are the joint masses of
-    emitting that token next; the last entry is the mass of terminating
-    (blanks through frame T-1, then the closing blank).
-    """
-    T = logp.shape[0]
-    nsym = logp.shape[2]
-    blank = nsym - 1
-    R = np.full(T, NEG_INF)
-    R[0] = A_prev[0]
-    for t in range(1, T):
-        R[t] = np.logaddexp(R[t - 1] + logp[t - 1, level, blank], A_prev[t])
-    out = np.full(nsym, NEG_INF)
-    for k in range(nsym - 1):
-        s = NEG_INF
-        for t in range(T):
-            s = np.logaddexp(s, R[t] + logp[t, level, k])
-        out[k] = s
-    out[blank] = R[T - 1] + logp[T - 1, level, blank]
-    return out
-
-
-_PY_IMPLS = {
-    "backward_fill": _backward_fill,
-    "next_symbol_masses": _next_symbol_masses,
-}
-
-_BACKEND_ENV = os.environ.get("TWRNNT_BACKEND", "auto").lower()
-if _BACKEND_ENV not in {"auto", "numba", "numpy"}:
-    raise RuntimeError(
-        f"TWRNNT_BACKEND must be one of auto/numba/numpy, got {_BACKEND_ENV!r}"
-    )
-
-_JIT_IMPLS = None
-if _BACKEND_ENV in {"auto", "numba"}:
-    try:
-        from numba import njit
-
-        _JIT_IMPLS = {
-            name: njit(cache=True)(fn) for name, fn in _PY_IMPLS.items()
-        }
-    except ImportError:
-        if _BACKEND_ENV == "numba":
-            raise RuntimeError("TWRNNT_BACKEND=numba but numba is not importable")
-
-BACKEND = "numba" if _JIT_IMPLS is not None else "numpy"
-_ACTIVE = _JIT_IMPLS if _JIT_IMPLS is not None else _PY_IMPLS
-
-backward_fill = _ACTIVE["backward_fill"]
-next_symbol_masses = _ACTIVE["next_symbol_masses"]
-
-
-def implementations():
-    """Backend name -> table of the single-lattice kernels (``backward_fill``,
-    ``next_symbol_masses``), for benchmarking and equivalence tests.
-
-    The numba table is None when numba is unavailable or disabled.
-    """
-    return {"numpy": _PY_IMPLS, "numba": _JIT_IMPLS}

@@ -15,6 +15,7 @@ a path is complete when it leaves (T-1, U) via the final blank.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -244,10 +245,12 @@ def lattice_from_json(obj) -> PosteriorLattice:
     if isinstance(obj, (str, bytes)):
         obj = json.loads(obj)
     try:
-        T, U, V = int(obj["t"]), int(obj["u"]), int(obj["v"])
+        T, U, V = (operator.index(obj[k]) for k in ("t", "u", "v"))
         flat = np.asarray(obj["logp"], dtype=np.float64)
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed lattice JSON: {exc}") from exc
+    if T < 1 or U < 0 or V < 1:
+        raise DataError(f"lattice JSON needs t >= 1, u >= 0, v >= 1; got t={T}, u={U}, v={V}")
     expected = T * (U + 1) * (V + 1)
     if flat.size != expected:
         raise DataError(

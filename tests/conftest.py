@@ -1,8 +1,14 @@
-"""Shared helpers: seeded random lattice/label instances."""
+"""Shared helpers: seeded random lattice/label instances, and the
+hypothesis strategy and settings of the property tests."""
 
 import numpy as np
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from twrnnt.lattice import PosteriorLattice, normalize_logits
+
+PROPERTY = settings(max_examples=50, deadline=None, derandomize=True, database=None)
 
 
 def random_lattice(rng, T, U, V, scale=1.5):
@@ -38,3 +44,26 @@ def capped_lattice(rng, T, U_max, V, scale=1.5):
     logp[:, U_max, :V] = -np.inf
     logp[:, U_max, V] = 0.0
     return PosteriorLattice(logp)
+
+
+def with_hard_zeros(raw, labels, zeros):
+    logp = normalize_logits(raw).logp.copy()
+    for cell in zeros:
+        logp[cell] = -np.inf
+    return PosteriorLattice(logp), np.asarray(labels, dtype=np.int64)
+
+
+@st.composite
+def cases(draw, hard_zeros=True, V=None):
+    """(lattice, labels) with T in 1..6, U in 0..5 and |V| in 1..3."""
+    T = draw(st.integers(1, 6))
+    U = draw(st.integers(0, 5))
+    V = V or draw(st.integers(1, 3))
+    shape = (T, U + 1, V + 1)
+    raw = draw(
+        hnp.arrays(np.float64, shape, elements=st.floats(-1e3, 1e3), fill=st.nothing())
+    )
+    labels = draw(st.lists(st.integers(0, V - 1), min_size=U, max_size=U))
+    cell = st.tuples(st.integers(0, T - 1), st.integers(0, U), st.integers(0, V))
+    zeros = draw(st.lists(cell, max_size=3)) if hard_zeros else []
+    return with_hard_zeros(raw, labels, zeros)

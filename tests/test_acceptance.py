@@ -46,20 +46,7 @@ def report_line(number, name, passed, extra=""):
 
 
 @pytest.fixture(scope="module")
-def warm_kernels():
-    # One tiny call per kernel so JIT compilation stays out of timed sections.
-    rng = np.random.default_rng(0)
-    lat, y = random_instance(rng, max_t=2, max_u=1, max_v=2)
-    rnnt_loss_grad(lat, y)
-    w = TokenWeights.uniform(y.size)
-    weighted_loss_and_grad(lat, y, w)
-    if y.size:
-        conditional_profile(lat, y)
-    next_token_distribution(lat, [], 1)
-
-
-@pytest.fixture(scope="module")
-def instances(warm_kernels):
+def instances():
     rng = np.random.default_rng(20240731)
     return [random_instance(rng, max_t=6, max_u=4, max_v=5) for _ in range(1000)]
 
@@ -126,7 +113,7 @@ def test_criterion_03_standard_loss_reduction(instances):
     report_line(3, "unit weights reduce to standard loss", worst < 1e-9, f"max gap {worst:.2e}")
 
 
-def test_criterion_04_gradient_correctness(instances, warm_kernels):
+def test_criterion_04_gradient_correctness(instances):
     t0 = time.time()
     rng = np.random.default_rng(99)
     worst_lattice = 0.0
@@ -182,7 +169,7 @@ def test_criterion_04_gradient_correctness(instances, warm_kernels):
     )
 
 
-def test_criterion_05_completeness(warm_kernels):
+def test_criterion_05_completeness():
     rng = np.random.default_rng(77)
     worst_sum = 0.0
     checked = 0

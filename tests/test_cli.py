@@ -1,9 +1,14 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from conftest import PROPERTY
 from twrnnt.cli import main
 from twrnnt.datagen import read_dataset
 from twrnnt.experiments import report_from_json
@@ -20,6 +25,50 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@st.composite
+def loss_check_payloads(draw):
+    """(payload, well_formed): a ``loss-check`` lattice object, each of whose
+    parts (dimensions, log-probabilities, tokens) is corrupted one time in
+    three, and whether all of them were left intact."""
+    T, U, V = draw(st.integers(1, 4)), draw(st.integers(0, 3)), draw(st.integers(1, 3))
+    n = T * (U + 1) * (V + 1)
+    # Cells below log(1/4) keep every row's mass at most 1, so a well-formed
+    # lattice has conditionals in (0, 1].
+    cell = st.one_of(st.floats(-50, -1.4), st.just(-np.inf))
+    payload = {"t": T, "u": U, "v": V, "logp": draw(st.lists(cell, min_size=n, max_size=n))}
+    tokens = draw(st.lists(st.integers(0, V - 1), min_size=U, max_size=U))
+    bad = [draw(st.integers(0, 2)) == 0 for _ in range(3)]
+    if bad[0]:
+        key = draw(st.sampled_from(["t", "u", "v"]))
+        low = -1 if key == "u" else 0
+        payload[key] = draw(st.one_of(st.integers(-3, low), st.sampled_from([1.5, "x", "2", None, [1]])))
+    if bad[1]:
+        logp = payload["logp"]
+        if draw(st.booleans()):
+            logp.insert(draw(st.integers(0, n)), 0.0)
+        else:
+            logp[draw(st.integers(0, n - 1))] = draw(
+                st.sampled_from([float("nan"), np.inf, "x", None, [0.0]])
+            )
+    if bad[2]:
+        tokens = draw(
+            st.one_of(
+                st.sampled_from(["ab", None, 3, {"0": 0}, tokens + [0]]),
+                st.lists(
+                    st.one_of(
+                        st.floats(allow_nan=True), st.booleans(), st.just(2**70),
+                        st.integers(-3, -1), st.integers(V, V + 2),
+                    ),
+                    min_size=1, max_size=U + 1,
+                ),
+            )
+        )
+    # An empty, valid token list may also be left out.
+    if tokens or bad[2] or draw(st.booleans()):
+        payload["tokens"] = tokens
+    return payload, not any(bad)
 
 
 class TestGenData:
@@ -166,6 +215,26 @@ class TestLossCheck:
         code, _, err = run(capsys, ["loss-check", str(f)])
         assert code == 4
         assert json.loads(err.strip())["error"] == "numerical"
+
+    @PROPERTY
+    @given(case=loss_check_payloads())
+    @example(case=({"t": 1, "u": 0, "v": 1, "logp": [-1.0, -0.5], "tokens": "ab"}, False))
+    @example(case=({"t": 1, "u": 0, "v": 1, "logp": [-1.0, -0.5], "tokens": None}, False))
+    @example(case=({"t": 1, "u": 1, "v": 1, "logp": [-1.0, -0.5] * 2, "tokens": [0.5]}, False))
+    @example(case=({"t": -1, "u": -2, "v": 1, "logp": [0.0, 0.0]}, False))
+    def test_fuzzed_payloads_exit_cleanly(self, case, tmp_path_factory):
+        # Malformed input exits 3, well-formed input 0 or 4 (zero
+        # probability, oracle disagreement); any failure is one JSON line.
+        payload, well_formed = case
+        path = tmp_path_factory.mktemp("fuzz") / "lattice.json"
+        path.write_text(json.dumps(payload))
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(["loss-check", str(path)])
+        assert code == 3 if not well_formed else code in (0, 4)
+        if code:
+            (line,) = err.getvalue().splitlines()
+            assert set(json.loads(line)) == {"error", "message"}
 
 
 class TestExperimentsCli:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given
 
-from conftest import random_instance_nonempty, random_lattice
+from conftest import PROPERTY, cases, random_instance_nonempty, random_lattice
 from twrnnt.conditionals import (
     conditional_profile,
     emission_forward,
@@ -168,20 +169,28 @@ class TestNextTokenDistribution:
             dist = next_token_distribution(lat, y[: u - 1], u)
             assert np.sum(dist) == pytest.approx(1.0, abs=1e-9)
 
-    def test_matches_oracle_ratios(self):
-        rng = np.random.default_rng(55)
-        lat = random_lattice(rng, 3, 2, 3)
-        y = np.array([1, 0])
-        dist = next_token_distribution(lat, y[:1], 2)
-        pre = exact_prefix_logp(lat, y, 1)
-        for k in range(3):
-            ext = np.array([1, k])
-            expected = np.exp(exact_prefix_logp(lat, ext, 2) - pre)
-            assert dist[k] == pytest.approx(expected, abs=1e-10)
-        # Terminal slot: probability the output is exactly the prefix.
-        sub = PosteriorLattice(lat.logp[:, :2, :])
-        end = np.exp(exact_sequence_logp(sub, y[:1]) - pre)
-        assert dist[3] == pytest.approx(end, abs=1e-10)
+    @PROPERTY
+    @given(case=cases())
+    def test_matches_oracle_ratios(self, case):
+        # Every position u = 1..U+1.  The oracle extends y[:u-1] by one token
+        # on a lattice with one more label level, a copy of the last, which
+        # the extension's prefix mass never reads.
+        lat, y = case
+        ext = PosteriorLattice(np.concatenate([lat.logp, lat.logp[:, -1:]], axis=1))
+        for u in range(1, y.size + 2):
+            pre = exact_prefix_logp(lat, y, u - 1)
+            if pre == -np.inf:
+                with pytest.raises(NumericalError, match="zero probability"):
+                    next_token_distribution(lat, y[: u - 1], u)
+                continue
+            dist = next_token_distribution(lat, y[: u - 1], u)
+            for k in range(lat.blank):
+                expected = np.exp(exact_prefix_logp(ext, np.append(y[: u - 1], k), u) - pre)
+                assert dist[k] == pytest.approx(expected, abs=1e-10)
+            # Terminal slot: probability the output is exactly the prefix.
+            sub = PosteriorLattice(lat.logp[:, :u, :])
+            end = np.exp(exact_sequence_logp(sub, y[: u - 1]) - pre)
+            assert dist[-1] == pytest.approx(end, abs=1e-10)
 
     def test_zero_probability_prefix_raises(self):
         logp = np.full((2, 3, 3), -np.inf)

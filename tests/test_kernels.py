@@ -1,47 +1,10 @@
-"""Kernel edge cases, and backend equivalence: the numba-compiled
-single-lattice kernels must reproduce the pure NumPy loops bit for bit
-(same source, same operation order)."""
+"""Kernel edge cases: hard zeros and empty label sequences through the
+emission sweep, the weighted gradient and the backward fill."""
 
 import numpy as np
 import pytest
 
-from conftest import random_instance, random_instance_nonempty
 from twrnnt import kernels
-
-
-requires_numba = pytest.mark.skipif(
-    kernels.implementations()["numba"] is None, reason="numba unavailable/disabled"
-)
-
-
-def _instances(n=25, seed=90):
-    rng = np.random.default_rng(seed)
-    for _ in range(n):
-        lat, y = random_instance(rng)
-        yield lat.logp, y
-
-
-@requires_numba
-class TestBackendEquivalence:
-    def test_backward_fill_identical(self):
-        impls = kernels.implementations()
-        for logp, y in _instances():
-            b_py, bl_py = impls["numpy"]["backward_fill"](logp, y)
-            b_nb, bl_nb = impls["numba"]["backward_fill"](logp, y)
-            np.testing.assert_array_equal(b_py, b_nb)
-            assert bl_py == bl_nb
-
-    def test_next_symbol_masses_identical(self):
-        impls = kernels.implementations()
-        rng = np.random.default_rng(91)
-        for _ in range(25):
-            lat, y = random_instance_nonempty(rng)
-            level = int(rng.integers(0, y.size + 1))
-            A, _, _, _ = kernels.PaddedColumns.of(lat.logp, y).sweep()
-            A_prev = np.ascontiguousarray(A[0, :, level])
-            py = impls["numpy"]["next_symbol_masses"](lat.logp, A_prev, level)
-            nb = impls["numba"]["next_symbol_masses"](lat.logp, A_prev, level)
-            np.testing.assert_array_equal(py, nb)
 
 
 class TestKernelEdgeCases:

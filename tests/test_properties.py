@@ -7,46 +7,22 @@ cases.  Example counts stay small so the suite's wall time barely moves.
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from conftest import PROPERTY, cases, with_hard_zeros
 from twrnnt import kernels
 from twrnnt.errors import NumericalError
-from twrnnt.lattice import PosteriorLattice, backward, forward, normalize_logits, rnnt_loss_grad
+from twrnnt.lattice import backward, forward, rnnt_loss_grad
 from twrnnt.oracle import emission_sweep_scalar, loglik_grad, weighted_grad_scalar
 from twrnnt.weighting import TokenWeights, WeightConfig, weighted_loss_and_grad
-
-PROPERTY = settings(max_examples=50, deadline=None, derandomize=True, database=None)
-
-
-def _with_hard_zeros(raw, labels, zeros):
-    logp = normalize_logits(raw).logp.copy()
-    for cell in zeros:
-        logp[cell] = -np.inf
-    return PosteriorLattice(logp), np.asarray(labels, dtype=np.int64)
-
-
-@st.composite
-def cases(draw, hard_zeros=True, V=None):
-    """(lattice, labels) with T in 1..6, U in 0..5 and |V| in 1..3."""
-    T = draw(st.integers(1, 6))
-    U = draw(st.integers(0, 5))
-    V = V or draw(st.integers(1, 3))
-    shape = (T, U + 1, V + 1)
-    raw = draw(
-        hnp.arrays(np.float64, shape, elements=st.floats(-1e3, 1e3), fill=st.nothing())
-    )
-    labels = draw(st.lists(st.integers(0, V - 1), min_size=U, max_size=U))
-    cell = st.tuples(st.integers(0, T - 1), st.integers(0, U), st.integers(0, V))
-    zeros = draw(st.lists(cell, max_size=3)) if hard_zeros else []
-    return _with_hard_zeros(raw, labels, zeros)
 
 
 def seeded(T, U, V, scale=1.5, zeros=(), seed=0):
     rng = np.random.default_rng(seed)
     raw = scale * rng.normal(size=(T, U + 1, V + 1))
-    return _with_hard_zeros(raw, rng.integers(0, V, size=U), zeros)
+    return with_hard_zeros(raw, rng.integers(0, V, size=U), zeros)
 
 
 EDGE_CASES = [
