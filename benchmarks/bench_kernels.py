@@ -6,13 +6,18 @@ of B = 1 and B = 8 lattices of mixed size (at most --frames x --labels),
 and are timed in microseconds per utterance next to the per-cell loops in
 ``oracle`` that they replace.  The single-lattice calls, the backward fill
 and the next-token distribution, are timed in milliseconds on the largest
-lattice.
+lattice.  Last, the model layer: the grouped forward and backward
+(``forward_columns``, ``backward_columns``) against ``model_forward`` and
+``model_backward`` one utterance at a time, in microseconds per utterance,
+on a desk batch (T ~ 11, U ~ 6) and a long batch (T ~ 75, U ~ 25) of 8.
 
 Nothing is timed before it is verified.  On the B = 8 batch the batched
 tables and gradients must equal the per-cell loops exactly, the
 log-likelihood must match the backward table's, and the unit-weight
 gradient must match the oracle occupancy gradient, both to 1e-9.  The
-next-token distribution must sum to 1 within 1e-9.  Run from the repo
+next-token distribution must sum to 1 within 1e-9.  The grouped model
+passes must match the per-utterance ones to 1e-12 (columns absolutely,
+the parameter gradient relative to its largest entry).  Run from the repo
 root:
 
     python3 benchmarks/bench_kernels.py [--frames 50 --labels 20 --vocab 32]
@@ -26,10 +31,24 @@ import numpy as np
 from twrnnt import kernels
 from twrnnt.conditionals import next_token_distribution
 from twrnnt.lattice import PosteriorLattice
+from twrnnt.model import (
+    BatchLayout,
+    TransducerModel,
+    backward_columns,
+    forward_columns,
+    model_backward,
+    model_forward,
+)
 from twrnnt.oracle import emission_sweep_scalar, loglik_grad, weighted_grad_scalar
+from twrnnt.weighting import TokenWeights, padded_loss_and_grad
 
 TOL = 1e-9
+MODEL_TOL = 1e-12
 BATCH = 8
+# The network of the benchmark's training workloads: 8 features, 32 hidden
+# units, 16 tokens.
+MODEL_DIMS = (8, 32, 16)
+MODEL_BATCHES = {"desk T~11 U~6": (11, 6), "long T~75 U~25": (75, 25)}
 
 
 def make_batch(T, U, V, B, seed=0):
@@ -120,6 +139,75 @@ def batched_times(items, repeats):
     return {k: (scalar[k] / n * 1e6, single[k] / n * 1e6, batch[k] / n * 1e6) for k in scalar}
 
 
+def model_batch(T, U, seed=0):
+    """A seeded model, BATCH utterances of about T frames and U labels, and
+    the unit-weight column gradients of their standard loss."""
+    rng = np.random.default_rng(seed)
+    D, H, V = MODEL_DIMS
+    model = TransducerModel.random(D, H, V, rng)
+    feats, tokens = [], []
+    for _ in range(BATCH):
+        feats.append(rng.normal(size=(int(rng.integers(3 * T // 4, 5 * T // 4 + 1)), D)))
+        tokens.append(rng.integers(0, V, size=int(rng.integers(3 * U // 4, 5 * U // 4 + 1))))
+    layout = BatchLayout(model, feats, tokens)
+    weights = [TokenWeights.uniform(y.size) for y in tokens]
+    _, g_blank, g_emit = padded_loss_and_grad(forward_columns(model, layout), weights)
+    return model, feats, tokens, g_blank, g_emit
+
+
+def dense_grads(model, feats, tokens, g_blank, g_emit):
+    """Each utterance's column gradients as its dense lattice gradient."""
+    return [
+        kernels.dense_grad(g_blank[b, : len(f)], g_emit[b, : len(f)], y, model.vocab_size + 1)
+        for b, (f, y) in enumerate(zip(feats, tokens))
+    ]
+
+
+def verify_model(name, model, feats, tokens, g_blank, g_emit):
+    """Check the grouped model passes against the per-utterance ones; exit
+    on failure."""
+    layout = BatchLayout(model, feats, tokens)
+    cols = forward_columns(model, layout)
+    ref = kernels.PaddedColumns(layout.T, layout.U)
+    for b, (f, y) in enumerate(zip(feats, tokens)):
+        ref.put(b, model_forward(model, f, y).logp, y)
+    col_gap = 0.0
+    for got, want in ((cols.blank, ref.blank), (cols.emit, ref.emit)):
+        owned = np.isfinite(want)
+        if not np.array_equal(owned, np.isfinite(got)):
+            raise SystemExit(f"{name}: grouped columns are padded differently")
+        col_gap = max(col_gap, float(np.max(np.abs(got[owned] - want[owned]), initial=0.0)))
+    grad = backward_columns(model, layout, g_blank, g_emit)
+    dense = dense_grads(model, feats, tokens, g_blank, g_emit)
+    want = sum(model_backward(model, f, y, d) for f, y, d in zip(feats, tokens, dense))
+    grad_gap = float(np.max(np.abs(grad - want)) / np.max(np.abs(want)))
+    print(
+        f"{name}: grouped vs per-utterance column gap {col_gap:.1e}, "
+        f"parameter gradient gap {grad_gap:.1e} (relative)"
+    )
+    if not (col_gap <= MODEL_TOL and grad_gap <= MODEL_TOL):
+        raise SystemExit(f"grouped model passes failed verification (tolerance {MODEL_TOL})")
+
+
+def model_times(model, feats, tokens, g_blank, g_emit, repeats):
+    """Microseconds per utterance of one forward and one backward: per
+    utterance, and grouped (the layout included)."""
+    dense = dense_grads(model, feats, tokens, g_blank, g_emit)
+
+    def per_utterance():
+        for f, y, d in zip(feats, tokens, dense):
+            model_forward(model, f, y)
+            model_backward(model, f, y, d)
+
+    def grouped():
+        layout = BatchLayout(model, feats, tokens)
+        forward_columns(model, layout)
+        backward_columns(model, layout, g_blank, g_emit)
+
+    n = len(feats)
+    return time_call(per_utterance, repeats) / n * 1e6, time_call(grouped, repeats) / n * 1e6
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--frames", type=int, default=50)
@@ -157,6 +245,21 @@ def main():
     print("-" * len(header))
     for name, fn in calls.items():
         print(f"{name:<25}{time_call(fn, args.repeats) * 1e3:>10.3f}")
+
+    batches = {name: model_batch(T, U) for name, (T, U) in MODEL_BATCHES.items()}
+    print()
+    for name, batch in batches.items():
+        verify_model(name, *batch)
+    print(
+        f"\nmodel forward + backward, B={BATCH}, dims (D, H, |V|) = {MODEL_DIMS}, "
+        f"{args.repeats} repeats, microseconds per utterance\n"
+    )
+    header = f"{'batch':<20}{'per-utterance':>15}{'grouped':>10}{'speedup':>10}"
+    print(header)
+    print("-" * len(header))
+    for name, batch in batches.items():
+        single, grouped = model_times(*batch, args.repeats)
+        print(f"{name:<20}{single:>15.0f}{grouped:>10.0f}{single / grouped:>9.1f}x")
 
 
 if __name__ == "__main__":

@@ -298,6 +298,16 @@ def cmd_loss_check(args) -> int:
     if not isinstance(obj, dict):
         raise DataError(f"{path}: expected a JSON object, got {type(obj).__name__}")
     lattice = lattice_from_json(obj)
+    # Conditionals of a row with more than unit mass can exceed 1, which
+    # would surface later as an invalid confidence rather than a bad lattice.
+    lse = lattice.row_logsumexp()
+    over = lse > 1e-12
+    if over.any():
+        t, u = np.argwhere(over)[0]
+        raise DataError(
+            f"{path}: row (t={t}, u={u}) has probability mass above 1 "
+            f"(log-sum-exp {lse[t, u]:.3e} > 1e-12)"
+        )
     tokens = obj.get("tokens", [])
     if not isinstance(tokens, list) or not all(
         type(k) is int and 0 <= k < lattice.blank for k in tokens

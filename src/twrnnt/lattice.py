@@ -124,12 +124,15 @@ class PosteriorLattice:
     def blank(self) -> int:
         return self.logp.shape[2] - 1
 
+    def row_logsumexp(self) -> np.ndarray:
+        """(T, U+1) table of each row's log total mass; NaN for a row of
+        hard zeros."""
+        with np.errstate(invalid="ignore"):
+            return _row_logsumexp(self.logp)[..., 0]
+
     def row_normalization_error(self) -> float:
         """Max |logsumexp(row)| over all (t, u) rows; ~0 for softmax rows."""
-        m = np.max(self.logp, axis=-1)
-        with np.errstate(invalid="ignore"):
-            lse = m + np.log(np.sum(np.exp(self.logp - m[..., None]), axis=-1))
-        return float(np.max(np.abs(lse)))
+        return float(np.max(np.abs(self.row_logsumexp())))
 
 
 @dataclass(frozen=True)
@@ -160,9 +163,14 @@ def normalize_logits(raw_logits) -> PosteriorLattice:
         raise DataError(
             f"non-finite logit {raw[t, u, k]!r} at (t={t}, u={u}, k={k})"
         )
+    return PosteriorLattice(raw - _row_logsumexp(raw))
+
+
+def _row_logsumexp(raw: np.ndarray) -> np.ndarray:
+    """Log of each row's total mass over the last axis, kept as an axis of
+    length 1; ``raw - _row_logsumexp(raw)`` is the row log-softmax."""
     m = raw.max(axis=-1, keepdims=True)
-    lse = m + np.log(np.sum(np.exp(raw - m), axis=-1, keepdims=True))
-    return PosteriorLattice(raw - lse)
+    return m + np.log(np.sum(np.exp(raw - m), axis=-1, keepdims=True))
 
 
 def _check_dims(lattice: PosteriorLattice, labels: np.ndarray) -> None:

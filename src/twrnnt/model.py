@@ -17,7 +17,14 @@ from typing import Optional
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .lattice import PosteriorLattice, Vocabulary, as_labels, normalize_logits
+from .kernels import PaddedColumns
+from .lattice import (
+    PosteriorLattice,
+    Vocabulary,
+    _row_logsumexp,
+    as_labels,
+    normalize_logits,
+)
 
 __all__ = [
     "TransducerModel",
@@ -27,6 +34,9 @@ __all__ = [
     "param_count",
     "model_forward",
     "model_backward",
+    "BatchLayout",
+    "forward_columns",
+    "backward_columns",
     "sgd_step",
     "adam_init",
     "adam_step",
@@ -86,6 +96,12 @@ class TransducerModel:
                 f"parameter vector has shape {params.shape}, expected ({expected},) "
                 f"for D={self.dim_in}, H={self.dim_hidden}, V={self.vocab_size}"
             )
+        # With finite parameters and features the logits are finite, so the
+        # network's own lattices need no re-check.
+        bad = ~np.isfinite(params)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise DataError(f"non-finite parameter {params[i]!r} at index {i}")
         object.__setattr__(self, "params", params)
         # The layout is fixed by the dimensions, so its views are built once.
         object.__setattr__(self, "_layout", layout)
@@ -123,17 +139,112 @@ def _check_features(model: TransducerModel, features) -> np.ndarray:
         )
     if feats.shape[0] < 1:
         raise DataError("features need at least one frame")
+    bad = ~np.isfinite(feats)
+    if bad.any():
+        t, d = np.argwhere(bad)[0]
+        raise DataError(f"non-finite feature {feats[t, d]!r} at (t={t}, d={d})")
     return feats
 
 
-def _intermediates(model: TransducerModel, feats: np.ndarray, labels: np.ndarray):
-    enc = np.tanh(feats @ model.slice("enc_w").T + model.slice("enc_b"))
-    ids = np.concatenate(([model.bos], labels))
-    rows = model.slice("emb")[ids]
-    pred = np.tanh(rows @ model.slice("pred_w").T + model.slice("pred_b"))
-    z = np.tanh(enc[:, None, :] + pred[None, :, :])
-    logits = z @ model.slice("join_w").T + model.slice("join_b")
-    return enc, ids, rows, pred, z, logits
+# Nodes (b, t, u) per pass of the grouped forward and backward.  A desk
+# batch (about 630 nodes) is one group, and a long lattice (about 1950) fills
+# one alone.  Larger node matrices fall out of cache: without the bound, a
+# training step on 8 long lattices took 33 ms instead of 29 ms (2-vCPU x86
+# VM, one OpenBLAS thread).
+_GROUP_NODES = 2048
+
+
+class BatchLayout:
+    """The (b, t, u) nodes of a batch of utterances in one flat layout, u
+    fastest, for ``forward_columns`` and ``backward_columns``.
+
+    Node n joins encoder frame ``frame[n]`` of the stacked ``feats`` with
+    predictor position ``pos[n]`` of the stacked predictor inputs ``ids``
+    (BOS, then the labels, per utterance).  ``blank_at`` and ``emit_at`` are
+    its flat cells in padded (B, Tmax, Umax+1) and (B, Tmax, Umax) column
+    tables; ``emit_rows`` are the nodes with u < U and ``emit_label`` their
+    labels.  ``groups`` holds (n0, n1, m0, m1) ranges of nodes and emit rows
+    for runs of consecutive utterances with at most ``_GROUP_NODES`` nodes,
+    or one larger utterance.
+    """
+
+    def __init__(self, model: TransducerModel, features, tokens):
+        vocab = model.vocab
+        feats = [_check_features(model, f) for f in features]
+        labels = [as_labels(y, vocab) for y in tokens]
+        if not feats or len(feats) != len(labels):
+            raise DataError(
+                f"a batch needs one label sequence per utterance, got "
+                f"{len(feats)} feature tables and {len(labels)} label sequences"
+            )
+        self.T = np.array([f.shape[0] for f in feats], dtype=np.int64)
+        self.U = np.array([y.size for y in labels], dtype=np.int64)
+        self.feats = np.concatenate(feats)
+        bos = np.array([model.bos], dtype=np.int64)
+        self.ids = np.concatenate([part for y in labels for part in (bos, y)])
+        W = self.U + 1
+        sizes = self.T * W
+        start = np.concatenate(([0], np.cumsum(sizes)))
+        b = np.repeat(np.arange(sizes.size), sizes)
+        t, u = np.divmod(np.arange(start[-1]) - start[b], W[b])
+        self.frame = (np.cumsum(self.T) - self.T)[b] + t
+        self.pos = (np.cumsum(W) - W)[b] + u
+        row = b * int(self.T.max()) + t
+        Umax = int(self.U.max())
+        self.blank_at = row * (Umax + 1) + u
+        emit = u < self.U[b]
+        self.emit_rows = np.flatnonzero(emit)
+        self.emit_at = (row * Umax + u)[emit]
+        self.emit_label = self.ids[self.pos[emit] + 1]
+        # Segment starts of the backward pass's per-frame and per-position
+        # sums: nodes are frame-major, and ``by_pos`` lists them
+        # position-major, each position's T nodes in a run.
+        self.frame_first = np.flatnonzero(u == 0)
+        self.by_pos = np.argsort(self.pos, kind="stable")
+        runs = np.repeat(self.T, W)
+        self.pos_first = np.cumsum(runs) - runs
+        cuts, nodes = [0], 0
+        for i, size in enumerate(sizes.tolist()):
+            if nodes and nodes + size > _GROUP_NODES:
+                cuts.append(i)
+                nodes = 0
+            nodes += size
+        cuts.append(sizes.size)
+        n = start[cuts]
+        m = np.searchsorted(self.emit_rows, n)
+        self.groups = list(zip(n[:-1], n[1:], m[:-1], m[1:]))
+        self.max_group = int(np.max(np.diff(n)))
+
+
+def _encode(model: TransducerModel, layout: BatchLayout, dtype):
+    """Parameters in ``dtype``, the encoder output of every frame, and the
+    predictor inputs and outputs of every label position."""
+    p = {name: view.astype(dtype, copy=False) for name, view in model._views.items()}
+    enc = np.tanh(layout.feats.astype(dtype, copy=False) @ p["enc_w"].T + p["enc_b"])
+    rows = p["emb"][layout.ids]
+    pred = np.tanh(rows @ p["pred_w"].T + p["pred_b"])
+    return p, enc, rows, pred
+
+
+def _join(p, enc, pred, layout: BatchLayout, n0, n1, work):
+    """Joiner activations and raw logits of nodes n0..n1-1.  The activations
+    are written to ``work[0]`` and ``work[1]`` is scratch: (n, H) buffers, so
+    that a group's large temporaries are allocated once per pass."""
+    z, scratch = work[0][: n1 - n0], work[1][: n1 - n0]
+    # The layout's indices are in range by construction; mode="clip" spares
+    # np.take the buffered copy it makes to check them.
+    np.take(enc, layout.frame[n0:n1], axis=0, out=z, mode="clip")
+    z += np.take(pred, layout.pos[n0:n1], axis=0, out=scratch, mode="clip")
+    np.tanh(z, out=z)
+    logits = z @ p["join_w"].T
+    logits += p["join_b"]
+    return z, logits
+
+
+def _work(layout: BatchLayout, enc):
+    """The two (n, H) node buffers that ``_join`` and ``_backward`` reuse
+    across groups."""
+    return np.empty((2, layout.max_group, enc.shape[1]), dtype=enc.dtype)
 
 
 def model_forward(
@@ -143,74 +254,144 @@ def model_forward(
 
     ``compute_dtype=np.float32`` runs the network arithmetic in 32-bit;
     normalization always happens in float64 so lattice rows stay exact.
+    The single-utterance case of ``forward_columns``.
     """
-    feats = _check_features(model, features)
-    labels = as_labels(tokens, model.vocab)
-    if compute_dtype == np.float64:
-        logits = _intermediates(model, feats, labels)[-1]
-    else:
-        ct = compute_dtype
-        enc = np.tanh(
-            feats.astype(ct) @ model.slice("enc_w").T.astype(ct)
-            + model.slice("enc_b").astype(ct)
-        )
-        ids = np.concatenate(([model.bos], labels))
-        rows = model.slice("emb").astype(ct)[ids]
-        pred = np.tanh(
-            rows @ model.slice("pred_w").T.astype(ct) + model.slice("pred_b").astype(ct)
-        )
-        z = np.tanh(enc[:, None, :] + pred[None, :, :])
-        logits = (
-            z @ model.slice("join_w").T.astype(ct) + model.slice("join_b").astype(ct)
-        ).astype(np.float64)
-    return normalize_logits(logits)
+    layout = BatchLayout(model, [features], [tokens])
+    p, enc, _, pred = _encode(model, layout, compute_dtype)
+    _, logits = _join(p, enc, pred, layout, 0, layout.frame.size, _work(layout, enc))
+    T, U = int(layout.T[0]), int(layout.U[0])
+    return normalize_logits(logits.astype(np.float64, copy=False).reshape(T, U + 1, -1))
+
+
+def forward_columns(
+    model: TransducerModel, layout: BatchLayout, compute_dtype=np.float64
+) -> PaddedColumns:
+    """Blank and label log-probability columns of a batch of utterances.
+
+    One network pass per group of nodes, written straight into padded
+    columns for ``kernels.emission_sweep``; equal to ``model_forward`` of
+    each utterance up to matrix-product rounding.  The logits are bounded by
+    tanh, so the rows skip ``normalize_logits``'s input checks.
+    """
+    cols = PaddedColumns(layout.T, layout.U)
+    blank, emit = cols.blank.reshape(-1), cols.emit.reshape(-1)
+    p, enc, _, pred = _encode(model, layout, compute_dtype)
+    work = _work(layout, enc)
+    for n0, n1, m0, m1 in layout.groups:
+        _, logits = _join(p, enc, pred, layout, n0, n1, work)
+        logits = logits.astype(np.float64, copy=False)
+        lse = _row_logsumexp(logits)[:, 0]
+        blank[layout.blank_at[n0:n1]] = logits[:, -1] - lse
+        r = layout.emit_rows[m0:m1] - n0
+        emit[layout.emit_at[m0:m1]] = logits[r, layout.emit_label[m0:m1]] - lse[r]
+    return cols
+
+
+def _backward(model: TransducerModel, layout: BatchLayout, dlogp_rows) -> np.ndarray:
+    """Chain rule from per-node lattice gradients to the parameters, one
+    pass per group; ``dlogp_rows(n0, n1, m0, m1)`` returns a new dense
+    (n1 - n0, V+1) array of a group's rows.  Exact, float64."""
+    p, enc, rows, pred = _encode(model, layout, np.float64)
+    work = _work(layout, enc)
+    grad = np.zeros_like(model.params)
+    g = _views(grad, model._layout)
+    denc = np.empty_like(enc)
+    dpred = np.empty_like(pred)
+    for n0, n1, m0, m1 in layout.groups:
+        z, logits = _join(p, enc, pred, layout, n0, n1, work)
+        dlogit = dlogp_rows(n0, n1, m0, m1)
+        # d loss / d logit through the row log-softmax:
+        # dlogp - softmax * sum(dlogp), with the softmax built in ``logits``.
+        logits -= logits.max(axis=-1, keepdims=True)
+        np.exp(logits, out=logits)
+        logits /= logits.sum(axis=-1, keepdims=True)
+        logits *= dlogit.sum(axis=-1, keepdims=True)
+        dlogit -= logits
+        g["join_w"] += dlogit.T @ z
+        g["join_b"] += dlogit.sum(axis=0)
+        # dpre = dz * (1 - z^2), in the two work buffers.
+        dpre = np.matmul(dlogit, p["join_w"], out=work[1][: n1 - n0])
+        np.multiply(z, z, out=z)
+        np.subtract(1.0, z, out=z)
+        dpre *= z
+        f0, f1 = layout.frame[n0], layout.frame[n1 - 1] + 1
+        denc[f0:f1] = np.add.reduceat(dpre, layout.frame_first[f0:f1] - n0, axis=0)
+        q0, q1 = layout.pos[n0], layout.pos[n1 - 1] + 1
+        by_pos = np.take(dpre, layout.by_pos[n0:n1] - n0, axis=0, out=z, mode="clip")
+        dpred[q0:q1] = np.add.reduceat(by_pos, layout.pos_first[q0:q1] - n0, axis=0)
+    denc_pre = denc * (1.0 - enc * enc)
+    g["enc_w"][...] = denc_pre.T @ layout.feats
+    g["enc_b"][...] = denc_pre.sum(axis=0)
+    dpred_pre = dpred * (1.0 - pred * pred)
+    g["pred_w"][...] = dpred_pre.T @ rows
+    g["pred_b"][...] = dpred_pre.sum(axis=0)
+    np.add.at(g["emb"], layout.ids, dpred_pre @ p["pred_w"])
+    return grad
 
 
 def model_backward(
     model: TransducerModel, features, tokens, dL_dlogp
 ) -> np.ndarray:
     """Chain-rule parameter gradient of any scalar loss, given its gradient
-    with respect to the lattice log-probabilities.  Exact, float64."""
-    feats = _check_features(model, features)
-    labels = as_labels(tokens, model.vocab)
-    enc, ids, rows, pred, z, logits = _intermediates(model, feats, labels)
+    with respect to the lattice log-probabilities.  Exact, float64.  The
+    single-utterance case of ``backward_columns``."""
+    layout = BatchLayout(model, [features], [tokens])
     dlogp = np.asarray(dL_dlogp, dtype=np.float64)
-    if dlogp.shape != logits.shape:
-        raise DataError(
-            f"lattice gradient has shape {dlogp.shape}, expected {logits.shape}"
-        )
-    m = logits.max(axis=-1, keepdims=True)
-    e = np.exp(logits - m)
-    softmax = e / e.sum(axis=-1, keepdims=True)
-    # d loss / d logit through the row log-softmax.
-    dlogit = dlogp - softmax * dlogp.sum(axis=-1, keepdims=True)
+    shape = (int(layout.T[0]), int(layout.U[0]) + 1, model.vocab_size + 1)
+    if dlogp.shape != shape:
+        raise DataError(f"lattice gradient has shape {dlogp.shape}, expected {shape}")
+    flat = dlogp.reshape(-1, shape[2])
+    return _backward(model, layout, lambda n0, n1, m0, m1: flat[n0:n1].copy())
 
-    grad = np.zeros_like(model.params)
-    g = _views(grad, model._layout)
-    g["join_w"][...] = np.einsum("tuk,tuh->kh", dlogit, z)
-    g["join_b"][...] = dlogit.sum(axis=(0, 1))
-    dz = dlogit @ model.slice("join_w")
-    dpre = dz * (1.0 - z * z)
-    denc_h = dpre.sum(axis=1)
-    dpred_h = dpre.sum(axis=0)
-    denc_pre = denc_h * (1.0 - enc * enc)
-    g["enc_w"][...] = denc_pre.T @ feats
-    g["enc_b"][...] = denc_pre.sum(axis=0)
-    dpred_pre = dpred_h * (1.0 - pred * pred)
-    g["pred_w"][...] = dpred_pre.T @ rows
-    g["pred_b"][...] = dpred_pre.sum(axis=0)
-    drows = dpred_pre @ model.slice("pred_w")
-    np.add.at(g["emb"], ids, drows)
-    return grad
+
+def backward_columns(
+    model: TransducerModel, layout: BatchLayout, g_blank, g_emit
+) -> np.ndarray:
+    """Parameter gradient of a batch loss, given its gradients with respect
+    to the padded blank and label columns (``kernels.weighted_grad``).
+
+    Equal to the sum of ``model_backward`` over the batch's dense lattice
+    gradients (``kernels.dense_grad``) up to matrix-product rounding, without
+    building them.
+    """
+    B, Tmax, Umax = layout.T.size, int(layout.T.max()), int(layout.U.max())
+    gb = np.asarray(g_blank, dtype=np.float64)
+    ge = np.asarray(g_emit, dtype=np.float64)
+    if gb.shape != (B, Tmax, Umax + 1) or ge.shape != (B, Tmax, Umax):
+        raise DataError(
+            f"column gradients have shapes {gb.shape} and {ge.shape}, expected "
+            f"{(B, Tmax, Umax + 1)} and {(B, Tmax, Umax)}"
+        )
+    gb, ge = gb.reshape(-1), ge.reshape(-1)
+
+    def dlogp_rows(n0, n1, m0, m1):
+        d = np.zeros((n1 - n0, model.vocab_size + 1))
+        d[:, -1] = gb[layout.blank_at[n0:n1]]
+        d[layout.emit_rows[m0:m1] - n0, layout.emit_label[m0:m1]] = ge[layout.emit_at[m0:m1]]
+        return d
+
+    return _backward(model, layout, dlogp_rows)
+
+
+def _finite_grad(grad) -> np.ndarray:
+    """The gradient as float64; NaN or +-inf anywhere raises NumericalError,
+    since one such entry would turn the parameters into NaN."""
+    g = np.asarray(grad, dtype=np.float64)
+    bad = ~np.isfinite(g)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise NumericalError(
+            f"non-finite gradient entry {g.flat[i]!r} at index {i}; no update applied"
+        )
+    return g
 
 
 def sgd_step(model: TransducerModel, grad, lr: float) -> TransducerModel:
-    """Plain gradient step; rejects NaN gradients before touching parameters."""
+    """Plain gradient step; rejects non-finite gradients before touching
+    parameters."""
     if lr <= 0:
         raise DataError(f"learning rate must be positive, got {lr}")
-    g = np.asarray(grad, dtype=np.float64)
-    if np.isnan(g).any():
-        raise NumericalError("NaN in gradient; no update applied")
+    g = _finite_grad(grad)
     return TransducerModel(
         model.dim_in, model.dim_hidden, model.vocab_size, model.params - lr * g
     )
@@ -242,10 +423,9 @@ def adam_init(model: TransducerModel) -> AdamState:
 
 
 def adam_step(state: AdamState, grad, hyper: AdamConfig) -> AdamState:
-    """Bias-corrected Adam update; deterministic, no in-place mutation."""
-    g = np.asarray(grad, dtype=np.float64)
-    if np.isnan(g).any():
-        raise NumericalError("NaN in gradient; no update applied")
+    """Bias-corrected Adam update; deterministic, no in-place mutation.
+    Rejects non-finite gradients before touching the state."""
+    g = _finite_grad(grad)
     t = state.step + 1
     m = hyper.beta1 * state.m + (1.0 - hyper.beta1) * g
     v = hyper.beta2 * state.v + (1.0 - hyper.beta2) * g * g

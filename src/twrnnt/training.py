@@ -21,16 +21,16 @@ import numpy as np
 from .conditionals import padded_profiles
 from .datagen import Utterance
 from .errors import DataError, NumericalError
-from .kernels import PaddedColumns, dense_grad
 from .metrics import wer
 from .model import (
     AdamConfig,
+    BatchLayout,
     TransducerModel,
     adam_init,
     adam_step,
+    backward_columns,
+    forward_columns,
     greedy_decode,
-    model_backward,
-    model_forward,
 )
 from .weighting import TokenWeights, WeightConfig, compute_weights, padded_loss_and_grad
 
@@ -126,37 +126,23 @@ def _batch_weights(batch, cfg: TrainConfig) -> list:
     ]
 
 
-def _forward_columns(model: TransducerModel, utts, dtype=np.float64) -> PaddedColumns:
-    """Model lattices of ``utts``, one at a time, kept only as padded columns."""
-    cols = PaddedColumns(
-        [np.shape(u.features)[0] for u in utts], [u.tokens.size for u in utts]
-    )
-    for b, u in enumerate(utts):
-        lat = model_forward(model, u.features, u.tokens, compute_dtype=dtype)
-        cols.put(b, lat.logp, u.tokens)  # tokens checked by model_forward
-    return cols
-
-
 def _batch_loss_and_grad(model: TransducerModel, batch, cfg: TrainConfig):
     """Summed loss and parameter gradient for one batch under cfg.mode.
 
-    The DP runs once over the padded batch; each utterance's dense lattice
-    gradient is built only for its own ``model_backward``, after the padded
-    log-probability columns are gone.
+    One grouped model forward writes the batch's padded log-probability
+    columns, the DP runs once over them, and one grouped model backward
+    takes the column gradients back to the parameters.
     """
     total_tokens = max(1, sum(u.tokens.size for u in batch))
     dtype = np.float32 if cfg.float32_forward else np.float64
     weights = _batch_weights(batch, cfg)
-    losses, g_blank, g_emit = padded_loss_and_grad(
-        _forward_columns(model, batch, dtype), weights
-    )
+    layout = BatchLayout(model, [u.features for u in batch], [u.tokens for u in batch])
+    cols = forward_columns(model, layout, compute_dtype=dtype)
+    losses, g_blank, g_emit = padded_loss_and_grad(cols, weights)
     loss = 0.0
-    grad = np.zeros_like(model.params)
-    for b, (u, loss_u) in enumerate(zip(batch, losses)):
+    for loss_u in losses:  # a plain sequential sum, whatever the Python version
         loss += loss_u
-        T = np.shape(u.features)[0]
-        dlogp = dense_grad(g_blank[b, :T], g_emit[b, :T], u.tokens, model.vocab.num_symbols)
-        grad += model_backward(model, u.features, u.tokens, dlogp)
+    grad = backward_columns(model, layout, g_blank, g_emit)
     grad /= total_tokens
     return loss / total_tokens, grad
 
@@ -266,7 +252,12 @@ def score_confidences(model: TransducerModel, utterances) -> list:
     for start in range(0, len(utterances), _SCORE_CHUNK):
         chunk = utterances[start : start + _SCORE_CHUNK]
         spoken = [u for u in chunk if u.tokens.size]
-        profiles = iter(padded_profiles(_forward_columns(model, spoken)) if spoken else [])
+        profiles = iter([])
+        if spoken:
+            layout = BatchLayout(
+                model, [u.features for u in spoken], [u.tokens for u in spoken]
+            )
+            profiles = iter(padded_profiles(forward_columns(model, layout)))
         for u in chunk:
             conf = next(profiles).conditionals if u.tokens.size else np.zeros(0)
             out.append(replace(u, confidences=conf))

@@ -136,40 +136,61 @@ def compute_weights(
     return out[0] if single else out
 
 
-def _lambdas(weights: TokenWeights, num_tokens: int) -> np.ndarray:
-    lam = np.ascontiguousarray(np.asarray(weights.lambdas, dtype=np.float64))
-    if lam.size != num_tokens:
-        raise DataError(
-            f"weights/labels mismatch: {lam.size} weights for {num_tokens} tokens"
-        )
-    if np.any(lam < 0):
+def _padded_weights(weights, U):
+    """Token weights of a padded batch as a zero-padded (B, Umax) table, and
+    the sentence-end weights (B,).  ``weights`` holds one TokenWeights per
+    label count in ``U``; mis-sized or negative weights raise DataError."""
+    U = np.asarray(U, dtype=np.int64)
+    if len(weights) != U.size:
+        raise DataError(f"{len(weights)} weight vectors for {U.size} utterances")
+    rows = [np.asarray(w.lambdas, dtype=np.float64).ravel() for w in weights]
+    sizes = np.array([r.size for r in rows], dtype=np.int64)
+    if np.any(sizes != U):
+        b = int(np.argmax(sizes != U))
+        raise DataError(f"weights/labels mismatch: {sizes[b]} weights for {U[b]} tokens")
+    flat = np.concatenate(rows)
+    if np.any(flat < 0):
         raise DataError("token weights must be nonnegative")
-    return lam
+    lam = np.zeros((U.size, int(U.max())))
+    lam[np.arange(lam.shape[1]) < U[:, None]] = flat
+    w_fb = np.array([float(w.config.final_blank_weight) for w in weights])
+    return lam, w_fb
 
 
 def _prepare(lattice: PosteriorLattice, y, weights: TokenWeights):
     labels = as_labels(y)
     _check_dims(lattice, labels)
-    return labels, _lambdas(weights, labels.size)
+    return labels, *_padded_weights([weights], [labels.size])
 
 
-def _loss_from_prefix(prefix, loglik, lam, w_fb) -> float:
-    U = prefix.size - 1
-    for u in range(1, U + 1):
-        if prefix[u] == -np.inf:
+def _padded_losses(prefix, loglik, lam, w_fb, U) -> list:
+    """Weighted loss of every utterance of a padded batch, from its prefix
+    masses and log-likelihood: a sequential sum of the token terms from 0.0,
+    then the sentence-end term.  The first utterance with a zero-probability
+    prefix, or a zero-probability sequence under a nonzero sentence-end
+    weight, raises NumericalError."""
+    U = np.asarray(U, dtype=np.int64)
+    B, Umax = lam.shape
+    b = np.arange(B)
+    valid = np.arange(1, Umax + 1) <= U[:, None]
+    zero = valid & (prefix[:, 1:] == -np.inf)
+    bad = zero.any(axis=1) | ((w_fb != 0.0) & (loglik == -np.inf))
+    if bad.any():
+        first = int(np.argmax(bad))
+        if zero[first].any():
+            u = int(np.argmax(zero[first])) + 1
             raise NumericalError(
                 f"prefix y[:{u}] has zero probability; weighted loss is undefined"
             )
-    loss = 0.0
-    for u in range(1, U + 1):
-        loss += lam[u - 1] * (prefix[u - 1] - prefix[u])
-    if w_fb != 0.0:
-        if loglik == -np.inf:
-            raise NumericalError(
-                "sequence has zero probability; the sentence-end term is undefined"
-            )
-        loss += w_fb * (prefix[U] - loglik)
-    return float(loss)
+        raise NumericalError(
+            "sequence has zero probability; the sentence-end term is undefined"
+        )
+    steps = np.zeros((B, Umax + 1))
+    with np.errstate(invalid="ignore"):
+        steps[:, 1:] = np.where(valid, lam * (prefix[:, :-1] - prefix[:, 1:]), 0.0)
+        tokens = np.cumsum(steps, axis=1)[b, U]
+        closed = tokens + w_fb * (prefix[b, U] - loglik)
+    return np.where(w_fb != 0.0, closed, tokens).tolist()
 
 
 def weighted_rnnt_loss(lattice: PosteriorLattice, y, weights: TokenWeights) -> float:
@@ -177,11 +198,9 @@ def weighted_rnnt_loss(lattice: PosteriorLattice, y, weights: TokenWeights) -> f
 
     With lambda = 1 and final_blank_weight = 1 this equals the standard loss.
     """
-    labels, lam = _prepare(lattice, y, weights)
+    labels, lam, w_fb = _prepare(lattice, y, weights)
     _, _, prefix, loglik = kernels.PaddedColumns.of(lattice.logp, labels).sweep()
-    return _loss_from_prefix(
-        prefix[0], loglik[0], lam, weights.config.final_blank_weight
-    )
+    return _padded_losses(prefix, loglik, lam, w_fb, [labels.size])[0]
 
 
 def weighted_rnnt_loss_grad(
@@ -195,7 +214,7 @@ def weighted_rnnt_loss_grad(
 
 def weighted_loss_and_grad(lattice: PosteriorLattice, y, weights: TokenWeights):
     """(loss, gradient) in one pass: ``padded_loss_and_grad`` on a batch of one."""
-    labels, _ = _prepare(lattice, y, weights)
+    labels = _prepare(lattice, y, weights)[0]
     cols = kernels.PaddedColumns.of(lattice.logp, labels)
     (loss,), g_blank, g_emit = padded_loss_and_grad(cols, [weights])
     return loss, kernels.dense_grad(g_blank[0], g_emit[0], labels, lattice.logp.shape[2])
@@ -211,17 +230,9 @@ def padded_loss_and_grad(cols: kernels.PaddedColumns, weights):
     column gradients into the dense gradient of that utterance's loss.  A
     zero-probability prefix in any utterance raises NumericalError.
     """
-    B, Umax = cols.emit.shape[0], cols.emit.shape[2]
-    lam = np.zeros((B, Umax))
-    w_fb = np.empty(B)
-    for b, w in enumerate(weights):
-        lam[b, : cols.U[b]] = _lambdas(w, int(cols.U[b]))
-        w_fb[b] = float(w.config.final_blank_weight)
+    lam, w_fb = _padded_weights(weights, cols.U)
     sweep = cols.sweep()
     _, _, prefix, loglik = sweep
-    losses = [
-        _loss_from_prefix(prefix[b, : U + 1], loglik[b], lam[b, :U], w_fb[b])
-        for b, U in enumerate(cols.U)
-    ]
+    losses = _padded_losses(prefix, loglik, lam, w_fb, cols.U)
     g_blank, g_emit = cols.grad(sweep, lam, w_fb)
     return losses, g_blank, g_emit

@@ -12,6 +12,7 @@ from conftest import PROPERTY
 from twrnnt.cli import main
 from twrnnt.datagen import read_dataset
 from twrnnt.experiments import report_from_json
+from twrnnt.lattice import PosteriorLattice
 
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "loss_check_t3u2.json"
 
@@ -31,13 +32,17 @@ def run(capsys, argv):
 def loss_check_payloads(draw):
     """(payload, well_formed): a ``loss-check`` lattice object, each of whose
     parts (dimensions, log-probabilities, tokens) is corrupted one time in
-    three, and whether all of them were left intact."""
+    three, and whether all of them were left intact.  Cells stay below
+    log(1/4), so every row's mass is at most 1, except one time in three,
+    when they go up to 0; a row above unit mass is malformed too."""
     T, U, V = draw(st.integers(1, 4)), draw(st.integers(0, 3)), draw(st.integers(1, 3))
     n = T * (U + 1) * (V + 1)
-    # Cells below log(1/4) keep every row's mass at most 1, so a well-formed
-    # lattice has conditionals in (0, 1].
-    cell = st.one_of(st.floats(-50, -1.4), st.just(-np.inf))
-    payload = {"t": T, "u": U, "v": V, "logp": draw(st.lists(cell, min_size=n, max_size=n))}
+    top = draw(st.sampled_from([-1.4, -1.4, 0.0]))
+    cell = st.one_of(st.floats(-50, top), st.just(-np.inf))
+    cells = draw(st.lists(cell, min_size=n, max_size=n))
+    rows = PosteriorLattice(np.reshape(cells, (T, U + 1, V + 1))).row_logsumexp()
+    over_unit = bool(np.any(rows > 1e-12))
+    payload = {"t": T, "u": U, "v": V, "logp": cells}
     tokens = draw(st.lists(st.integers(0, V - 1), min_size=U, max_size=U))
     bad = [draw(st.integers(0, 2)) == 0 for _ in range(3)]
     if bad[0]:
@@ -68,7 +73,7 @@ def loss_check_payloads(draw):
     # An empty, valid token list may also be left out.
     if tokens or bad[2] or draw(st.booleans()):
         payload["tokens"] = tokens
-    return payload, not any(bad)
+    return payload, not (any(bad) or over_unit)
 
 
 class TestGenData:
@@ -215,6 +220,20 @@ class TestLossCheck:
         code, _, err = run(capsys, ["loss-check", str(f)])
         assert code == 4
         assert json.loads(err.strip())["error"] == "numerical"
+
+    def test_row_mass_above_one_exits_3(self, tmp_path, capsys):
+        # Row (t=1, u=0) holds mass 2; it used to pass here and fail later
+        # as "confidence c[0] ... exceeds 1".
+        logp = np.full((2, 2, 2), np.log(0.25))
+        logp[1, 0] = 0.0
+        f = tmp_path / "heavy.json"
+        f.write_text(
+            json.dumps({"t": 2, "u": 1, "v": 1, "logp": logp.ravel().tolist(), "tokens": [0]})
+        )
+        code, _, err = run(capsys, ["loss-check", str(f)])
+        assert code == 3
+        message = json.loads(err.strip())["message"]
+        assert "row (t=1, u=0)" in message and "above 1" in message
 
     @PROPERTY
     @given(case=loss_check_payloads())

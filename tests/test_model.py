@@ -1,12 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from conftest import PROPERTY
 from twrnnt.errors import DataError, NumericalError
+from twrnnt.kernels import PaddedColumns, dense_grad
 from twrnnt.model import (
     AdamConfig,
+    BatchLayout,
     TransducerModel,
     adam_init,
     adam_step,
+    backward_columns,
+    forward_columns,
     greedy_decode,
     load_checkpoint,
     model_backward,
@@ -62,6 +69,20 @@ class TestForward:
         with pytest.raises(DataError, match="features"):
             model_forward(m, np.zeros((3, 7)), [0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_inputs_are_data_errors(self, bad):
+        # The grouped forward does not re-check its lattices, so non-finite
+        # features and parameters are refused where they enter.
+        m, rng = make_model()
+        feats = rng.normal(size=(4, 3))
+        feats[2, 1] = bad
+        with pytest.raises(DataError, match=r"non-finite feature .* \(t=2, d=1\)"):
+            forward_columns(m, BatchLayout(m, [feats[:1], feats], [[0], [1, 2]]))
+        params = m.params.copy()
+        params[5] = bad
+        with pytest.raises(DataError, match="non-finite parameter .* index 5"):
+            TransducerModel(m.dim_in, m.dim_hidden, m.vocab_size, params)
+
 
 class TestBackward:
     def test_full_pipeline_finite_differences(self):
@@ -116,6 +137,76 @@ class TestBackward:
         np.testing.assert_allclose(g12, g1 + g2, atol=1e-12)
 
 
+@st.composite
+def model_batches(draw):
+    """(seed, [(T, U), ...], compute dtype): 1-6 utterances with T in 1..40
+    and U in 0..25, so U = 0, T = 1, U > T and batches of several node
+    groups all occur."""
+    shapes = draw(
+        st.lists(st.tuples(st.integers(1, 40), st.integers(0, 25)), min_size=1, max_size=6)
+    )
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    return draw(st.integers(0, 2**16)), shapes, dtype
+
+
+class TestGroupedPasses:
+    """``forward_columns`` and ``backward_columns`` against the per-utterance
+    ``model_forward`` and ``model_backward``.  Stacked rows round differently
+    in matrix products, so the comparison is to 1e-12 in float64; float32
+    network arithmetic already differs at ~1e-6 between a row alone and
+    stacked, so its columns are compared to 1e-5."""
+
+    @settings(PROPERTY, max_examples=25)
+    @given(case=model_batches())
+    # One utterance above the 2048-node group bound, between small ones.
+    @example(case=(1, [(1, 0), (70, 30), (3, 7)], np.float64))
+    # Four utterances of 600-800 nodes: group boundaries between them.
+    @example(case=(2, [(30, 19), (40, 19), (25, 23), (33, 20)], np.float64))
+    @example(case=(3, [(1, 0), (2, 9), (70, 30)], np.float32))
+    def test_grouped_passes_match_per_utterance(self, case):
+        seed, shapes, dtype = case
+        rng = np.random.default_rng(seed)
+        V = 5
+        model = TransducerModel.random(3, 32, V, rng)
+        feats = [rng.normal(size=(T, 3)) for T, _ in shapes]
+        tokens = [rng.integers(0, V, size=U) for _, U in shapes]
+        layout = BatchLayout(model, feats, tokens)
+        cols = forward_columns(model, layout, compute_dtype=dtype)
+        ref = PaddedColumns([T for T, _ in shapes], [U for _, U in shapes])
+        for b, (f, y) in enumerate(zip(feats, tokens)):
+            ref.put(b, model_forward(model, f, y, compute_dtype=dtype).logp, y)
+        tol = 1e-12 if dtype == np.float64 else 1e-5
+        for got, want in ((cols.blank, ref.blank), (cols.emit, ref.emit)):
+            owned = np.isfinite(want)
+            assert got.shape == want.shape
+            assert np.all(np.isneginf(got[~owned]))  # padding is exactly -inf
+            assert np.max(np.abs(got[owned] - want[owned]), initial=0.0) <= tol
+
+        g_blank = np.where(np.isfinite(ref.blank), rng.normal(size=ref.blank.shape), 0.0)
+        g_emit = np.where(np.isfinite(ref.emit), rng.normal(size=ref.emit.shape), 0.0)
+        grad = backward_columns(model, layout, g_blank, g_emit)
+        want = np.zeros_like(model.params)
+        for b, (f, y) in enumerate(zip(feats, tokens)):
+            T = f.shape[0]
+            dlogp = dense_grad(g_blank[b, :T], g_emit[b, :T], y, V + 1)
+            want += model_backward(model, f, y, dlogp)
+        assert np.max(np.abs(grad - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_groups_are_runs_within_the_node_bound(self):
+        # Node counts 600, 800, 600, 1 fit one group of 2001 <= 2048 nodes;
+        # the 2170-node utterance is a group alone, and so is the last one.
+        shapes = [(30, 19), (40, 19), (25, 23), (1, 0), (70, 30), (3, 7)]
+        rng = np.random.default_rng(5)
+        model = TransducerModel.random(3, 4, 5, rng)
+        layout = BatchLayout(
+            model,
+            [np.zeros((T, 3)) for T, _ in shapes],
+            [rng.integers(0, 5, size=U) for _, U in shapes],
+        )
+        spans = [(int(n0), int(n1)) for n0, n1, _, _ in layout.groups]
+        assert spans == [(0, 2001), (2001, 4171), (4171, 4195)]
+
+
 class TestOptimizers:
     def test_sgd_unit_lr_subtracts_gradient(self):
         m, rng = make_model(seed=7)
@@ -150,6 +241,24 @@ class TestOptimizers:
             adam_step(state, g, AdamConfig())
         assert state.step == 0
         np.testing.assert_array_equal(state.model.params, m.params)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_infinite_gradient_raises_without_update(self, bad):
+        # An infinite entry would make the parameters NaN; the step refuses
+        # it as a numerical fault before the parameters are touched.
+        m, _ = make_model(seed=10)
+        before = m.params.copy()
+        state = adam_init(m)
+        g = np.zeros(m.params.size)
+        g[3] = bad
+        with pytest.raises(NumericalError, match="non-finite gradient"):
+            adam_step(state, g, AdamConfig())
+        with pytest.raises(NumericalError, match="non-finite gradient"):
+            sgd_step(m, g, lr=0.1)
+        assert state.step == 0
+        np.testing.assert_array_equal(state.m, 0.0)
+        np.testing.assert_array_equal(state.v, 0.0)
+        np.testing.assert_array_equal(m.params, before)
 
 
 class TestGreedyDecode:

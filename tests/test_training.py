@@ -6,8 +6,8 @@ import pytest
 from twrnnt.datagen import SyntheticSpec, Utterance, generate_synthetic_dataset, read_dataset
 from twrnnt.errors import DataError, NumericalError
 from twrnnt.conditionals import conditional_profile
-from twrnnt.lattice import PosteriorLattice, rnnt_loss, rnnt_loss_grad
-from twrnnt.model import TransducerModel, model_backward, model_forward
+from twrnnt.lattice import rnnt_loss, rnnt_loss_grad
+from twrnnt.model import TransducerModel, forward_columns, model_backward, model_forward
 from twrnnt.seeds import stream
 from twrnnt.training import (
     MODES,
@@ -139,8 +139,9 @@ class TestTrainingLoop:
 
 
 class TestPaddedBatchStep:
-    """One padded DP sweep per batch must reproduce the per-utterance path
-    bit for bit: every loss term and gradient, summed in batch order."""
+    """One grouped model pass and one padded DP sweep per batch must
+    reproduce the per-utterance path: every loss term exactly, and the
+    gradient up to the rounding of matrix products over stacked rows."""
 
     @pytest.mark.parametrize("mode", MODES)
     def test_batch_step_equals_per_utterance_sum(self, small_data, mode):
@@ -163,21 +164,23 @@ class TestPaddedBatchStep:
             ref_grad += model_backward(model, u.features, u.tokens, dlogp)
         ref_grad /= tokens
         assert loss == ref_loss / tokens
-        np.testing.assert_array_equal(grad, ref_grad)
+        # OpenBLAS rounds a row differently depending on the height of the
+        # matrix that holds it, so stacked rows differ from single ones.
+        assert np.max(np.abs(grad - ref_grad)) <= 1e-12 * np.max(np.abs(ref_grad))
+        again_loss, again_grad = _batch_loss_and_grad(model, batch, cfg)
+        assert again_loss == loss
+        np.testing.assert_array_equal(again_grad, grad)
 
     def test_zero_probability_prefix_raises(self, small_data, monkeypatch):
         import twrnnt.training as training_mod
 
-        def forward_with_hole(model, features, tokens, compute_dtype=np.float64):
-            lat = model_forward(model, features, tokens, compute_dtype)
-            if features is batch[2].features:
-                logp = lat.logp.copy()
-                logp[:, 0, tokens[0]] = -np.inf  # the first token can never be emitted
-                return PosteriorLattice(logp)
-            return lat
+        def forward_with_hole(model, layout, compute_dtype=np.float64):
+            cols = forward_columns(model, layout, compute_dtype)
+            cols.emit[2, :, 0] = -np.inf  # utterance 2's first token can never be emitted
+            return cols
 
         batch = small_data["train"][:4]
-        monkeypatch.setattr(training_mod, "model_forward", forward_with_hole)
+        monkeypatch.setattr(training_mod, "forward_columns", forward_with_hole)
         model = TransducerModel.random(8, 16, 16, np.random.default_rng(41))
         with pytest.raises(NumericalError, match="zero probability"):
             _batch_loss_and_grad(model, batch, TrainConfig())
