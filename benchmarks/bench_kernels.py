@@ -6,10 +6,16 @@ of B = 1 and B = 8 lattices of mixed size (at most --frames x --labels),
 and are timed in microseconds per utterance next to the per-cell loops in
 ``oracle`` that they replace.  The single-lattice calls, the backward fill
 and the next-token distribution, are timed in milliseconds on the largest
-lattice.  Last, the model layer: the grouped forward and backward
+lattice.  Next, the model layer: the grouped forward and backward
 (``forward_columns``, ``backward_columns``) against ``model_forward`` and
 ``model_backward`` one utterance at a time, in microseconds per utterance,
 on a desk batch (T ~ 11, U ~ 6) and a long batch (T ~ 75, U ~ 25) of 8.
+Last, the per-step parts of a training run, before and after the run's
+fixed facts are computed once, on a desk batch in microseconds per call: a
+batch's layout from a packed corpus (``BatchLayout.of``) against packing
+the batch itself (``BatchLayout(model, feats, toks)``), the in-place
+``adam_update`` against ``adam_step``, and ``metrics.wer`` against the
+double loop kept in ``tests/references.py``.
 
 Nothing is timed before it is verified.  On the B = 8 batch the batched
 tables and gradients must equal the per-cell loops exactly, the
@@ -17,30 +23,42 @@ log-likelihood must match the backward table's, and the unit-weight
 gradient must match the oracle occupancy gradient, both to 1e-9.  The
 next-token distribution must sum to 1 within 1e-9.  The grouped model
 passes must match the per-utterance ones to 1e-12 (columns absolutely,
-the parameter gradient relative to its largest entry).  Run from the repo
-root:
+the parameter gradient relative to its largest entry).  Each per-step pair
+must give equal output: the same layout tables, bit-identical Adam states,
+and the same WER counts on 500 random pairs.  Run from the repo root:
 
     python3 benchmarks/bench_kernels.py [--frames 50 --labels 20 --vocab 32]
 """
 
 import argparse
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
 from twrnnt import kernels
 from twrnnt.conditionals import next_token_distribution
 from twrnnt.lattice import PosteriorLattice
+from twrnnt.metrics import wer
 from twrnnt.model import (
+    AdamConfig,
     BatchLayout,
+    PackedUtterances,
     TransducerModel,
+    adam_init,
+    adam_step,
+    adam_update,
     backward_columns,
     forward_columns,
     model_backward,
     model_forward,
 )
 from twrnnt.oracle import emission_sweep_scalar, loglik_grad, weighted_grad_scalar
-from twrnnt.weighting import TokenWeights, padded_loss_and_grad
+from twrnnt.weighting import padded_loss_and_grad
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from references import wer_counts  # noqa: E402
 
 TOL = 1e-9
 MODEL_TOL = 1e-12
@@ -150,8 +168,8 @@ def model_batch(T, U, seed=0):
         feats.append(rng.normal(size=(int(rng.integers(3 * T // 4, 5 * T // 4 + 1)), D)))
         tokens.append(rng.integers(0, V, size=int(rng.integers(3 * U // 4, 5 * U // 4 + 1))))
     layout = BatchLayout(model, feats, tokens)
-    weights = [TokenWeights.uniform(y.size) for y in tokens]
-    _, g_blank, g_emit = padded_loss_and_grad(forward_columns(model, layout), weights)
+    lam = (np.arange(layout.U.max()) < layout.U[:, None]).astype(np.float64)
+    _, g_blank, g_emit = padded_loss_and_grad(forward_columns(model, layout), lam, np.ones(BATCH))
     return model, feats, tokens, g_blank, g_emit
 
 
@@ -208,6 +226,59 @@ def model_times(model, feats, tokens, g_blank, g_emit, repeats):
     return time_call(per_utterance, repeats) / n * 1e6, time_call(grouped, repeats) / n * 1e6
 
 
+def step_parts(repeats):
+    """Verify, then time, the per-step parts on a desk batch: (name,
+    seconds before, seconds after) per part."""
+    T, U = MODEL_BATCHES["desk T~11 U~6"]
+    model, feats, tokens, _, _ = model_batch(T, U)
+    for seed in range(1, 8):
+        _, f, y, _, _ = model_batch(T, U, seed=seed)
+        feats += f
+        tokens += y
+    # A batch of a packed corpus of 64, with a repeat, as mixed batches have.
+    idx = np.array([3, 17, 60, 22, 41, 5, 17, 50])
+    packed = PackedUtterances(model, feats, tokens)
+    batch = ([feats[i] for i in idx], [tokens[i] for i in idx])
+    packed_layout = vars(BatchLayout.of(packed, idx))
+    for name, value in vars(BatchLayout(model, *batch)).items():
+        other = packed_layout[name]
+        if not (value == other if name == "groups" else np.array_equal(value, other)):
+            raise SystemExit(f"layout from the packed corpus differs in {name!r}")
+
+    hyper = AdamConfig()
+    rng = np.random.default_rng(0)
+    grads = rng.normal(size=(3, model.params.size))
+    state = adam_init(model)
+    params, m, v = model.params.copy(), np.zeros_like(model.params), np.zeros_like(model.params)
+    for step, g in enumerate(grads, start=1):
+        state = adam_step(state, g, hyper)
+        adam_update(params, m, v, g, step, hyper)
+    if not all(np.array_equal(a, b) for a, b in ((params, state.model.params), (m, state.m), (v, state.v))):
+        raise SystemExit("in-place Adam differs from adam_step")
+
+    for _ in range(500):
+        hyp = rng.integers(0, 5, size=rng.integers(0, 12))
+        ref = rng.integers(0, 5, size=rng.integers(1, 12))
+        r = wer(hyp, ref)
+        if (r.substitutions, r.insertions, r.deletions) != wer_counts(hyp, ref):
+            raise SystemExit(f"wer counts differ from the double loop on hyp={hyp}, ref={ref}")
+    print("per-step parts: packed layout, in-place Adam and wer equal their references")
+
+    # A desk transcript pair: 6 reference tokens, a hypothesis of 7 with one
+    # insertion and one substitution.
+    ref = rng.integers(0, MODEL_DIMS[2], size=6)
+    hyp = np.insert(ref, 2, ref[4])
+    hyp[5] = (hyp[5] + 1) % MODEL_DIMS[2]
+    return [
+        ("layout", time_call(lambda: BatchLayout(model, *batch), repeats),
+         time_call(lambda: BatchLayout.of(packed, idx), repeats)),
+        ("adam", time_call(lambda: adam_step(state, grads[0], hyper), repeats),
+         time_call(lambda: adam_update(params, m, v, grads[0], 4, hyper), repeats)),
+        (f"wer {ref.size}x{hyp.size}", time_call(lambda: wer_counts(hyp, ref), repeats),
+         time_call(lambda: wer(hyp, ref), repeats)),
+    ]
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--frames", type=int, default=50)
@@ -260,6 +331,15 @@ def main():
     for name, batch in batches.items():
         single, grouped = model_times(*batch, args.repeats)
         print(f"{name:<20}{single:>15.0f}{grouped:>10.0f}{single / grouped:>9.1f}x")
+
+    print()
+    parts = step_parts(max(args.repeats, 1000))
+    print(f"\nper-step parts on a desk batch of {BATCH}, microseconds per call\n")
+    header = f"{'part':<20}{'before':>10}{'after':>10}{'speedup':>10}"
+    print(header)
+    print("-" * len(header))
+    for name, before, after in parts:
+        print(f"{name:<20}{before * 1e6:>10.1f}{after * 1e6:>10.1f}{before / after:>9.1f}x")
 
 
 if __name__ == "__main__":

@@ -85,7 +85,6 @@ def _train_config(cfg: dict, epochs_key: str = "epochs") -> TrainConfig:
         final_blank_weight=cfg["final_blank_weight"],
         max_symbols_per_frame=cfg["max_symbols_per_frame"],
         init_scale=cfg["init_scale"],
-        float32_forward=cfg["float32_forward"],
     )
 
 

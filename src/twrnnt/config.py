@@ -46,7 +46,6 @@ SCHEMA = {
     "alpha": ("float", 1.0),
     "final_blank_weight": ("float", 1.0),
     "max_symbols_per_frame": ("int", 4),
-    "float32_forward": ("bool", False),
     # experiments
     "levels": ("list_float", [0.3]),
     "modes": ("list_str", ["standard", "utterance_weights", "token_weights"]),

@@ -37,29 +37,34 @@ def wer(hyp, ref) -> WerResult:
     An empty reference against a nonempty hypothesis has no meaningful rate
     and is rejected.
     """
-    h = list(np.asarray(hyp, dtype=np.int64).ravel())
-    r = list(np.asarray(ref, dtype=np.int64).ravel())
-    if not r and h:
+    h = np.asarray(hyp, dtype=np.int64).ravel()
+    r = np.asarray(ref, dtype=np.int64).ravel()
+    if not r.size and h.size:
         raise DataError("empty reference: error rate is undefined")
-    n, m = len(r), len(h)
-    d = np.zeros((n + 1, m + 1), dtype=np.int64)
-    d[:, 0] = np.arange(n + 1)
-    d[0, :] = np.arange(m + 1)
+    n, m = r.size, h.size
+    # The DP in shifted form e[i, j] = d[i, j] - j.  An insertion then costs
+    # nothing, so a row is one minimum over the substitution (or match) and
+    # deletion moves from the row above, and its insertion chain
+    # d[i, j] = min(., d[i, j - 1] + 1) is a running minimum.
+    step = (r[:, None] != h[None, :]).astype(np.int64) - 1
+    e = np.empty((n + 1, m + 1), dtype=np.int64)
+    e[0] = 0
     for i in range(1, n + 1):
-        for j in range(1, m + 1):
-            sub = d[i - 1, j - 1] + (r[i - 1] != h[j - 1])
-            dele = d[i - 1, j] + 1
-            ins = d[i, j - 1] + 1
-            d[i, j] = min(sub, dele, ins)
+        row = e[i]
+        row[0] = i
+        np.minimum(e[i - 1, :-1] + step[i - 1], e[i - 1, 1:] + 1, out=row[1:])
+        np.minimum.accumulate(row, out=row)
+    d = e + np.arange(m + 1)
     # Traceback one optimal alignment with the fixed tie preference.
+    d, r, h = d.tolist(), r.tolist(), h.tolist()
     subs = dels = inss = 0
     i, j = n, m
     while i > 0 or j > 0:
-        if i > 0 and j > 0 and d[i, j] == d[i - 1, j - 1] + (r[i - 1] != h[j - 1]):
+        if i > 0 and j > 0 and d[i][j] == d[i - 1][j - 1] + (r[i - 1] != h[j - 1]):
             subs += int(r[i - 1] != h[j - 1])
             i -= 1
             j -= 1
-        elif i > 0 and d[i, j] == d[i - 1, j] + 1:
+        elif i > 0 and d[i][j] == d[i - 1][j] + 1:
             dels += 1
             i -= 1
         else:

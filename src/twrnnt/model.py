@@ -34,11 +34,12 @@ __all__ = [
     "param_count",
     "model_forward",
     "model_backward",
+    "PackedUtterances",
     "BatchLayout",
     "forward_columns",
     "backward_columns",
-    "sgd_step",
     "adam_init",
+    "adam_update",
     "adam_step",
     "greedy_decode",
     "save_checkpoint",
@@ -154,6 +155,48 @@ def _check_features(model: TransducerModel, features) -> np.ndarray:
 _GROUP_NODES = 2048
 
 
+def _ranges(starts, lengths) -> np.ndarray:
+    """The concatenated index ranges starts[i] .. starts[i] + lengths[i] - 1."""
+    ends = lengths.cumsum()
+    return (starts + lengths - ends).repeat(lengths) + np.arange(ends[-1])
+
+
+class PackedUtterances:
+    """Features and label sequences of a set of utterances, checked once and
+    stacked with each utterance's sizes and offsets, so that
+    ``BatchLayout.of`` lays out any batch of them by index arithmetic alone.
+
+    ``names`` label the utterances in error messages (default: their
+    positions).  Non-finite or mis-shaped features and out-of-range labels
+    raise a DataError that names the utterance.
+    """
+
+    def __init__(self, model: TransducerModel, features, tokens, names=None):
+        features, tokens = list(features), list(tokens)
+        if not features or len(features) != len(tokens):
+            raise DataError(
+                f"a batch needs one label sequence per utterance, got "
+                f"{len(features)} feature tables and {len(tokens)} label sequences"
+            )
+        names = range(len(features)) if names is None else names
+        vocab = model.vocab
+        feats, labels = [], []
+        for name, f, y in zip(names, features, tokens):
+            try:
+                feats.append(_check_features(model, f))
+                labels.append(as_labels(y, vocab))
+            except DataError as err:
+                raise DataError(f"utterance {name}: {err}") from None
+        self.T = np.array([f.shape[0] for f in feats], dtype=np.int64)
+        self.U = np.array([y.size for y in labels], dtype=np.int64)
+        self.feats = np.concatenate(feats)
+        bos = np.array([model.bos], dtype=np.int64)
+        # Predictor inputs: BOS, then the labels, per utterance.
+        self.ids = np.concatenate([part for y in labels for part in (bos, y)])
+        self.frame0 = np.cumsum(self.T) - self.T
+        self.pos0 = np.cumsum(self.U + 1) - (self.U + 1)
+
+
 class BatchLayout:
     """The (b, t, u) nodes of a batch of utterances in one flat layout, u
     fastest, for ``forward_columns`` and ``backward_columns``.
@@ -166,43 +209,54 @@ class BatchLayout:
     labels.  ``groups`` holds (n0, n1, m0, m1) ranges of nodes and emit rows
     for runs of consecutive utterances with at most ``_GROUP_NODES`` nodes,
     or one larger utterance.
+
+    ``BatchLayout(model, features, tokens)`` checks and packs its arguments;
+    ``BatchLayout.of(packed, idx)`` lays out utterances ``idx`` (repeats
+    allowed) of a ``PackedUtterances`` without checking them again.
     """
 
     def __init__(self, model: TransducerModel, features, tokens):
-        vocab = model.vocab
-        feats = [_check_features(model, f) for f in features]
-        labels = [as_labels(y, vocab) for y in tokens]
-        if not feats or len(feats) != len(labels):
-            raise DataError(
-                f"a batch needs one label sequence per utterance, got "
-                f"{len(feats)} feature tables and {len(labels)} label sequences"
-            )
-        self.T = np.array([f.shape[0] for f in feats], dtype=np.int64)
-        self.U = np.array([y.size for y in labels], dtype=np.int64)
-        self.feats = np.concatenate(feats)
-        bos = np.array([model.bos], dtype=np.int64)
-        self.ids = np.concatenate([part for y in labels for part in (bos, y)])
-        W = self.U + 1
-        sizes = self.T * W
-        start = np.concatenate(([0], np.cumsum(sizes)))
-        b = np.repeat(np.arange(sizes.size), sizes)
-        t, u = np.divmod(np.arange(start[-1]) - start[b], W[b])
-        self.frame = (np.cumsum(self.T) - self.T)[b] + t
-        self.pos = (np.cumsum(W) - W)[b] + u
-        row = b * int(self.T.max()) + t
-        Umax = int(self.U.max())
+        packed = PackedUtterances(model, features, tokens)
+        self._fill(packed, np.arange(packed.T.size))
+
+    @classmethod
+    def of(cls, packed: PackedUtterances, idx) -> "BatchLayout":
+        layout = cls.__new__(cls)
+        layout._fill(packed, np.asarray(idx, dtype=np.int64))
+        return layout
+
+    def _fill(self, packed: PackedUtterances, idx):
+        # Array methods rather than their np.* wrappers: a desk batch has
+        # about 650 nodes, where the wrappers' call overhead is a good part
+        # of each operation's cost.
+        self.T, self.U = T, U = packed.T[idx], packed.U[idx]
+        W = U + 1
+        sizes = T * W
+        self.feats = packed.feats[_ranges(packed.frame0[idx], T)]
+        self.ids = packed.ids[_ranges(packed.pos0[idx], W)]
+        start = np.zeros(sizes.size + 1, dtype=np.int64)
+        sizes.cumsum(out=start[1:])
+        b = np.arange(sizes.size).repeat(sizes)
+        k = np.arange(start[-1]) - start[b]  # node index within its utterance
+        t, u = np.divmod(k, W[b])
+        self.frame = (T.cumsum() - T)[b] + t
+        self.pos = (W.cumsum() - W)[b] + u
+        row = b * int(T.max()) + t
+        Umax = int(U.max())
         self.blank_at = row * (Umax + 1) + u
-        emit = u < self.U[b]
-        self.emit_rows = np.flatnonzero(emit)
+        emit = u < U[b]
+        self.emit_rows = emit.nonzero()[0]
         self.emit_at = (row * Umax + u)[emit]
         self.emit_label = self.ids[self.pos[emit] + 1]
         # Segment starts of the backward pass's per-frame and per-position
         # sums: nodes are frame-major, and ``by_pos`` lists them
         # position-major, each position's T nodes in a run.
-        self.frame_first = np.flatnonzero(u == 0)
-        self.by_pos = np.argsort(self.pos, kind="stable")
-        runs = np.repeat(self.T, W)
-        self.pos_first = np.cumsum(runs) - runs
+        self.frame_first = (u == 0).nonzero()[0]
+        # Position-major, an utterance's k-th node is (t, u) = (k % T, k // T).
+        q, r = np.divmod(k, T[b])
+        self.by_pos = r * W[b] + q + start[b]
+        runs = T.repeat(W)
+        self.pos_first = runs.cumsum() - runs
         cuts, nodes = [0], 0
         for i, size in enumerate(sizes.tolist()):
             if nodes and nodes + size > _GROUP_NODES:
@@ -211,16 +265,16 @@ class BatchLayout:
             nodes += size
         cuts.append(sizes.size)
         n = start[cuts]
-        m = np.searchsorted(self.emit_rows, n)
+        m = self.emit_rows.searchsorted(n)
         self.groups = list(zip(n[:-1], n[1:], m[:-1], m[1:]))
-        self.max_group = int(np.max(np.diff(n)))
+        self.max_group = int((n[1:] - n[:-1]).max())
 
 
-def _encode(model: TransducerModel, layout: BatchLayout, dtype):
-    """Parameters in ``dtype``, the encoder output of every frame, and the
+def _encode(model: TransducerModel, layout: BatchLayout):
+    """The parameter views, the encoder output of every frame, and the
     predictor inputs and outputs of every label position."""
-    p = {name: view.astype(dtype, copy=False) for name, view in model._views.items()}
-    enc = np.tanh(layout.feats.astype(dtype, copy=False) @ p["enc_w"].T + p["enc_b"])
+    p = model._views
+    enc = np.tanh(layout.feats @ p["enc_w"].T + p["enc_b"])
     rows = p["emb"][layout.ids]
     pred = np.tanh(rows @ p["pred_w"].T + p["pred_b"])
     return p, enc, rows, pred
@@ -244,28 +298,20 @@ def _join(p, enc, pred, layout: BatchLayout, n0, n1, work):
 def _work(layout: BatchLayout, enc):
     """The two (n, H) node buffers that ``_join`` and ``_backward`` reuse
     across groups."""
-    return np.empty((2, layout.max_group, enc.shape[1]), dtype=enc.dtype)
+    return np.empty((2, layout.max_group, enc.shape[1]))
 
 
-def model_forward(
-    model: TransducerModel, features, tokens, compute_dtype=np.float64
-) -> PosteriorLattice:
-    """Joint logits for every (t, u) node, log-softmax normalized.
-
-    ``compute_dtype=np.float32`` runs the network arithmetic in 32-bit;
-    normalization always happens in float64 so lattice rows stay exact.
-    The single-utterance case of ``forward_columns``.
-    """
+def model_forward(model: TransducerModel, features, tokens) -> PosteriorLattice:
+    """Joint logits for every (t, u) node, log-softmax normalized.  The
+    single-utterance case of ``forward_columns``."""
     layout = BatchLayout(model, [features], [tokens])
-    p, enc, _, pred = _encode(model, layout, compute_dtype)
+    p, enc, _, pred = _encode(model, layout)
     _, logits = _join(p, enc, pred, layout, 0, layout.frame.size, _work(layout, enc))
     T, U = int(layout.T[0]), int(layout.U[0])
-    return normalize_logits(logits.astype(np.float64, copy=False).reshape(T, U + 1, -1))
+    return normalize_logits(logits.reshape(T, U + 1, -1))
 
 
-def forward_columns(
-    model: TransducerModel, layout: BatchLayout, compute_dtype=np.float64
-) -> PaddedColumns:
+def forward_columns(model: TransducerModel, layout: BatchLayout) -> PaddedColumns:
     """Blank and label log-probability columns of a batch of utterances.
 
     One network pass per group of nodes, written straight into padded
@@ -275,11 +321,10 @@ def forward_columns(
     """
     cols = PaddedColumns(layout.T, layout.U)
     blank, emit = cols.blank.reshape(-1), cols.emit.reshape(-1)
-    p, enc, _, pred = _encode(model, layout, compute_dtype)
+    p, enc, _, pred = _encode(model, layout)
     work = _work(layout, enc)
     for n0, n1, m0, m1 in layout.groups:
         _, logits = _join(p, enc, pred, layout, n0, n1, work)
-        logits = logits.astype(np.float64, copy=False)
         lse = _row_logsumexp(logits)[:, 0]
         blank[layout.blank_at[n0:n1]] = logits[:, -1] - lse
         r = layout.emit_rows[m0:m1] - n0
@@ -291,7 +336,7 @@ def _backward(model: TransducerModel, layout: BatchLayout, dlogp_rows) -> np.nda
     """Chain rule from per-node lattice gradients to the parameters, one
     pass per group; ``dlogp_rows(n0, n1, m0, m1)`` returns a new dense
     (n1 - n0, V+1) array of a group's rows.  Exact, float64."""
-    p, enc, rows, pred = _encode(model, layout, np.float64)
+    p, enc, rows, pred = _encode(model, layout)
     work = _work(layout, enc)
     grad = np.zeros_like(model.params)
     g = _views(grad, model._layout)
@@ -386,17 +431,6 @@ def _finite_grad(grad) -> np.ndarray:
     return g
 
 
-def sgd_step(model: TransducerModel, grad, lr: float) -> TransducerModel:
-    """Plain gradient step; rejects non-finite gradients before touching
-    parameters."""
-    if lr <= 0:
-        raise DataError(f"learning rate must be positive, got {lr}")
-    g = _finite_grad(grad)
-    return TransducerModel(
-        model.dim_in, model.dim_hidden, model.vocab_size, model.params - lr * g
-    )
-
-
 @dataclass(frozen=True)
 class AdamConfig:
     lr: float = 1e-2
@@ -422,18 +456,29 @@ def adam_init(model: TransducerModel) -> AdamState:
     return AdamState(model=model, m=np.zeros(n), v=np.zeros(n), step=0)
 
 
-def adam_step(state: AdamState, grad, hyper: AdamConfig) -> AdamState:
-    """Bias-corrected Adam update; deterministic, no in-place mutation.
-    Rejects non-finite gradients before touching the state."""
+def adam_update(params, m, v, grad, step: int, hyper: AdamConfig) -> None:
+    """Adam step ``step`` (1 for the first) on ``params`` and its moments
+    ``m`` and ``v``, in place; any shape, elementwise.  A non-finite
+    gradient raises NumericalError before anything is touched."""
     g = _finite_grad(grad)
+    m *= hyper.beta1
+    m += (1.0 - hyper.beta1) * g
+    v *= hyper.beta2
+    v += (1.0 - hyper.beta2) * g * g
+    m_hat = m / (1.0 - hyper.beta1**step)
+    v_hat = v / (1.0 - hyper.beta2**step)
+    params -= hyper.lr * m_hat / (np.sqrt(v_hat) + hyper.eps)
+
+
+def adam_step(state: AdamState, grad, hyper: AdamConfig) -> AdamState:
+    """Bias-corrected Adam update; deterministic, no in-place mutation:
+    ``adam_update`` on copies of the state.  Rejects non-finite gradients
+    before touching the state."""
+    params, m, v = state.model.params.copy(), state.m.copy(), state.v.copy()
     t = state.step + 1
-    m = hyper.beta1 * state.m + (1.0 - hyper.beta1) * g
-    v = hyper.beta2 * state.v + (1.0 - hyper.beta2) * g * g
-    m_hat = m / (1.0 - hyper.beta1**t)
-    v_hat = v / (1.0 - hyper.beta2**t)
-    new_params = state.model.params - hyper.lr * m_hat / (np.sqrt(v_hat) + hyper.eps)
+    adam_update(params, m, v, grad, t, hyper)
     model = TransducerModel(
-        state.model.dim_in, state.model.dim_hidden, state.model.vocab_size, new_params
+        state.model.dim_in, state.model.dim_hidden, state.model.vocab_size, params
     )
     return AdamState(model=model, m=m, v=v, step=t)
 

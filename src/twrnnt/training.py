@@ -25,14 +25,14 @@ from .metrics import wer
 from .model import (
     AdamConfig,
     BatchLayout,
+    PackedUtterances,
     TransducerModel,
-    adam_init,
-    adam_step,
+    adam_update,
     backward_columns,
     forward_columns,
     greedy_decode,
 )
-from .weighting import TokenWeights, WeightConfig, compute_weights, padded_loss_and_grad
+from .weighting import _confidence_array, padded_loss_and_grad
 
 __all__ = [
     "MODES",
@@ -65,9 +65,6 @@ class TrainConfig:
     final_blank_weight: float = 1.0
     max_symbols_per_frame: int = 4
     init_scale: float = 0.5
-    # 32-bit network arithmetic for training forward passes; the DP and all
-    # check paths stay 64-bit regardless.
-    float32_forward: bool = False
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -86,59 +83,87 @@ class TrainResult:
 
 
 def _confidences_of(utt: Utterance) -> np.ndarray:
-    if utt.confidences is not None:
-        if utt.confidences.size != utt.tokens.size:
-            raise DataError(
-                f"utterance {utt.id}: {utt.confidences.size} confidences for "
-                f"{utt.tokens.size} tokens"
-            )
-        return utt.confidences
-    return np.ones(utt.tokens.size)
+    """The utterance's checked confidences (1 per token when it has none)."""
+    if utt.confidences is None:
+        return np.ones(utt.tokens.size)
+    if utt.confidences.size != utt.tokens.size:
+        raise DataError(
+            f"utterance {utt.id}: {utt.confidences.size} confidences for "
+            f"{utt.tokens.size} tokens"
+        )
+    try:
+        return _confidence_array(utt.confidences)
+    except DataError as err:
+        raise DataError(f"utterance {utt.id}: {err}") from None
 
 
-def _batch_weights(batch, cfg: TrainConfig) -> list:
-    """One TokenWeights per utterance; the training mode only chooses these.
+class _Corpus:
+    """A training run's utterances, checked once: their packed features and
+    labels, and the per-utterance terms of their weights under ``cfg.mode``.
 
-    Standard training is unit weights.  Utterance weighting gives every
-    token of utterance i, and its sentence-end term, the same weight
-    w_i = mean(c)^alpha normalized to mean 1 over the batch.
+    ``batch(idx)`` gives a batch's layout and its token and sentence-end
+    weight tables.  Standard training is unit weights.  Token weighting
+    gives token j of utterance i the weight c_ij^alpha over the batch mean
+    of c^alpha (``compute_weights`` with per-batch normalization, in its
+    summation order).  Utterance weighting gives every token of utterance i,
+    and its sentence-end term, w_i = mean(c_i)^alpha normalized to mean 1
+    over the batch.
     """
-    if cfg.mode == "standard":
-        return [TokenWeights.uniform(u.tokens.size) for u in batch]
-    confidences = [_confidences_of(u) for u in batch]
-    if cfg.mode == "token_weights":
-        wcfg = WeightConfig(
-            alpha=cfg.alpha,
-            final_blank_weight=cfg.final_blank_weight,
-            normalization="per_batch",
+
+    def __init__(self, model: TransducerModel, utterances, cfg: TrainConfig):
+        self.packed = PackedUtterances(
+            model,
+            [u.features for u in utterances],
+            [u.tokens for u in utterances],
+            [u.id for u in utterances],
         )
-        return compute_weights(confidences, wcfg)
-    means = np.array([float(np.mean(c)) if c.size else 1.0 for c in confidences])
-    powered = means**cfg.alpha
-    w = powered / np.mean(powered)
-    return [
-        TokenWeights(
-            lambdas=np.full(c.size, wi),
-            source_confidences=c,
-            config=WeightConfig(alpha=cfg.alpha, final_blank_weight=float(wi)),
-        )
-        for wi, c in zip(w, confidences)
-    ]
+        self.cfg = cfg
+        if cfg.mode == "standard":
+            return
+        confidences = [_confidences_of(u) for u in utterances]
+        if cfg.mode == "token_weights":
+            self.powered = [c**cfg.alpha for c in confidences]
+            self.powered_sums = [float(np.sum(p)) for p in self.powered]
+        else:
+            means = np.array([float(np.mean(c)) if c.size else 1.0 for c in confidences])
+            self.powered = means**cfg.alpha
+
+    def batch(self, idx):
+        """(layout, lam, final_blank_weight) of utterances ``idx``."""
+        idx = np.asarray(idx, dtype=np.int64)
+        layout = BatchLayout.of(self.packed, idx)
+        U = layout.U
+        slots = np.arange(int(U.max())) < U[:, None]
+        lam = np.zeros(slots.shape)
+        if self.cfg.mode == "standard":
+            lam[slots] = 1.0
+            return layout, lam, np.ones(U.size)
+        if self.cfg.mode == "utterance_weights":
+            powered = self.powered[idx]
+            w = powered / np.mean(powered)
+            lam[slots] = np.repeat(w, U)
+            return layout, lam, w
+        total = int(U.sum())
+        if total == 0:
+            raise DataError("empty confidence scope: zero tokens across utterances")
+        idx = idx.tolist()
+        norm = sum(self.powered_sums[i] for i in idx) / total
+        lam[slots] = np.concatenate([self.powered[i] for i in idx]) / norm
+        return layout, lam, np.full(U.size, self.cfg.final_blank_weight)
 
 
-def _batch_loss_and_grad(model: TransducerModel, batch, cfg: TrainConfig):
-    """Summed loss and parameter gradient for one batch under cfg.mode.
+def _batch_loss_and_grad(model: TransducerModel, corpus: _Corpus, idx):
+    """Summed loss and parameter gradient for utterances ``idx`` of the
+    corpus, divided by their token count.
 
     One grouped model forward writes the batch's padded log-probability
     columns, the DP runs once over them, and one grouped model backward
     takes the column gradients back to the parameters.
     """
-    total_tokens = max(1, sum(u.tokens.size for u in batch))
-    dtype = np.float32 if cfg.float32_forward else np.float64
-    weights = _batch_weights(batch, cfg)
-    layout = BatchLayout(model, [u.features for u in batch], [u.tokens for u in batch])
-    cols = forward_columns(model, layout, compute_dtype=dtype)
-    losses, g_blank, g_emit = padded_loss_and_grad(cols, weights)
+    layout, lam, final_blank_weight = corpus.batch(idx)
+    total_tokens = max(1, int(layout.U.sum()))
+    cols = forward_columns(model, layout)
+    losses, g_blank, g_emit = padded_loss_and_grad(cols, lam, final_blank_weight)
     loss = 0.0
     for loss_u in losses:  # a plain sequential sum, whatever the Python version
         loss += loss_u
@@ -148,12 +173,12 @@ def _batch_loss_and_grad(model: TransducerModel, batch, cfg: TrainConfig):
 
 
 def batch_iterator(utterances: Sequence[Utterance], cfg: TrainConfig, rng):
-    """Seeded epoch shuffles over one pool."""
+    """Seeded epoch shuffles over one pool, as index arrays into it."""
     n = len(utterances)
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
-            yield [utterances[i] for i in order[start : start + cfg.batch_size]]
+            yield order[start : start + cfg.batch_size]
 
 
 def mixed_batch_iterator(
@@ -163,7 +188,8 @@ def mixed_batch_iterator(
     rng,
     ratio=(1, 9),
 ):
-    """Seeded sampling with the configured labeled:pseudo expected ratio.
+    """Seeded sampling with the configured labeled:pseudo expected ratio, as
+    index arrays into ``labeled`` followed by ``pseudo``.
 
     Epoch length covers the combined pool size; labeled utterances repeat
     as needed to realize the mix.
@@ -176,10 +202,10 @@ def mixed_batch_iterator(
         batch = []
         for _ in range(cfg.batch_size):
             if rng.random() < p_pseudo:
-                batch.append(pseudo[int(rng.integers(0, len(pseudo)))])
+                batch.append(len(labeled) + int(rng.integers(0, len(pseudo))))
             else:
-                batch.append(labeled[int(rng.integers(0, len(labeled)))])
-        yield batch
+                batch.append(int(rng.integers(0, len(labeled))))
+        yield np.array(batch, dtype=np.int64)
 
 
 def train_model(
@@ -196,35 +222,41 @@ def train_model(
     """Adam training run; deterministic given the two rng streams.
 
     With a ``pseudo`` pool, batches are sampled at ``mix_ratio`` instead of
-    epoch shuffles.  Divergence (NaN/inf loss) raises NumericalError.
+    epoch shuffles.  Every utterance is checked before the first step: bad
+    features, labels or (in the weighted modes) confidences raise a
+    DataError naming it.  Divergence (NaN/inf loss) raises NumericalError.
+    ``init_model`` is copied, never modified.
     """
     if not utterances:
         raise DataError("no training utterances")
-    model = init_model or TransducerModel.random(
+    init = init_model or TransducerModel.random(
         dim_features, cfg.dim_hidden, vocab_size, init_rng, scale=cfg.init_scale
     )
-    state = adam_init(model)
+    # The run's own parameters, updated in place; their views are built once.
+    model = TransducerModel(init.dim_in, init.dim_hidden, init.vocab_size, init.params.copy())
+    m, v = np.zeros_like(model.params), np.zeros_like(model.params)
     hyper = AdamConfig(lr=cfg.lr)
     batch_losses = []
     if pseudo is None:
+        corpus = _Corpus(model, utterances, cfg)
         batches = batch_iterator(utterances, cfg, order_rng)
         steps_per_epoch = -(-len(utterances) // cfg.batch_size)
     else:
+        corpus = _Corpus(model, list(utterances) + list(pseudo), cfg)
         batches = mixed_batch_iterator(utterances, pseudo, cfg, order_rng, mix_ratio)
         steps_per_epoch = -(-(len(utterances) + len(pseudo)) // cfg.batch_size)
-    for batch in batches:
-        loss, grad = _batch_loss_and_grad(state.model, batch, cfg)
+    for step, idx in enumerate(batches, start=1):
+        loss, grad = _batch_loss_and_grad(model, corpus, idx)
         if not np.isfinite(loss):
             raise NumericalError(f"training diverged: batch loss {loss!r}")
-        state = adam_step(state, grad, hyper)
+        adam_update(model.params, m, v, grad, step, hyper)
         batch_losses.append(loss)
     epoch_losses = [
         float(np.mean(batch_losses[i : i + steps_per_epoch]))
         for i in range(0, len(batch_losses), steps_per_epoch)
     ]
-    return TrainResult(
-        model=state.model, batch_losses=batch_losses, epoch_losses=epoch_losses
-    )
+    result = TransducerModel(model.dim_in, model.dim_hidden, model.vocab_size, model.params)
+    return TrainResult(model=result, batch_losses=batch_losses, epoch_losses=epoch_losses)
 
 
 def evaluate_wer(model: TransducerModel, utterances, max_symbols_per_frame=4) -> float:
@@ -248,16 +280,20 @@ def score_confidences(model: TransducerModel, utterances) -> list:
     in chunks of ``_SCORE_CHUNK`` utterances, one emission sweep each.
     """
     utterances = list(utterances)
-    out = []
+    spoken = [u for u in utterances if u.tokens.size]
+    if spoken:
+        packed = PackedUtterances(
+            model, [u.features for u in spoken], [u.tokens for u in spoken], [u.id for u in spoken]
+        )
+    out, scored = [], 0
     for start in range(0, len(utterances), _SCORE_CHUNK):
         chunk = utterances[start : start + _SCORE_CHUNK]
-        spoken = [u for u in chunk if u.tokens.size]
+        n = sum(1 for u in chunk if u.tokens.size)
         profiles = iter([])
-        if spoken:
-            layout = BatchLayout(
-                model, [u.features for u in spoken], [u.tokens for u in spoken]
-            )
+        if n:
+            layout = BatchLayout.of(packed, np.arange(scored, scored + n))
             profiles = iter(padded_profiles(forward_columns(model, layout)))
+            scored += n
         for u in chunk:
             conf = next(profiles).conditionals if u.tokens.size else np.zeros(0)
             out.append(replace(u, confidences=conf))

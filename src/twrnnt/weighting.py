@@ -81,14 +81,15 @@ def _confidence_array(c) -> np.ndarray:
         arr = np.asarray(c, dtype=np.float64)
     if arr.ndim != 1:
         raise DataError(f"confidence vector must be 1-D, got shape {arr.shape}")
-    if np.any(arr <= 0.0):
-        bad = int(np.argmax(arr <= 0.0))
+    # ``~(arr > 0)`` also holds for NaN, which every comparison rejects.
+    if np.any(~(arr > 0.0)):
+        bad = int(np.argmax(~(arr > 0.0)))
         raise DataError(
-            f"confidence c[{bad}] = {arr[bad]!r} is not in (0, 1]"
+            f"confidence c[{bad}] = {float(arr[bad])!r} is not in (0, 1]"
         )
     if np.any(arr > 1.0 + 1e-12):
         bad = int(np.argmax(arr > 1.0 + 1e-12))
-        raise DataError(f"confidence c[{bad}] = {arr[bad]!r} exceeds 1")
+        raise DataError(f"confidence c[{bad}] = {float(arr[bad])!r} exceeds 1")
     return np.minimum(arr, 1.0)
 
 
@@ -214,23 +215,25 @@ def weighted_rnnt_loss_grad(
 
 def weighted_loss_and_grad(lattice: PosteriorLattice, y, weights: TokenWeights):
     """(loss, gradient) in one pass: ``padded_loss_and_grad`` on a batch of one."""
-    labels = _prepare(lattice, y, weights)[0]
+    labels, lam, w_fb = _prepare(lattice, y, weights)
     cols = kernels.PaddedColumns.of(lattice.logp, labels)
-    (loss,), g_blank, g_emit = padded_loss_and_grad(cols, [weights])
+    (loss,), g_blank, g_emit = padded_loss_and_grad(cols, lam, w_fb)
     return loss, kernels.dense_grad(g_blank[0], g_emit[0], labels, lattice.logp.shape[2])
 
 
-def padded_loss_and_grad(cols: kernels.PaddedColumns, weights):
+def padded_loss_and_grad(cols: kernels.PaddedColumns, lam, final_blank_weight):
     """Per-utterance weighted losses and column gradients of a padded batch,
     from one emission sweep and one gradient sweep; the training loop's
     workhorse.
 
-    ``weights`` holds one TokenWeights per row of ``cols``.  Returns
-    (losses, g_blank, g_emit); ``kernels.dense_grad`` turns a row of the
-    column gradients into the dense gradient of that utterance's loss.  A
-    zero-probability prefix in any utterance raises NumericalError.
+    ``lam`` (B, Umax) holds each row's token weights, zero-padded, and
+    ``final_blank_weight`` (B,) its sentence-end weight, as
+    ``kernels.weighted_grad`` takes them.  Returns (losses, g_blank,
+    g_emit); ``kernels.dense_grad`` turns a row of the column gradients into
+    the dense gradient of that utterance's loss.  A zero-probability prefix
+    in any utterance raises NumericalError.
     """
-    lam, w_fb = _padded_weights(weights, cols.U)
+    w_fb = np.asarray(final_blank_weight, dtype=np.float64)
     sweep = cols.sweep()
     _, _, prefix, loglik = sweep
     losses = _padded_losses(prefix, loglik, lam, w_fb, cols.U)

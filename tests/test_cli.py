@@ -1,6 +1,7 @@
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import PROPERTY
 from twrnnt.cli import main
-from twrnnt.datagen import read_dataset
+from twrnnt.datagen import read_dataset, write_dataset
 from twrnnt.experiments import report_from_json
 from twrnnt.lattice import PosteriorLattice
 
@@ -160,6 +161,27 @@ class TestTrainDecodeScore:
             assert u.lam is not None
             if u.lam.size:
                 assert np.mean(u.lam) == pytest.approx(1.0, abs=1e-9)
+
+
+    def test_nan_confidence_exits_3_naming_the_utterance(self, workspace, tmp_path, capsys):
+        meta, utts = read_dataset(workspace / "train.jsonl")
+        utts = [replace(u, confidences=np.full(u.tokens.size, 0.5)) for u in utts]
+        bad = utts[-1].confidences.copy()
+        bad[-1] = np.nan
+        utts[-1] = replace(utts[-1], confidences=bad)
+        write_dataset(tmp_path / "nan.jsonl", utts, meta)
+        assert "NaN" in (tmp_path / "nan.jsonl").read_text()
+        code, _, err = run(
+            capsys,
+            [
+                "train", "--data", str(tmp_path / "nan.jsonl"), "--out", str(tmp_path / "m.json"),
+                "--mode", "token_weights", "--epochs", "1", *TINY,
+            ],
+        )
+        assert code == 3
+        (line,) = err.strip().splitlines()
+        obj = json.loads(line)
+        assert obj["error"] == "data" and f"utterance {utts[-1].id}: " in obj["message"]
 
 
 class TestCorrupt:

@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from conftest import PROPERTY
+from references import wer_counts
 from twrnnt.errors import DataError
 from twrnnt.metrics import wer
 
@@ -57,3 +61,16 @@ class TestWer:
     def test_rate_can_exceed_one(self):
         r = wer([5, 6, 7, 8], [0])
         assert r.rate > 1.0
+
+    @settings(PROPERTY, max_examples=200)
+    @given(
+        ref=st.lists(st.integers(0, 3), min_size=1, max_size=12),
+        hyp=st.lists(st.integers(0, 3), max_size=12),
+    )
+    @example(ref=[2], hyp=[])  # empty hypothesis
+    @example(ref=[1], hyp=[1, 1, 1])  # U = 1, repeated tokens
+    @example(ref=[0, 0, 0, 0], hyp=[0, 0])
+    def test_counts_equal_the_double_loop(self, ref, hyp):
+        # Same (S, I, D) as the cell-by-cell loop, so the ties resolve alike.
+        r = wer(hyp, ref)
+        assert (r.substitutions, r.insertions, r.deletions) == wer_counts(hyp, ref)

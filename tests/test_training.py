@@ -3,22 +3,40 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from twrnnt import kernels
 from twrnnt.datagen import SyntheticSpec, Utterance, generate_synthetic_dataset, read_dataset
 from twrnnt.errors import DataError, NumericalError
 from twrnnt.conditionals import conditional_profile
 from twrnnt.lattice import rnnt_loss, rnnt_loss_grad
-from twrnnt.model import TransducerModel, forward_columns, model_backward, model_forward
+from twrnnt.model import (
+    AdamConfig,
+    BatchLayout,
+    TransducerModel,
+    adam_init,
+    adam_step,
+    backward_columns,
+    forward_columns,
+    model_backward,
+    model_forward,
+)
 from twrnnt.seeds import stream
 from twrnnt.training import (
     MODES,
     TrainConfig,
     _batch_loss_and_grad,
-    _batch_weights,
+    _Corpus,
     evaluate_wer,
     score_confidences,
     train_model,
 )
-from twrnnt.weighting import weighted_loss_and_grad
+from twrnnt.weighting import (
+    TokenWeights,
+    WeightConfig,
+    _padded_weights,
+    compute_weights,
+    padded_loss_and_grad,
+    weighted_loss_and_grad,
+)
 
 
 @pytest.fixture(scope="module")
@@ -34,6 +52,79 @@ def small_data(tmp_path_factory):
         out[name] = utts
         out["meta"] = meta
     return out
+
+
+def batch_step(model, batch, cfg):
+    """Loss and gradient of one batch, through the training corpus."""
+    return _batch_loss_and_grad(model, _Corpus(model, batch, cfg), np.arange(len(batch)))
+
+
+def reference_batch_weights(batch, cfg):
+    """One TokenWeights per utterance, from ``compute_weights`` and the
+    utterance-weight formula, batch by batch."""
+    if cfg.mode == "standard":
+        return [TokenWeights.uniform(u.tokens.size) for u in batch]
+    confidences = [
+        u.confidences if u.confidences is not None else np.ones(u.tokens.size) for u in batch
+    ]
+    if cfg.mode == "token_weights":
+        wcfg = WeightConfig(
+            alpha=cfg.alpha, final_blank_weight=cfg.final_blank_weight, normalization="per_batch"
+        )
+        return compute_weights(confidences, wcfg)
+    means = np.array([float(np.mean(c)) if c.size else 1.0 for c in confidences])
+    powered = means**cfg.alpha
+    w = powered / np.mean(powered)
+    return [
+        TokenWeights(
+            lambdas=np.full(c.size, wi),
+            source_confidences=c,
+            config=WeightConfig(alpha=cfg.alpha, final_blank_weight=float(wi)),
+        )
+        for wi, c in zip(w, confidences)
+    ]
+
+
+def reference_batches(labeled, pseudo, cfg, rng, ratio=(1, 9)):
+    """Batches as lists of utterances: epoch shuffles of ``labeled``, or with
+    a ``pseudo`` pool, slots drawn at the labeled:pseudo ratio."""
+    if pseudo is None:
+        for _ in range(cfg.epochs):
+            order = rng.permutation(len(labeled))
+            for start in range(0, len(labeled), cfg.batch_size):
+                yield [labeled[i] for i in order[start : start + cfg.batch_size]]
+        return
+    p_pseudo = ratio[1] / (ratio[0] + ratio[1])
+    steps = -(-(len(labeled) + len(pseudo)) // cfg.batch_size)
+    for _ in range(cfg.epochs * steps):
+        batch = []
+        for _ in range(cfg.batch_size):
+            if rng.random() < p_pseudo:
+                batch.append(pseudo[int(rng.integers(0, len(pseudo)))])
+            else:
+                batch.append(labeled[int(rng.integers(0, len(labeled)))])
+        yield batch
+
+
+def reference_train(labeled, pseudo, cfg, init, order_rng):
+    """Training one batch at a time: a layout of the batch's own utterances,
+    weights from ``reference_batch_weights``, and the public ``adam_step``."""
+    state = adam_init(init)
+    losses = []
+    for batch in reference_batches(labeled, pseudo, cfg, order_rng):
+        model = state.model
+        layout = BatchLayout(model, [u.features for u in batch], [u.tokens for u in batch])
+        lam, w_fb = _padded_weights(reference_batch_weights(batch, cfg), layout.U)
+        losses_u, g_blank, g_emit = padded_loss_and_grad(forward_columns(model, layout), lam, w_fb)
+        loss = 0.0
+        for loss_u in losses_u:
+            loss += loss_u
+        tokens = max(1, sum(u.tokens.size for u in batch))
+        grad = backward_columns(model, layout, g_blank, g_emit)
+        grad /= tokens
+        state = adam_step(state, grad, AdamConfig(lr=cfg.lr))
+        losses.append(loss / tokens)
+    return state.model, losses
 
 
 class TestTrainingLoop:
@@ -93,9 +184,7 @@ class TestTrainingLoop:
             for u in small_data["train"][:6]
         ]
         alpha = 3.0
-        loss, grad = _batch_loss_and_grad(
-            model, batch, TrainConfig(mode="utterance_weights", alpha=alpha)
-        )
+        loss, grad = batch_step(model, batch, TrainConfig(mode="utterance_weights", alpha=alpha))
         powered = np.array([np.mean(u.confidences) ** alpha for u in batch])
         w = powered / np.mean(powered)
         tokens = sum(u.tokens.size for u in batch)
@@ -129,7 +218,7 @@ class TestTrainingLoop:
         monkeypatch.setattr(
             training_mod,
             "_batch_loss_and_grad",
-            lambda model, batch, cfg: (float("nan"), np.zeros(model.params.size)),
+            lambda model, corpus, idx: (float("nan"), np.zeros(model.params.size)),
         )
         with pytest.raises(NumericalError, match="diverged"):
             train_model(
@@ -153,11 +242,11 @@ class TestPaddedBatchStep:
         ]
         assert len({u.features.shape[0] for u in batch}) > 1  # real padding
         cfg = TrainConfig(mode=mode, alpha=2.0, final_blank_weight=0.5)
-        loss, grad = _batch_loss_and_grad(model, batch, cfg)
+        loss, grad = batch_step(model, batch, cfg)
         tokens = sum(u.tokens.size for u in batch)
         ref_loss = 0.0
         ref_grad = np.zeros_like(model.params)
-        for u, w in zip(batch, _batch_weights(batch, cfg)):
+        for u, w in zip(batch, reference_batch_weights(batch, cfg)):
             lat = model_forward(model, u.features, u.tokens)
             loss_u, dlogp = weighted_loss_and_grad(lat, u.tokens, w)
             ref_loss += loss_u
@@ -167,15 +256,15 @@ class TestPaddedBatchStep:
         # OpenBLAS rounds a row differently depending on the height of the
         # matrix that holds it, so stacked rows differ from single ones.
         assert np.max(np.abs(grad - ref_grad)) <= 1e-12 * np.max(np.abs(ref_grad))
-        again_loss, again_grad = _batch_loss_and_grad(model, batch, cfg)
+        again_loss, again_grad = batch_step(model, batch, cfg)
         assert again_loss == loss
         np.testing.assert_array_equal(again_grad, grad)
 
     def test_zero_probability_prefix_raises(self, small_data, monkeypatch):
         import twrnnt.training as training_mod
 
-        def forward_with_hole(model, layout, compute_dtype=np.float64):
-            cols = forward_columns(model, layout, compute_dtype)
+        def forward_with_hole(model, layout):
+            cols = forward_columns(model, layout)
             cols.emit[2, :, 0] = -np.inf  # utterance 2's first token can never be emitted
             return cols
 
@@ -183,7 +272,7 @@ class TestPaddedBatchStep:
         monkeypatch.setattr(training_mod, "forward_columns", forward_with_hole)
         model = TransducerModel.random(8, 16, 16, np.random.default_rng(41))
         with pytest.raises(NumericalError, match="zero probability"):
-            _batch_loss_and_grad(model, batch, TrainConfig())
+            batch_step(model, batch, TrainConfig())
 
 
 class TestScoring:
@@ -252,15 +341,86 @@ class TestEvaluate:
         assert evaluate_wer(res.model, test) < 0.02
 
 
-class TestFloat32Flag:
-    def test_float32_forward_trains_close_to_float64(self, small_data):
-        results = {}
-        for flag in (False, True):
-            cfg = TrainConfig(epochs=2, batch_size=8, float32_forward=flag)
-            res = train_model(
-                small_data["train"][:16], 8, 16, cfg,
-                stream(30, "init"), stream(30, "order"),
-            )
-            results[flag] = np.asarray(res.batch_losses)
-        gap = np.max(np.abs(results[True] - results[False]))
-        assert 0 < gap < 1e-3  # 32-bit arithmetic differs, but only slightly
+class TestRunSetup:
+    """``train_model`` checks and packs its utterances once, then updates
+    one parameter buffer in place; the result must be bit-identical to the
+    batch-by-batch reference loop."""
+
+    @staticmethod
+    def scored(utts, seed):
+        rng = np.random.default_rng(seed)
+        return [replace(u, confidences=rng.uniform(0.05, 1.0, size=u.tokens.size)) for u in utts]
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("mixed", [False, True], ids=["epochs", "pseudo"])
+    def test_run_equals_reference_loop(self, small_data, mode, mixed):
+        train = self.scored(small_data["train"][:20], 50)
+        # An empty transcript, and labeled utterances without confidences.
+        train[3] = replace(train[3], tokens=np.zeros(0, np.int64), confidences=np.zeros(0))
+        labeled, pseudo = (train[:8], train[8:]) if mixed else (train, None)
+        if mixed:
+            labeled = [replace(u, confidences=None) for u in labeled]
+        cfg = TrainConfig(epochs=2, batch_size=8, mode=mode, alpha=2.0, final_blank_weight=0.5)
+        init = TransducerModel.random(8, 16, 16, np.random.default_rng(51))
+        before = init.params.copy()
+        res = train_model(
+            labeled, 8, 16, cfg, stream(52, "init"), stream(52, "order"),
+            init_model=init, pseudo=pseudo,
+        )
+        np.testing.assert_array_equal(init.params, before)  # init_model is copied
+        ref_model, ref_losses = reference_train(labeled, pseudo, cfg, init, stream(52, "order"))
+        assert len(res.batch_losses) == len(ref_losses) > 4
+        assert res.batch_losses == ref_losses
+        assert np.array_equal(res.model.params, ref_model.params)
+
+    BAD = {
+        "non_finite_features": lambda u: replace(
+            u, features=np.vstack([u.features[:-1], np.full((1, 8), np.nan)])
+        ),
+        "mis_shaped_features": lambda u: replace(u, features=u.features[:, :5]),
+        "out_of_range_label": lambda u: replace(u, tokens=np.append(u.tokens, 16)),
+        "confidence_count": lambda u: replace(u, confidences=np.full(u.tokens.size + 1, 0.5)),
+        "nan_confidence": lambda u: replace(
+            u, confidences=np.append(np.full(u.tokens.size - 1, 0.5), np.nan)
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD))
+    def test_bad_utterance_fails_before_the_first_step(self, small_data, case, monkeypatch):
+        import twrnnt.training as training_mod
+
+        updates = []
+        monkeypatch.setattr(training_mod, "adam_update", lambda *args: updates.append(args))
+        utts = self.scored(small_data["train"][:17], 53)
+        utts[-1] = self.BAD[case](utts[-1])
+        cfg = TrainConfig(epochs=1, batch_size=4, mode="token_weights")
+        with pytest.raises(DataError, match=f"utterance {utts[-1].id}: "):
+            train_model(utts, 8, 16, cfg, stream(54, "init"), stream(54, "order"))
+        with pytest.raises(DataError, match=f"utterance {utts[-1].id}: "):
+            train_model(utts[:2], 8, 16, cfg, stream(54, "init"), stream(54, "order"), pseudo=utts[2:])
+        assert updates == []
+
+    def test_diagonal_cache_holds_every_shape_of_a_run(self, small_data, monkeypatch):
+        # Every (rows, width, diags) shape the DP kernels ask for is built
+        # once: no shape of a desk run is evicted and built again.
+        shapes = set()
+        skew, unskew = kernels._skew, kernels._unskew
+
+        def recording_skew(table, diags, fill):
+            shapes.add((table.shape[1], table.shape[2], diags))
+            return skew(table, diags, fill)
+
+        def recording_unskew(skewed, rows):
+            shapes.add((rows, skewed.shape[2], skewed.shape[1]))
+            return unskew(skewed, rows)
+
+        monkeypatch.setattr(kernels, "_skew", recording_skew)
+        monkeypatch.setattr(kernels, "_unskew", recording_unskew)
+        kernels._diagonal_index.cache_clear()
+        res = train_model(
+            small_data["train"], 8, 16, TrainConfig(epochs=3), stream(55, "init"), stream(55, "order")
+        )
+        score_confidences(res.model, small_data["test"])
+        info = kernels._diagonal_index.cache_info()
+        assert len(shapes) > 4  # more than the cache used to hold
+        assert info.misses == len(shapes) and info.hits > info.misses

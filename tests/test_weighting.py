@@ -69,6 +69,11 @@ class TestComputeWeights:
             compute_weights(np.array([0.5, 0.0]), WeightConfig())
         with pytest.raises(DataError, match="exceeds 1"):
             compute_weights(np.array([1.5]), WeightConfig())
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(DataError, match=r"c\[0\] = (nan|inf|-inf)"):
+                compute_weights(
+                    np.array([bad, 0.5]), WeightConfig(normalization="per_utterance")
+                )
         with pytest.raises(DataError, match="empty"):
             compute_weights([], WeightConfig())
 
