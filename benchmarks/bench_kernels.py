@@ -15,7 +15,10 @@ fixed facts are computed once, on a desk batch in microseconds per call: a
 batch's layout from a packed corpus (``BatchLayout.of``) against packing
 the batch itself (``BatchLayout(model, feats, toks)``), the in-place
 ``adam_update`` against ``adam_step``, and ``metrics.wer`` against the
-double loop kept in ``tests/references.py``.
+double loop kept in ``tests/references.py``.  Then the lockstep line: the
+five runs of one criterion 8 stream (standard, and utterance and token
+weighting at alpha 2 and 6) on 64 desk utterances, as five ``train_model``
+calls against one ``train_runs`` call, in microseconds per step of all five.
 
 Nothing is timed before it is verified.  On the B = 8 batch the batched
 tables and gradients must equal the per-cell loops exactly, the
@@ -25,7 +28,8 @@ next-token distribution must sum to 1 within 1e-9.  The grouped model
 passes must match the per-utterance ones to 1e-12 (columns absolutely,
 the parameter gradient relative to its largest entry).  Each per-step pair
 must give equal output: the same layout tables, bit-identical Adam states,
-and the same WER counts on 500 random pairs.  Run from the repo root:
+and the same WER counts on 500 random pairs; the lockstep runs must give
+the solo runs' batch losses and parameters exactly.  Run from the repo root:
 
     python3 benchmarks/bench_kernels.py [--frames 50 --labels 20 --vocab 32]
 """
@@ -33,12 +37,14 @@ and the same WER counts on 500 random pairs.  Run from the repo root:
 import argparse
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from twrnnt import kernels
 from twrnnt.conditionals import next_token_distribution
+from twrnnt.datagen import Utterance
 from twrnnt.lattice import PosteriorLattice
 from twrnnt.metrics import wer
 from twrnnt.model import (
@@ -55,6 +61,8 @@ from twrnnt.model import (
     model_forward,
 )
 from twrnnt.oracle import emission_sweep_scalar, loglik_grad, weighted_grad_scalar
+from twrnnt.seeds import stream
+from twrnnt.training import TrainConfig, train_model, train_runs
 from twrnnt.weighting import padded_loss_and_grad
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
@@ -279,6 +287,43 @@ def step_parts(repeats):
     ]
 
 
+def lockstep(repeats):
+    """Verify, then time, the five runs of one criterion 8 stream: (steps
+    per run, median seconds solo, median seconds lockstep)."""
+    T, U = MODEL_BATCHES["desk T~11 U~6"]
+    rng = np.random.default_rng(9)
+    utts = []
+    for seed in range(8):
+        _, feats, tokens, _, _ = model_batch(T, U, seed=seed)
+        utts += [
+            Utterance(f"u{len(utts) + i}", f, y, confidences=rng.uniform(0.05, 1.0, size=y.size))
+            for i, (f, y) in enumerate(zip(feats, tokens))
+        ]
+    D, H, V = MODEL_DIMS
+    base = TrainConfig(epochs=2, batch_size=BATCH, dim_hidden=H)
+    cfgs = [base] + [
+        replace(base, mode=mode, alpha=alpha)
+        for mode in ("utterance_weights", "token_weights")
+        for alpha in (2.0, 6.0)
+    ]
+
+    def solo():
+        return [train_model(utts, D, V, c, stream(0, "init"), stream(0, "order")) for c in cfgs]
+
+    def stacked():
+        return train_runs(utts, D, V, cfgs, stream(0, "init"), stream(0, "order"))
+
+    for cfg, a, b in zip(cfgs, solo(), stacked()):
+        if a.batch_losses != b.batch_losses or not np.array_equal(a.model.params, b.model.params):
+            raise SystemExit(f"lockstep run ({cfg.mode}, alpha {cfg.alpha}) differs from its solo run")
+    print(f"lockstep: {len(cfgs)} runs in one train_runs call equal their solo runs exactly")
+    steps = len(stacked()[0].batch_losses)
+    # Alternate the two and take medians: a run takes a tenth of a second,
+    # long enough for a shared host's load to shift between calls.
+    times = np.array([[time_call(fn, 1) for fn in (solo, stacked)] for _ in range(repeats)])
+    return (steps, *np.median(times, axis=0))
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--frames", type=int, default=50)
@@ -340,6 +385,14 @@ def main():
     print("-" * len(header))
     for name, before, after in parts:
         print(f"{name:<20}{before * 1e6:>10.1f}{after * 1e6:>10.1f}{before / after:>9.1f}x")
+
+    print()
+    steps, solo, stacked = lockstep(max(5, args.repeats // 5))
+    print(
+        f"\nfive desk runs of {steps} steps, microseconds per step of all five: "
+        f"solo {solo / steps * 1e6:.0f}, lockstep {stacked / steps * 1e6:.0f}, "
+        f"{solo / stacked:.2f}x"
+    )
 
 
 if __name__ == "__main__":

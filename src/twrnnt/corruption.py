@@ -51,23 +51,33 @@ class CorruptionConfig:
 
 
 def _nearest_tokens(prototypes: np.ndarray) -> np.ndarray:
-    """For each token, the indices of all other tokens sorted by prototype
-    distance; ties keep index order (broken later by the rng)."""
+    """The (V, V) matrix of Euclidean distances between token prototypes,
+    with +inf on the diagonal so that no token is its own nearest."""
     diff = prototypes[:, None, :] - prototypes[None, :, :]
     dist = np.sqrt(np.sum(diff * diff, axis=-1))
     np.fill_diagonal(dist, np.inf)
     return dist
 
 
-def _substitute(token: int, vocab: Vocabulary, prototypes, rng) -> int:
+def _distances(prototypes) -> Optional[np.ndarray]:
+    """``_nearest_tokens`` of the prototypes, or None without them."""
+    if prototypes is None:
+        return None
+    return _nearest_tokens(np.asarray(prototypes, dtype=np.float64))
+
+
+def _substitute(token: int, vocab: Vocabulary, dist, rng) -> int:
+    """A substitute for ``token``: uniform over the other tokens without
+    prototype distances ``dist``, else one of its nearest (ties drawn by
+    the rng)."""
     if vocab.size == 1:
         return token  # nothing distinct to substitute
-    if prototypes is None:
+    if dist is None:
         choice = int(rng.integers(0, vocab.size - 1))
         return choice + (choice >= token)
-    dist = _nearest_tokens(np.asarray(prototypes, dtype=np.float64))[token]
-    best = np.min(dist)
-    candidates = np.flatnonzero(np.abs(dist - best) < 1e-12)
+    row = dist[token]
+    best = np.min(row)
+    candidates = np.flatnonzero(np.abs(row - best) < 1e-12)
     return int(rng.choice(candidates))
 
 
@@ -87,12 +97,17 @@ def corrupt_transcript(
     ``rate`` overrides the per-token probability (used by the corpus-level
     calibration); it defaults to ``cfg.error_rate``.
     """
-    labels = as_labels(y, vocab)
-    if labels.size == 0:
-        raise DataError("cannot corrupt an empty transcript")
     if rng is None:
         rng = np.random.default_rng(cfg.rng_seed)
     q = cfg.error_rate if rate is None else rate
+    return _corrupt(as_labels(y, vocab), cfg, vocab, _distances(prototypes), rng, q)
+
+
+def _corrupt(labels, cfg, vocab, dist, rng, q):
+    """``corrupt_transcript`` of checked labels, given the prototype
+    distances ``dist`` (or None) and the per-token probability ``q``."""
+    if labels.size == 0:
+        raise DataError("cannot corrupt an empty transcript")
     out = []
     for token in labels:
         token = int(token)
@@ -105,15 +120,12 @@ def corrupt_transcript(
         elif kind == "omit":
             pass
         else:
-            out.append(_substitute(token, vocab, prototypes, rng))
+            out.append(_substitute(token, vocab, dist, rng))
     return np.asarray(out, dtype=np.int64)
 
 
-def _corrupt_all(transcripts, cfg, vocab, prototypes, rng, rate):
-    return [
-        corrupt_transcript(t, cfg, vocab, prototypes=prototypes, rng=rng, rate=rate)
-        for t in transcripts
-    ]
+def _corrupt_all(transcripts, cfg, vocab, dist, rng, rate):
+    return [_corrupt(t, cfg, vocab, dist, rng, rate) for t in transcripts]
 
 
 def _measured_wer(corrupted, references) -> float:
@@ -122,7 +134,7 @@ def _measured_wer(corrupted, references) -> float:
     return dist / total
 
 
-def _calibrated_rate(transcripts, cfg, vocab, prototypes) -> float:
+def _calibrated_rate(transcripts, cfg, vocab, dist) -> float:
     """Tune the per-token probability so the corpus reference WER lands on
     cfg.error_rate.  Pilot corruptions use seeds derived from the config so
     the result is deterministic."""
@@ -136,7 +148,7 @@ def _calibrated_rate(transcripts, cfg, vocab, prototypes) -> float:
             rng = stream(cfg.rng_seed, "corruption-pilot", round_, pilot)
             measures.append(
                 _measured_wer(
-                    _corrupt_all(transcripts, cfg, vocab, prototypes, rng, q),
+                    _corrupt_all(transcripts, cfg, vocab, dist, rng, q),
                     transcripts,
                 )
             )
@@ -154,13 +166,11 @@ def corrupt_corpus(utterance_tokens, cfg, vocab, prototypes=None, calibrate=True
 
     With ``calibrate`` (default) the internal per-token probability is tuned
     so the measured reference WER of the corpus matches ``cfg.error_rate``;
-    otherwise the raw rate applies.
+    otherwise the raw rate applies.  The prototype distances are computed
+    once for the whole call.
     """
     transcripts = [as_labels(t, vocab) for t in utterance_tokens]
-    rate = (
-        _calibrated_rate(transcripts, cfg, vocab, prototypes)
-        if calibrate
-        else cfg.error_rate
-    )
+    dist = _distances(prototypes)
+    rate = _calibrated_rate(transcripts, cfg, vocab, dist) if calibrate else cfg.error_rate
     rng = np.random.default_rng(cfg.rng_seed)
-    return _corrupt_all(transcripts, cfg, vocab, prototypes, rng, rate)
+    return _corrupt_all(transcripts, cfg, vocab, dist, rng, rate)

@@ -26,7 +26,7 @@ from .training import (
     TrainConfig,
     evaluate_wer,
     score_confidences,
-    train_model,
+    train_runs,
 )
 
 __all__ = [
@@ -112,19 +112,33 @@ def _mean(xs) -> float:
     return float(np.mean(np.asarray(xs, dtype=np.float64)))
 
 
-def _train_once(utts, dims, cfg, root_seed, tag, init_model=None, pseudo=None, ratio=(1, 9)):
+def _train_runs(utts, dims, cfgs, root_seed, tag, init_model=None, pseudo=None, ratio=(1, 9)):
+    """Train the runs ``cfgs`` of stream ``tag`` in lockstep: they share
+    the init and batch order drawn from it."""
     D, V = dims
-    return train_model(
+    return train_runs(
         utts,
         D,
         V,
-        cfg,
+        cfgs,
         init_rng=stream(root_seed, "init", *tag),
         order_rng=stream(root_seed, "order", *tag),
         init_model=init_model,
         pseudo=pseudo,
         mix_ratio=ratio,
     )
+
+
+def _train_once(utts, dims, cfg, root_seed, tag, init_model=None, pseudo=None, ratio=(1, 9)):
+    return _train_runs(utts, dims, [cfg], root_seed, tag, init_model, pseudo, ratio)[0]
+
+
+def _train_trials(utts, dims, train_cfg, grids, root_seed, tag, **kwargs):
+    """Train every (mode, alpha) of ``grids``, a list of (mode, alphas), in
+    one lockstep call; returns (mode, alphas, results) per entry."""
+    cfgs = [replace(train_cfg, mode=m, alpha=a) for m, alphas in grids for a in alphas]
+    results = iter(_train_runs(utts, dims, cfgs, root_seed, tag, **kwargs))
+    return [(mode, alphas, [next(results) for _ in alphas]) for mode, alphas in grids]
 
 
 def _select_alpha(results):
@@ -198,34 +212,22 @@ def run_corruption_experiment(
                 replace(u, tokens=t) for u, t in zip(train, corrupted_tokens)
             ]
             scored = score_confidences(teacher, corrupted)
-            for mode in modes:
+            # One stream per (level, seed): every mode and exponent sees
+            # identical inits and batch orders, pairing the comparison, so
+            # all of them train in one lockstep call.
+            grids = [
+                (mode, [train_cfg.alpha] if mode == "standard" else [float(a) for a in alpha_grid])
+                for mode in modes
+            ]
+            trials = _train_trials(scored, dims, train_cfg, grids, root_seed, ("corr", level, seed))
+            for mode, alphas, runs in trials:
                 if mode == "standard":
-                    res = _train_once(
-                        scored, dims, replace(train_cfg, mode=mode), root_seed,
-                        ("corr", level, seed),
-                    )
-                    test_wer = evaluate_wer(
-                        res.model, test, train_cfg.max_symbols_per_frame
-                    )
-                    per_mode[mode]["per_seed"].append(test_wer)
-                    per_mode[mode]["chosen_alpha"].append(None)
-                    if include_traces:
-                        traces[mode].append(res.batch_losses)
-                    continue
-                trials = []
-                # One stream per (level, seed): every mode and exponent sees
-                # identical inits and batch orders, pairing the comparison.
-                for alpha in alpha_grid:
-                    res = _train_once(
-                        scored, dims,
-                        replace(train_cfg, mode=mode, alpha=float(alpha)),
-                        root_seed, ("corr", level, seed),
-                    )
-                    vw = evaluate_wer(
-                        res.model, valid, train_cfg.max_symbols_per_frame
-                    )
-                    trials.append((float(alpha), vw, res))
-                alpha, _, res = _select_alpha(trials)
+                    alpha, res = None, runs[0]
+                else:
+                    alpha, _, res = _select_alpha([
+                        (a, evaluate_wer(r.model, valid, train_cfg.max_symbols_per_frame), r)
+                        for a, r in zip(alphas, runs)
+                    ])
                 per_mode[mode]["per_seed"].append(
                     evaluate_wer(res.model, test, train_cfg.max_symbols_per_frame)
                 )
@@ -317,37 +319,49 @@ def run_pseudo_labeling(
         base_wers.append(evaluate_wer(base, test, max_sym))
         teachers = {m: base for m in cfg.modes}
         for rnd in range(1, cfg.rounds + 1):
-            round_row = {}
+            # Modes that share a teacher share its pool, decoded and scored
+            # once.  In round 1 every mode's teacher is the base model.
+            groups = []
             for mode in cfg.modes:
-                teacher = teachers[mode]
+                for teacher, group in groups:
+                    if teacher is teachers[mode]:
+                        group.append(mode)
+                        break
+                else:
+                    groups.append((teachers[mode], [mode]))
+            round_row = {}
+            for teacher, group in groups:
                 pseudo = _decode_pool(teacher, unlabeled, max_sym)
                 if all(p.tokens.size == 0 for p in pseudo):
                     raise DataError(
-                        f"round {rnd} ({mode}): teacher produced only empty hypotheses"
+                        f"round {rnd} ({', '.join(group)}): teacher produced only "
+                        f"empty hypotheses"
                     )
                 pseudo = score_confidences(teacher, pseudo)
-                grid = cfg.alpha_grid if mode != "standard" else (0.0,)
-                trials = []
+                grids = [
+                    (mode, [float(a) for a in cfg.alpha_grid] if mode != "standard" else [0.0])
+                    for mode in group
+                ]
                 # Identical streams across modes and exponents within a
-                # (round, seed): the recipes differ only in the objective.
-                for alpha in grid:
-                    res = _train_once(
-                        labeled, dims,
-                        replace(train_cfg, mode=mode, alpha=float(alpha)),
-                        root_seed, ("gen", rnd, seed),
-                        pseudo=pseudo, ratio=cfg.labeled_to_pseudo_ratio,
-                    )
-                    vw = evaluate_wer(res.model, valid, max_sym)
-                    trials.append((float(alpha), vw, res))
-                alpha, _, res = _select_alpha(trials)
-                entry = {
-                    "wer": evaluate_wer(res.model, test, max_sym),
-                    "chosen_alpha": alpha if mode != "standard" else None,
-                }
-                if include_traces:
-                    entry["loss_trace"] = res.batch_losses
-                round_row[mode] = entry
-                teachers[mode] = res.model
+                # (round, seed): the recipes differ only in the objective,
+                # so a teacher's students train in one lockstep call.
+                trials = _train_trials(
+                    labeled, dims, train_cfg, grids, root_seed, ("gen", rnd, seed),
+                    pseudo=pseudo, ratio=cfg.labeled_to_pseudo_ratio,
+                )
+                for mode, alphas, runs in trials:
+                    alpha, _, res = _select_alpha([
+                        (a, evaluate_wer(r.model, valid, max_sym), r)
+                        for a, r in zip(alphas, runs)
+                    ])
+                    entry = {
+                        "wer": evaluate_wer(res.model, test, max_sym),
+                        "chosen_alpha": alpha if mode != "standard" else None,
+                    }
+                    if include_traces:
+                        entry["loss_trace"] = res.batch_losses
+                    round_row[mode] = entry
+                    teachers[mode] = res.model
             per_seed_rows[seed].append(round_row)
 
     rows = []

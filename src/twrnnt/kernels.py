@@ -82,6 +82,14 @@ class PaddedColumns:
         cols.put(0, logp, labels)
         return cols
 
+    def rows(self, b0, b1) -> "PaddedColumns":
+        """Rows b0..b1-1 as a batch of their own that shares this one's
+        tables, so that writing to it fills them."""
+        view = PaddedColumns.__new__(PaddedColumns)
+        view.T, view.U = self.T[b0:b1], self.U[b0:b1]
+        view.blank, view.emit = self.blank[b0:b1], self.emit[b0:b1]
+        return view
+
     def put(self, b, logp, labels):
         T, U1 = logp.shape[0], logp.shape[1]
         self.blank[b, :T, :U1] = logp[:, :, -1]

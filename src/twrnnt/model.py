@@ -311,15 +311,33 @@ def model_forward(model: TransducerModel, features, tokens) -> PosteriorLattice:
     return normalize_logits(logits.reshape(T, U + 1, -1))
 
 
-def forward_columns(model: TransducerModel, layout: BatchLayout) -> PaddedColumns:
+def _column_shapes(layout: BatchLayout):
+    B, Tmax, Umax = layout.T.size, int(layout.T.max()), int(layout.U.max())
+    return (B, Tmax, Umax + 1), (B, Tmax, Umax)
+
+
+def forward_columns(
+    model: TransducerModel, layout: BatchLayout, out: Optional[PaddedColumns] = None
+) -> PaddedColumns:
     """Blank and label log-probability columns of a batch of utterances.
 
     One network pass per group of nodes, written straight into padded
     columns for ``kernels.emission_sweep``; equal to ``model_forward`` of
     each utterance up to matrix-product rounding.  The logits are bounded by
-    tanh, so the rows skip ``normalize_logits``'s input checks.
+    tanh, so the rows skip ``normalize_logits``'s input checks.  ``out``,
+    if given, is a ``-inf``-filled batch of the layout's shape (such as rows
+    of a larger one, ``PaddedColumns.rows``) to write to and return.
     """
-    cols = PaddedColumns(layout.T, layout.U)
+    if out is None:
+        cols = PaddedColumns(layout.T, layout.U)
+    else:
+        shapes = _column_shapes(layout)
+        if (out.blank.shape, out.emit.shape) != shapes:
+            raise DataError(
+                f"column tables have shapes {out.blank.shape} and {out.emit.shape}, "
+                f"expected {shapes[0]} and {shapes[1]}"
+            )
+        cols = out
     blank, emit = cols.blank.reshape(-1), cols.emit.reshape(-1)
     p, enc, _, pred = _encode(model, layout)
     work = _work(layout, enc)
@@ -399,13 +417,13 @@ def backward_columns(
     gradients (``kernels.dense_grad``) up to matrix-product rounding, without
     building them.
     """
-    B, Tmax, Umax = layout.T.size, int(layout.T.max()), int(layout.U.max())
     gb = np.asarray(g_blank, dtype=np.float64)
     ge = np.asarray(g_emit, dtype=np.float64)
-    if gb.shape != (B, Tmax, Umax + 1) or ge.shape != (B, Tmax, Umax):
+    shapes = _column_shapes(layout)
+    if (gb.shape, ge.shape) != shapes:
         raise DataError(
             f"column gradients have shapes {gb.shape} and {ge.shape}, expected "
-            f"{(B, Tmax, Umax + 1)} and {(B, Tmax, Umax)}"
+            f"{shapes[0]} and {shapes[1]}"
         )
     gb, ge = gb.reshape(-1), ge.reshape(-1)
 

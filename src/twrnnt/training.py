@@ -9,11 +9,15 @@ so the weight exponent does not rescale the effective learning rate.
 Confidence scores ride on utterances (``Utterance.confidences``); utterances
 without scores count as fully confident (c = 1), which is how ground-truth
 labeled data mixes into weighted objectives.
+
+Runs that differ only in their objective (mode and weight exponent), and so
+share an init, a batch order and a corpus, train in lockstep as one stacked
+run (``train_runs``); a single run (``train_model``) is the case of one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -21,6 +25,7 @@ import numpy as np
 from .conditionals import padded_profiles
 from .datagen import Utterance
 from .errors import DataError, NumericalError
+from .kernels import PaddedColumns
 from .metrics import wer
 from .model import (
     AdamConfig,
@@ -38,6 +43,7 @@ __all__ = [
     "MODES",
     "TrainConfig",
     "TrainResult",
+    "train_runs",
     "train_model",
     "evaluate_wer",
     "score_confidences",
@@ -98,78 +104,100 @@ def _confidences_of(utt: Utterance) -> np.ndarray:
 
 
 class _Corpus:
-    """A training run's utterances, checked once: their packed features and
-    labels, and the per-utterance terms of their weights under ``cfg.mode``.
+    """The utterances of one or more training runs, checked once: their
+    packed features and labels, and the per-utterance terms of each run's
+    weights under its config's mode.
 
-    ``batch(idx)`` gives a batch's layout and its token and sentence-end
-    weight tables.  Standard training is unit weights.  Token weighting
-    gives token j of utterance i the weight c_ij^alpha over the batch mean
-    of c^alpha (``compute_weights`` with per-batch normalization, in its
-    summation order).  Utterance weighting gives every token of utterance i,
-    and its sentence-end term, w_i = mean(c_i)^alpha normalized to mean 1
-    over the batch.
+    ``batch(idx)`` gives a batch's layout and the token and sentence-end
+    weight tables of every run, stacked: run k owns rows k*B..(k+1)*B-1.
+    Standard training is unit weights.  Token weighting gives token j of
+    utterance i the weight c_ij^alpha over the batch mean of c^alpha
+    (``compute_weights`` with per-batch normalization, in its summation
+    order).  Utterance weighting gives every token of utterance i, and its
+    sentence-end term, w_i = mean(c_i)^alpha normalized to mean 1 over the
+    batch.
     """
 
-    def __init__(self, model: TransducerModel, utterances, cfg: TrainConfig):
+    def __init__(self, model: TransducerModel, utterances, cfgs):
         self.packed = PackedUtterances(
             model,
             [u.features for u in utterances],
             [u.tokens for u in utterances],
             [u.id for u in utterances],
         )
-        self.cfg = cfg
-        if cfg.mode == "standard":
+        self.cfgs = list(cfgs)
+        self.powered = [None] * len(self.cfgs)
+        self.powered_sums = [None] * len(self.cfgs)
+        modes = {cfg.mode for cfg in self.cfgs}
+        if modes == {"standard"}:
             return
         confidences = [_confidences_of(u) for u in utterances]
-        if cfg.mode == "token_weights":
-            self.powered = [c**cfg.alpha for c in confidences]
-            self.powered_sums = [float(np.sum(p)) for p in self.powered]
-        else:
+        if "utterance_weights" in modes:
             means = np.array([float(np.mean(c)) if c.size else 1.0 for c in confidences])
-            self.powered = means**cfg.alpha
+        for k, cfg in enumerate(self.cfgs):
+            if cfg.mode == "token_weights":
+                self.powered[k] = [c**cfg.alpha for c in confidences]
+                self.powered_sums[k] = [float(np.sum(p)) for p in self.powered[k]]
+            elif cfg.mode == "utterance_weights":
+                self.powered[k] = means**cfg.alpha
 
     def batch(self, idx):
-        """(layout, lam, final_blank_weight) of utterances ``idx``."""
+        """(layout, lam, final_blank_weight) of utterances ``idx``, with
+        lam (K*B, Umax) and final_blank_weight (K*B,) for K runs."""
         idx = np.asarray(idx, dtype=np.int64)
         layout = BatchLayout.of(self.packed, idx)
         U = layout.U
         slots = np.arange(int(U.max())) < U[:, None]
-        lam = np.zeros(slots.shape)
-        if self.cfg.mode == "standard":
-            lam[slots] = 1.0
-            return layout, lam, np.ones(U.size)
-        if self.cfg.mode == "utterance_weights":
-            powered = self.powered[idx]
-            w = powered / np.mean(powered)
-            lam[slots] = np.repeat(w, U)
-            return layout, lam, w
-        total = int(U.sum())
-        if total == 0:
-            raise DataError("empty confidence scope: zero tokens across utterances")
-        idx = idx.tolist()
-        norm = sum(self.powered_sums[i] for i in idx) / total
-        lam[slots] = np.concatenate([self.powered[i] for i in idx]) / norm
-        return layout, lam, np.full(U.size, self.cfg.final_blank_weight)
+        K, B = len(self.cfgs), U.size
+        lam = np.zeros((K, *slots.shape))
+        w_fb = np.empty((K, B))
+        for k, cfg in enumerate(self.cfgs):
+            if cfg.mode == "standard":
+                lam[k][slots] = 1.0
+                w_fb[k] = 1.0
+            elif cfg.mode == "utterance_weights":
+                powered = self.powered[k][idx]
+                w = powered / np.mean(powered)
+                lam[k][slots] = np.repeat(w, U)
+                w_fb[k] = w
+            else:
+                total = int(U.sum())
+                if total == 0:
+                    raise DataError("empty confidence scope: zero tokens across utterances")
+                rows = idx.tolist()
+                norm = sum(self.powered_sums[k][i] for i in rows) / total
+                lam[k][slots] = np.concatenate([self.powered[k][i] for i in rows]) / norm
+                w_fb[k] = cfg.final_blank_weight
+        return layout, lam.reshape(K * B, slots.shape[1]), w_fb.reshape(-1)
 
 
-def _batch_loss_and_grad(model: TransducerModel, corpus: _Corpus, idx):
-    """Summed loss and parameter gradient for utterances ``idx`` of the
-    corpus, divided by their token count.
+def _batch_loss_and_grad(models, corpus: _Corpus, idx, grad) -> list:
+    """Each run's summed loss for utterances ``idx`` of the corpus, divided
+    by their token count; run k's parameter gradient, divided likewise,
+    overwrites ``grad[k]``.
 
-    One grouped model forward writes the batch's padded log-probability
-    columns, the DP runs once over them, and one grouped model backward
-    takes the column gradients back to the parameters.
+    One layout serves every run.  Run k's grouped model forward writes its
+    rows of one padded column batch, the DP runs once over all of them, and
+    run k's grouped model backward takes its rows of the column gradients
+    back to its parameters.
     """
     layout, lam, final_blank_weight = corpus.batch(idx)
     total_tokens = max(1, int(layout.U.sum()))
-    cols = forward_columns(model, layout)
+    K, B = len(models), layout.T.size
+    cols = PaddedColumns(np.tile(layout.T, K), np.tile(layout.U, K))
+    for k, model in enumerate(models):
+        forward_columns(model, layout, out=cols.rows(k * B, (k + 1) * B))
     losses, g_blank, g_emit = padded_loss_and_grad(cols, lam, final_blank_weight)
-    loss = 0.0
-    for loss_u in losses:  # a plain sequential sum, whatever the Python version
-        loss += loss_u
-    grad = backward_columns(model, layout, g_blank, g_emit)
+    out = []
+    for k, model in enumerate(models):
+        rows = slice(k * B, (k + 1) * B)
+        loss = 0.0
+        for loss_u in losses[rows]:  # a plain sequential sum, whatever the Python version
+            loss += loss_u
+        out.append(loss / total_tokens)
+        grad[k] = backward_columns(model, layout, g_blank[rows], g_emit[rows])
     grad /= total_tokens
-    return loss / total_tokens, grad
+    return out
 
 
 def batch_iterator(utterances: Sequence[Utterance], cfg: TrainConfig, rng):
@@ -208,6 +236,99 @@ def mixed_batch_iterator(
         yield np.array(batch, dtype=np.int64)
 
 
+def _run_name(cfg: TrainConfig) -> str:
+    return f"{cfg.mode} at alpha {cfg.alpha:g}"
+
+
+def train_runs(
+    utterances: Sequence[Utterance],
+    dim_features: int,
+    vocab_size: int,
+    cfgs: Sequence[TrainConfig],
+    init_rng,
+    order_rng,
+    init_model: Optional[TransducerModel] = None,
+    pseudo: Optional[Sequence[Utterance]] = None,
+    mix_ratio=(1, 9),
+) -> list:
+    """Adam training runs that differ only in their objective, stepped in
+    lockstep; one TrainResult per config, deterministic given the two rng
+    streams.
+
+    The configs may differ only in ``mode`` and ``alpha`` (anything else
+    raises a DataError).  Every run starts from the same init and takes the
+    same batches, so each result equals that of its own ``train_model``
+    call bit for bit.  The init is drawn and the batch order consumed once,
+    the corpus packed once, and each step lays out its batch once, runs the
+    DP once over every run's lattices and makes one Adam update of the
+    runs' stacked (K, P) parameters.
+
+    With a ``pseudo`` pool, batches are sampled at ``mix_ratio`` instead of
+    epoch shuffles.  Every utterance is checked before the first step: bad
+    features, labels or (in the weighted modes) confidences raise a
+    DataError naming it.  Divergence (a non-finite loss or gradient) raises
+    a NumericalError naming the run before any run is updated at that step.
+    ``init_model`` is copied, never modified.
+    """
+    cfgs = list(cfgs)
+    if not cfgs:
+        raise DataError("no training configs")
+    cfg = cfgs[0]
+    for other in cfgs[1:]:
+        if replace(other, mode=cfg.mode, alpha=cfg.alpha) != cfg:
+            differ = [f.name for f in fields(cfg) if getattr(other, f.name) != getattr(cfg, f.name)]
+            raise DataError(
+                f"runs trained together may differ only in mode and alpha, "
+                f"not in {', '.join(differ)}"
+            )
+    if not utterances:
+        raise DataError("no training utterances")
+    init = init_model or TransducerModel.random(
+        dim_features, cfg.dim_hidden, vocab_size, init_rng, scale=cfg.init_scale
+    )
+    # The runs' own parameters, one row each, updated in place; every
+    # run's model views its row, so its views are built once.
+    params = np.tile(init.params, (len(cfgs), 1))
+    models = [TransducerModel(init.dim_in, init.dim_hidden, init.vocab_size, row) for row in params]
+    m, v, grad = np.zeros_like(params), np.zeros_like(params), np.empty_like(params)
+    hyper = AdamConfig(lr=cfg.lr)
+    if pseudo is None:
+        corpus = _Corpus(models[0], utterances, cfgs)
+        batches = batch_iterator(utterances, cfg, order_rng)
+        steps_per_epoch = -(-len(utterances) // cfg.batch_size)
+    else:
+        corpus = _Corpus(models[0], list(utterances) + list(pseudo), cfgs)
+        batches = mixed_batch_iterator(utterances, pseudo, cfg, order_rng, mix_ratio)
+        steps_per_epoch = -(-(len(utterances) + len(pseudo)) // cfg.batch_size)
+    batch_losses = [[] for _ in cfgs]
+    for step, idx in enumerate(batches, start=1):
+        losses = _batch_loss_and_grad(models, corpus, idx, grad)
+        for run, loss in zip(cfgs, losses):
+            if not np.isfinite(loss):
+                raise NumericalError(f"training diverged ({_run_name(run)}): batch loss {loss!r}")
+        try:
+            adam_update(params, m, v, grad, step, hyper)
+        except NumericalError:
+            # The update's own guard refused the step before touching
+            # anything; name the run whose gradient it refused.
+            k, i = divmod(int(np.argmax(~np.isfinite(grad))), grad.shape[1])
+            raise NumericalError(
+                f"training diverged ({_run_name(cfgs[k])}): non-finite gradient entry "
+                f"{grad[k, i]!r} at index {i}; no update applied"
+            ) from None
+        for trace, loss in zip(batch_losses, losses):
+            trace.append(loss)
+    results = []
+    for row, losses in zip(params, batch_losses):
+        epoch_losses = [
+            float(np.mean(losses[i : i + steps_per_epoch]))
+            for i in range(0, len(losses), steps_per_epoch)
+        ]
+        model = TransducerModel(init.dim_in, init.dim_hidden, init.vocab_size, row.copy())
+        results.append(TrainResult(model=model, batch_losses=losses, epoch_losses=epoch_losses))
+    return results
+
+
 def train_model(
     utterances: Sequence[Utterance],
     dim_features: int,
@@ -219,44 +340,11 @@ def train_model(
     pseudo: Optional[Sequence[Utterance]] = None,
     mix_ratio=(1, 9),
 ) -> TrainResult:
-    """Adam training run; deterministic given the two rng streams.
-
-    With a ``pseudo`` pool, batches are sampled at ``mix_ratio`` instead of
-    epoch shuffles.  Every utterance is checked before the first step: bad
-    features, labels or (in the weighted modes) confidences raise a
-    DataError naming it.  Divergence (NaN/inf loss) raises NumericalError.
-    ``init_model`` is copied, never modified.
-    """
-    if not utterances:
-        raise DataError("no training utterances")
-    init = init_model or TransducerModel.random(
-        dim_features, cfg.dim_hidden, vocab_size, init_rng, scale=cfg.init_scale
-    )
-    # The run's own parameters, updated in place; their views are built once.
-    model = TransducerModel(init.dim_in, init.dim_hidden, init.vocab_size, init.params.copy())
-    m, v = np.zeros_like(model.params), np.zeros_like(model.params)
-    hyper = AdamConfig(lr=cfg.lr)
-    batch_losses = []
-    if pseudo is None:
-        corpus = _Corpus(model, utterances, cfg)
-        batches = batch_iterator(utterances, cfg, order_rng)
-        steps_per_epoch = -(-len(utterances) // cfg.batch_size)
-    else:
-        corpus = _Corpus(model, list(utterances) + list(pseudo), cfg)
-        batches = mixed_batch_iterator(utterances, pseudo, cfg, order_rng, mix_ratio)
-        steps_per_epoch = -(-(len(utterances) + len(pseudo)) // cfg.batch_size)
-    for step, idx in enumerate(batches, start=1):
-        loss, grad = _batch_loss_and_grad(model, corpus, idx)
-        if not np.isfinite(loss):
-            raise NumericalError(f"training diverged: batch loss {loss!r}")
-        adam_update(model.params, m, v, grad, step, hyper)
-        batch_losses.append(loss)
-    epoch_losses = [
-        float(np.mean(batch_losses[i : i + steps_per_epoch]))
-        for i in range(0, len(batch_losses), steps_per_epoch)
-    ]
-    result = TransducerModel(model.dim_in, model.dim_hidden, model.vocab_size, model.params)
-    return TrainResult(model=result, batch_losses=batch_losses, epoch_losses=epoch_losses)
+    """One Adam training run: ``train_runs`` with the one config ``cfg``."""
+    return train_runs(
+        utterances, dim_features, vocab_size, [cfg], init_rng, order_rng,
+        init_model=init_model, pseudo=pseudo, mix_ratio=mix_ratio,
+    )[0]
 
 
 def evaluate_wer(model: TransducerModel, utterances, max_symbols_per_frame=4) -> float:

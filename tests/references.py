@@ -4,6 +4,8 @@ compare faster code against."""
 import numpy as np
 
 from twrnnt.errors import DataError
+from twrnnt.lattice import as_labels
+from twrnnt.seeds import stream
 
 
 def wer_counts(hyp, ref):
@@ -38,3 +40,66 @@ def wer_counts(hyp, ref):
             inss += 1
             j -= 1
     return subs, inss, dels
+
+
+def _nearest_tokens(prototypes):
+    diff = prototypes[:, None, :] - prototypes[None, :, :]
+    dist = np.sqrt(np.sum(diff * diff, axis=-1))
+    np.fill_diagonal(dist, np.inf)
+    return dist
+
+
+def _substitute(token, vocab, prototypes, rng):
+    if vocab.size == 1:
+        return token
+    if prototypes is None:
+        choice = int(rng.integers(0, vocab.size - 1))
+        return choice + (choice >= token)
+    dist = _nearest_tokens(np.asarray(prototypes, dtype=np.float64))[token]
+    best = np.min(dist)
+    candidates = np.flatnonzero(np.abs(dist - best) < 1e-12)
+    return int(rng.choice(candidates))
+
+
+def _corrupt_transcript(labels, cfg, vocab, prototypes, rng, q):
+    out = []
+    for token in labels:
+        token = int(token)
+        if rng.random() >= q:
+            out.append(token)
+            continue
+        kind = cfg.error_types[int(rng.integers(0, len(cfg.error_types)))]
+        if kind == "repeat":
+            out.extend((token, token))
+        elif kind == "omit":
+            pass
+        else:
+            out.append(_substitute(token, vocab, prototypes, rng))
+    return np.asarray(out, dtype=np.int64)
+
+
+def corrupt_corpus(utterance_tokens, cfg, vocab, prototypes=None, calibrate=True):
+    """``corruption.corrupt_corpus`` as first written, with the prototype
+    distance matrix rebuilt for every substitution, and the calibration's
+    error rate measured with ``wer_counts``."""
+    transcripts = [as_labels(t, vocab) for t in utterance_tokens]
+    if any(t.size == 0 for t in transcripts):
+        raise DataError("cannot corrupt an empty transcript")
+
+    def corrupt_all(rng, q):
+        return [_corrupt_transcript(t, cfg, vocab, prototypes, rng, q) for t in transcripts]
+
+    target = q = cfg.error_rate
+    for round_ in range(6 if calibrate and target > 0.0 else 0):
+        measures = []
+        for pilot in range(2):
+            corrupted = corrupt_all(stream(cfg.rng_seed, "corruption-pilot", round_, pilot), q)
+            edits = sum(sum(wer_counts(c, r)) for c, r in zip(corrupted, transcripts))
+            measures.append(edits / sum(len(r) for r in transcripts))
+        measured = float(np.mean(measures))
+        if abs(measured - target) < 0.002 or measured == 0.0:
+            break
+        q = min(1.0, q * target / measured)
+        if q == 1.0 and measured < target:
+            break
+    return corrupt_all(np.random.default_rng(cfg.rng_seed), q)

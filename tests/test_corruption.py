@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import references
+from conftest import PROPERTY
 from twrnnt.corruption import CorruptionConfig, corrupt_corpus, corrupt_transcript
 from twrnnt.errors import DataError
 from twrnnt.lattice import Vocabulary
@@ -96,3 +100,39 @@ class TestCorpusCalibration:
         refs = self.make_corpus(n=50)
         out = corrupt_corpus(refs, CorruptionConfig(0.0, rng_seed=1), Vocabulary(16))
         assert all(np.array_equal(x, y) for x, y in zip(out, refs))
+
+
+class TestDistancesOncePerCall:
+    """``corrupt_corpus`` builds the prototype distance matrix once per
+    call; its output must equal the form that rebuilt it per substitution."""
+
+    @PROPERTY
+    @given(
+        transcripts=st.lists(
+            st.lists(st.integers(0, 5), min_size=1, max_size=8), min_size=1, max_size=12
+        ),
+        level=st.sampled_from([0.0, 0.2, 0.5, 1.0]),
+        seed=st.integers(0, 2**31 - 1),
+        with_prototypes=st.booleans(),
+        tied=st.booleans(),
+        calibrate=st.booleans(),
+    )
+    def test_corpus_equals_the_per_call_form(
+        self, transcripts, level, seed, with_prototypes, tied, calibrate
+    ):
+        vocab = Vocabulary(6)
+        prototypes = None
+        if with_prototypes:
+            prototypes = np.random.default_rng(seed).normal(size=(6, 3))
+            if tied:
+                # Tokens 0 and 1 are both nearest to 2, at distances equal up
+                # to rounding: the rng breaks the tie.
+                d = 0.0123456789
+                prototypes[0] = prototypes[2] + [d, 0.0, 0.0]
+                prototypes[1] = prototypes[2] - [0.0, d, 0.0]
+        cfg = CorruptionConfig(error_rate=level, rng_seed=seed)
+        got = corrupt_corpus(transcripts, cfg, vocab, prototypes=prototypes, calibrate=calibrate)
+        want = references.corrupt_corpus(
+            transcripts, cfg, vocab, prototypes=prototypes, calibrate=calibrate
+        )
+        assert [t.tolist() for t in got] == [t.tolist() for t in want]

@@ -1,6 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import twrnnt.experiments as experiments_mod
+from twrnnt.corruption import CorruptionConfig, corrupt_corpus
 from twrnnt.datagen import SyntheticSpec, generate_synthetic_dataset, read_dataset
 from twrnnt.errors import DataError
 from twrnnt.experiments import (
@@ -11,6 +15,8 @@ from twrnnt.experiments import (
     run_corruption_experiment,
     run_pseudo_labeling,
 )
+from twrnnt.lattice import Vocabulary
+from twrnnt.model import greedy_decode
 from twrnnt.seeds import stream
 from twrnnt.training import TrainConfig, evaluate_wer, score_confidences, train_model
 
@@ -30,6 +36,7 @@ def tiny_data(tmp_path_factory):
 
 
 FAST = TrainConfig(epochs=4, batch_size=8, lr=1e-2, dim_hidden=32)
+MODES3 = ("standard", "utterance_weights", "token_weights")
 
 
 class TestGenerationConfig:
@@ -164,3 +171,97 @@ class TestCleanTeacherControl:
             )
             wers[alpha] = evaluate_wer(res.model, splits["test"])
         assert abs(wers[8.0] - wers[1.0]) < 0.08
+
+
+def solo(utts, cfg, root_seed, tag, **kwargs):
+    return train_model(
+        utts, 8, 16, cfg, stream(root_seed, "init", *tag), stream(root_seed, "order", *tag), **kwargs
+    )
+
+
+def best(trials):
+    return min(trials, key=lambda r: (r[1], r[0]))
+
+
+class TestEnginesEqualSoloRuns:
+    """Each engine trains the runs that share a stream in one lockstep
+    call; its report must equal the engine written run by run, with every
+    mode decoding and scoring its own teacher's pool."""
+
+    def test_corruption(self, tiny_data):
+        meta, splits = tiny_data
+        modes, alphas, level, seed, root = MODES3, (2.0, 6.0), 0.3, 1, 11
+        rep = run_corruption_experiment(
+            splits, meta, levels=[level], modes=modes, train_cfg=FAST, alpha_grid=alphas,
+            seeds=(seed,), root_seed=root, include_traces=True,
+        )
+        teacher = solo(splits["pretrain"], FAST, root, ("teacher",)).model
+        cor = CorruptionConfig(
+            error_rate=level,
+            rng_seed=int(stream(root, "corrupt", seed, int(level * 1000)).integers(2**31)),
+        )
+        tokens = corrupt_corpus(
+            [u.tokens for u in splits["train"]], cor, Vocabulary(16),
+            prototypes=np.asarray(meta["prototypes"], dtype=np.float64),
+        )
+        scored = score_confidences(
+            teacher, [replace(u, tokens=t) for u, t in zip(splits["train"], tokens)]
+        )
+        tag = ("corr", level, seed)
+        for mode in modes:
+            if mode == "standard":
+                alpha, res = None, solo(scored, FAST, root, tag)
+            else:
+                alpha, _, res = best([
+                    (a, evaluate_wer(r.model, splits["valid"]), r)
+                    for a in alphas
+                    for r in [solo(scored, replace(FAST, mode=mode, alpha=a), root, tag)]
+                ])
+            entry = rep.rows[0]["modes"][mode]
+            assert entry["per_seed"] == [evaluate_wer(res.model, splits["test"])]
+            assert entry["chosen_alpha"] == [alpha]
+            assert entry["loss_trace_per_seed"] == [res.batch_losses]
+
+    def test_pseudo_labeling(self, tiny_data, monkeypatch):
+        meta, splits = tiny_data
+        gen = GenerationConfig(rounds=2, alpha_grid=(2.0, 6.0), modes=MODES3)
+        train_cfg, base_cfg, seed, root = replace(FAST, epochs=8), TrainConfig(epochs=10), 0, 12
+        decodes = []
+        decode_pool = experiments_mod._decode_pool
+        monkeypatch.setattr(
+            experiments_mod, "_decode_pool",
+            lambda model, *args: decodes.append(model) or decode_pool(model, *args),
+        )
+        labeled, unlabeled, valid, test = (
+            splits["train"], splits["pretrain"], splits["valid"], splits["test"]
+        )
+        rep = run_pseudo_labeling(
+            labeled, unlabeled, valid, test, meta, gen, train_cfg,
+            seeds=(seed,), root_seed=root, base_cfg=base_cfg, include_traces=True,
+        )
+        # One pool per teacher: the base model's in round 1, then one per mode.
+        assert len(decodes) == 1 + len(MODES3)
+        base = solo(labeled, base_cfg, root, ("base", seed)).model
+        teachers = {mode: base for mode in MODES3}
+        for rnd, row in enumerate(rep.rows, start=1):
+            for mode in MODES3:
+                teacher = teachers[mode]
+                pool = [
+                    replace(u, tokens=greedy_decode(teacher, u.features)[0], confidences=None)
+                    for u in unlabeled
+                ]
+                pseudo = score_confidences(teacher, pool)
+                grid = gen.alpha_grid if mode != "standard" else (0.0,)
+                alpha, _, res = best([
+                    (a, evaluate_wer(r.model, valid), r)
+                    for a in grid
+                    for r in [solo(
+                        labeled, replace(train_cfg, mode=mode, alpha=a), root, ("gen", rnd, seed),
+                        pseudo=pseudo, mix_ratio=gen.labeled_to_pseudo_ratio,
+                    )]
+                ])
+                entry = row["modes"][mode]
+                assert entry["per_seed"] == [evaluate_wer(res.model, test)]
+                assert entry["chosen_alpha"] == [alpha if mode != "standard" else None]
+                assert entry["loss_trace_per_seed"] == [res.batch_losses]
+                teachers[mode] = res.model

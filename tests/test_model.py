@@ -177,6 +177,24 @@ class TestGroupedPasses:
             want += model_backward(model, f, y, dlogp)
         assert np.max(np.abs(grad - want)) <= 1e-12 * np.max(np.abs(want))
 
+    def test_forward_fills_rows_of_a_larger_batch(self):
+        # Two models write their rows of one stacked batch, as lockstep
+        # training does; each block equals the model's own columns.
+        rng = np.random.default_rng(6)
+        models = [TransducerModel.random(3, 8, 5, rng) for _ in range(2)]
+        feats = [rng.normal(size=(T, 3)) for T in (4, 7, 2)]
+        tokens = [rng.integers(0, 5, size=U) for U in (3, 0, 5)]
+        layout = BatchLayout(models[0], feats, tokens)
+        stacked = PaddedColumns(np.tile(layout.T, 2), np.tile(layout.U, 2))
+        for k, model in enumerate(models):
+            forward_columns(model, layout, out=stacked.rows(3 * k, 3 * k + 3))
+        for k, model in enumerate(models):
+            own = forward_columns(model, layout)
+            np.testing.assert_array_equal(stacked.blank[3 * k : 3 * k + 3], own.blank)
+            np.testing.assert_array_equal(stacked.emit[3 * k : 3 * k + 3], own.emit)
+        with pytest.raises(DataError, match="column tables have shapes"):
+            forward_columns(models[0], layout, out=stacked.rows(0, 2))
+
     def test_groups_are_runs_within_the_node_bound(self):
         # Node counts 600, 800, 600, 1 fit one group of 2001 <= 2048 nodes;
         # the 2170-node utterance is a group alone, and so is the last one.

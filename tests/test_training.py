@@ -28,6 +28,7 @@ from twrnnt.training import (
     evaluate_wer,
     score_confidences,
     train_model,
+    train_runs,
 )
 from twrnnt.weighting import (
     TokenWeights,
@@ -56,7 +57,9 @@ def small_data(tmp_path_factory):
 
 def batch_step(model, batch, cfg):
     """Loss and gradient of one batch, through the training corpus."""
-    return _batch_loss_and_grad(model, _Corpus(model, batch, cfg), np.arange(len(batch)))
+    grad = np.empty((1, model.params.size))
+    (loss,) = _batch_loss_and_grad([model], _Corpus(model, batch, [cfg]), np.arange(len(batch)), grad)
+    return loss, grad[0]
 
 
 def reference_batch_weights(batch, cfg):
@@ -215,11 +218,11 @@ class TestTrainingLoop:
         # so exercise the guard directly.
         import twrnnt.training as training_mod
 
-        monkeypatch.setattr(
-            training_mod,
-            "_batch_loss_and_grad",
-            lambda model, corpus, idx: (float("nan"), np.zeros(model.params.size)),
-        )
+        def nan_step(models, corpus, idx, grad):
+            grad[...] = 0.0
+            return [float("nan")] * len(models)
+
+        monkeypatch.setattr(training_mod, "_batch_loss_and_grad", nan_step)
         with pytest.raises(NumericalError, match="diverged"):
             train_model(
                 small_data["train"][:12], 8, 16, TrainConfig(epochs=1),
@@ -263,8 +266,8 @@ class TestPaddedBatchStep:
     def test_zero_probability_prefix_raises(self, small_data, monkeypatch):
         import twrnnt.training as training_mod
 
-        def forward_with_hole(model, layout):
-            cols = forward_columns(model, layout)
+        def forward_with_hole(model, layout, out=None):
+            cols = forward_columns(model, layout, out=out)
             cols.emit[2, :, 0] = -np.inf  # utterance 2's first token can never be emitted
             return cols
 
@@ -424,3 +427,129 @@ class TestRunSetup:
         info = kernels._diagonal_index.cache_info()
         assert len(shapes) > 4  # more than the cache used to hold
         assert info.misses == len(shapes) and info.hits > info.misses
+
+
+# The runs of one (level, seed) in criterion 8: standard, and utterance and
+# token weighting at each exponent of its grid.
+CRITERION_8_RUNS = [("standard", 1.0)] + [
+    (mode, alpha) for mode in ("utterance_weights", "token_weights") for alpha in (2.0, 6.0)
+]
+
+
+class TestLockstep:
+    """``train_runs`` steps runs that differ only in their objective
+    together; each must equal its own batch-by-batch reference run bit for
+    bit."""
+
+    @pytest.fixture(scope="class")
+    def long_utts(self, tmp_path_factory):
+        spec = SyntheticSpec(
+            n_train=6, n_valid=1, n_test=1, n_pretrain=1, dim_features=8, vocab_size=16,
+            min_tokens=20, max_tokens=30, min_frames_per_token=2, max_frames_per_token=4,
+            seed=23,
+        )
+        _, utts = read_dataset(generate_synthetic_dataset(spec, tmp_path_factory.mktemp("long"))["train"])
+        return TestRunSetup.scored(utts, 61)
+
+    def pools(self, case, small_data, long_utts):
+        """(labeled, pseudo, cfg) of a case."""
+        cfg = TrainConfig(epochs=2, batch_size=8, lr=1e-2, dim_hidden=32)
+        train = TestRunSetup.scored(small_data["train"][:20], 62)
+        if case == "epochs":
+            return train, None, cfg
+        labeled = [replace(u, confidences=None) for u in train[:8]]
+        pseudo = train[8:]
+        if case == "pseudo":
+            return labeled, pseudo, cfg
+        if case == "empty_transcript_in_pool":
+            pseudo[2] = replace(pseudo[2], tokens=np.zeros(0, np.int64), confidences=np.zeros(0))
+            return labeled, pseudo, cfg
+        return long_utts, None, replace(cfg, epochs=1, batch_size=4)
+
+    @pytest.mark.parametrize(
+        "case", ["epochs", "pseudo", "empty_transcript_in_pool", "several_node_groups"]
+    )
+    def test_runs_equal_solo_reference_loops(self, small_data, long_utts, case, monkeypatch):
+        labeled, pseudo, cfg = self.pools(case, small_data, long_utts)
+        cfgs = [replace(cfg, mode=mode, alpha=alpha) for mode, alpha in CRITERION_8_RUNS]
+        init = TransducerModel.random(8, 32, 16, stream(63, "init"), scale=cfg.init_scale)
+        before = init.params.copy()
+        layouts = []
+        of = BatchLayout.of.__func__
+
+        def recording_of(cls, packed, idx):
+            layouts.append(of(cls, packed, idx))
+            return layouts[-1]
+
+        monkeypatch.setattr(BatchLayout, "of", classmethod(recording_of))
+        # The init is drawn from the stream unless one is given.
+        given = init if case in ("pseudo", "several_node_groups") else None
+        results = train_runs(
+            labeled, 8, 16, cfgs, stream(63, "init"), stream(63, "order"),
+            init_model=given, pseudo=pseudo,
+        )
+        monkeypatch.undo()
+        np.testing.assert_array_equal(init.params, before)  # init_model is copied
+        assert len(layouts) == len(results[0].batch_losses) > 1  # one layout per step
+        if case == "several_node_groups":
+            assert max(len(layout.groups) for layout in layouts) > 1
+        for run, res in zip(cfgs, results):
+            ref_model, ref_losses = reference_train(labeled, pseudo, run, init, stream(63, "order"))
+            assert res.batch_losses == ref_losses, run
+            assert np.array_equal(res.model.params, ref_model.params), run
+
+    def test_batch_of_empty_transcripts(self, small_data):
+        # Batches of one: the empty transcript makes a batch with no label
+        # slots at all.
+        utts = TestRunSetup.scored(small_data["train"][:3], 66)
+        utts[1] = replace(utts[1], tokens=np.zeros(0, np.int64), confidences=np.zeros(0))
+        base = TrainConfig(epochs=1, batch_size=1)
+        cfgs = [base, replace(base, mode="utterance_weights", alpha=2.0)]
+        init = TransducerModel.random(8, 32, 16, np.random.default_rng(67))
+        results = train_runs(utts, 8, 16, cfgs, stream(66, "init"), stream(66, "order"), init_model=init)
+        for run, res in zip(cfgs, results):
+            ref_model, ref_losses = reference_train(utts, None, run, init, stream(66, "order"))
+            assert res.batch_losses == ref_losses
+            assert np.array_equal(res.model.params, ref_model.params)
+
+    @pytest.mark.parametrize("field, value", [("epochs", 3), ("lr", 2e-2), ("dim_hidden", 16)])
+    def test_configs_may_differ_only_in_mode_and_alpha(self, small_data, field, value):
+        base = TrainConfig(epochs=2)
+        cfgs = [base, replace(base, mode="token_weights", alpha=2.0), replace(base, **{field: value})]
+        with pytest.raises(DataError, match=f"not in {field}"):
+            train_runs(small_data["train"][:8], 8, 16, cfgs, stream(64, "init"), stream(64, "order"))
+
+    @pytest.mark.parametrize("bad", ["loss", "gradient"])
+    def test_divergence_names_the_run(self, small_data, bad, monkeypatch):
+        import twrnnt.training as training_mod
+
+        step = training_mod._batch_loss_and_grad
+        updates = []
+        update = training_mod.adam_update
+
+        def recording_update(params, *args):
+            updates.append((params, params.copy()))
+            update(params, *args)
+
+        def diverging_step(models, corpus, idx, grad):
+            losses = step(models, corpus, idx, grad)
+            if len(updates) == 2:  # the third step of run 1
+                if bad == "loss":
+                    losses[1] = float("nan")
+                else:
+                    grad[1, 7] = np.inf
+            return losses
+
+        monkeypatch.setattr(training_mod, "_batch_loss_and_grad", diverging_step)
+        monkeypatch.setattr(training_mod, "adam_update", recording_update)
+        base = TrainConfig(epochs=2)
+        cfgs = [base, replace(base, mode="utterance_weights", alpha=2.0), replace(base, mode="token_weights", alpha=6.0)]
+        utts = TestRunSetup.scored(small_data["train"][:24], 65)
+        with pytest.raises(NumericalError, match="diverged \\(utterance_weights at alpha 2\\)"):
+            train_runs(utts, 8, 16, cfgs, stream(65, "init"), stream(65, "order"))
+        # The guard fired on the third step, before any run was updated:
+        # a bad loss before the update, a bad gradient inside it.
+        assert len(updates) == (2 if bad == "loss" else 3)
+        params, before = updates[-1]
+        if bad == "gradient":
+            np.testing.assert_array_equal(params, before)
