@@ -13,9 +13,8 @@ on a desk batch (T ~ 11, U ~ 6) and a long batch (T ~ 75, U ~ 25) of 8.
 Last, the per-step parts of a training run, before and after the run's
 fixed facts are computed once, on a desk batch in microseconds per call: a
 batch's layout from a packed corpus (``BatchLayout.of``) against packing
-the batch itself (``BatchLayout(model, feats, toks)``), the in-place
-``adam_update`` against ``adam_step``, and ``metrics.wer`` against the
-double loop kept in ``tests/references.py``.  Then the lockstep line: the
+the batch itself (``BatchLayout(model, feats, toks)``), and ``metrics.wer``
+against the double loop kept in ``tests/references.py``.  Then the lockstep line: the
 five runs of one criterion 8 stream (standard, and utterance and token
 weighting at alpha 2 and 6) on 64 desk utterances, as five ``train_model``
 calls against one ``train_runs`` call, in microseconds per step of all five.
@@ -27,8 +26,8 @@ gradient must match the oracle occupancy gradient, both to 1e-9.  The
 next-token distribution must sum to 1 within 1e-9.  The grouped model
 passes must match the per-utterance ones to 1e-12 (columns absolutely,
 the parameter gradient relative to its largest entry).  Each per-step pair
-must give equal output: the same layout tables, bit-identical Adam states,
-and the same WER counts on 500 random pairs; the lockstep runs must give
+must give equal output: the same layout tables and the same WER counts on
+500 random pairs; the lockstep runs must give
 the solo runs' batch losses and parameters exactly.  Run from the repo root:
 
     python3 benchmarks/bench_kernels.py [--frames 50 --labels 20 --vocab 32]
@@ -48,13 +47,9 @@ from twrnnt.datagen import Utterance
 from twrnnt.lattice import PosteriorLattice
 from twrnnt.metrics import wer
 from twrnnt.model import (
-    AdamConfig,
     BatchLayout,
     PackedUtterances,
     TransducerModel,
-    adam_init,
-    adam_step,
-    adam_update,
     backward_columns,
     forward_columns,
     model_backward,
@@ -253,24 +248,14 @@ def step_parts(repeats):
         if not (value == other if name == "groups" else np.array_equal(value, other)):
             raise SystemExit(f"layout from the packed corpus differs in {name!r}")
 
-    hyper = AdamConfig()
     rng = np.random.default_rng(0)
-    grads = rng.normal(size=(3, model.params.size))
-    state = adam_init(model)
-    params, m, v = model.params.copy(), np.zeros_like(model.params), np.zeros_like(model.params)
-    for step, g in enumerate(grads, start=1):
-        state = adam_step(state, g, hyper)
-        adam_update(params, m, v, g, step, hyper)
-    if not all(np.array_equal(a, b) for a, b in ((params, state.model.params), (m, state.m), (v, state.v))):
-        raise SystemExit("in-place Adam differs from adam_step")
-
     for _ in range(500):
         hyp = rng.integers(0, 5, size=rng.integers(0, 12))
         ref = rng.integers(0, 5, size=rng.integers(1, 12))
         r = wer(hyp, ref)
         if (r.substitutions, r.insertions, r.deletions) != wer_counts(hyp, ref):
             raise SystemExit(f"wer counts differ from the double loop on hyp={hyp}, ref={ref}")
-    print("per-step parts: packed layout, in-place Adam and wer equal their references")
+    print("per-step parts: packed layout and wer equal their references")
 
     # A desk transcript pair: 6 reference tokens, a hypothesis of 7 with one
     # insertion and one substitution.
@@ -280,8 +265,6 @@ def step_parts(repeats):
     return [
         ("layout", time_call(lambda: BatchLayout(model, *batch), repeats),
          time_call(lambda: BatchLayout.of(packed, idx), repeats)),
-        ("adam", time_call(lambda: adam_step(state, grads[0], hyper), repeats),
-         time_call(lambda: adam_update(params, m, v, grads[0], 4, hyper), repeats)),
         (f"wer {ref.size}x{hyp.size}", time_call(lambda: wer_counts(hyp, ref), repeats),
          time_call(lambda: wer(hyp, ref), repeats)),
     ]

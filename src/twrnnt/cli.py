@@ -38,11 +38,11 @@ from .experiments import (
     run_pseudo_labeling,
 )
 from .lattice import Vocabulary, lattice_from_json, rnnt_loss
-from .metrics import wer
-from .model import greedy_decode, load_checkpoint, save_checkpoint
+from .metrics import corpus_wer, wer
+from .model import load_checkpoint, save_checkpoint
 from .oracle import MAX_PATHS, exact_conditionals, exact_sequence_logp, path_count
 from .seeds import stream
-from .training import TrainConfig, score_confidences, train_model
+from .training import TrainConfig, decode_corpus, score_confidences, train_model
 from .weighting import WeightConfig, compute_weights, weighted_rnnt_loss
 
 EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC = 2, 3, 4
@@ -167,28 +167,21 @@ def cmd_train(args) -> int:
 
 def cmd_decode(args) -> int:
     cfg = _effective_config(args)
-    model, _, _ = load_checkpoint(_require_file(args.model, "model checkpoint"))
+    model, _ = load_checkpoint(_require_file(args.model, "model checkpoint"))
     meta, utts = read_dataset(_require_file(args.data, "dataset"))
-    hyps = []
-    dist = total = 0
-    for u in utts:
-        hyp, _ = greedy_decode(model, u.features, cfg["max_symbols_per_frame"])
-        if u.tokens.size:
-            r = wer(hyp, u.tokens)
-            dist += r.distance
-            total += u.tokens.size
-        hyps.append(replace(u, tokens=hyp, confidences=None, lam=None))
+    hyps = decode_corpus(model, utts, cfg["max_symbols_per_frame"])
     meta_out = dict(meta, provenance=provenance_block(cfg, "decode", __version__))
     write_dataset(args.out, hyps, meta_out)
-    if total:
-        print(f"corpus WER vs references: {dist / total:.4f}")
+    if any(u.tokens.size for u in utts):
+        rate = corpus_wer([h.tokens for h in hyps], [u.tokens for u in utts])
+        print(f"corpus WER vs references: {rate:.4f}")
     print(f"hypotheses: {args.out}")
     return 0
 
 
 def cmd_score_confidence(args) -> int:
     cfg = _effective_config(args)
-    model, _, _ = load_checkpoint(_require_file(args.model, "model checkpoint"))
+    model, _ = load_checkpoint(_require_file(args.model, "model checkpoint"))
     meta, utts = read_dataset(_require_file(args.data, "dataset"))
     scored = score_confidences(model, utts)
     if args.write_lambda:
@@ -214,13 +207,12 @@ def cmd_corrupt(args) -> int:
     cfg = _effective_config(args)
     meta, utts = read_dataset(_require_file(args.data, "dataset"))
     vocab = Vocabulary(dataset_vocab_size(meta))
-    prototypes = np.asarray(meta["prototypes"]) if "prototypes" in meta else None
     ccfg = CorruptionConfig(error_rate=cfg["error_rate"], rng_seed=cfg["seed"])
     corrupted = corrupt_corpus(
         [u.tokens for u in utts],
         ccfg,
         vocab,
-        prototypes=prototypes,
+        prototypes=meta.get("prototypes"),
         calibrate=cfg["calibrate_corruption"],
     )
     out_utts = [

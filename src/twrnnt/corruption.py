@@ -59,11 +59,21 @@ def _nearest_tokens(prototypes: np.ndarray) -> np.ndarray:
     return dist
 
 
-def _distances(prototypes) -> Optional[np.ndarray]:
-    """``_nearest_tokens`` of the prototypes, or None without them."""
+def _distances(prototypes, vocab: Vocabulary) -> Optional[np.ndarray]:
+    """``_nearest_tokens`` of the prototypes, one finite row per token of
+    ``vocab``, or None without them."""
     if prototypes is None:
         return None
-    return _nearest_tokens(np.asarray(prototypes, dtype=np.float64))
+    try:
+        table = np.asarray(prototypes, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"prototypes must be a table of numbers: {exc}") from None
+    if table.ndim != 2 or table.shape[0] != vocab.size or not np.isfinite(table).all():
+        raise DataError(
+            f"prototypes must be a finite table with one row per token ({vocab.size}), "
+            f"got shape {table.shape}"
+        )
+    return _nearest_tokens(table)
 
 
 def _substitute(token: int, vocab: Vocabulary, dist, rng) -> int:
@@ -100,7 +110,7 @@ def corrupt_transcript(
     if rng is None:
         rng = np.random.default_rng(cfg.rng_seed)
     q = cfg.error_rate if rate is None else rate
-    return _corrupt(as_labels(y, vocab), cfg, vocab, _distances(prototypes), rng, q)
+    return _corrupt(as_labels(y, vocab), cfg, vocab, _distances(prototypes, vocab), rng, q)
 
 
 def _corrupt(labels, cfg, vocab, dist, rng, q):
@@ -170,7 +180,7 @@ def corrupt_corpus(utterance_tokens, cfg, vocab, prototypes=None, calibrate=True
     once for the whole call.
     """
     transcripts = [as_labels(t, vocab) for t in utterance_tokens]
-    dist = _distances(prototypes)
+    dist = _distances(prototypes, vocab)
     rate = _calibrated_rate(transcripts, cfg, vocab, dist) if calibrate else cfg.error_rate
     rng = np.random.default_rng(cfg.rng_seed)
     return _corrupt_all(transcripts, cfg, vocab, dist, rng, rate)

@@ -100,10 +100,14 @@ class Utterance:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Utterance":
         try:
+            tokens = obj["tokens"]
+            # JSON numbers may be floats or exceed int64; neither is a token.
+            if not isinstance(tokens, list) or not all(type(t) is int for t in tokens):
+                raise ValueError(f"tokens must be a list of integers, got {tokens!r}")
             return cls(
                 id=str(obj["id"]),
                 features=np.asarray(obj["features"], dtype=np.float64),
-                tokens=np.asarray(obj["tokens"], dtype=np.int64),
+                tokens=np.asarray(tokens, dtype=np.int64),
                 confidences=(
                     np.asarray(obj["confidences"], dtype=np.float64)
                     if "confidences" in obj
@@ -115,7 +119,7 @@ class Utterance:
                     else None
                 ),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DataError(f"malformed utterance record: {exc}") from exc
 
 
@@ -205,13 +209,16 @@ def read_dataset(path):
             except json.JSONDecodeError as exc:
                 raise DataError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
             if lineno == 1:
-                if "_meta" not in obj:
+                if not isinstance(obj, dict) or not isinstance(obj.get("_meta"), dict):
                     raise DataError(
                         f"{path}: first line must be the dataset header object"
                     )
                 meta = obj["_meta"]
                 continue
-            utts.append(Utterance.from_json_obj(obj))
+            try:
+                utts.append(Utterance.from_json_obj(obj))
+            except DataError as exc:
+                raise DataError(f"{path}:{lineno}: {exc}") from None
     if meta is None:
         raise DataError(f"{path}: empty dataset file")
     return meta, utts
@@ -220,5 +227,5 @@ def read_dataset(path):
 def dataset_vocab_size(meta: dict) -> int:
     try:
         return int(meta["spec"]["vocab_size"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"dataset header lacks spec.vocab_size: {exc}") from exc

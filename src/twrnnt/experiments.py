@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -19,11 +19,12 @@ from .corruption import CorruptionConfig, corrupt_corpus
 from .datagen import Utterance, dataset_vocab_size
 from .errors import DataError
 from .lattice import Vocabulary
-from .model import greedy_decode
+from .model import TransducerModel
 from .seeds import stream
 from .training import (
     MODES,
     TrainConfig,
+    decode_corpus,
     evaluate_wer,
     score_confidences,
     train_runs,
@@ -112,7 +113,7 @@ def _mean(xs) -> float:
     return float(np.mean(np.asarray(xs, dtype=np.float64)))
 
 
-def _train_runs(utts, dims, cfgs, root_seed, tag, init_model=None, pseudo=None, ratio=(1, 9)):
+def _train_runs(utts, dims, cfgs, root_seed, tag, **kwargs):
     """Train the runs ``cfgs`` of stream ``tag`` in lockstep: they share
     the init and batch order drawn from it."""
     D, V = dims
@@ -123,28 +124,56 @@ def _train_runs(utts, dims, cfgs, root_seed, tag, init_model=None, pseudo=None, 
         cfgs,
         init_rng=stream(root_seed, "init", *tag),
         order_rng=stream(root_seed, "order", *tag),
-        init_model=init_model,
-        pseudo=pseudo,
-        mix_ratio=ratio,
+        **kwargs,
     )
 
 
-def _train_once(utts, dims, cfg, root_seed, tag, init_model=None, pseudo=None, ratio=(1, 9)):
-    return _train_runs(utts, dims, [cfg], root_seed, tag, init_model, pseudo, ratio)[0]
+class _Fit(NamedTuple):
+    wer: float  # test WER
+    alpha: Optional[float]  # chosen exponent; None for the standard run
+    losses: list
+    model: TransducerModel
 
 
-def _train_trials(utts, dims, train_cfg, grids, root_seed, tag, **kwargs):
-    """Train every (mode, alpha) of ``grids``, a list of (mode, alphas), in
-    one lockstep call; returns (mode, alphas, results) per entry."""
-    cfgs = [replace(train_cfg, mode=m, alpha=a) for m, alphas in grids for a in alphas]
-    results = iter(_train_runs(utts, dims, cfgs, root_seed, tag, **kwargs))
-    return [(mode, alphas, [next(results) for _ in alphas]) for mode, alphas in grids]
+def _fit_modes(pool, tag, modes, train_cfg, alpha_grid, dims, root_seed, valid, test, **kwargs):
+    """Train every (mode, alpha) trial of ``modes`` on ``pool`` in one
+    lockstep call on stream ``tag``, then pick each weighted mode's alpha on
+    validation WER (ties prefer the smaller alpha; a grid of one needs no
+    decode).  Returns {mode: _Fit}.  The trials share every input except
+    the objective, which pairs the comparison."""
+    alphas = [float(a) for a in alpha_grid]
+    grids = {m: [train_cfg.alpha] if m == "standard" else alphas for m in modes}
+    cfgs = [replace(train_cfg, mode=m, alpha=a) for m in modes for a in grids[m]]
+    results = iter(_train_runs(pool, dims, cfgs, root_seed, tag, **kwargs))
+    max_sym = train_cfg.max_symbols_per_frame
+    fits = {}
+    for mode in modes:
+        trials = [(a, next(results)) for a in grids[mode]]
+        alpha, res = trials[0] if len(trials) == 1 else min(
+            trials, key=lambda t: (evaluate_wer(t[1].model, valid, max_sym), t[0])
+        )
+        fits[mode] = _Fit(
+            evaluate_wer(res.model, test, max_sym),
+            None if mode == "standard" else alpha,
+            res.batch_losses,
+            res.model,
+        )
+    return fits
 
 
-def _select_alpha(results):
-    """results: list of (alpha, valid_wer, payload); ties prefer smaller alpha."""
-    best = min(results, key=lambda r: (r[1], r[0]))
-    return best
+def _summary(fits, modes, include_traces):
+    """A row's ``modes`` block from one ``_fit_modes`` result per seed."""
+    block = {}
+    for mode in modes:
+        per_seed = [fit[mode].wer for fit in fits]
+        block[mode] = {
+            "wer": _mean(per_seed),
+            "per_seed": per_seed,
+            "chosen_alpha": [fit[mode].alpha for fit in fits],
+        }
+        if include_traces:
+            block[mode]["loss_trace_per_seed"] = [fit[mode].losses for fit in fits]
+    return block
 
 
 def run_corruption_experiment(
@@ -170,6 +199,8 @@ def run_corruption_experiment(
     bad = [m for m in modes if m not in MODES]
     if bad:
         raise DataError(f"unknown modes {bad}")
+    if not alpha_grid:
+        raise DataError("alpha_grid must be nonempty")
     train, valid, test, pretrain = (
         splits["train"],
         splits["valid"],
@@ -177,27 +208,23 @@ def run_corruption_experiment(
         splits["pretrain"],
     )
     vocab = Vocabulary(dataset_vocab_size(meta))
-    prototypes = np.asarray(meta["prototypes"], dtype=np.float64)
     dims = (train[0].features.shape[1], vocab.size)
+    max_sym = train_cfg.max_symbols_per_frame
 
-    teacher_cfg = teacher_cfg or train_cfg
-    teacher = _train_once(
-        pretrain, dims, replace(teacher_cfg, mode="standard"), root_seed, ("teacher",)
-    ).model
+    teacher_cfg = replace(teacher_cfg or train_cfg, mode="standard")
+    teacher = _train_runs(pretrain, dims, [teacher_cfg], root_seed, ("teacher",))[0].model
 
     clean_wers = []
     for seed in seeds:
-        res = _train_once(
-            train, dims, replace(train_cfg, mode="standard"), root_seed,
-            ("clean", seed),
+        (res,) = _train_runs(
+            train, dims, [replace(train_cfg, mode="standard")], root_seed, ("clean", seed)
         )
-        clean_wers.append(evaluate_wer(res.model, test, train_cfg.max_symbols_per_frame))
+        clean_wers.append(evaluate_wer(res.model, test, max_sym))
     clean_wer = _mean(clean_wers)
 
     rows = []
     for level in levels:
-        per_mode = {m: {"per_seed": [], "chosen_alpha": []} for m in modes}
-        traces = {m: [] for m in modes}
+        fits = []
         for seed in seeds:
             cor_cfg = CorruptionConfig(
                 error_rate=float(level),
@@ -206,56 +233,27 @@ def run_corruption_experiment(
                 ),
             )
             corrupted_tokens = corrupt_corpus(
-                [u.tokens for u in train], cor_cfg, vocab, prototypes=prototypes
+                [u.tokens for u in train], cor_cfg, vocab, prototypes=meta.get("prototypes")
             )
             corrupted = [
                 replace(u, tokens=t) for u, t in zip(train, corrupted_tokens)
             ]
             scored = score_confidences(teacher, corrupted)
             # One stream per (level, seed): every mode and exponent sees
-            # identical inits and batch orders, pairing the comparison, so
-            # all of them train in one lockstep call.
-            grids = [
-                (mode, [train_cfg.alpha] if mode == "standard" else [float(a) for a in alpha_grid])
-                for mode in modes
-            ]
-            trials = _train_trials(scored, dims, train_cfg, grids, root_seed, ("corr", level, seed))
-            for mode, alphas, runs in trials:
-                if mode == "standard":
-                    alpha, res = None, runs[0]
-                else:
-                    alpha, _, res = _select_alpha([
-                        (a, evaluate_wer(r.model, valid, train_cfg.max_symbols_per_frame), r)
-                        for a, r in zip(alphas, runs)
-                    ])
-                per_mode[mode]["per_seed"].append(
-                    evaluate_wer(res.model, test, train_cfg.max_symbols_per_frame)
-                )
-                per_mode[mode]["chosen_alpha"].append(alpha)
-                if include_traces:
-                    traces[mode].append(res.batch_losses)
-        row = {"level": float(level), "modes": {}}
-        for mode in modes:
-            row["modes"][mode] = {
-                "wer": _mean(per_mode[mode]["per_seed"]),
-                "per_seed": per_mode[mode]["per_seed"],
-                "chosen_alpha": per_mode[mode]["chosen_alpha"],
-            }
-            if include_traces:
-                row["modes"][mode]["loss_trace_per_seed"] = traces[mode]
+            # identical inits and batch orders.
+            fits.append(_fit_modes(
+                scored, ("corr", level, seed), modes, train_cfg, alpha_grid, dims, root_seed,
+                valid, test,
+            ))
+        row = {"level": float(level), "modes": _summary(fits, modes, include_traces)}
         if "standard" in modes:
             base = row["modes"]["standard"]["wer"]
             degraded = base - clean_wer
-            row["recovered"] = {}
-            for mode in modes:
-                if mode == "standard":
-                    continue
-                if degraded > 0:
-                    row["recovered"][mode] = (
-                        base - row["modes"][mode]["wer"]
-                    ) / degraded
-                else:
-                    row["recovered"][mode] = None  # baseline did not degrade
+            row["recovered"] = {  # None where the baseline did not degrade
+                mode: (base - row["modes"][mode]["wer"]) / degraded if degraded > 0 else None
+                for mode in modes
+                if mode != "standard"
+            }
         rows.append(row)
     return ExperimentReport(
         kind="corruption",
@@ -270,14 +268,6 @@ def run_corruption_experiment(
         rows=rows,
         clean_wer=clean_wer,
     )
-
-
-def _decode_pool(model, utts, max_symbols):
-    out = []
-    for u in utts:
-        hyp, _ = greedy_decode(model, u.features, max_symbols)
-        out.append(replace(u, tokens=hyp, confidences=None, lam=None))
-    return out
 
 
 def run_pseudo_labeling(
@@ -309,16 +299,15 @@ def run_pseudo_labeling(
     max_sym = train_cfg.max_symbols_per_frame
     base_cfg = base_cfg or train_cfg
 
-    per_seed_rows = {seed: [] for seed in seeds}
+    fits = {rnd: [] for rnd in range(1, cfg.rounds + 1)}  # one {mode: _Fit} per seed
     base_wers = []
     for seed in seeds:
-        base = _train_once(
-            labeled, dims, replace(base_cfg, mode="standard"), root_seed,
-            ("base", seed),
-        ).model
-        base_wers.append(evaluate_wer(base, test, max_sym))
-        teachers = {m: base for m in cfg.modes}
-        for rnd in range(1, cfg.rounds + 1):
+        (res,) = _train_runs(
+            labeled, dims, [replace(base_cfg, mode="standard")], root_seed, ("base", seed)
+        )
+        base_wers.append(evaluate_wer(res.model, test, max_sym))
+        teachers = {m: res.model for m in cfg.modes}
+        for rnd in fits:
             # Modes that share a teacher share its pool, decoded and scored
             # once.  In round 1 every mode's teacher is the base model.
             groups = []
@@ -329,58 +318,22 @@ def run_pseudo_labeling(
                         break
                 else:
                     groups.append((teachers[mode], [mode]))
-            round_row = {}
+            fit = {}
             for teacher, group in groups:
-                pseudo = _decode_pool(teacher, unlabeled, max_sym)
+                pseudo = decode_corpus(teacher, unlabeled, max_sym)
                 if all(p.tokens.size == 0 for p in pseudo):
                     raise DataError(
                         f"round {rnd} ({', '.join(group)}): teacher produced only "
                         f"empty hypotheses"
                     )
-                pseudo = score_confidences(teacher, pseudo)
-                grids = [
-                    (mode, [float(a) for a in cfg.alpha_grid] if mode != "standard" else [0.0])
-                    for mode in group
-                ]
-                # Identical streams across modes and exponents within a
-                # (round, seed): the recipes differ only in the objective,
-                # so a teacher's students train in one lockstep call.
-                trials = _train_trials(
-                    labeled, dims, train_cfg, grids, root_seed, ("gen", rnd, seed),
-                    pseudo=pseudo, ratio=cfg.labeled_to_pseudo_ratio,
-                )
-                for mode, alphas, runs in trials:
-                    alpha, _, res = _select_alpha([
-                        (a, evaluate_wer(r.model, valid, max_sym), r)
-                        for a, r in zip(alphas, runs)
-                    ])
-                    entry = {
-                        "wer": evaluate_wer(res.model, test, max_sym),
-                        "chosen_alpha": alpha if mode != "standard" else None,
-                    }
-                    if include_traces:
-                        entry["loss_trace"] = res.batch_losses
-                    round_row[mode] = entry
-                    teachers[mode] = res.model
-            per_seed_rows[seed].append(round_row)
+                fit.update(_fit_modes(
+                    labeled, ("gen", rnd, seed), group, train_cfg, cfg.alpha_grid, dims,
+                    root_seed, valid, test, pseudo=score_confidences(teacher, pseudo),
+                    mix_ratio=cfg.labeled_to_pseudo_ratio,
+                ))
+            teachers = {m: fit[m].model for m in cfg.modes}
+            fits[rnd].append(fit)
 
-    rows = []
-    for rnd in range(1, cfg.rounds + 1):
-        row = {"round": rnd, "modes": {}}
-        for mode in cfg.modes:
-            per_seed = [per_seed_rows[s][rnd - 1][mode]["wer"] for s in seeds]
-            row["modes"][mode] = {
-                "wer": _mean(per_seed),
-                "per_seed": per_seed,
-                "chosen_alpha": [
-                    per_seed_rows[s][rnd - 1][mode]["chosen_alpha"] for s in seeds
-                ],
-            }
-            if include_traces:
-                row["modes"][mode]["loss_trace_per_seed"] = [
-                    per_seed_rows[s][rnd - 1][mode]["loss_trace"] for s in seeds
-                ]
-        rows.append(row)
     return ExperimentReport(
         kind="pseudo_labeling",
         config={
@@ -393,7 +346,10 @@ def run_pseudo_labeling(
             "root_seed": root_seed,
         },
         seeds=tuple(seeds),
-        rows=rows,
+        rows=[
+            {"round": rnd, "modes": _summary(fits[rnd], cfg.modes, include_traces)}
+            for rnd in fits
+        ],
         clean_wer=_mean(base_wers),
     )
 

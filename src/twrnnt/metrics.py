@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import DataError
 
-__all__ = ["WerResult", "wer"]
+__all__ = ["WerResult", "wer", "corpus_wer"]
 
 
 @dataclass(frozen=True)
@@ -73,3 +73,17 @@ def wer(hyp, ref) -> WerResult:
     return WerResult(
         substitutions=subs, insertions=inss, deletions=dels, ref_length=n
     )
+
+
+def corpus_wer(hyps, refs) -> float:
+    """Corpus token error rate: edit distances summed over (hypothesis,
+    reference) pairs over the reference token count.  Every token of a
+    hypothesis against an empty reference counts as an insertion."""
+    dist = total = 0
+    for hyp, ref in zip(hyps, refs):
+        ref = np.asarray(ref)
+        dist += wer(hyp, ref).distance if ref.size else np.asarray(hyp).size
+        total += ref.size
+    if total == 0:
+        raise DataError("cannot evaluate WER on a corpus with no reference tokens")
+    return dist / total

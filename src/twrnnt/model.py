@@ -29,7 +29,6 @@ from .lattice import (
 __all__ = [
     "TransducerModel",
     "AdamConfig",
-    "AdamState",
     "param_layout",
     "param_count",
     "model_forward",
@@ -38,9 +37,7 @@ __all__ = [
     "BatchLayout",
     "forward_columns",
     "backward_columns",
-    "adam_init",
     "adam_update",
-    "adam_step",
     "greedy_decode",
     "save_checkpoint",
     "load_checkpoint",
@@ -461,19 +458,6 @@ class AdamConfig:
             raise DataError(f"learning rate must be positive, got {self.lr}")
 
 
-@dataclass(frozen=True)
-class AdamState:
-    model: TransducerModel
-    m: np.ndarray
-    v: np.ndarray
-    step: int
-
-
-def adam_init(model: TransducerModel) -> AdamState:
-    n = model.params.size
-    return AdamState(model=model, m=np.zeros(n), v=np.zeros(n), step=0)
-
-
 def adam_update(params, m, v, grad, step: int, hyper: AdamConfig) -> None:
     """Adam step ``step`` (1 for the first) on ``params`` and its moments
     ``m`` and ``v``, in place; any shape, elementwise.  A non-finite
@@ -486,19 +470,6 @@ def adam_update(params, m, v, grad, step: int, hyper: AdamConfig) -> None:
     m_hat = m / (1.0 - hyper.beta1**step)
     v_hat = v / (1.0 - hyper.beta2**step)
     params -= hyper.lr * m_hat / (np.sqrt(v_hat) + hyper.eps)
-
-
-def adam_step(state: AdamState, grad, hyper: AdamConfig) -> AdamState:
-    """Bias-corrected Adam update; deterministic, no in-place mutation:
-    ``adam_update`` on copies of the state.  Rejects non-finite gradients
-    before touching the state."""
-    params, m, v = state.model.params.copy(), state.m.copy(), state.v.copy()
-    t = state.step + 1
-    adam_update(params, m, v, grad, t, hyper)
-    model = TransducerModel(
-        state.model.dim_in, state.model.dim_hidden, state.model.vocab_size, params
-    )
-    return AdamState(model=model, m=m, v=v, step=t)
 
 
 def greedy_decode(
@@ -546,12 +517,7 @@ def greedy_decode(
     return np.asarray(out, dtype=np.int64), clean
 
 
-def save_checkpoint(
-    path,
-    model: TransducerModel,
-    optimizer: Optional[AdamState] = None,
-    meta: Optional[dict] = None,
-) -> None:
+def save_checkpoint(path, model: TransducerModel, meta: Optional[dict] = None) -> None:
     """Versioned JSON checkpoint; float64 values round-trip exactly."""
     obj = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
@@ -560,42 +526,33 @@ def save_checkpoint(
         "dim_hidden": model.dim_hidden,
         "vocab_size": model.vocab_size,
         "params": [float(x) for x in model.params],
-        "optimizer": None,
         "meta": meta or {},
     }
-    if optimizer is not None:
-        obj["optimizer"] = {
-            "step": optimizer.step,
-            "m": [float(x) for x in optimizer.m],
-            "v": [float(x) for x in optimizer.v],
-        }
     with open(path, "w") as fh:
         json.dump(obj, fh)
 
 
 def load_checkpoint(path):
-    """Returns (model, optimizer_state_or_None, meta)."""
+    """Returns (model, meta).  An ``optimizer`` block, which older
+    checkpoints carry, is ignored."""
     with open(path) as fh:
-        obj = json.load(fh)
-    if obj.get("kind") != "twrnnt-checkpoint":
+        try:
+            obj = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}: invalid JSON: {exc}") from None
+    if not isinstance(obj, dict) or obj.get("kind") != "twrnnt-checkpoint":
         raise DataError(f"{path} is not a model checkpoint")
     if obj.get("format_version") != CHECKPOINT_FORMAT_VERSION:
         raise DataError(
             f"unsupported checkpoint format_version {obj.get('format_version')!r}"
         )
-    model = TransducerModel(
-        dim_in=int(obj["dim_in"]),
-        dim_hidden=int(obj["dim_hidden"]),
-        vocab_size=int(obj["vocab_size"]),
-        params=np.asarray(obj["params"], dtype=np.float64),
-    )
-    opt = None
-    if obj.get("optimizer") is not None:
-        o = obj["optimizer"]
-        opt = AdamState(
-            model=model,
-            m=np.asarray(o["m"], dtype=np.float64),
-            v=np.asarray(o["v"], dtype=np.float64),
-            step=int(o["step"]),
+    try:
+        model = TransducerModel(
+            dim_in=int(obj["dim_in"]),
+            dim_hidden=int(obj["dim_hidden"]),
+            vocab_size=int(obj["vocab_size"]),
+            params=np.asarray(obj["params"], dtype=np.float64),
         )
-    return model, opt, obj.get("meta", {})
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: malformed checkpoint: {exc!r}") from None
+    return model, obj.get("meta", {})

@@ -26,7 +26,7 @@ from .conditionals import padded_profiles
 from .datagen import Utterance
 from .errors import DataError, NumericalError
 from .kernels import PaddedColumns
-from .metrics import wer
+from .metrics import corpus_wer
 from .model import (
     AdamConfig,
     BatchLayout,
@@ -45,6 +45,7 @@ __all__ = [
     "TrainResult",
     "train_runs",
     "train_model",
+    "decode_corpus",
     "evaluate_wer",
     "score_confidences",
     "batch_iterator",
@@ -162,11 +163,10 @@ class _Corpus:
                 w_fb[k] = w
             else:
                 total = int(U.sum())
-                if total == 0:
-                    raise DataError("empty confidence scope: zero tokens across utterances")
-                rows = idx.tolist()
-                norm = sum(self.powered_sums[k][i] for i in rows) / total
-                lam[k][slots] = np.concatenate([self.powered[k][i] for i in rows]) / norm
+                if total:  # a batch of empty transcripts has no token to weight
+                    rows = idx.tolist()
+                    norm = sum(self.powered_sums[k][i] for i in rows) / total
+                    lam[k][slots] = np.concatenate([self.powered[k][i] for i in rows]) / norm
                 w_fb[k] = cfg.final_blank_weight
         return layout, lam.reshape(K * B, slots.shape[1]), w_fb.reshape(-1)
 
@@ -347,18 +347,25 @@ def train_model(
     )[0]
 
 
+def decode_corpus(model: TransducerModel, utterances, max_symbols_per_frame=4) -> list:
+    """Greedy hypotheses: each utterance with its tokens replaced by the
+    model's greedy decode and its scores and weights dropped."""
+    return [
+        replace(
+            u,
+            tokens=greedy_decode(model, u.features, max_symbols_per_frame)[0],
+            confidences=None,
+            lam=None,
+        )
+        for u in utterances
+    ]
+
+
 def evaluate_wer(model: TransducerModel, utterances, max_symbols_per_frame=4) -> float:
     """Corpus token error rate of greedy decodes against references."""
-    dist = 0
-    total = 0
-    for u in utterances:
-        hyp, _ = greedy_decode(model, u.features, max_symbols_per_frame)
-        r = wer(hyp, u.tokens)
-        dist += r.distance
-        total += u.tokens.size
-    if total == 0:
-        raise DataError("cannot evaluate WER on a corpus with no reference tokens")
-    return dist / total
+    utterances = list(utterances)
+    hyps = decode_corpus(model, utterances, max_symbols_per_frame)
+    return corpus_wer([h.tokens for h in hyps], [u.tokens for u in utterances])
 
 
 def score_confidences(model: TransducerModel, utterances) -> list:

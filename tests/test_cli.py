@@ -14,6 +14,8 @@ from twrnnt.cli import main
 from twrnnt.datagen import read_dataset, write_dataset
 from twrnnt.experiments import report_from_json
 from twrnnt.lattice import PosteriorLattice
+from twrnnt.model import load_checkpoint
+from twrnnt.training import evaluate_wer
 
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "loss_check_t3u2.json"
 
@@ -144,6 +146,31 @@ class TestTrainDecodeScore:
         assert meta["provenance"]["command"] == "decode"
         assert len(hyps) == 12
 
+    def test_decode_wer_equals_evaluate_wer(self, workspace, tmp_path, capsys):
+        # Insertions against an empty reference count, as in evaluate_wer.
+        # The references' scores and weights do not carry over to the
+        # hypotheses.
+        meta, utts = read_dataset(workspace / "test.jsonl")
+        utts = [
+            replace(u, confidences=np.full(u.tokens.size, 0.5), lam=np.ones(u.tokens.size))
+            for u in utts
+        ]
+        utts[0] = replace(utts[0], tokens=np.zeros(0, np.int64), confidences=None, lam=None)
+        write_dataset(tmp_path / "data.jsonl", utts, meta)
+        code, out, _ = run(
+            capsys,
+            [
+                "decode", "--model", str(workspace / "model.json"),
+                "--data", str(tmp_path / "data.jsonl"), "--out", str(tmp_path / "hyps.jsonl"), *TINY,
+            ],
+        )
+        assert code == 0
+        _, hyps = read_dataset(tmp_path / "hyps.jsonl")
+        assert hyps[0].tokens.size > 0  # the empty reference really has insertions
+        assert all(h.confidences is None and h.lam is None for h in hyps)
+        model, _ = load_checkpoint(workspace / "model.json")
+        assert f"corpus WER vs references: {evaluate_wer(model, utts):.4f}" in out
+
     def test_score_confidence_attaches_scores_and_lambdas(self, workspace, capsys):
         code, _, _ = run(
             capsys,
@@ -182,6 +209,42 @@ class TestTrainDecodeScore:
         (line,) = err.strip().splitlines()
         obj = json.loads(line)
         assert obj["error"] == "data" and f"utterance {utts[-1].id}: " in obj["message"]
+
+
+def with_tokens(line, tokens):
+    return json.dumps(dict(json.loads(line), tokens=tokens))
+
+
+# Dataset files that must be refused as data errors, each an edit of a good
+# file's lines.  Tokens that are floats or overflow int64 must not be
+# truncated or raised as an OverflowError.
+BAD_DATASETS = {
+    "header_not_an_object": lambda lines: ["5"] + lines[1:],
+    "meta_not_an_object": lambda lines: ['{"_meta": [1]}'] + lines[1:],
+    "record_not_an_object": lambda lines: lines + ["[1, 2]"],
+    "token_beyond_int64": lambda lines: lines[:2] + [with_tokens(lines[2], [1, 2**70])] + lines[3:],
+    "non_integer_tokens": lambda lines: lines[:2] + [with_tokens(lines[2], [1.5, 2.7])] + lines[3:],
+}
+
+
+class TestBadDatasets:
+    @pytest.mark.parametrize("command", ["train", "decode", "score-confidence", "corrupt"])
+    @pytest.mark.parametrize("case", sorted(BAD_DATASETS))
+    def test_exits_3_with_one_json_line(self, workspace, tmp_path, capsys, command, case):
+        lines = (workspace / "test.jsonl").read_text().splitlines()
+        data = tmp_path / "bad.jsonl"
+        data.write_text("\n".join(BAD_DATASETS[case](lines)) + "\n")
+        model = ["--model", str(workspace / "model.json")]
+        argv = {
+            "train": ["train", "--epochs", "1"],
+            "decode": ["decode", *model],
+            "score-confidence": ["score-confidence", *model],
+            "corrupt": ["corrupt"],
+        }[command]
+        code, _, err = run(capsys, [*argv, "--data", str(data), "--out", str(tmp_path / "out"), *TINY])
+        assert code == 3 and "Traceback" not in err
+        (line,) = err.strip().splitlines()
+        assert json.loads(line)["error"] == "data"
 
 
 class TestCorrupt:
@@ -316,6 +379,24 @@ class TestExperimentsCli:
         code, out2, _ = run(capsys, ["report", str(tmp_path / "rep.json")])
         assert code == 0
         assert "Recovered" in out2
+
+    def test_run_corruption_without_prototypes(self, tmp_path, capsys):
+        # Substitutes are then uniform over the vocabulary, as in ``corrupt``.
+        assert main(["gen-data", "--out", str(tmp_path), *TINY]) == 0
+        for split in ("train", "valid", "test", "pretrain"):
+            meta, utts = read_dataset(tmp_path / f"{split}.jsonl")
+            del meta["prototypes"]
+            write_dataset(tmp_path / f"{split}.jsonl", utts, meta)
+        code, _, err = run(
+            capsys,
+            [
+                "run-corruption", "--data-dir", str(tmp_path), "--out", str(tmp_path / "rep.json"),
+                "--levels", "0.2", "--alpha-grid", "2", "--seeds", "0", "--epochs", "1",
+                "--base-epochs", "1", "--modes", "standard,token_weights", *TINY,
+            ],
+        )
+        assert code == 0, err
+        assert report_from_json((tmp_path / "rep.json").read_text()).rows
 
     def test_help_lists_every_config_flag(self, capsys):
         from twrnnt.config import SCHEMA

@@ -43,6 +43,15 @@ class TestCorruptTranscript:
         out = corrupt_transcript([0], cfg, Vocabulary(3), prototypes=protos)
         assert out.tolist() == [1]  # token 1 is nearest to token 0
 
+    @pytest.mark.parametrize(
+        "protos", [[["x"], [1.0], [2.0]], [[0.0], [1.0]], [[0.0], [np.nan], [1.0]], [0.0, 1.0, 2.0]],
+        ids=["not_numbers", "too_few_rows", "nan", "one_dimensional"],
+    )
+    def test_malformed_prototypes_rejected(self, protos):
+        cfg = CorruptionConfig(error_rate=1.0, rng_seed=3, error_types=("substitute",))
+        with pytest.raises(DataError, match="prototypes must be"):
+            corrupt_corpus([[0, 1]], cfg, Vocabulary(3), prototypes=protos)
+
     def test_empty_transcript_rejected(self):
         with pytest.raises(DataError, match="empty"):
             corrupt_transcript([], CorruptionConfig(0.5), Vocabulary(2))

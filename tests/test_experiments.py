@@ -88,6 +88,13 @@ class TestCorruptionExperiment:
                 train_cfg=FAST, seeds=(0,),
             )
 
+    def test_empty_alpha_grid_rejected(self, tiny_data):
+        meta, splits = tiny_data
+        with pytest.raises(DataError, match="alpha_grid"):
+            run_corruption_experiment(
+                splits, meta, levels=[0.2], modes=MODES3, train_cfg=FAST, alpha_grid=(), seeds=(0,),
+            )
+
     def test_table_renders(self, tiny_data):
         meta, splits = tiny_data
         rep = run_corruption_experiment(
@@ -151,6 +158,42 @@ class TestPseudoLabeling:
                 [], splits["pretrain"], splits["valid"], splits["test"],
                 meta, GenerationConfig(rounds=1), FAST,
             )
+
+
+class TestValidationDecodes:
+    """Validation WER is decoded only to choose alpha: once per trial of a
+    weighted mode whose grid has more than one exponent, never for the
+    standard run."""
+
+    @pytest.mark.parametrize("grid, per_round", [((2.0, 6.0), 4), ((2.0,), 0)])
+    @pytest.mark.parametrize("engine", ["corruption", "pseudo_labeling"])
+    def test_decodes_per_round(self, tiny_data, monkeypatch, engine, grid, per_round):
+        meta, splits = tiny_data
+        valid = splits["valid"]
+        calls = []
+        evaluate = experiments_mod.evaluate_wer
+        monkeypatch.setattr(
+            experiments_mod, "evaluate_wer",
+            lambda model, utts, *args: calls.append(utts is valid) or evaluate(model, utts, *args),
+        )
+        if engine == "corruption":
+            rounds = 1
+            rep = run_corruption_experiment(
+                splits, meta, levels=[0.2], modes=MODES3, train_cfg=FAST, alpha_grid=grid,
+                seeds=(0,), root_seed=13,
+            )
+        else:
+            rounds = 2
+            rep = run_pseudo_labeling(
+                splits["train"], splits["pretrain"], valid, splits["test"], meta,
+                GenerationConfig(rounds=rounds, alpha_grid=grid, modes=MODES3),
+                replace(FAST, epochs=8), seeds=(0,), root_seed=13, base_cfg=TrainConfig(epochs=10),
+            )
+        assert sum(calls) == per_round * rounds
+        for row in rep.rows:
+            assert row["modes"]["standard"]["chosen_alpha"] == [None]
+            for mode in ("utterance_weights", "token_weights"):
+                assert row["modes"][mode]["chosen_alpha"][0] in grid
 
 
 class TestCleanTeacherControl:
@@ -227,10 +270,10 @@ class TestEnginesEqualSoloRuns:
         gen = GenerationConfig(rounds=2, alpha_grid=(2.0, 6.0), modes=MODES3)
         train_cfg, base_cfg, seed, root = replace(FAST, epochs=8), TrainConfig(epochs=10), 0, 12
         decodes = []
-        decode_pool = experiments_mod._decode_pool
+        decode_corpus = experiments_mod.decode_corpus
         monkeypatch.setattr(
-            experiments_mod, "_decode_pool",
-            lambda model, *args: decodes.append(model) or decode_pool(model, *args),
+            experiments_mod, "decode_corpus",
+            lambda model, *args: decodes.append(model) or decode_corpus(model, *args),
         )
         labeled, unlabeled, valid, test = (
             splits["train"], splits["pretrain"], splits["valid"], splits["test"]

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from conftest import PROPERTY
 from references import wer_counts
 from twrnnt.errors import DataError
-from twrnnt.metrics import wer
+from twrnnt.metrics import corpus_wer, wer
 
 
 def reference_distance(a, b):
@@ -74,3 +74,16 @@ class TestWer:
         # Same (S, I, D) as the cell-by-cell loop, so the ties resolve alike.
         r = wer(hyp, ref)
         assert (r.substitutions, r.insertions, r.deletions) == wer_counts(hyp, ref)
+
+
+class TestCorpusWer:
+    def test_sums_distances_over_reference_tokens(self):
+        # One substitution in 3 tokens, 2 insertions against an empty
+        # reference, and an empty pair: 3 errors over 3 reference tokens.
+        hyps = [[0, 9, 2], [4, 5], []]
+        refs = [[0, 1, 2], [], []]
+        assert corpus_wer(hyps, refs) == 1.0
+
+    def test_no_reference_tokens_rejected(self):
+        with pytest.raises(DataError, match="no reference tokens"):
+            corpus_wer([[1]], [[]])

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -10,8 +12,7 @@ from twrnnt.model import (
     AdamConfig,
     BatchLayout,
     TransducerModel,
-    adam_init,
-    adam_step,
+    adam_update,
     backward_columns,
     forward_columns,
     greedy_decode,
@@ -210,52 +211,58 @@ class TestGroupedPasses:
         assert spans == [(0, 2001), (2001, 4171), (4171, 4195)]
 
 
+def adam_buffers(model):
+    """A copy of the model's parameters and zero moments, for ``adam_update``."""
+    return model.params.copy(), np.zeros(model.params.size), np.zeros(model.params.size)
+
+
 class TestOptimizers:
     def test_adam_first_step_is_signed_lr(self):
         m, rng = make_model(seed=9)
         g = rng.normal(size=m.params.size)
         g[np.abs(g) < 0.1] = 0.5  # keep |g| >> eps so the limit is clean
         cfg = AdamConfig(lr=1e-2)
-        state = adam_step(adam_init(m), g, cfg)
-        delta = state.model.params - m.params
-        np.testing.assert_allclose(delta, -cfg.lr * np.sign(g), atol=1e-6)
+        params, mom, vel = adam_buffers(m)
+        adam_update(params, mom, vel, g, 1, cfg)
+        np.testing.assert_allclose(params - m.params, -cfg.lr * np.sign(g), atol=1e-6)
 
-    def test_adam_step_leaves_its_input_untouched(self):
+    def test_adam_update_writes_only_its_buffers(self):
+        # Parameters and moments change in place; the gradient and the model
+        # the parameters were copied from do not.
         m, rng = make_model(seed=13)
         before = m.params.copy()
-        state = adam_step(adam_init(m), rng.normal(size=m.params.size), AdamConfig())
-        moments = state.m.copy(), state.v.copy(), state.model.params.copy()
-        after = adam_step(state, rng.normal(size=m.params.size), AdamConfig())
-        assert after.step == 2 and not np.array_equal(after.model.params, moments[2])
-        for kept, now in zip(moments, (state.m, state.v, state.model.params)):
-            np.testing.assert_array_equal(now, kept)
+        params, mom, vel = adam_buffers(m)
+        for step in (1, 2):
+            g = rng.normal(size=m.params.size)
+            kept = g.copy(), params.copy(), mom.copy(), vel.copy()
+            adam_update(params, mom, vel, g, step, AdamConfig())
+            np.testing.assert_array_equal(g, kept[0])
+            for now, was in zip((params, mom, vel), kept[1:]):
+                assert not np.array_equal(now, was)
         np.testing.assert_array_equal(m.params, before)
 
     def test_adam_nan_gradient_leaves_state_untouched(self):
         m, _ = make_model(seed=10)
-        state = adam_init(m)
+        params, mom, vel = adam_buffers(m)
         g = np.zeros(m.params.size)
         g[0] = np.nan
         with pytest.raises(NumericalError):
-            adam_step(state, g, AdamConfig())
-        assert state.step == 0
-        np.testing.assert_array_equal(state.model.params, m.params)
+            adam_update(params, mom, vel, g, 1, AdamConfig())
+        np.testing.assert_array_equal(params, m.params)
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf])
     def test_infinite_gradient_raises_without_update(self, bad):
         # An infinite entry would make the parameters NaN; the step refuses
         # it as a numerical fault before the parameters are touched.
         m, _ = make_model(seed=10)
-        before = m.params.copy()
-        state = adam_init(m)
+        params, mom, vel = adam_buffers(m)
         g = np.zeros(m.params.size)
         g[3] = bad
         with pytest.raises(NumericalError, match="non-finite gradient"):
-            adam_step(state, g, AdamConfig())
-        assert state.step == 0
-        np.testing.assert_array_equal(state.m, 0.0)
-        np.testing.assert_array_equal(state.v, 0.0)
-        np.testing.assert_array_equal(m.params, before)
+            adam_update(params, mom, vel, g, 1, AdamConfig())
+        np.testing.assert_array_equal(mom, 0.0)
+        np.testing.assert_array_equal(vel, 0.0)
+        np.testing.assert_array_equal(params, m.params)
 
 
 class TestGreedyDecode:
@@ -297,20 +304,31 @@ class TestGreedyDecode:
 
 class TestCheckpoints:
     def test_round_trip_exact(self, tmp_path):
-        m, rng = make_model(seed=12)
-        state = adam_init(m)
-        g = rng.normal(size=m.params.size)
-        state = adam_step(state, g, AdamConfig())
+        m, _ = make_model(seed=12)
         path = tmp_path / "ckpt.json"
-        save_checkpoint(path, state.model, optimizer=state, meta={"note": "t"})
-        m2, opt2, meta = load_checkpoint(path)
-        np.testing.assert_array_equal(m2.params, state.model.params)
-        np.testing.assert_array_equal(opt2.m, state.m)
-        np.testing.assert_array_equal(opt2.v, state.v)
-        assert opt2.step == 1 and meta == {"note": "t"}
+        save_checkpoint(path, m, meta={"note": "t"})
+        m2, meta = load_checkpoint(path)
+        np.testing.assert_array_equal(m2.params, m.params)
+        assert meta == {"note": "t"}
+        # Older checkpoints carry an optimizer block; it is ignored.
+        obj = json.loads(path.read_text())
+        obj["optimizer"] = {"step": 1, "m": [0.0] * m.params.size, "v": [0.0] * m.params.size}
+        path.write_text(json.dumps(obj))
+        m3, meta = load_checkpoint(path)
+        np.testing.assert_array_equal(m3.params, m.params)
+        assert meta == {"note": "t"}
 
     def test_rejects_foreign_files(self, tmp_path):
         path = tmp_path / "junk.json"
         path.write_text('{"kind": "other"}')
         with pytest.raises(DataError, match="not a model checkpoint"):
             load_checkpoint(path)
+        # Files that used to escape as JSONDecodeError, AttributeError or KeyError.
+        for text, message in [
+            ("{not json", "invalid JSON"),
+            ("[1, 2]", "not a model checkpoint"),
+            ('{"kind": "twrnnt-checkpoint", "format_version": 1}', "malformed checkpoint"),
+        ]:
+            path.write_text(text)
+            with pytest.raises(DataError, match=message):
+                load_checkpoint(path)

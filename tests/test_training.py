@@ -12,8 +12,7 @@ from twrnnt.model import (
     AdamConfig,
     BatchLayout,
     TransducerModel,
-    adam_init,
-    adam_step,
+    adam_update,
     backward_columns,
     forward_columns,
     model_backward,
@@ -74,6 +73,8 @@ def reference_batch_weights(batch, cfg):
         wcfg = WeightConfig(
             alpha=cfg.alpha, final_blank_weight=cfg.final_blank_weight, normalization="per_batch"
         )
+        if not any(c.size for c in confidences):  # compute_weights refuses a scope of no tokens
+            return [TokenWeights(np.zeros(0), np.zeros(0), wcfg) for _ in batch]
         return compute_weights(confidences, wcfg)
     means = np.array([float(np.mean(c)) if c.size else 1.0 for c in confidences])
     powered = means**cfg.alpha
@@ -111,11 +112,12 @@ def reference_batches(labeled, pseudo, cfg, rng, ratio=(1, 9)):
 
 def reference_train(labeled, pseudo, cfg, init, order_rng):
     """Training one batch at a time: a layout of the batch's own utterances,
-    weights from ``reference_batch_weights``, and the public ``adam_step``."""
-    state = adam_init(init)
+    weights from ``reference_batch_weights``, and ``adam_update`` on the
+    loop's own copy of the parameters."""
+    params, m, v = init.params.copy(), np.zeros_like(init.params), np.zeros_like(init.params)
+    model = TransducerModel(init.dim_in, init.dim_hidden, init.vocab_size, params)
     losses = []
-    for batch in reference_batches(labeled, pseudo, cfg, order_rng):
-        model = state.model
+    for step, batch in enumerate(reference_batches(labeled, pseudo, cfg, order_rng), start=1):
         layout = BatchLayout(model, [u.features for u in batch], [u.tokens for u in batch])
         lam, w_fb = _padded_weights(reference_batch_weights(batch, cfg), layout.U)
         losses_u, g_blank, g_emit = padded_loss_and_grad(forward_columns(model, layout), lam, w_fb)
@@ -125,9 +127,9 @@ def reference_train(labeled, pseudo, cfg, init, order_rng):
         tokens = max(1, sum(u.tokens.size for u in batch))
         grad = backward_columns(model, layout, g_blank, g_emit)
         grad /= tokens
-        state = adam_step(state, grad, AdamConfig(lr=cfg.lr))
+        adam_update(params, m, v, grad, step, AdamConfig(lr=cfg.lr))
         losses.append(loss / tokens)
-    return state.model, losses
+    return model, losses
 
 
 class TestTrainingLoop:
@@ -503,8 +505,12 @@ class TestLockstep:
         # slots at all.
         utts = TestRunSetup.scored(small_data["train"][:3], 66)
         utts[1] = replace(utts[1], tokens=np.zeros(0, np.int64), confidences=np.zeros(0))
-        base = TrainConfig(epochs=1, batch_size=1)
-        cfgs = [base, replace(base, mode="utterance_weights", alpha=2.0)]
+        base = TrainConfig(epochs=1, batch_size=1, final_blank_weight=0.5)
+        cfgs = [
+            base,
+            replace(base, mode="utterance_weights", alpha=2.0),
+            replace(base, mode="token_weights", alpha=2.0),
+        ]
         init = TransducerModel.random(8, 32, 16, np.random.default_rng(67))
         results = train_runs(utts, 8, 16, cfgs, stream(66, "init"), stream(66, "order"), init_model=init)
         for run, res in zip(cfgs, results):
