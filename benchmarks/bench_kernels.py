@@ -10,7 +10,7 @@ lattice.  Next, the model layer: the grouped forward and backward
 (``forward_columns``, ``backward_columns``) against ``model_forward`` and
 ``model_backward`` one utterance at a time, in microseconds per utterance,
 on a desk batch (T ~ 11, U ~ 6) and a long batch (T ~ 75, U ~ 25) of 8.
-Last, the per-step parts of a training run, before and after the run's
+Next, the per-step parts of a training run, before and after the run's
 fixed facts are computed once, on a desk batch in microseconds per call: a
 batch's layout from a packed corpus (``BatchLayout.of``) against packing
 the batch itself (``BatchLayout(model, feats, toks)``), and ``metrics.wer``
@@ -18,6 +18,10 @@ against the double loop kept in ``tests/references.py``.  Then the lockstep line
 five runs of one criterion 8 stream (standard, and utterance and token
 weighting at alpha 2 and 6) on 64 desk utterances, as five ``train_model``
 calls against one ``train_runs`` call, in microseconds per step of all five.
+Last, greedy decoding: ``greedy_decode`` against the frame-by-frame loop kept
+in ``tests/references.py``, in microseconds per utterance, on desk
+utterances and long ones (T ~ 75) decoded by a trained teacher, and on the
+long ones decoded by a random model that emits at almost every step.
 
 Nothing is timed before it is verified.  On the B = 8 batch the batched
 tables and gradients must equal the per-cell loops exactly, the
@@ -28,13 +32,15 @@ passes must match the per-utterance ones to 1e-12 (columns absolutely,
 the parameter gradient relative to its largest entry).  Each per-step pair
 must give equal output: the same layout tables and the same WER counts on
 500 random pairs; the lockstep runs must give
-the solo runs' batch losses and parameters exactly.  Run from the repo root:
+the solo runs' batch losses and parameters exactly; and every decode must
+give the frame-by-frame loop's tokens and ``clean`` flag.  Run from the repo root:
 
     python3 benchmarks/bench_kernels.py [--frames 50 --labels 20 --vocab 32]
 """
 
 import argparse
 import sys
+import tempfile
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -43,7 +49,7 @@ import numpy as np
 
 from twrnnt import kernels
 from twrnnt.conditionals import next_token_distribution
-from twrnnt.datagen import Utterance
+from twrnnt.datagen import SyntheticSpec, Utterance, generate_synthetic_dataset, read_dataset
 from twrnnt.lattice import PosteriorLattice
 from twrnnt.metrics import wer
 from twrnnt.model import (
@@ -52,6 +58,7 @@ from twrnnt.model import (
     TransducerModel,
     backward_columns,
     forward_columns,
+    greedy_decode,
     model_backward,
     model_forward,
 )
@@ -61,6 +68,7 @@ from twrnnt.training import TrainConfig, train_model, train_runs
 from twrnnt.weighting import padded_loss_and_grad
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from references import greedy_decode as reference_decode  # noqa: E402
 from references import wer_counts  # noqa: E402
 
 TOL = 1e-9
@@ -307,6 +315,57 @@ def lockstep(repeats):
     return (steps, *np.median(times, axis=0))
 
 
+def _generate(spec, split, n):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = generate_synthetic_dataset(replace(spec, **{f"n_{split}": n}), tmp)[split]
+        return read_dataset(path)[1]
+
+
+def decode_cases():
+    """Three decode inputs, (name, model, features list): a teacher trained
+    with the criterion 8 teacher recipe on 60 desk utterances decodes
+    60 more and 10 long ones (T ~ 75) of the same token prototypes, and a
+    random model whose blank logit is lowered by 3 emits at almost every
+    (frame, symbol) step of 10 long feature sequences."""
+    D, H, V = MODEL_DIMS
+    desk = SyntheticSpec(
+        n_train=0, n_valid=0, n_test=0, n_pretrain=0, dim_features=D, vocab_size=V, seed=3
+    )
+    long = replace(desk, min_tokens=20, max_tokens=30, min_frames_per_token=2, max_frames_per_token=4)
+    pretrain = _generate(desk, "pretrain", 60)
+    cfg = TrainConfig(epochs=14, batch_size=BATCH, dim_hidden=H)
+    teacher = train_model(pretrain, D, V, cfg, stream(3, "init"), stream(3, "order")).model
+    long_feats = [u.features for u in _generate(long, "test", 10)]
+    saturated = TransducerModel.random(D, H, V, np.random.default_rng(4))
+    saturated.slice("join_b")[V] -= 3.0
+    return [
+        ("desk utterances", teacher, [u.features for u in _generate(desk, "test", 60)]),
+        ("long T~75", teacher, long_feats),
+        ("saturated T~75", saturated, long_feats),
+    ]
+
+
+def decode_times(cases, repeats):
+    """Verify, then time, greedy decoding against the frame-by-frame loop:
+    (name, tokens per utterance, seconds per utterance before, after)."""
+    out = []
+    for name, net, feats in cases:
+        n_tokens = 0
+        for f in feats:
+            got, want = greedy_decode(net, f), reference_decode(net, f)
+            if not (np.array_equal(got[0], want[0]) and got[1] == want[1]):
+                raise SystemExit(f"{name}: greedy_decode differs from the frame-by-frame loop")
+            n_tokens += got[0].size
+        # Alternate the two and take medians, as in the lockstep line.
+        times = np.array([
+            [time_call(lambda: [fn(net, f) for f in feats], 1) for fn in (reference_decode, greedy_decode)]
+            for _ in range(repeats)
+        ])
+        out.append((name, n_tokens / len(feats), *(np.median(times, axis=0) / len(feats))))
+    print("decode: greedy_decode equals the frame-by-frame loop on every case")
+    return out
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--frames", type=int, default=50)
@@ -376,6 +435,16 @@ def main():
         f"solo {solo / steps * 1e6:.0f}, lockstep {stacked / steps * 1e6:.0f}, "
         f"{solo / stacked:.2f}x"
     )
+
+    print()
+    repeats = max(5, args.repeats // 3)
+    rows = decode_times(decode_cases(), repeats)
+    print(f"\ngreedy decoding, median of {repeats} alternating repeats, microseconds per utterance\n")
+    header = f"{'case':<20}{'tokens':>8}{'frame loop':>12}{'run-ahead':>11}{'speedup':>10}"
+    print(header)
+    print("-" * len(header))
+    for name, tokens, before, after in rows:
+        print(f"{name:<20}{tokens:>8.1f}{before * 1e6:>12.0f}{after * 1e6:>11.0f}{before / after:>9.2f}x")
 
 
 if __name__ == "__main__":

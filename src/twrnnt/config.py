@@ -147,6 +147,11 @@ def _validate(cfg: dict) -> None:
             raise ConfigError(f"corruption level {level} outside [0, 1]")
     if not 0.0 <= cfg["error_rate"] <= 1.0:
         raise ConfigError(f"error_rate {cfg['error_rate']} outside [0, 1]")
+    for key in ("dim_hidden", "epochs", "base_epochs", "batch_size", "max_symbols_per_frame"):
+        if cfg[key] < 1:
+            raise ConfigError(f"config key {key!r} must be >= 1, got {cfg[key]}")
+    if not cfg["lr"] > 0.0:
+        raise ConfigError(f"config key 'lr' must be positive, got {cfg['lr']}")
 
 
 def config_hash(cfg: dict) -> str:

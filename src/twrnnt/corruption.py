@@ -100,7 +100,8 @@ def corrupt_transcript(
     rate: Optional[float] = None,
 ):
     """Corrupt one label sequence with the raw per-token mechanism; an empty
-    result is legal (all tokens omitted).
+    result is legal (all tokens omitted), and an empty sequence comes back
+    unchanged.
 
     Pass an explicit ``rng`` when corrupting a corpus so utterances draw
     from one stream; otherwise a fresh generator is seeded from the config.
@@ -115,9 +116,8 @@ def corrupt_transcript(
 
 def _corrupt(labels, cfg, vocab, dist, rng, q):
     """``corrupt_transcript`` of checked labels, given the prototype
-    distances ``dist`` (or None) and the per-token probability ``q``."""
-    if labels.size == 0:
-        raise DataError("cannot corrupt an empty transcript")
+    distances ``dist`` (or None) and the per-token probability ``q``.  An
+    empty transcript comes back unchanged and draws nothing from ``rng``."""
     out = []
     for token in labels:
         token = int(token)
@@ -180,6 +180,8 @@ def corrupt_corpus(utterance_tokens, cfg, vocab, prototypes=None, calibrate=True
     once for the whole call.
     """
     transcripts = [as_labels(t, vocab) for t in utterance_tokens]
+    if not any(t.size for t in transcripts):
+        raise DataError("cannot corrupt a corpus with no tokens")
     dist = _distances(prototypes, vocab)
     rate = _calibrated_rate(transcripts, cfg, vocab, dist) if calibrate else cfg.error_rate
     rng = np.random.default_rng(cfg.rng_seed)

@@ -480,9 +480,22 @@ def greedy_decode(
     At each frame, emit argmax tokens (advancing the predictor) until blank
     wins or ``max_symbols_per_frame`` symbols have been emitted, then move to
     the next frame.  Returns (tokens, clean) where ``clean`` is False when
-    any frame hit the emission cap.  Confidence scores for pseudo-labels are
-    NOT taken from this pass; score the hypothesis with
-    ``conditionals.conditional_profile`` afterwards.
+    any frame hit the emission cap.
+
+    The decode runs ahead.  The predictor state changes only when a label is
+    emitted, so once blank has won under a state (and at BOS), one joiner
+    pass scores every remaining frame under it, and the decode jumps to the
+    first frame where a label wins, or ends if none does.  A state set by an
+    emission is scored at its own frame only, since "emit again here?" is
+    the one question it must answer there; after a cap-forced advance, at
+    the next frame only.  On a trained model this makes about two small
+    passes per emitted token instead of one per (frame, symbol) step.  It
+    never makes more passes than such a loop makes steps: a model that emits
+    at every step scores one row per step, as the loop does, but one that
+    emits once per frame rescans the frames left after every blank.
+
+    Confidence scores for pseudo-labels are NOT taken from this pass; score
+    the hypothesis with ``training.score_confidences`` afterwards.
     """
     if max_symbols_per_frame < 1:
         raise DataError(
@@ -501,19 +514,30 @@ def greedy_decode(
     cur = pred_state(model.bos)
     out = []
     clean = True
-    for t in range(feats.shape[0]):
-        emitted = 0
-        while True:
-            logits = join_w @ np.tanh(enc[t] + cur) + join_b
-            k = int(np.argmax(logits))
+    t, T = 0, feats.shape[0]
+    emitted = 0  # labels emitted at frame t
+    ahead = True  # blank has won under ``cur`` (or it is BOS): scan frames t..T-1
+    while t < T:
+        if ahead:
+            ks = (np.tanh(enc[t:] + cur) @ join_w.T + join_b).argmax(axis=1).tolist()
+            for j, k in enumerate(ks):
+                if k != blank:
+                    break
+            else:
+                break
+            t += j
+        else:
+            k = int((join_w @ np.tanh(enc[t] + cur) + join_b).argmax())
             if k == blank:
-                break
-            out.append(k)
-            cur = pred_state(k)
-            emitted += 1
-            if emitted >= max_symbols_per_frame:
-                clean = False
-                break
+                t, emitted, ahead = t + 1, 0, True
+                continue
+        out.append(k)
+        cur = pred_state(k)
+        ahead = False
+        emitted += 1
+        if emitted >= max_symbols_per_frame:
+            clean = False
+            t, emitted = t + 1, 0
     return np.asarray(out, dtype=np.int64), clean
 
 

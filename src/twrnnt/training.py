@@ -76,8 +76,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise DataError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise DataError("epochs and batch_size must be >= 1")
+        if self.epochs < 1 or self.batch_size < 1 or self.dim_hidden < 1:
+            raise DataError("epochs, batch_size and dim_hidden must be >= 1")
         if self.alpha < 0:
             raise DataError(f"alpha must be >= 0, got {self.alpha}")
 

@@ -42,6 +42,38 @@ def wer_counts(hyp, ref):
     return subs, inss, dels
 
 
+def greedy_decode(model, features, max_symbols_per_frame=4):
+    """``model.greedy_decode`` as first written: one joiner row per (frame,
+    symbol) step, frame by frame."""
+    feats = np.asarray(features, dtype=np.float64)
+    enc = np.tanh(feats @ model.slice("enc_w").T + model.slice("enc_b"))
+    pred_w, pred_b = model.slice("pred_w"), model.slice("pred_b")
+    join_w, join_b = model.slice("join_w"), model.slice("join_b")
+    emb = model.slice("emb")
+    blank = model.vocab_size
+
+    def pred_state(token_id):
+        return np.tanh(pred_w @ emb[token_id] + pred_b)
+
+    cur = pred_state(model.bos)
+    out = []
+    clean = True
+    for t in range(feats.shape[0]):
+        emitted = 0
+        while True:
+            logits = join_w @ np.tanh(enc[t] + cur) + join_b
+            k = int(np.argmax(logits))
+            if k == blank:
+                break
+            out.append(k)
+            cur = pred_state(k)
+            emitted += 1
+            if emitted >= max_symbols_per_frame:
+                clean = False
+                break
+    return np.asarray(out, dtype=np.int64), clean
+
+
 def _nearest_tokens(prototypes):
     diff = prototypes[:, None, :] - prototypes[None, :, :]
     dist = np.sqrt(np.sum(diff * diff, axis=-1))
@@ -83,8 +115,8 @@ def corrupt_corpus(utterance_tokens, cfg, vocab, prototypes=None, calibrate=True
     distance matrix rebuilt for every substitution, and the calibration's
     error rate measured with ``wer_counts``."""
     transcripts = [as_labels(t, vocab) for t in utterance_tokens]
-    if any(t.size == 0 for t in transcripts):
-        raise DataError("cannot corrupt an empty transcript")
+    if not any(t.size for t in transcripts):
+        raise DataError("cannot corrupt a corpus with no tokens")
 
     def corrupt_all(rng, q):
         return [_corrupt_transcript(t, cfg, vocab, prototypes, rng, q) for t in transcripts]

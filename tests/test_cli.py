@@ -124,6 +124,27 @@ def workspace(tmp_path_factory):
     return tmp
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--dim-hidden", "0"), ("--dim-hidden", "-1"), ("--epochs", "0"), ("--base-epochs", "0"),
+        ("--batch-size", "0"), ("--max-symbols-per-frame", "0"), ("--lr", "0"), ("--lr", "-0.01"),
+    ],
+)
+def test_out_of_range_config_exits_2(workspace, tmp_path, capsys, flag, value):
+    code, _, err = run(
+        capsys,
+        [
+            "train", "--data", str(workspace / "train.jsonl"),
+            "--out", str(tmp_path / "m.json"), *TINY, flag, value,
+        ],
+    )
+    assert code == 2 and "Traceback" not in err
+    (line,) = err.strip().splitlines()
+    assert json.loads(line)["error"] == "config"
+    assert not (tmp_path / "m.json").exists()
+
+
 class TestTrainDecodeScore:
 
     def test_checkpoint_exists_with_provenance(self, workspace):
@@ -262,6 +283,35 @@ class TestCorrupt:
         dst = (tmp_path / "zero.jsonl").read_text().splitlines()
         assert src[0] != dst[0]  # provenance header differs
         assert src[1:] == dst[1:]  # data lines identical
+
+    def test_accepts_decode_output_with_empty_hypotheses(self, workspace, tmp_path, capsys):
+        # A decode of the first utterances by a blank-only model: every
+        # hypothesis but the last is empty.
+        meta, utts = read_dataset(workspace / "train.jsonl")
+        utts = [replace(u, tokens=u.tokens[:0]) for u in utts[:5]] + [utts[5]]
+        write_dataset(tmp_path / "hyp.jsonl", utts, meta)
+        code, out, err = run(
+            capsys,
+            [
+                "corrupt", "--data", str(tmp_path / "hyp.jsonl"),
+                "--out", str(tmp_path / "c.jsonl"), "--error-rate", "0.3", *TINY,
+            ],
+        )
+        assert code == 0, err
+        _, corrupted = read_dataset(tmp_path / "c.jsonl")
+        assert [u.tokens.size for u in corrupted[:5]] == [0] * 5
+        assert corrupted[5].tokens.size > 0
+
+    def test_no_tokens_at_all_exits_3(self, workspace, tmp_path, capsys):
+        meta, utts = read_dataset(workspace / "train.jsonl")
+        write_dataset(tmp_path / "empty.jsonl", [replace(u, tokens=u.tokens[:0]) for u in utts[:4]], meta)
+        code, _, err = run(
+            capsys,
+            ["corrupt", "--data", str(tmp_path / "empty.jsonl"), "--out", str(tmp_path / "c.jsonl"), *TINY],
+        )
+        assert code == 3 and "Traceback" not in err
+        (line,) = err.strip().splitlines()
+        assert json.loads(line)["error"] == "data" and "no tokens" in line
 
     def test_nonzero_rate_reports_measured_wer(self, tmp_path, capsys):
         assert main(["gen-data", "--out", str(tmp_path), *TINY]) == 0

@@ -52,9 +52,9 @@ class TestCorruptTranscript:
         with pytest.raises(DataError, match="prototypes must be"):
             corrupt_corpus([[0, 1]], cfg, Vocabulary(3), prototypes=protos)
 
-    def test_empty_transcript_rejected(self):
-        with pytest.raises(DataError, match="empty"):
-            corrupt_transcript([], CorruptionConfig(0.5), Vocabulary(2))
+    def test_empty_transcript_unchanged(self):
+        out = corrupt_transcript([], CorruptionConfig(1.0), Vocabulary(2))
+        assert out.dtype == np.int64 and out.size == 0
 
     def test_bad_config_rejected(self):
         with pytest.raises(DataError):
@@ -105,6 +105,22 @@ class TestCorpusCalibration:
         b = corrupt_corpus(refs, cfg, Vocabulary(16))
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
+    def test_empty_transcripts_pass_through_and_draw_nothing(self):
+        refs = self.make_corpus(n=40)
+        cfg = CorruptionConfig(error_rate=0.3, rng_seed=5)
+        want = corrupt_corpus(refs, cfg, Vocabulary(16))
+        holes = [[]] + refs[:20] + [[], []] + refs[20:] + [[]]
+        got = corrupt_corpus(holes, cfg, Vocabulary(16))
+        assert [t.tolist() for t in got] == [[]] + [t.tolist() for t in want[:20]] + [
+            [], []
+        ] + [t.tolist() for t in want[20:]] + [[]]
+
+    @pytest.mark.parametrize("corpus", [[], [[]], [[], []]], ids=["no_transcripts", "one_empty", "two_empty"])
+    @pytest.mark.parametrize("calibrate", [True, False])
+    def test_corpus_without_tokens_rejected(self, corpus, calibrate):
+        with pytest.raises(DataError, match="no tokens"):
+            corrupt_corpus(corpus, CorruptionConfig(0.3), Vocabulary(4), calibrate=calibrate)
+
     def test_zero_level_identity(self):
         refs = self.make_corpus(n=50)
         out = corrupt_corpus(refs, CorruptionConfig(0.0, rng_seed=1), Vocabulary(16))
@@ -118,8 +134,8 @@ class TestDistancesOncePerCall:
     @PROPERTY
     @given(
         transcripts=st.lists(
-            st.lists(st.integers(0, 5), min_size=1, max_size=8), min_size=1, max_size=12
-        ),
+            st.lists(st.integers(0, 5), min_size=0, max_size=8), min_size=1, max_size=12
+        ).filter(lambda ts: any(ts)),
         level=st.sampled_from([0.0, 0.2, 0.5, 1.0]),
         seed=st.integers(0, 2**31 - 1),
         with_prototypes=st.booleans(),

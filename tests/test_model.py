@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import references
 from conftest import PROPERTY
 from twrnnt.errors import DataError, NumericalError
 from twrnnt.kernels import PaddedColumns, dense_grad
@@ -293,6 +294,63 @@ class TestGreedyDecode:
         m.slice("join_b")[0] = 5.0  # token 0 always wins: decoder would loop
         hyp, clean = greedy_decode(m, np.zeros((2, 1)), max_symbols_per_frame=4)
         assert hyp.size == 8 and not clean
+
+    @staticmethod
+    def keyed_model():
+        """Token 0 wins at frames whose feature is 1 and blank wins at frames
+        whose feature is 0, under the BOS state and under token 0's state,
+        which is the BOS state again: at a feature-1 frame the decode emits
+        token 0 until the cap."""
+        m = TransducerModel.zeros(1, 2, 1)
+        m.slice("enc_w")[0, 0] = 3.0
+        m.slice("pred_w")[...] = np.eye(2)
+        m.slice("join_w")[0] = [10.0, 0.0]
+        m.slice("join_b")[1] = 1.0  # blank
+        return m
+
+    def decode_both(self, m, feats, cap):
+        got = greedy_decode(m, feats, cap)
+        want = references.greedy_decode(m, feats, cap)
+        assert got[0].tolist() == want[0].tolist() and got[1] == want[1]
+        return got[0].tolist(), got[1]
+
+    def test_label_first_wins_late_after_blanks(self):
+        # Token 0's state now raises blank at every frame, so the decode
+        # emits once, at the first feature-1 frame, after five blank frames.
+        m = self.keyed_model()
+        m.slice("emb")[0] = [0.0, 2.0]
+        m.slice("join_w")[1] = [0.0, 10.0]
+        feats = np.array([[0.0], [0.0], [0.0], [0.0], [0.0], [1.0], [0.0], [1.0]])
+        assert self.decode_both(m, feats, 4) == ([0], True)
+
+    def test_cap_hit_on_the_last_frame(self):
+        feats = np.array([[0.0], [0.0], [0.0], [1.0]])
+        assert self.decode_both(self.keyed_model(), feats, 3) == ([0, 0, 0], False)
+
+    @pytest.mark.parametrize("feature, expected", [(1.0, ([0], False)), (0.0, ([], True))])
+    def test_one_frame_cap_one(self, feature, expected):
+        assert self.decode_both(self.keyed_model(), np.array([[feature]]), 1) == expected
+
+    @settings(PROPERTY, max_examples=150)
+    @given(
+        dims=st.tuples(st.integers(1, 4), st.integers(1, 8), st.integers(1, 6)),
+        T=st.integers(1, 80),
+        cap=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([0.3, 1.0, 3.0]),
+        kind=st.sampled_from(["random", "blank_dominant", "label_biased"]),
+    )
+    def test_equals_frame_by_frame_reference(self, dims, T, cap, seed, scale, kind):
+        D, H, V = dims
+        rng = np.random.default_rng(seed)
+        m = TransducerModel.random(D, H, V, rng, scale=scale)
+        # A blank bias of +3 makes most frames blank; one of -1e3 makes a
+        # label win every step, so every frame hits the cap.
+        m.slice("join_b")[V] += {"random": 0.0, "blank_dominant": 3.0, "label_biased": -1e3}[kind]
+        feats = rng.normal(size=(T, D))
+        tokens, clean = self.decode_both(m, feats, cap)
+        if kind == "label_biased":
+            assert len(tokens) == T * cap and not clean
 
     def test_seeded_decode_is_stable(self):
         m, rng = make_model(seed=11, D=2, H=4, V=3, scale=1.0)

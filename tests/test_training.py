@@ -143,6 +143,13 @@ class TestTrainingLoop:
             )
             assert res.epoch_losses[-1] < 0.5 * res.epoch_losses[0]
 
+    @pytest.mark.parametrize(
+        "field, value", [("epochs", 0), ("batch_size", 0), ("dim_hidden", 0), ("dim_hidden", -1)]
+    )
+    def test_config_rejects_sizes_below_one(self, field, value):
+        with pytest.raises(DataError, match=field):
+            TrainConfig(**{field: value})
+
     def test_deterministic_given_streams(self, small_data):
         cfg = TrainConfig(epochs=2, batch_size=8)
         runs = [
