@@ -4,7 +4,7 @@
 The batched emission sweep and weighted gradient run over padded batches
 of B = 1 and B = 8 lattices of mixed size (at most --frames x --labels),
 and are timed in microseconds per utterance next to the per-cell loops in
-``oracle`` that they replace.  The single-lattice calls, the backward fill
+``tests/references.py`` that they replace.  The single-lattice calls, the backward fill
 and the next-token distribution, are timed in milliseconds on the largest
 lattice.  Next, the model layer: the grouped forward and backward
 (``forward_columns``, ``backward_columns``) against ``model_forward`` and
@@ -18,7 +18,11 @@ against the double loop kept in ``tests/references.py``.  Then the lockstep line
 five runs of one criterion 8 stream (standard, and utterance and token
 weighting at alpha 2 and 6) on 64 desk utterances, as five ``train_model``
 calls against one ``train_runs`` call, in microseconds per step of all five.
-Last, greedy decoding: ``greedy_decode`` against the frame-by-frame loop kept
+Then the kept-activations line: one stacked training step on a desk batch,
+at K = 1 and K = 5 of those runs, with each run's backward reading the
+joiner activations and softmax its forward kept (``model.StepActivations``)
+against one that runs the network again, in microseconds and minor page
+faults per step.  Last, greedy decoding: ``greedy_decode`` against the frame-by-frame loop kept
 in ``tests/references.py``, in microseconds per utterance, on desk
 utterances and long ones (T ~ 75) decoded by a trained teacher, and on the
 long ones decoded by a random model that emits at almost every step.
@@ -32,13 +36,16 @@ passes must match the per-utterance ones to 1e-12 (columns absolutely,
 the parameter gradient relative to its largest entry).  Each per-step pair
 must give equal output: the same layout tables and the same WER counts on
 500 random pairs; the lockstep runs must give
-the solo runs' batch losses and parameters exactly; and every decode must
+the solo runs' batch losses and parameters exactly; a step that keeps its
+activations must give the losses and gradients of one that recomputes
+them exactly; and every decode must
 give the frame-by-frame loop's tokens and ``clean`` flag.  Run from the repo root:
 
     python3 benchmarks/bench_kernels.py [--frames 50 --labels 20 --vocab 32]
 """
 
 import argparse
+import resource
 import sys
 import tempfile
 import time
@@ -55,6 +62,7 @@ from twrnnt.metrics import wer
 from twrnnt.model import (
     BatchLayout,
     PackedUtterances,
+    StepActivations,
     TransducerModel,
     backward_columns,
     forward_columns,
@@ -62,12 +70,13 @@ from twrnnt.model import (
     model_backward,
     model_forward,
 )
-from twrnnt.oracle import emission_sweep_scalar, loglik_grad, weighted_grad_scalar
+from twrnnt.oracle import loglik_grad
 from twrnnt.seeds import stream
-from twrnnt.training import TrainConfig, train_model, train_runs
+from twrnnt.training import TrainConfig, _batch_loss_and_grad, _Corpus, train_model, train_runs
 from twrnnt.weighting import padded_loss_and_grad
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from references import emission_sweep_scalar, weighted_grad_scalar  # noqa: E402
 from references import greedy_decode as reference_decode  # noqa: E402
 from references import wer_counts  # noqa: E402
 
@@ -278,9 +287,9 @@ def step_parts(repeats):
     ]
 
 
-def lockstep(repeats):
-    """Verify, then time, the five runs of one criterion 8 stream: (steps
-    per run, median seconds solo, median seconds lockstep)."""
+def criterion_8_runs():
+    """64 scored desk utterances and the configs of the five runs of one
+    criterion 8 stream."""
     T, U = MODEL_BATCHES["desk T~11 U~6"]
     rng = np.random.default_rng(9)
     utts = []
@@ -290,13 +299,20 @@ def lockstep(repeats):
             Utterance(f"u{len(utts) + i}", f, y, confidences=rng.uniform(0.05, 1.0, size=y.size))
             for i, (f, y) in enumerate(zip(feats, tokens))
         ]
-    D, H, V = MODEL_DIMS
-    base = TrainConfig(epochs=2, batch_size=BATCH, dim_hidden=H)
+    base = TrainConfig(epochs=2, batch_size=BATCH, dim_hidden=MODEL_DIMS[1])
     cfgs = [base] + [
         replace(base, mode=mode, alpha=alpha)
         for mode in ("utterance_weights", "token_weights")
         for alpha in (2.0, 6.0)
     ]
+    return utts, cfgs
+
+
+def lockstep(repeats):
+    """Verify, then time, the five runs of one criterion 8 stream: (steps
+    per run, median seconds solo, median seconds lockstep)."""
+    utts, cfgs = criterion_8_runs()
+    D, _, V = MODEL_DIMS
 
     def solo():
         return [train_model(utts, D, V, c, stream(0, "init"), stream(0, "order")) for c in cfgs]
@@ -313,6 +329,43 @@ def lockstep(repeats):
     # long enough for a shared host's load to shift between calls.
     times = np.array([[time_call(fn, 1) for fn in (solo, stacked)] for _ in range(repeats)])
     return (steps, *np.median(times, axis=0))
+
+
+def kept_steps(repeats):
+    """Verify, then time, stacked desk training steps whose backward reads
+    the forward's kept activations, against steps that run the network
+    again: per K in (1, 5), (K, median seconds and minor page faults per
+    step recomputed, the same kept)."""
+    utts, cfgs = criterion_8_runs()
+    D, H, V = MODEL_DIMS
+    init = TransducerModel.random(D, H, V, stream(0, "init"))
+    rng = np.random.default_rng(10)
+    batches = [rng.permutation(len(utts))[:BATCH] for _ in range(50)]
+    out = []
+    for K in (1, 5):
+        models = [TransducerModel(D, H, V, init.params.copy()) for _ in range(K)]
+        corpus = _Corpus(models[0], utts, cfgs[:K])
+        kept = [StepActivations(model) for model in models]
+        grad, want = np.empty((K, init.params.size)), np.empty((K, init.params.size))
+        for idx in batches:
+            losses = _batch_loss_and_grad(models, corpus, idx, grad, kept)
+            if losses != _batch_loss_and_grad(models, corpus, idx, want) or not np.array_equal(grad, want):
+                raise SystemExit(f"K={K}: a step with kept activations differs from one without")
+
+        def steps(keep):
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            t0 = time.perf_counter()
+            for idx in batches:
+                _batch_loss_and_grad(models, corpus, idx, grad, keep)
+            seconds = time.perf_counter() - t0
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+            return seconds / len(batches), faults / len(batches)
+
+        # Alternate the two and take medians, as in the lockstep line.
+        runs = np.array([[steps(keep) for keep in (None, kept)] for _ in range(repeats)])
+        out.append((K, *np.median(runs, axis=0)))
+    print("kept activations: every step equals its recomputed step exactly, at K = 1 and K = 5")
+    return out
 
 
 def _generate(spec, split, n):
@@ -438,6 +491,20 @@ def main():
 
     print()
     repeats = max(5, args.repeats // 3)
+    rows = kept_steps(repeats)
+    print(
+        f"\ndesk training steps, median of {repeats} alternating repeats of 50 steps, per step\n"
+    )
+    header = f"{'runs':<8}{'recomputed us':>15}{'kept us':>10}{'speedup':>10}{'faults':>10}{'kept':>8}"
+    print(header)
+    print("-" * len(header))
+    for K, (before, faults_before), (after, faults_after) in rows:
+        print(
+            f"K={K:<6}{before * 1e6:>15.0f}{after * 1e6:>10.0f}{before / after:>9.2f}x"
+            f"{faults_before:>10.1f}{faults_after:>8.1f}"
+        )
+
+    print()
     rows = decode_times(decode_cases(), repeats)
     print(f"\ngreedy decoding, median of {repeats} alternating repeats, microseconds per utterance\n")
     header = f"{'case':<20}{'tokens':>8}{'frame loop':>12}{'run-ahead':>11}{'speedup':>10}"

@@ -346,6 +346,7 @@ def cmd_loss_check(args) -> int:
 
 
 def cmd_report(args) -> int:
+    _effective_config(args)  # reads no key, but its flags are checked like every command's
     path = _require_file(args.file, "report file")
     try:
         report = report_from_json(path.read_text())

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
 from .errors import ConfigError
@@ -144,14 +145,37 @@ def _validate(cfg: dict) -> None:
             raise ConfigError(f"unknown mode in modes: {m!r}")
     for level in cfg["levels"]:
         if not 0.0 <= level <= 1.0:
-            raise ConfigError(f"corruption level {level} outside [0, 1]")
+            raise ConfigError(f"config key 'levels': corruption level {level} outside [0, 1]")
     if not 0.0 <= cfg["error_rate"] <= 1.0:
         raise ConfigError(f"error_rate {cfg['error_rate']} outside [0, 1]")
-    for key in ("dim_hidden", "epochs", "base_epochs", "batch_size", "max_symbols_per_frame"):
+    for key in (
+        "dim_features", "dim_hidden", "vocab_size", "epochs", "base_epochs", "batch_size",
+        "max_symbols_per_frame", "rounds", "min_tokens", "min_frames_per_token",
+    ):
         if cfg[key] < 1:
             raise ConfigError(f"config key {key!r} must be >= 1, got {cfg[key]}")
-    if not cfg["lr"] > 0.0:
-        raise ConfigError(f"config key 'lr' must be positive, got {cfg['lr']}")
+    for key in ("seed", "n_train", "n_valid", "n_test", "n_pretrain", "ratio_labeled", "ratio_pseudo"):
+        if cfg[key] < 0:
+            raise ConfigError(f"config key {key!r} must be >= 0, got {cfg[key]}")
+    for seed in cfg["seeds"]:
+        if seed < 0:
+            raise ConfigError(f"seeds must be >= 0, got {seed}")
+    if cfg["ratio_labeled"] + cfg["ratio_pseudo"] == 0:
+        raise ConfigError("ratio_labeled and ratio_pseudo must not both be 0")
+    for lo, hi in (("min_tokens", "max_tokens"), ("min_frames_per_token", "max_frames_per_token")):
+        if cfg[hi] < cfg[lo]:
+            raise ConfigError(f"config key {hi!r} ({cfg[hi]}) is below {lo!r} ({cfg[lo]})")
+    # Negated comparisons, so that NaN fails them too.
+    for key in ("alpha", "final_blank_weight", "noise_level"):
+        if not 0.0 <= cfg[key] < math.inf:
+            raise ConfigError(f"config key {key!r} must be finite and >= 0, got {cfg[key]}")
+    for alpha in cfg["alpha_grid"]:
+        if not 0.0 <= alpha < math.inf:
+            raise ConfigError(f"alpha_grid entries must be finite and >= 0, got {alpha}")
+    if not 0.0 < cfg["lr"] < math.inf:
+        raise ConfigError(f"config key 'lr' must be positive and finite, got {cfg['lr']}")
+    if not math.isfinite(cfg["init_scale"]):
+        raise ConfigError(f"config key 'init_scale' must be finite, got {cfg['init_scale']}")
 
 
 def config_hash(cfg: dict) -> str:

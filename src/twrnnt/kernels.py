@@ -27,8 +27,9 @@ TensorFlow"): every cell on a diagonal depends only on the previous one,
 so each step is a few NumPy operations over all B utterances at once.
 Internally the tables are skewed so that diagonal d is row d.
 
-The results are bit-identical to the per-cell loops kept in ``oracle``
-(``emission_sweep_scalar``, ``weighted_grad_scalar``):
+The results are bit-identical to the per-cell loops kept as test references
+(``emission_sweep_scalar`` and ``weighted_grad_scalar`` in
+``tests/references.py``):
 
   * each cell does the same floating-point operations on the same operands:
     R[t, j] = logaddexp(R[t-1, j] + blank, R[t, j-1] + emit), and each

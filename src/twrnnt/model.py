@@ -35,6 +35,7 @@ __all__ = [
     "model_backward",
     "PackedUtterances",
     "BatchLayout",
+    "StepActivations",
     "forward_columns",
     "backward_columns",
     "adam_update",
@@ -149,6 +150,13 @@ def _check_features(model: TransducerModel, features) -> np.ndarray:
 # one alone.  Larger node matrices fall out of cache: without the bound, a
 # training step on 8 long lattices took 33 ms instead of 29 ms (2-vCPU x86
 # VM, one OpenBLAS thread).
+#
+# It also bounds what a training forward keeps for its backward
+# (``StepActivations``): the joiner activations and row softmax of the first
+# group if it ends within ``_GROUP_NODES`` nodes, (H + V + 1) floats a node,
+# so at most 0.8 MB a run at H = 32 and V = 16.  Every desk batch fits;
+# a batch of 8 long lattices (about 15,900 nodes) keeps its first group and
+# recomputes the rest, where keeping every group would hold 6 MB a run.
 _GROUP_NODES = 2048
 
 
@@ -277,11 +285,12 @@ def _encode(model: TransducerModel, layout: BatchLayout):
     return p, enc, rows, pred
 
 
-def _join(p, enc, pred, layout: BatchLayout, n0, n1, work):
+def _join(p, enc, pred, layout: BatchLayout, n0, n1, z, scratch):
     """Joiner activations and raw logits of nodes n0..n1-1.  The activations
-    are written to ``work[0]`` and ``work[1]`` is scratch: (n, H) buffers, so
-    that a group's large temporaries are allocated once per pass."""
-    z, scratch = work[0][: n1 - n0], work[1][: n1 - n0]
+    are written to the first n1 - n0 rows of ``z``, and ``scratch`` is a
+    buffer of as many rows, so that a group's large temporaries are
+    allocated once per pass."""
+    z, scratch = z[: n1 - n0], scratch[: n1 - n0]
     # The layout's indices are in range by construction; mode="clip" spares
     # np.take the buffered copy it makes to check them.
     np.take(enc, layout.frame[n0:n1], axis=0, out=z, mode="clip")
@@ -292,10 +301,67 @@ def _join(p, enc, pred, layout: BatchLayout, n0, n1, work):
     return z, logits
 
 
+def _softmax(logits, out):
+    """The row softmax of ``logits``, written to ``out`` (which may be
+    ``logits``) as e / s, where e = exp(logits - m), m is the row maximum
+    and s the row sum of e.  Returns (m, s): m + log(s) is
+    ``_row_logsumexp(logits)`` bit for bit."""
+    m = logits.max(axis=-1, keepdims=True)
+    np.subtract(logits, m, out=out)
+    np.exp(out, out=out)
+    s = out.sum(axis=-1, keepdims=True)
+    out /= s
+    return m, s
+
+
 def _work(layout: BatchLayout, enc):
     """The two (n, H) node buffers that ``_join`` and ``_backward`` reuse
     across groups."""
     return np.empty((2, layout.max_group, enc.shape[1]))
+
+
+class StepActivations:
+    """What a training run's ``forward_columns`` keeps for its
+    ``backward_columns`` in the same step, so that the backward does not
+    run the network again: the parameter views, the encoder output, the
+    predictor inputs and outputs, and, if the first node group ends within
+    ``_GROUP_NODES`` nodes, its joiner activations z and its row softmax.
+    Later groups are recomputed by the backward.
+
+    The buffers are allocated once and reused at every step.  A backward
+    consumes what its forward kept: it must follow that forward, with the
+    same model and layout and before the parameters change.  The scratch
+    node buffers of both passes stay per call (``_work``): held for a run,
+    they would also be held through the DP, where they raised the
+    ``corruption`` benchmark's peak RSS by 0.7 MB and saved at most 2% of a
+    stacked step.
+    """
+
+    def __init__(self, model: TransducerModel):
+        H, V = model.dim_hidden, model.vocab_size
+        self.z = np.empty((_GROUP_NODES, H))
+        self.softmax = np.empty((_GROUP_NODES, V + 1))
+        self.nodes = 0
+        self._held = None
+
+    def _hold(self, model, layout, encoded) -> int:
+        """Record a forward's network state; returns the number of leading
+        nodes whose activations it keeps.  Only the first group can end
+        within ``_GROUP_NODES`` nodes: a second one starts because the
+        first and its next utterance would not fit."""
+        self._held = (model, layout, encoded)
+        n1 = layout.groups[0][1]
+        self.nodes = n1 if n1 <= _GROUP_NODES else 0
+        return self.nodes
+
+    def _release(self, model, layout):
+        """The kept encoder and predictor state of this model and layout,
+        which the caller then consumes."""
+        held = self._held
+        if held is None or held[0] is not model or held[1] is not layout:
+            raise DataError("no activations kept by a forward of this model and batch")
+        self._held = None
+        return held[2]
 
 
 def model_forward(model: TransducerModel, features, tokens) -> PosteriorLattice:
@@ -303,7 +369,7 @@ def model_forward(model: TransducerModel, features, tokens) -> PosteriorLattice:
     single-utterance case of ``forward_columns``."""
     layout = BatchLayout(model, [features], [tokens])
     p, enc, _, pred = _encode(model, layout)
-    _, logits = _join(p, enc, pred, layout, 0, layout.frame.size, _work(layout, enc))
+    _, logits = _join(p, enc, pred, layout, 0, layout.frame.size, *_work(layout, enc))
     T, U = int(layout.T[0]), int(layout.U[0])
     return normalize_logits(logits.reshape(T, U + 1, -1))
 
@@ -314,7 +380,10 @@ def _column_shapes(layout: BatchLayout):
 
 
 def forward_columns(
-    model: TransducerModel, layout: BatchLayout, out: Optional[PaddedColumns] = None
+    model: TransducerModel,
+    layout: BatchLayout,
+    out: Optional[PaddedColumns] = None,
+    keep: Optional[StepActivations] = None,
 ) -> PaddedColumns:
     """Blank and label log-probability columns of a batch of utterances.
 
@@ -324,6 +393,8 @@ def forward_columns(
     tanh, so the rows skip ``normalize_logits``'s input checks.  ``out``,
     if given, is a ``-inf``-filled batch of the layout's shape (such as rows
     of a larger one, ``PaddedColumns.rows``) to write to and return.
+    ``keep``, if given, keeps this pass's activations for
+    ``backward_columns`` (``StepActivations``); the columns are the same.
     """
     if out is None:
         cols = PaddedColumns(layout.T, layout.U)
@@ -336,40 +407,62 @@ def forward_columns(
             )
         cols = out
     blank, emit = cols.blank.reshape(-1), cols.emit.reshape(-1)
-    p, enc, _, pred = _encode(model, layout)
+    encoded = _encode(model, layout)
+    p, enc, _, pred = encoded
     work = _work(layout, enc)
+    nodes = 0 if keep is None else keep._hold(model, layout, encoded)
     for n0, n1, m0, m1 in layout.groups:
-        _, logits = _join(p, enc, pred, layout, n0, n1, work)
-        lse = _row_logsumexp(logits)[:, 0]
+        if n1 <= nodes:
+            _, logits = _join(p, enc, pred, layout, n0, n1, keep.z[n0:n1], work[1])
+            m, s = _softmax(logits, keep.softmax[n0:n1])
+            lse = (m + np.log(s))[:, 0]
+        else:
+            _, logits = _join(p, enc, pred, layout, n0, n1, *work)
+            lse = _row_logsumexp(logits)[:, 0]
         blank[layout.blank_at[n0:n1]] = logits[:, -1] - lse
         r = layout.emit_rows[m0:m1] - n0
         emit[layout.emit_at[m0:m1]] = logits[r, layout.emit_label[m0:m1]] - lse[r]
     return cols
 
 
-def _backward(model: TransducerModel, layout: BatchLayout, dlogp_rows) -> np.ndarray:
+def _backward(
+    model: TransducerModel, layout: BatchLayout, dlogp_rows, kept=None
+) -> np.ndarray:
     """Chain rule from per-node lattice gradients to the parameters, one
     pass per group; ``dlogp_rows(n0, n1, m0, m1)`` returns a new dense
-    (n1 - n0, V+1) array of a group's rows.  Exact, float64."""
-    p, enc, rows, pred = _encode(model, layout)
+    (n1 - n0, V+1) array of a group's rows.  Exact, float64.
+
+    With ``kept`` (a ``StepActivations`` filled by the forward of this
+    model and layout), the encoder and predictor state comes from that
+    forward, and so do the joiner activations and softmax of the group it
+    kept; the kept buffers are overwritten.  Other groups are recomputed, as is everything without
+    ``kept``.  The arithmetic is the same either way, so is the gradient.
+    """
+    if kept is None:
+        p, enc, rows, pred = _encode(model, layout)
+        nodes = 0
+    else:
+        p, enc, rows, pred = kept._release(model, layout)
+        nodes = kept.nodes
     work = _work(layout, enc)
     grad = np.zeros_like(model.params)
     g = _views(grad, model._layout)
     denc = np.empty_like(enc)
     dpred = np.empty_like(pred)
     for n0, n1, m0, m1 in layout.groups:
-        z, logits = _join(p, enc, pred, layout, n0, n1, work)
+        if n1 <= nodes:
+            z, softmax = kept.z[n0:n1], kept.softmax[n0:n1]
+        else:
+            z, softmax = _join(p, enc, pred, layout, n0, n1, *work)
+            _softmax(softmax, softmax)
         dlogit = dlogp_rows(n0, n1, m0, m1)
         # d loss / d logit through the row log-softmax:
-        # dlogp - softmax * sum(dlogp), with the softmax built in ``logits``.
-        logits -= logits.max(axis=-1, keepdims=True)
-        np.exp(logits, out=logits)
-        logits /= logits.sum(axis=-1, keepdims=True)
-        logits *= dlogit.sum(axis=-1, keepdims=True)
-        dlogit -= logits
+        # dlogp - softmax * sum(dlogp), built in ``softmax``.
+        softmax *= dlogit.sum(axis=-1, keepdims=True)
+        dlogit -= softmax
         g["join_w"] += dlogit.T @ z
         g["join_b"] += dlogit.sum(axis=0)
-        # dpre = dz * (1 - z^2), in the two work buffers.
+        # dpre = dz * (1 - z^2), in ``z`` and the second work buffer.
         dpre = np.matmul(dlogit, p["join_w"], out=work[1][: n1 - n0])
         np.multiply(z, z, out=z)
         np.subtract(1.0, z, out=z)
@@ -405,14 +498,20 @@ def model_backward(
 
 
 def backward_columns(
-    model: TransducerModel, layout: BatchLayout, g_blank, g_emit
+    model: TransducerModel,
+    layout: BatchLayout,
+    g_blank,
+    g_emit,
+    kept: Optional[StepActivations] = None,
 ) -> np.ndarray:
     """Parameter gradient of a batch loss, given its gradients with respect
     to the padded blank and label columns (``kernels.weighted_grad``).
 
     Equal to the sum of ``model_backward`` over the batch's dense lattice
     gradients (``kernels.dense_grad``) up to matrix-product rounding, without
-    building them.
+    building them.  ``kept``, if given, holds the activations that
+    ``forward_columns`` kept for this model and layout (a DataError if it
+    holds none), which this call consumes; the gradient is the same.
     """
     gb = np.asarray(g_blank, dtype=np.float64)
     ge = np.asarray(g_emit, dtype=np.float64)
@@ -430,7 +529,7 @@ def backward_columns(
         d[layout.emit_rows[m0:m1] - n0, layout.emit_label[m0:m1]] = ge[layout.emit_at[m0:m1]]
         return d
 
-    return _backward(model, layout, dlogp_rows)
+    return _backward(model, layout, dlogp_rows, kept)
 
 
 def _finite_grad(grad) -> np.ndarray:

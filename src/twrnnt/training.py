@@ -31,6 +31,7 @@ from .model import (
     AdamConfig,
     BatchLayout,
     PackedUtterances,
+    StepActivations,
     TransducerModel,
     adam_update,
     backward_columns,
@@ -78,8 +79,10 @@ class TrainConfig:
             raise DataError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.epochs < 1 or self.batch_size < 1 or self.dim_hidden < 1:
             raise DataError("epochs, batch_size and dim_hidden must be >= 1")
-        if self.alpha < 0:
+        if not self.alpha >= 0:
             raise DataError(f"alpha must be >= 0, got {self.alpha}")
+        if not self.final_blank_weight >= 0:
+            raise DataError(f"final_blank_weight must be >= 0, got {self.final_blank_weight}")
 
 
 @dataclass
@@ -171,7 +174,7 @@ class _Corpus:
         return layout, lam.reshape(K * B, slots.shape[1]), w_fb.reshape(-1)
 
 
-def _batch_loss_and_grad(models, corpus: _Corpus, idx, grad) -> list:
+def _batch_loss_and_grad(models, corpus: _Corpus, idx, grad, kept=None) -> list:
     """Each run's summed loss for utterances ``idx`` of the corpus, divided
     by their token count; run k's parameter gradient, divided likewise,
     overwrites ``grad[k]``.
@@ -179,14 +182,17 @@ def _batch_loss_and_grad(models, corpus: _Corpus, idx, grad) -> list:
     One layout serves every run.  Run k's grouped model forward writes its
     rows of one padded column batch, the DP runs once over all of them, and
     run k's grouped model backward takes its rows of the column gradients
-    back to its parameters.
+    back to its parameters.  With ``kept``, one ``StepActivations`` per run,
+    each backward reuses what its forward kept instead of running the
+    network again; the losses and gradients are the same.
     """
     layout, lam, final_blank_weight = corpus.batch(idx)
     total_tokens = max(1, int(layout.U.sum()))
     K, B = len(models), layout.T.size
     cols = PaddedColumns(np.tile(layout.T, K), np.tile(layout.U, K))
+    kept = kept or [None] * K
     for k, model in enumerate(models):
-        forward_columns(model, layout, out=cols.rows(k * B, (k + 1) * B))
+        forward_columns(model, layout, out=cols.rows(k * B, (k + 1) * B), keep=kept[k])
     losses, g_blank, g_emit = padded_loss_and_grad(cols, lam, final_blank_weight)
     out = []
     for k, model in enumerate(models):
@@ -195,7 +201,7 @@ def _batch_loss_and_grad(models, corpus: _Corpus, idx, grad) -> list:
         for loss_u in losses[rows]:  # a plain sequential sum, whatever the Python version
             loss += loss_u
         out.append(loss / total_tokens)
-        grad[k] = backward_columns(model, layout, g_blank[rows], g_emit[rows])
+        grad[k] = backward_columns(model, layout, g_blank[rows], g_emit[rows], kept[k])
     grad /= total_tokens
     return out
 
@@ -261,7 +267,9 @@ def train_runs(
     call bit for bit.  The init is drawn and the batch order consumed once,
     the corpus packed once, and each step lays out its batch once, runs the
     DP once over every run's lattices and makes one Adam update of the
-    runs' stacked (K, P) parameters.
+    runs' stacked (K, P) parameters.  Each run's backward reuses the
+    activations its forward kept (``model.StepActivations``), whose buffers
+    live for this call.
 
     With a ``pseudo`` pool, batches are sampled at ``mix_ratio`` instead of
     epoch shuffles.  Every utterance is checked before the first step: bad
@@ -291,6 +299,7 @@ def train_runs(
     params = np.tile(init.params, (len(cfgs), 1))
     models = [TransducerModel(init.dim_in, init.dim_hidden, init.vocab_size, row) for row in params]
     m, v, grad = np.zeros_like(params), np.zeros_like(params), np.empty_like(params)
+    kept = [StepActivations(model) for model in models]
     hyper = AdamConfig(lr=cfg.lr)
     if pseudo is None:
         corpus = _Corpus(models[0], utterances, cfgs)
@@ -302,7 +311,7 @@ def train_runs(
         steps_per_epoch = -(-(len(utterances) + len(pseudo)) // cfg.batch_size)
     batch_losses = [[] for _ in cfgs]
     for step, idx in enumerate(batches, start=1):
-        losses = _batch_loss_and_grad(models, corpus, idx, grad)
+        losses = _batch_loss_and_grad(models, corpus, idx, grad, kept)
         for run, loss in zip(cfgs, losses):
             if not np.isfinite(loss):
                 raise NumericalError(f"training diverged ({_run_name(run)}): batch loss {loss!r}")

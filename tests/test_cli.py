@@ -6,13 +6,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import PROPERTY
 from twrnnt.cli import main
+from twrnnt.config import SCHEMA
 from twrnnt.datagen import read_dataset, write_dataset
-from twrnnt.experiments import report_from_json
+from twrnnt.experiments import ExperimentReport, report_from_json, report_to_json
 from twrnnt.lattice import PosteriorLattice
 from twrnnt.model import load_checkpoint
 from twrnnt.training import evaluate_wer
@@ -124,25 +125,151 @@ def workspace(tmp_path_factory):
     return tmp
 
 
+# The subcommand of an out-of-range case and any other flag it needs; the
+# rest are ``train`` cases.
+OUT_OF_RANGE_COMMAND = {
+    "--alpha": ["train", "--mode", "token_weights"],
+    "--alpha-grid": ["run-corruption"],
+    "--rounds": ["run-pseudolabel"],
+    "--ratio-pseudo": ["run-pseudolabel", "--ratio-labeled", "0"],
+    "--n-train": ["gen-data"],
+    "--noise-level": ["gen-data"],
+    "--max-tokens": ["gen-data", "--min-tokens", "5"],
+}
+
+
+def command_argv(command, workspace, out):
+    """A run of ``command`` on the tiny workspace with one epoch, writing
+    to ``out``, where the command writes anything."""
+    models = ["--model", str(workspace / "model.json")]
+    experiment = [
+        "--data-dir", str(workspace), "--out", str(out), "--epochs", "1", "--base-epochs", "1",
+        "--seeds", "0", "--alpha-grid", "2", "--rounds", "1", *TINY,
+    ]
+    return [command] + {
+        "gen-data": ["--out", str(out), *TINY],
+        "train": ["--data", str(workspace / "train.jsonl"), "--out", str(out), "--epochs", "1", *TINY],
+        "decode": [*models, "--data", str(workspace / "test.jsonl"), "--out", str(out)],
+        "score-confidence": [
+            *models, "--data", str(workspace / "train.jsonl"), "--out", str(out), "--write-lambda",
+        ],
+        "corrupt": ["--data", str(workspace / "train.jsonl"), "--out", str(out)],
+        "run-corruption": experiment,
+        "run-pseudolabel": experiment,
+        "loss-check": [str(FIXTURE)],
+        "report": [str(workspace / "report.json")],
+    }[command]
+
+
 @pytest.mark.parametrize(
     "flag, value",
     [
         ("--dim-hidden", "0"), ("--dim-hidden", "-1"), ("--epochs", "0"), ("--base-epochs", "0"),
         ("--batch-size", "0"), ("--max-symbols-per-frame", "0"), ("--lr", "0"), ("--lr", "-0.01"),
+        ("--alpha", "nan"), ("--alpha", "-1"), ("--final-blank-weight", "-3"),
+        ("--final-blank-weight", "nan"), ("--init-scale", "nan"), ("--init-scale", "inf"),
+        ("--alpha-grid", "nan"), ("--alpha-grid", "-2"), ("--rounds", "0"), ("--ratio-pseudo", "0"),
+        ("--n-train", "-3"), ("--noise-level", "-1"), ("--max-tokens", "2"),
     ],
 )
 def test_out_of_range_config_exits_2(workspace, tmp_path, capsys, flag, value):
-    code, _, err = run(
-        capsys,
-        [
-            "train", "--data", str(workspace / "train.jsonl"),
-            "--out", str(tmp_path / "m.json"), *TINY, flag, value,
-        ],
-    )
+    command, *extra = OUT_OF_RANGE_COMMAND.get(flag, ["train"])
+    argv = command_argv(command, workspace, tmp_path / "out")
+    code, _, err = run(capsys, [*argv, *extra, flag, value])
     assert code == 2 and "Traceback" not in err
     (line,) = err.strip().splitlines()
     assert json.loads(line)["error"] == "config"
-    assert not (tmp_path / "m.json").exists()
+    assert not (tmp_path / "out").exists()
+
+
+def bad_config_values(key):
+    """Command-line values of config ``key`` that are of the wrong type or
+    out of range.  Floats are drawn as their repr, so NaN and infinities
+    come out as "nan", "inf" and "-inf"."""
+    tag, _ = SCHEMA[key]
+    wrong = {
+        "int": ["x", "1.5", ""],
+        "float": ["x", "1e", ""],
+        "bool": ["maybe", "2", ""],
+        "str": [],
+        "list_int": ["1,x", "1.5"],
+        "list_float": ["1,x", "--"],
+        "list_str": [],
+    }[tag]
+    special = st.sampled_from([float("nan"), float("inf"), float("-inf")])
+    below = {  # the largest value below the key's range
+        "seed": -1, "n_train": -1, "n_valid": -1, "n_test": -1, "n_pretrain": -1,
+        "ratio_labeled": -1, "ratio_pseudo": -1, "dim_features": 0, "dim_hidden": 0,
+        "vocab_size": 0, "epochs": 0, "base_epochs": 0, "batch_size": 0,
+        "max_symbols_per_frame": 0, "rounds": 0, "min_tokens": 0, "min_frames_per_token": 0,
+        # Below the default lower end of their range, 3 tokens and 1 frame.
+        "max_tokens": 2, "max_frames_per_token": 0,
+    }
+    if key in below:
+        out_of_range = st.integers(-(2**40), below[key]).map(str)
+    elif key in ("alpha", "final_blank_weight", "noise_level", "lr", "init_scale"):
+        negative = st.floats(max_value=0.0 if key == "lr" else -1e-300, allow_nan=False)
+        out_of_range = (special if key == "init_scale" else st.one_of(special, negative)).map(repr)
+    elif key == "error_rate":
+        out_of_range = st.one_of(special, st.floats(1.0, exclude_min=True), st.floats(max_value=-1e-300)).map(repr)
+    elif key in ("levels", "alpha_grid"):
+        entry = st.one_of(special, st.floats(max_value=-1e-300))
+        if key == "levels":
+            entry = st.one_of(entry, st.floats(1.0, exclude_min=True))
+        out_of_range = st.one_of(
+            st.just(""), st.lists(entry.map(repr), min_size=1, max_size=3).map(",".join)
+        )
+    elif key == "seeds":
+        out_of_range = st.one_of(st.just(""), st.integers(max_value=-1).map(str))
+    elif key in ("mode", "modes"):
+        out_of_range = st.sampled_from(["", "bogus", "Standard", "token-weights"])
+    elif key == "data_dir":
+        out_of_range = st.just("missing-data-dir")
+    else:  # the booleans have no range
+        out_of_range = st.nothing()
+    return st.one_of(st.sampled_from(wrong), out_of_range) if wrong else out_of_range
+
+
+class TestConfigFuzz:
+    """Every subcommand, given one wrong-typed or out-of-range value of any
+    config key, exits 2 naming the key with one JSON line on stderr, before
+    it writes anything.  A missing ``data_dir`` is a data error (exit 3) in
+    the experiments, the commands that read it."""
+
+    @pytest.fixture(scope="class")
+    def report_file(self, workspace):
+        report = ExperimentReport(kind="corruption", config={}, seeds=(0,), rows=[])
+        (workspace / "report.json").write_text(report_to_json(report))
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "gen-data", "train", "decode", "score-confidence", "corrupt",
+            "run-corruption", "run-pseudolabel", "loss-check", "report",
+        ],
+    )
+    @settings(PROPERTY, max_examples=3)
+    @given(data=st.data())
+    def test_bad_value_of_every_key_exits_cleanly(
+        self, workspace, report_file, tmp_path_factory, command, data
+    ):
+        out = tmp_path_factory.mktemp("fuzz") / "out"
+        for key in SCHEMA:
+            if key == "data_dir" and not command.startswith("run-"):
+                continue
+            value = data.draw(bad_config_values(key), label=key)
+            argv = [*command_argv(command, workspace, out), f"--{key.replace('_', '-')}={value}"]
+            err = io.StringIO()
+            with redirect_stderr(err), redirect_stdout(io.StringIO()):
+                code = main(argv)
+            (line,) = err.getvalue().splitlines()
+            message = json.loads(line)
+            if key == "data_dir":
+                assert (code, message["error"]) == (3, "data"), (key, value, message)
+            else:
+                assert (code, message["error"]) == (2, "config"), (key, value, message)
+                assert key in message["message"], (key, value, message)
+            assert not out.exists()
 
 
 class TestTrainDecodeScore:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 
 from conftest import PROPERTY, cases, random_instance_nonempty, random_lattice
+from references import emission_sweep_quadratic
 from twrnnt.conditionals import (
     conditional_profile,
     emission_forward,
@@ -13,7 +14,6 @@ from twrnnt.conditionals import (
 from twrnnt.errors import DataError, NumericalError
 from twrnnt.lattice import PosteriorLattice, rnnt_loss
 from twrnnt.oracle import (
-    emission_sweep_quadratic,
     exact_conditionals,
     exact_final_blank_logp,
     exact_prefix_logp,

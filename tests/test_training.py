@@ -9,8 +9,10 @@ from twrnnt.errors import DataError, NumericalError
 from twrnnt.conditionals import conditional_profile
 from twrnnt.lattice import rnnt_loss, rnnt_loss_grad
 from twrnnt.model import (
+    _GROUP_NODES,
     AdamConfig,
     BatchLayout,
+    StepActivations,
     TransducerModel,
     adam_update,
     backward_columns,
@@ -227,7 +229,7 @@ class TestTrainingLoop:
         # so exercise the guard directly.
         import twrnnt.training as training_mod
 
-        def nan_step(models, corpus, idx, grad):
+        def nan_step(models, corpus, idx, grad, kept=None):
             grad[...] = 0.0
             return [float("nan")] * len(models)
 
@@ -275,8 +277,8 @@ class TestPaddedBatchStep:
     def test_zero_probability_prefix_raises(self, small_data, monkeypatch):
         import twrnnt.training as training_mod
 
-        def forward_with_hole(model, layout, out=None):
-            cols = forward_columns(model, layout, out=out)
+        def forward_with_hole(model, layout, out=None, keep=None):
+            cols = forward_columns(model, layout, out=out, keep=keep)
             cols.emit[2, :, 0] = -np.inf  # utterance 2's first token can never be emitted
             return cols
 
@@ -544,8 +546,8 @@ class TestLockstep:
             updates.append((params, params.copy()))
             update(params, *args)
 
-        def diverging_step(models, corpus, idx, grad):
-            losses = step(models, corpus, idx, grad)
+        def diverging_step(models, corpus, idx, grad, kept=None):
+            losses = step(models, corpus, idx, grad, kept)
             if len(updates) == 2:  # the third step of run 1
                 if bad == "loss":
                     losses[1] = float("nan")
@@ -566,3 +568,86 @@ class TestLockstep:
         params, before = updates[-1]
         if bad == "gradient":
             np.testing.assert_array_equal(params, before)
+
+
+class TestKeptActivations:
+    """A training step's backward reuses the joiner activations and softmax
+    that its forward kept for the first node group, if that ends within
+    ``_GROUP_NODES`` nodes, and recomputes the rest.  Columns, losses and
+    gradients must equal those of passes that keep nothing."""
+
+    # (shapes, what the first layout keeps): a desk batch that fits whole,
+    # a long batch of five groups whose first is kept, and one whose first
+    # utterance alone is above the bound.
+    BATCHES = {
+        "fits_whole": ([(11, 6), (9, 5), (14, 7), (8, 4), (12, 0)], "all"),
+        "several_groups": ([(75, 25), (60, 20), (30, 19), (40, 19), (25, 23), (70, 30), (3, 7)], "some"),
+        "first_group_too_large": ([(70, 30), (11, 6), (5, 2)], "none"),
+    }
+
+    @staticmethod
+    def runs(shapes, seed):
+        """Utterances of the given (T, U), three runs (one per mode, each
+        with its own parameters) and their corpus."""
+        rng = np.random.default_rng(seed)
+        utts = [
+            Utterance(f"u{i}", rng.normal(size=(T, 8)), rng.integers(0, 16, size=U),
+                      confidences=rng.uniform(0.05, 1.0, size=U))
+            for i, (T, U) in enumerate(shapes)
+        ]
+        base = TrainConfig(final_blank_weight=0.5)
+        cfgs = [base, replace(base, mode="utterance_weights", alpha=2.0),
+                replace(base, mode="token_weights", alpha=6.0)]
+        models = [TransducerModel.random(8, 32, 16, rng) for _ in cfgs]
+        return utts, models, _Corpus(models[0], utts, cfgs)
+
+    @pytest.mark.parametrize("case", sorted(BATCHES))
+    def test_kept_equals_recomputed(self, case):
+        shapes, keeps = self.BATCHES[case]
+        utts, models, corpus = self.runs(shapes, 70)
+        kept = [StepActivations(model) for model in models]
+        scores = score_confidences(models[0], utts)
+        n = len(utts)
+        rng = np.random.default_rng(71)
+        for step, idx in enumerate([np.arange(n), np.arange(n)[::-1], np.array([0, 0, n - 1])]):
+            layout = BatchLayout.of(corpus.packed, idx)
+            for model, keep in zip(models, kept):
+                cols = forward_columns(model, layout, keep=keep)
+                want = forward_columns(model, layout)
+                np.testing.assert_array_equal(cols.blank, want.blank)
+                np.testing.assert_array_equal(cols.emit, want.emit)
+                assert keep.nodes <= _GROUP_NODES
+                if step == 0:
+                    nodes = {"all": layout.frame.size, "none": 0}.get(keeps, layout.groups[0][1])
+                    assert keep.nodes == nodes
+                    assert keeps != "some" or len(layout.groups) > 1
+                g_blank = np.where(np.isfinite(cols.blank), rng.normal(size=cols.blank.shape), 0.0)
+                g_emit = np.where(np.isfinite(cols.emit), rng.normal(size=cols.emit.shape), 0.0)
+                np.testing.assert_array_equal(
+                    backward_columns(model, layout, g_blank, g_emit, keep),
+                    backward_columns(model, layout, g_blank, g_emit),
+                )
+            # The stacked step of the three runs, kept against recomputed.
+            grad = np.empty((len(models), models[0].params.size))
+            want = np.empty_like(grad)
+            losses = _batch_loss_and_grad(models, corpus, idx, grad, kept)
+            assert losses == _batch_loss_and_grad(models, corpus, idx, want)
+            np.testing.assert_array_equal(grad, want)
+        # Scoring keeps nothing and is not affected by what training kept.
+        for got, before in zip(score_confidences(models[0], utts), scores):
+            np.testing.assert_array_equal(got.confidences, before.confidences)
+
+    def test_backward_needs_its_own_forward(self):
+        shapes, _ = self.BATCHES["fits_whole"]
+        _, models, corpus = self.runs(shapes, 72)
+        layout = BatchLayout.of(corpus.packed, [0, 1])
+        other = BatchLayout.of(corpus.packed, [0, 1])
+        keep = StepActivations(models[0])
+        cols = forward_columns(models[0], layout, keep=keep)
+        g_blank, g_emit = np.isfinite(cols.blank) * 0.5, np.isfinite(cols.emit) * 0.5
+        for model, lay in ((models[1], layout), (models[0], other)):
+            with pytest.raises(DataError, match="no activations kept"):
+                backward_columns(model, lay, g_blank, g_emit, keep)
+        backward_columns(models[0], layout, g_blank, g_emit, keep)
+        with pytest.raises(DataError, match="no activations kept"):  # consumed
+            backward_columns(models[0], layout, g_blank, g_emit, keep)
