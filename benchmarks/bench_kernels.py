@@ -1,12 +1,17 @@
 #!/usr/bin/env python3
 """Benchmark the DP kernels.
 
-The batched emission sweep and weighted gradient run over padded batches
-of B = 1 and B = 8 lattices of mixed size (at most --frames x --labels),
-and are timed in microseconds per utterance next to the per-cell loops in
-``tests/references.py`` that they replace.  The single-lattice calls, the backward fill
-and the next-token distribution, are timed in milliseconds on the largest
-lattice.  Next, the model layer: the grouped forward and backward
+The batched emission sweep and weighted gradient run over diagonal-major
+padded batches (``kernels.PaddedColumns``) of B = 8 lattices of mixed size
+(at most --frames x --labels), and of B = 8 and B = 40 lattices of the
+desk shapes of the benchmark's ``corruption`` workload (T ~ 11, U ~ 5.5,
+16 tokens; B = 40 is a lockstep step of its five runs).  Each kernel is
+timed in microseconds per utterance at B = 1 on each lattice and on the
+whole batch, next to the per-cell loops in ``tests/references.py`` that
+they replace, and each batch's DP step (sweep, losses and gradient,
+``weighting.padded_loss_and_grad``) in microseconds.  The single-lattice
+calls, the backward fill and the next-token distribution, are timed in
+milliseconds on the largest lattice.  Next, the model layer: the grouped forward and backward
 (``forward_columns``, ``backward_columns``) against ``model_forward`` and
 ``model_backward`` one utterance at a time, in microseconds per utterance,
 on a desk batch (T ~ 11, U ~ 6) and a long batch (T ~ 75, U ~ 25) of 8.
@@ -27,7 +32,7 @@ in ``tests/references.py``, in microseconds per utterance, on desk
 utterances and long ones (T ~ 75) decoded by a trained teacher, and on the
 long ones decoded by a random model that emits at almost every step.
 
-Nothing is timed before it is verified.  On the B = 8 batch the batched
+Nothing is timed before it is verified.  On every DP batch the batched
 tables and gradients must equal the per-cell loops exactly, the
 log-likelihood must match the backward table's, and the unit-weight
 gradient must match the oracle occupancy gradient, both to 1e-9.  The
@@ -87,16 +92,34 @@ BATCH = 8
 # units, 16 tokens.
 MODEL_DIMS = (8, 32, 16)
 MODEL_BATCHES = {"desk T~11 U~6": (11, 6), "long T~75 U~25": (75, 25)}
+# Lattices of the ``corruption`` workload's desk data: T in 8..14 and U in
+# 3..8 (means 11 and 5.5) over 16 tokens, in batches of 8 and of 40.
+DESK_DP = {"desk B=8": 8, "desk B=40": 40}
 
 
 def make_batch(T, U, V, B, seed=0):
     """B seeded softmax lattices; the first has the full size (T, U), the
     rest shrink by up to a quarter in each dimension."""
     rng = np.random.default_rng(seed)
+    shapes = [(T, U)] + [
+        (int(rng.integers(max(1, 3 * T // 4), T + 1)), int(rng.integers(3 * U // 4, U + 1)))
+        for _ in range(B - 1)
+    ]
+    return lattices(shapes, V, rng)
+
+
+def desk_batch(B, seed=0):
+    """B seeded softmax lattices of the desk shapes (``DESK_DP``)."""
+    rng = np.random.default_rng(seed)
+    shapes = [(int(rng.integers(8, 15)), int(rng.integers(3, 9))) for _ in range(B)]
+    return lattices(shapes, MODEL_DIMS[2], rng)
+
+
+def lattices(shapes, V, rng):
+    """(logp, labels, token weights) of seeded softmax lattices of the given
+    (T, U) shapes."""
     out = []
-    for b in range(B):
-        t = T if b == 0 else int(rng.integers(max(1, 3 * T // 4), T + 1))
-        u = U if b == 0 else int(rng.integers(3 * U // 4, U + 1))
+    for t, u in shapes:
         raw = rng.normal(scale=1.5, size=(t, u + 1, V + 1))
         logp = raw - np.log(np.sum(np.exp(raw), axis=-1, keepdims=True))
         labels = rng.integers(0, V, size=u).astype(np.int64)
@@ -122,7 +145,7 @@ def time_call(fn, repeats):
     return (time.perf_counter() - t0) / repeats
 
 
-def verify(items):
+def verify(name, items):
     """Check the batched kernels on one padded batch; exit on failure."""
     cols, lam, fb = padded(items)
     sweep = cols.sweep()
@@ -132,20 +155,25 @@ def verify(items):
     for b, (logp, labels, lam_b) in enumerate(items):
         T, U = logp.shape[0], labels.size
         ref = emission_sweep_scalar(logp, labels)
-        batched = (sweep[0][b, :T, : U + 1], sweep[1][b, :T, : U + 1], sweep[2][b, : U + 1], sweep[3][b])
+        batched = (
+            kernels.grid(sweep[0], b, T, U + 1),
+            kernels.grid(sweep[1], b, T, U + 1),
+            sweep[2][b, : U + 1],
+            sweep[3][b],
+        )
         if not all(np.array_equal(x, r) for x, r in zip(batched, ref)):
-            raise SystemExit(f"utterance {b}: batched emission sweep differs from the per-cell loop")
+            raise SystemExit(f"{name}, utterance {b}: batched emission sweep differs from the per-cell loop")
         g_ref = weighted_grad_scalar(logp, labels, *ref, lam_b, 1.0)
-        dense = kernels.dense_grad(g_blank[b, :T], g_emit[b, :T], labels, logp.shape[2])
+        dense = kernels.dense_grad(g_blank, g_emit, b, T, labels, logp.shape[2])
         if not np.array_equal(dense, g_ref):
-            raise SystemExit(f"utterance {b}: batched weighted gradient differs from the per-cell loop")
+            raise SystemExit(f"{name}, utterance {b}: batched weighted gradient differs from the per-cell loop")
         _, ll_b = kernels.backward_fill(logp, labels)
         ll_gap = max(ll_gap, abs(sweep[3][b] - ll_b))
         occupancy = loglik_grad(PosteriorLattice(logp), labels)
-        unit = kernels.dense_grad(g_unit[0][b, :T], g_unit[1][b, :T], labels, logp.shape[2])
+        unit = kernels.dense_grad(*g_unit, b, T, labels, logp.shape[2])
         grad_gap = max(grad_gap, float(np.max(np.abs(unit + occupancy))))
     print(
-        f"B={len(items)}: batched == per-cell loops exactly; loglik vs backward_fill gap "
+        f"{name}: batched == per-cell loops exactly; loglik vs backward_fill gap "
         f"{ll_gap:.1e}, unit-weight grad vs oracle occupancy gap {grad_gap:.1e}"
     )
     if not (ll_gap <= TOL and grad_gap <= TOL):
@@ -154,7 +182,8 @@ def verify(items):
 
 def batched_times(items, repeats):
     """Microseconds per utterance: the per-cell loops one lattice at a time,
-    the batched kernels at B = 1 on each lattice, and at B = len(items)."""
+    the batched kernels at B = 1 on each lattice, and at B = len(items);
+    and microseconds per DP step on the whole batch."""
     scalar = {"emission_sweep": 0.0, "weighted_grad": 0.0}
     single = {"emission_sweep": 0.0, "weighted_grad": 0.0}
     for logp, labels, lam in items:
@@ -173,8 +202,10 @@ def batched_times(items, repeats):
         "emission_sweep": time_call(cols.sweep, repeats),
         "weighted_grad": time_call(lambda: cols.grad(sweep, lam, fb), repeats),
     }
+    step = time_call(lambda: padded_loss_and_grad(cols, lam, fb), repeats)
     n = len(items)
-    return {k: (scalar[k] / n * 1e6, single[k] / n * 1e6, batch[k] / n * 1e6) for k in scalar}
+    per_kernel = {k: (scalar[k] / n * 1e6, single[k] / n * 1e6, batch[k] / n * 1e6) for k in scalar}
+    return per_kernel, step * 1e6
 
 
 def model_batch(T, U, seed=0):
@@ -196,7 +227,7 @@ def model_batch(T, U, seed=0):
 def dense_grads(model, feats, tokens, g_blank, g_emit):
     """Each utterance's column gradients as its dense lattice gradient."""
     return [
-        kernels.dense_grad(g_blank[b, : len(f)], g_emit[b, : len(f)], y, model.vocab_size + 1)
+        kernels.dense_grad(g_blank, g_emit, b, len(f), y, model.vocab_size + 1)
         for b, (f, y) in enumerate(zip(feats, tokens))
     ]
 
@@ -428,7 +459,10 @@ def main():
     args = parser.parse_args()
 
     items = make_batch(args.frames, args.labels, args.vocab, BATCH)
-    verify(items)
+    dp_batches = {f"T<={args.frames} U<={args.labels} B={BATCH}": items}
+    dp_batches.update({name: desk_batch(B) for name, B in DESK_DP.items()})
+    for name, batch in dp_batches.items():
+        verify(name, batch)
     logp, labels, _ = items[0]
     lat, level = PosteriorLattice(logp), args.labels // 2
     calls = {
@@ -441,14 +475,24 @@ def main():
     print(f"next-token distribution at u={level + 1} sums to 1 (gap {abs(total - 1.0):.1e})")
 
     print(
-        f"\nbatched kernels, lattices up to T={args.frames} U={args.labels} "
-        f"|V|={args.vocab}, {args.repeats} repeats, microseconds per utterance\n"
+        f"\nbatched kernels, {args.repeats} repeats, microseconds per utterance "
+        f"(lattices up to T={args.frames} U={args.labels} over |V|={args.vocab}, and desk "
+        f"lattices); DP step = sweep, losses and gradient of the whole batch, microseconds\n"
     )
-    header = f"{'kernel':<20}{'per-cell loop':>15}{'B=1':>10}{f'B={BATCH}':>10}{'speedup':>10}"
+    header = (
+        f"{'batch':<22}{'kernel':<17}{'per-cell loop':>14}{'B=1':>8}{'batched':>9}"
+        f"{'speedup':>9}{'DP step':>9}"
+    )
     print(header)
     print("-" * len(header))
-    for name, (scalar, single, batch) in batched_times(items, args.repeats).items():
-        print(f"{name:<20}{scalar:>15.0f}{single:>10.0f}{batch:>10.0f}{scalar / batch:>9.1f}x")
+    for batch_name, batch in dp_batches.items():
+        per_kernel, step = batched_times(batch, args.repeats)
+        for name, (scalar, single, batched) in per_kernel.items():
+            print(
+                f"{batch_name:<22}{name:<17}{scalar:>14.0f}{single:>8.0f}{batched:>9.0f}"
+                f"{scalar / batched:>8.1f}x{step:>9.0f}"
+            )
+            batch_name = ""
 
     print(f"\nsingle-lattice calls, T={args.frames} U={args.labels}, milliseconds\n")
     header = f"{'call':<25}{'ms':>10}"

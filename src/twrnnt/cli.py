@@ -352,7 +352,11 @@ def cmd_report(args) -> int:
         report = report_from_json(path.read_text())
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: invalid JSON: {exc}") from exc
-    print(format_table(report))
+    try:
+        table = format_table(report)
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        raise DataError(f"{path}: malformed report row: {exc!r}") from None
+    print(table)
     return 0
 
 

@@ -83,7 +83,8 @@ def emission_forward(lattice: PosteriorLattice, y) -> EmissionForward:
     """Emission-time forward table for y over the lattice, O(T*U) via the
     running-prefix form of the blank-run sums."""
     A, _, prefix, _ = _columns(lattice, y).sweep()
-    return EmissionForward(A=A[0, :, 1:].copy(), prefix_logp=prefix[0].copy())
+    A = kernels.grid(A, 0, lattice.T, lattice.U + 1)[:, 1:]
+    return EmissionForward(A=A, prefix_logp=prefix[0].copy())
 
 
 def conditional_profile(lattice: PosteriorLattice, y) -> ConditionalProfile:
@@ -157,7 +158,8 @@ def next_token_distribution(lattice: PosteriorLattice, prefix, u: int) -> np.nda
             f"prefix y[:{level}] has zero probability; next-token distribution "
             "is undefined"
         )
-    masses = np.logaddexp.reduce(R[0, :, level, None] + lattice.logp[:, level, :-1], axis=0)
+    R = kernels.grid(R, 0, lattice.T, level + 1)
+    masses = np.logaddexp.reduce(R[:, level, None] + lattice.logp[:, level, :-1], axis=0)
     return np.exp(np.append(masses, loglik[0]) - prefix_logp[0, level])
 
 

@@ -96,6 +96,8 @@ def report_to_json(report: ExperimentReport) -> str:
 
 def report_from_json(text) -> ExperimentReport:
     obj = json.loads(text) if isinstance(text, (str, bytes)) else text
+    if not isinstance(obj, dict):
+        raise DataError(f"malformed report JSON: expected an object, got {type(obj).__name__}")
     try:
         return ExperimentReport(
             kind=obj["kind"],

@@ -13,19 +13,23 @@ Three kernels cover every loss, gradient and conditional in the package:
     independent cross-check of the forward recursion (``lattice.backward``).
 
 Padded batches.  The two batched kernels read only the columns a path can
-use: ``blank[b, t, j]`` = logp[t, j, blank] with shape (B, Tmax, Umax+1),
-and ``emit[b, t, j]`` = logp[t, j, y[j]] with shape (B, Tmax, Umax).
-Utterance b owns the corner t < T[b], j <= U[b] (j < U[b] for ``emit``);
-everything else is padded with ``-inf``.  ``PaddedColumns`` gathers the
-columns of B lattices; ``dense_grad`` scatters one utterance's column
-gradients back to a dense table.  Single lattices go through the same
-kernels with B = 1.
+use, ``blank`` = logp[t, j, blank] and ``emit`` = logp[t, j, y[j]], in
+diagonal-major tables of shape (D, B, Umax+1) and (D, B, Umax), with
+D = Tmax + Umax: the cell (b, t, j) sits at [t + j, b, j], so row d of a
+table holds anti-diagonal d of every utterance.  Utterance b owns the cells
+with t < T[b] and j <= U[b] (j < U[b] for ``emit``); every other cell is
+padded with ``-inf``.  ``PaddedColumns`` holds the columns of B lattices;
+``grid`` reads one utterance's (t, j) table out of a diagonal-major one, and
+``dense_grad`` scatters one utterance's column gradients back to a dense
+table.  Single lattices go through the same kernels with B = 1.
 
-Both kernels step over anti-diagonals d = t + j (Bagby et al. 2018,
+Both kernels step over the anti-diagonals d = t + j (Bagby et al. 2018,
 "Efficient implementation of recurrent neural network transducer in
 TensorFlow"): every cell on a diagonal depends only on the previous one,
-so each step is a few NumPy operations over all B utterances at once.
-Internally the tables are skewed so that diagonal d is row d.
+so each step is a few NumPy operations on one contiguous (B, Umax+1) slab
+of each table.  The tables stay in this layout from the model's forward
+(``model.forward_columns`` writes it) through both sweeps to the model's
+backward (``model.backward_columns`` reads it).
 
 The results are bit-identical to the per-cell loops kept as test references
 (``emission_sweep_scalar`` and ``weighted_grad_scalar`` in
@@ -38,7 +42,9 @@ The results are bit-identical to the per-cell loops kept as test references
     logaddexp are commutative in floating point, so the wavefront order
     changes nothing;
   * ``-inf`` padding is exact: logaddexp(-inf, x) == x, and x + -inf = -inf;
-  * prefix masses are a sequential ``np.logaddexp.reduce`` over ascending t;
+  * prefix masses are a sequential ``np.logaddexp.reduce`` over the
+    diagonals, which for a fixed level is ascending t with extra ``-inf``
+    terms;
   * w1 and w2 are 0 where R is ``-inf``, as the scalar loop skips the cell.
 
 Conventions shared by every kernel:
@@ -55,26 +61,28 @@ Conventions shared by every kernel:
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 NEG_INF = float("-inf")
 
 
 class PaddedColumns:
-    """Blank and label columns of B lattices, padded with ``-inf``.
+    """Blank and label columns of B lattices in diagonal-major tables,
+    padded with ``-inf``.
 
     ``T`` and ``U`` give each utterance's frame and label counts; ``put``
-    fills row b from a (T, U+1, V+1) lattice.
+    fills row b from a (T, U+1, V+1) lattice.  A batch cut from a larger
+    one by ``rows`` holds that one in ``base`` and its first row there in
+    ``row0``; a batch of its own has no ``base``.
     """
 
     def __init__(self, T, U):
         self.T = np.asarray(T, dtype=np.int64)
         self.U = np.asarray(U, dtype=np.int64)
         B, Tmax, Umax = self.T.size, int(self.T.max()), int(self.U.max())
-        self.blank = np.full((B, Tmax, Umax + 1), NEG_INF)
-        self.emit = np.full((B, Tmax, Umax), NEG_INF)
+        self.blank = np.full((Tmax + Umax, B, Umax + 1), NEG_INF)
+        self.emit = np.full((Tmax + Umax, B, Umax), NEG_INF)
+        self.base, self.row0 = None, 0
 
     @classmethod
     def of(cls, logp, labels) -> "PaddedColumns":
@@ -85,16 +93,20 @@ class PaddedColumns:
 
     def rows(self, b0, b1) -> "PaddedColumns":
         """Rows b0..b1-1 as a batch of their own that shares this one's
-        tables, so that writing to it fills them."""
+        tables, so that writing to it fills them.  Its tables are strided
+        views; flat offsets address ``base``'s tables."""
         view = PaddedColumns.__new__(PaddedColumns)
         view.T, view.U = self.T[b0:b1], self.U[b0:b1]
-        view.blank, view.emit = self.blank[b0:b1], self.emit[b0:b1]
+        view.blank, view.emit = self.blank[:, b0:b1], self.emit[:, b0:b1]
+        view.base, view.row0 = self.base or self, self.row0 + b0
         return view
 
     def put(self, b, logp, labels):
         T, U1 = logp.shape[0], logp.shape[1]
-        self.blank[b, :T, :U1] = logp[:, :, -1]
-        self.emit[b, :T, : U1 - 1] = logp[:, np.arange(U1 - 1), labels]
+        j = np.arange(U1)
+        d = np.arange(T)[:, None] + j
+        self.blank[d, b, j] = logp[:, :, -1]
+        self.emit[d[:, :-1], b, j[:-1]] = logp[:, j[:-1], labels]
 
     def sweep(self):
         """``emission_sweep`` over the whole batch."""
@@ -107,68 +119,37 @@ class PaddedColumns:
         )
 
 
-def dense_grad(g_blank, g_emit, labels, num_symbols) -> np.ndarray:
-    """One utterance's column gradients as a dense (T, U+1, V+1) table.
+def grid(table, b, T, width) -> np.ndarray:
+    """Cells (t, j), t < T and j < width, of row b of a diagonal-major table,
+    as a new (T, width) table."""
+    j = np.arange(width)
+    return table[np.arange(T)[:, None] + j, b, j]
 
-    ``g_blank`` and ``g_emit`` are its rows of ``weighted_grad``'s outputs,
-    cut to its T frames; U is ``labels.size``.
-    """
-    T, U = g_blank.shape[0], labels.size
+
+def dense_grad(g_blank, g_emit, b, T, labels, num_symbols) -> np.ndarray:
+    """Utterance b's column gradients (``weighted_grad``'s outputs) as a
+    dense (T, U+1, V+1) table; U is ``labels.size``."""
+    U = labels.size
     g = np.zeros((T, U + 1, num_symbols))
-    g[:, :, -1] = g_blank[:, : U + 1]
-    g[:, np.arange(U), labels] = g_emit[:, :U]
+    g[:, :, -1] = grid(g_blank, b, T, U + 1)
+    g[:, np.arange(U), labels] = grid(g_emit, b, T, U)
     return g
-
-
-# Sized to hold every shape a run asks for: a round of the benchmark's
-# `corruption` workload (criterion 8's recipe, one seed) asks for 58.
-@lru_cache(maxsize=256)
-def _diagonal_index(rows, width, diags):
-    """Flat indices between a (rows, width) table and its skewed form, whose
-    row d holds diagonal d: skewed[d, j] = table[d - j, j].
-
-    ``skew`` reads a table flattened with one fill value appended (index
-    rows * width), which lands on the cells with d - j outside 0..rows-1;
-    ``unskew`` reads the skewed table flattened.
-    """
-    d = np.arange(diags)[:, None]
-    j = np.arange(width)[None, :]
-    t = d - j
-    skew = np.where((t >= 0) & (t < rows), t * width + j, rows * width)
-    unskew = (np.arange(rows)[:, None] + j) * width + j
-    skew.setflags(write=False)  # shared by every caller through the cache
-    unskew.setflags(write=False)
-    return skew, unskew
-
-
-def _skew(table, diags, fill):
-    B, rows, width = table.shape
-    skew, _ = _diagonal_index(rows, width, diags)
-    flat = np.concatenate(
-        [table.reshape(B, rows * width), np.full((B, 1), fill)], axis=1
-    )
-    return flat[:, skew]
-
-
-def _unskew(skewed, rows):
-    B, diags, width = skewed.shape
-    _, unskew = _diagonal_index(rows, width, diags)
-    return skewed.reshape(B, diags * width)[:, unskew]
 
 
 def emission_sweep(blank, emit, T, U):
     """Emission-time factorized forward pass over a padded batch.
 
-    Returns (A, R, prefix, loglik) with shapes (B, Tmax, Umax+1) twice,
-    (B, Umax+1) and (B,), where for utterance b:
+    Returns (A, R, prefix, loglik): A and R are diagonal-major tables shaped
+    like ``blank``, prefix has shape (B, Umax+1) and loglik (B,).  For
+    utterance b:
 
-      * A[b, t, u] for u >= 1 is the log joint mass of emitting labels[:u]
-        with the u-th label emitted exactly at frame t; A[b, :, 0] is the
+      * A at (t, u) for u >= 1 is the log joint mass of emitting labels[:u]
+        with the u-th label emitted exactly at frame t; A at (t, 0) is the
         start boundary (0 at t=0, -inf elsewhere).
-      * R[b, t, j] is the running mass along label level j: all ways of
+      * R at (t, j) is the running mass along label level j: all ways of
         having emitted labels[:j] and advanced to frame t via blanks at
         level j.
-      * prefix[b, u] = logsumexp_t A[b, t, u]; prefix[b, 0] = 0.
+      * prefix[b, u] = logsumexp_t A at (t, u); prefix[b, 0] = 0.
       * loglik[b] closes level U[b] with blanks and the final blank at
         (T[b]-1, U[b]).
 
@@ -177,28 +158,27 @@ def emission_sweep(blank, emit, T, U):
     """
     T = np.asarray(T, dtype=np.int64)
     U = np.asarray(U, dtype=np.int64)
-    B, Tmax, W = blank.shape
-    D = Tmax + W - 1
-    blank_s = _skew(blank, D, NEG_INF)
-    emit_s = _skew(emit, D, NEG_INF)
-    R_s = np.full((B, D, W), NEG_INF)
-    R_s[:, 0, 0] = 0.0
-    A_cur = np.empty((B, W - 1))
+    D, B, W = blank.shape
+    # A spare last diagonal, so that every cell cleared below is in range.
+    R = np.full((D + 1, B, W), NEG_INF)
+    A = np.full((D, B, W), NEG_INF)
+    R[0, :, 0] = 0.0
+    A[0, :, 0] = 0.0
     for d in range(1, D):
-        R_prev, R_cur = R_s[:, d - 1], R_s[:, d, 1:]
-        np.add(R_prev, blank_s[:, d - 1], out=R_s[:, d])
-        np.add(R_prev[:, :-1], emit_s[:, d - 1], out=A_cur)
+        R_prev, R_cur, A_cur = R[d - 1], R[d, :, 1:], A[d, :, 1:]
+        np.add(R_prev, blank[d - 1], out=R[d])
+        np.add(R_prev[:, :-1], emit[d - 1], out=A_cur)
         np.logaddexp(R_cur, A_cur, out=R_cur)
-    R = _unskew(R_s, Tmax)
-    # Row T[b] of a shorter utterance holds its own blank exits; clear it.
-    R[np.arange(Tmax)[None, :] >= T[:, None]] = NEG_INF
-    # A from the loop's own operands, so no skewed copy of it is kept.
-    A = np.full((B, Tmax, W), NEG_INF)
-    A[:, 0, 0] = 0.0
-    np.add(R[:, :, :-1], emit, out=A[:, :, 1:])
-    prefix = np.logaddexp.reduce(A, axis=1)
+    # Frame T[b] of every level holds the level's own blank exit; clear it.
+    j = np.arange(W)
     b = np.arange(B)
-    loglik = R[b, T - 1, U] + blank[b, T - 1, U]
+    R[T[:, None] + j, b[:, None], j] = NEG_INF
+    R = R[:D]
+    # For a fixed (b, j) the diagonals run through ascending t, with -inf
+    # before t = 0 and after the last frame, which logaddexp passes exactly.
+    prefix = np.logaddexp.reduce(A, axis=0)
+    last = T - 1 + U
+    loglik = R[last, b, U] + blank[last, b, U]
     return A, R, prefix, loglik
 
 
@@ -214,58 +194,55 @@ def weighted_grad(blank, emit, T, U, A, R, prefix, loglik, lam, final_blank_weig
             + final_blank_weight * (prefix[U] - loglik)
 
     which reverse-accumulates through the logaddexp graph cell by cell.
-    Returns (g_blank, g_emit), shaped like ``blank`` and ``emit``; cells
-    unreachable by any alignment and padding cells are exactly 0.
+    Returns (g_blank, g_emit), diagonal-major tables shaped like ``blank``
+    and ``emit``; cells unreachable by any alignment and padding cells are
+    exactly 0.
     """
     T = np.asarray(T, dtype=np.int64)
     U = np.asarray(U, dtype=np.int64)
     w_fb = np.asarray(final_blank_weight, dtype=np.float64)
-    B, Tmax, W = blank.shape
-    D = Tmax + W - 1
+    D, B, W = blank.shape
     b = np.arange(B)
     # d L / d prefix[u]: the weight of the term that ends at level u minus
     # the weight of the term that starts there.
     ends = np.zeros((B, W))
     ends[:, :-1] = lam
     ends[b, U] = w_fb
-    cu = np.zeros((B, 1, W))
-    cu[:, 0, 1:] = ends[:, 1:] - lam
+    cu = np.zeros((B, W))
+    cu[:, 1:] = ends[:, 1:] - lam
     dead = R == NEG_INF
-    pre = prefix[:, None, :]
     with np.errstate(invalid="ignore"):
-        # Edge posteriors into R[t, j]: from R[t-1, j] by a blank (w1) and
-        # from A[t, j] by an emission (w2).
+        # Edge posteriors into R at (t, j): from (t-1, j), one diagonal
+        # back, by a blank (w1) and from A at (t, j) by an emission (w2).
         w1 = np.zeros_like(R)
-        step = w1[:, 1:]
-        np.add(R[:, :-1], blank[:, :-1], out=step)
-        step -= R[:, 1:]
+        step = w1[1:]
+        np.add(R[:-1], blank[:-1], out=step)
+        step -= R[1:]
         np.exp(step, out=step)
         w1[dead] = 0.0
         w2 = np.exp(A - R)
         w2[dead] = 0.0
-        P = np.exp(A - pre)
+        P = np.exp(A - prefix)
         P *= cu
-        P[(cu == 0.0) | (pre == NEG_INF) | (A == NEG_INF)] = 0.0
+        P[(cu == 0.0) | (prefix == NEG_INF) | (A == NEG_INF)] = 0.0
     seed = np.where((w_fb != 0.0) & (loglik != NEG_INF), -w_fb, 0.0)
-    w1_s = _skew(w1, D, 0.0)
-    w2_s = _skew(w2, D, 0.0)
-    P_s = _skew(P, D, 0.0)
-    adjR = np.zeros((B, D, W))
-    adjR[b, T - 1 + U, U] = seed
-    # adjA[:, d, j] is the adjoint of A at (d - j, j); the extra zero column
-    # stands for level Umax + 1, which no utterance reaches.
-    adjA = np.zeros((B, D, W + 1))
-    gb_s = np.zeros((B, D, W))
+    last = T - 1 + U
+    adjR = np.zeros((D, B, W))
+    adjR[last, b, U] = seed
+    # adjA[d, :, j] is the adjoint of A on diagonal d at level j; the extra
+    # zero column stands for level Umax + 1, which no utterance reaches, and
+    # the extra zero diagonal for the emissions on the last one.
+    adjA = np.zeros((D + 1, B, W + 1))
+    g_blank = np.zeros((D, B, W))
     for d in range(D - 2, -1, -1):
-        adjR_next, adjA_next, gb = adjR[:, d + 1], adjA[:, d + 1, :W], gb_s[:, d]
-        np.multiply(adjR_next, w1_s[:, d + 1], out=gb)
-        np.multiply(adjR_next, w2_s[:, d + 1], out=adjA_next)
-        np.add(P_s[:, d + 1], adjA_next, out=adjA_next)
-        adjR[:, d] += gb + adjA[:, d + 1, 1:]
-    g_blank = _unskew(gb_s, Tmax)
-    g_blank[b, T - 1, U] = seed
-    # The emission at (t, j) produces A at (t, j + 1).
-    g_emit = _unskew(np.ascontiguousarray(adjA[:, :, :W]), Tmax)[:, :, 1:].copy()
+        adjR_next, adjA_next, gb = adjR[d + 1], adjA[d + 1, :, :W], g_blank[d]
+        np.multiply(adjR_next, w1[d + 1], out=gb)
+        np.multiply(adjR_next, w2[d + 1], out=adjA_next)
+        np.add(P[d + 1], adjA_next, out=adjA_next)
+        adjR[d] += gb + adjA[d + 1, :, 1:]
+    g_blank[last, b, U] = seed
+    # The emission at (t, j) produces A at (t, j + 1), one diagonal on.
+    g_emit = adjA[1:, :, 1:W].copy()
     return g_blank, g_emit
 
 

@@ -194,8 +194,9 @@ def forward(lattice: PosteriorLattice, y) -> ForwardBackwardTables:
     """
     labels = as_labels(y)
     _check_dims(lattice, labels)
-    _, alpha, _, loglik = kernels.PaddedColumns.of(lattice.logp, labels).sweep()
-    return ForwardBackwardTables(alpha=alpha[0], beta=None, loglik=float(loglik[0]))
+    _, R, _, loglik = kernels.PaddedColumns.of(lattice.logp, labels).sweep()
+    alpha = kernels.grid(R, 0, lattice.T, labels.size + 1)
+    return ForwardBackwardTables(alpha=alpha, beta=None, loglik=float(loglik[0]))
 
 
 def backward(lattice: PosteriorLattice, y) -> ForwardBackwardTables:
@@ -228,7 +229,7 @@ def rnnt_loss_grad(lattice: PosteriorLattice, y) -> np.ndarray:
             "is undefined"
         )
     g_blank, g_emit = cols.grad(sweep, np.ones((1, labels.size)), np.ones(1))
-    return kernels.dense_grad(g_blank[0], g_emit[0], labels, lattice.logp.shape[2])
+    return kernels.dense_grad(g_blank, g_emit, 0, lattice.T, labels, lattice.logp.shape[2])
 
 
 def lattice_to_json(lattice: PosteriorLattice, grad: Optional[np.ndarray] = None) -> str:

@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import DataError
 
-__all__ = ["WerResult", "wer", "corpus_wer"]
+__all__ = ["WerResult", "wer", "edit_distances", "corpus_wer"]
 
 
 @dataclass(frozen=True)
@@ -75,15 +75,48 @@ def wer(hyp, ref) -> WerResult:
     )
 
 
+def _padded(seqs):
+    """Token sequences as rows of one zero-padded int64 table, and their
+    lengths."""
+    seqs = [np.asarray(s, dtype=np.int64).ravel() for s in seqs]
+    n = np.array([s.size for s in seqs], dtype=np.int64)
+    table = np.zeros((n.size, int(n.max(initial=0))), dtype=np.int64)
+    if n.sum():
+        table[np.arange(table.shape[1]) < n[:, None]] = np.concatenate(seqs)
+    return table, n
+
+
+def edit_distances(hyps, refs) -> np.ndarray:
+    """Levenshtein distance of every (hypothesis, reference) pair, from one
+    DP over all pairs padded to the longest; ``wer(hyp, ref).distance``
+    without the counts.  A hypothesis against an empty reference is all
+    insertions.
+
+    Row i of the DP is every pair's reference position i, in the shifted
+    form of ``wer``.  Cell (i, j) depends only on cells (i', j') with
+    i' <= i and j' <= j, so the padding past a pair's own lengths never
+    reaches the cell that is read, (len(ref), len(hyp)).
+    """
+    h, m = _padded(hyps)
+    r, n = _padded(refs)
+    step = (r[:, :, None] != h[:, None, :]).astype(np.int64) - 1
+    e = np.empty((n.size, r.shape[1] + 1, h.shape[1] + 1), dtype=np.int64)
+    e[:, 0] = 0
+    for i in range(1, r.shape[1] + 1):
+        row = e[:, i]
+        row[:, 0] = i
+        np.minimum(e[:, i - 1, :-1] + step[:, i - 1], e[:, i - 1, 1:] + 1, out=row[:, 1:])
+        np.minimum.accumulate(row, axis=1, out=row)
+    return e[np.arange(n.size), n, m] + m
+
+
 def corpus_wer(hyps, refs) -> float:
     """Corpus token error rate: edit distances summed over (hypothesis,
     reference) pairs over the reference token count.  Every token of a
     hypothesis against an empty reference counts as an insertion."""
-    dist = total = 0
-    for hyp, ref in zip(hyps, refs):
-        ref = np.asarray(ref)
-        dist += wer(hyp, ref).distance if ref.size else np.asarray(hyp).size
-        total += ref.size
+    pairs = list(zip(hyps, refs))
+    total = sum(np.asarray(ref).size for _, ref in pairs)
     if total == 0:
         raise DataError("cannot evaluate WER on a corpus with no reference tokens")
+    dist = int(edit_distances(*zip(*pairs)).sum())
     return dist / total

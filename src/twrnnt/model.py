@@ -209,11 +209,13 @@ class BatchLayout:
     Node n joins encoder frame ``frame[n]`` of the stacked ``feats`` with
     predictor position ``pos[n]`` of the stacked predictor inputs ``ids``
     (BOS, then the labels, per utterance).  ``blank_at`` and ``emit_at`` are
-    its flat cells in padded (B, Tmax, Umax+1) and (B, Tmax, Umax) column
-    tables; ``emit_rows`` are the nodes with u < U and ``emit_label`` their
-    labels.  ``groups`` holds (n0, n1, m0, m1) ranges of nodes and emit rows
-    for runs of consecutive utterances with at most ``_GROUP_NODES`` nodes,
-    or one larger utterance.
+    its flat cells in the diagonal-major (D, B, Umax+1) and (D, B, Umax)
+    column tables of ``kernels.PaddedColumns``, node (b, t, u) on diagonal
+    ``diag`` = t + u (``cells`` gives them for the rows of a larger table);
+    ``emit_rows`` are the nodes with u < U and ``emit_label`` their labels.
+    ``groups`` holds (n0, n1, m0, m1) ranges of nodes and emit rows for runs
+    of consecutive utterances with at most ``_GROUP_NODES`` nodes, or one
+    larger utterance.
 
     ``BatchLayout(model, features, tokens)`` checks and packs its arguments;
     ``BatchLayout.of(packed, idx)`` lays out utterances ``idx`` (repeats
@@ -246,12 +248,14 @@ class BatchLayout:
         t, u = np.divmod(k, W[b])
         self.frame = (T.cumsum() - T)[b] + t
         self.pos = (W.cumsum() - W)[b] + u
-        row = b * int(T.max()) + t
         Umax = int(U.max())
-        self.blank_at = row * (Umax + 1) + u
+        self.diag = t + u
+        cell = self.diag * sizes.size + b
+        self.blank_at = cell * (Umax + 1) + u
         emit = u < U[b]
         self.emit_rows = emit.nonzero()[0]
-        self.emit_at = (row * Umax + u)[emit]
+        self.emit_at = (cell * Umax + u)[emit]
+        self.emit_diag = self.diag[emit]
         self.emit_label = self.ids[self.pos[emit] + 1]
         # Segment starts of the backward pass's per-frame and per-position
         # sums: nodes are frame-major, and ``by_pos`` lists them
@@ -273,6 +277,18 @@ class BatchLayout:
         m = self.emit_rows.searchsorted(n)
         self.groups = list(zip(n[:-1], n[1:], m[:-1], m[1:]))
         self.max_group = int((n[1:] - n[:-1]).max())
+
+    def cells(self, rows, row0):
+        """``blank_at`` and ``emit_at`` for the batch at rows row0.. of
+        column tables of ``rows`` rows: each diagonal's slab holds
+        ``rows - B`` more rows."""
+        B = self.T.size
+        if rows == B:
+            return self.blank_at, self.emit_at
+        W = int(self.U.max()) + 1
+        blank_at = self.blank_at + self.diag * ((rows - B) * W) + row0 * W
+        emit_at = self.emit_at + self.emit_diag * ((rows - B) * (W - 1)) + row0 * (W - 1)
+        return blank_at, emit_at
 
 
 def _encode(model: TransducerModel, layout: BatchLayout):
@@ -376,7 +392,7 @@ def model_forward(model: TransducerModel, features, tokens) -> PosteriorLattice:
 
 def _column_shapes(layout: BatchLayout):
     B, Tmax, Umax = layout.T.size, int(layout.T.max()), int(layout.U.max())
-    return (B, Tmax, Umax + 1), (B, Tmax, Umax)
+    return (Tmax + Umax, B, Umax + 1), (Tmax + Umax, B, Umax)
 
 
 def forward_columns(
@@ -387,12 +403,13 @@ def forward_columns(
 ) -> PaddedColumns:
     """Blank and label log-probability columns of a batch of utterances.
 
-    One network pass per group of nodes, written straight into padded
-    columns for ``kernels.emission_sweep``; equal to ``model_forward`` of
-    each utterance up to matrix-product rounding.  The logits are bounded by
-    tanh, so the rows skip ``normalize_logits``'s input checks.  ``out``,
-    if given, is a ``-inf``-filled batch of the layout's shape (such as rows
-    of a larger one, ``PaddedColumns.rows``) to write to and return.
+    One network pass per group of nodes, written straight into the
+    diagonal-major columns that ``kernels.emission_sweep`` sweeps; equal to
+    ``model_forward`` of each utterance up to matrix-product rounding.  The
+    logits are bounded by tanh, so the rows skip ``normalize_logits``'s
+    input checks.  ``out``, if given, is a ``-inf``-filled batch of the
+    layout's shape (such as rows of a larger one, ``PaddedColumns.rows``) to
+    write to and return.
     ``keep``, if given, keeps this pass's activations for
     ``backward_columns`` (``StepActivations``); the columns are the same.
     """
@@ -406,7 +423,11 @@ def forward_columns(
                 f"expected {shapes[0]} and {shapes[1]}"
             )
         cols = out
-    blank, emit = cols.blank.reshape(-1), cols.emit.reshape(-1)
+    # Rows of a larger batch are strided views of its tables, and the flat
+    # view of a strided array is a copy: write to the larger batch's tables.
+    base = cols.base or cols
+    blank, emit = base.blank.reshape(-1), base.emit.reshape(-1)
+    blank_at, emit_at = layout.cells(base.T.size, cols.row0)
     encoded = _encode(model, layout)
     p, enc, _, pred = encoded
     work = _work(layout, enc)
@@ -419,9 +440,9 @@ def forward_columns(
         else:
             _, logits = _join(p, enc, pred, layout, n0, n1, *work)
             lse = _row_logsumexp(logits)[:, 0]
-        blank[layout.blank_at[n0:n1]] = logits[:, -1] - lse
+        blank[blank_at[n0:n1]] = logits[:, -1] - lse
         r = layout.emit_rows[m0:m1] - n0
-        emit[layout.emit_at[m0:m1]] = logits[r, layout.emit_label[m0:m1]] - lse[r]
+        emit[emit_at[m0:m1]] = logits[r, layout.emit_label[m0:m1]] - lse[r]
     return cols
 
 
@@ -505,7 +526,9 @@ def backward_columns(
     kept: Optional[StepActivations] = None,
 ) -> np.ndarray:
     """Parameter gradient of a batch loss, given its gradients with respect
-    to the padded blank and label columns (``kernels.weighted_grad``).
+    to the padded blank and label columns (``kernels.weighted_grad``), in
+    the layout's diagonal-major shapes.  Rows of a larger batch's gradients
+    are read through a copy.
 
     Equal to the sum of ``model_backward`` over the batch's dense lattice
     gradients (``kernels.dense_grad``) up to matrix-product rounding, without

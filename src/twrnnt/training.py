@@ -201,7 +201,7 @@ def _batch_loss_and_grad(models, corpus: _Corpus, idx, grad, kept=None) -> list:
         for loss_u in losses[rows]:  # a plain sequential sum, whatever the Python version
             loss += loss_u
         out.append(loss / total_tokens)
-        grad[k] = backward_columns(model, layout, g_blank[rows], g_emit[rows], kept[k])
+        grad[k] = backward_columns(model, layout, g_blank[:, rows], g_emit[:, rows], kept[k])
     grad /= total_tokens
     return out
 

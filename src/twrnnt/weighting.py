@@ -218,7 +218,7 @@ def weighted_loss_and_grad(lattice: PosteriorLattice, y, weights: TokenWeights):
     labels, lam, w_fb = _prepare(lattice, y, weights)
     cols = kernels.PaddedColumns.of(lattice.logp, labels)
     (loss,), g_blank, g_emit = padded_loss_and_grad(cols, lam, w_fb)
-    return loss, kernels.dense_grad(g_blank[0], g_emit[0], labels, lattice.logp.shape[2])
+    return loss, kernels.dense_grad(g_blank, g_emit, 0, lattice.T, labels, lattice.logp.shape[2])
 
 
 def padded_loss_and_grad(cols: kernels.PaddedColumns, lam, final_blank_weight):

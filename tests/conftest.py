@@ -67,3 +67,12 @@ def cases(draw, hard_zeros=True, V=None):
     cell = st.tuples(st.integers(0, T - 1), st.integers(0, U), st.integers(0, V))
     zeros = draw(st.lists(cell, max_size=3)) if hard_zeros else []
     return with_hard_zeros(raw, labels, zeros)
+
+
+def owned_cells(shape, T, last):
+    """Mask of the (D, width) cells of one row of a diagonal-major table of
+    ``shape`` (D, B, width) that an utterance of T frames owns: (t, j) at
+    [t + j, j] with t < T and j <= last."""
+    d = np.arange(shape[0])[:, None]
+    j = np.arange(shape[2])
+    return (d - j >= 0) & (d - j < T) & (j <= last)

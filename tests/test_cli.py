@@ -80,6 +80,24 @@ def loss_check_payloads(draw):
     return payload, not (any(bad) or over_unit)
 
 
+BAD_REPORTS = {
+    "number": lambda report: 5,
+    "list": lambda report: [report],
+    "row_without_modes": lambda report: {**report, "rows": [{"level": 0.2}]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_REPORTS))
+def test_malformed_report_exits_3_with_one_json_line(tmp_path, capsys, case):
+    good = json.loads(report_to_json(ExperimentReport(kind="corruption", config={}, seeds=(0,), rows=[])))
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(BAD_REPORTS[case](good)))
+    code, _, err = run(capsys, ["report", str(path)])
+    assert code == 3 and "Traceback" not in err
+    (line,) = err.strip().splitlines()
+    assert json.loads(line)["error"] == "data"
+
+
 class TestGenData:
     def test_generates_and_reproduces(self, tmp_path, capsys):
         code, out, _ = run(capsys, ["gen-data", "--out", str(tmp_path / "a"), *TINY])

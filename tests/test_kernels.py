@@ -1,9 +1,12 @@
 """Kernel edge cases: hard zeros and empty label sequences through the
-emission sweep, the weighted gradient and the backward fill."""
+emission sweep, the weighted gradient and the backward fill, and the edge
+cases of the diagonal-major layout against the per-cell loops."""
 
 import numpy as np
 import pytest
 
+from conftest import owned_cells, with_hard_zeros
+from references import emission_sweep_scalar, weighted_grad_scalar
 from twrnnt import kernels
 
 
@@ -31,3 +34,112 @@ class TestKernelEdgeCases:
         _, _, _, ll = kernels.PaddedColumns.of(logp, y).sweep()
         expected = np.sum(logp[:, 0, 2])
         assert ll[0] == pytest.approx(expected, abs=1e-12)
+
+
+def lattice(T, U, V=2, zeros=(), seed=0):
+    rng = np.random.default_rng(seed)
+    raw = 1.5 * rng.normal(size=(T, U + 1, V + 1))
+    lat, y = with_hard_zeros(raw, rng.integers(0, V, size=U), zeros)
+    return lat.logp, y
+
+
+# The edge cases of the diagonal-major layout, one lattice each.
+EDGES = {
+    "hard_zeros": lattice(3, 2, zeros=[(0, 1, 2), (1, 0, 2), (2, 1, 0)]),
+    "unreachable": lattice(3, 2, zeros=[(2, 2, 2)]),
+    "U=0": lattice(4, 0),
+    "T=1": lattice(1, 3),
+    "T=1,U=0": lattice(1, 0),
+    "U>T": lattice(2, 5, V=3),
+    "long_diagonals": lattice(7, 4, seed=1),
+}
+
+
+def padded(items, K=1):
+    """K runs' rows stacked in one table: run k's copy of the lattices
+    (each run's log-probabilities shifted by k) in rows k*B.., with their
+    token weights and sentence-end weights, which depend on U alone."""
+    B = len(items)
+    stacked = kernels.PaddedColumns(
+        np.tile([logp.shape[0] for logp, _ in items], K), np.tile([y.size for _, y in items], K)
+    )
+    lam = np.zeros((K * B, stacked.emit.shape[2]))
+    for k in range(K):
+        rows = stacked.rows(k * B, (k + 1) * B)
+        for b, (logp, y) in enumerate(items):
+            rows.put(b, logp - 0.25 * k, y)
+            lam[k * B + b, : y.size] = np.linspace(0.5, 1.5, y.size)
+    return stacked, lam, 0.5 * (stacked.U % 3)
+
+
+def check_rows(cols, lam, fb, items, K=1):
+    """Every row of the batch equals the scalar loops on its own lattice,
+    and nothing leaks outside its cells."""
+    sweep = cols.sweep()
+    A, R, prefix, loglik = sweep
+    g_blank, g_emit = cols.grad(sweep, lam, fb)
+    B = len(items)
+    for row in range(K * B):
+        k, b = divmod(row, B)
+        logp, y = items[b]
+        logp = logp - 0.25 * k
+        T, U = logp.shape[0], y.size
+        ref = emission_sweep_scalar(logp, y)
+        np.testing.assert_array_equal(kernels.grid(A, row, T, U + 1), ref[0])
+        np.testing.assert_array_equal(kernels.grid(R, row, T, U + 1), ref[1])
+        np.testing.assert_array_equal(prefix[row, : U + 1], ref[2])
+        assert loglik[row] == ref[3]
+        np.testing.assert_array_equal(
+            kernels.dense_grad(g_blank, g_emit, row, T, y, logp.shape[2]),
+            weighted_grad_scalar(logp, y, *ref, lam[row, :U], fb[row]),
+        )
+        own = owned_cells(A.shape, T, U)
+        assert np.all(A[:, row][~own] == -np.inf) and np.all(R[:, row][~own] == -np.inf)
+        assert np.all(prefix[row, U + 1 :] == -np.inf)
+        assert not g_blank[:, row][~own].any()
+        assert not g_emit[:, row][~owned_cells(g_emit.shape, T, U - 1)].any()
+    return sweep, (g_blank, g_emit)
+
+
+class TestDiagonalLayout:
+    """The batched kernels on diagonal-major tables, equal with == to the
+    per-cell loops of ``tests/references.py``."""
+
+    @pytest.mark.parametrize("case", sorted(EDGES))
+    def test_one_lattice(self, case):
+        items = [EDGES[case]]
+        check_rows(*padded(items), items)
+
+    def test_mixed_batch_equals_each_utterance(self):
+        items = [EDGES[case] for case in sorted(EDGES)]
+        sweep, grads = check_rows(*padded(items), items)
+        for b, item in enumerate(items):
+            T, W = item[0].shape[0], item[1].size + 1
+            own_sweep, own_grads = check_rows(*padded([item]), [item])
+            tables = zip(sweep[:2] + grads, own_sweep[:2] + own_grads, (W, W, W, W - 1))
+            for got, want, width in tables:
+                np.testing.assert_array_equal(
+                    kernels.grid(got, b, T, width), kernels.grid(want, 0, T, width)
+                )
+            np.testing.assert_array_equal(sweep[2][b, :W], own_sweep[2][0])
+            assert sweep[3][b] == own_sweep[3][0]
+
+    def test_stacked_runs(self):
+        # Three runs' rows in one table, as a lockstep training step holds
+        # them: each row equals its own lattice's scalar loops, and each
+        # run's slab equals that run swept alone.
+        items = [EDGES[case] for case in ("U>T", "hard_zeros", "U=0", "long_diagonals")]
+        K, B = 3, len(items)
+        stacked, lam, fb = padded(items, K)
+        assert stacked.rows(B, 2 * B).base is stacked and stacked.rows(B, 2 * B).row0 == B
+        sweep, grads = check_rows(stacked, lam, fb, items, K)
+        for k in range(K):
+            rows = slice(k * B, (k + 1) * B)
+            own = kernels.PaddedColumns(stacked.T[rows], stacked.U[rows])
+            own.blank[...], own.emit[...] = stacked.blank[:, rows], stacked.emit[:, rows]
+            own_sweep = own.sweep()
+            own_grads = own.grad(own_sweep, lam[rows], fb[rows])
+            for got, want in zip(sweep[:2] + grads, own_sweep[:2] + own_grads):
+                np.testing.assert_array_equal(got[:, rows], want)
+            np.testing.assert_array_equal(sweep[2][rows], own_sweep[2])
+            np.testing.assert_array_equal(sweep[3][rows], own_sweep[3])

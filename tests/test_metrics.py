@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from conftest import PROPERTY
 from references import wer_counts
 from twrnnt.errors import DataError
-from twrnnt.metrics import corpus_wer, wer
+from twrnnt.metrics import corpus_wer, edit_distances, wer
 
 
 def reference_distance(a, b):
@@ -87,3 +87,27 @@ class TestCorpusWer:
     def test_no_reference_tokens_rejected(self):
         with pytest.raises(DataError, match="no reference tokens"):
             corpus_wer([[1]], [[]])
+
+
+class TestEditDistances:
+    @settings(PROPERTY, max_examples=100)
+    @given(
+        pairs=st.lists(
+            st.tuples(
+                st.lists(st.integers(0, 3), max_size=12),
+                st.lists(st.integers(0, 3), max_size=12),
+            ),
+            max_size=10,
+        )
+    )
+    @example(pairs=[([], [1, 2]), ([3, 3], []), ([], []), ([0, 1, 2], [0, 2])])
+    @example(pairs=[([], [])])  # no token on either side
+    @example(pairs=[])
+    def test_equals_summed_wer_distances(self, pairs):
+        # Per pair and summed, as corpus_wer sums them: a hypothesis against
+        # an empty reference counts every token as an insertion.
+        hyps, refs = [h for h, _ in pairs], [r for _, r in pairs]
+        want = [wer(h, r).distance if r else len(h) for h, r in pairs]
+        got = edit_distances(hyps, refs)
+        assert got.tolist() == want
+        assert int(got.sum()) == sum(want)

@@ -175,7 +175,7 @@ class TestGroupedPasses:
         want = np.zeros_like(model.params)
         for b, (f, y) in enumerate(zip(feats, tokens)):
             T = f.shape[0]
-            dlogp = dense_grad(g_blank[b, :T], g_emit[b, :T], y, V + 1)
+            dlogp = dense_grad(g_blank, g_emit, b, T, y, V + 1)
             want += model_backward(model, f, y, dlogp)
         assert np.max(np.abs(grad - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -192,8 +192,8 @@ class TestGroupedPasses:
             forward_columns(model, layout, out=stacked.rows(3 * k, 3 * k + 3))
         for k, model in enumerate(models):
             own = forward_columns(model, layout)
-            np.testing.assert_array_equal(stacked.blank[3 * k : 3 * k + 3], own.blank)
-            np.testing.assert_array_equal(stacked.emit[3 * k : 3 * k + 3], own.emit)
+            np.testing.assert_array_equal(stacked.blank[:, 3 * k : 3 * k + 3], own.blank)
+            np.testing.assert_array_equal(stacked.emit[:, 3 * k : 3 * k + 3], own.emit)
         with pytest.raises(DataError, match="column tables have shapes"):
             forward_columns(models[0], layout, out=stacked.rows(0, 2))
 

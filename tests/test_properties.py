@@ -11,7 +11,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import PROPERTY, cases, with_hard_zeros
+from conftest import PROPERTY, cases, owned_cells, with_hard_zeros
 from references import emission_sweep_scalar, weighted_grad_scalar
 from twrnnt import kernels
 from twrnnt.errors import NumericalError
@@ -139,20 +139,21 @@ def test_padded_batch_matches_scalar_loops_exactly(batch):
     for b, (lat, y, lam_b, fb_b) in enumerate(batch):
         T, U = lat.T, y.size
         ref = emission_sweep_scalar(lat.logp, y)
-        np.testing.assert_array_equal(A[b, :T, : U + 1], ref[0])
-        np.testing.assert_array_equal(R[b, :T, : U + 1], ref[1])
+        np.testing.assert_array_equal(kernels.grid(A, b, T, U + 1), ref[0])
+        np.testing.assert_array_equal(kernels.grid(R, b, T, U + 1), ref[1])
         np.testing.assert_array_equal(prefix[b, : U + 1], ref[2])
         assert loglik[b] == ref[3]
         np.testing.assert_array_equal(
-            kernels.dense_grad(g_blank[b, :T], g_emit[b, :T], y, lat.logp.shape[2]),
+            kernels.dense_grad(g_blank, g_emit, b, T, y, lat.logp.shape[2]),
             weighted_grad_scalar(lat.logp, y, *ref, lam_b, fb_b),
         )
         # Nothing leaks into the padding.
-        for table in (A[b], R[b]):
-            assert np.all(table[T:] == -np.inf) and np.all(table[:, U + 1 :] == -np.inf)
+        own = owned_cells(A.shape, T, U)
+        for table in (A[:, b], R[:, b]):
+            assert np.all(table[~own] == -np.inf)
         assert np.all(prefix[b, U + 1 :] == -np.inf)
-        assert not g_blank[b, T:].any() and not g_blank[b, :, U + 1 :].any()
-        assert not g_emit[b, T:].any() and not g_emit[b, :, U:].any()
+        assert not g_blank[:, b][~own].any()
+        assert not g_emit[:, b][~owned_cells(g_emit.shape, T, U - 1)].any()
 
 
 def test_long_lattice_stays_finite():
@@ -171,6 +172,6 @@ def test_long_lattice_stays_finite():
         # Standard-loss gradient identities: the final blank carries -1, and
         # every path takes exactly one blank per frame, so each frame's
         # blank gradients sum to -1.
-        g = kernels.dense_grad(g_blank[b, : lat.T], g_emit[b, : lat.T], y, lat.logp.shape[2])
+        g = kernels.dense_grad(g_blank, g_emit, b, lat.T, y, lat.logp.shape[2])
         assert g[lat.T - 1, y.size, lat.blank] == -1.0
         np.testing.assert_allclose(g[:, :, lat.blank].sum(axis=1), -1.0, atol=1e-9)

@@ -279,7 +279,7 @@ class TestPaddedBatchStep:
 
         def forward_with_hole(model, layout, out=None, keep=None):
             cols = forward_columns(model, layout, out=out, keep=keep)
-            cols.emit[2, :, 0] = -np.inf  # utterance 2's first token can never be emitted
+            cols.emit[:, 2, 0] = -np.inf  # utterance 2's first token can never be emitted
             return cols
 
         batch = small_data["train"][:4]
@@ -413,31 +413,6 @@ class TestRunSetup:
         with pytest.raises(DataError, match=f"utterance {utts[-1].id}: "):
             train_model(utts[:2], 8, 16, cfg, stream(54, "init"), stream(54, "order"), pseudo=utts[2:])
         assert updates == []
-
-    def test_diagonal_cache_holds_every_shape_of_a_run(self, small_data, monkeypatch):
-        # Every (rows, width, diags) shape the DP kernels ask for is built
-        # once: no shape of a desk run is evicted and built again.
-        shapes = set()
-        skew, unskew = kernels._skew, kernels._unskew
-
-        def recording_skew(table, diags, fill):
-            shapes.add((table.shape[1], table.shape[2], diags))
-            return skew(table, diags, fill)
-
-        def recording_unskew(skewed, rows):
-            shapes.add((rows, skewed.shape[2], skewed.shape[1]))
-            return unskew(skewed, rows)
-
-        monkeypatch.setattr(kernels, "_skew", recording_skew)
-        monkeypatch.setattr(kernels, "_unskew", recording_unskew)
-        kernels._diagonal_index.cache_clear()
-        res = train_model(
-            small_data["train"], 8, 16, TrainConfig(epochs=3), stream(55, "init"), stream(55, "order")
-        )
-        score_confidences(res.model, small_data["test"])
-        info = kernels._diagonal_index.cache_info()
-        assert len(shapes) > 4  # more than the cache used to hold
-        assert info.misses == len(shapes) and info.hits > info.misses
 
 
 # The runs of one (level, seed) in criterion 8: standard, and utterance and
