@@ -59,9 +59,11 @@ def _nearest_tokens(prototypes: np.ndarray) -> np.ndarray:
     return dist
 
 
-def _distances(prototypes, vocab: Vocabulary) -> Optional[np.ndarray]:
-    """``_nearest_tokens`` of the prototypes, one finite row per token of
-    ``vocab``, or None without them."""
+def _substitutes(prototypes, vocab: Vocabulary) -> Optional[list]:
+    """For each token of ``vocab``, the array of its nearest other tokens
+    by the distances of ``_nearest_tokens`` (several when they tie within
+    1e-12), from one finite prototype row per token; None without
+    prototypes."""
     if prototypes is None:
         return None
     try:
@@ -73,22 +75,24 @@ def _distances(prototypes, vocab: Vocabulary) -> Optional[np.ndarray]:
             f"prototypes must be a finite table with one row per token ({vocab.size}), "
             f"got shape {table.shape}"
         )
-    return _nearest_tokens(table)
+    dist = _nearest_tokens(table)
+    best = dist.min(axis=1)
+    # A one-token vocabulary has only its +inf diagonal, and inf - inf is
+    # NaN: no candidates, and ``_substitute`` needs none.
+    with np.errstate(invalid="ignore"):
+        return [np.flatnonzero(np.abs(row - b) < 1e-12) for row, b in zip(dist, best)]
 
 
-def _substitute(token: int, vocab: Vocabulary, dist, rng) -> int:
+def _substitute(token: int, vocab: Vocabulary, nearest, rng) -> int:
     """A substitute for ``token``: uniform over the other tokens without
-    prototype distances ``dist``, else one of its nearest (ties drawn by
-    the rng)."""
+    the ``_substitutes`` table ``nearest``, else one of its nearest (ties
+    drawn by the rng)."""
     if vocab.size == 1:
         return token  # nothing distinct to substitute
-    if dist is None:
+    if nearest is None:
         choice = int(rng.integers(0, vocab.size - 1))
         return choice + (choice >= token)
-    row = dist[token]
-    best = np.min(row)
-    candidates = np.flatnonzero(np.abs(row - best) < 1e-12)
-    return int(rng.choice(candidates))
+    return int(rng.choice(nearest[token]))
 
 
 def corrupt_transcript(
@@ -111,12 +115,12 @@ def corrupt_transcript(
     if rng is None:
         rng = np.random.default_rng(cfg.rng_seed)
     q = cfg.error_rate if rate is None else rate
-    return _corrupt(as_labels(y, vocab), cfg, vocab, _distances(prototypes, vocab), rng, q)
+    return _corrupt(as_labels(y, vocab), cfg, vocab, _substitutes(prototypes, vocab), rng, q)
 
 
-def _corrupt(labels, cfg, vocab, dist, rng, q):
-    """``corrupt_transcript`` of checked labels, given the prototype
-    distances ``dist`` (or None) and the per-token probability ``q``.  An
+def _corrupt(labels, cfg, vocab, nearest, rng, q):
+    """``corrupt_transcript`` of checked labels, given the ``_substitutes``
+    table ``nearest`` (or None) and the per-token probability ``q``.  An
     empty transcript comes back unchanged and draws nothing from ``rng``."""
     out = []
     for token in labels:
@@ -130,12 +134,12 @@ def _corrupt(labels, cfg, vocab, dist, rng, q):
         elif kind == "omit":
             pass
         else:
-            out.append(_substitute(token, vocab, dist, rng))
+            out.append(_substitute(token, vocab, nearest, rng))
     return np.asarray(out, dtype=np.int64)
 
 
-def _corrupt_all(transcripts, cfg, vocab, dist, rng, rate):
-    return [_corrupt(t, cfg, vocab, dist, rng, rate) for t in transcripts]
+def _corrupt_all(transcripts, cfg, vocab, nearest, rng, rate):
+    return [_corrupt(t, cfg, vocab, nearest, rng, rate) for t in transcripts]
 
 
 def _measured_wer(corrupted, references) -> float:
@@ -144,7 +148,7 @@ def _measured_wer(corrupted, references) -> float:
     return dist / total
 
 
-def _calibrated_rate(transcripts, cfg, vocab, dist) -> float:
+def _calibrated_rate(transcripts, cfg, vocab, nearest) -> float:
     """Tune the per-token probability so the corpus reference WER lands on
     cfg.error_rate.  Pilot corruptions use seeds derived from the config so
     the result is deterministic."""
@@ -158,7 +162,7 @@ def _calibrated_rate(transcripts, cfg, vocab, dist) -> float:
             rng = stream(cfg.rng_seed, "corruption-pilot", round_, pilot)
             measures.append(
                 _measured_wer(
-                    _corrupt_all(transcripts, cfg, vocab, dist, rng, q),
+                    _corrupt_all(transcripts, cfg, vocab, nearest, rng, q),
                     transcripts,
                 )
             )
@@ -176,13 +180,13 @@ def corrupt_corpus(utterance_tokens, cfg, vocab, prototypes=None, calibrate=True
 
     With ``calibrate`` (default) the internal per-token probability is tuned
     so the measured reference WER of the corpus matches ``cfg.error_rate``;
-    otherwise the raw rate applies.  The prototype distances are computed
-    once for the whole call.
+    otherwise the raw rate applies.  Each token's nearest substitutes are
+    found once for the whole call.
     """
     transcripts = [as_labels(t, vocab) for t in utterance_tokens]
     if not any(t.size for t in transcripts):
         raise DataError("cannot corrupt a corpus with no tokens")
-    dist = _distances(prototypes, vocab)
-    rate = _calibrated_rate(transcripts, cfg, vocab, dist) if calibrate else cfg.error_rate
+    nearest = _substitutes(prototypes, vocab)
+    rate = _calibrated_rate(transcripts, cfg, vocab, nearest) if calibrate else cfg.error_rate
     rng = np.random.default_rng(cfg.rng_seed)
-    return _corrupt_all(transcripts, cfg, vocab, dist, rng, rate)
+    return _corrupt_all(transcripts, cfg, vocab, nearest, rng, rate)

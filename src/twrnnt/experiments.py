@@ -5,6 +5,18 @@ confidence weights, token-level confidence weights) under identical recipes,
 select the weight exponent on validation WER, and emit a JSON-serializable
 report plus a human-readable table.  All randomness derives from one root
 seed through named streams, so reports are bit-reproducible.
+
+Runs that need nothing from each other train in one ``train_runs`` call,
+one run group per stream (``training.RunGroup``):
+
+  * corruption: the teacher and every seed's clean run in one call, then
+    one call per (level, seed) for its mode and exponent trials;
+  * pseudo-labeling: every seed's base run in one call, then one call per
+    (round, seed), with one group per distinct teacher, each on that
+    teacher's pool (decoded and scored once).
+
+Every run equals its own ``train_model`` call bit for bit, so the calls'
+grouping does not change a report.
 """
 
 from __future__ import annotations
@@ -23,7 +35,9 @@ from .model import TransducerModel
 from .seeds import stream
 from .training import (
     MODES,
+    RunGroup,
     TrainConfig,
+    _differences,
     decode_corpus,
     evaluate_wer,
     score_confidences,
@@ -115,19 +129,35 @@ def _mean(xs) -> float:
     return float(np.mean(np.asarray(xs, dtype=np.float64)))
 
 
-def _train_runs(utts, dims, cfgs, root_seed, tag, **kwargs):
-    """Train the runs ``cfgs`` of stream ``tag`` in lockstep: they share
-    the init and batch order drawn from it."""
-    D, V = dims
-    return train_runs(
+def _group(utts, cfgs, root_seed, tag, **kwargs) -> RunGroup:
+    """The runs ``cfgs`` of stream ``tag``: they share the init and batch
+    order drawn from it, each group from its own copy of the stream."""
+    return RunGroup(
         utts,
-        D,
-        V,
         cfgs,
         init_rng=stream(root_seed, "init", *tag),
         order_rng=stream(root_seed, "order", *tag),
         **kwargs,
     )
+
+
+def _train_groups(groups, dims) -> list:
+    """Train the run groups in as few ``train_runs`` calls as their configs
+    allow: a group joins the first call whose configs agree with its own
+    apart from mode, alpha and epochs.  Results in the groups' order."""
+    calls = []
+    for g, group in enumerate(groups):
+        for call in calls:
+            if not _differences(groups[call[0]].cfgs[0], group.cfgs[0]):
+                call.append(g)
+                break
+        else:
+            calls.append([g])
+    results = [None] * len(groups)
+    for call in calls:
+        for g, res in zip(call, train_runs([groups[g] for g in call], *dims)):
+            results[g] = res
+    return results
 
 
 class _Fit(NamedTuple):
@@ -137,20 +167,24 @@ class _Fit(NamedTuple):
     model: TransducerModel
 
 
-def _fit_modes(pool, tag, modes, train_cfg, alpha_grid, dims, root_seed, valid, test, **kwargs):
-    """Train every (mode, alpha) trial of ``modes`` on ``pool`` in one
-    lockstep call on stream ``tag``, then pick each weighted mode's alpha on
-    validation WER (ties prefer the smaller alpha; a grid of one needs no
-    decode).  Returns {mode: _Fit}.  The trials share every input except
-    the objective, which pairs the comparison."""
+def _fit_modes(parts, tag, train_cfg, alpha_grid, dims, root_seed, valid, test, **kwargs):
+    """Train every (mode, alpha) trial of each part (modes, utterances,
+    pseudo pool or None) in one lockstep call, one run group per part, each
+    on its own copy of stream ``tag``; then pick each weighted mode's alpha
+    on validation WER (ties prefer the smaller alpha; a grid of one needs
+    no decode).  Returns {mode: _Fit}.  A part's trials share every input
+    except the objective, which pairs the comparison."""
     alphas = [float(a) for a in alpha_grid]
-    grids = {m: [train_cfg.alpha] if m == "standard" else alphas for m in modes}
-    cfgs = [replace(train_cfg, mode=m, alpha=a) for m in modes for a in grids[m]]
-    results = iter(_train_runs(pool, dims, cfgs, root_seed, tag, **kwargs))
+    grids, groups = {}, []  # the parts' modes are distinct
+    for modes, utts, pseudo in parts:
+        grids.update({m: [train_cfg.alpha] if m == "standard" else alphas for m in modes})
+        cfgs = [replace(train_cfg, mode=m, alpha=a) for m in modes for a in grids[m]]
+        groups.append(_group(utts, cfgs, root_seed, tag, pseudo=pseudo, **kwargs))
+    results = iter([res for runs in train_runs(groups, *dims) for res in runs])
     max_sym = train_cfg.max_symbols_per_frame
     fits = {}
-    for mode in modes:
-        trials = [(a, next(results)) for a in grids[mode]]
+    for mode, grid in grids.items():
+        trials = [(a, next(results)) for a in grid]
         alpha, res = trials[0] if len(trials) == 1 else min(
             trials, key=lambda t: (evaluate_wer(t[1].model, valid, max_sym), t[0])
         )
@@ -213,16 +247,16 @@ def run_corruption_experiment(
     dims = (train[0].features.shape[1], vocab.size)
     max_sym = train_cfg.max_symbols_per_frame
 
+    # The teacher and every seed's clean run need nothing from each other.
     teacher_cfg = replace(teacher_cfg or train_cfg, mode="standard")
-    teacher = _train_runs(pretrain, dims, [teacher_cfg], root_seed, ("teacher",))[0].model
-
-    clean_wers = []
-    for seed in seeds:
-        (res,) = _train_runs(
-            train, dims, [replace(train_cfg, mode="standard")], root_seed, ("clean", seed)
-        )
-        clean_wers.append(evaluate_wer(res.model, test, max_sym))
-    clean_wer = _mean(clean_wers)
+    clean_cfg = replace(train_cfg, mode="standard")
+    (teacher,), *clean = _train_groups(
+        [_group(pretrain, [teacher_cfg], root_seed, ("teacher",))]
+        + [_group(train, [clean_cfg], root_seed, ("clean", seed)) for seed in seeds],
+        dims,
+    )
+    teacher = teacher.model
+    clean_wer = _mean([evaluate_wer(res.model, test, max_sym) for (res,) in clean])
 
     rows = []
     for level in levels:
@@ -244,8 +278,8 @@ def run_corruption_experiment(
             # One stream per (level, seed): every mode and exponent sees
             # identical inits and batch orders.
             fits.append(_fit_modes(
-                scored, ("corr", level, seed), modes, train_cfg, alpha_grid, dims, root_seed,
-                valid, test,
+                [(modes, scored, None)], ("corr", level, seed), train_cfg, alpha_grid, dims,
+                root_seed, valid, test,
             ))
         row = {"level": float(level), "modes": _summary(fits, modes, include_traces)}
         if "standard" in modes:
@@ -302,16 +336,21 @@ def run_pseudo_labeling(
     base_cfg = base_cfg or train_cfg
 
     fits = {rnd: [] for rnd in range(1, cfg.rounds + 1)}  # one {mode: _Fit} per seed
+    base = _train_groups(
+        [
+            _group(labeled, [replace(base_cfg, mode="standard")], root_seed, ("base", seed))
+            for seed in seeds
+        ],
+        dims,
+    )
     base_wers = []
-    for seed in seeds:
-        (res,) = _train_runs(
-            labeled, dims, [replace(base_cfg, mode="standard")], root_seed, ("base", seed)
-        )
+    for seed, (res,) in zip(seeds, base):
         base_wers.append(evaluate_wer(res.model, test, max_sym))
         teachers = {m: res.model for m in cfg.modes}
         for rnd in fits:
             # Modes that share a teacher share its pool, decoded and scored
-            # once.  In round 1 every mode's teacher is the base model.
+            # once, and form one run group.  In round 1 every mode's
+            # teacher is the base model.
             groups = []
             for mode in cfg.modes:
                 for teacher, group in groups:
@@ -320,7 +359,7 @@ def run_pseudo_labeling(
                         break
                 else:
                     groups.append((teachers[mode], [mode]))
-            fit = {}
+            parts = []
             for teacher, group in groups:
                 pseudo = decode_corpus(teacher, unlabeled, max_sym)
                 if all(p.tokens.size == 0 for p in pseudo):
@@ -328,11 +367,11 @@ def run_pseudo_labeling(
                         f"round {rnd} ({', '.join(group)}): teacher produced only "
                         f"empty hypotheses"
                     )
-                fit.update(_fit_modes(
-                    labeled, ("gen", rnd, seed), group, train_cfg, cfg.alpha_grid, dims,
-                    root_seed, valid, test, pseudo=score_confidences(teacher, pseudo),
-                    mix_ratio=cfg.labeled_to_pseudo_ratio,
-                ))
+                parts.append((group, labeled, score_confidences(teacher, pseudo)))
+            fit = _fit_modes(
+                parts, ("gen", rnd, seed), train_cfg, cfg.alpha_grid, dims, root_seed, valid,
+                test, mix_ratio=cfg.labeled_to_pseudo_ratio,
+            )
             teachers = {m: fit[m].model for m in cfg.modes}
             fits[rnd].append(fit)
 

@@ -211,7 +211,8 @@ class BatchLayout:
     (BOS, then the labels, per utterance).  ``blank_at`` and ``emit_at`` are
     its flat cells in the diagonal-major (D, B, Umax+1) and (D, B, Umax)
     column tables of ``kernels.PaddedColumns``, node (b, t, u) on diagonal
-    ``diag`` = t + u (``cells`` gives them for the rows of a larger table);
+    ``diag`` = t + u (``cells`` gives them for rows of a table with more
+    rows, diagonals or levels);
     ``emit_rows`` are the nodes with u < U and ``emit_label`` their labels.
     ``groups`` holds (n0, n1, m0, m1) ranges of nodes and emit rows for runs
     of consecutive utterances with at most ``_GROUP_NODES`` nodes, or one
@@ -277,17 +278,27 @@ class BatchLayout:
         m = self.emit_rows.searchsorted(n)
         self.groups = list(zip(n[:-1], n[1:], m[:-1], m[1:]))
         self.max_group = int((n[1:] - n[:-1]).max())
+        self._cells = {(sizes.size, Umax + 1): (self.blank_at, self.emit_at)}
 
-    def cells(self, rows, row0):
+    def cells(self, rows, width, row0=0):
         """``blank_at`` and ``emit_at`` for the batch at rows row0.. of
-        column tables of ``rows`` rows: each diagonal's slab holds
-        ``rows - B`` more rows."""
-        B = self.T.size
-        if rows == B:
-            return self.blank_at, self.emit_at
-        W = int(self.U.max()) + 1
-        blank_at = self.blank_at + self.diag * ((rows - B) * W) + row0 * W
-        emit_at = self.emit_at + self.emit_diag * ((rows - B) * (W - 1)) + row0 * (W - 1)
+        column tables of ``rows`` rows and ``width`` blank levels (at least
+        the batch's own), whose diagonals are slabs of ``rows * width``
+        cells; the number of diagonals does not enter.  The offsets of row
+        0 are built once per table shape."""
+        key = (rows, width)
+        if key not in self._cells:
+            # Node (b, t, u) is cell b * W + u of its diagonal's own slab.
+            B, W = self.T.size, int(self.U.max()) + 1
+            b, u = np.divmod(self.blank_at - self.diag * (B * W), W)
+            e = self.emit_rows
+            self._cells[key] = (
+                (self.diag * rows + b) * width + u,
+                (self.emit_diag * rows + b[e]) * (width - 1) + u[e],
+            )
+        blank_at, emit_at = self._cells[key]
+        if row0:
+            return blank_at + row0 * width, emit_at + row0 * (width - 1)
         return blank_at, emit_at
 
 
@@ -390,9 +401,20 @@ def model_forward(model: TransducerModel, features, tokens) -> PosteriorLattice:
     return normalize_logits(logits.reshape(T, U + 1, -1))
 
 
-def _column_shapes(layout: BatchLayout):
+def _check_tables(layout: BatchLayout, blank, emit, what, row0=None):
+    """Raise a DataError unless the diagonal-major ``blank`` and ``emit``
+    tables can hold the layout's batch, as their only rows or, given
+    ``row0``, at rows row0..: at least the diagonals and levels it needs,
+    and one level fewer in ``emit``."""
     B, Tmax, Umax = layout.T.size, int(layout.T.max()), int(layout.U.max())
-    return (Tmax + Umax, B, Umax + 1), (Tmax + Umax, B, Umax)
+    D, rows, W = blank.shape if blank.ndim == 3 else (0, 0, 0)
+    fits = rows == B if row0 is None else rows >= row0 + B
+    if emit.shape != (D, rows, W - 1) or D < Tmax + Umax or not fits or W <= Umax:
+        raise DataError(
+            f"{what} have shapes {blank.shape} and {emit.shape}, which cannot hold "
+            f"{B} rows from row {row0 or 0} of ({Tmax + Umax}, {B}, {Umax + 1}) and "
+            f"({Tmax + Umax}, {B}, {Umax}) tables"
+        )
 
 
 def forward_columns(
@@ -408,26 +430,22 @@ def forward_columns(
     ``model_forward`` of each utterance up to matrix-product rounding.  The
     logits are bounded by tanh, so the rows skip ``normalize_logits``'s
     input checks.  ``out``, if given, is a ``-inf``-filled batch of the
-    layout's shape (such as rows of a larger one, ``PaddedColumns.rows``) to
-    write to and return.
+    layout's rows to write to and return; its tables may have more
+    diagonals and levels than the layout needs (such as rows of a larger
+    batch, ``PaddedColumns.rows``, padded to its longest utterances).
     ``keep``, if given, keeps this pass's activations for
     ``backward_columns`` (``StepActivations``); the columns are the same.
     """
     if out is None:
         cols = PaddedColumns(layout.T, layout.U)
     else:
-        shapes = _column_shapes(layout)
-        if (out.blank.shape, out.emit.shape) != shapes:
-            raise DataError(
-                f"column tables have shapes {out.blank.shape} and {out.emit.shape}, "
-                f"expected {shapes[0]} and {shapes[1]}"
-            )
+        _check_tables(layout, out.blank, out.emit, "column tables")
         cols = out
     # Rows of a larger batch are strided views of its tables, and the flat
     # view of a strided array is a copy: write to the larger batch's tables.
     base = cols.base or cols
     blank, emit = base.blank.reshape(-1), base.emit.reshape(-1)
-    blank_at, emit_at = layout.cells(base.T.size, cols.row0)
+    blank_at, emit_at = layout.cells(base.T.size, base.blank.shape[2], cols.row0)
     encoded = _encode(model, layout)
     p, enc, _, pred = encoded
     work = _work(layout, enc)
@@ -524,11 +542,14 @@ def backward_columns(
     g_blank,
     g_emit,
     kept: Optional[StepActivations] = None,
+    row0: int = 0,
 ) -> np.ndarray:
     """Parameter gradient of a batch loss, given its gradients with respect
     to the padded blank and label columns (``kernels.weighted_grad``), in
-    the layout's diagonal-major shapes.  Rows of a larger batch's gradients
-    are read through a copy.
+    diagonal-major tables whose rows row0.. are the layout's batch.  The
+    tables may hold more rows, diagonals and levels (such as a lockstep
+    step's, padded to its longest utterances); the batch's cells are read
+    where they are, without copying its rows out.
 
     Equal to the sum of ``model_backward`` over the batch's dense lattice
     gradients (``kernels.dense_grad``) up to matrix-product rounding, without
@@ -538,18 +559,14 @@ def backward_columns(
     """
     gb = np.asarray(g_blank, dtype=np.float64)
     ge = np.asarray(g_emit, dtype=np.float64)
-    shapes = _column_shapes(layout)
-    if (gb.shape, ge.shape) != shapes:
-        raise DataError(
-            f"column gradients have shapes {gb.shape} and {ge.shape}, expected "
-            f"{shapes[0]} and {shapes[1]}"
-        )
+    _check_tables(layout, gb, ge, "column gradients", row0)
+    blank_at, emit_at = layout.cells(gb.shape[1], gb.shape[2], row0)
     gb, ge = gb.reshape(-1), ge.reshape(-1)
 
     def dlogp_rows(n0, n1, m0, m1):
         d = np.zeros((n1 - n0, model.vocab_size + 1))
-        d[:, -1] = gb[layout.blank_at[n0:n1]]
-        d[layout.emit_rows[m0:m1] - n0, layout.emit_label[m0:m1]] = ge[layout.emit_at[m0:m1]]
+        d[:, -1] = gb[blank_at[n0:n1]]
+        d[layout.emit_rows[m0:m1] - n0, layout.emit_label[m0:m1]] = ge[emit_at[m0:m1]]
         return d
 
     return _backward(model, layout, dlogp_rows, kept)

@@ -11,14 +11,16 @@ without scores count as fully confident (c = 1), which is how ground-truth
 labeled data mixes into weighted objectives.
 
 Runs that differ only in their objective (mode and weight exponent), and so
-share an init, a batch order and a corpus, train in lockstep as one stacked
-run (``train_runs``); a single run (``train_model``) is the case of one.
+share an init, a batch order and a corpus, form a run group (``RunGroup``).
+One ``train_runs`` call steps several groups in lockstep, each on its own
+corpus and streams, with one DP pass and one Adam update per step over
+every run; a single run (``train_model``) is one group of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
-from typing import Optional, Sequence
+from typing import Any, Optional, Sequence
 
 import numpy as np
 
@@ -44,6 +46,7 @@ __all__ = [
     "MODES",
     "TrainConfig",
     "TrainResult",
+    "RunGroup",
     "train_runs",
     "train_model",
     "decode_corpus",
@@ -112,10 +115,10 @@ class _Corpus:
     packed features and labels, and the per-utterance terms of each run's
     weights under its config's mode.
 
-    ``batch(idx)`` gives a batch's layout and the token and sentence-end
-    weight tables of every run, stacked: run k owns rows k*B..(k+1)*B-1.
-    Standard training is unit weights.  Token weighting gives token j of
-    utterance i the weight c_ij^alpha over the batch mean of c^alpha
+    ``weights(idx, layout, lam, w_fb)`` writes a batch's token and
+    sentence-end weights for every run.  Standard training is unit weights.
+    Token weighting gives token j of utterance i the weight c_ij^alpha over
+    the batch mean of c^alpha
     (``compute_weights`` with per-batch normalization, in its summation
     order).  Utterance weighting gives every token of utterance i, and its
     sentence-end term, w_i = mean(c_i)^alpha normalized to mean 1 over the
@@ -145,16 +148,12 @@ class _Corpus:
             elif cfg.mode == "utterance_weights":
                 self.powered[k] = means**cfg.alpha
 
-    def batch(self, idx):
-        """(layout, lam, final_blank_weight) of utterances ``idx``, with
-        lam (K*B, Umax) and final_blank_weight (K*B,) for K runs."""
-        idx = np.asarray(idx, dtype=np.int64)
-        layout = BatchLayout.of(self.packed, idx)
-        U = layout.U
-        slots = np.arange(int(U.max())) < U[:, None]
-        K, B = len(self.cfgs), U.size
-        lam = np.zeros((K, *slots.shape))
-        w_fb = np.empty((K, B))
+    def weights(self, idx, layout, lam, w_fb):
+        """Write the weights of utterances ``idx``, laid out by ``layout``,
+        for the K runs: token weights to the zero-filled lam (K, B, W),
+        W >= Umax, and sentence-end weights to w_fb (K, B)."""
+        idx, U = np.asarray(idx, dtype=np.int64), layout.U
+        slots = np.arange(lam.shape[2]) < U[:, None]
         for k, cfg in enumerate(self.cfgs):
             if cfg.mode == "standard":
                 lam[k][slots] = 1.0
@@ -171,38 +170,55 @@ class _Corpus:
                     norm = sum(self.powered_sums[k][i] for i in rows) / total
                     lam[k][slots] = np.concatenate([self.powered[k][i] for i in rows]) / norm
                 w_fb[k] = cfg.final_blank_weight
-        return layout, lam.reshape(K * B, slots.shape[1]), w_fb.reshape(-1)
 
 
-def _batch_loss_and_grad(models, corpus: _Corpus, idx, grad, kept=None) -> list:
-    """Each run's summed loss for utterances ``idx`` of the corpus, divided
-    by their token count; run k's parameter gradient, divided likewise,
-    overwrites ``grad[k]``.
+def _batch_loss_and_grad(models, batches, grad, kept=None) -> list:
+    """Each run's summed loss for its batch, divided by the batch's token
+    count; run k's parameter gradient, divided likewise, overwrites
+    ``grad[k]``.
 
-    One layout serves every run.  Run k's grouped model forward writes its
-    rows of one padded column batch, the DP runs once over all of them, and
-    run k's grouped model backward takes its rows of the column gradients
-    back to its parameters.  With ``kept``, one ``StepActivations`` per run,
-    each backward reuses what its forward kept instead of running the
+    ``batches`` holds one (corpus, idx) pair per run group: utterances
+    ``idx`` of the corpus, for the next ``len(corpus.cfgs)`` models.  Each
+    group lays out its batch once.  Every run's grouped model forward
+    writes its rows of one padded column batch, padded to the groups'
+    longest utterances and transcripts, the DP runs once over all of them,
+    and each run's grouped model backward reads its rows of the column
+    gradients where they are.  With ``kept``, one ``StepActivations`` per
+    run, each backward reuses what its forward kept instead of running the
     network again; the losses and gradients are the same.
     """
-    layout, lam, final_blank_weight = corpus.batch(idx)
-    total_tokens = max(1, int(layout.U.sum()))
-    K, B = len(models), layout.T.size
-    cols = PaddedColumns(np.tile(layout.T, K), np.tile(layout.U, K))
-    kept = kept or [None] * K
-    for k, model in enumerate(models):
-        forward_columns(model, layout, out=cols.rows(k * B, (k + 1) * B), keep=kept[k])
-    losses, g_blank, g_emit = padded_loss_and_grad(cols, lam, final_blank_weight)
+    layouts = [BatchLayout.of(corpus.packed, idx) for corpus, idx in batches]
+    # Run k's layout, and its rows row0[k]..row0[k + 1] - 1 of the padded
+    # batch; a group's runs are consecutive.
+    run_layouts = [layout for (corpus, _), layout in zip(batches, layouts) for _ in corpus.cfgs]
+    row0 = [0]
+    for layout in run_layouts:
+        row0.append(row0[-1] + layout.T.size)
+    cols = PaddedColumns(
+        np.concatenate([layout.T for layout in run_layouts]),
+        np.concatenate([layout.U for layout in run_layouts]),
+    )
+    lam = np.zeros((row0[-1], cols.emit.shape[2]))
+    w_fb = np.empty(row0[-1])
+    k0 = 0  # the group's first run
+    for (corpus, idx), layout in zip(batches, layouts):
+        K, B = len(corpus.cfgs), layout.T.size
+        rows = slice(row0[k0], row0[k0 + K])
+        corpus.weights(idx, layout, lam[rows].reshape(K, B, lam.shape[1]), w_fb[rows].reshape(K, B))
+        k0 += K
+    kept = kept or [None] * len(models)
+    for k, layout in enumerate(run_layouts):
+        forward_columns(models[k], layout, out=cols.rows(row0[k], row0[k + 1]), keep=kept[k])
+    losses, g_blank, g_emit = padded_loss_and_grad(cols, lam, w_fb)
     out = []
-    for k, model in enumerate(models):
-        rows = slice(k * B, (k + 1) * B)
+    for k, layout in enumerate(run_layouts):
+        total_tokens = max(1, int(layout.U.sum()))
         loss = 0.0
-        for loss_u in losses[rows]:  # a plain sequential sum, whatever the Python version
+        for loss_u in losses[row0[k] : row0[k + 1]]:  # a plain sequential sum
             loss += loss_u
         out.append(loss / total_tokens)
-        grad[k] = backward_columns(model, layout, g_blank[:, rows], g_emit[:, rows], kept[k])
-    grad /= total_tokens
+        grad[k] = backward_columns(models[k], layout, g_blank, g_emit, kept[k], row0[k])
+        grad[k] /= total_tokens
     return out
 
 
@@ -246,95 +262,181 @@ def _run_name(cfg: TrainConfig) -> str:
     return f"{cfg.mode} at alpha {cfg.alpha:g}"
 
 
-def train_runs(
-    utterances: Sequence[Utterance],
-    dim_features: int,
-    vocab_size: int,
-    cfgs: Sequence[TrainConfig],
-    init_rng,
-    order_rng,
-    init_model: Optional[TransducerModel] = None,
-    pseudo: Optional[Sequence[Utterance]] = None,
-    mix_ratio=(1, 9),
-) -> list:
-    """Adam training runs that differ only in their objective, stepped in
-    lockstep; one TrainResult per config, deterministic given the two rng
-    streams.
+# What the runs of one ``train_runs`` call may differ in: within a group,
+# the objective; across groups, also the number of epochs.
+_GROUP_FREE = ("mode", "alpha")
+_CALL_FREE = ("mode", "alpha", "epochs")
 
-    The configs may differ only in ``mode`` and ``alpha`` (anything else
-    raises a DataError).  Every run starts from the same init and takes the
-    same batches, so each result equals that of its own ``train_model``
-    call bit for bit.  The init is drawn and the batch order consumed once,
-    the corpus packed once, and each step lays out its batch once, runs the
-    DP once over every run's lattices and makes one Adam update of the
-    runs' stacked (K, P) parameters.  Each run's backward reuses the
-    activations its forward kept (``model.StepActivations``), whose buffers
-    live for this call.
 
-    With a ``pseudo`` pool, batches are sampled at ``mix_ratio`` instead of
-    epoch shuffles.  Every utterance is checked before the first step: bad
-    features, labels or (in the weighted modes) confidences raise a
-    DataError naming it.  Divergence (a non-finite loss or gradient) raises
-    a NumericalError naming the run before any run is updated at that step.
-    ``init_model`` is copied, never modified.
+def _differences(cfg: TrainConfig, other: TrainConfig, free=_CALL_FREE) -> list:
+    """The fields, other than those named in ``free``, in which the two
+    configs differ: by default, those that keep their groups out of one
+    ``train_runs`` call."""
+    return [
+        f.name for f in fields(cfg)
+        if f.name not in free and getattr(other, f.name) != getattr(cfg, f.name)
+    ]
+
+
+@dataclass(frozen=True)
+class RunGroup:
+    """Training runs that share a corpus, an init and a batch order, and so
+    differ only in their objective: one run per config of ``cfgs``, whose
+    configs may differ only in ``mode`` and ``alpha``.
+
+    The init is ``init_model`` (copied, never modified) or drawn from
+    ``init_rng``; the batches are epoch shuffles of ``utterances`` drawn
+    from ``order_rng`` or, with a ``pseudo`` pool, batches sampled from
+    both at ``mix_ratio``.
     """
-    cfgs = list(cfgs)
-    if not cfgs:
-        raise DataError("no training configs")
-    cfg = cfgs[0]
-    for other in cfgs[1:]:
-        if replace(other, mode=cfg.mode, alpha=cfg.alpha) != cfg:
-            differ = [f.name for f in fields(cfg) if getattr(other, f.name) != getattr(cfg, f.name)]
-            raise DataError(
-                f"runs trained together may differ only in mode and alpha, "
-                f"not in {', '.join(differ)}"
+
+    utterances: Sequence[Utterance]
+    cfgs: Sequence[TrainConfig]
+    init_rng: Any
+    order_rng: Any
+    init_model: Optional[TransducerModel] = None
+    pseudo: Optional[Sequence[Utterance]] = None
+    mix_ratio: tuple = (1, 9)
+
+
+class _Group:
+    """A run group being trained: its corpus, batches and step count."""
+
+    def __init__(self, index, group: RunGroup, init: TransducerModel):
+        cfg = group.cfgs[0]
+        self.index, self.cfgs, self.init = index, list(group.cfgs), init
+        if group.pseudo is None:
+            self.corpus = _Corpus(init, group.utterances, self.cfgs)
+            self.batches = batch_iterator(group.utterances, cfg, group.order_rng)
+            pool = len(group.utterances)
+        else:
+            utts = list(group.utterances) + list(group.pseudo)
+            self.corpus = _Corpus(init, utts, self.cfgs)
+            self.batches = mixed_batch_iterator(
+                group.utterances, group.pseudo, cfg, group.order_rng, group.mix_ratio
             )
-    if not utterances:
-        raise DataError("no training utterances")
-    init = init_model or TransducerModel.random(
-        dim_features, cfg.dim_hidden, vocab_size, init_rng, scale=cfg.init_scale
-    )
+            pool = len(utts)
+        self.steps_per_epoch = -(-pool // cfg.batch_size)
+        self.steps = cfg.epochs * self.steps_per_epoch
+
+
+def _check_groups(groups) -> None:
+    """Refuse groups that cannot train together, naming the field."""
+    if not groups:
+        raise DataError("no run groups to train")
+    first = None
+    for g, group in enumerate(groups):
+        if not group.cfgs:
+            raise DataError(f"run group {g} has no training configs")
+        if not group.utterances:
+            raise DataError(f"run group {g} has no training utterances")
+        cfg = group.cfgs[0]
+        for other in group.cfgs[1:]:
+            differ = _differences(cfg, other, _GROUP_FREE)
+            if differ:
+                raise DataError(
+                    f"runs of one group may differ only in mode and alpha, "
+                    f"not in {', '.join(differ)}"
+                )
+        first = first or cfg
+        differ = _differences(first, cfg)
+        if differ:
+            raise DataError(
+                f"run groups trained together may differ only in mode, alpha and "
+                f"epochs, not in {', '.join(differ)} (group {g})"
+            )
+    order = [group.order_rng for group in groups]
+    if len({id(rng) for rng in order}) < len(order):
+        raise DataError("run groups trained together need their own order streams")
+
+
+def train_runs(groups: Sequence[RunGroup], dim_features: int, vocab_size: int) -> list:
+    """Adam training of every run of several run groups, stepped in
+    lockstep; for each group, in the given order, one TrainResult per
+    config.  Deterministic given each group's two rng streams.
+
+    Each group's runs start from its init and take its batches, so each
+    result equals that of its own ``train_model`` call bit for bit.  The
+    groups may differ in corpus, streams, init, pseudo pool and epochs;
+    the configs must agree in every other field (a DataError names it), and
+    every init must have the same dimensions.  Each group's init is drawn
+    and its batch order consumed once, and its corpus packed once.  At each
+    step every group that still has batches lays out its batch once; one
+    DP pass covers every live run's lattices, padded to the longest, and
+    one Adam update their stacked (K, P) parameters.  Groups are stacked
+    longest first, so the live runs are always the leading rows, and a
+    group drops out when its batches run out.  Each run's backward reuses
+    the activations its forward kept (``model.StepActivations``), whose
+    buffers live for this call.
+
+    Every utterance of every group is checked before the first step: bad
+    features, labels or (in the weighted modes) confidences raise a
+    DataError naming it.  Divergence (a non-finite loss or gradient)
+    raises a NumericalError naming the run and its group before any run
+    is updated at that step.
+    """
+    groups = list(groups)
+    _check_groups(groups)
+    live = []
+    for g, group in enumerate(groups):
+        cfg = group.cfgs[0]
+        init = group.init_model or TransducerModel.random(
+            dim_features, cfg.dim_hidden, vocab_size, group.init_rng, scale=cfg.init_scale
+        )
+        live.append(_Group(g, group, init))
+    dims = {(s.init.dim_in, s.init.dim_hidden, s.init.vocab_size) for s in live}
+    if len(dims) > 1:
+        raise DataError(f"run groups trained together need inits of one shape, got {sorted(dims)}")
+    # Longest first (stable), so that the live runs are always the leading
+    # rows of the stacked arrays, and a group drops out from the end.
+    live.sort(key=lambda s: -s.steps)
+    stacked = list(live)
     # The runs' own parameters, one row each, updated in place; every
     # run's model views its row, so its views are built once.
-    params = np.tile(init.params, (len(cfgs), 1))
-    models = [TransducerModel(init.dim_in, init.dim_hidden, init.vocab_size, row) for row in params]
+    params = np.concatenate([np.tile(s.init.params, (len(s.cfgs), 1)) for s in stacked])
+    shape = stacked[0].init
+    models = [TransducerModel(shape.dim_in, shape.dim_hidden, shape.vocab_size, row) for row in params]
     m, v, grad = np.zeros_like(params), np.zeros_like(params), np.empty_like(params)
     kept = [StepActivations(model) for model in models]
-    hyper = AdamConfig(lr=cfg.lr)
-    if pseudo is None:
-        corpus = _Corpus(models[0], utterances, cfgs)
-        batches = batch_iterator(utterances, cfg, order_rng)
-        steps_per_epoch = -(-len(utterances) // cfg.batch_size)
-    else:
-        corpus = _Corpus(models[0], list(utterances) + list(pseudo), cfgs)
-        batches = mixed_batch_iterator(utterances, pseudo, cfg, order_rng, mix_ratio)
-        steps_per_epoch = -(-(len(utterances) + len(pseudo)) // cfg.batch_size)
-    batch_losses = [[] for _ in cfgs]
-    for step, idx in enumerate(batches, start=1):
-        losses = _batch_loss_and_grad(models, corpus, idx, grad, kept)
-        for run, loss in zip(cfgs, losses):
+    hyper = AdamConfig(lr=stacked[0].cfgs[0].lr)
+    names = [
+        f"training diverged ({_run_name(cfg)}) in run group {s.index}" for s in stacked for cfg in s.cfgs
+    ]
+    batch_losses = [[] for _ in models]
+    n = len(models)  # live runs
+    for step in range(1, stacked[0].steps + 1):
+        while live[-1].steps < step:
+            n -= len(live.pop().cfgs)
+        batches = [(s.corpus, next(s.batches)) for s in live]
+        losses = _batch_loss_and_grad(models[:n], batches, grad[:n], kept[:n])
+        for k, loss in enumerate(losses):
             if not np.isfinite(loss):
-                raise NumericalError(f"training diverged ({_run_name(run)}): batch loss {loss!r}")
+                raise NumericalError(f"{names[k]}: batch loss {loss!r}")
         try:
-            adam_update(params, m, v, grad, step, hyper)
+            adam_update(params[:n], m[:n], v[:n], grad[:n], step, hyper)
         except NumericalError:
             # The update's own guard refused the step before touching
             # anything; name the run whose gradient it refused.
-            k, i = divmod(int(np.argmax(~np.isfinite(grad))), grad.shape[1])
+            k, i = divmod(int(np.argmax(~np.isfinite(grad[:n]))), grad.shape[1])
             raise NumericalError(
-                f"training diverged ({_run_name(cfgs[k])}): non-finite gradient entry "
+                f"{names[k]}: non-finite gradient entry "
                 f"{grad[k, i]!r} at index {i}; no update applied"
             ) from None
         for trace, loss in zip(batch_losses, losses):
             trace.append(loss)
-    results = []
-    for row, losses in zip(params, batch_losses):
-        epoch_losses = [
-            float(np.mean(losses[i : i + steps_per_epoch]))
-            for i in range(0, len(losses), steps_per_epoch)
-        ]
-        model = TransducerModel(init.dim_in, init.dim_hidden, init.vocab_size, row.copy())
-        results.append(TrainResult(model=model, batch_losses=losses, epoch_losses=epoch_losses))
+    results = [None] * len(groups)
+    rows = iter(zip(params, batch_losses))
+    for s in stacked:
+        results[s.index] = []
+        for _, (row, losses) in zip(s.cfgs, rows):
+            epoch_losses = [
+                float(np.mean(losses[i : i + s.steps_per_epoch]))
+                for i in range(0, len(losses), s.steps_per_epoch)
+            ]
+            model = TransducerModel(shape.dim_in, shape.dim_hidden, shape.vocab_size, row.copy())
+            results[s.index].append(
+                TrainResult(model=model, batch_losses=losses, epoch_losses=epoch_losses)
+            )
     return results
 
 
@@ -349,11 +451,10 @@ def train_model(
     pseudo: Optional[Sequence[Utterance]] = None,
     mix_ratio=(1, 9),
 ) -> TrainResult:
-    """One Adam training run: ``train_runs`` with the one config ``cfg``."""
-    return train_runs(
-        utterances, dim_features, vocab_size, [cfg], init_rng, order_rng,
-        init_model=init_model, pseudo=pseudo, mix_ratio=mix_ratio,
-    )[0]
+    """One Adam training run: ``train_runs`` of one group of the one
+    config ``cfg``."""
+    group = RunGroup(utterances, [cfg], init_rng, order_rng, init_model, pseudo, mix_ratio)
+    return train_runs([group], dim_features, vocab_size)[0][0]
 
 
 def decode_corpus(model: TransducerModel, utterances, max_symbols_per_frame=4) -> list:

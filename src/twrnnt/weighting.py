@@ -57,12 +57,11 @@ class WeightConfig:
 class TokenWeights:
     """Per-token multipliers aligned with one label sequence.
 
-    Mean over the normalization scope is 1; ordering follows the source
-    confidences (monotone in c for any alpha > 0).
+    Mean over the normalization scope is 1; ordering follows the
+    confidences they came from (monotone in c for any alpha > 0).
     """
 
     lambdas: np.ndarray
-    source_confidences: np.ndarray
     config: WeightConfig = field(default_factory=WeightConfig)
 
     def __len__(self) -> int:
@@ -71,7 +70,7 @@ class TokenWeights:
     @classmethod
     def uniform(cls, n: int, config: WeightConfig | None = None) -> "TokenWeights":
         cfg = config or WeightConfig(alpha=0.0)
-        return cls(lambdas=np.ones(n), source_confidences=np.ones(n), config=cfg)
+        return cls(lambdas=np.ones(n), config=cfg)
 
 
 def _confidence_array(c) -> np.ndarray:
@@ -130,10 +129,7 @@ def compute_weights(
                 norms.append(1.0)  # no tokens to scale; weight vector is empty
             else:
                 norms.append(float(np.mean(p)))
-    out = [
-        TokenWeights(lambdas=p / n, source_confidences=a, config=config)
-        for p, a, n in zip(powered, arrays, norms)
-    ]
+    out = [TokenWeights(lambdas=p / n, config=config) for p, n in zip(powered, norms)]
     return out[0] if single else out
 
 

@@ -123,7 +123,7 @@ def test_criterion_04_gradient_correctness(instances):
         scale = max(np.max(np.abs(analytic)), np.max(np.abs(numeric)), 1e-12)
         worst_lattice = max(worst_lattice, np.max(np.abs(analytic - numeric)) / scale)
         lam = rng.uniform(0.0, 2.0, size=y.size)
-        w = TokenWeights(lam, np.ones(y.size), WeightConfig())
+        w = TokenWeights(lam, WeightConfig())
         analytic_w = weighted_loss_and_grad(lat, y, w)[1]
         numeric_w = finite_diff_grad(
             lambda l: weighted_rnnt_loss(l, y, w), lat, step=1e-6
@@ -140,7 +140,7 @@ def test_criterion_04_gradient_correctness(instances):
         feats = mrng.normal(size=(4, 3))
         y = mrng.integers(0, 4, size=3).astype(np.int64)
         lam = mrng.uniform(0.2, 1.8, size=3)
-        w = TokenWeights(lam, np.ones(3), WeightConfig())
+        w = TokenWeights(lam, WeightConfig())
 
         def loss_at(params):
             mm = TransducerModel(3, 8, 4, params)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -161,3 +163,59 @@ class TestDistancesOncePerCall:
             transcripts, cfg, vocab, prototypes=prototypes, calibrate=calibrate
         )
         assert [t.tolist() for t in got] == [t.tolist() for t in want]
+
+
+class TestSubstituteCandidates:
+    """Each token's nearest substitutes are found once per call; the draws,
+    and so the outputs, must equal the reference that searched the
+    prototype distances at every substitution."""
+
+    @staticmethod
+    def prototypes(kind, seed):
+        if kind == "none":
+            return None
+        protos = np.random.default_rng(seed).normal(size=(16, 4))
+        if kind == "tied":
+            # Tokens 3, 5 and 9 are all nearest to 7, at distances equal up
+            # to rounding, and 7 is nearest to each of them.
+            d = 0.0123456789
+            protos[3] = protos[7] + [d, 0.0, 0.0, 0.0]
+            protos[5] = protos[7] - [0.0, d, 0.0, 0.0]
+            protos[9] = protos[7] + [0.0, 0.0, 0.0, d]
+        return protos
+
+    @pytest.mark.parametrize("kind", ["none", "distinct", "tied"])
+    @pytest.mark.parametrize("level", [0.1, 0.3, 0.6])
+    def test_corpus_equals_reference(self, kind, level):
+        rng = np.random.default_rng(140)
+        refs = [rng.integers(0, 16, size=rng.integers(0, 9)) for _ in range(80)]
+        vocab = Vocabulary(16)
+        for seed in (0, 11, 12345):
+            protos = self.prototypes(kind, seed)
+            cfg = CorruptionConfig(error_rate=level, rng_seed=seed, error_types=("substitute", "omit"))
+            got = corrupt_corpus(refs, cfg, vocab, prototypes=protos)
+            want = references.corrupt_corpus(refs, cfg, vocab, prototypes=protos)
+            assert [t.tolist() for t in got] == [t.tolist() for t in want]
+            # corrupt_transcript draws the same way, one transcript at a time.
+            one = corrupt_transcript(refs[0], cfg, vocab, prototypes=protos, rate=1.0)
+            want = references._corrupt_transcript(
+                refs[0], cfg, vocab, protos, np.random.default_rng(seed), 1.0
+            )
+            assert one.tolist() == want.tolist()
+
+    def test_one_token_vocabulary_substitutes_itself_without_warning(self):
+        cfg = CorruptionConfig(error_rate=1.0, rng_seed=5, error_types=("substitute",))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = corrupt_transcript([0, 0, 0], cfg, Vocabulary(1), prototypes=[[0.3, 1.0]])
+        assert out.tolist() == [0, 0, 0]
+
+    def test_ties_are_drawn_among_every_nearest(self):
+        protos = self.prototypes("tied", 3)
+        vocab = Vocabulary(16)
+        cfg = CorruptionConfig(error_rate=1.0, rng_seed=4, error_types=("substitute",))
+        subs = {
+            int(corrupt_transcript([7], cfg, vocab, prototypes=protos, rng=np.random.default_rng(s))[0])
+            for s in range(60)
+        }
+        assert subs == {3, 5, 9}

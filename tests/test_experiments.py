@@ -308,3 +308,41 @@ class TestEnginesEqualSoloRuns:
                 assert entry["chosen_alpha"] == [alpha if mode != "standard" else None]
                 assert entry["loss_trace_per_seed"] == [res.batch_losses]
                 teachers[mode] = res.model
+
+
+class TestEngineCalls:
+    """Runs that need nothing from each other share one ``train_runs``
+    call: the number of run groups of each call."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        sizes = []
+        train_runs = experiments_mod.train_runs
+        monkeypatch.setattr(
+            experiments_mod, "train_runs",
+            lambda groups, *dims: sizes.append(len(groups)) or train_runs(groups, *dims),
+        )
+        return sizes
+
+    @pytest.mark.parametrize("teacher_lr, sizes", [(1e-2, [3, 1, 1]), (2e-2, [1, 2, 1, 1])])
+    def test_corruption(self, tiny_data, calls, teacher_lr, sizes):
+        # The teacher and both clean runs in one call, unless the teacher's
+        # config differs in more than its epochs; then one call per seed.
+        meta, splits = tiny_data
+        run_corruption_experiment(
+            splits, meta, levels=[0.2], modes=MODES3, train_cfg=replace(FAST, epochs=1),
+            alpha_grid=(2.0,), seeds=(0, 1), root_seed=3,
+            teacher_cfg=replace(FAST, epochs=2, lr=teacher_lr),
+        )
+        assert calls == sizes
+
+    def test_pseudo_labeling(self, tiny_data, calls):
+        # Both base runs in one call; then per (round, seed) one call, with
+        # one group per distinct teacher: one in round 1, three in round 2.
+        meta, splits = tiny_data
+        run_pseudo_labeling(
+            splits["train"], splits["pretrain"], splits["valid"], splits["test"], meta,
+            GenerationConfig(rounds=2, alpha_grid=(2.0,), modes=MODES3),
+            replace(FAST, epochs=8), seeds=(0, 2), root_seed=13, base_cfg=TrainConfig(epochs=10),
+        )
+        assert calls == [2, 1, 3, 1, 3]

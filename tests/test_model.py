@@ -86,7 +86,6 @@ class TestBackward:
         y = np.array([0, 2, 1])
         w = TokenWeights(
             lambdas=np.array([1.5, 0.5, 1.0]),
-            source_confidences=np.ones(3),
             config=WeightConfig(),
         )
 
@@ -196,6 +195,45 @@ class TestGroupedPasses:
             np.testing.assert_array_equal(stacked.emit[:, 3 * k : 3 * k + 3], own.emit)
         with pytest.raises(DataError, match="column tables have shapes"):
             forward_columns(models[0], layout, out=stacked.rows(0, 2))
+
+    def test_rows_of_a_wider_longer_batch(self):
+        # Two batches of other sizes share one table padded to the longest
+        # utterance and transcript, as grouped lockstep training does: each
+        # forward fills its rows, and each backward reads its rows of
+        # gradient tables of that shape in place; both equal the batch's
+        # own passes.
+        rng = np.random.default_rng(7)
+        model = TransducerModel.random(3, 8, 5, rng)
+        batches = [
+            BatchLayout(model, [rng.normal(size=(T, 3)) for T in Ts], [rng.integers(0, 5, size=U) for U in Us])
+            for Ts, Us in [((4, 7, 2), (3, 0, 2)), ((9, 3), (1, 6))]
+        ]
+        T = np.concatenate([layout.T for layout in batches])
+        U = np.concatenate([layout.U for layout in batches])
+        wide = PaddedColumns(T, U)
+        assert wide.blank.shape == (9 + 6, 5, 7)
+        row0 = [0, 3]
+        for layout, r in zip(batches, row0):
+            forward_columns(model, layout, out=wide.rows(r, r + layout.T.size))
+        g_blank = np.where(np.isfinite(wide.blank), rng.normal(size=wide.blank.shape), 0.0)
+        g_emit = np.where(np.isfinite(wide.emit), rng.normal(size=wide.emit.shape), 0.0)
+        for layout, r in zip(batches, row0):
+            own = forward_columns(model, layout)
+            D, B, W = own.blank.shape
+            rows = slice(r, r + B)
+            np.testing.assert_array_equal(wide.blank[:D, rows, :W], own.blank)
+            np.testing.assert_array_equal(wide.emit[:D, rows, : W - 1], own.emit)
+            assert np.all(wide.blank[D:, rows] == -np.inf) and np.all(wide.blank[:, rows, W:] == -np.inf)
+            np.testing.assert_array_equal(
+                backward_columns(model, layout, g_blank, g_emit, row0=r),
+                backward_columns(
+                    model, layout, g_blank[:D, rows, :W].copy(), g_emit[:D, rows, : W - 1].copy()
+                ),
+            )
+        with pytest.raises(DataError, match="column gradients have shapes"):
+            backward_columns(model, batches[1], g_blank, g_emit, row0=4)
+        with pytest.raises(DataError, match="column gradients have shapes"):
+            backward_columns(model, batches[1], g_blank[:, :, :6], g_emit[:, :, :5], row0=3)
 
     def test_groups_are_runs_within_the_node_bound(self):
         # Node counts 600, 800, 600, 1 fit one group of 2001 <= 2048 nodes;

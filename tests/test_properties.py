@@ -78,7 +78,7 @@ def test_weighted_loss_is_linear_in_weights(case, data):
     a = data.draw(st.floats(0.0, 3.0))
 
     def loss_and_grad(lam, fb):
-        w = TokenWeights(lam, np.ones(y.size), WeightConfig(final_blank_weight=fb))
+        w = TokenWeights(lam, WeightConfig(final_blank_weight=fb))
         return weighted_loss_and_grad(lat, y, w)
 
     l1, g1 = loss_and_grad(lam1, fb1)

@@ -23,6 +23,7 @@ from twrnnt.model import (
 from twrnnt.seeds import stream
 from twrnnt.training import (
     MODES,
+    RunGroup,
     TrainConfig,
     _batch_loss_and_grad,
     _Corpus,
@@ -59,7 +60,8 @@ def small_data(tmp_path_factory):
 def batch_step(model, batch, cfg):
     """Loss and gradient of one batch, through the training corpus."""
     grad = np.empty((1, model.params.size))
-    (loss,) = _batch_loss_and_grad([model], _Corpus(model, batch, [cfg]), np.arange(len(batch)), grad)
+    corpus = _Corpus(model, batch, [cfg])
+    (loss,) = _batch_loss_and_grad([model], [(corpus, np.arange(len(batch)))], grad)
     return loss, grad[0]
 
 
@@ -76,7 +78,7 @@ def reference_batch_weights(batch, cfg):
             alpha=cfg.alpha, final_blank_weight=cfg.final_blank_weight, normalization="per_batch"
         )
         if not any(c.size for c in confidences):  # compute_weights refuses a scope of no tokens
-            return [TokenWeights(np.zeros(0), np.zeros(0), wcfg) for _ in batch]
+            return [TokenWeights(np.zeros(0), wcfg) for _ in batch]
         return compute_weights(confidences, wcfg)
     means = np.array([float(np.mean(c)) if c.size else 1.0 for c in confidences])
     powered = means**cfg.alpha
@@ -84,7 +86,6 @@ def reference_batch_weights(batch, cfg):
     return [
         TokenWeights(
             lambdas=np.full(c.size, wi),
-            source_confidences=c,
             config=WeightConfig(alpha=cfg.alpha, final_blank_weight=float(wi)),
         )
         for wi, c in zip(w, confidences)
@@ -229,7 +230,7 @@ class TestTrainingLoop:
         # so exercise the guard directly.
         import twrnnt.training as training_mod
 
-        def nan_step(models, corpus, idx, grad, kept=None):
+        def nan_step(models, batches, grad, kept=None):
             grad[...] = 0.0
             return [float("nan")] * len(models)
 
@@ -470,9 +471,10 @@ class TestLockstep:
         monkeypatch.setattr(BatchLayout, "of", classmethod(recording_of))
         # The init is drawn from the stream unless one is given.
         given = init if case in ("pseudo", "several_node_groups") else None
-        results = train_runs(
-            labeled, 8, 16, cfgs, stream(63, "init"), stream(63, "order"),
-            init_model=given, pseudo=pseudo,
+        (results,) = train_runs(
+            [RunGroup(labeled, cfgs, stream(63, "init"), stream(63, "order"),
+                      init_model=given, pseudo=pseudo)],
+            8, 16,
         )
         monkeypatch.undo()
         np.testing.assert_array_equal(init.params, before)  # init_model is copied
@@ -496,7 +498,9 @@ class TestLockstep:
             replace(base, mode="token_weights", alpha=2.0),
         ]
         init = TransducerModel.random(8, 32, 16, np.random.default_rng(67))
-        results = train_runs(utts, 8, 16, cfgs, stream(66, "init"), stream(66, "order"), init_model=init)
+        (results,) = train_runs(
+            [RunGroup(utts, cfgs, stream(66, "init"), stream(66, "order"), init_model=init)], 8, 16
+        )
         for run, res in zip(cfgs, results):
             ref_model, ref_losses = reference_train(utts, None, run, init, stream(66, "order"))
             assert res.batch_losses == ref_losses
@@ -507,7 +511,9 @@ class TestLockstep:
         base = TrainConfig(epochs=2)
         cfgs = [base, replace(base, mode="token_weights", alpha=2.0), replace(base, **{field: value})]
         with pytest.raises(DataError, match=f"not in {field}"):
-            train_runs(small_data["train"][:8], 8, 16, cfgs, stream(64, "init"), stream(64, "order"))
+            train_runs(
+                [RunGroup(small_data["train"][:8], cfgs, stream(64, "init"), stream(64, "order"))], 8, 16
+            )
 
     @pytest.mark.parametrize("bad", ["loss", "gradient"])
     def test_divergence_names_the_run(self, small_data, bad, monkeypatch):
@@ -521,8 +527,8 @@ class TestLockstep:
             updates.append((params, params.copy()))
             update(params, *args)
 
-        def diverging_step(models, corpus, idx, grad, kept=None):
-            losses = step(models, corpus, idx, grad, kept)
+        def diverging_step(models, batches, grad, kept=None):
+            losses = step(models, batches, grad, kept)
             if len(updates) == 2:  # the third step of run 1
                 if bad == "loss":
                     losses[1] = float("nan")
@@ -536,13 +542,193 @@ class TestLockstep:
         cfgs = [base, replace(base, mode="utterance_weights", alpha=2.0), replace(base, mode="token_weights", alpha=6.0)]
         utts = TestRunSetup.scored(small_data["train"][:24], 65)
         with pytest.raises(NumericalError, match="diverged \\(utterance_weights at alpha 2\\)"):
-            train_runs(utts, 8, 16, cfgs, stream(65, "init"), stream(65, "order"))
+            train_runs([RunGroup(utts, cfgs, stream(65, "init"), stream(65, "order"))], 8, 16)
         # The guard fired on the third step, before any run was updated:
         # a bad loss before the update, a bad gradient inside it.
         assert len(updates) == (2 if bad == "loss" else 3)
         params, before = updates[-1]
         if bad == "gradient":
             np.testing.assert_array_equal(params, before)
+
+
+class TestGroupedLockstep:
+    """One ``train_runs`` call over several run groups, each with its own
+    corpus, streams and init: every run must equal its own batch-by-batch
+    reference run bit for bit, and the results come back in the groups'
+    order."""
+
+    @staticmethod
+    def hypotheses(utts, seed):
+        """A teacher's pool: the utterances' features with other token
+        sequences, some longer, some empty, scored."""
+        rng = np.random.default_rng(seed)
+        out = []
+        for i, u in enumerate(utts):
+            n = 0 if i % 4 == 1 else int(rng.integers(1, 12))
+            out.append(replace(
+                u, tokens=rng.integers(0, 16, size=n), confidences=rng.uniform(0.05, 1.0, size=n)
+            ))
+        return out
+
+    @staticmethod
+    def check(make, results):
+        """Each group's runs against their reference loops, each on fresh
+        streams from ``make()``, which builds the groups."""
+        groups = make()
+        assert len(results) == len(groups)
+        for g, (group, runs) in enumerate(zip(groups, results)):
+            cfg = group.cfgs[0]
+            init = group.init_model or TransducerModel.random(
+                8, cfg.dim_hidden, 16, group.init_rng, scale=cfg.init_scale
+            )
+            assert len(runs) == len(group.cfgs)
+            for run, res in zip(group.cfgs, runs):
+                ref_model, ref_losses = reference_train(
+                    group.utterances, group.pseudo, run, init, make()[g].order_rng
+                )
+                assert res.batch_losses == ref_losses, run
+                assert np.array_equal(res.model.params, ref_model.params), run
+
+    @pytest.fixture(scope="class")
+    def long_utts(self, tmp_path_factory):
+        spec = SyntheticSpec(
+            n_train=5, n_valid=1, n_test=1, n_pretrain=1, dim_features=8, vocab_size=16,
+            min_tokens=20, max_tokens=30, min_frames_per_token=2, max_frames_per_token=4,
+            seed=24,
+        )
+        _, utts = read_dataset(generate_synthetic_dataset(spec, tmp_path_factory.mktemp("long"))["train"])
+        return TestRunSetup.scored(utts, 81)
+
+    def test_groups_of_other_corpora_sizes_epochs_and_inits(self, small_data, long_utts, monkeypatch):
+        import twrnnt.training as training_mod
+
+        desk = TestRunSetup.scored(small_data["train"][:20], 80)
+        base = TrainConfig(epochs=2, batch_size=8, final_blank_weight=0.5)
+        init = TransducerModel.random(8, 32, 16, np.random.default_rng(82))
+
+        def group(utts, runs, tag, epochs, **kwargs):
+            cfgs = [replace(base, mode=m, alpha=a, epochs=epochs) for m, a in runs]
+            return RunGroup(utts, cfgs, stream(83, "init", tag), stream(83, "order", tag), **kwargs)
+
+        def make():
+            return [
+                # 1 step an epoch on long lattices (T ~ 75, U ~ 25), from a given init.
+                group(long_utts, [("standard", 1.0), ("token_weights", 6.0)], "long", 3, init_model=init),
+                # 3 steps an epoch on desk utterances, the longest group.
+                group(desk, CRITERION_8_RUNS, "desk", 2),
+                # A labeled pool and a pseudo pool of hypotheses, 3 steps.
+                group(
+                    [replace(u, confidences=None) for u in desk[:8]],
+                    [("utterance_weights", 2.0), ("token_weights", 2.0)], "mixed", 1,
+                    pseudo=self.hypotheses(desk[8:], 84),
+                ),
+                # One run of one epoch: 3 steps, the last batch of 4.
+                group(desk[:20], [("standard", 1.0)], "one", 1),
+            ]
+
+        live = []
+        update = training_mod.adam_update
+
+        def recording_update(params, m, v, grad, step, hyper):
+            # The live runs are the leading rows: views, never copies.
+            assert params.base is not None and m.base is not None and v.base is not None
+            live.append(params.shape[0])
+            update(params, m, v, grad, step, hyper)
+
+        monkeypatch.setattr(training_mod, "adam_update", recording_update)
+        results = train_runs(make(), 8, 16)
+        monkeypatch.undo()
+        # Desk (5 runs) for 6 steps; long (2) for 3; mixed (2) and one (1) for 3.
+        assert live == [10, 10, 10, 5, 5, 5]
+        self.check(make, results)
+
+    def test_groups_with_per_teacher_pools(self, small_data):
+        # Pseudo-labeling: one group per teacher, on the same labeled pool
+        # and the same stream, each with its own pool of hypotheses.
+        desk = TestRunSetup.scored(small_data["train"][:24], 85)
+        labeled = [replace(u, confidences=None) for u in desk[:8]]
+        base = TrainConfig(epochs=2, batch_size=8)
+
+        def groups():
+            return [
+                RunGroup(
+                    labeled, [replace(base, mode=m, alpha=a) for m, a in runs],
+                    stream(86, "init"), stream(86, "order"), pseudo=pool,
+                )
+                for runs, pool in [
+                    ([("standard", 1.0)], self.hypotheses(desk[8:], 87)),
+                    ([("utterance_weights", 2.0), ("utterance_weights", 6.0)], self.hypotheses(desk[8:], 88)),
+                    ([("token_weights", 2.0), ("token_weights", 6.0)], desk[8:]),
+                ]
+            ]
+
+        self.check(groups, train_runs(groups(), 8, 16))
+
+    @pytest.mark.parametrize(
+        "bad, row, name",
+        [
+            ("loss", 1, "token_weights at alpha 6\\) in run group 0"),
+            ("gradient", 3, "utterance_weights at alpha 2\\) in run group 1"),
+        ],
+    )
+    def test_divergence_names_the_group_and_run(self, small_data, bad, row, name, monkeypatch):
+        import twrnnt.training as training_mod
+
+        step = training_mod._batch_loss_and_grad
+        calls = []
+
+        def diverging_step(models, batches, grad, kept=None):
+            losses = step(models, batches, grad, kept)
+            calls.append(len(models))
+            if len(calls) == 2:
+                if bad == "loss":
+                    losses[row] = float("nan")
+                else:
+                    grad[row, 5] = -np.inf
+            return losses
+
+        monkeypatch.setattr(training_mod, "_batch_loss_and_grad", diverging_step)
+        utts = TestRunSetup.scored(small_data["train"][:16], 89)
+        base = TrainConfig(epochs=1)
+        groups = [
+            RunGroup(utts, [replace(base, mode="token_weights", alpha=6.0)], stream(90, "i0"), stream(90, "o0")),
+            RunGroup(utts, [base, replace(base, mode="utterance_weights", alpha=2.0)],
+                     stream(90, "i1"), stream(90, "o1")),
+            RunGroup(utts, [replace(base, epochs=2)], stream(90, "i2"), stream(90, "o2")),
+        ]
+        # Stacked longest first: group 2 is row 0, group 0 row 1, group 1 rows 2-3.
+        with pytest.raises(NumericalError, match=f"diverged \\({name}"):
+            train_runs(groups, 8, 16)
+        assert calls == [4, 4]
+
+    @pytest.mark.parametrize("field, value", [("lr", 2e-2), ("dim_hidden", 16), ("batch_size", 4)])
+    def test_groups_may_differ_only_in_mode_alpha_and_epochs(self, small_data, field, value):
+        utts = small_data["train"][:8]
+        base = TrainConfig(epochs=2)
+        groups = [
+            RunGroup(utts, [base], stream(91, "i0"), stream(91, "o0")),
+            RunGroup(utts, [replace(base, mode="token_weights", alpha=2.0, epochs=3)],
+                     stream(91, "i1"), stream(91, "o1")),
+            RunGroup(utts, [replace(base, **{field: value})], stream(91, "i2"), stream(91, "o2")),
+        ]
+        with pytest.raises(DataError, match=f"not in {field} \\(group 2\\)"):
+            train_runs(groups, 8, 16)
+
+    def test_groups_need_inits_of_one_shape(self, small_data):
+        utts = small_data["train"][:8]
+        inits = [TransducerModel.random(8, H, 16, np.random.default_rng(93)) for H in (32, 16)]
+        groups = [
+            RunGroup(utts, [TrainConfig()], stream(93, "i", H), stream(93, "o", H), init_model=init)
+            for H, init in zip((32, 16), inits)
+        ]
+        with pytest.raises(DataError, match="inits of one shape"):
+            train_runs(groups, 8, 16)
+
+    def test_groups_need_their_own_order_streams(self, small_data):
+        utts, order = small_data["train"][:8], stream(92, "order")
+        groups = [RunGroup(utts, [TrainConfig()], stream(92, "init"), order) for _ in range(2)]
+        with pytest.raises(DataError, match="their own order streams"):
+            train_runs(groups, 8, 16)
 
 
 class TestKeptActivations:
@@ -605,8 +791,8 @@ class TestKeptActivations:
             # The stacked step of the three runs, kept against recomputed.
             grad = np.empty((len(models), models[0].params.size))
             want = np.empty_like(grad)
-            losses = _batch_loss_and_grad(models, corpus, idx, grad, kept)
-            assert losses == _batch_loss_and_grad(models, corpus, idx, want)
+            losses = _batch_loss_and_grad(models, [(corpus, idx)], grad, kept)
+            assert losses == _batch_loss_and_grad(models, [(corpus, idx)], want)
             np.testing.assert_array_equal(grad, want)
         # Scoring keeps nothing and is not affected by what training kept.
         for got, before in zip(score_confidences(models[0], utts), scores):

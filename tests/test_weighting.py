@@ -101,7 +101,6 @@ class TestWeightedLoss:
         lat, y = random_instance_nonempty(rng)
         w = TokenWeights(
             lambdas=np.zeros(y.size),
-            source_confidences=np.ones(y.size),
             config=WeightConfig(final_blank_weight=0.0),
         )
         assert weighted_rnnt_loss(lat, y, w) == 0.0
@@ -112,7 +111,6 @@ class TestWeightedLoss:
         y = np.array([0, 2])
         w = TokenWeights(
             lambdas=np.array([2.0, 0.0]),
-            source_confidences=np.ones(2),
             config=WeightConfig(),
         )
         c1 = exact_conditionals(lat, y)[0]
@@ -133,7 +131,7 @@ class TestWeightedLoss:
             lat, y = random_instance_nonempty(rng)
             prof = conditional_profile(lat, y)
             lam = rng.uniform(0.0, 3.0, size=y.size)
-            w = TokenWeights(lam, prof.conditionals, WeightConfig(final_blank_weight=1.0))
+            w = TokenWeights(lam, WeightConfig(final_blank_weight=1.0))
             expected = -np.sum(lam * np.log(prof.conditionals)) - prof.final_blank_logp
             assert weighted_rnnt_loss(lat, y, w) == pytest.approx(expected, abs=1e-9)
 
@@ -154,7 +152,6 @@ class TestWeightedGrad:
         y = np.array([1, 0])
         w = TokenWeights(
             lambdas=np.array([1.6, 0.4]),
-            source_confidences=np.array([1.0, 0.25]),
             config=WeightConfig(),
         )
         analytic = weighted_rnnt_loss_grad(lat, y, w)
@@ -166,7 +163,6 @@ class TestWeightedGrad:
         lat, y = random_instance_nonempty(rng)
         w = TokenWeights(
             lambdas=np.zeros(y.size),
-            source_confidences=np.ones(y.size),
             config=WeightConfig(final_blank_weight=0.0),
         )
         assert np.all(weighted_rnnt_loss_grad(lat, y, w) == 0.0)
@@ -178,7 +174,7 @@ class TestWeightedGrad:
             lam1 = rng.uniform(0, 2, size=y.size)
             lam2 = rng.uniform(0, 2, size=y.size)
             cfg0 = WeightConfig(final_blank_weight=0.0)
-            mk = lambda lam, cfg: TokenWeights(lam, np.ones(y.size), cfg)
+            mk = lambda lam, cfg: TokenWeights(lam, cfg)
             g1 = weighted_rnnt_loss_grad(lat, y, mk(lam1, cfg0))
             g2 = weighted_rnnt_loss_grad(lat, y, mk(lam2, cfg0))
             g12 = weighted_rnnt_loss_grad(
@@ -190,7 +186,7 @@ class TestWeightedGrad:
         rng = np.random.default_rng(73)
         lat, y = random_instance_nonempty(rng)
         lam = rng.uniform(0, 2, size=y.size)
-        w = TokenWeights(lam, np.ones(y.size), WeightConfig())
+        w = TokenWeights(lam, WeightConfig())
         loss, grad = weighted_loss_and_grad(lat, y, w)
         assert loss == pytest.approx(weighted_rnnt_loss(lat, y, w), abs=1e-12)
         assert np.max(np.abs(grad - weighted_rnnt_loss_grad(lat, y, w))) == 0.0
@@ -211,7 +207,6 @@ class TestWeightedGrad:
         lat = random_lattice(rng, 3, 0, 2)
         w = TokenWeights(
             lambdas=np.zeros(0),
-            source_confidences=np.zeros(0),
             config=WeightConfig(final_blank_weight=0.75),
         )
         g = weighted_rnnt_loss_grad(lat, [], w)
