@@ -29,10 +29,11 @@ benchmark's ``corruption`` recipe, two run groups with their own corpora
 and streams, as two ``train_model`` calls against one ``train_runs`` call,
 in milliseconds.
 Then the kept-activations line: one stacked training step on a desk batch,
-at K = 1 and K = 5 of those runs, with each run's backward reading the
-joiner activations and softmax its forward kept (``model.StepActivations``)
-against one that runs the network again, in microseconds and minor page
-faults per step.  Last, greedy decoding: ``greedy_decode`` against the frame-by-frame loop kept
+at K = 1 and K = 5 of those runs, and one K = 1 step on a batch of 8 long
+lattices (T ~ 75, U ~ 25), with each run's backward reading the row softmax
+and joiner activations its forward kept (``model.StepActivations``) against
+one that runs the network again, in microseconds and minor page faults per
+step, and the kilobytes each run keeps.  Last, greedy decoding: ``greedy_decode`` against the frame-by-frame loop kept
 in ``tests/references.py``, in microseconds per utterance, on desk
 utterances and long ones (T ~ 75) decoded by a trained teacher, and on the
 long ones decoded by a random model that emits at almost every step.
@@ -411,18 +412,37 @@ def streams_lockstep(repeats):
     return (steps, *np.median(times, axis=0))
 
 
+def long_runs():
+    """8 scored long utterances (T ~ 75, U ~ 25) and the standard run's
+    config."""
+    T, U = MODEL_BATCHES["long T~75 U~25"]
+    rng = np.random.default_rng(12)
+    _, feats, tokens, _, _ = model_batch(T, U, seed=11)
+    utts = [
+        Utterance(f"u{i}", f, y, confidences=rng.uniform(0.05, 1.0, size=y.size))
+        for i, (f, y) in enumerate(zip(feats, tokens))
+    ]
+    return utts, [TrainConfig(batch_size=BATCH, dim_hidden=MODEL_DIMS[1])]
+
+
 def kept_steps(repeats):
-    """Verify, then time, stacked desk training steps whose backward reads
-    the forward's kept activations, against steps that run the network
-    again: per K in (1, 5), (K, median seconds and minor page faults per
-    step recomputed, the same kept)."""
-    utts, cfgs = criterion_8_runs()
+    """Verify, then time, stacked training steps whose backward reads the
+    forward's kept activations, against steps that run the network again:
+    50 desk batches at K = 1 and K = 5, and 10 orders of the 8 long
+    utterances at K = 1.  Per case, (name, K, median seconds and minor page
+    faults per step recomputed, the same kept, bytes a run keeps)."""
     D, H, V = MODEL_DIMS
     init = TransducerModel.random(D, H, V, stream(0, "init"))
     rng = np.random.default_rng(10)
-    batches = [rng.permutation(len(utts))[:BATCH] for _ in range(50)]
+    desk, desk_cfgs = criterion_8_runs()
+    long, long_cfgs = long_runs()
+    cases = [
+        ("desk", 1, desk, desk_cfgs, [rng.permutation(len(desk))[:BATCH] for _ in range(50)]),
+        ("desk", 5, desk, desk_cfgs, [rng.permutation(len(desk))[:BATCH] for _ in range(50)]),
+        ("long", 1, long, long_cfgs, [rng.permutation(BATCH) for _ in range(10)]),
+    ]
     out = []
-    for K in (1, 5):
+    for name, K, utts, cfgs, batches in cases:
         models = [TransducerModel(D, H, V, init.params.copy()) for _ in range(K)]
         corpus = _Corpus(models[0], utts, cfgs[:K])
         kept = [StepActivations(model) for model in models]
@@ -430,7 +450,7 @@ def kept_steps(repeats):
         for idx in batches:
             losses = _batch_loss_and_grad(models, [(corpus, idx)], grad, kept)
             if losses != _batch_loss_and_grad(models, [(corpus, idx)], want) or not np.array_equal(grad, want):
-                raise SystemExit(f"K={K}: a step with kept activations differs from one without")
+                raise SystemExit(f"{name} K={K}: a step with kept activations differs from one without")
 
         def steps(keep):
             faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -443,8 +463,11 @@ def kept_steps(repeats):
 
         # Alternate the two and take medians, as in the lockstep line.
         runs = np.array([[steps(keep) for keep in (None, kept)] for _ in range(repeats)])
-        out.append((K, *np.median(runs, axis=0)))
-    print("kept activations: every step equals its recomputed step exactly, at K = 1 and K = 5")
+        out.append((name, K, *np.median(runs, axis=0), kept[0].z.nbytes + kept[0].softmax.nbytes))
+    print(
+        "kept activations: every step equals its recomputed step exactly, on desk batches "
+        "at K = 1 and K = 5 and on long batches at K = 1"
+    )
     return out
 
 
@@ -595,15 +618,19 @@ def main():
     repeats = max(5, args.repeats // 3)
     rows = kept_steps(repeats)
     print(
-        f"\ndesk training steps, median of {repeats} alternating repeats of 50 steps, per step\n"
+        f"\ntraining steps of B={BATCH}, median of {repeats} alternating repeats of 50 desk "
+        f"or 10 long steps, per step; faults are minor page faults, KB kept per run\n"
     )
-    header = f"{'runs':<8}{'recomputed us':>15}{'kept us':>10}{'speedup':>10}{'faults':>10}{'kept':>8}"
+    header = (
+        f"{'batch':<7}{'runs':<6}{'recomputed us':>15}{'kept us':>10}{'speedup':>10}"
+        f"{'faults':>10}{'kept':>8}{'KB kept':>10}"
+    )
     print(header)
     print("-" * len(header))
-    for K, (before, faults_before), (after, faults_after) in rows:
+    for name, K, (before, faults_before), (after, faults_after), nbytes in rows:
         print(
-            f"K={K:<6}{before * 1e6:>15.0f}{after * 1e6:>10.0f}{before / after:>9.2f}x"
-            f"{faults_before:>10.1f}{faults_after:>8.1f}"
+            f"{name:<7}K={K:<4}{before * 1e6:>15.0f}{after * 1e6:>10.0f}{before / after:>9.2f}x"
+            f"{faults_before:>10.1f}{faults_after:>8.1f}{nbytes / 1024:>10.0f}"
         )
 
     print()

@@ -362,11 +362,6 @@ def run_pseudo_labeling(
             parts = []
             for teacher, group in groups:
                 pseudo = decode_corpus(teacher, unlabeled, max_sym)
-                if all(p.tokens.size == 0 for p in pseudo):
-                    raise DataError(
-                        f"round {rnd} ({', '.join(group)}): teacher produced only "
-                        f"empty hypotheses"
-                    )
                 parts.append((group, labeled, score_confidences(teacher, pseudo)))
             fit = _fit_modes(
                 parts, ("gen", rnd, seed), train_cfg, cfg.alpha_grid, dims, root_seed, valid,

@@ -151,12 +151,14 @@ def _check_features(model: TransducerModel, features) -> np.ndarray:
 # training step on 8 long lattices took 33 ms instead of 29 ms (2-vCPU x86
 # VM, one OpenBLAS thread).
 #
-# It also bounds what a training forward keeps for its backward
-# (``StepActivations``): the joiner activations and row softmax of the first
-# group if it ends within ``_GROUP_NODES`` nodes, (H + V + 1) floats a node,
-# so at most 0.8 MB a run at H = 32 and V = 16.  Every desk batch fits;
-# a batch of 8 long lattices (about 15,900 nodes) keeps its first group and
-# recomputes the rest, where keeping every group would hold 6 MB a run.
+# It also bounds the joiner activations z that a training forward keeps for
+# its backward (``StepActivations``): those of the first group, if it ends
+# within ``_GROUP_NODES`` nodes, H floats a node, so at most 0.5 MB a run at
+# H = 32.  The row softmax is kept for every node, V + 1 floats a node (17 at
+# V = 16): 0.09 MB a run for a desk batch, 2.2 MB for a batch of 8 long
+# lattices (about 15,900 nodes).  z is the cheap half to rebuild (a gather
+# and a tanh) and the larger one to keep, so the backward rebuilds the z of
+# later groups and never runs the joiner matmul or softmax again.
 _GROUP_NODES = 2048
 
 
@@ -312,17 +314,24 @@ def _encode(model: TransducerModel, layout: BatchLayout):
     return p, enc, rows, pred
 
 
-def _join(p, enc, pred, layout: BatchLayout, n0, n1, z, scratch):
-    """Joiner activations and raw logits of nodes n0..n1-1.  The activations
-    are written to the first n1 - n0 rows of ``z``, and ``scratch`` is a
-    buffer of as many rows, so that a group's large temporaries are
-    allocated once per pass."""
+def _activations(enc, pred, layout: BatchLayout, n0, n1, z, scratch):
+    """Joiner activations z = tanh(enc[frame] + pred[pos]) of nodes n0..n1-1,
+    written to the first n1 - n0 rows of ``z``; ``scratch`` is a buffer of
+    as many rows, so that a group's large temporaries are allocated once per
+    pass."""
     z, scratch = z[: n1 - n0], scratch[: n1 - n0]
     # The layout's indices are in range by construction; mode="clip" spares
     # np.take the buffered copy it makes to check them.
     np.take(enc, layout.frame[n0:n1], axis=0, out=z, mode="clip")
     z += np.take(pred, layout.pos[n0:n1], axis=0, out=scratch, mode="clip")
     np.tanh(z, out=z)
+    return z
+
+
+def _join(p, enc, pred, layout: BatchLayout, n0, n1, z, scratch):
+    """Joiner activations (``_activations``) and raw logits of nodes
+    n0..n1-1."""
+    z = _activations(enc, pred, layout, n0, n1, z, scratch)
     logits = z @ p["join_w"].T
     logits += p["join_b"]
     return z, logits
@@ -350,12 +359,15 @@ def _work(layout: BatchLayout, enc):
 class StepActivations:
     """What a training run's ``forward_columns`` keeps for its
     ``backward_columns`` in the same step, so that the backward does not
-    run the network again: the parameter views, the encoder output, the
-    predictor inputs and outputs, and, if the first node group ends within
-    ``_GROUP_NODES`` nodes, its joiner activations z and its row softmax.
-    Later groups are recomputed by the backward.
+    run the joiner again: the parameter views, the encoder output, the
+    predictor inputs and outputs, the row softmax of every node of the batch
+    (V + 1 floats a node), and, if the first node group ends within
+    ``_GROUP_NODES`` nodes, its joiner activations z (H floats a node).  The
+    backward rebuilds the z of later groups from the kept encoder and
+    predictor outputs.
 
-    The buffers are allocated once and reused at every step.  A backward
+    The buffers are allocated once and reused at every step; the softmax
+    buffer grows to the largest batch the run draws.  A backward
     consumes what its forward kept: it must follow that forward, with the
     same model and layout and before the parameters change.  The scratch
     node buffers of both passes stay per call (``_work``): held for a run,
@@ -367,16 +379,19 @@ class StepActivations:
     def __init__(self, model: TransducerModel):
         H, V = model.dim_hidden, model.vocab_size
         self.z = np.empty((_GROUP_NODES, H))
-        self.softmax = np.empty((_GROUP_NODES, V + 1))
+        self.softmax = np.empty((0, V + 1))
         self.nodes = 0
         self._held = None
 
     def _hold(self, model, layout, encoded) -> int:
-        """Record a forward's network state; returns the number of leading
-        nodes whose activations it keeps.  Only the first group can end
-        within ``_GROUP_NODES`` nodes: a second one starts because the
-        first and its next utterance would not fit."""
+        """Record a forward's network state and make room for the softmax
+        of every node; returns the number of leading nodes whose joiner
+        activations it keeps.  Only the first group can end within
+        ``_GROUP_NODES`` nodes: a second one starts because the first and
+        its next utterance would not fit."""
         self._held = (model, layout, encoded)
+        if self.softmax.shape[0] < layout.frame.size:
+            self.softmax = np.empty((layout.frame.size, self.softmax.shape[1]))
         n1 = layout.groups[0][1]
         self.nodes = n1 if n1 <= _GROUP_NODES else 0
         return self.nodes
@@ -434,7 +449,10 @@ def forward_columns(
     diagonals and levels than the layout needs (such as rows of a larger
     batch, ``PaddedColumns.rows``, padded to its longest utterances).
     ``keep``, if given, keeps this pass's activations for
-    ``backward_columns`` (``StepActivations``); the columns are the same.
+    ``backward_columns`` (``StepActivations``): every group's row softmax
+    goes to its kept rows, and the log-normaliser is taken from the
+    softmax's row maximum m and sum s as m + log(s), which equals
+    ``_row_logsumexp`` bit for bit, so the columns are the same.
     """
     if out is None:
         cols = PaddedColumns(layout.T, layout.U)
@@ -451,13 +469,14 @@ def forward_columns(
     work = _work(layout, enc)
     nodes = 0 if keep is None else keep._hold(model, layout, encoded)
     for n0, n1, m0, m1 in layout.groups:
-        if n1 <= nodes:
-            _, logits = _join(p, enc, pred, layout, n0, n1, keep.z[n0:n1], work[1])
-            m, s = _softmax(logits, keep.softmax[n0:n1])
-            lse = (m + np.log(s))[:, 0]
-        else:
+        if keep is None:
             _, logits = _join(p, enc, pred, layout, n0, n1, *work)
             lse = _row_logsumexp(logits)[:, 0]
+        else:
+            z = keep.z[n0:n1] if n1 <= nodes else work[0]
+            _, logits = _join(p, enc, pred, layout, n0, n1, z, work[1])
+            m, s = _softmax(logits, keep.softmax[n0:n1])
+            lse = (m + np.log(s))[:, 0]
         blank[blank_at[n0:n1]] = logits[:, -1] - lse
         r = layout.emit_rows[m0:m1] - n0
         emit[emit_at[m0:m1]] = logits[r, layout.emit_label[m0:m1]] - lse[r]
@@ -472,10 +491,12 @@ def _backward(
     (n1 - n0, V+1) array of a group's rows.  Exact, float64.
 
     With ``kept`` (a ``StepActivations`` filled by the forward of this
-    model and layout), the encoder and predictor state comes from that
-    forward, and so do the joiner activations and softmax of the group it
-    kept; the kept buffers are overwritten.  Other groups are recomputed, as is everything without
-    ``kept``.  The arithmetic is the same either way, so is the gradient.
+    model and layout), the encoder and predictor state and every group's
+    row softmax come from that forward, and so do the joiner activations of
+    the group it kept; the z of later groups is rebuilt by ``_activations``,
+    so no joiner matmul or softmax runs, and the kept buffers are
+    overwritten.  Without ``kept``, everything is recomputed.  The
+    arithmetic is the same either way, so is the gradient.
     """
     if kept is None:
         p, enc, rows, pred = _encode(model, layout)
@@ -489,11 +510,12 @@ def _backward(
     denc = np.empty_like(enc)
     dpred = np.empty_like(pred)
     for n0, n1, m0, m1 in layout.groups:
-        if n1 <= nodes:
-            z, softmax = kept.z[n0:n1], kept.softmax[n0:n1]
-        else:
+        if kept is None:
             z, softmax = _join(p, enc, pred, layout, n0, n1, *work)
             _softmax(softmax, softmax)
+        else:
+            softmax = kept.softmax[n0:n1]
+            z = kept.z[n0:n1] if n1 <= nodes else _activations(enc, pred, layout, n0, n1, *work)
         dlogit = dlogp_rows(n0, n1, m0, m1)
         # d loss / d logit through the row log-softmax:
         # dlogp - softmax * sum(dlogp), built in ``softmax``.

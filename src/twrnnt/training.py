@@ -59,9 +59,12 @@ __all__ = [
 MODES = ("standard", "utterance_weights", "token_weights")
 
 # Utterances per emission sweep when scoring a pool.  Twice the default
-# training batch: larger chunks buy little speed, and at 32 the sweep over a
-# pool of long lattices needs as much memory as a training step's model
-# backward, the process's peak.
+# training batch: larger chunks buy little speed, and the forward of a chunk
+# of long lattices (T ~ 75, U ~ 25) is the peak of scoring.  Traced with
+# tracemalloc over the benchmark's ``long-lattice`` round at seed 11 (live
+# data included), it peaks at 6.5 MB at 16 and 10.0 MB at 32, where the
+# round's peak is a training step's forward at 9.0 MB, with the softmax it
+# keeps for the backward (``model.StepActivations``).
 _SCORE_CHUNK = 16
 
 

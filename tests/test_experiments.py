@@ -151,6 +151,20 @@ class TestPseudoLabeling:
             run_pseudo_labeling(**kwargs)
         )
 
+    def test_pool_of_empty_hypotheses_trains_on(self, tiny_data):
+        """A teacher that decodes the whole pool to empty hypotheses does not
+        end the experiment: its students train on the empty transcripts."""
+        meta, splits = tiny_data
+        rep = run_pseudo_labeling(
+            splits["train"], splits["pretrain"], splits["valid"], splits["test"],
+            meta, GenerationConfig(rounds=2, alpha_grid=(2.0,)), replace(FAST, epochs=8),
+            seeds=(1,), root_seed=13, base_cfg=TrainConfig(epochs=10),
+        )
+        assert [row["round"] for row in rep.rows] == [1, 2]
+        for row in rep.rows:
+            for mode in MODES3:
+                assert row["modes"][mode]["wer"] == 1.0
+
     def test_empty_pools_rejected(self, tiny_data):
         meta, splits = tiny_data
         with pytest.raises(DataError, match="nonempty"):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from twrnnt import kernels
+from twrnnt import model as model_module
 from twrnnt.datagen import SyntheticSpec, Utterance, generate_synthetic_dataset, read_dataset
 from twrnnt.errors import DataError, NumericalError
 from twrnnt.conditionals import conditional_profile
@@ -732,10 +733,11 @@ class TestGroupedLockstep:
 
 
 class TestKeptActivations:
-    """A training step's backward reuses the joiner activations and softmax
-    that its forward kept for the first node group, if that ends within
-    ``_GROUP_NODES`` nodes, and recomputes the rest.  Columns, losses and
-    gradients must equal those of passes that keep nothing."""
+    """A training step's backward reuses the row softmax that its forward
+    kept for every node, and the joiner activations it kept for the first
+    node group, if that ends within ``_GROUP_NODES`` nodes; it rebuilds the
+    activations of later groups and runs no joiner pass.  Columns, losses
+    and gradients must equal those of passes that keep nothing."""
 
     # (shapes, what the first layout keeps): a desk batch that fits whole,
     # a long batch of five groups whose first is kept, and one whose first
@@ -797,6 +799,63 @@ class TestKeptActivations:
         # Scoring keeps nothing and is not affected by what training kept.
         for got, before in zip(score_confidences(models[0], utts), scores):
             np.testing.assert_array_equal(got.confidences, before.confidences)
+
+    @pytest.mark.parametrize("case", ["several_groups", "first_group_too_large"])
+    def test_kept_backward_runs_no_joiner(self, case, monkeypatch):
+        """At K = 3, on batches that grow the kept softmax and then reuse
+        it: the kept softmax holds every node's row, and a kept backward
+        makes no ``_softmax`` call and no joiner-logit pass (``_join``); it
+        rebuilds the activations of each group past the kept z alone
+        (``_activations``)."""
+        shapes, _ = self.BATCHES[case]
+        utts, models, corpus = self.runs(shapes, 73)
+        calls = {name: 0 for name in ("_softmax", "_join", "_activations")}
+
+        def counted(name):
+            fn = getattr(model_module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(model_module, name, counted(name))
+        kept = [StepActivations(model) for model in models]
+        rng = np.random.default_rng(74)
+        n = len(utts)
+        for idx in (np.array([n - 1, 0, 1]), np.arange(n), np.arange(n)[::-1]):
+            layout = BatchLayout.of(corpus.packed, idx)
+            G, N = len(layout.groups), layout.frame.size
+            tables = []
+            for model, keep in zip(models, kept):
+                cols = forward_columns(model, layout, keep=keep)
+                assert keep.softmax.shape[0] >= N
+                softmax = np.concatenate([
+                    np.exp(model_forward(model, utts[b].features, utts[b].tokens).logp)
+                    .reshape(-1, model.vocab_size + 1)
+                    for b in idx
+                ])
+                np.testing.assert_allclose(keep.softmax[:N], softmax, rtol=1e-12, atol=1e-15)
+                g_blank = np.where(np.isfinite(cols.blank), rng.normal(size=cols.blank.shape), 0.0)
+                g_emit = np.where(np.isfinite(cols.emit), rng.normal(size=cols.emit.shape), 0.0)
+                tables.append((g_blank, g_emit))
+            rebuilt = sum(n1 > keep.nodes for _, n1, _, _ in layout.groups)
+            assert rebuilt > 0
+            calls.update(dict.fromkeys(calls, 0))
+            grads = [backward_columns(model, layout, *t, keep) for model, t, keep in zip(models, tables, kept)]
+            assert calls == {"_softmax": 0, "_join": 0, "_activations": 3 * rebuilt}
+            for model, t, got in zip(models, tables, grads):
+                np.testing.assert_array_equal(got, backward_columns(model, layout, *t))
+            # The stacked step: only its forward runs the joiner and softmax.
+            grad = np.empty((len(models), models[0].params.size))
+            want = np.empty_like(grad)
+            calls.update(dict.fromkeys(calls, 0))
+            losses = _batch_loss_and_grad(models, [(corpus, idx)], grad, kept)
+            assert calls["_softmax"] == calls["_join"] == 3 * G
+            assert losses == _batch_loss_and_grad(models, [(corpus, idx)], want)
+            np.testing.assert_array_equal(grad, want)
 
     def test_backward_needs_its_own_forward(self):
         shapes, _ = self.BATCHES["fits_whole"]
