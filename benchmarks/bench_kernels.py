@@ -8,7 +8,8 @@ desk shapes of the benchmark's ``corruption`` workload (T ~ 11, U ~ 5.5,
 16 tokens; B = 40 is a lockstep step of its five runs).  Each kernel is
 timed in microseconds per utterance at B = 1 on each lattice and on the
 whole batch, next to the per-cell loops in ``tests/references.py`` that
-they replace, and each batch's DP step (sweep, losses and gradient,
+they replace, and per diagonal of the whole batch (each sweep steps once
+per anti-diagonal), and each batch's DP step (sweep, losses and gradient,
 ``weighting.padded_loss_and_grad``) in microseconds.  The single-lattice
 calls, the backward fill and the next-token distribution, are timed in
 milliseconds on the largest lattice.  Next, the model layer: the grouped forward and backward
@@ -33,8 +34,12 @@ at K = 1 and K = 5 of those runs, and one K = 1 step on a batch of 8 long
 lattices (T ~ 75, U ~ 25), with each run's backward reading the row softmax
 and joiner activations its forward kept (``model.StepActivations``) against
 one that runs the network again, in microseconds and minor page faults per
-step, and the kilobytes each run keeps.  Last, greedy decoding: ``greedy_decode`` against the frame-by-frame loop kept
-in ``tests/references.py``, in microseconds per utterance, on desk
+step, and the kilobytes each run keeps; and the row softmax that such a
+forward keeps, along the transposed rows (``model._kept_softmax``) against
+``model._softmax`` along rows of V + 1, on the first node group of the desk
+and the long batch, in microseconds.  Last, greedy decoding:
+``greedy_decode`` against the frame-by-frame loop kept in
+``tests/references.py``, in microseconds per utterance, on desk
 utterances and long ones (T ~ 75) decoded by a trained teacher, and on the
 long ones decoded by a random model that emits at almost every step.
 
@@ -49,7 +54,7 @@ must give equal output: the same layout tables and the same WER counts on
 500 random pairs; the lockstep runs, and the two streams trained in one
 call, must give the solo runs' batch losses and parameters exactly; a step that keeps its
 activations must give the losses and gradients of one that recomputes
-them exactly; and every decode must
+them exactly, and the kept softmax that of ``_softmax``; and every decode must
 give the frame-by-frame loop's tokens and ``clean`` flag.  Run from the repo root:
 
     python3 benchmarks/bench_kernels.py [--frames 50 --labels 20 --vocab 32]
@@ -75,6 +80,11 @@ from twrnnt.model import (
     PackedUtterances,
     StepActivations,
     TransducerModel,
+    _encode,
+    _join,
+    _kept_softmax,
+    _softmax,
+    _work,
     backward_columns,
     forward_columns,
     greedy_decode,
@@ -143,7 +153,7 @@ def lattices(shapes, V, rng):
 
 def padded(items):
     cols = kernels.PaddedColumns([l.shape[0] for l, _, _ in items], [y.size for _, y, _ in items])
-    lam = np.zeros((len(items), cols.emit.shape[2]))
+    lam = np.zeros((len(items), cols.blank.shape[2] - 1))
     for b, (logp, labels, lam_b) in enumerate(items):
         cols.put(b, logp, labels)
         lam[b, : labels.size] = lam_b
@@ -195,8 +205,9 @@ def verify(name, items):
 
 def batched_times(items, repeats):
     """Microseconds per utterance: the per-cell loops one lattice at a time,
-    the batched kernels at B = 1 on each lattice, and at B = len(items);
-    and microseconds per DP step on the whole batch."""
+    the batched kernels at B = 1 on each lattice, and at B = len(items),
+    and per diagonal of the whole batch; and microseconds per DP step on the
+    whole batch."""
     scalar = {"emission_sweep": 0.0, "weighted_grad": 0.0}
     single = {"emission_sweep": 0.0, "weighted_grad": 0.0}
     for logp, labels, lam in items:
@@ -216,8 +227,11 @@ def batched_times(items, repeats):
         "weighted_grad": time_call(lambda: cols.grad(sweep, lam, fb), repeats),
     }
     step = time_call(lambda: padded_loss_and_grad(cols, lam, fb), repeats)
-    n = len(items)
-    per_kernel = {k: (scalar[k] / n * 1e6, single[k] / n * 1e6, batch[k] / n * 1e6) for k in scalar}
+    n, D = len(items), cols.blank.shape[0]
+    per_kernel = {
+        k: (scalar[k] / n * 1e6, single[k] / n * 1e6, batch[k] / n * 1e6, batch[k] / D * 1e6)
+        for k in scalar
+    }
     return per_kernel, step * 1e6
 
 
@@ -471,6 +485,33 @@ def kept_steps(repeats):
     return out
 
 
+def softmax_times(repeats):
+    """Verify, then time, the row softmax of the first node group of the
+    desk and the long model batch: ``_softmax`` along rows of V + 1 against
+    ``_kept_softmax`` along the transposed rows, as a training forward keeps
+    it.  Per batch, (name, nodes, median seconds before, after)."""
+    out = []
+    for name, (T, U) in MODEL_BATCHES.items():
+        net, feats, tokens, _, _ = model_batch(T, U)
+        layout = BatchLayout(net, feats, tokens)
+        p, enc, _, pred = _encode(net, layout)
+        n0, n1, _, _ = layout.groups[0]
+        _, logits = _join(p, enc, pred, layout, n0, n1, *_work(layout, enc))
+        before, after = np.empty_like(logits), np.empty_like(logits)
+        scratch = np.empty((logits.shape[1], n1 - n0))
+        m, s = _softmax(logits, before)
+        lse = _kept_softmax(logits, scratch, after)
+        if not (np.array_equal(before, after) and np.array_equal(lse, (m + np.log(s))[:, 0])):
+            raise SystemExit(f"{name}: the kept softmax differs from _softmax")
+        times = np.array([
+            [time_call(lambda: _softmax(logits, before), 10), time_call(lambda: _kept_softmax(logits, scratch, after), 10)]
+            for _ in range(repeats)
+        ])
+        out.append((name, n1 - n0, *np.median(times, axis=0)))
+    print("kept softmax: equals _softmax and its log-normaliser exactly on a desk and a long node group")
+    return out
+
+
 def _generate(spec, split, n):
     with tempfile.TemporaryDirectory() as tmp:
         path = generate_synthetic_dataset(replace(spec, **{f"n_{split}": n}), tmp)[split]
@@ -553,16 +594,16 @@ def main():
     )
     header = (
         f"{'batch':<22}{'kernel':<17}{'per-cell loop':>14}{'B=1':>8}{'batched':>9}"
-        f"{'speedup':>9}{'DP step':>9}"
+        f"{'speedup':>9}{'us/diag':>9}{'DP step':>9}"
     )
     print(header)
     print("-" * len(header))
     for batch_name, batch in dp_batches.items():
         per_kernel, step = batched_times(batch, args.repeats)
-        for name, (scalar, single, batched) in per_kernel.items():
+        for name, (scalar, single, batched, per_diag) in per_kernel.items():
             print(
                 f"{batch_name:<22}{name:<17}{scalar:>14.0f}{single:>8.0f}{batched:>9.0f}"
-                f"{scalar / batched:>8.1f}x{step:>9.0f}"
+                f"{scalar / batched:>8.1f}x{per_diag:>9.1f}{step:>9.0f}"
             )
             batch_name = ""
 
@@ -632,6 +673,15 @@ def main():
             f"{name:<7}K={K:<4}{before * 1e6:>15.0f}{after * 1e6:>10.0f}{before / after:>9.2f}x"
             f"{faults_before:>10.1f}{faults_after:>8.1f}{nbytes / 1024:>10.0f}"
         )
+
+    print()
+    rows = softmax_times(repeats)
+    print(f"\nrow softmax of a node group, median of {repeats} alternating repeats, microseconds\n")
+    header = f"{'batch':<20}{'nodes':>7}{'_softmax':>10}{'kept':>8}{'speedup':>10}"
+    print(header)
+    print("-" * len(header))
+    for name, nodes, before, after in rows:
+        print(f"{name:<20}{nodes:>7}{before * 1e6:>10.1f}{after * 1e6:>8.1f}{before / after:>9.2f}x")
 
     print()
     rows = decode_times(decode_cases(), repeats)

@@ -38,7 +38,7 @@ from .experiments import (
     run_pseudo_labeling,
 )
 from .lattice import Vocabulary, lattice_from_json, rnnt_loss
-from .metrics import corpus_wer, wer
+from .metrics import corpus_wer
 from .model import load_checkpoint, save_checkpoint
 from .oracle import MAX_PATHS, exact_conditionals, exact_sequence_logp, path_count
 from .seeds import stream
@@ -221,9 +221,8 @@ def cmd_corrupt(args) -> int:
     ]
     meta_out = dict(meta, provenance=provenance_block(cfg, "corrupt", __version__))
     write_dataset(args.out, out_utts, meta_out)
-    dist = sum(wer(c, u.tokens).distance for c, u in zip(corrupted, utts))
-    total = sum(u.tokens.size for u in utts)
-    print(f"reference WER after corruption: {dist / max(1, total):.4f}")
+    rate = corpus_wer(corrupted, [u.tokens for u in utts])
+    print(f"reference WER after corruption: {rate:.4f}")
     print(f"corrupted: {args.out}")
     return 0
 

@@ -14,10 +14,13 @@ Three kernels cover every loss, gradient and conditional in the package:
 
 Padded batches.  The two batched kernels read only the columns a path can
 use, ``blank`` = logp[t, j, blank] and ``emit`` = logp[t, j, y[j]], in
-diagonal-major tables of shape (D, B, Umax+1) and (D, B, Umax), with
-D = Tmax + Umax: the cell (b, t, j) sits at [t + j, b, j], so row d of a
-table holds anti-diagonal d of every utterance.  Utterance b owns the cells
-with t < T[b] and j <= U[b] (j < U[b] for ``emit``); every other cell is
+diagonal-major tables of one shape (D, B, Umax+1), with D = Tmax + Umax:
+row d of a table holds anti-diagonal d of every utterance.  The blank
+column of node (b, t, j) sits at [t + j, b, j].  Its label column sits at
+[t + j, b, j + 1], next to the A cell it feeds (the emission at (t, j)
+produces A at (t, j + 1), one diagonal on); level 0 of ``emit`` is always
+``-inf``.  Utterance b owns the blank cells with t < T[b] and j <= U[b] and
+the label cells with t < T[b] and 1 <= j <= U[b]; every other cell is
 padded with ``-inf``.  ``PaddedColumns`` holds the columns of B lattices;
 ``grid`` reads one utterance's (t, j) table out of a diagonal-major one, and
 ``dense_grad`` scatters one utterance's column gradients back to a dense
@@ -26,10 +29,15 @@ table.  Single lattices go through the same kernels with B = 1.
 Both kernels step over the anti-diagonals d = t + j (Bagby et al. 2018,
 "Efficient implementation of recurrent neural network transducer in
 TensorFlow"): every cell on a diagonal depends only on the previous one,
-so each step is a few NumPy operations on one contiguous (B, Umax+1) slab
-of each table.  The tables stay in this layout from the model's forward
-(``model.forward_columns`` writes it) through both sweeps to the model's
-backward (``model.backward_columns`` reads it).
+so each step is a few NumPy operations on one contiguous slab of
+B * (Umax+1) cells of each table, taken as a flat vector.  A label column
+and the R cell one level down that it extends are one cell apart in that
+vector, so the step from level j to j + 1 is a shift by one cell; where it
+would cross from one utterance's last level into the next one's level 0,
+the ``-inf`` at level 0 of ``emit`` stops it.  The tables stay in this
+layout from the model's forward (``model.forward_columns`` writes it)
+through both sweeps to the model's backward (``model.backward_columns``
+reads it).
 
 The results are bit-identical to the per-cell loops kept as test references
 (``emission_sweep_scalar`` and ``weighted_grad_scalar`` in
@@ -41,7 +49,9 @@ The results are bit-identical to the per-cell loops kept as test references
     are the two edge posteriors and P the prefix term; addition and
     logaddexp are commutative in floating point, so the wavefront order
     changes nothing;
-  * ``-inf`` padding is exact: logaddexp(-inf, x) == x, and x + -inf = -inf;
+  * ``-inf`` padding is exact: logaddexp(-inf, x) == x, and x + -inf = -inf,
+    so the level-0 cells that a flat slab step also touches keep their
+    values;
   * prefix masses are a sequential ``np.logaddexp.reduce`` over the
     diagonals, which for a fixed level is ascending t with extra ``-inf``
     terms;
@@ -67,8 +77,10 @@ NEG_INF = float("-inf")
 
 
 class PaddedColumns:
-    """Blank and label columns of B lattices in diagonal-major tables,
-    padded with ``-inf``.
+    """Blank and label columns of B lattices in two diagonal-major tables of
+    one shape (D, B, Umax+1), padded with ``-inf``: node (b, t, u) has its
+    blank column at ``blank[t + u, b, u]`` and, for u < U[b], its label
+    column at ``emit[t + u, b, u + 1]``.
 
     ``T`` and ``U`` give each utterance's frame and label counts; ``put``
     fills row b from a (T, U+1, V+1) lattice.  A batch cut from a larger
@@ -81,7 +93,7 @@ class PaddedColumns:
         self.U = np.asarray(U, dtype=np.int64)
         B, Tmax, Umax = self.T.size, int(self.T.max()), int(self.U.max())
         self.blank = np.full((Tmax + Umax, B, Umax + 1), NEG_INF)
-        self.emit = np.full((Tmax + Umax, B, Umax), NEG_INF)
+        self.emit = np.full_like(self.blank, NEG_INF)
         self.base, self.row0 = None, 0
 
     @classmethod
@@ -106,7 +118,7 @@ class PaddedColumns:
         j = np.arange(U1)
         d = np.arange(T)[:, None] + j
         self.blank[d, b, j] = logp[:, :, -1]
-        self.emit[d[:, :-1], b, j[:-1]] = logp[:, j[:-1], labels]
+        self.emit[d[:, :-1], b, j[1:]] = logp[:, j[:-1], labels]
 
     def sweep(self):
         """``emission_sweep`` over the whole batch."""
@@ -128,11 +140,13 @@ def grid(table, b, T, width) -> np.ndarray:
 
 def dense_grad(g_blank, g_emit, b, T, labels, num_symbols) -> np.ndarray:
     """Utterance b's column gradients (``weighted_grad``'s outputs) as a
-    dense (T, U+1, V+1) table; U is ``labels.size``."""
+    dense (T, U+1, V+1) table; U is ``labels.size``.  The label cell of node
+    (t, u) is read at [t + u, b, u + 1]."""
     U = labels.size
     g = np.zeros((T, U + 1, num_symbols))
     g[:, :, -1] = grid(g_blank, b, T, U + 1)
-    g[:, np.arange(U), labels] = grid(g_emit, b, T, U)
+    u = np.arange(U)
+    g[:, u, labels] = g_emit[np.arange(T)[:, None] + u, b, u + 1]
     return g
 
 
@@ -159,15 +173,21 @@ def emission_sweep(blank, emit, T, U):
     T = np.asarray(T, dtype=np.int64)
     U = np.asarray(U, dtype=np.int64)
     D, B, W = blank.shape
-    # A spare last diagonal, so that every cell cleared below is in range.
+    S = B * W
+    # Each diagonal is one flat slab of S cells, cell b * W + j.  A spare
+    # last diagonal of R, so that every cell cleared below is in range.
     R = np.full((D + 1, B, W), NEG_INF)
     A = np.full((D, B, W), NEG_INF)
     R[0, :, 0] = 0.0
     A[0, :, 0] = 0.0
+    R_s, A_s = R.reshape(D + 1, S), A.reshape(D, S)
+    blank_s, emit_s = blank.reshape(D, S), emit.reshape(D, S)
     for d in range(1, D):
-        R_prev, R_cur, A_cur = R[d - 1], R[d, :, 1:], A[d, :, 1:]
-        np.add(R_prev, blank[d - 1], out=R[d])
-        np.add(R_prev[:, :-1], emit[d - 1], out=A_cur)
+        R_prev, R_cur, A_cur = R_s[d - 1], R_s[d], A_s[d]
+        np.add(R_prev, blank_s[d - 1], out=R_cur)
+        # A at (t, j + 1) from R at (t, j), one cell back; the -inf at
+        # level 0 of ``emit`` keeps each row's first cell at -inf.
+        np.add(R_prev[:-1], emit_s[d - 1, 1:], out=A_cur[1:])
         np.logaddexp(R_cur, A_cur, out=R_cur)
     # Frame T[b] of every level holds the level's own blank exit; clear it.
     j = np.arange(W)
@@ -194,9 +214,9 @@ def weighted_grad(blank, emit, T, U, A, R, prefix, loglik, lam, final_blank_weig
             + final_blank_weight * (prefix[U] - loglik)
 
     which reverse-accumulates through the logaddexp graph cell by cell.
-    Returns (g_blank, g_emit), diagonal-major tables shaped like ``blank``
-    and ``emit``; cells unreachable by any alignment and padding cells are
-    exactly 0.
+    Returns (g_blank, g_emit), diagonal-major tables shaped like ``blank``;
+    cells unreachable by any alignment, padding cells and level 0 of
+    ``g_emit`` are exactly 0.
     """
     T = np.asarray(T, dtype=np.int64)
     U = np.asarray(U, dtype=np.int64)
@@ -229,20 +249,26 @@ def weighted_grad(blank, emit, T, U, A, R, prefix, loglik, lam, final_blank_weig
     last = T - 1 + U
     adjR = np.zeros((D, B, W))
     adjR[last, b, U] = seed
-    # adjA[d, :, j] is the adjoint of A on diagonal d at level j; the extra
-    # zero column stands for level Umax + 1, which no utterance reaches, and
-    # the extra zero diagonal for the emissions on the last one.
-    adjA = np.zeros((D + 1, B, W + 1))
+    # Slab e of adjA is the adjoint of A on diagonal e + 1, which is the
+    # gradient of the label columns on diagonal e: the emission at (t, j)
+    # produces A at (t, j + 1), one diagonal on.  So its slabs are g_emit.
+    # Slab D - 1 stands for the emissions on the last diagonal and stays 0.
+    S = B * W
+    adjA = np.zeros(D * S)
     g_blank = np.zeros((D, B, W))
+    adjR_s, g_blank_s = adjR.reshape(D, S), g_blank.reshape(D, S)
+    w1, w2, P = w1.reshape(D, S), w2.reshape(D, S), P.reshape(D, S)
     for d in range(D - 2, -1, -1):
-        adjR_next, adjA_next, gb = adjR[d + 1], adjA[d + 1, :, :W], g_blank[d]
+        adjR_next, adjA_next, gb = adjR_s[d + 1], adjA[d * S : (d + 1) * S], g_blank_s[d]
         np.multiply(adjR_next, w1[d + 1], out=gb)
         np.multiply(adjR_next, w2[d + 1], out=adjA_next)
         np.add(P[d + 1], adjA_next, out=adjA_next)
-        adjR[d] += gb + adjA[d + 1, :, 1:]
+        # R at (t, j) feeds A at (t, j + 1), one cell on.  After a row's
+        # last level that is level 0 of the next row (or of the next slab),
+        # whose adjoint is exactly 0: A at level 0 is a constant.
+        adjR_s[d] += gb + adjA[d * S + 1 : (d + 1) * S + 1]
     g_blank[last, b, U] = seed
-    # The emission at (t, j) produces A at (t, j + 1), one diagonal on.
-    g_emit = adjA[1:, :, 1:W].copy()
+    g_emit = adjA.reshape(D, B, W)
     return g_blank, g_emit
 
 

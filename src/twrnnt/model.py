@@ -211,10 +211,11 @@ class BatchLayout:
     Node n joins encoder frame ``frame[n]`` of the stacked ``feats`` with
     predictor position ``pos[n]`` of the stacked predictor inputs ``ids``
     (BOS, then the labels, per utterance).  ``blank_at`` and ``emit_at`` are
-    its flat cells in the diagonal-major (D, B, Umax+1) and (D, B, Umax)
-    column tables of ``kernels.PaddedColumns``, node (b, t, u) on diagonal
-    ``diag`` = t + u (``cells`` gives them for rows of a table with more
-    rows, diagonals or levels);
+    its flat cells in the two diagonal-major (D, B, Umax+1) column tables of
+    ``kernels.PaddedColumns``, node (b, t, u) on diagonal ``diag`` = t + u:
+    its blank column at level u, and its label column one cell on, at level
+    u + 1, so ``emit_at`` is ``blank_at[emit_rows] + 1`` (``cells`` gives
+    them for rows of tables with more rows, diagonals or levels);
     ``emit_rows`` are the nodes with u < U and ``emit_label`` their labels.
     ``groups`` holds (n0, n1, m0, m1) ranges of nodes and emit rows for runs
     of consecutive utterances with at most ``_GROUP_NODES`` nodes, or one
@@ -257,8 +258,7 @@ class BatchLayout:
         self.blank_at = cell * (Umax + 1) + u
         emit = u < U[b]
         self.emit_rows = emit.nonzero()[0]
-        self.emit_at = (cell * Umax + u)[emit]
-        self.emit_diag = self.diag[emit]
+        self.emit_at = self.blank_at[self.emit_rows] + 1
         self.emit_label = self.ids[self.pos[emit] + 1]
         # Segment starts of the backward pass's per-frame and per-position
         # sums: nodes are frame-major, and ``by_pos`` lists them
@@ -284,23 +284,20 @@ class BatchLayout:
 
     def cells(self, rows, width, row0=0):
         """``blank_at`` and ``emit_at`` for the batch at rows row0.. of
-        column tables of ``rows`` rows and ``width`` blank levels (at least
-        the batch's own), whose diagonals are slabs of ``rows * width``
-        cells; the number of diagonals does not enter.  The offsets of row
-        0 are built once per table shape."""
+        column tables of ``rows`` rows and ``width`` levels (at least the
+        batch's own), whose diagonals are slabs of ``rows * width`` cells;
+        the number of diagonals does not enter.  The offsets of row 0 are
+        built once per table shape."""
         key = (rows, width)
         if key not in self._cells:
             # Node (b, t, u) is cell b * W + u of its diagonal's own slab.
             B, W = self.T.size, int(self.U.max()) + 1
             b, u = np.divmod(self.blank_at - self.diag * (B * W), W)
-            e = self.emit_rows
-            self._cells[key] = (
-                (self.diag * rows + b) * width + u,
-                (self.emit_diag * rows + b[e]) * (width - 1) + u[e],
-            )
+            blank_at = (self.diag * rows + b) * width + u
+            self._cells[key] = (blank_at, blank_at[self.emit_rows] + 1)
         blank_at, emit_at = self._cells[key]
         if row0:
-            return blank_at + row0 * width, emit_at + row0 * (width - 1)
+            return blank_at + row0 * width, emit_at + row0 * width
         return blank_at, emit_at
 
 
@@ -350,6 +347,56 @@ def _softmax(logits, out):
     return m, s
 
 
+def _pairwise_sum(rows):
+    """The sum over the first axis of ``rows`` (k, n), added in the order in
+    which NumPy's pairwise summation adds a contiguous row of k values, as
+    ``np.sum(axis=-1)`` does for each row of a C-contiguous table
+    (``pairwise_sum`` in NumPy's ``loops_utils.h.src``): below 8 values in
+    order; up to 128, 8 running partial sums over blocks of 8, their tree
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the values left
+    over; above 128, the two halves split at a multiple of 8, each summed
+    recursively.  So the sums equal ``rows.T.sum(axis=-1)`` bit for bit, up
+    to the sign of a sum of zeros, while every addition runs along a vector
+    of n.  ``tests/test_model.py::TestPairwiseSum`` pins the order."""
+    k = rows.shape[0]
+    if k < 8:
+        s = rows[0].copy()
+        for row in rows[1:]:
+            s += row
+        return s
+    if k > 128:
+        half = k // 2 - k // 2 % 8
+        return _pairwise_sum(rows[:half]) + _pairwise_sum(rows[half:])
+    r = rows[:8].copy()
+    tail = k - k % 8
+    for i in range(8, tail, 8):
+        r += rows[i : i + 8]
+    r = r[0::2] + r[1::2]
+    r = r[0::2] + r[1::2]
+    s = r[0] + r[1]
+    for row in rows[tail:]:
+        s += row
+    return s
+
+
+def _kept_softmax(logits, scratch, out):
+    """``_softmax`` of ``logits`` (n, V+1), written to ``out``, for a
+    forward that keeps it: the same operations on the same operands, run
+    along the V + 1 rows of the transposed copy in ``scratch`` (a buffer of
+    at least n columns) rather than along n rows of V + 1, with the row
+    sums of ``_pairwise_sum``.  Returns the log-normaliser m + log(s)
+    (n,)."""
+    e = scratch[:, : logits.shape[0]]
+    np.copyto(e, logits.T)
+    m = e.max(axis=0)
+    e -= m
+    np.exp(e, out=e)
+    s = _pairwise_sum(e)
+    e /= s
+    np.copyto(out, e.T)
+    return m + np.log(s)
+
+
 def _work(layout: BatchLayout, enc):
     """The two (n, H) node buffers that ``_join`` and ``_backward`` reuse
     across groups."""
@@ -360,11 +407,13 @@ class StepActivations:
     """What a training run's ``forward_columns`` keeps for its
     ``backward_columns`` in the same step, so that the backward does not
     run the joiner again: the parameter views, the encoder output, the
-    predictor inputs and outputs, the row softmax of every node of the batch
-    (V + 1 floats a node), and, if the first node group ends within
-    ``_GROUP_NODES`` nodes, its joiner activations z (H floats a node).  The
-    backward rebuilds the z of later groups from the kept encoder and
-    predictor outputs.
+    predictor inputs and outputs, the row softmax of every node of the
+    batch (V + 1 floats a node, node-major; the forward computes it along
+    vectors of a group's nodes, ``_kept_softmax``), and, if the first node
+    group ends within ``_GROUP_NODES`` nodes, its joiner activations z (H
+    floats a node).  The backward rebuilds the z of later groups from the
+    kept encoder and predictor outputs, and builds each node's logit
+    gradient in its kept softmax row.
 
     The buffers are allocated once and reused at every step; the softmax
     buffer grows to the largest batch the run draws.  A backward
@@ -418,17 +467,17 @@ def model_forward(model: TransducerModel, features, tokens) -> PosteriorLattice:
 
 def _check_tables(layout: BatchLayout, blank, emit, what, row0=None):
     """Raise a DataError unless the diagonal-major ``blank`` and ``emit``
-    tables can hold the layout's batch, as their only rows or, given
-    ``row0``, at rows row0..: at least the diagonals and levels it needs,
-    and one level fewer in ``emit``."""
+    tables have one shape and can hold the layout's batch, as their only
+    rows or, given ``row0``, at rows row0..: at least the diagonals and
+    levels it needs."""
     B, Tmax, Umax = layout.T.size, int(layout.T.max()), int(layout.U.max())
     D, rows, W = blank.shape if blank.ndim == 3 else (0, 0, 0)
     fits = rows == B if row0 is None else rows >= row0 + B
-    if emit.shape != (D, rows, W - 1) or D < Tmax + Umax or not fits or W <= Umax:
+    if emit.shape != blank.shape or D < Tmax + Umax or not fits or W <= Umax:
         raise DataError(
             f"{what} have shapes {blank.shape} and {emit.shape}, which cannot hold "
-            f"{B} rows from row {row0 or 0} of ({Tmax + Umax}, {B}, {Umax + 1}) and "
-            f"({Tmax + Umax}, {B}, {Umax}) tables"
+            f"{B} rows from row {row0 or 0} of two ({Tmax + Umax}, {B}, {Umax + 1}) "
+            f"tables"
         )
 
 
@@ -440,8 +489,10 @@ def forward_columns(
 ) -> PaddedColumns:
     """Blank and label log-probability columns of a batch of utterances.
 
-    One network pass per group of nodes, written straight into the
-    diagonal-major columns that ``kernels.emission_sweep`` sweeps; equal to
+    One network pass per group of nodes, written straight into the two
+    diagonal-major column tables of one shape that ``kernels.emission_sweep``
+    sweeps (each node's blank column at ``blank_at``, its label column one
+    cell on, at ``emit_at``); equal to
     ``model_forward`` of each utterance up to matrix-product rounding.  The
     logits are bounded by tanh, so the rows skip ``normalize_logits``'s
     input checks.  ``out``, if given, is a ``-inf``-filled batch of the
@@ -450,9 +501,10 @@ def forward_columns(
     batch, ``PaddedColumns.rows``, padded to its longest utterances).
     ``keep``, if given, keeps this pass's activations for
     ``backward_columns`` (``StepActivations``): every group's row softmax
-    goes to its kept rows, and the log-normaliser is taken from the
-    softmax's row maximum m and sum s as m + log(s), which equals
-    ``_row_logsumexp`` bit for bit, so the columns are the same.
+    goes to its kept rows (``_kept_softmax``, along vectors of the group's
+    nodes), and the log-normaliser is taken from the softmax's row maximum
+    m and sum s as m + log(s), which equals ``_row_logsumexp`` bit for bit,
+    so the columns are the same.
     """
     if out is None:
         cols = PaddedColumns(layout.T, layout.U)
@@ -467,7 +519,9 @@ def forward_columns(
     encoded = _encode(model, layout)
     p, enc, _, pred = encoded
     work = _work(layout, enc)
-    nodes = 0 if keep is None else keep._hold(model, layout, encoded)
+    if keep is not None:
+        nodes = keep._hold(model, layout, encoded)
+        scratch = np.empty((model.vocab_size + 1, layout.max_group))
     for n0, n1, m0, m1 in layout.groups:
         if keep is None:
             _, logits = _join(p, enc, pred, layout, n0, n1, *work)
@@ -475,8 +529,7 @@ def forward_columns(
         else:
             z = keep.z[n0:n1] if n1 <= nodes else work[0]
             _, logits = _join(p, enc, pred, layout, n0, n1, z, work[1])
-            m, s = _softmax(logits, keep.softmax[n0:n1])
-            lse = (m + np.log(s))[:, 0]
+            lse = _kept_softmax(logits, scratch, keep.softmax[n0:n1])
         blank[blank_at[n0:n1]] = logits[:, -1] - lse
         r = layout.emit_rows[m0:m1] - n0
         emit[emit_at[m0:m1]] = logits[r, layout.emit_label[m0:m1]] - lse[r]
@@ -484,11 +537,13 @@ def forward_columns(
 
 
 def _backward(
-    model: TransducerModel, layout: BatchLayout, dlogp_rows, kept=None
+    model: TransducerModel, layout: BatchLayout, dlogit_rows, kept=None
 ) -> np.ndarray:
     """Chain rule from per-node lattice gradients to the parameters, one
-    pass per group; ``dlogp_rows(n0, n1, m0, m1)`` returns a new dense
-    (n1 - n0, V+1) array of a group's rows.  Exact, float64.
+    pass per group; ``dlogit_rows(softmax, n0, n1, m0, m1)`` returns the
+    (n1 - n0, V+1) gradient of a group's logits through the row
+    log-softmax, dlogp - softmax * sum(dlogp) per row, and may build it in
+    ``softmax``, the group's row softmax.  Exact, float64.
 
     With ``kept`` (a ``StepActivations`` filled by the forward of this
     model and layout), the encoder and predictor state and every group's
@@ -516,11 +571,7 @@ def _backward(
         else:
             softmax = kept.softmax[n0:n1]
             z = kept.z[n0:n1] if n1 <= nodes else _activations(enc, pred, layout, n0, n1, *work)
-        dlogit = dlogp_rows(n0, n1, m0, m1)
-        # d loss / d logit through the row log-softmax:
-        # dlogp - softmax * sum(dlogp), built in ``softmax``.
-        softmax *= dlogit.sum(axis=-1, keepdims=True)
-        dlogit -= softmax
+        dlogit = dlogit_rows(softmax, n0, n1, m0, m1)
         g["join_w"] += dlogit.T @ z
         g["join_b"] += dlogit.sum(axis=0)
         # dpre = dz * (1 - z^2), in ``z`` and the second work buffer.
@@ -539,8 +590,18 @@ def _backward(
     dpred_pre = dpred * (1.0 - pred * pred)
     g["pred_w"][...] = dpred_pre.T @ rows
     g["pred_b"][...] = dpred_pre.sum(axis=0)
-    np.add.at(g["emb"], layout.ids, dpred_pre @ p["pred_w"])
+    g["emb"][...] = _sum_by_id(layout.ids, dpred_pre @ p["pred_w"], g["emb"].shape[0])
     return grad
+
+
+def _sum_by_id(ids, rows, num_ids) -> np.ndarray:
+    """A (num_ids, H) table whose row i sums the ``rows`` (n, H) of the
+    positions with ids == i, each cell from 0.0 in position order: the
+    additions of ``np.add.at(zeros, ids, rows)``, by one ``np.bincount``
+    over the (id, h) cells."""
+    H = rows.shape[1]
+    cells = (ids[:, None] * H + np.arange(H)).reshape(-1)
+    return np.bincount(cells, rows.reshape(-1), num_ids * H).reshape(num_ids, H)
 
 
 def model_backward(
@@ -554,8 +615,20 @@ def model_backward(
     shape = (int(layout.T[0]), int(layout.U[0]) + 1, model.vocab_size + 1)
     if dlogp.shape != shape:
         raise DataError(f"lattice gradient has shape {dlogp.shape}, expected {shape}")
-    flat = dlogp.reshape(-1, shape[2])
-    return _backward(model, layout, lambda n0, n1, m0, m1: flat[n0:n1].copy())
+    return _backward(model, layout, _dense_dlogit_rows(dlogp.reshape(-1, shape[2])))
+
+
+def _dense_dlogit_rows(dlogp):
+    """``_backward``'s ``dlogit_rows`` for dense (nodes, V+1) lattice
+    gradient rows ``dlogp``: dlogp - softmax * sum(dlogp) per row."""
+
+    def dlogit_rows(softmax, n0, n1, m0, m1):
+        dlogit = dlogp[n0:n1].copy()
+        softmax *= dlogit.sum(axis=-1, keepdims=True)
+        dlogit -= softmax
+        return dlogit
+
+    return dlogit_rows
 
 
 def backward_columns(
@@ -568,16 +641,19 @@ def backward_columns(
 ) -> np.ndarray:
     """Parameter gradient of a batch loss, given its gradients with respect
     to the padded blank and label columns (``kernels.weighted_grad``), in
-    diagonal-major tables whose rows row0.. are the layout's batch.  The
-    tables may hold more rows, diagonals and levels (such as a lockstep
-    step's, padded to its longest utterances); the batch's cells are read
-    where they are, without copying its rows out.
+    two diagonal-major tables of one shape whose rows row0.. are the
+    layout's batch.  The tables may hold more rows, diagonals and levels
+    (such as a lockstep step's, padded to its longest utterances); the
+    batch's cells are read where they are, without copying its rows out.
 
     Equal to the sum of ``model_backward`` over the batch's dense lattice
     gradients (``kernels.dense_grad``) up to matrix-product rounding, without
-    building them.  ``kept``, if given, holds the activations that
-    ``forward_columns`` kept for this model and layout (a DataError if it
-    holds none), which this call consumes; the gradient is the same.
+    building them: a node's dense row has two entries at most, its blank and
+    its label column, so its logit gradient is built from those two, cell
+    for cell what the dense rule gives on the same layout.  ``kept``, if
+    given, holds the activations that ``forward_columns`` kept for this
+    model and layout (a DataError if it holds none), which this call
+    consumes; the gradient is the same.
     """
     gb = np.asarray(g_blank, dtype=np.float64)
     ge = np.asarray(g_emit, dtype=np.float64)
@@ -585,13 +661,23 @@ def backward_columns(
     blank_at, emit_at = layout.cells(gb.shape[1], gb.shape[2], row0)
     gb, ge = gb.reshape(-1), ge.reshape(-1)
 
-    def dlogp_rows(n0, n1, m0, m1):
-        d = np.zeros((n1 - n0, model.vocab_size + 1))
-        d[:, -1] = gb[blank_at[n0:n1]]
-        d[layout.emit_rows[m0:m1] - n0, layout.emit_label[m0:m1]] = ge[emit_at[m0:m1]]
-        return d
+    def dlogit_rows(softmax, n0, n1, m0, m1):
+        # A node's dlogp row holds two entries at most, its blank column and
+        # (u < U) its label column, so NumPy's row sum of it is their sum,
+        # and dlogp - softmax * sum is softmax * (-sum) plus the two entries,
+        # cell for cell (up to the sign of a zero).
+        blank = gb[blank_at[n0:n1]]
+        r = layout.emit_rows[m0:m1] - n0
+        label = ge[emit_at[m0:m1]]
+        total = blank.copy()
+        total[r] += label
+        np.negative(total, out=total)
+        softmax *= total[:, None]
+        softmax[:, -1] += blank
+        softmax[r, layout.emit_label[m0:m1]] += label
+        return softmax
 
-    return _backward(model, layout, dlogp_rows, kept)
+    return _backward(model, layout, dlogit_rows, kept)
 
 
 def _finite_grad(grad) -> np.ndarray:

@@ -40,7 +40,7 @@ from .model import (
     forward_columns,
     greedy_decode,
 )
-from .weighting import _confidence_array, padded_loss_and_grad
+from .weighting import _confidence_array, _underflow_message, padded_loss_and_grad
 
 __all__ = [
     "MODES",
@@ -125,7 +125,9 @@ class _Corpus:
     (``compute_weights`` with per-batch normalization, in its summation
     order).  Utterance weighting gives every token of utterance i, and its
     sentence-end term, w_i = mean(c_i)^alpha normalized to mean 1 over the
-    batch.
+    batch.  A batch whose powered confidences all underflow to 0 has no
+    such normalization: it raises NumericalError naming alpha and the
+    batch's utterances.
     """
 
     def __init__(self, model: TransducerModel, utterances, cfgs):
@@ -135,6 +137,7 @@ class _Corpus:
             [u.tokens for u in utterances],
             [u.id for u in utterances],
         )
+        self.ids = [u.id for u in utterances]
         self.cfgs = list(cfgs)
         self.powered = [None] * len(self.cfgs)
         self.powered_sums = [None] * len(self.cfgs)
@@ -163,7 +166,10 @@ class _Corpus:
                 w_fb[k] = 1.0
             elif cfg.mode == "utterance_weights":
                 powered = self.powered[k][idx]
-                w = powered / np.mean(powered)
+                norm = np.mean(powered)
+                if norm == 0.0:
+                    self._underflow(cfg, idx)
+                w = powered / norm
                 lam[k][slots] = np.repeat(w, U)
                 w_fb[k] = w
             else:
@@ -171,8 +177,14 @@ class _Corpus:
                 if total:  # a batch of empty transcripts has no token to weight
                     rows = idx.tolist()
                     norm = sum(self.powered_sums[k][i] for i in rows) / total
+                    if norm == 0.0:
+                        self._underflow(cfg, idx[U > 0])
                     lam[k][slots] = np.concatenate([self.powered[k][i] for i in rows]) / norm
                 w_fb[k] = cfg.final_blank_weight
+
+    def _underflow(self, cfg, idx):
+        names = dict.fromkeys(self.ids[i] for i in idx.tolist())
+        raise NumericalError(f"{_run_name(cfg)}: {_underflow_message(cfg.alpha, names)}")
 
 
 def _batch_loss_and_grad(models, batches, grad, kept=None) -> list:
@@ -201,7 +213,7 @@ def _batch_loss_and_grad(models, batches, grad, kept=None) -> list:
         np.concatenate([layout.T for layout in run_layouts]),
         np.concatenate([layout.U for layout in run_layouts]),
     )
-    lam = np.zeros((row0[-1], cols.emit.shape[2]))
+    lam = np.zeros((row0[-1], cols.blank.shape[2] - 1))
     w_fb = np.empty(row0[-1])
     k0 = 0  # the group's first run
     for (corpus, idx), layout in zip(batches, layouts):

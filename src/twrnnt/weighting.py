@@ -92,6 +92,17 @@ def _confidence_array(c) -> np.ndarray:
     return np.minimum(arr, 1.0)
 
 
+def _underflow_message(alpha, names) -> str:
+    """What is wrong with a weighting scope whose c^alpha all underflow to
+    0, so that normalizing them would divide 0 by 0, naming alpha and the
+    utterances (by id, or by position in the scope)."""
+    return (
+        f"confidences of utterances {', '.join(map(str, names))} raised to alpha "
+        f"{alpha:g} underflow to 0, so their weights' mean is 0 and the weights "
+        f"are undefined"
+    )
+
+
 def compute_weights(
     confidences: Union[ConditionalProfile, Sequence, np.ndarray],
     config: WeightConfig,
@@ -102,6 +113,8 @@ def compute_weights(
     TokenWeights, or a sequence of them and returns a list.  In per_batch
     mode a single normalizer is computed over every token of every utterance
     in the call; in per_utterance mode each vector normalizes independently.
+    A normalizer of 0, where every c^alpha of its scope underflows, raises
+    NumericalError naming alpha and the vectors' positions in the call.
     """
     if isinstance(confidences, (ConditionalProfile, np.ndarray)):
         single = True
@@ -122,6 +135,9 @@ def compute_weights(
     if config.normalization == "per_batch":
         norm = sum(float(np.sum(p)) for p in powered) / total
         norms = [norm] * len(powered)
+        if norm == 0.0:
+            names = [i for i, p in enumerate(powered) if p.size]
+            raise NumericalError(_underflow_message(config.alpha, names))
     else:
         norms = []
         for p in powered:
@@ -129,6 +145,9 @@ def compute_weights(
                 norms.append(1.0)  # no tokens to scale; weight vector is empty
             else:
                 norms.append(float(np.mean(p)))
+        zero = [i for i, n in enumerate(norms) if n == 0.0]
+        if zero:
+            raise NumericalError(_underflow_message(config.alpha, zero))
     out = [TokenWeights(lambdas=p / n, config=config) for p, n in zip(powered, norms)]
     return out[0] if single else out
 

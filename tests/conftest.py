@@ -76,3 +76,14 @@ def owned_cells(shape, T, last):
     d = np.arange(shape[0])[:, None]
     j = np.arange(shape[2])
     return (d - j >= 0) & (d - j < T) & (j <= last)
+
+
+def owned_label_cells(shape, T, U):
+    """Mask of the (D, width) cells of one row of a diagonal-major label
+    table of ``shape`` (D, B, width) that an utterance of T frames and U
+    labels owns: the label column of node (t, u), u < U, at [t + u, u + 1].
+    Level 0 is never owned."""
+    d = np.arange(shape[0])[:, None]
+    j = np.arange(shape[2])
+    t = d - j + 1
+    return (t >= 0) & (t < T) & (j >= 1) & (j <= U)

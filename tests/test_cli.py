@@ -15,6 +15,7 @@ from twrnnt.config import SCHEMA
 from twrnnt.datagen import read_dataset, write_dataset
 from twrnnt.experiments import ExperimentReport, report_from_json, report_to_json
 from twrnnt.lattice import PosteriorLattice
+from twrnnt.metrics import wer
 from twrnnt.model import load_checkpoint
 from twrnnt.training import evaluate_wer
 
@@ -413,6 +414,27 @@ class TestBadDatasets:
         assert json.loads(line)["error"] == "data"
 
 
+class TestWeightUnderflow:
+    @pytest.mark.parametrize("mode, alpha, confidence", [("token_weights", "6", 1e-60), ("utterance_weights", "100", 1e-4)])
+    def test_train_exits_4_naming_alpha(self, workspace, tmp_path, capsys, mode, alpha, confidence):
+        meta, utts = read_dataset(workspace / "train.jsonl")
+        utts = [replace(u, confidences=np.full(u.tokens.size, confidence)) for u in utts[:6]]
+        write_dataset(tmp_path / "scored.jsonl", utts, meta)
+        code, _, err = run(
+            capsys,
+            [
+                "train", "--data", str(tmp_path / "scored.jsonl"), "--out", str(tmp_path / "m.json"),
+                "--mode", mode, "--alpha", alpha, "--epochs", "1", *TINY,
+            ],
+        )
+        assert code == 4 and "Traceback" not in err
+        (line,) = err.strip().splitlines()
+        error = json.loads(line)
+        assert error["error"] == "numerical"
+        assert f"raised to alpha {alpha} underflow to 0" in error["message"]
+        assert not (tmp_path / "m.json").exists()
+
+
 class TestCorrupt:
     def test_zero_rate_identical_except_header(self, tmp_path, capsys):
         assert main(["gen-data", "--out", str(tmp_path), *TINY]) == 0
@@ -469,6 +491,14 @@ class TestCorrupt:
         )
         assert code == 0
         assert "reference WER" in out
+        # The printed rate is the corpus WER of the written transcripts: the
+        # per-pair edit distances summed over the reference token count.
+        (line,) = [x for x in out.splitlines() if x.startswith("reference WER")]
+        _, refs = read_dataset(tmp_path / "train.jsonl")
+        _, hyps = read_dataset(tmp_path / "c.jsonl")
+        dist = sum(wer(h.tokens, r.tokens).distance for h, r in zip(hyps, refs))
+        rate = dist / sum(r.tokens.size for r in refs)
+        assert rate > 0 and line == f"reference WER after corruption: {rate:.4f}"
 
 
 class TestLossCheck:

@@ -5,9 +5,11 @@ cases of the diagonal-major layout against the per-cell loops."""
 import numpy as np
 import pytest
 
-from conftest import owned_cells, with_hard_zeros
+from conftest import owned_cells, owned_label_cells, with_hard_zeros
 from references import emission_sweep_scalar, weighted_grad_scalar
 from twrnnt import kernels
+from twrnnt.lattice import PosteriorLattice
+from twrnnt.oracle import loglik_grad
 
 
 class TestKernelEdgeCases:
@@ -63,7 +65,7 @@ def padded(items, K=1):
     stacked = kernels.PaddedColumns(
         np.tile([logp.shape[0] for logp, _ in items], K), np.tile([y.size for _, y in items], K)
     )
-    lam = np.zeros((K * B, stacked.emit.shape[2]))
+    lam = np.zeros((K * B, stacked.blank.shape[2] - 1))
     for k in range(K):
         rows = stacked.rows(k * B, (k + 1) * B)
         for b, (logp, y) in enumerate(items):
@@ -74,7 +76,8 @@ def padded(items, K=1):
 
 def check_rows(cols, lam, fb, items, K=1):
     """Every row of the batch equals the scalar loops on its own lattice,
-    and nothing leaks outside its cells."""
+    and nothing leaks outside its cells: the label columns sit at levels
+    1..U, level 0 of the label table stays -inf and its gradient is 0."""
     sweep = cols.sweep()
     A, R, prefix, loglik = sweep
     g_blank, g_emit = cols.grad(sweep, lam, fb)
@@ -94,10 +97,16 @@ def check_rows(cols, lam, fb, items, K=1):
             weighted_grad_scalar(logp, y, *ref, lam[row, :U], fb[row]),
         )
         own = owned_cells(A.shape, T, U)
+        own_label = owned_label_cells(cols.emit.shape, T, U)
+        assert g_emit.shape == cols.emit.shape == cols.blank.shape
         assert np.all(A[:, row][~own] == -np.inf) and np.all(R[:, row][~own] == -np.inf)
+        assert np.all(cols.blank[:, row][~own] == -np.inf)
+        assert np.all(cols.emit[:, row][~own_label] == -np.inf)
+        assert np.all(cols.emit[:, row, 0] == -np.inf)
         assert np.all(prefix[row, U + 1 :] == -np.inf)
         assert not g_blank[:, row][~own].any()
-        assert not g_emit[:, row][~owned_cells(g_emit.shape, T, U - 1)].any()
+        assert not g_emit[:, row][~own_label].any()
+        assert np.all(g_emit[:, row, 0] == 0.0)
     return sweep, (g_blank, g_emit)
 
 
@@ -116,11 +125,8 @@ class TestDiagonalLayout:
         for b, item in enumerate(items):
             T, W = item[0].shape[0], item[1].size + 1
             own_sweep, own_grads = check_rows(*padded([item]), [item])
-            tables = zip(sweep[:2] + grads, own_sweep[:2] + own_grads, (W, W, W, W - 1))
-            for got, want, width in tables:
-                np.testing.assert_array_equal(
-                    kernels.grid(got, b, T, width), kernels.grid(want, 0, T, width)
-                )
+            for got, want in zip(sweep[:2] + grads, own_sweep[:2] + own_grads):
+                np.testing.assert_array_equal(kernels.grid(got, b, T, W), kernels.grid(want, 0, T, W))
             np.testing.assert_array_equal(sweep[2][b, :W], own_sweep[2][0])
             assert sweep[3][b] == own_sweep[3][0]
 
@@ -143,3 +149,23 @@ class TestDiagonalLayout:
                 np.testing.assert_array_equal(got[:, rows], want)
             np.testing.assert_array_equal(sweep[2][rows], own_sweep[2])
             np.testing.assert_array_equal(sweep[3][rows], own_sweep[3])
+
+
+    def test_dense_grad_matches_oracle_occupancy(self):
+        # The unit-weight gradient read out by ``dense_grad`` is minus the
+        # occupancy gradient of the independent forward-backward oracle, for
+        # every row of a stacked batch: a readout of the label cells one
+        # level or diagonal off fails this, while comparisons of the kernel
+        # with itself cannot.  Zero cells agree exactly.
+        items = [EDGES[case] for case in sorted(EDGES)]
+        K, B = 2, len(items)
+        cols, lam, _ = padded(items, K)
+        g_blank, g_emit = cols.grad(cols.sweep(), (lam > 0) * 1.0, np.ones(K * B))
+        for row in range(K * B):
+            k, b = divmod(row, B)
+            logp, y = items[b]
+            logp = logp - 0.25 * k
+            got = kernels.dense_grad(g_blank, g_emit, row, logp.shape[0], y, logp.shape[2])
+            want = -loglik_grad(PosteriorLattice(logp), y)
+            np.testing.assert_array_equal(got == 0, want == 0)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)

@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 
 import references
 from conftest import PROPERTY
+from twrnnt import model as model_module
 from twrnnt.errors import DataError, NumericalError
 from twrnnt.kernels import PaddedColumns, dense_grad
 from twrnnt.model import (
     AdamConfig,
     BatchLayout,
+    StepActivations,
     TransducerModel,
     adam_update,
     backward_columns,
@@ -222,18 +224,20 @@ class TestGroupedPasses:
             D, B, W = own.blank.shape
             rows = slice(r, r + B)
             np.testing.assert_array_equal(wide.blank[:D, rows, :W], own.blank)
-            np.testing.assert_array_equal(wide.emit[:D, rows, : W - 1], own.emit)
+            np.testing.assert_array_equal(wide.emit[:D, rows, :W], own.emit)
             assert np.all(wide.blank[D:, rows] == -np.inf) and np.all(wide.blank[:, rows, W:] == -np.inf)
             np.testing.assert_array_equal(
                 backward_columns(model, layout, g_blank, g_emit, row0=r),
                 backward_columns(
-                    model, layout, g_blank[:D, rows, :W].copy(), g_emit[:D, rows, : W - 1].copy()
+                    model, layout, g_blank[:D, rows, :W].copy(), g_emit[:D, rows, :W].copy()
                 ),
             )
         with pytest.raises(DataError, match="column gradients have shapes"):
             backward_columns(model, batches[1], g_blank, g_emit, row0=4)
         with pytest.raises(DataError, match="column gradients have shapes"):
-            backward_columns(model, batches[1], g_blank[:, :, :6], g_emit[:, :, :5], row0=3)
+            backward_columns(model, batches[1], g_blank[:, :, :6], g_emit[:, :, :6], row0=3)
+        with pytest.raises(DataError, match="column gradients have shapes"):
+            backward_columns(model, batches[1], g_blank, g_emit[:, :, :6], row0=3)
 
     def test_groups_are_runs_within_the_node_bound(self):
         # Node counts 600, 800, 600, 1 fit one group of 2001 <= 2048 nodes;
@@ -248,6 +252,133 @@ class TestGroupedPasses:
         )
         spans = [(int(n0), int(n1)) for n0, n1, _, _ in layout.groups]
         assert spans == [(0, 2001), (2001, 4171), (4171, 4195)]
+
+
+class TestPairwiseSum:
+    """``model._pairwise_sum`` adds the V + 1 rows of a transposed softmax
+    in the order in which NumPy sums each contiguous row of the node-major
+    table, so the kept softmax needs no row reduction: equal with ==."""
+
+    @staticmethod
+    def check(table):
+        """``table`` (n, k) is node-major and C-contiguous, as the logits."""
+        got = model_module._pairwise_sum(np.ascontiguousarray(table.T))
+        np.testing.assert_array_equal(got, table.sum(axis=-1))
+
+    @staticmethod
+    def table(seed, n, k, lo, hi):
+        """n rows of k values of random sign, magnitudes 10^lo..10^hi."""
+        rng = np.random.default_rng(seed)
+        return rng.choice([-1.0, 1.0], size=(n, k)) * 10.0 ** rng.uniform(lo, hi, size=(n, k))
+
+    def test_every_width_up_to_300(self):
+        for k in range(1, 301):
+            self.check(self.table(k, 5, k, -300, 300))
+
+    @settings(PROPERTY, max_examples=100)
+    @given(
+        seed=st.integers(0, 2**16),
+        n=st.integers(1, 6),
+        k=st.integers(1, 300),
+        bounds=st.tuples(st.floats(-300, 300), st.floats(-300, 300)).map(sorted),
+    )
+    # Around the 8-value blocks, the 128-value limit and the split above it.
+    @example(seed=0, n=3, k=7, bounds=[-300, 300])
+    @example(seed=1, n=3, k=17, bounds=[0, 0.5])
+    @example(seed=2, n=3, k=129, bounds=[-1, 1])
+    @example(seed=3, n=3, k=300, bounds=[-300, 300])
+    def test_matches_numpy_row_sums(self, seed, n, k, bounds):
+        self.check(self.table(seed, n, k, *bounds))
+
+
+def layout_of(shapes, seed, V=16):
+    """A seeded model of 8 features, 32 hidden units and V tokens, and the
+    layout of utterances of the given (T, U)."""
+    rng = np.random.default_rng(seed)
+    model = TransducerModel.random(8, 32, V, rng)
+    feats = [rng.normal(size=(T, 8)) for T, _ in shapes]
+    tokens = [rng.integers(0, V, size=U) for _, U in shapes]
+    return model, BatchLayout(model, feats, tokens), tokens
+
+
+# Desk and long batches, each with an empty transcript; the long one spans
+# several node groups.
+SHORT_ROW_BATCHES = {
+    "desk": [(11, 6), (9, 0), (14, 7), (8, 4), (12, 5)],
+    "long": [(75, 25), (60, 0), (70, 30), (3, 7)],
+}
+
+
+class TestKeptSoftmax:
+    @pytest.mark.parametrize("case", sorted(SHORT_ROW_BATCHES))
+    def test_kept_forward_equals_plain_one(self, case):
+        # A forward that keeps its softmax (``_kept_softmax``) writes the
+        # columns of one that keeps nothing, and keeps the row softmax that
+        # ``_softmax`` gives on the same logits, with ==.
+        model, layout, _ = layout_of(SHORT_ROW_BATCHES[case], 81)
+        keep = StepActivations(model)
+        cols = forward_columns(model, layout, keep=keep)
+        want = forward_columns(model, layout)
+        np.testing.assert_array_equal(cols.blank, want.blank)
+        np.testing.assert_array_equal(cols.emit, want.emit)
+        p, enc, _, pred = model_module._encode(model, layout)
+        work = model_module._work(layout, enc)
+        assert len(layout.groups) > 1 or case == "desk"
+        for n0, n1, _, _ in layout.groups:
+            _, logits = model_module._join(p, enc, pred, layout, n0, n1, *work)
+            softmax = np.empty_like(logits)
+            m, s = model_module._softmax(logits, softmax)
+            np.testing.assert_array_equal(keep.softmax[n0:n1], softmax)
+            scratch = np.empty((model.vocab_size + 1, n1 - n0))
+            lse = model_module._kept_softmax(logits, scratch, np.empty_like(logits))
+            np.testing.assert_array_equal(lse, (m + np.log(s))[:, 0])
+
+
+class TestTwoEntryBackward:
+    """``backward_columns`` builds each node's logit gradient from its blank
+    and label entries; it equals ``_backward`` fed the dense rows of
+    ``dense_grad`` on the same layout, with ==."""
+
+    @pytest.mark.parametrize("kept", [False, True])
+    @pytest.mark.parametrize("case", sorted(SHORT_ROW_BATCHES))
+    def test_equals_dense_rows(self, case, kept):
+        V = 16
+        model, layout, tokens = layout_of(SHORT_ROW_BATCHES[case], 82, V)
+        keep = StepActivations(model) if kept else None
+        cols = forward_columns(model, layout, keep=keep)
+        # Hard zeros: the first frame's blank at level 0 and the last
+        # frame's first label, so some cells are unreachable and some
+        # alignments dead, and their gradients are exactly 0.
+        for b, (T, U) in enumerate(zip(layout.T, layout.U)):
+            if U:
+                cols.blank[0, b, 0] = -np.inf
+                cols.emit[T - 1, b, 1] = -np.inf
+        rng = np.random.default_rng(83)
+        lam = rng.uniform(0.5, 1.5, size=(layout.T.size, cols.blank.shape[2] - 1))
+        lam[np.arange(lam.shape[1]) >= layout.U[:, None]] = 0.0
+        sweep = cols.sweep()
+        g_blank, g_emit = cols.grad(sweep, lam, np.full(layout.T.size, 0.7))
+        assert (g_blank == 0).any() and (g_emit != 0).any()
+        got = backward_columns(model, layout, g_blank, g_emit, keep)
+        dense = np.concatenate([
+            dense_grad(g_blank, g_emit, b, int(T), y, V + 1).reshape(-1, V + 1)
+            for b, (T, y) in enumerate(zip(layout.T, tokens))
+        ])
+        want = model_module._backward(model, layout, model_module._dense_dlogit_rows(dense))
+        np.testing.assert_array_equal(got, want)
+
+
+def test_sum_by_id_makes_the_additions_of_add_at():
+    # Repeated ids in a scattered order, with values whose sums depend on
+    # the order of the additions.
+    rng = np.random.default_rng(84)
+    ids = rng.integers(0, 6, size=200)
+    rows = rng.choice([-1.0, 1.0], size=(200, 5)) * 10.0 ** rng.uniform(-8, 8, size=(200, 5))
+    want = np.zeros((7, 5))
+    np.add.at(want, ids, rows)
+    got = model_module._sum_by_id(ids, rows, 7)
+    np.testing.assert_array_equal(got, want)
+    assert not got[6].any()
 
 
 def adam_buffers(model):

@@ -11,7 +11,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import PROPERTY, cases, owned_cells, with_hard_zeros
+from conftest import PROPERTY, cases, owned_cells, owned_label_cells, with_hard_zeros
 from references import emission_sweep_scalar, weighted_grad_scalar
 from twrnnt import kernels
 from twrnnt.errors import NumericalError
@@ -121,7 +121,7 @@ EDGE_BATCH = [
 
 def _padded(batch):
     cols = kernels.PaddedColumns([lat.T for lat, *_ in batch], [y.size for _, y, *_ in batch])
-    lam = np.zeros((len(batch), cols.emit.shape[2]))
+    lam = np.zeros((len(batch), cols.blank.shape[2] - 1))
     for b, (lat, y, lam_b, _) in enumerate(batch):
         cols.put(b, lat.logp, y)
         lam[b, : y.size] = lam_b
@@ -153,7 +153,7 @@ def test_padded_batch_matches_scalar_loops_exactly(batch):
             assert np.all(table[~own] == -np.inf)
         assert np.all(prefix[b, U + 1 :] == -np.inf)
         assert not g_blank[:, b][~own].any()
-        assert not g_emit[:, b][~owned_cells(g_emit.shape, T, U - 1)].any()
+        assert not g_emit[:, b][~owned_label_cells(g_emit.shape, T, U)].any()
 
 
 def test_long_lattice_stays_finite():

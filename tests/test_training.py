@@ -148,6 +148,29 @@ class TestTrainingLoop:
             assert res.epoch_losses[-1] < 0.5 * res.epoch_losses[0]
 
     @pytest.mark.parametrize(
+        "mode, alpha, confidence",
+        [("token_weights", 6.0, 1e-60), ("utterance_weights", 100.0, 1e-4)],
+    )
+    def test_weights_that_underflow_raise(self, small_data, mode, alpha, confidence):
+        # Every confidence of the batch, raised to alpha, underflows to 0:
+        # the step stops before the 0 / 0 of the normalization, naming the
+        # run, alpha and the batch's utterances, instead of diverging on a
+        # NaN loss.
+        utts = [
+            replace(u, confidences=np.full(u.tokens.size, confidence))
+            for u in small_data["train"][:4] if u.tokens.size
+        ]
+        cfg = TrainConfig(epochs=1, batch_size=8, mode=mode, alpha=alpha)
+        ids = ", ".join(sorted(u.id for u in utts))
+        with pytest.raises(NumericalError) as err:
+            train_model(utts, 8, 16, cfg, stream(0, "init"), stream(0, "order"))
+        message = str(err.value)
+        assert message.startswith(f"{mode} at alpha {alpha:g}: confidences of utterances ")
+        assert f"raised to alpha {alpha:g} underflow to 0" in message and "diverged" not in message
+        named = message.split("utterances ")[1].split(" raised")[0]
+        assert ", ".join(sorted(named.split(", "))) == ids
+
+    @pytest.mark.parametrize(
         "field, value", [("epochs", 0), ("batch_size", 0), ("dim_hidden", 0), ("dim_hidden", -1)]
     )
     def test_config_rejects_sizes_below_one(self, field, value):
@@ -281,7 +304,7 @@ class TestPaddedBatchStep:
 
         def forward_with_hole(model, layout, out=None, keep=None):
             cols = forward_columns(model, layout, out=out, keep=keep)
-            cols.emit[:, 2, 0] = -np.inf  # utterance 2's first token can never be emitted
+            cols.emit[:, 2, 1] = -np.inf  # utterance 2's first token can never be emitted
             return cols
 
         batch = small_data["train"][:4]
@@ -804,12 +827,12 @@ class TestKeptActivations:
     def test_kept_backward_runs_no_joiner(self, case, monkeypatch):
         """At K = 3, on batches that grow the kept softmax and then reuse
         it: the kept softmax holds every node's row, and a kept backward
-        makes no ``_softmax`` call and no joiner-logit pass (``_join``); it
-        rebuilds the activations of each group past the kept z alone
-        (``_activations``)."""
+        makes no softmax call (``_softmax`` or ``_kept_softmax``) and no
+        joiner-logit pass (``_join``); it rebuilds the activations of each
+        group past the kept z alone (``_activations``)."""
         shapes, _ = self.BATCHES[case]
         utts, models, corpus = self.runs(shapes, 73)
-        calls = {name: 0 for name in ("_softmax", "_join", "_activations")}
+        calls = {name: 0 for name in ("_softmax", "_kept_softmax", "_join", "_activations")}
 
         def counted(name):
             fn = getattr(model_module, name)
@@ -845,15 +868,16 @@ class TestKeptActivations:
             assert rebuilt > 0
             calls.update(dict.fromkeys(calls, 0))
             grads = [backward_columns(model, layout, *t, keep) for model, t, keep in zip(models, tables, kept)]
-            assert calls == {"_softmax": 0, "_join": 0, "_activations": 3 * rebuilt}
+            assert calls == {"_softmax": 0, "_kept_softmax": 0, "_join": 0, "_activations": 3 * rebuilt}
             for model, t, got in zip(models, tables, grads):
                 np.testing.assert_array_equal(got, backward_columns(model, layout, *t))
-            # The stacked step: only its forward runs the joiner and softmax.
+            # The stacked step: only its forward runs the joiner and softmax,
+            # the kept one.
             grad = np.empty((len(models), models[0].params.size))
             want = np.empty_like(grad)
             calls.update(dict.fromkeys(calls, 0))
             losses = _batch_loss_and_grad(models, [(corpus, idx)], grad, kept)
-            assert calls["_softmax"] == calls["_join"] == 3 * G
+            assert calls["_kept_softmax"] == calls["_join"] == 3 * G and calls["_softmax"] == 0
             assert losses == _batch_loss_and_grad(models, [(corpus, idx)], want)
             np.testing.assert_array_equal(grad, want)
 

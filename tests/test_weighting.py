@@ -3,7 +3,7 @@ import pytest
 
 from conftest import random_instance, random_instance_nonempty, random_lattice
 from twrnnt.conditionals import conditional_profile
-from twrnnt.errors import DataError
+from twrnnt.errors import DataError, NumericalError
 from twrnnt.lattice import rnnt_loss, rnnt_loss_grad
 from twrnnt.oracle import exact_conditionals, exact_final_blank_logp, finite_diff_grad
 from twrnnt.weighting import (
@@ -84,6 +84,32 @@ class TestComputeWeights:
     def test_rejects_negative_alpha(self):
         with pytest.raises(DataError, match="alpha"):
             WeightConfig(alpha=-1.0)
+
+    @pytest.mark.parametrize(
+        "confidences, config, names",
+        [
+            (np.array([1e-60, 1e-70]), WeightConfig(alpha=6.0), "0"),
+            ([np.array([1e-60]), np.zeros(0), np.array([1e-70])], WeightConfig(alpha=6.0), "0, 2"),
+            (np.array([1e-4]), WeightConfig(alpha=100.0, normalization="per_utterance"), "0"),
+            (
+                [np.array([0.5]), np.array([1e-4, 1e-5])],
+                WeightConfig(alpha=100.0, normalization="per_utterance"),
+                "1",
+            ),
+        ],
+    )
+    def test_scope_that_underflows_raises(self, confidences, config, names):
+        # Every c^alpha of the scope is 0, so the mean-1 normalization would
+        # be 0 / 0: the error names alpha and the vectors, instead of NaN.
+        with pytest.raises(NumericalError, match=f"utterances {names} raised to alpha {config.alpha:g} underflow"):
+            compute_weights(confidences, config)
+
+    def test_partial_underflow_keeps_finite_weights(self):
+        # Only some c^alpha underflow: the mean is positive, so the weights
+        # are finite, and the underflowed tokens weigh exactly 0.
+        w = compute_weights(np.array([1e-60, 0.5]), WeightConfig(alpha=6.0))
+        assert np.all(np.isfinite(w.lambdas))
+        np.testing.assert_array_equal(w.lambdas, [0.0, 2.0])
 
 
 class TestWeightedLoss:
