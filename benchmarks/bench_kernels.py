@@ -19,8 +19,11 @@ on a desk batch (T ~ 11, U ~ 6) and a long batch (T ~ 75, U ~ 25) of 8.
 Next, the per-step parts of a training run, before and after the run's
 fixed facts are computed once, on a desk batch in microseconds per call: a
 batch's layout from a packed corpus (``BatchLayout.of``) against packing
-the batch itself (``BatchLayout(model, feats, toks)``), and ``metrics.wer``
-against the double loop kept in ``tests/references.py``.  Then the lockstep line: the
+the batch itself (``BatchLayout(model, feats, toks)``), a step's token and
+utterance weights for two runs of each mode (``training._Corpus.weights``)
+against the per-row loop kept in ``tests/references.py``
+(``CorpusWeights``), and ``metrics.wer`` against the double loop kept
+there.  Then the lockstep line: the
 five runs of one criterion 8 stream (standard, and utterance and token
 weighting at alpha 2 and 6) on 64 desk utterances, as five ``train_model``
 calls against one ``train_runs`` call, in microseconds per step of all five.
@@ -36,8 +39,11 @@ and joiner activations its forward kept (``model.StepActivations``) against
 one that runs the network again, in microseconds and minor page faults per
 step, and the kilobytes each run keeps; and the row softmax that such a
 forward keeps, along the transposed rows (``model._kept_softmax``) against
-``model._softmax`` along rows of V + 1, on the first node group of the desk
-and the long batch, in microseconds.  Last, greedy decoding:
+the plain row softmax along rows of V + 1 (``softmax`` in
+``tests/references.py``), on the first node group of the desk and the long
+batch, in microseconds; and on the same groups, the log-normaliser of
+scoring's forward, ``_kept_softmax`` keeping nothing, against
+``lattice._row_logsumexp``.  Last, greedy decoding:
 ``greedy_decode`` against the frame-by-frame loop kept in
 ``tests/references.py``, in microseconds per utterance, on desk
 utterances and long ones (T ~ 75) decoded by a trained teacher, and on the
@@ -50,11 +56,12 @@ gradient must match the oracle occupancy gradient, both to 1e-9.  The
 next-token distribution must sum to 1 within 1e-9.  The grouped model
 passes must match the per-utterance ones to 1e-12 (columns absolutely,
 the parameter gradient relative to its largest entry).  Each per-step pair
-must give equal output: the same layout tables and the same WER counts on
-500 random pairs; the lockstep runs, and the two streams trained in one
+must give equal output: the same layout tables, the same weights, and the
+same WER counts on 500 random pairs; the lockstep runs, and the two streams trained in one
 call, must give the solo runs' batch losses and parameters exactly; a step that keeps its
 activations must give the losses and gradients of one that recomputes
-them exactly, and the kept softmax that of ``_softmax``; and every decode must
+them exactly, the kept softmax that of the plain one, and scoring's
+log-normaliser that of ``_row_logsumexp``; and every decode must
 give the frame-by-frame loop's tokens and ``clean`` flag.  Run from the repo root:
 
     python3 benchmarks/bench_kernels.py [--frames 50 --labels 20 --vocab 32]
@@ -73,7 +80,7 @@ import numpy as np
 from twrnnt import kernels
 from twrnnt.conditionals import next_token_distribution
 from twrnnt.datagen import SyntheticSpec, Utterance, generate_synthetic_dataset, read_dataset
-from twrnnt.lattice import PosteriorLattice
+from twrnnt.lattice import PosteriorLattice, _row_logsumexp
 from twrnnt.metrics import wer
 from twrnnt.model import (
     BatchLayout,
@@ -83,7 +90,6 @@ from twrnnt.model import (
     _encode,
     _join,
     _kept_softmax,
-    _softmax,
     _work,
     backward_columns,
     forward_columns,
@@ -104,7 +110,7 @@ from twrnnt.training import (
 from twrnnt.weighting import padded_loss_and_grad
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
-from references import emission_sweep_scalar, weighted_grad_scalar  # noqa: E402
+from references import CorpusWeights, emission_sweep_scalar, softmax, weighted_grad_scalar  # noqa: E402
 from references import greedy_decode as reference_decode  # noqa: E402
 from references import wer_counts  # noqa: E402
 
@@ -332,7 +338,27 @@ def step_parts(repeats):
         r = wer(hyp, ref)
         if (r.substitutions, r.insertions, r.deletions) != wer_counts(hyp, ref):
             raise SystemExit(f"wer counts differ from the double loop on hyp={hyp}, ref={ref}")
-    print("per-step parts: packed layout and wer equal their references")
+
+    # The weights of the same batch of 64 scored desk utterances, for the
+    # two runs of each weighted mode of a criterion 8 stream.
+    utts, cfgs = criterion_8_runs()
+    weights = []
+    for mode in ("token_weights", "utterance_weights"):
+        runs = [cfg for cfg in cfgs if cfg.mode == mode]
+        corpus, reference = _Corpus(model, utts, runs), CorpusWeights(utts, runs)
+        layout = BatchLayout.of(corpus.packed, idx)
+        shape = (len(runs), idx.size, int(layout.U.max()))
+        got, want = (np.zeros(shape), np.empty(shape[:2])), (np.zeros(shape), np.empty(shape[:2]))
+        corpus.weights(idx, layout, *got)
+        reference.weights(idx, layout.U, *want)
+        if not all(np.array_equal(a, b) for a, b in zip(got, want)):
+            raise SystemExit(f"{mode}: a step's weights differ from the reference loop's")
+        weights.append((
+            f"weights {mode.split('_')[0]}",
+            time_call(lambda: reference.weights(idx, layout.U, *want), repeats),
+            time_call(lambda: corpus.weights(idx, layout, *got), repeats),
+        ))
+    print("per-step parts: packed layout, weights and wer equal their references")
 
     # A desk transcript pair: 6 reference tokens, a hypothesis of 7 with one
     # insertion and one substitution.
@@ -342,6 +368,7 @@ def step_parts(repeats):
     return [
         ("layout", time_call(lambda: BatchLayout(model, *batch), repeats),
          time_call(lambda: BatchLayout.of(packed, idx), repeats)),
+        *weights,
         (f"wer {ref.size}x{hyp.size}", time_call(lambda: wer_counts(hyp, ref), repeats),
          time_call(lambda: wer(hyp, ref), repeats)),
     ]
@@ -485,30 +512,57 @@ def kept_steps(repeats):
     return out
 
 
-def softmax_times(repeats):
-    """Verify, then time, the row softmax of the first node group of the
-    desk and the long model batch: ``_softmax`` along rows of V + 1 against
-    ``_kept_softmax`` along the transposed rows, as a training forward keeps
-    it.  Per batch, (name, nodes, median seconds before, after)."""
+def first_group_logits():
+    """Per model batch, (name, the joiner logits of its first node group)."""
     out = []
     for name, (T, U) in MODEL_BATCHES.items():
         net, feats, tokens, _, _ = model_batch(T, U)
         layout = BatchLayout(net, feats, tokens)
         p, enc, _, pred = _encode(net, layout)
         n0, n1, _, _ = layout.groups[0]
-        _, logits = _join(p, enc, pred, layout, n0, n1, *_work(layout, enc))
+        out.append((name, _join(p, enc, pred, layout, n0, n1, *_work(layout, enc))[1]))
+    return out
+
+
+def softmax_times(repeats):
+    """Verify, then time, the row softmax of the first node group of the
+    desk and the long model batch: ``references.softmax`` along rows of
+    V + 1 against ``_kept_softmax`` along the transposed rows, as a training
+    forward keeps it.  Per batch, (name, nodes, median seconds before,
+    after)."""
+    out = []
+    for name, logits in first_group_logits():
         before, after = np.empty_like(logits), np.empty_like(logits)
-        scratch = np.empty((logits.shape[1], n1 - n0))
-        m, s = _softmax(logits, before)
+        scratch = np.empty((logits.shape[1], logits.shape[0]))
+        m, s = softmax(logits, before)
         lse = _kept_softmax(logits, scratch, after)
         if not (np.array_equal(before, after) and np.array_equal(lse, (m + np.log(s))[:, 0])):
-            raise SystemExit(f"{name}: the kept softmax differs from _softmax")
+            raise SystemExit(f"{name}: the kept softmax differs from the plain row softmax")
         times = np.array([
-            [time_call(lambda: _softmax(logits, before), 10), time_call(lambda: _kept_softmax(logits, scratch, after), 10)]
+            [time_call(lambda: softmax(logits, before), 10), time_call(lambda: _kept_softmax(logits, scratch, after), 10)]
             for _ in range(repeats)
         ])
-        out.append((name, n1 - n0, *np.median(times, axis=0)))
-    print("kept softmax: equals _softmax and its log-normaliser exactly on a desk and a long node group")
+        out.append((name, logits.shape[0], *np.median(times, axis=0)))
+    print("kept softmax: equals the plain row softmax and its log-normaliser exactly on a desk and a long node group")
+    return out
+
+
+def log_normaliser_times(repeats):
+    """Verify, then time, the log-normaliser of scoring's forward on the
+    first node group of the desk and the long model batch:
+    ``lattice._row_logsumexp`` against ``_kept_softmax`` with nothing kept.
+    Per batch, (name, nodes, median seconds before, after)."""
+    out = []
+    for name, logits in first_group_logits():
+        scratch = np.empty((logits.shape[1], logits.shape[0]))
+        if not np.array_equal(_kept_softmax(logits, scratch), _row_logsumexp(logits)[:, 0]):
+            raise SystemExit(f"{name}: scoring's log-normaliser differs from _row_logsumexp")
+        times = np.array([
+            [time_call(lambda: _row_logsumexp(logits), 10), time_call(lambda: _kept_softmax(logits, scratch), 10)]
+            for _ in range(repeats)
+        ])
+        out.append((name, logits.shape[0], *np.median(times, axis=0)))
+    print("log-normaliser: equals _row_logsumexp exactly on a desk and a long node group")
     return out
 
 
@@ -677,11 +731,23 @@ def main():
     print()
     rows = softmax_times(repeats)
     print(f"\nrow softmax of a node group, median of {repeats} alternating repeats, microseconds\n")
-    header = f"{'batch':<20}{'nodes':>7}{'_softmax':>10}{'kept':>8}{'speedup':>10}"
+    header = f"{'batch':<20}{'nodes':>7}{'plain':>10}{'kept':>8}{'speedup':>10}"
     print(header)
     print("-" * len(header))
     for name, nodes, before, after in rows:
         print(f"{name:<20}{nodes:>7}{before * 1e6:>10.1f}{after * 1e6:>8.1f}{before / after:>9.2f}x")
+
+    print()
+    rows = log_normaliser_times(repeats)
+    print(
+        f"\nscoring's log-normaliser of a node group, median of {repeats} alternating repeats, "
+        f"microseconds\n"
+    )
+    header = f"{'batch':<20}{'nodes':>7}{'logsumexp':>11}{'kept':>8}{'speedup':>10}"
+    print(header)
+    print("-" * len(header))
+    for name, nodes, before, after in rows:
+        print(f"{name:<20}{nodes:>7}{before * 1e6:>11.1f}{after * 1e6:>8.1f}{before / after:>9.2f}x")
 
     print()
     rows = decode_times(decode_cases(), repeats)

@@ -43,7 +43,13 @@ from .model import load_checkpoint, save_checkpoint
 from .oracle import MAX_PATHS, exact_conditionals, exact_sequence_logp, path_count
 from .seeds import stream
 from .training import TrainConfig, decode_corpus, score_confidences, train_model
-from .weighting import WeightConfig, compute_weights, weighted_rnnt_loss
+from .weighting import (
+    WeightConfig,
+    _confidence_array,
+    compute_weights,
+    packed_weights,
+    weighted_rnnt_loss,
+)
 
 EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC = 2, 3, 4
 
@@ -179,24 +185,22 @@ def cmd_decode(args) -> int:
     return 0
 
 
+def _utterance_lambdas(utt, alpha) -> np.ndarray:
+    """The utterance's token weights, normalized to mean 1 over the
+    utterance; weights that underflow raise NumericalError naming it."""
+    powered = _confidence_array(utt.confidences) ** alpha
+    if not powered.size:
+        return powered
+    return packed_weights(powered, [float(np.sum(powered))], alpha, [utt.id])
+
+
 def cmd_score_confidence(args) -> int:
     cfg = _effective_config(args)
     model, _ = load_checkpoint(_require_file(args.model, "model checkpoint"))
     meta, utts = read_dataset(_require_file(args.data, "dataset"))
     scored = score_confidences(model, utts)
     if args.write_lambda:
-        wcfg = WeightConfig(alpha=cfg["alpha"], normalization="per_utterance")
-        scored = [
-            replace(
-                u,
-                lam=(
-                    compute_weights(u.confidences, wcfg).lambdas
-                    if u.confidences.size
-                    else np.zeros(0)
-                ),
-            )
-            for u in scored
-        ]
+        scored = [replace(u, lam=_utterance_lambdas(u, cfg["alpha"])) for u in scored]
     meta_out = dict(meta, provenance=provenance_block(cfg, "score-confidence", __version__))
     write_dataset(args.out, scored, meta_out)
     print(f"scored: {args.out}")
@@ -317,9 +321,7 @@ def cmd_loss_check(args) -> int:
         prof = conditional_profile(lattice, tokens)
         print("conditionals: " + ", ".join(f"{c:.12f}" for c in prof.conditionals))
         print(f"final_blank_logp: {prof.final_blank_logp:.12f}")
-        weights = compute_weights(
-            prof, WeightConfig(alpha=cfg["alpha"], normalization="per_utterance")
-        )
+        weights = compute_weights(prof, WeightConfig(alpha=cfg["alpha"]))
         wl = weighted_rnnt_loss(lattice, tokens, weights)
         print(f"weighted_rnnt_loss (alpha={cfg['alpha']:g}): {wl:.12f}")
         print(f"profile: {profile_to_json(prof)}")

@@ -18,13 +18,7 @@ import numpy as np
 
 from .errors import DataError, NumericalError
 from .kernels import PaddedColumns
-from .lattice import (
-    PosteriorLattice,
-    Vocabulary,
-    _row_logsumexp,
-    as_labels,
-    normalize_logits,
-)
+from .lattice import PosteriorLattice, Vocabulary, as_labels, normalize_logits
 
 __all__ = [
     "TransducerModel",
@@ -334,19 +328,6 @@ def _join(p, enc, pred, layout: BatchLayout, n0, n1, z, scratch):
     return z, logits
 
 
-def _softmax(logits, out):
-    """The row softmax of ``logits``, written to ``out`` (which may be
-    ``logits``) as e / s, where e = exp(logits - m), m is the row maximum
-    and s the row sum of e.  Returns (m, s): m + log(s) is
-    ``_row_logsumexp(logits)`` bit for bit."""
-    m = logits.max(axis=-1, keepdims=True)
-    np.subtract(logits, m, out=out)
-    np.exp(out, out=out)
-    s = out.sum(axis=-1, keepdims=True)
-    out /= s
-    return m, s
-
-
 def _pairwise_sum(rows):
     """The sum over the first axis of ``rows`` (k, n), added in the order in
     which NumPy's pairwise summation adds a contiguous row of k values, as
@@ -379,21 +360,23 @@ def _pairwise_sum(rows):
     return s
 
 
-def _kept_softmax(logits, scratch, out):
-    """``_softmax`` of ``logits`` (n, V+1), written to ``out``, for a
-    forward that keeps it: the same operations on the same operands, run
+def _kept_softmax(logits, scratch, out=None):
+    """The log-normaliser m + log(s) (n,) of each row of ``logits`` (n,
+    V+1), where m is the row maximum and s the row sum of e = exp(logits -
+    m), and, given ``out``, the row softmax e / s written to it.  It runs
     along the V + 1 rows of the transposed copy in ``scratch`` (a buffer of
-    at least n columns) rather than along n rows of V + 1, with the row
-    sums of ``_pairwise_sum``.  Returns the log-normaliser m + log(s)
-    (n,)."""
+    at least n columns) rather than along n rows of V + 1, with the row sums
+    of ``_pairwise_sum``, so it equals ``lattice._row_logsumexp`` and the
+    plain row softmax bit for bit (``tests/test_model.py::TestKeptSoftmax``)."""
     e = scratch[:, : logits.shape[0]]
     np.copyto(e, logits.T)
     m = e.max(axis=0)
     e -= m
     np.exp(e, out=e)
     s = _pairwise_sum(e)
-    e /= s
-    np.copyto(out, e.T)
+    if out is not None:
+        e /= s
+        np.copyto(out, e.T)
     return m + np.log(s)
 
 
@@ -404,12 +387,14 @@ def _work(layout: BatchLayout, enc):
 
 
 class StepActivations:
-    """What a training run's ``forward_columns`` keeps for its
-    ``backward_columns`` in the same step, so that the backward does not
-    run the joiner again: the parameter views, the encoder output, the
-    predictor inputs and outputs, the row softmax of every node of the
-    batch (V + 1 floats a node, node-major; the forward computes it along
-    vectors of a group's nodes, ``_kept_softmax``), and, if the first node
+    """What a forward (``forward_columns``) keeps for the backward
+    (``_backward``) that follows it, so that the backward does not run the
+    joiner again.  A training run keeps its own at every step; a backward
+    given none runs the forward into fresh ones first.  It holds the
+    parameter views, the encoder output, the predictor inputs and outputs,
+    the row softmax of every node of the batch (V + 1 floats a node,
+    node-major; the forward computes it along vectors of a group's nodes,
+    ``_kept_softmax``), and, if the first node
     group ends within ``_GROUP_NODES`` nodes, its joiner activations z (H
     floats a node).  The backward rebuilds the z of later groups from the
     kept encoder and predictor outputs, and builds each node's logit
@@ -499,12 +484,11 @@ def forward_columns(
     layout's rows to write to and return; its tables may have more
     diagonals and levels than the layout needs (such as rows of a larger
     batch, ``PaddedColumns.rows``, padded to its longest utterances).
-    ``keep``, if given, keeps this pass's activations for
-    ``backward_columns`` (``StepActivations``): every group's row softmax
-    goes to its kept rows (``_kept_softmax``, along vectors of the group's
-    nodes), and the log-normaliser is taken from the softmax's row maximum
-    m and sum s as m + log(s), which equals ``_row_logsumexp`` bit for bit,
-    so the columns are the same.
+    Each group's log-normaliser m + log(s) comes from ``_kept_softmax``,
+    which equals ``lattice._row_logsumexp`` bit for bit.  ``keep``, if
+    given, keeps this pass's activations for ``backward_columns``
+    (``StepActivations``), every group's row softmax included; the columns
+    are the same either way.
     """
     if out is None:
         cols = PaddedColumns(layout.T, layout.U)
@@ -519,17 +503,12 @@ def forward_columns(
     encoded = _encode(model, layout)
     p, enc, _, pred = encoded
     work = _work(layout, enc)
-    if keep is not None:
-        nodes = keep._hold(model, layout, encoded)
-        scratch = np.empty((model.vocab_size + 1, layout.max_group))
+    nodes = 0 if keep is None else keep._hold(model, layout, encoded)
+    scratch = np.empty((model.vocab_size + 1, layout.max_group))
     for n0, n1, m0, m1 in layout.groups:
-        if keep is None:
-            _, logits = _join(p, enc, pred, layout, n0, n1, *work)
-            lse = _row_logsumexp(logits)[:, 0]
-        else:
-            z = keep.z[n0:n1] if n1 <= nodes else work[0]
-            _, logits = _join(p, enc, pred, layout, n0, n1, z, work[1])
-            lse = _kept_softmax(logits, scratch, keep.softmax[n0:n1])
+        z = keep.z[n0:n1] if n1 <= nodes else work[0]
+        _, logits = _join(p, enc, pred, layout, n0, n1, z, work[1])
+        lse = _kept_softmax(logits, scratch, None if keep is None else keep.softmax[n0:n1])
         blank[blank_at[n0:n1]] = logits[:, -1] - lse
         r = layout.emit_rows[m0:m1] - n0
         emit[emit_at[m0:m1]] = logits[r, layout.emit_label[m0:m1]] - lse[r]
@@ -545,32 +524,25 @@ def _backward(
     log-softmax, dlogp - softmax * sum(dlogp) per row, and may build it in
     ``softmax``, the group's row softmax.  Exact, float64.
 
-    With ``kept`` (a ``StepActivations`` filled by the forward of this
-    model and layout), the encoder and predictor state and every group's
-    row softmax come from that forward, and so do the joiner activations of
-    the group it kept; the z of later groups is rebuilt by ``_activations``,
-    so no joiner matmul or softmax runs, and the kept buffers are
-    overwritten.  Without ``kept``, everything is recomputed.  The
-    arithmetic is the same either way, so is the gradient.
+    The encoder and predictor state and every group's row softmax come from
+    ``kept``, a ``StepActivations`` filled by the forward of this model and
+    layout, and so do the joiner activations of the group it kept; the z of
+    later groups is rebuilt by ``_activations``, so no joiner matmul or
+    softmax runs, and the kept buffers are overwritten.  Without ``kept``,
+    a kept forward runs first, into activations of its own.
     """
     if kept is None:
-        p, enc, rows, pred = _encode(model, layout)
-        nodes = 0
-    else:
-        p, enc, rows, pred = kept._release(model, layout)
-        nodes = kept.nodes
+        kept = StepActivations(model)
+        forward_columns(model, layout, keep=kept)
+    p, enc, rows, pred = kept._release(model, layout)
     work = _work(layout, enc)
     grad = np.zeros_like(model.params)
     g = _views(grad, model._layout)
     denc = np.empty_like(enc)
     dpred = np.empty_like(pred)
     for n0, n1, m0, m1 in layout.groups:
-        if kept is None:
-            z, softmax = _join(p, enc, pred, layout, n0, n1, *work)
-            _softmax(softmax, softmax)
-        else:
-            softmax = kept.softmax[n0:n1]
-            z = kept.z[n0:n1] if n1 <= nodes else _activations(enc, pred, layout, n0, n1, *work)
+        softmax = kept.softmax[n0:n1]
+        z = kept.z[n0:n1] if n1 <= kept.nodes else _activations(enc, pred, layout, n0, n1, *work)
         dlogit = dlogit_rows(softmax, n0, n1, m0, m1)
         g["join_w"] += dlogit.T @ z
         g["join_b"] += dlogit.sum(axis=0)
@@ -653,7 +625,8 @@ def backward_columns(
     for cell what the dense rule gives on the same layout.  ``kept``, if
     given, holds the activations that ``forward_columns`` kept for this
     model and layout (a DataError if it holds none), which this call
-    consumes; the gradient is the same.
+    consumes; without it, the kept forward runs first (``_backward``), so
+    the gradient is the same.
     """
     gb = np.asarray(g_blank, dtype=np.float64)
     ge = np.asarray(g_emit, dtype=np.float64)

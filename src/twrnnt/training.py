@@ -35,12 +35,13 @@ from .model import (
     PackedUtterances,
     StepActivations,
     TransducerModel,
+    _ranges,
     adam_update,
     backward_columns,
     forward_columns,
     greedy_decode,
 )
-from .weighting import _confidence_array, _underflow_message, padded_loss_and_grad
+from .weighting import _confidence_array, _underflow_message, packed_weights, padded_loss_and_grad
 
 __all__ = [
     "MODES",
@@ -121,13 +122,14 @@ class _Corpus:
     ``weights(idx, layout, lam, w_fb)`` writes a batch's token and
     sentence-end weights for every run.  Standard training is unit weights.
     Token weighting gives token j of utterance i the weight c_ij^alpha over
-    the batch mean of c^alpha
-    (``compute_weights`` with per-batch normalization, in its summation
-    order).  Utterance weighting gives every token of utterance i, and its
-    sentence-end term, w_i = mean(c_i)^alpha normalized to mean 1 over the
-    batch.  A batch whose powered confidences all underflow to 0 has no
-    such normalization: it raises NumericalError naming alpha and the
-    batch's utterances.
+    the batch mean of c^alpha (``weighting.packed_weights``): each run's
+    c^alpha are packed once per corpus, with each utterance's sum, so a
+    step's weights are one gather and one division.  Utterance weighting
+    gives every token of utterance i, and its sentence-end term, w_i =
+    mean(c_i)^alpha over the batch's ``np.mean`` of those values.  A batch
+    whose powered confidences all underflow to 0 has no such normalization:
+    it raises NumericalError naming the run, alpha and the batch's
+    utterances.
     """
 
     def __init__(self, model: TransducerModel, utterances, cfgs):
@@ -139,8 +141,13 @@ class _Corpus:
         )
         self.ids = [u.id for u in utterances]
         self.cfgs = list(cfgs)
+        # Run k's c^alpha: per token, packed in corpus order (token
+        # weighting), or per utterance, of its mean confidence (utterance
+        # weighting); and, for token weighting, each utterance's sum.
         self.powered = [None] * len(self.cfgs)
-        self.powered_sums = [None] * len(self.cfgs)
+        self.sums = [None] * len(self.cfgs)
+        U = self.packed.U
+        self.token0 = U.cumsum() - U  # each utterance's first packed token
         modes = {cfg.mode for cfg in self.cfgs}
         if modes == {"standard"}:
             return
@@ -149,8 +156,9 @@ class _Corpus:
             means = np.array([float(np.mean(c)) if c.size else 1.0 for c in confidences])
         for k, cfg in enumerate(self.cfgs):
             if cfg.mode == "token_weights":
-                self.powered[k] = [c**cfg.alpha for c in confidences]
-                self.powered_sums[k] = [float(np.sum(p)) for p in self.powered[k]]
+                powered = [c**cfg.alpha for c in confidences]
+                self.powered[k] = np.concatenate(powered)
+                self.sums[k] = [float(np.sum(p)) for p in powered]
             elif cfg.mode == "utterance_weights":
                 self.powered[k] = means**cfg.alpha
 
@@ -160,6 +168,8 @@ class _Corpus:
         W >= Umax, and sentence-end weights to w_fb (K, B)."""
         idx, U = np.asarray(idx, dtype=np.int64), layout.U
         slots = np.arange(lam.shape[2]) < U[:, None]
+        rows = idx.tolist()
+        tokens = None  # the batch's packed tokens, gathered once for its runs
         for k, cfg in enumerate(self.cfgs):
             if cfg.mode == "standard":
                 lam[k][slots] = 1.0
@@ -168,23 +178,25 @@ class _Corpus:
                 powered = self.powered[k][idx]
                 norm = np.mean(powered)
                 if norm == 0.0:
-                    self._underflow(cfg, idx)
+                    message = _underflow_message(cfg.alpha, [self.ids[i] for i in rows])
+                    raise NumericalError(f"{_run_name(cfg)}: {message}")
                 w = powered / norm
                 lam[k][slots] = np.repeat(w, U)
                 w_fb[k] = w
             else:
-                total = int(U.sum())
-                if total:  # a batch of empty transcripts has no token to weight
-                    rows = idx.tolist()
-                    norm = sum(self.powered_sums[k][i] for i in rows) / total
-                    if norm == 0.0:
-                        self._underflow(cfg, idx[U > 0])
-                    lam[k][slots] = np.concatenate([self.powered[k][i] for i in rows]) / norm
+                if tokens is None:
+                    tokens = _ranges(self.token0[idx], U)
+                if tokens.size:  # a batch of empty transcripts has no token to weight
+                    sums = self.sums[k]
+                    # The non-empty utterances, read only if the weights underflow.
+                    names = (self.ids[i] for i, n in zip(rows, U.tolist()) if n)
+                    try:
+                        lam[k][slots] = packed_weights(
+                            self.powered[k][tokens], [sums[i] for i in rows], cfg.alpha, names
+                        )
+                    except NumericalError as err:
+                        raise NumericalError(f"{_run_name(cfg)}: {err}") from None
                 w_fb[k] = cfg.final_blank_weight
-
-    def _underflow(self, cfg, idx):
-        names = dict.fromkeys(self.ids[i] for i in idx.tolist())
-        raise NumericalError(f"{_run_name(cfg)}: {_underflow_message(cfg.alpha, names)}")
 
 
 def _batch_loss_and_grad(models, batches, grad, kept=None) -> list:

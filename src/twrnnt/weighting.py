@@ -1,13 +1,15 @@
 """Token weights from confidence scores, and the token-weighted loss.
 
 A weight is a confidence raised to a tunable exponent and normalized to
-mean 1 over its scope -- one utterance, or every token in a batch (the
-default, which keeps gradient magnitudes comparable while the exponent is
-tuned).  The weighted objective multiplies each token's negative log
-conditional by its weight; the sentence-end (final blank) term is kept with
-a fixed, separately configurable weight so the objective stays normalized
-over sequence termination.  With all weights 1 it reproduces the standard
-transducer loss exactly.
+mean 1 over its scope: every token of the utterances weighted together (one
+``compute_weights`` call, or one training batch), which keeps gradient
+magnitudes comparable while the exponent is tuned.  ``packed_weights`` is
+that law, and the one place that holds it.  The weighted objective
+multiplies each token's negative log conditional by its weight; the
+sentence-end (final blank) term is kept with a fixed, separately
+configurable weight so the objective stays normalized over sequence
+termination.  With all weights 1 it reproduces the standard transducer loss
+exactly.
 """
 
 from __future__ import annotations
@@ -26,38 +28,32 @@ __all__ = [
     "WeightConfig",
     "TokenWeights",
     "compute_weights",
+    "packed_weights",
     "weighted_rnnt_loss",
     "weighted_rnnt_loss_grad",
     "weighted_loss_and_grad",
     "padded_loss_and_grad",
 ]
 
-NORMALIZATIONS = ("per_utterance", "per_batch")
-
 
 @dataclass(frozen=True)
 class WeightConfig:
-    """Exponent and normalization scope for turning confidences into weights."""
+    """Exponent for turning confidences into weights, and the sentence-end
+    term's weight."""
 
     alpha: float = 1.0
     final_blank_weight: float = 1.0
-    normalization: str = "per_batch"
 
     def __post_init__(self):
         if not self.alpha >= 0:
             raise DataError(f"alpha must be nonnegative, got {self.alpha}")
-        if self.normalization not in NORMALIZATIONS:
-            raise DataError(
-                f"normalization must be one of {NORMALIZATIONS}, got "
-                f"{self.normalization!r}"
-            )
 
 
 @dataclass(frozen=True)
 class TokenWeights:
     """Per-token multipliers aligned with one label sequence.
 
-    Mean over the normalization scope is 1; ordering follows the
+    Mean over the weighting scope is 1; ordering follows the
     confidences they came from (monotone in c for any alpha > 0).
     """
 
@@ -95,26 +91,41 @@ def _confidence_array(c) -> np.ndarray:
 def _underflow_message(alpha, names) -> str:
     """What is wrong with a weighting scope whose c^alpha all underflow to
     0, so that normalizing them would divide 0 by 0, naming alpha and the
-    utterances (by id, or by position in the scope)."""
+    utterances, each once."""
+    names = ", ".join(map(str, dict.fromkeys(names)))
     return (
-        f"confidences of utterances {', '.join(map(str, names))} raised to alpha "
-        f"{alpha:g} underflow to 0, so their weights' mean is 0 and the weights "
-        f"are undefined"
+        f"confidences of utterances {names} raised to alpha {alpha:g} underflow "
+        f"to 0, so their weights' mean is 0 and the weights are undefined"
     )
+
+
+def packed_weights(powered: np.ndarray, sums, alpha, names) -> np.ndarray:
+    """Token weights lambda = c^alpha normalized to mean 1 over one scope.
+
+    ``powered`` holds the scope's c^alpha in one flat array, utterance after
+    utterance, and ``sums`` each utterance's own ``np.sum`` of them, in the
+    same order.  The mean is those sums added in order (Python ``sum``) over
+    the scope's token count.  A mean of 0, where every c^alpha of the scope
+    underflows, raises NumericalError naming ``alpha`` and ``names``, the
+    caller's names for the scope's non-empty utterances.
+    """
+    norm = sum(sums) / powered.size
+    if norm == 0.0:
+        raise NumericalError(_underflow_message(alpha, names))
+    return powered / norm
 
 
 def compute_weights(
     confidences: Union[ConditionalProfile, Sequence, np.ndarray],
     config: WeightConfig,
 ):
-    """Weights lambda = c^alpha normalized to mean 1 over the configured scope.
+    """Weights lambda = c^alpha normalized to mean 1 over every token of the
+    call (``packed_weights``).
 
     Accepts one confidence vector (or ConditionalProfile) and returns one
-    TokenWeights, or a sequence of them and returns a list.  In per_batch
-    mode a single normalizer is computed over every token of every utterance
-    in the call; in per_utterance mode each vector normalizes independently.
-    A normalizer of 0, where every c^alpha of its scope underflows, raises
-    NumericalError naming alpha and the vectors' positions in the call.
+    TokenWeights, or a sequence of them and returns a list.  A normalizer
+    of 0, where every c^alpha underflows, raises NumericalError naming alpha
+    and the non-empty vectors' positions in the call.
     """
     if isinstance(confidences, (ConditionalProfile, np.ndarray)):
         single = True
@@ -127,28 +138,15 @@ def compute_weights(
     profiles = [confidences] if single else list(confidences)
     if not profiles:
         raise DataError("empty confidence scope: nothing to weight")
-    arrays = [_confidence_array(p) for p in profiles]
-    total = sum(a.size for a in arrays)
-    if total == 0:
+    powered = [_confidence_array(p) ** config.alpha for p in profiles]
+    sizes = [p.size for p in powered]
+    if sum(sizes) == 0:
         raise DataError("empty confidence scope: zero tokens across utterances")
-    powered = [a**config.alpha for a in arrays]
-    if config.normalization == "per_batch":
-        norm = sum(float(np.sum(p)) for p in powered) / total
-        norms = [norm] * len(powered)
-        if norm == 0.0:
-            names = [i for i, p in enumerate(powered) if p.size]
-            raise NumericalError(_underflow_message(config.alpha, names))
-    else:
-        norms = []
-        for p in powered:
-            if p.size == 0:
-                norms.append(1.0)  # no tokens to scale; weight vector is empty
-            else:
-                norms.append(float(np.mean(p)))
-        zero = [i for i, n in enumerate(norms) if n == 0.0]
-        if zero:
-            raise NumericalError(_underflow_message(config.alpha, zero))
-    out = [TokenWeights(lambdas=p / n, config=config) for p, n in zip(powered, norms)]
+    names = [i for i, size in enumerate(sizes) if size]
+    flat = packed_weights(
+        np.concatenate(powered), [float(np.sum(p)) for p in powered], config.alpha, names
+    )
+    out = [TokenWeights(lambdas=w, config=config) for w in np.split(flat, np.cumsum(sizes)[:-1])]
     return out[0] if single else out
 
 

@@ -3,9 +3,11 @@ compare faster code against."""
 
 import numpy as np
 
-from twrnnt.errors import DataError
+from twrnnt.errors import DataError, NumericalError
 from twrnnt.lattice import PosteriorLattice, _check_dims, as_labels
 from twrnnt.seeds import stream
+from twrnnt.training import _confidences_of, _run_name
+from twrnnt.weighting import _underflow_message
 
 
 def wer_counts(hyp, ref):
@@ -72,6 +74,73 @@ def greedy_decode(model, features, max_symbols_per_frame=4):
                 clean = False
                 break
     return np.asarray(out, dtype=np.int64), clean
+
+
+def softmax(logits, out):
+    """The row softmax of ``logits``, written to ``out`` (which may be
+    ``logits``) as e / s, where e = exp(logits - m), m is the row maximum
+    and s the row sum of e, along rows of V + 1.  Returns (m, s): m +
+    log(s) is ``lattice._row_logsumexp(logits)`` bit for bit."""
+    m = logits.max(axis=-1, keepdims=True)
+    np.subtract(logits, m, out=out)
+    np.exp(out, out=out)
+    s = out.sum(axis=-1, keepdims=True)
+    out /= s
+    return m, s
+
+
+class CorpusWeights:
+    """``training._Corpus``'s weights as first written, for the runs of
+    ``cfgs`` on ``utterances``: each utterance's c^alpha kept as its own
+    array, with its sum, and at each step a Python loop over the batch's
+    rows per run that concatenates them and adds their sums."""
+
+    def __init__(self, utterances, cfgs):
+        self.ids = [u.id for u in utterances]
+        self.cfgs = list(cfgs)
+        confidences = [_confidences_of(u) for u in utterances]
+        means = np.array([float(np.mean(c)) if c.size else 1.0 for c in confidences])
+        self.powered, self.sums = [], []
+        for cfg in self.cfgs:
+            if cfg.mode == "token_weights":
+                powered = [c**cfg.alpha for c in confidences]
+                self.powered.append(powered)
+                self.sums.append([float(np.sum(p)) for p in powered])
+            else:
+                self.powered.append(means**cfg.alpha)
+                self.sums.append(None)
+
+    def weights(self, idx, U, lam, w_fb):
+        """Write the weights of utterances ``idx`` with label counts ``U``
+        to the zero-filled lam (K, B, W) and w_fb (K, B), or raise the
+        NumericalError of a batch whose weights underflow."""
+        idx = np.asarray(idx, dtype=np.int64)
+        slots = np.arange(lam.shape[2]) < U[:, None]
+        for k, cfg in enumerate(self.cfgs):
+            if cfg.mode == "standard":
+                lam[k][slots] = 1.0
+                w_fb[k] = 1.0
+            elif cfg.mode == "utterance_weights":
+                powered = self.powered[k][idx]
+                norm = np.mean(powered)
+                if norm == 0.0:
+                    self._underflow(cfg, idx)
+                w = powered / norm
+                lam[k][slots] = np.repeat(w, U)
+                w_fb[k] = w
+            else:
+                total = int(U.sum())
+                if total:
+                    rows = idx.tolist()
+                    norm = sum(self.sums[k][i] for i in rows) / total
+                    if norm == 0.0:
+                        self._underflow(cfg, idx[U > 0])
+                    lam[k][slots] = np.concatenate([self.powered[k][i] for i in rows]) / norm
+                w_fb[k] = cfg.final_blank_weight
+
+    def _underflow(self, cfg, idx):
+        names = dict.fromkeys(self.ids[i] for i in idx.tolist())
+        raise NumericalError(f"{_run_name(cfg)}: {_underflow_message(cfg.alpha, names)}")
 
 
 def _nearest_tokens(prototypes):

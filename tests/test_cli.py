@@ -17,7 +17,7 @@ from twrnnt.experiments import ExperimentReport, report_from_json, report_to_jso
 from twrnnt.lattice import PosteriorLattice
 from twrnnt.metrics import wer
 from twrnnt.model import load_checkpoint
-from twrnnt.training import evaluate_wer
+from twrnnt.training import evaluate_wer, score_confidences
 
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "loss_check_t3u2.json"
 
@@ -433,6 +433,33 @@ class TestWeightUnderflow:
         assert error["error"] == "numerical"
         assert f"raised to alpha {alpha} underflow to 0" in error["message"]
         assert not (tmp_path / "m.json").exists()
+
+    def test_write_lambda_exits_4_naming_the_utterance(self, workspace, tmp_path, capsys):
+        # Each utterance is its own weighting scope: the first whose
+        # c^1000 all underflow stops the command, named by its id.
+        model, _ = load_checkpoint(workspace / "model.json")
+        _, utts = read_dataset(workspace / "train.jsonl")
+        first = next(
+            u for u in score_confidences(model, utts)
+            if u.confidences.size and np.all(u.confidences**1000.0 == 0.0)
+        )
+        out = tmp_path / "scored.jsonl"
+        code, _, err = run(
+            capsys,
+            [
+                "score-confidence", "--model", str(workspace / "model.json"),
+                "--data", str(workspace / "train.jsonl"), "--out", str(out),
+                "--write-lambda", "--alpha", "1000", *TINY,
+            ],
+        )
+        assert code == 4 and "Traceback" not in err
+        (line,) = err.strip().splitlines()
+        error = json.loads(line)
+        assert error["error"] == "numerical"
+        assert error["message"].startswith(
+            f"confidences of utterances {first.id} raised to alpha 1000 underflow to 0"
+        )
+        assert not out.exists()
 
 
 class TestCorrupt:

@@ -10,6 +10,7 @@ from conftest import PROPERTY
 from twrnnt import model as model_module
 from twrnnt.errors import DataError, NumericalError
 from twrnnt.kernels import PaddedColumns, dense_grad
+from twrnnt.lattice import _row_logsumexp
 from twrnnt.model import (
     AdamConfig,
     BatchLayout,
@@ -314,7 +315,9 @@ class TestKeptSoftmax:
     def test_kept_forward_equals_plain_one(self, case):
         # A forward that keeps its softmax (``_kept_softmax``) writes the
         # columns of one that keeps nothing, and keeps the row softmax that
-        # ``_softmax`` gives on the same logits, with ==.
+        # ``references.softmax`` gives on the same logits, with ==; the
+        # log-normaliser that both take from ``_kept_softmax`` equals
+        # ``_row_logsumexp``, with or without the softmax.
         model, layout, _ = layout_of(SHORT_ROW_BATCHES[case], 81)
         keep = StepActivations(model)
         cols = forward_columns(model, layout, keep=keep)
@@ -327,11 +330,13 @@ class TestKeptSoftmax:
         for n0, n1, _, _ in layout.groups:
             _, logits = model_module._join(p, enc, pred, layout, n0, n1, *work)
             softmax = np.empty_like(logits)
-            m, s = model_module._softmax(logits, softmax)
+            m, s = references.softmax(logits, softmax)
             np.testing.assert_array_equal(keep.softmax[n0:n1], softmax)
             scratch = np.empty((model.vocab_size + 1, n1 - n0))
             lse = model_module._kept_softmax(logits, scratch, np.empty_like(logits))
             np.testing.assert_array_equal(lse, (m + np.log(s))[:, 0])
+            np.testing.assert_array_equal(lse, _row_logsumexp(logits)[:, 0])
+            np.testing.assert_array_equal(model_module._kept_softmax(logits, scratch), lse)
 
 
 class TestTwoEntryBackward:
@@ -366,6 +371,38 @@ class TestTwoEntryBackward:
         ])
         want = model_module._backward(model, layout, model_module._dense_dlogit_rows(dense))
         np.testing.assert_array_equal(got, want)
+
+
+class TestOneBackwardPath:
+    """A backward given no kept activations (``backward_columns`` without
+    ``kept``, ``model_backward``) runs the kept forward first and then the
+    one backward path; it equals a backward that follows a kept forward,
+    with ==, on desk and long batches."""
+
+    @pytest.mark.parametrize("case", sorted(SHORT_ROW_BATCHES))
+    def test_backward_columns_without_kept(self, case):
+        model, layout, _ = layout_of(SHORT_ROW_BATCHES[case], 85)
+        keep = StepActivations(model)
+        cols = forward_columns(model, layout, keep=keep)
+        rng = np.random.default_rng(86)
+        g_blank = np.where(np.isfinite(cols.blank), rng.normal(size=cols.blank.shape), 0.0)
+        g_emit = np.where(np.isfinite(cols.emit), rng.normal(size=cols.emit.shape), 0.0)
+        want = backward_columns(model, layout, g_blank, g_emit, keep)
+        np.testing.assert_array_equal(backward_columns(model, layout, g_blank, g_emit), want)
+
+    @pytest.mark.parametrize("case", sorted(SHORT_ROW_BATCHES))
+    def test_model_backward(self, case):
+        model, _, _ = layout_of(SHORT_ROW_BATCHES[case], 87)
+        rng = np.random.default_rng(88)
+        for T, U in SHORT_ROW_BATCHES[case]:
+            feats, y = rng.normal(size=(T, 8)), rng.integers(0, 16, size=U)
+            dlogp = rng.normal(size=(T, U + 1, 17))
+            layout = BatchLayout(model, [feats], [y])
+            keep = StepActivations(model)
+            forward_columns(model, layout, keep=keep)
+            rows = model_module._dense_dlogit_rows(dlogp.reshape(-1, 17))
+            want = model_module._backward(model, layout, rows, keep)
+            np.testing.assert_array_equal(model_backward(model, feats, y, dlogp), want)
 
 
 def test_sum_by_id_makes_the_additions_of_add_at():

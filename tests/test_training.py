@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import references
 from twrnnt import kernels
 from twrnnt import model as model_module
 from twrnnt.datagen import SyntheticSpec, Utterance, generate_synthetic_dataset, read_dataset
@@ -75,9 +76,7 @@ def reference_batch_weights(batch, cfg):
         u.confidences if u.confidences is not None else np.ones(u.tokens.size) for u in batch
     ]
     if cfg.mode == "token_weights":
-        wcfg = WeightConfig(
-            alpha=cfg.alpha, final_blank_weight=cfg.final_blank_weight, normalization="per_batch"
-        )
+        wcfg = WeightConfig(alpha=cfg.alpha, final_blank_weight=cfg.final_blank_weight)
         if not any(c.size for c in confidences):  # compute_weights refuses a scope of no tokens
             return [TokenWeights(np.zeros(0), wcfg) for _ in batch]
         return compute_weights(confidences, wcfg)
@@ -755,6 +754,87 @@ class TestGroupedLockstep:
             train_runs(groups, 8, 16)
 
 
+class TestCorpusWeights:
+    """``_Corpus.weights`` gathers each run's c^alpha, packed once per
+    corpus; it writes the weights of the loop over the batch's rows that it
+    replaced (``references.CorpusWeights``), with ==, in every mode."""
+
+    # Utterances 1 and 4 have empty transcripts, 5 has no scores (c = 1),
+    # and 6 and 7 have more tokens than NumPy's pairwise-summation block.
+    SHAPES = [(11, 6), (9, 0), (14, 7), (8, 4), (6, 0), (12, 5), (20, 9), (40, 17)]
+    CFGS = [
+        TrainConfig(final_blank_weight=0.5),
+        TrainConfig(mode="utterance_weights", alpha=2.0),
+        TrainConfig(mode="utterance_weights", alpha=0.0),
+        TrainConfig(mode="token_weights", alpha=6.0, final_blank_weight=0.5),
+        TrainConfig(mode="token_weights", alpha=0.0),
+    ]
+    BATCHES = {
+        "with_empty": [0, 1, 2, 3, 4, 5, 6, 7],
+        "only_empty": [1, 4, 1],
+        "repeats": [3, 0, 3, 6, 0, 7, 3, 5],  # as in mixed pseudo-label batches
+    }
+
+    @staticmethod
+    def corpus(shapes, cfgs, seed, confidence=None):
+        rng = np.random.default_rng(seed)
+        utts = []
+        for i, (T, U) in enumerate(shapes):
+            c = rng.uniform(0.05, 1.0, size=U) if confidence is None else np.full(U, confidence)
+            feats, tokens = rng.normal(size=(T, 8)), rng.integers(0, 16, size=U)
+            utts.append(Utterance(f"u{i}", feats, tokens, confidences=c))
+        if confidence is None:
+            utts[5] = replace(utts[5], confidences=None)
+        return utts, _Corpus(TransducerModel.random(8, 32, 16, rng), utts, cfgs)
+
+    @staticmethod
+    def both(utts, corpus, cfgs, idx):
+        """(lam, w_fb) of ``_Corpus.weights`` and of the reference loop."""
+        idx = np.asarray(idx)
+        layout = BatchLayout.of(corpus.packed, idx)
+        shape = (len(cfgs), idx.size, int(layout.U.max()) + 2)
+        got, want = (np.zeros(shape), np.empty(shape[:2])), (np.zeros(shape), np.empty(shape[:2]))
+        corpus.weights(idx, layout, *got)
+        references.CorpusWeights(utts, cfgs).weights(idx, layout.U, *want)
+        return got, want
+
+    @pytest.mark.parametrize("batch", sorted(BATCHES))
+    def test_equals_reference_loop(self, batch):
+        utts, corpus = self.corpus(self.SHAPES, self.CFGS, 92)
+        idx = self.BATCHES[batch]
+        got, want = self.both(utts, corpus, self.CFGS, idx)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+        if batch != "only_empty":
+            assert np.unique(got[0][3]).size > 2  # weights that vary
+            # At this seed, the sum of the batch's per-utterance sums of
+            # c^6 differs from NumPy's sum over all its tokens, so the test
+            # tells the two summation orders apart.
+            U, starts = corpus.packed.U[idx], corpus.token0[idx]
+            powered = [corpus.powered[3][s : s + n] for s, n in zip(starts, U)]
+            assert sum(float(np.sum(p)) for p in powered) != np.sum(np.concatenate(powered))
+
+    @pytest.mark.parametrize(
+        "mode, alpha, confidence, idx, names",
+        [
+            ("token_weights", 6.0, 1e-60, [2, 1, 0, 2], "u2, u0"),
+            ("utterance_weights", 100.0, 1e-4, [2, 0, 2], "u2, u0"),
+        ],
+    )
+    def test_underflow_names_the_batch(self, mode, alpha, confidence, idx, names):
+        cfgs = [TrainConfig(mode=mode, alpha=alpha)]
+        utts, corpus = self.corpus([(11, 6), (9, 0), (14, 7)], cfgs, 91, confidence)
+        layout = BatchLayout.of(corpus.packed, idx)
+        with pytest.raises(NumericalError) as got:
+            corpus.weights(idx, layout, np.zeros((1, len(idx), 8)), np.empty((1, len(idx))))
+        reference = references.CorpusWeights(utts, cfgs)
+        with pytest.raises(NumericalError) as want:
+            reference.weights(idx, layout.U, np.zeros((1, len(idx), 8)), np.empty((1, len(idx))))
+        assert str(got.value) == str(want.value)
+        prefix = f"{mode} at alpha {alpha:g}: confidences of utterances {names} raised"
+        assert str(got.value).startswith(prefix)
+
+
 class TestKeptActivations:
     """A training step's backward reuses the row softmax that its forward
     kept for every node, and the joiner activations it kept for the first
@@ -827,12 +907,12 @@ class TestKeptActivations:
     def test_kept_backward_runs_no_joiner(self, case, monkeypatch):
         """At K = 3, on batches that grow the kept softmax and then reuse
         it: the kept softmax holds every node's row, and a kept backward
-        makes no softmax call (``_softmax`` or ``_kept_softmax``) and no
+        makes no softmax call (``_kept_softmax``) and no
         joiner-logit pass (``_join``); it rebuilds the activations of each
         group past the kept z alone (``_activations``)."""
         shapes, _ = self.BATCHES[case]
         utts, models, corpus = self.runs(shapes, 73)
-        calls = {name: 0 for name in ("_softmax", "_kept_softmax", "_join", "_activations")}
+        calls = {name: 0 for name in ("_kept_softmax", "_join", "_activations")}
 
         def counted(name):
             fn = getattr(model_module, name)
@@ -868,7 +948,7 @@ class TestKeptActivations:
             assert rebuilt > 0
             calls.update(dict.fromkeys(calls, 0))
             grads = [backward_columns(model, layout, *t, keep) for model, t, keep in zip(models, tables, kept)]
-            assert calls == {"_softmax": 0, "_kept_softmax": 0, "_join": 0, "_activations": 3 * rebuilt}
+            assert calls == {"_kept_softmax": 0, "_join": 0, "_activations": 3 * rebuilt}
             for model, t, got in zip(models, tables, grads):
                 np.testing.assert_array_equal(got, backward_columns(model, layout, *t))
             # The stacked step: only its forward runs the joiner and softmax,
@@ -877,7 +957,7 @@ class TestKeptActivations:
             want = np.empty_like(grad)
             calls.update(dict.fromkeys(calls, 0))
             losses = _batch_loss_and_grad(models, [(corpus, idx)], grad, kept)
-            assert calls["_kept_softmax"] == calls["_join"] == 3 * G and calls["_softmax"] == 0
+            assert calls["_kept_softmax"] == calls["_join"] == 3 * G
             assert losses == _batch_loss_and_grad(models, [(corpus, idx)], want)
             np.testing.assert_array_equal(grad, want)
 

@@ -41,13 +41,13 @@ class TestComputeWeights:
         rng = np.random.default_rng(61)
         for alpha in (0.5, 1.0, 4.0, 8.0):
             c = rng.uniform(0.01, 1.0, size=11)
-            w = compute_weights(c, WeightConfig(alpha=alpha, normalization="per_utterance"))
+            w = compute_weights(c, WeightConfig(alpha=alpha))
             assert np.mean(w.lambdas) == pytest.approx(1.0, abs=1e-9)
 
     def test_mean_one_per_batch(self):
         rng = np.random.default_rng(62)
         cs = [rng.uniform(0.01, 1.0, size=int(rng.integers(1, 9))) for _ in range(5)]
-        ws = compute_weights(cs, WeightConfig(alpha=2.0, normalization="per_batch"))
+        ws = compute_weights(cs, WeightConfig(alpha=2.0))
         all_lams = np.concatenate([w.lambdas for w in ws])
         assert np.mean(all_lams) == pytest.approx(1.0, abs=1e-9)
 
@@ -71,9 +71,7 @@ class TestComputeWeights:
             compute_weights(np.array([1.5]), WeightConfig())
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(DataError, match=r"c\[0\] = (nan|inf|-inf)"):
-                compute_weights(
-                    np.array([bad, 0.5]), WeightConfig(normalization="per_utterance")
-                )
+                compute_weights(np.array([bad, 0.5]), WeightConfig())
         with pytest.raises(DataError, match="empty"):
             compute_weights([], WeightConfig())
 
@@ -90,12 +88,8 @@ class TestComputeWeights:
         [
             (np.array([1e-60, 1e-70]), WeightConfig(alpha=6.0), "0"),
             ([np.array([1e-60]), np.zeros(0), np.array([1e-70])], WeightConfig(alpha=6.0), "0, 2"),
-            (np.array([1e-4]), WeightConfig(alpha=100.0, normalization="per_utterance"), "0"),
-            (
-                [np.array([0.5]), np.array([1e-4, 1e-5])],
-                WeightConfig(alpha=100.0, normalization="per_utterance"),
-                "1",
-            ),
+            (np.array([1e-4]), WeightConfig(alpha=100.0), "0"),
+            ([np.zeros(0), np.array([1e-4, 1e-5])], WeightConfig(alpha=100.0), "1"),
         ],
     )
     def test_scope_that_underflows_raises(self, confidences, config, names):
@@ -103,6 +97,20 @@ class TestComputeWeights:
         # be 0 / 0: the error names alpha and the vectors, instead of NaN.
         with pytest.raises(NumericalError, match=f"utterances {names} raised to alpha {config.alpha:g} underflow"):
             compute_weights(confidences, config)
+
+    def test_one_vector_is_a_scope_of_one(self):
+        # One vector, bare or as the only vector of a list, gets the weights
+        # c^alpha over np.sum(c^alpha) / size, bit for bit, at sizes below
+        # and above NumPy's pairwise-summation block of 8.
+        rng = np.random.default_rng(65)
+        for size in (1, 7, 9, 130):
+            c = rng.uniform(0.01, 1.0, size=size)
+            for alpha in (0.0, 0.5, 2.0, 6.0):
+                config = WeightConfig(alpha=alpha)
+                one = compute_weights(c, config)
+                np.testing.assert_array_equal(one.lambdas, compute_weights([c], config)[0].lambdas)
+                powered = c**alpha
+                np.testing.assert_array_equal(one.lambdas, powered / (np.sum(powered) / size))
 
     def test_partial_underflow_keeps_finite_weights(self):
         # Only some c^alpha underflow: the mean is positive, so the weights
