@@ -34,10 +34,11 @@ and streams, as two ``train_model`` calls against one ``train_runs`` call,
 in milliseconds.
 Then the kept-activations line: one stacked training step on a desk batch,
 at K = 1 and K = 5 of those runs, and one K = 1 step on a batch of 8 long
-lattices (T ~ 75, U ~ 25), with each run's backward reading the row softmax
-and joiner activations its forward kept (``model.StepActivations``) against
-one that runs the network again, in microseconds and minor page faults per
-step, and the kilobytes each run keeps; and the row softmax that such a
+lattices (T ~ 75, U ~ 25), with each run's forward keeping the row softmax
+and joiner activations that its backward reads in buffers held for the run
+(``model.StepActivations``) against fresh buffers at every step, in
+microseconds and minor page faults per step, and the kilobytes each run
+keeps; and the row softmax that such a
 forward keeps, along the transposed rows (``model._kept_softmax``) against
 the plain row softmax along rows of V + 1 (``softmax`` in
 ``tests/references.py``), on the first node group of the desk and the long
@@ -59,8 +60,8 @@ the parameter gradient relative to its largest entry).  Each per-step pair
 must give equal output: the same layout tables, the same weights, and the
 same WER counts on 500 random pairs; the lockstep runs, and the two streams trained in one
 call, must give the solo runs' batch losses and parameters exactly; a step that keeps its
-activations must give the losses and gradients of one that recomputes
-them exactly, the kept softmax that of the plain one, and scoring's
+activations in buffers held for the run must give the losses and gradients of one
+that keeps them in fresh buffers exactly, the kept softmax that of the plain one, and scoring's
 log-normaliser that of ``_row_logsumexp``; and every decode must
 give the frame-by-frame loop's tokens and ``clean`` flag.  Run from the repo root:
 
@@ -94,10 +95,8 @@ from twrnnt.model import (
     backward_columns,
     forward_columns,
     greedy_decode,
-    model_backward,
     model_forward,
 )
-from twrnnt.oracle import loglik_grad
 from twrnnt.seeds import stream
 from twrnnt.training import (
     RunGroup,
@@ -111,6 +110,7 @@ from twrnnt.weighting import padded_loss_and_grad
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from references import CorpusWeights, emission_sweep_scalar, softmax, weighted_grad_scalar  # noqa: E402
+from references import loglik_grad, model_backward  # noqa: E402
 from references import greedy_decode as reference_decode  # noqa: E402
 from references import wer_counts  # noqa: E402
 
@@ -269,7 +269,8 @@ def verify_model(name, model, feats, tokens, g_blank, g_emit):
     """Check the grouped model passes against the per-utterance ones; exit
     on failure."""
     layout = BatchLayout(model, feats, tokens)
-    cols = forward_columns(model, layout)
+    keep = StepActivations(model)
+    cols = forward_columns(model, layout, keep=keep)
     ref = kernels.PaddedColumns(layout.T, layout.U)
     for b, (f, y) in enumerate(zip(feats, tokens)):
         ref.put(b, model_forward(model, f, y).logp, y)
@@ -279,7 +280,7 @@ def verify_model(name, model, feats, tokens, g_blank, g_emit):
         if not np.array_equal(owned, np.isfinite(got)):
             raise SystemExit(f"{name}: grouped columns are padded differently")
         col_gap = max(col_gap, float(np.max(np.abs(got[owned] - want[owned]), initial=0.0)))
-    grad = backward_columns(model, layout, g_blank, g_emit)
+    grad = backward_columns(model, layout, g_blank, g_emit, keep)
     dense = dense_grads(model, feats, tokens, g_blank, g_emit)
     want = sum(model_backward(model, f, y, d) for f, y, d in zip(feats, tokens, dense))
     grad_gap = float(np.max(np.abs(grad - want)) / np.max(np.abs(want)))
@@ -295,6 +296,7 @@ def model_times(model, feats, tokens, g_blank, g_emit, repeats):
     """Microseconds per utterance of one forward and one backward: per
     utterance, and grouped (the layout included)."""
     dense = dense_grads(model, feats, tokens, g_blank, g_emit)
+    keep = StepActivations(model)
 
     def per_utterance():
         for f, y, d in zip(feats, tokens, dense):
@@ -303,8 +305,8 @@ def model_times(model, feats, tokens, g_blank, g_emit, repeats):
 
     def grouped():
         layout = BatchLayout(model, feats, tokens)
-        forward_columns(model, layout)
-        backward_columns(model, layout, g_blank, g_emit)
+        forward_columns(model, layout, keep=keep)
+        backward_columns(model, layout, g_blank, g_emit, keep)
 
     n = len(feats)
     return time_call(per_utterance, repeats) / n * 1e6, time_call(grouped, repeats) / n * 1e6
@@ -325,8 +327,6 @@ def step_parts(repeats):
     batch = ([feats[i] for i in idx], [tokens[i] for i in idx])
     packed_layout = vars(BatchLayout.of(packed, idx))
     for name, value in vars(BatchLayout(model, *batch)).items():
-        if name == "_cells":  # offsets derived from blank_at and emit_at
-            continue
         other = packed_layout[name]
         if not (value == other if name == "groups" else np.array_equal(value, other)):
             raise SystemExit(f"layout from the packed corpus differs in {name!r}")
@@ -467,11 +467,12 @@ def long_runs():
 
 
 def kept_steps(repeats):
-    """Verify, then time, stacked training steps whose backward reads the
-    forward's kept activations, against steps that run the network again:
-    50 desk batches at K = 1 and K = 5, and 10 orders of the 8 long
-    utterances at K = 1.  Per case, (name, K, median seconds and minor page
-    faults per step recomputed, the same kept, bytes a run keeps)."""
+    """Verify, then time, stacked training steps whose forward keeps the
+    activations that the backward reads in buffers held for the run,
+    against steps that keep them in fresh buffers: 50 desk batches at K = 1
+    and K = 5, and 10 orders of the 8 long utterances at K = 1.  Per case,
+    (name, K, median seconds and minor page faults per step with fresh
+    buffers, the same with held ones, bytes a run keeps)."""
     D, H, V = MODEL_DIMS
     init = TransducerModel.random(D, H, V, stream(0, "init"))
     rng = np.random.default_rng(10)
@@ -488,25 +489,28 @@ def kept_steps(repeats):
         corpus = _Corpus(models[0], utts, cfgs[:K])
         kept = [StepActivations(model) for model in models]
         grad, want = np.empty((K, init.params.size)), np.empty((K, init.params.size))
+        def fresh():
+            return [StepActivations(model) for model in models]
+
         for idx in batches:
             losses = _batch_loss_and_grad(models, [(corpus, idx)], grad, kept)
-            if losses != _batch_loss_and_grad(models, [(corpus, idx)], want) or not np.array_equal(grad, want):
-                raise SystemExit(f"{name} K={K}: a step with kept activations differs from one without")
+            if losses != _batch_loss_and_grad(models, [(corpus, idx)], want, fresh()) or not np.array_equal(grad, want):
+                raise SystemExit(f"{name} K={K}: a step with held buffers differs from one with fresh ones")
 
-        def steps(keep):
+        def steps(held):
             faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             t0 = time.perf_counter()
             for idx in batches:
-                _batch_loss_and_grad(models, [(corpus, idx)], grad, keep)
+                _batch_loss_and_grad(models, [(corpus, idx)], grad, kept if held else fresh())
             seconds = time.perf_counter() - t0
             faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
             return seconds / len(batches), faults / len(batches)
 
         # Alternate the two and take medians, as in the lockstep line.
-        runs = np.array([[steps(keep) for keep in (None, kept)] for _ in range(repeats)])
+        runs = np.array([[steps(held) for held in (False, True)] for _ in range(repeats)])
         out.append((name, K, *np.median(runs, axis=0), kept[0].z.nbytes + kept[0].softmax.nbytes))
     print(
-        "kept activations: every step equals its recomputed step exactly, on desk batches "
+        "kept activations: every step with held buffers equals its step with fresh ones exactly, on desk batches "
         "at K = 1 and K = 5 and on long batches at K = 1"
     )
     return out
@@ -717,8 +721,8 @@ def main():
         f"or 10 long steps, per step; faults are minor page faults, KB kept per run\n"
     )
     header = (
-        f"{'batch':<7}{'runs':<6}{'recomputed us':>15}{'kept us':>10}{'speedup':>10}"
-        f"{'faults':>10}{'kept':>8}{'KB kept':>10}"
+        f"{'batch':<7}{'runs':<6}{'fresh us':>15}{'held us':>10}{'speedup':>10}"
+        f"{'faults':>10}{'held':>8}{'KB kept':>10}"
     )
     print(header)
     print("-" * len(header))

@@ -62,44 +62,49 @@ SCHEMA = {
     "data_dir": ("str", None),
 }
 
-_LIST_TYPES = {"list_int": int, "list_float": float, "list_str": str}
+
+def _scalar(tag: str, value):
+    """``value`` under the rule of the scalar tag ``tag``; a ValueError or
+    TypeError if it breaks it."""
+    if tag == "int":
+        if isinstance(value, bool) or (
+            isinstance(value, float) and not float(value).is_integer()
+        ):
+            raise ValueError(f"expected integer, got {value!r}")
+        return int(value)
+    if tag == "float":
+        if isinstance(value, bool):
+            raise ValueError(f"expected number, got {value!r}")
+        return float(value)
+    if tag == "bool":
+        if isinstance(value, bool):
+            return value
+        if isinstance(value, str):
+            low = value.strip().lower()
+            if low in ("true", "1", "yes"):
+                return True
+            if low in ("false", "0", "no"):
+                return False
+        raise ValueError(f"expected boolean, got {value!r}")
+    if not isinstance(value, str):
+        raise ValueError(f"expected string, got {value!r}")
+    return value
 
 
 def _coerce(key: str, tag: str, value):
+    """``value`` under the rule of ``tag``; a list tag (``list_int``) holds
+    entries of its scalar tag (``int``), each under that tag's rule, given
+    as a list or as a comma-separated string."""
     try:
         if value is None:
             return None
-        if tag == "int":
-            if isinstance(value, bool) or (
-                isinstance(value, float) and not float(value).is_integer()
-            ):
-                raise ValueError(f"expected integer, got {value!r}")
-            return int(value)
-        if tag == "float":
-            if isinstance(value, bool):
-                raise ValueError(f"expected number, got {value!r}")
-            return float(value)
-        if tag == "bool":
-            if isinstance(value, bool):
-                return value
-            if isinstance(value, str):
-                low = value.strip().lower()
-                if low in ("true", "1", "yes"):
-                    return True
-                if low in ("false", "0", "no"):
-                    return False
-            raise ValueError(f"expected boolean, got {value!r}")
-        if tag == "str":
-            if not isinstance(value, str):
-                raise ValueError(f"expected string, got {value!r}")
-            return value
-        elem = _LIST_TYPES[tag]
+        if not tag.startswith("list_"):
+            return _scalar(tag, value)
         if isinstance(value, str):
-            parts = [p for p in value.split(",") if p.strip() != ""]
-            return [elem(p.strip()) for p in parts]
-        if isinstance(value, (list, tuple)):
-            return [elem(v) for v in value]
-        raise ValueError(f"expected list, got {value!r}")
+            value = [p.strip() for p in value.split(",") if p.strip() != ""]
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"expected list, got {value!r}")
+        return [_scalar(tag[len("list_"):], v) for v in value]
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config key {key!r}: {exc}") from exc
 

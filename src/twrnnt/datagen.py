@@ -196,7 +196,8 @@ def write_dataset(path, utterances, meta: dict) -> None:
 
 
 def read_dataset(path):
-    """Returns (meta, utterances).  The header line is mandatory."""
+    """Returns (meta, utterances).  The header line, the first line that
+    is not blank, is mandatory."""
     utts = []
     meta = None
     with open(path) as fh:
@@ -208,7 +209,7 @@ def read_dataset(path):
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DataError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            if lineno == 1:
+            if meta is None:
                 if not isinstance(obj, dict) or not isinstance(obj.get("_meta"), dict):
                     raise DataError(
                         f"{path}: first line must be the dataset header object"

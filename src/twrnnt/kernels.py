@@ -83,9 +83,10 @@ class PaddedColumns:
     column at ``emit[t + u, b, u + 1]``.
 
     ``T`` and ``U`` give each utterance's frame and label counts; ``put``
-    fills row b from a (T, U+1, V+1) lattice.  A batch cut from a larger
-    one by ``rows`` holds that one in ``base`` and its first row there in
-    ``row0``; a batch of its own has no ``base``.
+    fills row b from a (T, U+1, V+1) lattice.  The rows of one batch may
+    hold several runs' batches, as in a lockstep training step:
+    ``model.forward_columns`` writes a batch at rows row0.. and
+    ``model.backward_columns`` reads its gradients from the same rows.
     """
 
     def __init__(self, T, U):
@@ -94,7 +95,6 @@ class PaddedColumns:
         B, Tmax, Umax = self.T.size, int(self.T.max()), int(self.U.max())
         self.blank = np.full((Tmax + Umax, B, Umax + 1), NEG_INF)
         self.emit = np.full_like(self.blank, NEG_INF)
-        self.base, self.row0 = None, 0
 
     @classmethod
     def of(cls, logp, labels) -> "PaddedColumns":
@@ -102,16 +102,6 @@ class PaddedColumns:
         cols = cls([logp.shape[0]], [labels.size])
         cols.put(0, logp, labels)
         return cols
-
-    def rows(self, b0, b1) -> "PaddedColumns":
-        """Rows b0..b1-1 as a batch of their own that shares this one's
-        tables, so that writing to it fills them.  Its tables are strided
-        views; flat offsets address ``base``'s tables."""
-        view = PaddedColumns.__new__(PaddedColumns)
-        view.T, view.U = self.T[b0:b1], self.U[b0:b1]
-        view.blank, view.emit = self.blank[:, b0:b1], self.emit[:, b0:b1]
-        view.base, view.row0 = self.base or self, self.row0 + b0
-        return view
 
     def put(self, b, logp, labels):
         T, U1 = logp.shape[0], logp.shape[1]

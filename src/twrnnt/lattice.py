@@ -15,7 +15,6 @@ a path is complete when it leaves (T-1, U) via the final blank.
 from __future__ import annotations
 
 import json
-import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -254,7 +253,10 @@ def lattice_from_json(obj) -> PosteriorLattice:
     if isinstance(obj, (str, bytes)):
         obj = json.loads(obj)
     try:
-        T, U, V = (operator.index(obj[k]) for k in ("t", "u", "v"))
+        T, U, V = (obj[k] for k in ("t", "u", "v"))
+        # JSON booleans are ints to Python; neither they nor floats are sizes.
+        if not all(type(n) is int for n in (T, U, V)):
+            raise ValueError(f"t, u and v must be integers, got {T!r}, {U!r}, {V!r}")
         flat = np.asarray(obj["logp"], dtype=np.float64)
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed lattice JSON: {exc}") from exc

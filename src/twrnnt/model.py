@@ -26,7 +26,6 @@ __all__ = [
     "param_layout",
     "param_count",
     "model_forward",
-    "model_backward",
     "PackedUtterances",
     "BatchLayout",
     "StepActivations",
@@ -204,13 +203,13 @@ class BatchLayout:
 
     Node n joins encoder frame ``frame[n]`` of the stacked ``feats`` with
     predictor position ``pos[n]`` of the stacked predictor inputs ``ids``
-    (BOS, then the labels, per utterance).  ``blank_at`` and ``emit_at`` are
-    its flat cells in the two diagonal-major (D, B, Umax+1) column tables of
-    ``kernels.PaddedColumns``, node (b, t, u) on diagonal ``diag`` = t + u:
-    its blank column at level u, and its label column one cell on, at level
-    u + 1, so ``emit_at`` is ``blank_at[emit_rows] + 1`` (``cells`` gives
-    them for rows of tables with more rows, diagonals or levels);
-    ``emit_rows`` are the nodes with u < U and ``emit_label`` their labels.
+    (BOS, then the labels, per utterance).  Node (b, t, u) has diagonal
+    ``diag`` = t + u, row ``row`` = b and level ``level`` = u: in the
+    diagonal-major column tables of ``kernels.PaddedColumns`` its blank
+    column sits at [t + u, b, u] and its label column one cell on, at
+    [t + u, b, u + 1] (``cells`` gives their flat offsets when the batch is
+    rows row0.. of larger tables); ``emit_rows`` are the nodes with u < U
+    and ``emit_label`` their labels.
     ``groups`` holds (n0, n1, m0, m1) ranges of nodes and emit rows for runs
     of consecutive utterances with at most ``_GROUP_NODES`` nodes, or one
     larger utterance.
@@ -246,13 +245,9 @@ class BatchLayout:
         t, u = np.divmod(k, W[b])
         self.frame = (T.cumsum() - T)[b] + t
         self.pos = (W.cumsum() - W)[b] + u
-        Umax = int(U.max())
-        self.diag = t + u
-        cell = self.diag * sizes.size + b
-        self.blank_at = cell * (Umax + 1) + u
+        self.diag, self.row, self.level = t + u, b, u
         emit = u < U[b]
         self.emit_rows = emit.nonzero()[0]
-        self.emit_at = self.blank_at[self.emit_rows] + 1
         self.emit_label = self.ids[self.pos[emit] + 1]
         # Segment starts of the backward pass's per-frame and per-position
         # sums: nodes are frame-major, and ``by_pos`` lists them
@@ -274,25 +269,15 @@ class BatchLayout:
         m = self.emit_rows.searchsorted(n)
         self.groups = list(zip(n[:-1], n[1:], m[:-1], m[1:]))
         self.max_group = int((n[1:] - n[:-1]).max())
-        self._cells = {(sizes.size, Umax + 1): (self.blank_at, self.emit_at)}
 
-    def cells(self, rows, width, row0=0):
-        """``blank_at`` and ``emit_at`` for the batch at rows row0.. of
-        column tables of ``rows`` rows and ``width`` levels (at least the
-        batch's own), whose diagonals are slabs of ``rows * width`` cells;
-        the number of diagonals does not enter.  The offsets of row 0 are
-        built once per table shape."""
-        key = (rows, width)
-        if key not in self._cells:
-            # Node (b, t, u) is cell b * W + u of its diagonal's own slab.
-            B, W = self.T.size, int(self.U.max()) + 1
-            b, u = np.divmod(self.blank_at - self.diag * (B * W), W)
-            blank_at = (self.diag * rows + b) * width + u
-            self._cells[key] = (blank_at, blank_at[self.emit_rows] + 1)
-        blank_at, emit_at = self._cells[key]
-        if row0:
-            return blank_at + row0 * width, emit_at + row0 * width
-        return blank_at, emit_at
+    def cells(self, rows, width, row0):
+        """The flat offsets of every node's blank column, and of the label
+        columns of ``emit_rows``, when the batch is rows row0.. of two
+        diagonal-major tables of ``rows`` rows and ``width`` levels: each
+        diagonal is a slab of ``rows * width`` cells, so the number of
+        diagonals does not enter."""
+        blank_at = (self.diag * rows + (self.row + row0)) * width + self.level
+        return blank_at, blank_at[self.emit_rows] + 1
 
 
 def _encode(model: TransducerModel, layout: BatchLayout):
@@ -389,8 +374,8 @@ def _work(layout: BatchLayout, enc):
 class StepActivations:
     """What a forward (``forward_columns``) keeps for the backward
     (``_backward``) that follows it, so that the backward does not run the
-    joiner again.  A training run keeps its own at every step; a backward
-    given none runs the forward into fresh ones first.  It holds the
+    joiner again.  Every backward follows its kept forward; a training run
+    reuses its own at every step.  It holds the
     parameter views, the encoder output, the predictor inputs and outputs,
     the row softmax of every node of the batch (V + 1 floats a node,
     node-major; the forward computes it along vectors of a group's nodes,
@@ -450,18 +435,16 @@ def model_forward(model: TransducerModel, features, tokens) -> PosteriorLattice:
     return normalize_logits(logits.reshape(T, U + 1, -1))
 
 
-def _check_tables(layout: BatchLayout, blank, emit, what, row0=None):
+def _check_tables(layout: BatchLayout, blank, emit, what, row0):
     """Raise a DataError unless the diagonal-major ``blank`` and ``emit``
-    tables have one shape and can hold the layout's batch, as their only
-    rows or, given ``row0``, at rows row0..: at least the diagonals and
-    levels it needs."""
+    tables have one shape and can hold the layout's batch at rows row0..:
+    at least the diagonals and levels it needs."""
     B, Tmax, Umax = layout.T.size, int(layout.T.max()), int(layout.U.max())
     D, rows, W = blank.shape if blank.ndim == 3 else (0, 0, 0)
-    fits = rows == B if row0 is None else rows >= row0 + B
-    if emit.shape != blank.shape or D < Tmax + Umax or not fits or W <= Umax:
+    if emit.shape != blank.shape or D < Tmax + Umax or not 0 <= row0 <= rows - B or W <= Umax:
         raise DataError(
             f"{what} have shapes {blank.shape} and {emit.shape}, which cannot hold "
-            f"{B} rows from row {row0 or 0} of two ({Tmax + Umax}, {B}, {Umax + 1}) "
+            f"{B} rows from row {row0} of two ({Tmax + Umax}, {B}, {Umax + 1}) "
             f"tables"
         )
 
@@ -471,35 +454,30 @@ def forward_columns(
     layout: BatchLayout,
     out: Optional[PaddedColumns] = None,
     keep: Optional[StepActivations] = None,
+    row0: int = 0,
 ) -> PaddedColumns:
     """Blank and label log-probability columns of a batch of utterances.
 
     One network pass per group of nodes, written straight into the two
     diagonal-major column tables of one shape that ``kernels.emission_sweep``
-    sweeps (each node's blank column at ``blank_at``, its label column one
-    cell on, at ``emit_at``); equal to
+    sweeps (at the offsets of ``BatchLayout.cells``); equal to
     ``model_forward`` of each utterance up to matrix-product rounding.  The
     logits are bounded by tanh, so the rows skip ``normalize_logits``'s
-    input checks.  ``out``, if given, is a ``-inf``-filled batch of the
-    layout's rows to write to and return; its tables may have more
-    diagonals and levels than the layout needs (such as rows of a larger
-    batch, ``PaddedColumns.rows``, padded to its longest utterances).
-    Each group's log-normaliser m + log(s) comes from ``_kept_softmax``,
-    which equals ``lattice._row_logsumexp`` bit for bit.  ``keep``, if
-    given, keeps this pass's activations for ``backward_columns``
-    (``StepActivations``), every group's row softmax included; the columns
-    are the same either way.
+    input checks.  ``out``, if given, is a ``-inf``-filled batch whose rows
+    row0.. the layout's batch fills, and which is returned; its tables may
+    have more rows, diagonals and levels than the layout needs (such as a
+    lockstep step's, padded to its longest utterances).  Without ``out``,
+    the batch gets tables of its own, and ``row0`` must be 0.  Each group's
+    log-normaliser m + log(s) comes from ``_kept_softmax``, which equals
+    ``lattice._row_logsumexp`` bit for bit.  ``keep``, if given, keeps this
+    pass's activations for ``backward_columns`` (``StepActivations``),
+    every group's row softmax included; the columns are the same either
+    way.
     """
-    if out is None:
-        cols = PaddedColumns(layout.T, layout.U)
-    else:
-        _check_tables(layout, out.blank, out.emit, "column tables")
-        cols = out
-    # Rows of a larger batch are strided views of its tables, and the flat
-    # view of a strided array is a copy: write to the larger batch's tables.
-    base = cols.base or cols
-    blank, emit = base.blank.reshape(-1), base.emit.reshape(-1)
-    blank_at, emit_at = layout.cells(base.T.size, base.blank.shape[2], cols.row0)
+    cols = PaddedColumns(layout.T, layout.U) if out is None else out
+    _check_tables(layout, cols.blank, cols.emit, "column tables", row0)
+    blank, emit = cols.blank.reshape(-1), cols.emit.reshape(-1)
+    blank_at, emit_at = layout.cells(cols.blank.shape[1], cols.blank.shape[2], row0)
     encoded = _encode(model, layout)
     p, enc, _, pred = encoded
     work = _work(layout, enc)
@@ -516,7 +494,7 @@ def forward_columns(
 
 
 def _backward(
-    model: TransducerModel, layout: BatchLayout, dlogit_rows, kept=None
+    model: TransducerModel, layout: BatchLayout, dlogit_rows, kept: StepActivations
 ) -> np.ndarray:
     """Chain rule from per-node lattice gradients to the parameters, one
     pass per group; ``dlogit_rows(softmax, n0, n1, m0, m1)`` returns the
@@ -528,12 +506,8 @@ def _backward(
     ``kept``, a ``StepActivations`` filled by the forward of this model and
     layout, and so do the joiner activations of the group it kept; the z of
     later groups is rebuilt by ``_activations``, so no joiner matmul or
-    softmax runs, and the kept buffers are overwritten.  Without ``kept``,
-    a kept forward runs first, into activations of its own.
+    softmax runs, and the kept buffers are overwritten.
     """
-    if kept is None:
-        kept = StepActivations(model)
-        forward_columns(model, layout, keep=kept)
     p, enc, rows, pred = kept._release(model, layout)
     work = _work(layout, enc)
     grad = np.zeros_like(model.params)
@@ -576,39 +550,12 @@ def _sum_by_id(ids, rows, num_ids) -> np.ndarray:
     return np.bincount(cells, rows.reshape(-1), num_ids * H).reshape(num_ids, H)
 
 
-def model_backward(
-    model: TransducerModel, features, tokens, dL_dlogp
-) -> np.ndarray:
-    """Chain-rule parameter gradient of any scalar loss, given its gradient
-    with respect to the lattice log-probabilities.  Exact, float64.  The
-    single-utterance case of ``backward_columns``."""
-    layout = BatchLayout(model, [features], [tokens])
-    dlogp = np.asarray(dL_dlogp, dtype=np.float64)
-    shape = (int(layout.T[0]), int(layout.U[0]) + 1, model.vocab_size + 1)
-    if dlogp.shape != shape:
-        raise DataError(f"lattice gradient has shape {dlogp.shape}, expected {shape}")
-    return _backward(model, layout, _dense_dlogit_rows(dlogp.reshape(-1, shape[2])))
-
-
-def _dense_dlogit_rows(dlogp):
-    """``_backward``'s ``dlogit_rows`` for dense (nodes, V+1) lattice
-    gradient rows ``dlogp``: dlogp - softmax * sum(dlogp) per row."""
-
-    def dlogit_rows(softmax, n0, n1, m0, m1):
-        dlogit = dlogp[n0:n1].copy()
-        softmax *= dlogit.sum(axis=-1, keepdims=True)
-        dlogit -= softmax
-        return dlogit
-
-    return dlogit_rows
-
-
 def backward_columns(
     model: TransducerModel,
     layout: BatchLayout,
     g_blank,
     g_emit,
-    kept: Optional[StepActivations] = None,
+    kept: StepActivations,
     row0: int = 0,
 ) -> np.ndarray:
     """Parameter gradient of a batch loss, given its gradients with respect
@@ -618,15 +565,13 @@ def backward_columns(
     (such as a lockstep step's, padded to its longest utterances); the
     batch's cells are read where they are, without copying its rows out.
 
-    Equal to the sum of ``model_backward`` over the batch's dense lattice
-    gradients (``kernels.dense_grad``) up to matrix-product rounding, without
-    building them: a node's dense row has two entries at most, its blank and
+    Equal to the chain rule of each utterance's dense lattice gradient
+    (``kernels.dense_grad``) up to matrix-product rounding, without
+    building it: a node's dense row has two entries at most, its blank and
     its label column, so its logit gradient is built from those two, cell
-    for cell what the dense rule gives on the same layout.  ``kept``, if
-    given, holds the activations that ``forward_columns`` kept for this
-    model and layout (a DataError if it holds none), which this call
-    consumes; without it, the kept forward runs first (``_backward``), so
-    the gradient is the same.
+    for cell what the dense rule gives on the same layout.  ``kept`` holds
+    the activations that ``forward_columns`` kept for this model and layout
+    (a DataError if it holds none), which this call consumes.
     """
     gb = np.asarray(g_blank, dtype=np.float64)
     ge = np.asarray(g_emit, dtype=np.float64)

@@ -1,12 +1,12 @@
 """Exhaustive, obviously-correct references for small lattices.
 
 Everything here trades speed for transparency: alignments are enumerated
-one by one, probabilities are summed in sorted order, gradients come from
-central finite differences, and the occupancy gradient from forward and
-backward tables pins the fast gradient kernel.  Shipped (not test-only) so
-the CLI can vet serialized lattices from any source against these
-references.  The other slow DP forms, which only the tests and the kernel
-benchmark use, live in ``tests/references.py``.
+one by one and probabilities are summed in sorted order.  Shipped (not
+test-only) so that ``twrnnt loss-check`` can vet serialized lattices from
+any source against these references.  The slow gradient references (the
+occupancy gradient and central finite differences) and the other slow DP
+forms, which only the tests and the kernel benchmark use, live in
+``tests/references.py``.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .lattice import PosteriorLattice, _check_dims, as_labels, backward, forward
+from .lattice import PosteriorLattice, _check_dims, as_labels
 
 __all__ = [
     "BLANK_STEP",
@@ -30,8 +30,6 @@ __all__ = [
     "exact_prefix_logp",
     "exact_conditionals",
     "exact_final_blank_logp",
-    "finite_diff_grad",
-    "loglik_grad",
 ]
 
 BLANK_STEP = 0
@@ -192,56 +190,3 @@ def exact_final_blank_logp(lattice: PosteriorLattice, y) -> float:
         raise NumericalError("full prefix has zero probability")
     return seq - pre
 
-
-def finite_diff_grad(f, lattice: PosteriorLattice, step: float = 1e-6) -> np.ndarray:
-    """Central finite differences of a scalar functional of the lattice,
-    cell by cell.  Perturbed tables are intentionally unnormalized."""
-    if step <= 0:
-        raise DataError(f"finite-difference step must be positive, got {step}")
-    base = lattice.logp
-    grad = np.zeros_like(base)
-    flat = grad.ravel()
-    for i in range(base.size):
-        bumped = base.copy().ravel()
-        if not np.isfinite(bumped[i]):
-            continue  # hard zeros stay hard zeros
-        orig = bumped[i]
-        bumped[i] = orig + step
-        hi = f(PosteriorLattice(bumped.reshape(base.shape)))
-        bumped[i] = orig - step
-        lo = f(PosteriorLattice(bumped.reshape(base.shape)))
-        flat[i] = (hi - lo) / (2.0 * step)
-    return grad
-
-
-def loglik_grad(lattice: PosteriorLattice, y) -> np.ndarray:
-    """Gradient of log P(y | x) w.r.t. every lattice entry, occupancy form.
-
-    A cell's gradient is the posterior probability that an alignment takes
-    its arc, exp(alpha + logp + beta - loglik), from the forward and backward
-    tables.  Entries never touched by a valid alignment stay exactly 0, and
-    a zero-probability sequence gives an all-zero table.
-    """
-    labels = as_labels(y)
-    fwd = forward(lattice, labels)
-    alpha, loglik = fwd.alpha, fwd.loglik
-    beta = backward(lattice, labels).beta
-    logp = lattice.logp
-    T, U, blank = lattice.T, lattice.U, lattice.blank
-    g = np.zeros_like(logp)
-    if loglik == -np.inf:
-        return g
-    for t in range(T):
-        for u in range(U + 1):
-            if alpha[t, u] == -np.inf:
-                continue
-            if u < U:
-                g[t, u, labels[u]] = np.exp(
-                    alpha[t, u] + logp[t, u, labels[u]] + beta[t, u + 1] - loglik
-                )
-            if t < T - 1:
-                g[t, u, blank] = np.exp(
-                    alpha[t, u] + logp[t, u, blank] + beta[t + 1, u] - loglik
-                )
-    g[T - 1, U, blank] = np.exp(alpha[T - 1, U] + logp[T - 1, U, blank] - loglik)
-    return g

@@ -199,7 +199,7 @@ class _Corpus:
                 w_fb[k] = cfg.final_blank_weight
 
 
-def _batch_loss_and_grad(models, batches, grad, kept=None) -> list:
+def _batch_loss_and_grad(models, batches, grad, kept) -> list:
     """Each run's summed loss for its batch, divided by the batch's token
     count; run k's parameter gradient, divided likewise, overwrites
     ``grad[k]``.
@@ -210,9 +210,8 @@ def _batch_loss_and_grad(models, batches, grad, kept=None) -> list:
     writes its rows of one padded column batch, padded to the groups'
     longest utterances and transcripts, the DP runs once over all of them,
     and each run's grouped model backward reads its rows of the column
-    gradients where they are.  With ``kept``, one ``StepActivations`` per
-    run, each backward reuses what its forward kept instead of running the
-    network again; the losses and gradients are the same.
+    gradients where they are, from what its forward kept in ``kept``, one
+    ``StepActivations`` per run.
     """
     layouts = [BatchLayout.of(corpus.packed, idx) for corpus, idx in batches]
     # Run k's layout, and its rows row0[k]..row0[k + 1] - 1 of the padded
@@ -233,9 +232,8 @@ def _batch_loss_and_grad(models, batches, grad, kept=None) -> list:
         rows = slice(row0[k0], row0[k0 + K])
         corpus.weights(idx, layout, lam[rows].reshape(K, B, lam.shape[1]), w_fb[rows].reshape(K, B))
         k0 += K
-    kept = kept or [None] * len(models)
     for k, layout in enumerate(run_layouts):
-        forward_columns(models[k], layout, out=cols.rows(row0[k], row0[k + 1]), keep=kept[k])
+        forward_columns(models[k], layout, out=cols, keep=kept[k], row0=row0[k])
     losses, g_blank, g_emit = padded_loss_and_grad(cols, lam, w_fb)
     out = []
     for k, layout in enumerate(run_layouts):

@@ -4,7 +4,8 @@ compare faster code against."""
 import numpy as np
 
 from twrnnt.errors import DataError, NumericalError
-from twrnnt.lattice import PosteriorLattice, _check_dims, as_labels
+from twrnnt.lattice import PosteriorLattice, _check_dims, as_labels, backward, forward
+from twrnnt.model import BatchLayout, StepActivations, _backward, backward_columns, forward_columns
 from twrnnt.seeds import stream
 from twrnnt.training import _confidences_of, _run_name
 from twrnnt.weighting import _underflow_message
@@ -336,4 +337,95 @@ def weighted_grad_scalar(logp, labels, A, R, prefix, loglik, lam, final_blank_we
             g[t - 1, j, blank] += adjR2[t] * w1
             adjA[t, j] += adjR2[t] * w2
         adjA[0, j] += adjR2[0]
+    return g
+
+
+def model_backward(model, features, tokens, dL_dlogp):
+    """Chain-rule parameter gradient of any scalar loss, given its gradient
+    with respect to the lattice log-probabilities of one utterance: a kept
+    forward, then ``model._backward`` fed the dense rows.  Exact, float64;
+    the one-utterance, dense case of ``model.backward_columns``."""
+    layout = BatchLayout(model, [features], [tokens])
+    dlogp = np.asarray(dL_dlogp, dtype=np.float64)
+    shape = (int(layout.T[0]), int(layout.U[0]) + 1, model.vocab_size + 1)
+    if dlogp.shape != shape:
+        raise DataError(f"lattice gradient has shape {dlogp.shape}, expected {shape}")
+    kept = StepActivations(model)
+    forward_columns(model, layout, keep=kept)
+    return _backward(model, layout, dense_dlogit_rows(dlogp.reshape(-1, shape[2])), kept)
+
+
+def dense_dlogit_rows(dlogp):
+    """``model._backward``'s ``dlogit_rows`` for dense (nodes, V+1) lattice
+    gradient rows ``dlogp``: dlogp - softmax * sum(dlogp) per row."""
+
+    def dlogit_rows(softmax, n0, n1, m0, m1):
+        dlogit = dlogp[n0:n1].copy()
+        softmax *= dlogit.sum(axis=-1, keepdims=True)
+        dlogit -= softmax
+        return dlogit
+
+    return dlogit_rows
+
+
+def fresh_backward(model, layout, g_blank, g_emit, row0=0):
+    """``model.backward_columns`` after a forward that keeps its activations
+    in fresh buffers, for comparison with a backward whose forward kept
+    them in buffers reused across steps."""
+    kept = StepActivations(model)
+    forward_columns(model, layout, keep=kept)
+    return backward_columns(model, layout, g_blank, g_emit, kept, row0)
+
+
+def finite_diff_grad(f, lattice: PosteriorLattice, step: float = 1e-6) -> np.ndarray:
+    """Central finite differences of a scalar functional of the lattice,
+    cell by cell.  Perturbed tables are intentionally unnormalized."""
+    if step <= 0:
+        raise DataError(f"finite-difference step must be positive, got {step}")
+    base = lattice.logp
+    grad = np.zeros_like(base)
+    flat = grad.ravel()
+    for i in range(base.size):
+        bumped = base.copy().ravel()
+        if not np.isfinite(bumped[i]):
+            continue  # hard zeros stay hard zeros
+        orig = bumped[i]
+        bumped[i] = orig + step
+        hi = f(PosteriorLattice(bumped.reshape(base.shape)))
+        bumped[i] = orig - step
+        lo = f(PosteriorLattice(bumped.reshape(base.shape)))
+        flat[i] = (hi - lo) / (2.0 * step)
+    return grad
+
+
+def loglik_grad(lattice: PosteriorLattice, y) -> np.ndarray:
+    """Gradient of log P(y | x) w.r.t. every lattice entry, occupancy form.
+
+    A cell's gradient is the posterior probability that an alignment takes
+    its arc, exp(alpha + logp + beta - loglik), from the forward and backward
+    tables.  Entries never touched by a valid alignment stay exactly 0, and
+    a zero-probability sequence gives an all-zero table.
+    """
+    labels = as_labels(y)
+    fwd = forward(lattice, labels)
+    alpha, loglik = fwd.alpha, fwd.loglik
+    beta = backward(lattice, labels).beta
+    logp = lattice.logp
+    T, U, blank = lattice.T, lattice.U, lattice.blank
+    g = np.zeros_like(logp)
+    if loglik == -np.inf:
+        return g
+    for t in range(T):
+        for u in range(U + 1):
+            if alpha[t, u] == -np.inf:
+                continue
+            if u < U:
+                g[t, u, labels[u]] = np.exp(
+                    alpha[t, u] + logp[t, u, labels[u]] + beta[t, u + 1] - loglik
+                )
+            if t < T - 1:
+                g[t, u, blank] = np.exp(
+                    alpha[t, u] + logp[t, u, blank] + beta[t + 1, u] - loglik
+                )
+    g[T - 1, U, blank] = np.exp(alpha[T - 1, U] + logp[T - 1, U, blank] - loglik)
     return g

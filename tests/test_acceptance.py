@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import capped_lattice, random_instance, random_lattice
+from references import finite_diff_grad, model_backward
 from twrnnt.conditionals import conditional_profile, next_token_distribution
 from twrnnt.corruption import CorruptionConfig, corrupt_corpus
 from twrnnt.datagen import SyntheticSpec, generate_synthetic_dataset, read_dataset
@@ -22,12 +23,8 @@ from twrnnt.experiments import (
 )
 from twrnnt.lattice import PosteriorLattice, Vocabulary, rnnt_loss, rnnt_loss_grad
 from twrnnt.metrics import wer
-from twrnnt.model import TransducerModel, model_backward, model_forward
-from twrnnt.oracle import (
-    exact_conditionals,
-    exact_sequence_logp,
-    finite_diff_grad,
-)
+from twrnnt.model import TransducerModel, model_forward
+from twrnnt.oracle import exact_conditionals, exact_sequence_logp
 from twrnnt.training import TrainConfig
 from twrnnt.weighting import (
     TokenWeights,

@@ -53,7 +53,7 @@ def loss_check_payloads(draw):
     if bad[0]:
         key = draw(st.sampled_from(["t", "u", "v"]))
         low = -1 if key == "u" else 0
-        payload[key] = draw(st.one_of(st.integers(-3, low), st.sampled_from([1.5, "x", "2", None, [1]])))
+        payload[key] = draw(st.one_of(st.integers(-3, low), st.sampled_from([1.5, "x", "2", None, [1], True, False])))
     if bad[1]:
         logp = payload["logp"]
         if draw(st.booleans()):
@@ -118,6 +118,25 @@ class TestGenData:
         )
         assert code == 2
         assert json.loads(err.strip())["error"] == "config"
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            '"seeds": [1.5, 2]', '"seeds": [true]', '"seed": 1.5', '"alpha_grid": [true]',
+            '"levels": [false, 0.2]', '"modes": ["standard", 1]',
+        ],
+    )
+    def test_config_file_list_entries_follow_the_scalar_rules(self, tmp_path, capsys, entry):
+        # A list entry breaks the rule of its scalar type as a scalar value
+        # does: no float is an int, and no boolean a number.
+        cfg = tmp_path / "c.json"
+        cfg.write_text("{" + entry + "}")
+        code, _, err = run(capsys, ["gen-data", "--config", str(cfg), "--out", str(tmp_path / "d")])
+        assert code == 2 and "Traceback" not in err
+        (line,) = err.strip().splitlines()
+        message = json.loads(line)
+        assert message["error"] == "config" and entry.split('"')[1] in message["message"]
+        assert not (tmp_path / "d").exists()
 
     def test_missing_data_exits_3(self, tmp_path, capsys):
         code, _, err = run(
@@ -571,6 +590,17 @@ class TestLossCheck:
         assert code == 3
         message = json.loads(err.strip())["message"]
         assert "row (t=1, u=0)" in message and "above 1" in message
+
+    def test_boolean_dimensions_exit_3(self, tmp_path, capsys):
+        # JSON true and false are not sizes, though Python takes them for
+        # 1 and 0: this payload once parsed as a T = 1, U = 0 lattice.
+        f = tmp_path / "bools.json"
+        f.write_text(json.dumps({"t": True, "u": False, "v": True, "logp": [-1.0, -2.0]}))
+        code, _, err = run(capsys, ["loss-check", str(f)])
+        assert code == 3 and "Traceback" not in err
+        (line,) = err.strip().splitlines()
+        message = json.loads(line)
+        assert message["error"] == "data" and "must be integers" in message["message"]
 
     @PROPERTY
     @given(case=loss_check_payloads())

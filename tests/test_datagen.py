@@ -101,6 +101,17 @@ class TestDatasetIO:
         with pytest.raises(DataError, match="header"):
             read_dataset(path)
 
+    def test_header_after_blank_lines(self, tmp_path):
+        # The header is the first line that is not blank.
+        utt = Utterance(id="u0", features=np.zeros((2, 1)), tokens=np.array([0]))
+        path = tmp_path / "d.jsonl"
+        write_dataset(path, [utt], {"kind": "twrnnt-dataset"})
+        path.write_text("\n  \n" + path.read_text())
+        meta, utts = read_dataset(path)
+        assert meta["kind"] == "twrnnt-dataset"
+        assert [u.id for u in utts] == ["u0"]
+        np.testing.assert_array_equal(utts[0].tokens, [0])
+
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"_meta": {}}\nnot json\n')

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import references
 from conftest import PROPERTY
+from references import model_backward
 from twrnnt import model as model_module
 from twrnnt.errors import DataError, NumericalError
 from twrnnt.kernels import PaddedColumns, dense_grad
@@ -21,7 +22,6 @@ from twrnnt.model import (
     forward_columns,
     greedy_decode,
     load_checkpoint,
-    model_backward,
     model_forward,
     param_count,
     save_checkpoint,
@@ -161,7 +161,8 @@ class TestGroupedPasses:
         feats = [rng.normal(size=(T, 3)) for T, _ in shapes]
         tokens = [rng.integers(0, V, size=U) for _, U in shapes]
         layout = BatchLayout(model, feats, tokens)
-        cols = forward_columns(model, layout)
+        keep = StepActivations(model)
+        cols = forward_columns(model, layout, keep=keep)
         ref = PaddedColumns([T for T, _ in shapes], [U for _, U in shapes])
         for b, (f, y) in enumerate(zip(feats, tokens)):
             ref.put(b, model_forward(model, f, y).logp, y)
@@ -173,7 +174,7 @@ class TestGroupedPasses:
 
         g_blank = np.where(np.isfinite(ref.blank), rng.normal(size=ref.blank.shape), 0.0)
         g_emit = np.where(np.isfinite(ref.emit), rng.normal(size=ref.emit.shape), 0.0)
-        grad = backward_columns(model, layout, g_blank, g_emit)
+        grad = backward_columns(model, layout, g_blank, g_emit, keep)
         want = np.zeros_like(model.params)
         for b, (f, y) in enumerate(zip(feats, tokens)):
             T = f.shape[0]
@@ -191,13 +192,17 @@ class TestGroupedPasses:
         layout = BatchLayout(models[0], feats, tokens)
         stacked = PaddedColumns(np.tile(layout.T, 2), np.tile(layout.U, 2))
         for k, model in enumerate(models):
-            forward_columns(model, layout, out=stacked.rows(3 * k, 3 * k + 3))
+            assert forward_columns(model, layout, out=stacked, row0=3 * k) is stacked
         for k, model in enumerate(models):
             own = forward_columns(model, layout)
             np.testing.assert_array_equal(stacked.blank[:, 3 * k : 3 * k + 3], own.blank)
             np.testing.assert_array_equal(stacked.emit[:, 3 * k : 3 * k + 3], own.emit)
-        with pytest.raises(DataError, match="column tables have shapes"):
-            forward_columns(models[0], layout, out=stacked.rows(0, 2))
+        # Rows 4..6 of a table of 6 rows, a table of 2 rows, rows 1..3 of
+        # the batch's own tables, and a row before the first.
+        short = PaddedColumns(layout.T[:2], layout.U[:2])
+        for out, row0 in ((stacked, 4), (short, 0), (None, 1), (stacked, -1)):
+            with pytest.raises(DataError, match="column tables have shapes"):
+                forward_columns(models[0], layout, out=out, row0=row0)
 
     def test_rows_of_a_wider_longer_batch(self):
         # Two batches of other sizes share one table padded to the longest
@@ -216,29 +221,34 @@ class TestGroupedPasses:
         wide = PaddedColumns(T, U)
         assert wide.blank.shape == (9 + 6, 5, 7)
         row0 = [0, 3]
-        for layout, r in zip(batches, row0):
-            forward_columns(model, layout, out=wide.rows(r, r + layout.T.size))
+        kept = [StepActivations(model) for _ in batches]
+        for layout, r, keep in zip(batches, row0, kept):
+            forward_columns(model, layout, out=wide, keep=keep, row0=r)
         g_blank = np.where(np.isfinite(wide.blank), rng.normal(size=wide.blank.shape), 0.0)
         g_emit = np.where(np.isfinite(wide.emit), rng.normal(size=wide.emit.shape), 0.0)
-        for layout, r in zip(batches, row0):
-            own = forward_columns(model, layout)
+        for layout, r, keep in zip(batches, row0, kept):
+            own_keep = StepActivations(model)
+            own = forward_columns(model, layout, keep=own_keep)
             D, B, W = own.blank.shape
             rows = slice(r, r + B)
             np.testing.assert_array_equal(wide.blank[:D, rows, :W], own.blank)
             np.testing.assert_array_equal(wide.emit[:D, rows, :W], own.emit)
             assert np.all(wide.blank[D:, rows] == -np.inf) and np.all(wide.blank[:, rows, W:] == -np.inf)
             np.testing.assert_array_equal(
-                backward_columns(model, layout, g_blank, g_emit, row0=r),
+                backward_columns(model, layout, g_blank, g_emit, keep, row0=r),
                 backward_columns(
-                    model, layout, g_blank[:D, rows, :W].copy(), g_emit[:D, rows, :W].copy()
+                    model, layout, g_blank[:D, rows, :W].copy(), g_emit[:D, rows, :W].copy(), own_keep
                 ),
             )
+        keep = StepActivations(model)
+        forward_columns(model, batches[1], keep=keep)
+        for row0 in (4, -1):
+            with pytest.raises(DataError, match="column gradients have shapes"):
+                backward_columns(model, batches[1], g_blank, g_emit, keep, row0=row0)
         with pytest.raises(DataError, match="column gradients have shapes"):
-            backward_columns(model, batches[1], g_blank, g_emit, row0=4)
+            backward_columns(model, batches[1], g_blank[:, :, :6], g_emit[:, :, :6], keep, row0=3)
         with pytest.raises(DataError, match="column gradients have shapes"):
-            backward_columns(model, batches[1], g_blank[:, :, :6], g_emit[:, :, :6], row0=3)
-        with pytest.raises(DataError, match="column gradients have shapes"):
-            backward_columns(model, batches[1], g_blank, g_emit[:, :, :6], row0=3)
+            backward_columns(model, batches[1], g_blank, g_emit[:, :, :6], keep, row0=3)
 
     def test_groups_are_runs_within_the_node_bound(self):
         # Node counts 600, 800, 600, 1 fit one group of 2001 <= 2048 nodes;
@@ -347,10 +357,12 @@ class TestTwoEntryBackward:
     @pytest.mark.parametrize("kept", [False, True])
     @pytest.mark.parametrize("case", sorted(SHORT_ROW_BATCHES))
     def test_equals_dense_rows(self, case, kept):
+        # ``kept``: the backward reads the activations of the forward that
+        # made its columns, or of a second forward into fresh buffers.
         V = 16
         model, layout, tokens = layout_of(SHORT_ROW_BATCHES[case], 82, V)
-        keep = StepActivations(model) if kept else None
-        cols = forward_columns(model, layout, keep=keep)
+        keep = StepActivations(model)
+        cols = forward_columns(model, layout, keep=keep if kept else None)
         # Hard zeros: the first frame's blank at level 0 and the last
         # frame's first label, so some cells are unreachable and some
         # alignments dead, and their gradients are exactly 0.
@@ -364,20 +376,25 @@ class TestTwoEntryBackward:
         sweep = cols.sweep()
         g_blank, g_emit = cols.grad(sweep, lam, np.full(layout.T.size, 0.7))
         assert (g_blank == 0).any() and (g_emit != 0).any()
-        got = backward_columns(model, layout, g_blank, g_emit, keep)
+        if kept:
+            got = backward_columns(model, layout, g_blank, g_emit, keep)
+        else:
+            got = references.fresh_backward(model, layout, g_blank, g_emit)
         dense = np.concatenate([
             dense_grad(g_blank, g_emit, b, int(T), y, V + 1).reshape(-1, V + 1)
             for b, (T, y) in enumerate(zip(layout.T, tokens))
         ])
-        want = model_module._backward(model, layout, model_module._dense_dlogit_rows(dense))
+        forward_columns(model, layout, keep=keep)
+        want = model_module._backward(model, layout, references.dense_dlogit_rows(dense), keep)
         np.testing.assert_array_equal(got, want)
 
 
 class TestOneBackwardPath:
-    """A backward given no kept activations (``backward_columns`` without
-    ``kept``, ``model_backward``) runs the kept forward first and then the
-    one backward path; it equals a backward that follows a kept forward,
-    with ==, on desk and long batches."""
+    """Every backward follows its kept forward: ``backward_columns`` needs
+    the activations a forward kept, and a backward through buffers reused
+    across batches equals one through fresh buffers (``references``'s
+    ``fresh_backward`` and ``model_backward``), with ==, on desk and long
+    batches."""
 
     @pytest.mark.parametrize("case", sorted(SHORT_ROW_BATCHES))
     def test_backward_columns_without_kept(self, case):
@@ -387,20 +404,24 @@ class TestOneBackwardPath:
         rng = np.random.default_rng(86)
         g_blank = np.where(np.isfinite(cols.blank), rng.normal(size=cols.blank.shape), 0.0)
         g_emit = np.where(np.isfinite(cols.emit), rng.normal(size=cols.emit.shape), 0.0)
+        with pytest.raises(TypeError):
+            backward_columns(model, layout, g_blank, g_emit)
+        with pytest.raises(DataError, match="no activations kept"):
+            backward_columns(model, layout, g_blank, g_emit, StepActivations(model))
         want = backward_columns(model, layout, g_blank, g_emit, keep)
-        np.testing.assert_array_equal(backward_columns(model, layout, g_blank, g_emit), want)
+        np.testing.assert_array_equal(references.fresh_backward(model, layout, g_blank, g_emit), want)
 
     @pytest.mark.parametrize("case", sorted(SHORT_ROW_BATCHES))
     def test_model_backward(self, case):
         model, _, _ = layout_of(SHORT_ROW_BATCHES[case], 87)
         rng = np.random.default_rng(88)
+        keep = StepActivations(model)  # reused, and grown, across the utterances
         for T, U in SHORT_ROW_BATCHES[case]:
             feats, y = rng.normal(size=(T, 8)), rng.integers(0, 16, size=U)
             dlogp = rng.normal(size=(T, U + 1, 17))
             layout = BatchLayout(model, [feats], [y])
-            keep = StepActivations(model)
             forward_columns(model, layout, keep=keep)
-            rows = model_module._dense_dlogit_rows(dlogp.reshape(-1, 17))
+            rows = references.dense_dlogit_rows(dlogp.reshape(-1, 17))
             want = model_module._backward(model, layout, rows, keep)
             np.testing.assert_array_equal(model_backward(model, feats, y, dlogp), want)
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import capped_lattice, random_instance, random_lattice
+from references import finite_diff_grad
 from twrnnt.errors import DataError
 from twrnnt.lattice import PosteriorLattice, normalize_logits
 from twrnnt.oracle import (
@@ -14,7 +15,6 @@ from twrnnt.oracle import (
     exact_final_blank_logp,
     exact_prefix_logp,
     exact_sequence_logp,
-    finite_diff_grad,
     path_count,
     path_logp,
 )

@@ -12,11 +12,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import PROPERTY, cases, owned_cells, owned_label_cells, with_hard_zeros
-from references import emission_sweep_scalar, weighted_grad_scalar
+from references import emission_sweep_scalar, loglik_grad, weighted_grad_scalar
 from twrnnt import kernels
 from twrnnt.errors import NumericalError
 from twrnnt.lattice import backward, forward, rnnt_loss_grad
-from twrnnt.oracle import loglik_grad
 from twrnnt.weighting import TokenWeights, WeightConfig, weighted_loss_and_grad
 
 

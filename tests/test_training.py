@@ -19,7 +19,6 @@ from twrnnt.model import (
     adam_update,
     backward_columns,
     forward_columns,
-    model_backward,
     model_forward,
 )
 from twrnnt.seeds import stream
@@ -63,7 +62,7 @@ def batch_step(model, batch, cfg):
     """Loss and gradient of one batch, through the training corpus."""
     grad = np.empty((1, model.params.size))
     corpus = _Corpus(model, batch, [cfg])
-    (loss,) = _batch_loss_and_grad([model], [(corpus, np.arange(len(batch)))], grad)
+    (loss,) = _batch_loss_and_grad([model], [(corpus, np.arange(len(batch)))], grad, [StepActivations(model)])
     return loss, grad[0]
 
 
@@ -123,12 +122,13 @@ def reference_train(labeled, pseudo, cfg, init, order_rng):
     for step, batch in enumerate(reference_batches(labeled, pseudo, cfg, order_rng), start=1):
         layout = BatchLayout(model, [u.features for u in batch], [u.tokens for u in batch])
         lam, w_fb = _padded_weights(reference_batch_weights(batch, cfg), layout.U)
-        losses_u, g_blank, g_emit = padded_loss_and_grad(forward_columns(model, layout), lam, w_fb)
+        keep = StepActivations(model)
+        losses_u, g_blank, g_emit = padded_loss_and_grad(forward_columns(model, layout, keep=keep), lam, w_fb)
         loss = 0.0
         for loss_u in losses_u:
             loss += loss_u
         tokens = max(1, sum(u.tokens.size for u in batch))
-        grad = backward_columns(model, layout, g_blank, g_emit)
+        grad = backward_columns(model, layout, g_blank, g_emit, keep)
         grad /= tokens
         adam_update(params, m, v, grad, step, AdamConfig(lr=cfg.lr))
         losses.append(loss / tokens)
@@ -232,7 +232,7 @@ class TestTrainingLoop:
             lat = model_forward(model, u.features, u.tokens)
             dlogp = rnnt_loss_grad(lat, u.tokens)
             ref_loss += wi * rnnt_loss(lat, u.tokens)
-            ref_grad += wi * model_backward(model, u.features, u.tokens, dlogp)
+            ref_grad += wi * references.model_backward(model, u.features, u.tokens, dlogp)
         assert np.ptp(w) > 0.5  # the weights really differ across utterances
         assert abs(loss - ref_loss / tokens) <= 1e-12
         assert np.max(np.abs(grad - ref_grad / tokens)) <= 1e-12
@@ -288,7 +288,7 @@ class TestPaddedBatchStep:
             lat = model_forward(model, u.features, u.tokens)
             loss_u, dlogp = weighted_loss_and_grad(lat, u.tokens, w)
             ref_loss += loss_u
-            ref_grad += model_backward(model, u.features, u.tokens, dlogp)
+            ref_grad += references.model_backward(model, u.features, u.tokens, dlogp)
         ref_grad /= tokens
         assert loss == ref_loss / tokens
         # OpenBLAS rounds a row differently depending on the height of the
@@ -301,9 +301,9 @@ class TestPaddedBatchStep:
     def test_zero_probability_prefix_raises(self, small_data, monkeypatch):
         import twrnnt.training as training_mod
 
-        def forward_with_hole(model, layout, out=None, keep=None):
-            cols = forward_columns(model, layout, out=out, keep=keep)
-            cols.emit[:, 2, 1] = -np.inf  # utterance 2's first token can never be emitted
+        def forward_with_hole(model, layout, out=None, keep=None, row0=0):
+            cols = forward_columns(model, layout, out=out, keep=keep, row0=row0)
+            cols.emit[:, row0 + 2, 1] = -np.inf  # utterance 2's first token can never be emitted
             return cols
 
         batch = small_data["train"][:4]
@@ -840,7 +840,8 @@ class TestKeptActivations:
     kept for every node, and the joiner activations it kept for the first
     node group, if that ends within ``_GROUP_NODES`` nodes; it rebuilds the
     activations of later groups and runs no joiner pass.  Columns, losses
-    and gradients must equal those of passes that keep nothing."""
+    and gradients must equal those of passes that keep nothing, or keep
+    their activations in fresh buffers."""
 
     # (shapes, what the first layout keeps): a desk batch that fits whole,
     # a long batch of five groups whose first is kept, and one whose first
@@ -891,13 +892,14 @@ class TestKeptActivations:
                 g_emit = np.where(np.isfinite(cols.emit), rng.normal(size=cols.emit.shape), 0.0)
                 np.testing.assert_array_equal(
                     backward_columns(model, layout, g_blank, g_emit, keep),
-                    backward_columns(model, layout, g_blank, g_emit),
+                    references.fresh_backward(model, layout, g_blank, g_emit),
                 )
-            # The stacked step of the three runs, kept against recomputed.
+            # The stacked step of the three runs, reused buffers against fresh ones.
             grad = np.empty((len(models), models[0].params.size))
             want = np.empty_like(grad)
             losses = _batch_loss_and_grad(models, [(corpus, idx)], grad, kept)
-            assert losses == _batch_loss_and_grad(models, [(corpus, idx)], want)
+            fresh = [StepActivations(model) for model in models]
+            assert losses == _batch_loss_and_grad(models, [(corpus, idx)], want, fresh)
             np.testing.assert_array_equal(grad, want)
         # Scoring keeps nothing and is not affected by what training kept.
         for got, before in zip(score_confidences(models[0], utts), scores):
@@ -950,7 +952,7 @@ class TestKeptActivations:
             grads = [backward_columns(model, layout, *t, keep) for model, t, keep in zip(models, tables, kept)]
             assert calls == {"_kept_softmax": 0, "_join": 0, "_activations": 3 * rebuilt}
             for model, t, got in zip(models, tables, grads):
-                np.testing.assert_array_equal(got, backward_columns(model, layout, *t))
+                np.testing.assert_array_equal(got, references.fresh_backward(model, layout, *t))
             # The stacked step: only its forward runs the joiner and softmax,
             # the kept one.
             grad = np.empty((len(models), models[0].params.size))
@@ -958,7 +960,8 @@ class TestKeptActivations:
             calls.update(dict.fromkeys(calls, 0))
             losses = _batch_loss_and_grad(models, [(corpus, idx)], grad, kept)
             assert calls["_kept_softmax"] == calls["_join"] == 3 * G
-            assert losses == _batch_loss_and_grad(models, [(corpus, idx)], want)
+            fresh = [StepActivations(model) for model in models]
+            assert losses == _batch_loss_and_grad(models, [(corpus, idx)], want, fresh)
             np.testing.assert_array_equal(grad, want)
 
     def test_backward_needs_its_own_forward(self):

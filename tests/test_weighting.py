@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from conftest import random_instance, random_instance_nonempty, random_lattice
+from references import finite_diff_grad
 from twrnnt.conditionals import conditional_profile
 from twrnnt.errors import DataError, NumericalError
 from twrnnt.lattice import rnnt_loss, rnnt_loss_grad
-from twrnnt.oracle import exact_conditionals, exact_final_blank_logp, finite_diff_grad
+from twrnnt.oracle import exact_conditionals, exact_final_blank_logp
 from twrnnt.weighting import (
     TokenWeights,
     WeightConfig,
