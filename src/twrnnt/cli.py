@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -80,18 +80,10 @@ def _effective_config(args) -> dict:
     return load_config(args.config, overrides)
 
 
-def _train_config(cfg: dict, epochs_key: str = "epochs") -> TrainConfig:
-    return TrainConfig(
-        epochs=cfg[epochs_key],
-        batch_size=cfg["batch_size"],
-        lr=cfg["lr"],
-        dim_hidden=cfg["dim_hidden"],
-        mode=cfg["mode"],
-        alpha=cfg["alpha"],
-        final_blank_weight=cfg["final_blank_weight"],
-        max_symbols_per_frame=cfg["max_symbols_per_frame"],
-        init_scale=cfg["init_scale"],
-    )
+def _from_config(cls, cfg: dict, **keys):
+    """The dataclass ``cls`` with each field read from the config key of its
+    name, or from the key that ``keys`` names for it."""
+    return cls(**{f.name: cfg[keys.get(f.name, f.name)] for f in fields(cls)})
 
 
 def _require_file(path, what: str) -> Path:
@@ -114,31 +106,14 @@ def _load_split_dir(cfg: dict) -> tuple:
     return meta, splits
 
 
-def _spec_from_config(cfg: dict) -> SyntheticSpec:
-    return SyntheticSpec(
-        n_train=cfg["n_train"],
-        n_valid=cfg["n_valid"],
-        n_test=cfg["n_test"],
-        n_pretrain=cfg["n_pretrain"],
-        dim_features=cfg["dim_features"],
-        vocab_size=cfg["vocab_size"],
-        min_tokens=cfg["min_tokens"],
-        max_tokens=cfg["max_tokens"],
-        min_frames_per_token=cfg["min_frames_per_token"],
-        max_frames_per_token=cfg["max_frames_per_token"],
-        noise_level=cfg["noise_level"],
-        seed=cfg["seed"],
-        allow_repeats=cfg["allow_repeats"],
-    )
-
-
 def cmd_gen_data(args) -> int:
     cfg = _effective_config(args)
     out_dir = args.out or cfg["data_dir"]
     if not out_dir:
         raise ConfigError("gen-data needs --out or a configured data_dir")
+    spec = _from_config(SyntheticSpec, cfg)
     paths = generate_synthetic_dataset(
-        _spec_from_config(cfg), out_dir, provenance=provenance_block(cfg, "gen-data", __version__)
+        spec, out_dir, provenance=provenance_block(cfg, "gen-data", __version__)
     )
     for split, path in paths.items():
         print(f"{split}: {path}")
@@ -150,7 +125,7 @@ def cmd_train(args) -> int:
     data_path = args.data or (Path(cfg["data_dir"] or "") / "train.jsonl")
     meta, utts = read_dataset(_require_file(data_path, "training data"))
     vocab_size = dataset_vocab_size(meta)
-    tc = _train_config(cfg)
+    tc = _from_config(TrainConfig, cfg)
     seed = cfg["seed"]
     result = train_model(
         utts,
@@ -239,11 +214,11 @@ def cmd_run_corruption(args) -> int:
         meta,
         levels=cfg["levels"],
         modes=tuple(cfg["modes"]),
-        train_cfg=_train_config(cfg),
+        train_cfg=_from_config(TrainConfig, cfg),
         alpha_grid=tuple(cfg["alpha_grid"]),
         seeds=tuple(cfg["seeds"]),
         root_seed=cfg["seed"],
-        teacher_cfg=_train_config(cfg, "base_epochs"),
+        teacher_cfg=_from_config(TrainConfig, cfg, epochs="base_epochs"),
         include_traces=cfg["include_traces"],
     )
     report.provenance = provenance_block(cfg, "run-corruption", __version__)
@@ -269,10 +244,10 @@ def cmd_run_pseudolabel(args) -> int:
         splits["test"],
         meta,
         gen,
-        _train_config(cfg),
+        _from_config(TrainConfig, cfg),
         seeds=tuple(cfg["seeds"]),
         root_seed=cfg["seed"],
-        base_cfg=_train_config(cfg, "base_epochs"),
+        base_cfg=_from_config(TrainConfig, cfg, epochs="base_epochs"),
         include_traces=cfg["include_traces"],
     )
     report.provenance = provenance_block(cfg, "run-pseudolabel", __version__)

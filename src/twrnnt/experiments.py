@@ -6,8 +6,8 @@ select the weight exponent on validation WER, and emit a JSON-serializable
 report plus a human-readable table.  All randomness derives from one root
 seed through named streams, so reports are bit-reproducible.
 
-Runs that need nothing from each other train in one ``train_runs`` call,
-one run group per stream (``training.RunGroup``):
+Runs that need nothing from each other and share a hidden size train in
+one ``train_runs`` call, one run group per stream (``training.RunGroup``):
 
   * corruption: the teacher and every seed's clean run in one call, then
     one call per (level, seed) for its mode and exponent trials;
@@ -37,7 +37,7 @@ from .training import (
     MODES,
     RunGroup,
     TrainConfig,
-    _differences,
+    _check_mix_ratio,
     decode_corpus,
     evaluate_wer,
     score_confidences,
@@ -73,12 +73,7 @@ class GenerationConfig:
         bad = [m for m in self.modes if m not in MODES]
         if bad or not self.modes:
             raise DataError(f"modes must be a nonempty subset of {MODES}, got {bad}")
-        lo, hi = self.labeled_to_pseudo_ratio
-        if lo < 0 or hi < 0 or lo + hi == 0:
-            raise DataError(
-                f"labeled_to_pseudo_ratio must be nonnegative and nonzero, "
-                f"got {self.labeled_to_pseudo_ratio}"
-            )
+        _check_mix_ratio(self.labeled_to_pseudo_ratio, "labeled_to_pseudo_ratio")
 
 
 @dataclass
@@ -142,19 +137,14 @@ def _group(utts, cfgs, root_seed, tag, **kwargs) -> RunGroup:
 
 
 def _train_groups(groups, dims) -> list:
-    """Train the run groups in as few ``train_runs`` calls as their configs
-    allow: a group joins the first call whose configs agree with its own
-    apart from mode, alpha and epochs.  Results in the groups' order."""
-    calls = []
+    """Train the run groups in one ``train_runs`` call per hidden size, the
+    one config field that sets a run's parameter shape.  Results in the
+    groups' order."""
+    calls = {}
     for g, group in enumerate(groups):
-        for call in calls:
-            if not _differences(groups[call[0]].cfgs[0], group.cfgs[0]):
-                call.append(g)
-                break
-        else:
-            calls.append([g])
+        calls.setdefault(group.cfgs[0].dim_hidden, []).append(g)
     results = [None] * len(groups)
-    for call in calls:
+    for call in calls.values():
         for g, res in zip(call, train_runs([groups[g] for g in call], *dims)):
             results[g] = res
     return results

@@ -42,19 +42,7 @@ def wer(hyp, ref) -> WerResult:
     if not r.size and h.size:
         raise DataError("empty reference: error rate is undefined")
     n, m = r.size, h.size
-    # The DP in shifted form e[i, j] = d[i, j] - j.  An insertion then costs
-    # nothing, so a row is one minimum over the substitution (or match) and
-    # deletion moves from the row above, and its insertion chain
-    # d[i, j] = min(., d[i, j - 1] + 1) is a running minimum.
-    step = (r[:, None] != h[None, :]).astype(np.int64) - 1
-    e = np.empty((n + 1, m + 1), dtype=np.int64)
-    e[0] = 0
-    for i in range(1, n + 1):
-        row = e[i]
-        row[0] = i
-        np.minimum(e[i - 1, :-1] + step[i - 1], e[i - 1, 1:] + 1, out=row[1:])
-        np.minimum.accumulate(row, out=row)
-    d = e + np.arange(m + 1)
+    d = _shifted_tables(h[None], r[None])[0] + np.arange(m + 1)
     # Traceback one optimal alignment with the fixed tie preference.
     d, r, h = d.tolist(), r.tolist(), h.tolist()
     subs = dels = inss = 0
@@ -86,28 +74,37 @@ def _padded(seqs):
     return table, n
 
 
-def edit_distances(hyps, refs) -> np.ndarray:
-    """Levenshtein distance of every (hypothesis, reference) pair, from one
-    DP over all pairs padded to the longest; ``wer(hyp, ref).distance``
-    without the counts.  A hypothesis against an empty reference is all
-    insertions.
+def _shifted_tables(h, r) -> np.ndarray:
+    """The Levenshtein DP tables of (hypothesis, reference) pairs given as
+    rows of the padded tables ``h`` and ``r`` (``_padded``), from one DP
+    over all pairs, in shifted form e[p, i, j] = d[p, i, j] - j.
 
-    Row i of the DP is every pair's reference position i, in the shifted
-    form of ``wer``.  Cell (i, j) depends only on cells (i', j') with
-    i' <= i and j' <= j, so the padding past a pair's own lengths never
-    reaches the cell that is read, (len(ref), len(hyp)).
+    An insertion then costs nothing, so row i (every pair's reference
+    position i) is one minimum over the substitution (or match) and
+    deletion moves from the row above, and its insertion chain
+    d[i, j] = min(., d[i, j - 1] + 1) is a running minimum.  Cell (i, j)
+    depends only on cells (i', j') with i' <= i and j' <= j, so the
+    padding past a pair's own lengths never reaches its own cells.
     """
-    h, m = _padded(hyps)
-    r, n = _padded(refs)
     step = (r[:, :, None] != h[:, None, :]).astype(np.int64) - 1
-    e = np.empty((n.size, r.shape[1] + 1, h.shape[1] + 1), dtype=np.int64)
+    e = np.empty((r.shape[0], r.shape[1] + 1, h.shape[1] + 1), dtype=np.int64)
     e[:, 0] = 0
     for i in range(1, r.shape[1] + 1):
         row = e[:, i]
         row[:, 0] = i
         np.minimum(e[:, i - 1, :-1] + step[:, i - 1], e[:, i - 1, 1:] + 1, out=row[:, 1:])
         np.minimum.accumulate(row, axis=1, out=row)
-    return e[np.arange(n.size), n, m] + m
+    return e
+
+
+def edit_distances(hyps, refs) -> np.ndarray:
+    """Levenshtein distance of every (hypothesis, reference) pair, from one
+    DP over all pairs (``_shifted_tables``); ``wer(hyp, ref).distance``
+    without the counts.  A hypothesis against an empty reference is all
+    insertions."""
+    h, m = _padded(hyps)
+    r, n = _padded(refs)
+    return _shifted_tables(h, r)[np.arange(n.size), n, m] + m
 
 
 def corpus_wer(hyps, refs) -> float:

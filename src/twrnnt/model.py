@@ -22,7 +22,6 @@ from .lattice import PosteriorLattice, Vocabulary, as_labels, normalize_logits
 
 __all__ = [
     "TransducerModel",
-    "AdamConfig",
     "param_layout",
     "param_count",
     "model_forward",
@@ -611,30 +610,25 @@ def _finite_grad(grad) -> np.ndarray:
     return g
 
 
-@dataclass(frozen=True)
-class AdamConfig:
-    lr: float = 1e-2
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-
-    def __post_init__(self):
-        if self.lr <= 0:
-            raise DataError(f"learning rate must be positive, got {self.lr}")
+# Adam's moment decay rates and denominator floor.
+_ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 
 
-def adam_update(params, m, v, grad, step: int, hyper: AdamConfig) -> None:
-    """Adam step ``step`` (1 for the first) on ``params`` and its moments
-    ``m`` and ``v``, in place; any shape, elementwise.  A non-finite
-    gradient raises NumericalError before anything is touched."""
+def adam_update(params, m, v, grad, step: int, lr) -> None:
+    """Adam step ``step`` (1 for the first) at learning rate ``lr`` on
+    ``params`` and its moments ``m`` and ``v``, in place; any shape,
+    elementwise.  ``lr`` is a number, or a (K, 1) column with one rate per
+    row of (K, P) parameters; each row then takes the same multiply as a
+    scalar update at its rate.  A non-finite gradient raises
+    NumericalError before anything is touched."""
     g = _finite_grad(grad)
-    m *= hyper.beta1
-    m += (1.0 - hyper.beta1) * g
-    v *= hyper.beta2
-    v += (1.0 - hyper.beta2) * g * g
-    m_hat = m / (1.0 - hyper.beta1**step)
-    v_hat = v / (1.0 - hyper.beta2**step)
-    params -= hyper.lr * m_hat / (np.sqrt(v_hat) + hyper.eps)
+    m *= _ADAM_BETA1
+    m += (1.0 - _ADAM_BETA1) * g
+    v *= _ADAM_BETA2
+    v += (1.0 - _ADAM_BETA2) * g * g
+    m_hat = m / (1.0 - _ADAM_BETA1**step)
+    v_hat = v / (1.0 - _ADAM_BETA2**step)
+    params -= lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
 
 
 def greedy_decode(

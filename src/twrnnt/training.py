@@ -13,12 +13,15 @@ labeled data mixes into weighted objectives.
 Runs that differ only in their objective (mode and weight exponent), and so
 share an init, a batch order and a corpus, form a run group (``RunGroup``).
 One ``train_runs`` call steps several groups in lockstep, each on its own
-corpus and streams, with one DP pass and one Adam update per step over
-every run; a single run (``train_model``) is one group of one.
+corpus, streams and config, with one DP pass and one Adam update per step
+over every run, each run at its own learning rate; only the parameter
+shape keeps groups out of one call.  A single run (``train_model``) is one
+group of one.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from typing import Any, Optional, Sequence
 
@@ -30,7 +33,6 @@ from .errors import DataError, NumericalError
 from .kernels import PaddedColumns
 from .metrics import corpus_wer
 from .model import (
-    AdamConfig,
     BatchLayout,
     PackedUtterances,
     StepActivations,
@@ -90,6 +92,11 @@ class TrainConfig:
             raise DataError(f"alpha must be >= 0, got {self.alpha}")
         if not self.final_blank_weight >= 0:
             raise DataError(f"final_blank_weight must be >= 0, got {self.final_blank_weight}")
+        # Negated comparisons, so that NaN fails them too.
+        if not 0 < self.lr < math.inf:
+            raise DataError(f"lr must be positive and finite, got {self.lr}")
+        if not math.isfinite(self.init_scale):
+            raise DataError(f"init_scale must be finite, got {self.init_scale}")
 
 
 @dataclass
@@ -287,27 +294,21 @@ def _run_name(cfg: TrainConfig) -> str:
     return f"{cfg.mode} at alpha {cfg.alpha:g}"
 
 
-# What the runs of one ``train_runs`` call may differ in: within a group,
-# the objective; across groups, also the number of epochs.
-_GROUP_FREE = ("mode", "alpha")
-_CALL_FREE = ("mode", "alpha", "epochs")
-
-
-def _differences(cfg: TrainConfig, other: TrainConfig, free=_CALL_FREE) -> list:
-    """The fields, other than those named in ``free``, in which the two
-    configs differ: by default, those that keep their groups out of one
-    ``train_runs`` call."""
-    return [
-        f.name for f in fields(cfg)
-        if f.name not in free and getattr(other, f.name) != getattr(cfg, f.name)
-    ]
+def _check_mix_ratio(ratio, name="mix_ratio") -> None:
+    """Refuse a labeled:pseudo ratio that is not two finite, nonnegative
+    numbers with a positive sum."""
+    lo, hi = ratio
+    if not (0 <= lo < math.inf and 0 <= hi < math.inf and lo + hi > 0):
+        raise DataError(f"{name} must be finite, nonnegative and not all 0, got {ratio}")
 
 
 @dataclass(frozen=True)
 class RunGroup:
     """Training runs that share a corpus, an init and a batch order, and so
     differ only in their objective: one run per config of ``cfgs``, whose
-    configs may differ only in ``mode`` and ``alpha``.
+    configs may differ only in ``mode`` and ``alpha``.  Groups trained
+    together may differ in any config field but ``dim_hidden``, which sets
+    the parameter shape.
 
     The init is ``init_model`` (copied, never modified) or drawn from
     ``init_rng``; the batches are epoch shuffles of ``utterances`` drawn
@@ -346,30 +347,27 @@ class _Group:
 
 
 def _check_groups(groups) -> None:
-    """Refuse groups that cannot train together, naming the field."""
+    """Refuse groups that cannot train, naming the field; within a group,
+    configs that differ in more than mode and alpha."""
     if not groups:
         raise DataError("no run groups to train")
-    first = None
     for g, group in enumerate(groups):
         if not group.cfgs:
             raise DataError(f"run group {g} has no training configs")
         if not group.utterances:
             raise DataError(f"run group {g} has no training utterances")
+        _check_mix_ratio(group.mix_ratio)
         cfg = group.cfgs[0]
         for other in group.cfgs[1:]:
-            differ = _differences(cfg, other, _GROUP_FREE)
+            differ = [
+                f.name for f in fields(cfg)
+                if f.name not in ("mode", "alpha") and getattr(other, f.name) != getattr(cfg, f.name)
+            ]
             if differ:
                 raise DataError(
                     f"runs of one group may differ only in mode and alpha, "
                     f"not in {', '.join(differ)}"
                 )
-        first = first or cfg
-        differ = _differences(first, cfg)
-        if differ:
-            raise DataError(
-                f"run groups trained together may differ only in mode, alpha and "
-                f"epochs, not in {', '.join(differ)} (group {g})"
-            )
     order = [group.order_rng for group in groups]
     if len({id(rng) for rng in order}) < len(order):
         raise DataError("run groups trained together need their own order streams")
@@ -382,17 +380,18 @@ def train_runs(groups: Sequence[RunGroup], dim_features: int, vocab_size: int) -
 
     Each group's runs start from its init and take its batches, so each
     result equals that of its own ``train_model`` call bit for bit.  The
-    groups may differ in corpus, streams, init, pseudo pool and epochs;
-    the configs must agree in every other field (a DataError names it), and
-    every init must have the same dimensions.  Each group's init is drawn
-    and its batch order consumed once, and its corpus packed once.  At each
-    step every group that still has batches lays out its batch once; one
-    DP pass covers every live run's lattices, padded to the longest, and
-    one Adam update their stacked (K, P) parameters.  Groups are stacked
-    longest first, so the live runs are always the leading rows, and a
-    group drops out when its batches run out.  Each run's backward reuses
-    the activations its forward kept (``model.StepActivations``), whose
-    buffers live for this call.
+    groups may differ in corpus, streams, init, pseudo pool and any config
+    field; the one rule across groups is that every init has the same
+    dimensions (a DataError names them), so ``dim_hidden`` must agree.
+    Each group's init is drawn and its batch order consumed once, and its
+    corpus packed once.  At each step every group that still has batches
+    lays out its batch once; one DP pass covers every live run's lattices,
+    padded to the longest, and one Adam update their stacked (K, P)
+    parameters, with a (K, 1) column of the runs' learning rates.  Groups
+    are stacked longest first, so the live runs are always the leading
+    rows, and a group drops out when its batches run out.  Each run's
+    backward reuses the activations its forward kept
+    (``model.StepActivations``), whose buffers live for this call.
 
     Every utterance of every group is checked before the first step: bad
     features, labels or (in the weighted modes) confidences raise a
@@ -423,7 +422,7 @@ def train_runs(groups: Sequence[RunGroup], dim_features: int, vocab_size: int) -
     models = [TransducerModel(shape.dim_in, shape.dim_hidden, shape.vocab_size, row) for row in params]
     m, v, grad = np.zeros_like(params), np.zeros_like(params), np.empty_like(params)
     kept = [StepActivations(model) for model in models]
-    hyper = AdamConfig(lr=stacked[0].cfgs[0].lr)
+    lr = np.array([[cfg.lr] for s in stacked for cfg in s.cfgs])
     names = [
         f"training diverged ({_run_name(cfg)}) in run group {s.index}" for s in stacked for cfg in s.cfgs
     ]
@@ -438,7 +437,7 @@ def train_runs(groups: Sequence[RunGroup], dim_features: int, vocab_size: int) -
             if not np.isfinite(loss):
                 raise NumericalError(f"{names[k]}: batch loss {loss!r}")
         try:
-            adam_update(params[:n], m[:n], v[:n], grad[:n], step, hyper)
+            adam_update(params[:n], m[:n], v[:n], grad[:n], step, lr[:n])
         except NumericalError:
             # The update's own guard refused the step before touching
             # anything; name the run whose gradient it refused.

@@ -1,7 +1,7 @@
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -10,14 +10,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import PROPERTY
-from twrnnt.cli import main
-from twrnnt.config import SCHEMA
-from twrnnt.datagen import read_dataset, write_dataset
+from twrnnt.cli import _from_config, main
+from twrnnt.config import SCHEMA, default_config
+from twrnnt.datagen import SyntheticSpec, read_dataset, write_dataset
 from twrnnt.experiments import ExperimentReport, report_from_json, report_to_json
 from twrnnt.lattice import PosteriorLattice
 from twrnnt.metrics import wer
 from twrnnt.model import load_checkpoint
-from twrnnt.training import evaluate_wer, score_confidences
+from twrnnt.training import TrainConfig, evaluate_wer, score_confidences
 
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "loss_check_t3u2.json"
 
@@ -688,3 +688,15 @@ class TestExperimentsCli:
         out = capsys.readouterr().out
         for key in SCHEMA:
             assert "--" + key.replace("_", "-") in out
+
+
+def test_config_classes_take_every_field_from_the_schema():
+    # The commands build these classes by field name from the config, so
+    # every field is a config key whose default is the class's own.
+    config = default_config()
+    for cls in (TrainConfig, SyntheticSpec):
+        for f in fields(cls):
+            assert f.name in SCHEMA and SCHEMA[f.name][1] == f.default, (cls, f.name)
+        assert _from_config(cls, config) == cls()
+    base = _from_config(TrainConfig, config, epochs="base_epochs")
+    assert base == TrainConfig(epochs=SCHEMA["base_epochs"][1])

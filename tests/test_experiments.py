@@ -50,6 +50,13 @@ class TestGenerationConfig:
         with pytest.raises(DataError):
             GenerationConfig(labeled_to_pseudo_ratio=(0, 0))
 
+    @pytest.mark.parametrize(
+        "ratio", [(0, 0), (-1, 2), (np.nan, 1), (1, np.inf)], ids=["zero_sum", "negative", "nan", "inf"]
+    )
+    def test_bad_mix_ratio_rejected(self, ratio):
+        with pytest.raises(DataError, match="labeled_to_pseudo_ratio must be finite"):
+            GenerationConfig(labeled_to_pseudo_ratio=ratio)
+
 
 class TestCorruptionExperiment:
     def test_report_round_trips_and_is_deterministic(self, tiny_data):
@@ -338,17 +345,25 @@ class TestEngineCalls:
         )
         return sizes
 
-    @pytest.mark.parametrize("teacher_lr, sizes", [(1e-2, [3, 1, 1]), (2e-2, [1, 2, 1, 1])])
-    def test_corruption(self, tiny_data, calls, teacher_lr, sizes):
-        # The teacher and both clean runs in one call, unless the teacher's
-        # config differs in more than its epochs; then one call per seed.
+    def corruption(self, tiny_data, **teacher):
         meta, splits = tiny_data
         run_corruption_experiment(
             splits, meta, levels=[0.2], modes=MODES3, train_cfg=replace(FAST, epochs=1),
             alpha_grid=(2.0,), seeds=(0, 1), root_seed=3,
-            teacher_cfg=replace(FAST, epochs=2, lr=teacher_lr),
+            teacher_cfg=replace(FAST, epochs=2, **teacher),
         )
+
+    @pytest.mark.parametrize("teacher_lr, sizes", [(1e-2, [3, 1, 1]), (2e-2, [3, 1, 1])])
+    def test_corruption(self, tiny_data, calls, teacher_lr, sizes):
+        # The teacher and both clean runs in one call, at any teacher
+        # learning rate; then one call per seed.
+        self.corruption(tiny_data, lr=teacher_lr)
         assert calls == sizes
+
+    def test_corruption_teacher_of_another_hidden_size(self, tiny_data, calls):
+        # Only the parameter shape keeps the teacher out of the clean runs' call.
+        self.corruption(tiny_data, dim_hidden=16)
+        assert calls == [1, 2, 1, 1]
 
     def test_pseudo_labeling(self, tiny_data, calls):
         # Both base runs in one call; then per (round, seed) one call, with

@@ -13,7 +13,6 @@ from twrnnt.errors import DataError, NumericalError
 from twrnnt.kernels import PaddedColumns, dense_grad
 from twrnnt.lattice import _row_logsumexp
 from twrnnt.model import (
-    AdamConfig,
     BatchLayout,
     StepActivations,
     TransducerModel,
@@ -449,10 +448,26 @@ class TestOptimizers:
         m, rng = make_model(seed=9)
         g = rng.normal(size=m.params.size)
         g[np.abs(g) < 0.1] = 0.5  # keep |g| >> eps so the limit is clean
-        cfg = AdamConfig(lr=1e-2)
+        lr = 1e-2
         params, mom, vel = adam_buffers(m)
-        adam_update(params, mom, vel, g, 1, cfg)
-        np.testing.assert_allclose(params - m.params, -cfg.lr * np.sign(g), atol=1e-6)
+        adam_update(params, mom, vel, g, 1, lr)
+        np.testing.assert_allclose(params - m.params, -lr * np.sign(g), atol=1e-6)
+
+    def test_rate_column_equals_scalar_updates(self):
+        # One update of K stacked rows, each at its own rate, equals K
+        # scalar updates of the rows, bit for bit, over several steps.
+        m, rng = make_model(seed=14)
+        lrs = [5e-3, 1e-2, 2e-2]
+        stacked = [np.tile(buf, (len(lrs), 1)) for buf in adam_buffers(m)]
+        rows = [adam_buffers(m) for _ in lrs]
+        for step in (1, 2, 3):
+            g = rng.normal(size=stacked[0].shape)
+            adam_update(*stacked, g, step, np.array(lrs)[:, None])
+            for k, lr in enumerate(lrs):
+                adam_update(*rows[k], g[k], step, lr)
+        for k in range(len(lrs)):
+            for got, want in zip(stacked, rows[k]):
+                assert np.array_equal(got[k], want)
 
     def test_adam_update_writes_only_its_buffers(self):
         # Parameters and moments change in place; the gradient and the model
@@ -463,7 +478,7 @@ class TestOptimizers:
         for step in (1, 2):
             g = rng.normal(size=m.params.size)
             kept = g.copy(), params.copy(), mom.copy(), vel.copy()
-            adam_update(params, mom, vel, g, step, AdamConfig())
+            adam_update(params, mom, vel, g, step, 1e-2)
             np.testing.assert_array_equal(g, kept[0])
             for now, was in zip((params, mom, vel), kept[1:]):
                 assert not np.array_equal(now, was)
@@ -475,7 +490,7 @@ class TestOptimizers:
         g = np.zeros(m.params.size)
         g[0] = np.nan
         with pytest.raises(NumericalError):
-            adam_update(params, mom, vel, g, 1, AdamConfig())
+            adam_update(params, mom, vel, g, 1, 1e-2)
         np.testing.assert_array_equal(params, m.params)
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf])
@@ -487,7 +502,7 @@ class TestOptimizers:
         g = np.zeros(m.params.size)
         g[3] = bad
         with pytest.raises(NumericalError, match="non-finite gradient"):
-            adam_update(params, mom, vel, g, 1, AdamConfig())
+            adam_update(params, mom, vel, g, 1, 1e-2)
         np.testing.assert_array_equal(mom, 0.0)
         np.testing.assert_array_equal(vel, 0.0)
         np.testing.assert_array_equal(params, m.params)

@@ -12,7 +12,6 @@ from twrnnt.conditionals import conditional_profile
 from twrnnt.lattice import rnnt_loss, rnnt_loss_grad
 from twrnnt.model import (
     _GROUP_NODES,
-    AdamConfig,
     BatchLayout,
     StepActivations,
     TransducerModel,
@@ -130,7 +129,7 @@ def reference_train(labeled, pseudo, cfg, init, order_rng):
         tokens = max(1, sum(u.tokens.size for u in batch))
         grad = backward_columns(model, layout, g_blank, g_emit, keep)
         grad /= tokens
-        adam_update(params, m, v, grad, step, AdamConfig(lr=cfg.lr))
+        adam_update(params, m, v, grad, step, cfg.lr)
         losses.append(loss / tokens)
     return model, losses
 
@@ -174,6 +173,15 @@ class TestTrainingLoop:
     )
     def test_config_rejects_sizes_below_one(self, field, value):
         with pytest.raises(DataError, match=field):
+            TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("lr", np.nan), ("lr", np.inf), ("lr", 0.0), ("lr", -1e-2),
+         ("init_scale", np.nan), ("init_scale", -np.inf)],
+    )
+    def test_config_rejects_bad_rate_and_init_scale(self, field, value):
+        with pytest.raises(DataError, match=f"^{field} must be"):
             TrainConfig(**{field: value})
 
     def test_deterministic_given_streams(self, small_data):
@@ -438,6 +446,23 @@ class TestRunSetup:
             train_model(utts[:2], 8, 16, cfg, stream(54, "init"), stream(54, "order"), pseudo=utts[2:])
         assert updates == []
 
+    @pytest.mark.parametrize(
+        "ratio", [(0, 0), (-1, 2), (np.nan, 1), (1, np.inf)], ids=["zero_sum", "negative", "nan", "inf"]
+    )
+    def test_bad_mix_ratio_fails_before_any_work(self, small_data, ratio, monkeypatch):
+        import twrnnt.training as training_mod
+
+        packed = []
+        pack = training_mod.PackedUtterances
+        monkeypatch.setattr(training_mod, "PackedUtterances", lambda *args: packed.append(1) or pack(*args))
+        utts = small_data["train"][:8]
+        with pytest.raises(DataError, match="mix_ratio must be finite"):
+            train_model(
+                utts[:4], 8, 16, TrainConfig(epochs=1), stream(55, "init"), stream(55, "order"),
+                pseudo=utts[4:], mix_ratio=ratio,
+            )
+        assert packed == []
+
 
 # The runs of one (level, seed) in criterion 8: standard, and utterance and
 # token weighting at each exponent of its grid.
@@ -652,11 +677,11 @@ class TestGroupedLockstep:
         live = []
         update = training_mod.adam_update
 
-        def recording_update(params, m, v, grad, step, hyper):
+        def recording_update(params, m, v, grad, step, lr):
             # The live runs are the leading rows: views, never copies.
             assert params.base is not None and m.base is not None and v.base is not None
             live.append(params.shape[0])
-            update(params, m, v, grad, step, hyper)
+            update(params, m, v, grad, step, lr)
 
         monkeypatch.setattr(training_mod, "adam_update", recording_update)
         results = train_runs(make(), 8, 16)
@@ -725,17 +750,30 @@ class TestGroupedLockstep:
         assert calls == [4, 4]
 
     @pytest.mark.parametrize("field, value", [("lr", 2e-2), ("dim_hidden", 16), ("batch_size", 4)])
-    def test_groups_may_differ_only_in_mode_alpha_and_epochs(self, small_data, field, value):
-        utts = small_data["train"][:8]
+    def test_groups_may_differ_in_all_but_the_shape(self, small_data, field, value):
+        # Groups of other learning rates, batch sizes, sentence-end weights,
+        # init scales and epochs share one call, and each run equals its own
+        # reference loop; another hidden size gives inits of another shape.
+        utts = TestRunSetup.scored(small_data["train"][:8], 91)
         base = TrainConfig(epochs=2)
-        groups = [
-            RunGroup(utts, [base], stream(91, "i0"), stream(91, "o0")),
-            RunGroup(utts, [replace(base, mode="token_weights", alpha=2.0, epochs=3)],
-                     stream(91, "i1"), stream(91, "o1")),
-            RunGroup(utts, [replace(base, **{field: value})], stream(91, "i2"), stream(91, "o2")),
-        ]
-        with pytest.raises(DataError, match=f"not in {field} \\(group 2\\)"):
-            train_runs(groups, 8, 16)
+
+        def make():
+            return [
+                RunGroup(utts, [base], stream(91, "i0"), stream(91, "o0")),
+                RunGroup(
+                    utts,
+                    [replace(base, mode="token_weights", alpha=2.0, epochs=3, lr=5e-3,
+                             final_blank_weight=0.5, init_scale=0.3)],
+                    stream(91, "i1"), stream(91, "o1"),
+                ),
+                RunGroup(utts, [replace(base, **{field: value})], stream(91, "i2"), stream(91, "o2")),
+            ]
+
+        if field == "dim_hidden":
+            with pytest.raises(DataError, match="inits of one shape"):
+                train_runs(make(), 8, 16)
+        else:
+            self.check(make, train_runs(make(), 8, 16))
 
     def test_groups_need_inits_of_one_shape(self, small_data):
         utts = small_data["train"][:8]
