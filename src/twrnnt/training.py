@@ -88,6 +88,8 @@ class TrainConfig:
             raise DataError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.epochs < 1 or self.batch_size < 1 or self.dim_hidden < 1:
             raise DataError("epochs, batch_size and dim_hidden must be >= 1")
+        if self.max_symbols_per_frame < 1:
+            raise DataError(f"max_symbols_per_frame must be >= 1, got {self.max_symbols_per_frame}")
         if not self.alpha >= 0:
             raise DataError(f"alpha must be >= 0, got {self.alpha}")
         if not self.final_blank_weight >= 0:
@@ -274,10 +276,12 @@ def mixed_batch_iterator(
     index arrays into ``labeled`` followed by ``pseudo``.
 
     Epoch length covers the combined pool size; labeled utterances repeat
-    as needed to realize the mix.
+    as needed to realize the mix.  A ratio that is not two finite,
+    nonnegative numbers with a positive sum raises DataError.
     """
     if not labeled or not pseudo:
         raise DataError("mixed batches need both a labeled and a pseudo pool")
+    _check_mix_ratio(ratio, "ratio")
     p_pseudo = ratio[1] / (ratio[0] + ratio[1])
     steps = -(-(len(labeled) + len(pseudo)) // cfg.batch_size)  # ceil division
     for _ in range(cfg.epochs * steps):

@@ -365,6 +365,17 @@ class TestEngineCalls:
         self.corruption(tiny_data, dim_hidden=16)
         assert calls == [1, 2, 1, 1]
 
+    def test_corruption_refuses_a_zero_symbol_cap(self, tiny_data, calls):
+        # Refused with the config, not by the first decode after the
+        # teacher and clean runs have trained.
+        meta, splits = tiny_data
+        with pytest.raises(DataError, match="max_symbols_per_frame"):
+            run_corruption_experiment(
+                splits, meta, levels=[0.2], modes=MODES3,
+                train_cfg=replace(FAST, epochs=1, max_symbols_per_frame=0), alpha_grid=(2.0,), seeds=(0,),
+            )
+        assert calls == []
+
     def test_pseudo_labeling(self, tiny_data, calls):
         # Both base runs in one call; then per (round, seed) one call, with
         # one group per distinct teacher: one in round 1, three in round 2.

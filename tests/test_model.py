@@ -14,6 +14,7 @@ from twrnnt.kernels import PaddedColumns, dense_grad
 from twrnnt.lattice import _row_logsumexp
 from twrnnt.model import (
     BatchLayout,
+    PackedUtterances,
     StepActivations,
     TransducerModel,
     adam_update,
@@ -262,6 +263,30 @@ class TestGroupedPasses:
         )
         spans = [(int(n0), int(n1)) for n0, n1, _, _ in layout.groups]
         assert spans == [(0, 2001), (2001, 4171), (4171, 4195)]
+
+    @pytest.mark.parametrize(
+        "shapes, idx, groups",
+        [
+            # A desk batch of a packed corpus, with a repeat, as mixed batches have.
+            ([(11, 6), (9, 5), (14, 7), (8, 3), (12, 0), (10, 8), (13, 4)], [3, 6, 0, 2, 6, 5, 1, 4], 1),
+            # Long lattices over several node groups.
+            ([(75, 25), (60, 20), (30, 19), (40, 19), (25, 23), (70, 30), (3, 7)], [5, 0, 2, 3, 4, 1, 6], 4),
+        ],
+        ids=["desk_with_repeat", "long_several_groups"],
+    )
+    def test_packed_layout_equals_the_batch_own(self, shapes, idx, groups):
+        # ``BatchLayout.of`` indexes a packed corpus; ``BatchLayout`` packs
+        # the batch itself.  Every attribute must agree.
+        rng = np.random.default_rng(9)
+        model = TransducerModel.random(3, 4, 5, rng)
+        feats = [rng.normal(size=(T, 3)) for T, _ in shapes]
+        tokens = [rng.integers(0, 5, size=U) for _, U in shapes]
+        packed = vars(BatchLayout.of(PackedUtterances(model, feats, tokens), idx))
+        own = vars(BatchLayout(model, [feats[i] for i in idx], [tokens[i] for i in idx]))
+        assert packed.keys() == own.keys() and len(own["groups"]) == groups
+        for name, value in own.items():
+            equal = value == packed[name] if name == "groups" else np.array_equal(value, packed[name])
+            assert equal, name
 
 
 class TestPairwiseSum:

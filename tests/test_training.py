@@ -28,6 +28,7 @@ from twrnnt.training import (
     _batch_loss_and_grad,
     _Corpus,
     evaluate_wer,
+    mixed_batch_iterator,
     score_confidences,
     train_model,
     train_runs,
@@ -169,7 +170,8 @@ class TestTrainingLoop:
         assert ", ".join(sorted(named.split(", "))) == ids
 
     @pytest.mark.parametrize(
-        "field, value", [("epochs", 0), ("batch_size", 0), ("dim_hidden", 0), ("dim_hidden", -1)]
+        "field, value",
+        [("epochs", 0), ("batch_size", 0), ("dim_hidden", 0), ("dim_hidden", -1), ("max_symbols_per_frame", 0)],
     )
     def test_config_rejects_sizes_below_one(self, field, value):
         with pytest.raises(DataError, match=field):
@@ -462,6 +464,13 @@ class TestRunSetup:
                 pseudo=utts[4:], mix_ratio=ratio,
             )
         assert packed == []
+
+    @pytest.mark.parametrize("ratio", [(0, 0), (-1, 2), (np.nan, 1)], ids=["zero_sum", "negative", "nan"])
+    def test_mixed_batch_iterator_checks_its_ratio(self, small_data, ratio):
+        utts = small_data["train"][:8]
+        batches = mixed_batch_iterator(utts[:4], utts[4:], TrainConfig(epochs=1), stream(56, "order"), ratio)
+        with pytest.raises(DataError, match="^ratio must be finite"):
+            next(batches)
 
 
 # The runs of one (level, seed) in criterion 8: standard, and utterance and
