@@ -197,9 +197,12 @@ def model_section(args):
             forward_columns(model, layout, keep=keep)
             backward_columns(model, layout, g_blank, g_emit, keep)
 
-        rows.append((name, time_call(passes, args.repeats) / BATCH * 1e6))
-    title = f"grouped model forward + backward, B={BATCH}, dims (D, H, |V|) = {MODEL_DIMS}, {args.repeats} repeats"
-    return title, ["batch", "us/utt"], rows
+        layout = BatchLayout(model, feats, tokens)
+        joins_per_node = layout.join_frame.size / layout.frame.size
+        rows.append((name, time_call(passes, args.repeats) / BATCH * 1e6, joins_per_node))
+    title = (f"grouped model forward + backward, B={BATCH}, dims (D, H, |V|) = {MODEL_DIMS}, {args.repeats} "
+             f"repeats; joins/node = joiner rows (b, t, previous token) per lattice node")
+    return title, ["batch", "us/utt", "joins/node"], rows
 
 
 def scored(name, seeds, seed):
@@ -325,8 +328,10 @@ SECTIONS = (dp_section, model_section, step_section, score_section, decode_secti
 
 
 def print_table(title, header, rows):
-    """Text columns left-aligned, numbers right-aligned to one decimal."""
-    cells = [header] + [[v if isinstance(v, str) else f"{v:.1f}" for v in row] for row in rows]
+    """Text columns left-aligned, numbers right-aligned to one decimal, or
+    two below 10."""
+    cells = [header] + [[v if isinstance(v, str) else f"{v:.{1 if abs(v) >= 10 else 2}f}" for v in row]
+                        for row in rows]
     widths = [max(map(len, column)) + 2 for column in zip(*cells)]
     text = [isinstance(v, str) for v in rows[0]]
     print(f"\n{title}\n")

@@ -122,6 +122,14 @@ class TransducerModel:
         return cls(dim_in, dim_hidden, vocab_size, scale * rng.normal(size=n))
 
 
+def _check_count(value, name: str) -> None:
+    """Refuse a size or count that is not a Python or NumPy integer; a bool
+    is refused too, though Python counts it as one.  ``greedy_decode`` runs
+    this once per utterance, so the common case is one type comparison."""
+    if type(value) is not int and not isinstance(value, np.integer):
+        raise DataError(f"{name} must be an integer, got {value!r}")
+
+
 def _check_features(model: TransducerModel, features) -> np.ndarray:
     feats = np.asarray(features, dtype=np.float64)
     if feats.ndim != 2 or feats.shape[1] != model.dim_in:
@@ -143,14 +151,13 @@ def _check_features(model: TransducerModel, features) -> np.ndarray:
 # training step on 8 long lattices took 33 ms instead of 29 ms (2-vCPU x86
 # VM, one OpenBLAS thread).
 #
-# It also bounds the joiner activations z that a training forward keeps for
-# its backward (``StepActivations``): those of the first group, if it ends
-# within ``_GROUP_NODES`` nodes, H floats a node, so at most 0.5 MB a run at
-# H = 32.  The row softmax is kept for every node, V + 1 floats a node (17 at
-# V = 16): 0.09 MB a run for a desk batch, 2.2 MB for a batch of 8 long
-# lattices (about 15,900 nodes).  z is the cheap half to rebuild (a gather
-# and a tanh) and the larger one to keep, so the backward rebuilds the z of
-# later groups and never runs the joiner matmul or softmax again.
+# A training forward keeps, for its backward (``StepActivations``), the
+# joiner activations z and the row softmax of every join (b, t, id) of the
+# batch: H + V + 1 floats a join, 49 at H = 32 and V = 16.  That is 0.2 MB a
+# run for a desk batch (0.86-0.96 joins a node) and 3.4 MB for a batch of 8
+# long lattices (about 15,900 nodes, 0.54 joins a node).  The backward
+# gathers each node's rows from its join, one group of nodes at a time, so
+# its scratch buffers stay bounded by the group size.
 _GROUP_NODES = 2048
 
 
@@ -164,6 +171,13 @@ class PackedUtterances:
     """Features and label sequences of a set of utterances, checked once and
     stacked with each utterance's sizes and offsets, so that
     ``BatchLayout.of`` lays out any batch of them by index arithmetic alone.
+
+    The predictor sees only the previous token, so two positions of one
+    utterance with the same id feed the joiner the same input at every
+    frame.  ``first_use`` gives, for each position, the level u of the first
+    position of its utterance with the same id: the joins (b, t, id) of an
+    utterance are numbered in first-use order, and one without a repeated
+    input has one join per node, in node order.
 
     ``names`` label the utterances in error messages (default: their
     positions).  Non-finite or mis-shaped features and out-of-range labels
@@ -194,6 +208,12 @@ class PackedUtterances:
         self.ids = np.concatenate([part for y in labels for part in (bos, y)])
         self.frame0 = np.cumsum(self.T) - self.T
         self.pos0 = np.cumsum(self.U + 1) - (self.U + 1)
+        # One key per (utterance, id); np.unique's index of a key is its
+        # first position.
+        utt = np.arange(self.T.size).repeat(self.U + 1)
+        keys = utt * (model.vocab_size + 1) + self.ids
+        _, first, key = np.unique(keys, return_index=True, return_inverse=True)
+        self.first_use = first[key] - self.pos0[utt]
 
 
 class BatchLayout:
@@ -212,6 +232,13 @@ class BatchLayout:
     ``groups`` holds (n0, n1, m0, m1) ranges of nodes and emit rows for runs
     of consecutive utterances with at most ``_GROUP_NODES`` nodes, or one
     larger utterance.
+
+    Nodes of one utterance and frame whose predictor inputs have one id
+    share a join (b, t, id) (``PackedUtterances.first_use``): node n reads
+    the joiner's output of join ``node_join[n]``, and ``emit_join`` are the
+    joins of ``emit_rows``.  Join j joins frame ``join_frame[j]`` with
+    position ``join_pos[j]``, its id's first use; joins follow their first
+    nodes, so ``join_groups`` holds one (j0, j1) range per node group.
 
     ``BatchLayout(model, features, tokens)`` checks and packs its arguments;
     ``BatchLayout.of(packed, idx)`` lays out utterances ``idx`` (repeats
@@ -236,11 +263,13 @@ class BatchLayout:
         W = U + 1
         sizes = T * W
         self.feats = packed.feats[_ranges(packed.frame0[idx], T)]
-        self.ids = packed.ids[_ranges(packed.pos0[idx], W)]
+        positions = _ranges(packed.pos0[idx], W)
+        self.ids = packed.ids[positions]
         start = np.zeros(sizes.size + 1, dtype=np.int64)
         sizes.cumsum(out=start[1:])
         b = np.arange(sizes.size).repeat(sizes)
-        k = np.arange(start[-1]) - start[b]  # node index within its utterance
+        node = np.arange(start[-1])
+        k = node - start[b]  # node index within its utterance
         t, u = np.divmod(k, W[b])
         self.frame = (T.cumsum() - T)[b] + t
         self.pos = (W.cumsum() - W)[b] + u
@@ -248,6 +277,17 @@ class BatchLayout:
         emit = u < U[b]
         self.emit_rows = emit.nonzero()[0]
         self.emit_label = self.ids[self.pos[emit] + 1]
+        # A node represents its join (b, t, id) when u is its id's first
+        # use, and node n joins as node n - u + first_use does; joins are
+        # numbered by their representatives, joins[n] of them before node n.
+        first = packed.first_use[positions][self.pos]
+        rep = first == u
+        joins = np.zeros(rep.size + 1, dtype=np.int64)
+        rep.cumsum(out=joins[1:])
+        self.node_join = joins[node - u + first]
+        self.emit_join = self.node_join[self.emit_rows]
+        reps = rep.nonzero()[0]
+        self.join_frame, self.join_pos = self.frame[reps], self.pos[reps]
         # Segment starts of the backward pass's per-frame and per-position
         # sums: nodes are frame-major, and ``by_pos`` lists them
         # position-major, each position's T nodes in a run.
@@ -266,17 +306,26 @@ class BatchLayout:
         cuts.append(sizes.size)
         n = start[cuts]
         m = self.emit_rows.searchsorted(n)
+        j = joins[n]
         self.groups = list(zip(n[:-1], n[1:], m[:-1], m[1:]))
+        self.join_groups = list(zip(j[:-1], j[1:]))
         self.max_group = int((n[1:] - n[:-1]).max())
+        self.max_join_group = int((j[1:] - j[:-1]).max())
+        self._cells = None
 
-    def cells(self, rows, width, row0):
+    def cells(self, rows, width):
         """The flat offsets of every node's blank column, and of the label
-        columns of ``emit_rows``, when the batch is rows row0.. of two
+        columns of ``emit_rows``, when the batch is the first rows of two
         diagonal-major tables of ``rows`` rows and ``width`` levels: each
         diagonal is a slab of ``rows * width`` cells, so the number of
-        diagonals does not enter."""
-        blank_at = (self.diag * rows + (self.row + row0)) * width + self.level
-        return blank_at, blank_at[self.emit_rows] + 1
+        diagonals does not enter.  At rows row0.. the offsets are
+        row0 * width cells further on.  They are computed once per table
+        shape, since the runs of a lockstep step share their batch's
+        layout and tables."""
+        if self._cells is None or self._cells[0] != (rows, width):
+            blank_at = (self.diag * rows + self.row) * width + self.level
+            self._cells = ((rows, width), blank_at, blank_at[self.emit_rows] + 1)
+        return self._cells[1:]
 
 
 def _encode(model: TransducerModel, layout: BatchLayout):
@@ -289,24 +338,18 @@ def _encode(model: TransducerModel, layout: BatchLayout):
     return p, enc, rows, pred
 
 
-def _activations(enc, pred, layout: BatchLayout, n0, n1, z, scratch):
-    """Joiner activations z = tanh(enc[frame] + pred[pos]) of nodes n0..n1-1,
-    written to the first n1 - n0 rows of ``z``; ``scratch`` is a buffer of
-    as many rows, so that a group's large temporaries are allocated once per
-    pass."""
-    z, scratch = z[: n1 - n0], scratch[: n1 - n0]
+def _join(p, enc, pred, frames, positions, z, scratch):
+    """Joiner activations z = tanh(enc[frames] + pred[positions]), written
+    to the first rows of ``z``, and their raw logits; ``scratch`` is a
+    buffer of as many rows, so that a group's large temporaries are
+    allocated once per pass."""
+    n = frames.size
+    z, scratch = z[:n], scratch[:n]
     # The layout's indices are in range by construction; mode="clip" spares
     # np.take the buffered copy it makes to check them.
-    np.take(enc, layout.frame[n0:n1], axis=0, out=z, mode="clip")
-    z += np.take(pred, layout.pos[n0:n1], axis=0, out=scratch, mode="clip")
+    np.take(enc, frames, axis=0, out=z, mode="clip")
+    z += np.take(pred, positions, axis=0, out=scratch, mode="clip")
     np.tanh(z, out=z)
-    return z
-
-
-def _join(p, enc, pred, layout: BatchLayout, n0, n1, z, scratch):
-    """Joiner activations (``_activations``) and raw logits of nodes
-    n0..n1-1."""
-    z = _activations(enc, pred, layout, n0, n1, z, scratch)
     logits = z @ p["join_w"].T
     logits += p["join_b"]
     return z, logits
@@ -364,55 +407,47 @@ def _kept_softmax(logits, scratch, out=None):
     return m + np.log(s)
 
 
-def _work(layout: BatchLayout, enc):
-    """The two (n, H) node buffers that ``_join`` and ``_backward`` reuse
-    across groups."""
-    return np.empty((2, layout.max_group, enc.shape[1]))
+def _work(rows, enc):
+    """Two (rows, H) buffers that ``_join`` and ``_backward`` reuse across
+    groups."""
+    return np.empty((2, rows, enc.shape[1]))
 
 
 class StepActivations:
     """What a forward (``forward_columns``) keeps for the backward
     (``_backward``) that follows it, so that the backward does not run the
     joiner again.  Every backward follows its kept forward; a training run
-    reuses its own at every step.  It holds the
-    parameter views, the encoder output, the predictor inputs and outputs,
-    the row softmax of every node of the batch (V + 1 floats a node,
-    node-major; the forward computes it along vectors of a group's nodes,
-    ``_kept_softmax``), and, if the first node
-    group ends within ``_GROUP_NODES`` nodes, its joiner activations z (H
-    floats a node).  The backward rebuilds the z of later groups from the
-    kept encoder and predictor outputs, and builds each node's logit
-    gradient in its kept softmax row.
+    reuses its own at every step.  It holds the parameter views, the
+    encoder output, the predictor inputs and outputs, and for every join
+    (b, t, id) of the batch (``BatchLayout.node_join``), in join order, its
+    joiner activations z (H floats) and its row softmax (V + 1 floats; the
+    forward computes it along vectors of a group's joins,
+    ``_kept_softmax``).  The backward reads each node's z and softmax rows
+    from its join.
 
-    The buffers are allocated once and reused at every step; the softmax
-    buffer grows to the largest batch the run draws.  A backward
-    consumes what its forward kept: it must follow that forward, with the
-    same model and layout and before the parameters change.  The scratch
-    node buffers of both passes stay per call (``_work``): held for a run,
-    they would also be held through the DP, where they raised the
-    ``corruption`` benchmark's peak RSS by 0.7 MB and saved at most 2% of a
-    stacked step.
+    The buffers are allocated once and reused at every step; they grow to
+    the most joins of any batch the run draws.  A backward consumes what its
+    forward kept: it must follow that forward, with the same model and
+    layout and before the parameters change.  The scratch buffers of both
+    passes stay per call (``_work``): held for a run, they would also be
+    held through the DP, where they raised the ``corruption`` benchmark's
+    peak RSS by 0.7 MB and saved at most 2% of a stacked step.
     """
 
     def __init__(self, model: TransducerModel):
         H, V = model.dim_hidden, model.vocab_size
-        self.z = np.empty((_GROUP_NODES, H))
+        self.z = np.empty((0, H))
         self.softmax = np.empty((0, V + 1))
-        self.nodes = 0
         self._held = None
 
-    def _hold(self, model, layout, encoded) -> int:
-        """Record a forward's network state and make room for the softmax
-        of every node; returns the number of leading nodes whose joiner
-        activations it keeps.  Only the first group can end within
-        ``_GROUP_NODES`` nodes: a second one starts because the first and
-        its next utterance would not fit."""
+    def _hold(self, model, layout, encoded) -> None:
+        """Record a forward's network state and make room for the z and
+        softmax of every join."""
         self._held = (model, layout, encoded)
-        if self.softmax.shape[0] < layout.frame.size:
-            self.softmax = np.empty((layout.frame.size, self.softmax.shape[1]))
-        n1 = layout.groups[0][1]
-        self.nodes = n1 if n1 <= _GROUP_NODES else 0
-        return self.nodes
+        joins = layout.join_frame.size
+        if self.softmax.shape[0] < joins:
+            self.z = np.empty((joins, self.z.shape[1]))
+            self.softmax = np.empty((joins, self.softmax.shape[1]))
 
     def _release(self, model, layout):
         """The kept encoder and predictor state of this model and layout,
@@ -429,7 +464,7 @@ def model_forward(model: TransducerModel, features, tokens) -> PosteriorLattice:
     single-utterance case of ``forward_columns``."""
     layout = BatchLayout(model, [features], [tokens])
     p, enc, _, pred = _encode(model, layout)
-    _, logits = _join(p, enc, pred, layout, 0, layout.frame.size, *_work(layout, enc))
+    _, logits = _join(p, enc, pred, layout.frame, layout.pos, *_work(layout.frame.size, enc))
     T, U = int(layout.T[0]), int(layout.U[0])
     return normalize_logits(logits.reshape(T, U + 1, -1))
 
@@ -457,37 +492,45 @@ def forward_columns(
 ) -> PaddedColumns:
     """Blank and label log-probability columns of a batch of utterances.
 
-    One network pass per group of nodes, written straight into the two
-    diagonal-major column tables of one shape that ``kernels.emission_sweep``
-    sweeps (at the offsets of ``BatchLayout.cells``); equal to
-    ``model_forward`` of each utterance up to matrix-product rounding.  The
-    logits are bounded by tanh, so the rows skip ``normalize_logits``'s
-    input checks.  ``out``, if given, is a ``-inf``-filled batch whose rows
-    row0.. the layout's batch fills, and which is returned; its tables may
-    have more rows, diagonals and levels than the layout needs (such as a
-    lockstep step's, padded to its longest utterances).  Without ``out``,
-    the batch gets tables of its own, and ``row0`` must be 0.  Each group's
-    log-normaliser m + log(s) comes from ``_kept_softmax``, which equals
-    ``lattice._row_logsumexp`` bit for bit.  ``keep``, if given, keeps this
-    pass's activations for ``backward_columns`` (``StepActivations``),
-    every group's row softmax included; the columns are the same either
-    way.
+    One network pass per group of nodes, over the group's joins (b, t, id):
+    the nodes of one utterance and frame whose predictor inputs have the
+    same id share the joiner's input, so the joiner (tanh, logits and
+    log-normaliser) runs once per join, and each node's columns are read
+    from its join (``BatchLayout.node_join``).  The columns are written
+    straight into the two diagonal-major column tables of one shape that
+    ``kernels.emission_sweep`` sweeps (at the offsets of
+    ``BatchLayout.cells``); equal to ``model_forward`` of each utterance up
+    to matrix-product rounding.  The logits are bounded by tanh, so the rows
+    skip ``normalize_logits``'s input checks.  ``out``, if given, is a
+    ``-inf``-filled batch whose rows row0.. the layout's batch fills, and
+    which is returned; its tables may have more rows, diagonals and levels
+    than the layout needs (such as a lockstep step's, padded to its longest
+    utterances).  Without ``out``, the batch gets tables of its own, and
+    ``row0`` must be 0.  Each group's log-normaliser m + log(s) comes from
+    ``_kept_softmax``, which equals ``lattice._row_logsumexp`` bit for bit.
+    ``keep``, if given, keeps this pass's activations for
+    ``backward_columns`` (``StepActivations``), the z and row softmax of
+    every join included; the columns are the same either way.
     """
     cols = PaddedColumns(layout.T, layout.U) if out is None else out
     _check_tables(layout, cols.blank, cols.emit, "column tables", row0)
-    blank, emit = cols.blank.reshape(-1), cols.emit.reshape(-1)
-    blank_at, emit_at = layout.cells(cols.blank.shape[1], cols.blank.shape[2], row0)
+    _, rows, width = cols.blank.shape
+    blank, emit = cols.blank.reshape(-1)[row0 * width :], cols.emit.reshape(-1)[row0 * width :]
+    blank_at, emit_at = layout.cells(rows, width)
     encoded = _encode(model, layout)
     p, enc, _, pred = encoded
-    work = _work(layout, enc)
-    nodes = 0 if keep is None else keep._hold(model, layout, encoded)
-    scratch = np.empty((model.vocab_size + 1, layout.max_group))
-    for n0, n1, m0, m1 in layout.groups:
-        z = keep.z[n0:n1] if n1 <= nodes else work[0]
-        _, logits = _join(p, enc, pred, layout, n0, n1, z, work[1])
-        lse = _kept_softmax(logits, scratch, None if keep is None else keep.softmax[n0:n1])
-        blank[blank_at[n0:n1]] = logits[:, -1] - lse
-        r = layout.emit_rows[m0:m1] - n0
+    work = _work(layout.max_join_group, enc)
+    if keep is not None:
+        keep._hold(model, layout, encoded)
+    scratch = np.empty((model.vocab_size + 1, layout.max_join_group))
+    for (n0, n1, m0, m1), (j0, j1) in zip(layout.groups, layout.join_groups):
+        z = work[0] if keep is None else keep.z[j0:j1]
+        frames, positions = layout.join_frame[j0:j1], layout.join_pos[j0:j1]
+        _, logits = _join(p, enc, pred, frames, positions, z, work[1])
+        lse = _kept_softmax(logits, scratch, None if keep is None else keep.softmax[j0:j1])
+        blank_lp = logits[:, -1] - lse
+        blank[blank_at[n0:n1]] = blank_lp[layout.node_join[n0:n1] - j0]
+        r = layout.emit_join[m0:m1] - j0
         emit[emit_at[m0:m1]] = logits[r, layout.emit_label[m0:m1]] - lse[r]
     return cols
 
@@ -501,21 +544,25 @@ def _backward(
     log-softmax, dlogp - softmax * sum(dlogp) per row, and may build it in
     ``softmax``, the group's row softmax.  Exact, float64.
 
-    The encoder and predictor state and every group's row softmax come from
-    ``kept``, a ``StepActivations`` filled by the forward of this model and
-    layout, and so do the joiner activations of the group it kept; the z of
-    later groups is rebuilt by ``_activations``, so no joiner matmul or
-    softmax runs, and the kept buffers are overwritten.
+    The encoder and predictor state come from ``kept``, a
+    ``StepActivations`` filled by the forward of this model and layout, and
+    so do each node's joiner activations and row softmax, gathered from its
+    join: no joiner product or softmax runs.  Past the gather, the products
+    are those of a per-node pass on the same operands, so they give its
+    bits; dlogit is not summed over a join first, which would reassociate
+    the sums.
     """
     p, enc, rows, pred = kept._release(model, layout)
-    work = _work(layout, enc)
+    work = _work(layout.max_group, enc)
+    node_softmax = np.empty((layout.max_group, kept.softmax.shape[1]))
     grad = np.zeros_like(model.params)
     g = _views(grad, model._layout)
     denc = np.empty_like(enc)
     dpred = np.empty_like(pred)
     for n0, n1, m0, m1 in layout.groups:
-        softmax = kept.softmax[n0:n1]
-        z = kept.z[n0:n1] if n1 <= kept.nodes else _activations(enc, pred, layout, n0, n1, *work)
+        joins = layout.node_join[n0:n1]
+        softmax = np.take(kept.softmax, joins, axis=0, out=node_softmax[: n1 - n0], mode="clip")
+        z = np.take(kept.z, joins, axis=0, out=work[0][: n1 - n0], mode="clip")
         dlogit = dlogit_rows(softmax, n0, n1, m0, m1)
         g["join_w"] += dlogit.T @ z
         g["join_b"] += dlogit.sum(axis=0)
@@ -575,8 +622,9 @@ def backward_columns(
     gb = np.asarray(g_blank, dtype=np.float64)
     ge = np.asarray(g_emit, dtype=np.float64)
     _check_tables(layout, gb, ge, "column gradients", row0)
-    blank_at, emit_at = layout.cells(gb.shape[1], gb.shape[2], row0)
-    gb, ge = gb.reshape(-1), ge.reshape(-1)
+    _, rows, width = gb.shape
+    blank_at, emit_at = layout.cells(rows, width)
+    gb, ge = gb.reshape(-1)[row0 * width :], ge.reshape(-1)[row0 * width :]
 
     def dlogit_rows(softmax, n0, n1, m0, m1):
         # A node's dlogp row holds two entries at most, its blank column and
@@ -656,6 +704,7 @@ def greedy_decode(
     Confidence scores for pseudo-labels are NOT taken from this pass; score
     the hypothesis with ``training.score_confidences`` afterwards.
     """
+    _check_count(max_symbols_per_frame, "max_symbols_per_frame")
     if max_symbols_per_frame < 1:
         raise DataError(
             f"max_symbols_per_frame must be >= 1, got {max_symbols_per_frame}"

@@ -37,6 +37,7 @@ from .model import (
     PackedUtterances,
     StepActivations,
     TransducerModel,
+    _check_count,
     _ranges,
     adam_update,
     backward_columns,
@@ -65,9 +66,9 @@ MODES = ("standard", "utterance_weights", "token_weights")
 # training batch: larger chunks buy little speed, and the forward of a chunk
 # of long lattices (T ~ 75, U ~ 25) is the peak of scoring.  Traced with
 # tracemalloc over the benchmark's ``long-lattice`` round at seed 11 (live
-# data included), it peaks at 6.5 MB at 16 and 10.0 MB at 32, where the
-# round's peak is a training step's forward at 9.0 MB, with the softmax it
-# keeps for the backward (``model.StepActivations``).
+# data included), it peaks at 6.7 MB at 16 and 11.3 MB at 32, where the
+# round's peak is a training step's forward at 9.9 MB, with the
+# activations it keeps for the backward (``model.StepActivations``).
 _SCORE_CHUNK = 16
 
 
@@ -86,6 +87,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise DataError(f"mode must be one of {MODES}, got {self.mode!r}")
+        for name in ("epochs", "batch_size", "dim_hidden", "max_symbols_per_frame"):
+            _check_count(getattr(self, name), name)
         if self.epochs < 1 or self.batch_size < 1 or self.dim_hidden < 1:
             raise DataError("epochs, batch_size and dim_hidden must be >= 1")
         if self.max_symbols_per_frame < 1:
@@ -276,21 +279,26 @@ def mixed_batch_iterator(
     index arrays into ``labeled`` followed by ``pseudo``.
 
     Epoch length covers the combined pool size; labeled utterances repeat
-    as needed to realize the mix.  A ratio that is not two finite,
-    nonnegative numbers with a positive sum raises DataError.
+    as needed to realize the mix.  An empty pool, or a ratio that is not two
+    finite, nonnegative numbers with a positive sum, raises DataError at
+    the call, before any batch is drawn.
     """
     if not labeled or not pseudo:
         raise DataError("mixed batches need both a labeled and a pseudo pool")
     _check_mix_ratio(ratio, "ratio")
-    p_pseudo = ratio[1] / (ratio[0] + ratio[1])
-    steps = -(-(len(labeled) + len(pseudo)) // cfg.batch_size)  # ceil division
+    return _mixed_batches(len(labeled), len(pseudo), cfg, rng, ratio[1] / (ratio[0] + ratio[1]))
+
+
+def _mixed_batches(n_labeled, n_pseudo, cfg, rng, p_pseudo):
+    """The batches of ``mixed_batch_iterator``, whose inputs it checked."""
+    steps = -(-(n_labeled + n_pseudo) // cfg.batch_size)  # ceil division
     for _ in range(cfg.epochs * steps):
         batch = []
         for _ in range(cfg.batch_size):
             if rng.random() < p_pseudo:
-                batch.append(len(labeled) + int(rng.integers(0, len(pseudo))))
+                batch.append(n_labeled + int(rng.integers(0, n_pseudo)))
             else:
-                batch.append(int(rng.integers(0, len(labeled))))
+                batch.append(int(rng.integers(0, n_labeled)))
         yield np.array(batch, dtype=np.int64)
 
 
@@ -524,8 +532,10 @@ def score_confidences(model: TransducerModel, utterances) -> list:
         n = sum(1 for u in chunk if u.tokens.size)
         profiles = iter([])
         if n:
-            layout = BatchLayout.of(packed, np.arange(scored, scored + n))
-            profiles = iter(padded_profiles(forward_columns(model, layout)))
+            # The layout and columns live only through this chunk's
+            # forward and profiles, not beside the next chunk's.
+            batch = np.arange(scored, scored + n)
+            profiles = iter(padded_profiles(forward_columns(model, BatchLayout.of(packed, batch))))
             scored += n
         for u in chunk:
             conf = next(profiles).conditionals if u.tokens.size else np.zeros(0)

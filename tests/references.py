@@ -1,11 +1,24 @@
 """Reference implementations that the tests (and the kernel benchmark)
 compare faster code against."""
 
+import copy
+
 import numpy as np
 
 from twrnnt.errors import DataError, NumericalError
 from twrnnt.lattice import PosteriorLattice, _check_dims, as_labels, backward, forward
-from twrnnt.model import BatchLayout, StepActivations, _backward, backward_columns, forward_columns
+from twrnnt.kernels import PaddedColumns
+from twrnnt.model import (
+    BatchLayout,
+    StepActivations,
+    _backward,
+    _encode,
+    _join,
+    _kept_softmax,
+    _work,
+    backward_columns,
+    forward_columns,
+)
 from twrnnt.seeds import stream
 from twrnnt.training import _confidences_of, _run_name
 from twrnnt.weighting import _underflow_message
@@ -375,6 +388,53 @@ def fresh_backward(model, layout, g_blank, g_emit, row0=0):
     kept = StepActivations(model)
     forward_columns(model, layout, keep=kept)
     return backward_columns(model, layout, g_blank, g_emit, kept, row0)
+
+
+def per_node(layout):
+    """A copy of ``layout`` in which every node is its own join, as in the
+    passes before nodes shared their joins (b, t, id)."""
+    own = copy.copy(layout)
+    own.node_join, own.emit_join = np.arange(layout.frame.size), layout.emit_rows
+    own.join_frame, own.join_pos = layout.frame, layout.pos
+    own.join_groups = [(n0, n1) for n0, n1, _, _ in layout.groups]
+    own.max_join_group = layout.max_group
+    return own
+
+
+def forward_columns_per_node(model, layout, keep=None):
+    """``model.forward_columns`` with one joiner row per node, into tables
+    of the batch's own: the joiner, softmax and log-normaliser of every
+    node, even where nodes of one utterance and frame have the same
+    predictor input.  ``keep``, if given, keeps every node's z and row
+    softmax, for a backward through ``per_node(layout)``, which ``layout``
+    must then be."""
+    cols = PaddedColumns(layout.T, layout.U)
+    _, rows, width = cols.blank.shape
+    blank, emit = cols.blank.reshape(-1), cols.emit.reshape(-1)
+    blank_at, emit_at = layout.cells(rows, width)
+    encoded = _encode(model, layout)
+    p, enc, _, pred = encoded
+    work = _work(layout.max_group, enc)
+    if keep is not None:
+        keep._hold(model, layout, encoded)
+    scratch = np.empty((model.vocab_size + 1, layout.max_group))
+    for n0, n1, m0, m1 in layout.groups:
+        z = work[0] if keep is None else keep.z[n0:n1]
+        _, logits = _join(p, enc, pred, layout.frame[n0:n1], layout.pos[n0:n1], z, work[1])
+        lse = _kept_softmax(logits, scratch, None if keep is None else keep.softmax[n0:n1])
+        blank[blank_at[n0:n1]] = logits[:, -1] - lse
+        r = layout.emit_rows[m0:m1] - n0
+        emit[emit_at[m0:m1]] = logits[r, layout.emit_label[m0:m1]] - lse[r]
+    return cols
+
+
+def per_node_passes(model, layout, g_blank, g_emit):
+    """The columns of ``forward_columns_per_node`` and the gradient of
+    ``model.backward_columns`` after it, both per node."""
+    own = per_node(layout)
+    keep = StepActivations(model)
+    cols = forward_columns_per_node(model, own, keep=keep)
+    return cols, backward_columns(model, own, g_blank, g_emit, keep)
 
 
 def finite_diff_grad(f, lattice: PosteriorLattice, step: float = 1e-6) -> np.ndarray:

@@ -326,13 +326,17 @@ class TestPairwiseSum:
         self.check(self.table(seed, n, k, *bounds))
 
 
-def layout_of(shapes, seed, V=16):
+def layout_of(shapes, seed, V=16, same_token=False):
     """A seeded model of 8 features, 32 hidden units and V tokens, and the
-    layout of utterances of the given (T, U)."""
+    layout of utterances of the given (T, U), with random transcripts or,
+    given ``same_token``, transcripts of one repeated token each."""
     rng = np.random.default_rng(seed)
     model = TransducerModel.random(8, 32, V, rng)
     feats = [rng.normal(size=(T, 8)) for T, _ in shapes]
-    tokens = [rng.integers(0, V, size=U) for _, U in shapes]
+    if same_token:
+        tokens = [np.full(U, rng.integers(0, V)) for _, U in shapes]
+    else:
+        tokens = [rng.integers(0, V, size=U) for _, U in shapes]
     return model, BatchLayout(model, feats, tokens), tokens
 
 
@@ -348,10 +352,11 @@ class TestKeptSoftmax:
     @pytest.mark.parametrize("case", sorted(SHORT_ROW_BATCHES))
     def test_kept_forward_equals_plain_one(self, case):
         # A forward that keeps its softmax (``_kept_softmax``) writes the
-        # columns of one that keeps nothing, and keeps the row softmax that
-        # ``references.softmax`` gives on the same logits, with ==; the
-        # log-normaliser that both take from ``_kept_softmax`` equals
-        # ``_row_logsumexp``, with or without the softmax.
+        # columns of one that keeps nothing, and keeps, for every join, the
+        # joiner activations and the row softmax that ``references.softmax``
+        # gives on the join's logits, with ==; the log-normaliser that both
+        # take from ``_kept_softmax`` equals ``_row_logsumexp``, with or
+        # without the softmax.
         model, layout, _ = layout_of(SHORT_ROW_BATCHES[case], 81)
         keep = StepActivations(model)
         cols = forward_columns(model, layout, keep=keep)
@@ -359,14 +364,17 @@ class TestKeptSoftmax:
         np.testing.assert_array_equal(cols.blank, want.blank)
         np.testing.assert_array_equal(cols.emit, want.emit)
         p, enc, _, pred = model_module._encode(model, layout)
-        work = model_module._work(layout, enc)
+        work = model_module._work(layout.max_join_group, enc)
         assert len(layout.groups) > 1 or case == "desk"
-        for n0, n1, _, _ in layout.groups:
-            _, logits = model_module._join(p, enc, pred, layout, n0, n1, *work)
+        assert layout.join_frame.size < layout.frame.size  # some nodes share a join
+        for j0, j1 in layout.join_groups:
+            frames, positions = layout.join_frame[j0:j1], layout.join_pos[j0:j1]
+            z, logits = model_module._join(p, enc, pred, frames, positions, *work)
+            np.testing.assert_array_equal(keep.z[j0:j1], z)
             softmax = np.empty_like(logits)
             m, s = references.softmax(logits, softmax)
-            np.testing.assert_array_equal(keep.softmax[n0:n1], softmax)
-            scratch = np.empty((model.vocab_size + 1, n1 - n0))
+            np.testing.assert_array_equal(keep.softmax[j0:j1], softmax)
+            scratch = np.empty((model.vocab_size + 1, j1 - j0))
             lse = model_module._kept_softmax(logits, scratch, np.empty_like(logits))
             np.testing.assert_array_equal(lse, (m + np.log(s))[:, 0])
             np.testing.assert_array_equal(lse, _row_logsumexp(logits)[:, 0])
@@ -448,6 +456,117 @@ class TestOneBackwardPath:
             rows = references.dense_dlogit_rows(dlogp.reshape(-1, 17))
             want = model_module._backward(model, layout, rows, keep)
             np.testing.assert_array_equal(model_backward(model, feats, y, dlogp), want)
+
+
+def smallest_product(layout):
+    """The fewest rows of any node group or join group of the layout."""
+    nodes = min(n1 - n0 for n0, n1, _, _ in layout.groups)
+    return min(nodes, min(j1 - j0 for j0, j1 in layout.join_groups))
+
+
+class TestJoins:
+    """The nodes (b, t, u) of one utterance and frame whose predictor inputs
+    have one id share a join (b, t, id): ``forward_columns`` runs the joiner
+    once per join, and ``backward_columns`` reads each node's rows from its
+    join.  Both equal the per-node passes of
+    ``references.forward_columns_per_node``, with ==, when every node group
+    and join group has at least 128 rows.  A product of fewer rows may take
+    OpenBLAS's small-matrix path, whose rows depend on the product's height
+    (ROADMAP item 3), so there a join product's rows may differ from the
+    per-node product's in the last bit, and the passes agree to 1e-12."""
+
+    # Every node group and join group has at least 128 rows.
+    LARGE = {
+        # One repeated token per transcript: two joins per frame.
+        "same_token": ([(75, 25), (70, 20)], True),
+        # Empty transcripts and one-frame utterances beside desk ones.
+        "u0_and_t1": ([(1, 0), (1, 6), (40, 9), (30, 0), (12, 5), (1, 3), (25, 7)], False),
+        # Long lattices over three node groups.
+        "several_groups": ([(3, 7), (75, 25), (60, 20), (70, 30)], False),
+    }
+
+    @staticmethod
+    def passes(model, layout, seed):
+        """The product's columns and gradient, and the per-node ones, under
+        seeded column gradients."""
+        keep = StepActivations(model)
+        cols = forward_columns(model, layout, keep=keep)
+        rng = np.random.default_rng(seed)
+        g_blank = np.where(np.isfinite(cols.blank), rng.normal(size=cols.blank.shape), 0.0)
+        g_emit = np.where(np.isfinite(cols.emit), rng.normal(size=cols.emit.shape), 0.0)
+        grad = backward_columns(model, layout, g_blank, g_emit, keep)
+        want, want_grad = references.per_node_passes(model, layout, g_blank, g_emit)
+        return (cols, grad), (want, want_grad)
+
+    @pytest.mark.parametrize("case", sorted(LARGE))
+    def test_equals_per_node_passes(self, case):
+        shapes, same_token = self.LARGE[case]
+        model, layout, _ = layout_of(shapes, 90, same_token=same_token)
+        assert smallest_product(layout) >= 128
+        assert layout.join_frame.size < layout.frame.size
+        (cols, grad), (want, want_grad) = self.passes(model, layout, 91)
+        np.testing.assert_array_equal(cols.blank, want.blank)
+        np.testing.assert_array_equal(cols.emit, want.emit)
+        np.testing.assert_array_equal(grad, want_grad)
+
+    @settings(PROPERTY, max_examples=25)
+    @given(case=model_batches(), same_token=st.booleans())
+    @example(case=(3, [(1, 25), (2, 0)]), same_token=True)
+    def test_close_to_per_node_passes(self, case, same_token):
+        seed, shapes = case
+        model, layout, _ = layout_of(shapes, seed, same_token=same_token)
+        (cols, grad), (want, want_grad) = self.passes(model, layout, seed + 1)
+        for got, ref in ((cols.blank, want.blank), (cols.emit, want.emit)):
+            owned = np.isfinite(ref)
+            np.testing.assert_array_equal(np.isfinite(got), owned)
+            if smallest_product(layout) >= 128:
+                np.testing.assert_array_equal(got, ref)
+            assert np.max(np.abs(got[owned] - ref[owned]), initial=0.0) <= 1e-12
+        if smallest_product(layout) >= 128:
+            np.testing.assert_array_equal(grad, want_grad)
+        assert np.max(np.abs(grad - want_grad)) <= 1e-12 * np.max(np.abs(want_grad))
+
+    def test_one_join_per_node_without_repeated_inputs(self):
+        # Transcripts without a repeated token (BOS is an id of its own):
+        # every node is its own join, in node order.
+        rng = np.random.default_rng(92)
+        shapes = [(11, 6), (1, 0), (9, 15), (70, 16), (4, 1)]
+        model = TransducerModel.random(8, 4, 16, rng)
+        feats = [rng.normal(size=(T, 8)) for T, _ in shapes]
+        tokens = [rng.permutation(16)[:U] for _, U in shapes]
+        packed = PackedUtterances(model, feats, tokens)
+        np.testing.assert_array_equal(packed.first_use, np.concatenate([np.arange(U + 1) for _, U in shapes]))
+        layout = BatchLayout.of(packed, [3, 0, 1, 2, 4])
+        np.testing.assert_array_equal(layout.node_join, np.arange(layout.frame.size))
+        np.testing.assert_array_equal(layout.emit_join, layout.emit_rows)
+        np.testing.assert_array_equal(layout.join_frame, layout.frame)
+        np.testing.assert_array_equal(layout.join_pos, layout.pos)
+        assert layout.join_groups == [(n0, n1) for n0, n1, _, _ in layout.groups]
+
+    @pytest.mark.parametrize("same_token", [False, True])
+    def test_joins_are_the_distinct_frame_id_pairs(self, same_token):
+        # Each node's join has its frame and its predictor input's id; the
+        # joins are the distinct (frame, id) pairs of the batch, each at its
+        # first use, and none is shared across utterances, even by a
+        # repeated one.
+        rng = np.random.default_rng(94)
+        model = TransducerModel.random(8, 4, 16, rng)
+        shapes = [(11, 6), (9, 0), (14, 7), (75, 25), (1, 4)]
+        feats = [rng.normal(size=(T, 8)) for T, _ in shapes]
+        tokens = [np.full(U, U % 16) if same_token else rng.integers(0, 4, size=U) for _, U in shapes]
+        layout = BatchLayout.of(PackedUtterances(model, feats, tokens), [3, 0, 1, 3, 2, 4])
+        joins = layout.node_join
+        np.testing.assert_array_equal(layout.join_frame[joins], layout.frame)
+        np.testing.assert_array_equal(layout.ids[layout.join_pos[joins]], layout.ids[layout.pos])
+        pairs = np.unique(layout.frame * 17 + layout.ids[layout.pos])
+        assert pairs.size == layout.join_frame.size < layout.frame.size
+        first = np.full(layout.join_frame.size, layout.pos.max() + 1)
+        np.minimum.at(first, joins, layout.pos)
+        np.testing.assert_array_equal(layout.join_pos, first)
+        np.testing.assert_array_equal(layout.emit_join, joins[layout.emit_rows])
+        # Join groups cover the joins of their node groups, in order.
+        for (n0, n1, _, _), (j0, j1) in zip(layout.groups, layout.join_groups):
+            assert joins[n0] == j0 and joins[n0:n1].max() == j1 - 1
 
 
 def test_sum_by_id_makes_the_additions_of_add_at():
@@ -555,6 +674,12 @@ class TestGreedyDecode:
         jw[2] = [0.0, 10.0]  # blank keyed to the token-0 direction
         hyp, clean = greedy_decode(m, np.zeros((1, 1)))
         assert hyp.tolist() == [0] and clean
+
+    @pytest.mark.parametrize("cap", [2.5, 4.0, True, "4"])
+    def test_cap_must_be_an_integer(self, cap):
+        m = TransducerModel.zeros(1, 2, 2)
+        with pytest.raises(DataError, match=f"^max_symbols_per_frame must be an integer, got {cap!r}$"):
+            greedy_decode(m, np.zeros((2, 1)), max_symbols_per_frame=cap)
 
     def test_cap_forces_termination(self):
         m = TransducerModel.zeros(1, 2, 2)

@@ -11,7 +11,6 @@ from twrnnt.errors import DataError, NumericalError
 from twrnnt.conditionals import conditional_profile
 from twrnnt.lattice import rnnt_loss, rnnt_loss_grad
 from twrnnt.model import (
-    _GROUP_NODES,
     BatchLayout,
     StepActivations,
     TransducerModel,
@@ -175,6 +174,16 @@ class TestTrainingLoop:
     )
     def test_config_rejects_sizes_below_one(self, field, value):
         with pytest.raises(DataError, match=field):
+            TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("epochs", 1.5), ("epochs", True), ("batch_size", 2.5), ("batch_size", 8.0), ("batch_size", "8"),
+         ("dim_hidden", True), ("dim_hidden", 32.0), ("max_symbols_per_frame", 2.5),
+         ("max_symbols_per_frame", False)],
+    )
+    def test_config_rejects_non_integer_sizes(self, field, value):
+        with pytest.raises(DataError, match=f"^{field} must be an integer, got {value!r}$"):
             TrainConfig(**{field: value})
 
     @pytest.mark.parametrize(
@@ -468,9 +477,17 @@ class TestRunSetup:
     @pytest.mark.parametrize("ratio", [(0, 0), (-1, 2), (np.nan, 1)], ids=["zero_sum", "negative", "nan"])
     def test_mixed_batch_iterator_checks_its_ratio(self, small_data, ratio):
         utts = small_data["train"][:8]
-        batches = mixed_batch_iterator(utts[:4], utts[4:], TrainConfig(epochs=1), stream(56, "order"), ratio)
         with pytest.raises(DataError, match="^ratio must be finite"):
-            next(batches)
+            mixed_batch_iterator(utts[:4], utts[4:], TrainConfig(epochs=1), stream(56, "order"), ratio)
+
+    @pytest.mark.parametrize("pools", [(4, 0), (0, 4), (0, 0)], ids=["no_pseudo", "no_labeled", "neither"])
+    def test_mixed_batch_iterator_checks_its_pools_at_the_call(self, small_data, pools):
+        # The check runs when the iterator is made, before any batch is
+        # drawn: no ``next`` call is needed to see it.
+        utts = small_data["train"][:8]
+        labeled, pseudo = utts[: pools[0]], utts[4 : 4 + pools[1]]
+        with pytest.raises(DataError, match="both a labeled and a pseudo pool"):
+            mixed_batch_iterator(labeled, pseudo, TrainConfig(epochs=1), stream(57, "order"))
 
 
 # The runs of one (level, seed) in criterion 8: standard, and utterance and
@@ -883,20 +900,19 @@ class TestCorpusWeights:
 
 
 class TestKeptActivations:
-    """A training step's backward reuses the row softmax that its forward
-    kept for every node, and the joiner activations it kept for the first
-    node group, if that ends within ``_GROUP_NODES`` nodes; it rebuilds the
-    activations of later groups and runs no joiner pass.  Columns, losses
-    and gradients must equal those of passes that keep nothing, or keep
-    their activations in fresh buffers."""
+    """A training step's forward keeps the joiner activations and the row
+    softmax of every join (b, t, id) of its batch, and its backward reads
+    each node's rows from its join and runs no joiner pass.  Columns,
+    losses and gradients must equal those of passes that keep nothing, or
+    keep their activations in fresh buffers."""
 
-    # (shapes, what the first layout keeps): a desk batch that fits whole,
-    # a long batch of five groups whose first is kept, and one whose first
-    # utterance alone is above the bound.
+    # (shapes, node groups of the first layout): a desk batch that fits
+    # whole, a long batch of five groups, and one whose first utterance
+    # alone is above the node bound.
     BATCHES = {
-        "fits_whole": ([(11, 6), (9, 5), (14, 7), (8, 4), (12, 0)], "all"),
-        "several_groups": ([(75, 25), (60, 20), (30, 19), (40, 19), (25, 23), (70, 30), (3, 7)], "some"),
-        "first_group_too_large": ([(70, 30), (11, 6), (5, 2)], "none"),
+        "fits_whole": ([(11, 6), (9, 5), (14, 7), (8, 4), (12, 0)], 1),
+        "several_groups": ([(75, 25), (60, 20), (30, 19), (40, 19), (25, 23), (70, 30), (3, 7)], 5),
+        "first_group_too_large": ([(70, 30), (11, 6), (5, 2)], 2),
     }
 
     @staticmethod
@@ -917,7 +933,7 @@ class TestKeptActivations:
 
     @pytest.mark.parametrize("case", sorted(BATCHES))
     def test_kept_equals_recomputed(self, case):
-        shapes, keeps = self.BATCHES[case]
+        shapes, groups = self.BATCHES[case]
         utts, models, corpus = self.runs(shapes, 70)
         kept = [StepActivations(model) for model in models]
         scores = score_confidences(models[0], utts)
@@ -925,16 +941,25 @@ class TestKeptActivations:
         rng = np.random.default_rng(71)
         for step, idx in enumerate([np.arange(n), np.arange(n)[::-1], np.array([0, 0, n - 1])]):
             layout = BatchLayout.of(corpus.packed, idx)
+            assert step or len(layout.groups) == groups
+            J = layout.join_frame.size
             for model, keep in zip(models, kept):
                 cols = forward_columns(model, layout, keep=keep)
                 want = forward_columns(model, layout)
                 np.testing.assert_array_equal(cols.blank, want.blank)
                 np.testing.assert_array_equal(cols.emit, want.emit)
-                assert keep.nodes <= _GROUP_NODES
-                if step == 0:
-                    nodes = {"all": layout.frame.size, "none": 0}.get(keeps, layout.groups[0][1])
-                    assert keep.nodes == nodes
-                    assert keeps != "some" or len(layout.groups) > 1
+                # The kept z and softmax of every join, against the joiner
+                # run again on each group's joins.
+                assert keep.softmax.shape[0] == keep.z.shape[0] >= J
+                p, enc, _, pred = model_module._encode(model, layout)
+                for j0, j1 in layout.join_groups:
+                    frames, positions = layout.join_frame[j0:j1], layout.join_pos[j0:j1]
+                    work = model_module._work(j1 - j0, enc)
+                    z, logits = model_module._join(p, enc, pred, frames, positions, *work)
+                    softmax = np.empty_like(logits)
+                    references.softmax(logits, softmax)
+                    np.testing.assert_array_equal(keep.z[j0:j1], z)
+                    np.testing.assert_array_equal(keep.softmax[j0:j1], softmax)
                 g_blank = np.where(np.isfinite(cols.blank), rng.normal(size=cols.blank.shape), 0.0)
                 g_emit = np.where(np.isfinite(cols.emit), rng.normal(size=cols.emit.shape), 0.0)
                 np.testing.assert_array_equal(
@@ -954,14 +979,13 @@ class TestKeptActivations:
 
     @pytest.mark.parametrize("case", ["several_groups", "first_group_too_large"])
     def test_kept_backward_runs_no_joiner(self, case, monkeypatch):
-        """At K = 3, on batches that grow the kept softmax and then reuse
-        it: the kept softmax holds every node's row, and a kept backward
-        makes no softmax call (``_kept_softmax``) and no
-        joiner-logit pass (``_join``); it rebuilds the activations of each
-        group past the kept z alone (``_activations``)."""
+        """At K = 3, on batches that grow the kept buffers and then reuse
+        them: the kept softmax of each node's join is the node's row
+        softmax, and a kept backward makes no softmax call
+        (``_kept_softmax``) and no joiner pass (``_join``)."""
         shapes, _ = self.BATCHES[case]
         utts, models, corpus = self.runs(shapes, 73)
-        calls = {name: 0 for name in ("_kept_softmax", "_join", "_activations")}
+        calls = {name: 0 for name in ("_kept_softmax", "_join")}
 
         def counted(name):
             fn = getattr(model_module, name)
@@ -980,28 +1004,26 @@ class TestKeptActivations:
         for idx in (np.array([n - 1, 0, 1]), np.arange(n), np.arange(n)[::-1]):
             layout = BatchLayout.of(corpus.packed, idx)
             G, N = len(layout.groups), layout.frame.size
+            assert layout.join_frame.size < N
             tables = []
             for model, keep in zip(models, kept):
                 cols = forward_columns(model, layout, keep=keep)
-                assert keep.softmax.shape[0] >= N
                 softmax = np.concatenate([
                     np.exp(model_forward(model, utts[b].features, utts[b].tokens).logp)
                     .reshape(-1, model.vocab_size + 1)
                     for b in idx
                 ])
-                np.testing.assert_allclose(keep.softmax[:N], softmax, rtol=1e-12, atol=1e-15)
+                np.testing.assert_allclose(keep.softmax[layout.node_join], softmax, rtol=1e-12, atol=1e-15)
                 g_blank = np.where(np.isfinite(cols.blank), rng.normal(size=cols.blank.shape), 0.0)
                 g_emit = np.where(np.isfinite(cols.emit), rng.normal(size=cols.emit.shape), 0.0)
                 tables.append((g_blank, g_emit))
-            rebuilt = sum(n1 > keep.nodes for _, n1, _, _ in layout.groups)
-            assert rebuilt > 0
             calls.update(dict.fromkeys(calls, 0))
             grads = [backward_columns(model, layout, *t, keep) for model, t, keep in zip(models, tables, kept)]
-            assert calls == {"_kept_softmax": 0, "_join": 0, "_activations": 3 * rebuilt}
+            assert calls == {"_kept_softmax": 0, "_join": 0}
             for model, t, got in zip(models, tables, grads):
                 np.testing.assert_array_equal(got, references.fresh_backward(model, layout, *t))
             # The stacked step: only its forward runs the joiner and softmax,
-            # the kept one.
+            # once per group of joins.
             grad = np.empty((len(models), models[0].params.size))
             want = np.empty_like(grad)
             calls.update(dict.fromkeys(calls, 0))
