@@ -185,24 +185,33 @@ def verify_model(name, model, feats, tokens):
     return g_blank, g_emit
 
 
+def time_passes(model, feats, tokens, g_blank, g_emit, repeats):
+    """Seconds per call of the forward (layout included) and of the backward
+    that follows it, timed apart over the same calls after one warmup."""
+    keep, forward, backward = StepActivations(model), 0.0, 0.0
+    for i in range(repeats + 1):
+        t0 = time.perf_counter()
+        layout = BatchLayout(model, feats, tokens)
+        forward_columns(model, layout, keep=keep)
+        t1 = time.perf_counter()
+        backward_columns(model, layout, g_blank, g_emit, keep)
+        if i:
+            forward, backward = forward + t1 - t0, backward + time.perf_counter() - t1
+    return forward / repeats, backward / repeats
+
+
 def model_section(args):
     rows = []
     for name, (T, U) in MODEL_BATCHES.items():
         model, feats, tokens = model_batch(T, U)
         g_blank, g_emit = verify_model(name, model, feats, tokens)
-        keep = StepActivations(model)
-
-        def passes():
-            layout = BatchLayout(model, feats, tokens)
-            forward_columns(model, layout, keep=keep)
-            backward_columns(model, layout, g_blank, g_emit, keep)
-
+        forward, backward = time_passes(model, feats, tokens, g_blank, g_emit, args.repeats)
         layout = BatchLayout(model, feats, tokens)
         joins_per_node = layout.join_frame.size / layout.frame.size
-        rows.append((name, time_call(passes, args.repeats) / BATCH * 1e6, joins_per_node))
-    title = (f"grouped model forward + backward, B={BATCH}, dims (D, H, |V|) = {MODEL_DIMS}, {args.repeats} "
-             f"repeats; joins/node = joiner rows (b, t, previous token) per lattice node")
-    return title, ["batch", "us/utt", "joins/node"], rows
+        rows.append((name, forward / BATCH * 1e6, backward / BATCH * 1e6, joins_per_node))
+    title = (f"grouped model forward (layout included) and backward, B={BATCH}, dims (D, H, |V|) = {MODEL_DIMS}, "
+             f"{args.repeats} repeats; joins/node = joiner rows (b, t, previous token) per lattice node")
+    return title, ["batch", "forward us/utt", "backward us/utt", "joins/node"], rows
 
 
 def scored(name, seeds, seed):

@@ -58,16 +58,29 @@ class Vocabulary:
         return self.size + 1
 
 
+def _integer_labels(tokens) -> np.ndarray:
+    """A 1-D sequence of integers as a contiguous int64 array; a DataError
+    for any other shape or element type (floats, strings and bools too,
+    which ``np.asarray`` would truncate or cast).  An empty one is valid."""
+    arr = np.asarray(tokens)
+    if arr.ndim != 1:
+        raise DataError(f"label sequence must be 1-D, got shape {arr.shape}")
+    if arr.dtype.kind not in "iu" and arr.size:
+        raise DataError(f"labels must be integers, got {arr.dtype.name} values")
+    # np.asarray casts the bools of a list that also holds ints to ints.
+    if type(tokens) is not np.ndarray and any(isinstance(t, (bool, np.bool_)) for t in tokens):
+        raise DataError("labels must be integers, got bool values")
+    return np.ascontiguousarray(arr, dtype=np.int64)
+
+
 def as_labels(tokens, vocab: Optional[Vocabulary] = None) -> np.ndarray:
     """Validate and convert a label sequence to a contiguous int64 array.
 
-    Labels must be nonnegative and, when a vocabulary is given, strictly
-    below the blank index.  Length may exceed the frame count (transducers
-    permit multiple emissions per frame).
+    Labels must be integers (``_integer_labels``), nonnegative and, when a
+    vocabulary is given, strictly below the blank index.  Length may exceed
+    the frame count (transducers permit multiple emissions per frame).
     """
-    arr = np.ascontiguousarray(np.asarray(tokens, dtype=np.int64))
-    if arr.ndim != 1:
-        raise DataError(f"label sequence must be 1-D, got shape {arr.shape}")
+    arr = _integer_labels(tokens)
     if arr.size and arr.min() < 0:
         raise DataError(f"negative token index {int(arr.min())} in label sequence")
     if vocab is not None and arr.size and arr.max() >= vocab.size:

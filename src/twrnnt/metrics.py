@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
+from .lattice import _integer_labels
 
 __all__ = ["WerResult", "wer", "edit_distances", "corpus_wer"]
 
@@ -35,10 +36,9 @@ def wer(hyp, ref) -> WerResult:
     then insertion).
 
     An empty reference against a nonempty hypothesis has no meaningful rate
-    and is rejected.
+    and is rejected, and so are labels that are not integers.
     """
-    h = np.asarray(hyp, dtype=np.int64).ravel()
-    r = np.asarray(ref, dtype=np.int64).ravel()
+    h, r = _integer_labels(hyp), _integer_labels(ref)
     if not r.size and h.size:
         raise DataError("empty reference: error rate is undefined")
     n, m = r.size, h.size
@@ -66,7 +66,7 @@ def wer(hyp, ref) -> WerResult:
 def _padded(seqs):
     """Token sequences as rows of one zero-padded int64 table, and their
     lengths."""
-    seqs = [np.asarray(s, dtype=np.int64).ravel() for s in seqs]
+    seqs = [_integer_labels(s) for s in seqs]
     n = np.array([s.size for s in seqs], dtype=np.int64)
     table = np.zeros((n.size, int(n.max(initial=0))), dtype=np.int64)
     if n.sum():
@@ -97,11 +97,22 @@ def _shifted_tables(h, r) -> np.ndarray:
     return e
 
 
+def _paired(hyps, refs):
+    """The hypotheses and references as lists, or a DataError unless there
+    is one hypothesis per reference."""
+    hyps, refs = list(hyps), list(refs)
+    if len(hyps) != len(refs):
+        raise DataError(f"{len(hyps)} hypotheses for {len(refs)} references: each reference needs one")
+    return hyps, refs
+
+
 def edit_distances(hyps, refs) -> np.ndarray:
     """Levenshtein distance of every (hypothesis, reference) pair, from one
     DP over all pairs (``_shifted_tables``); ``wer(hyp, ref).distance``
     without the counts.  A hypothesis against an empty reference is all
-    insertions."""
+    insertions.  Unequal counts of hypotheses and references raise a
+    DataError."""
+    hyps, refs = _paired(hyps, refs)
     h, m = _padded(hyps)
     r, n = _padded(refs)
     return _shifted_tables(h, r)[np.arange(n.size), n, m] + m
@@ -110,10 +121,10 @@ def edit_distances(hyps, refs) -> np.ndarray:
 def corpus_wer(hyps, refs) -> float:
     """Corpus token error rate: edit distances summed over (hypothesis,
     reference) pairs over the reference token count.  Every token of a
-    hypothesis against an empty reference counts as an insertion."""
-    pairs = list(zip(hyps, refs))
-    total = sum(np.asarray(ref).size for _, ref in pairs)
+    hypothesis against an empty reference counts as an insertion; unequal
+    counts of hypotheses and references raise a DataError."""
+    hyps, refs = _paired(hyps, refs)
+    total = sum(np.asarray(ref).size for ref in refs)
     if total == 0:
         raise DataError("cannot evaluate WER on a corpus with no reference tokens")
-    dist = int(edit_distances(*zip(*pairs)).sum())
-    return dist / total
+    return int(edit_distances(hyps, refs).sum()) / total

@@ -156,8 +156,8 @@ def _check_features(model: TransducerModel, features) -> np.ndarray:
 # batch: H + V + 1 floats a join, 49 at H = 32 and V = 16.  That is 0.2 MB a
 # run for a desk batch (0.86-0.96 joins a node) and 3.4 MB for a batch of 8
 # long lattices (about 15,900 nodes, 0.54 joins a node).  The backward
-# gathers each node's rows from its join, one group of nodes at a time, so
-# its scratch buffers stay bounded by the group size.
+# overwrites them in place, one group of joins at a time, so its one
+# scratch buffer stays bounded by the group size.
 _GROUP_NODES = 2048
 
 
@@ -238,7 +238,9 @@ class BatchLayout:
     the joiner's output of join ``node_join[n]``, and ``emit_join`` are the
     joins of ``emit_rows``.  Join j joins frame ``join_frame[j]`` with
     position ``join_pos[j]``, its id's first use; joins follow their first
-    nodes, so ``join_groups`` holds one (j0, j1) range per node group.
+    nodes, so ``join_groups`` holds one (j0, j1) range per node group, and
+    every frame of an utterance has the same joins (``_order`` lays out the
+    backward's per-frame and per-position sums over them).
 
     ``BatchLayout(model, features, tokens)`` checks and packs its arguments;
     ``BatchLayout.of(packed, idx)`` lays out utterances ``idx`` (repeats
@@ -288,15 +290,10 @@ class BatchLayout:
         self.emit_join = self.node_join[self.emit_rows]
         reps = rep.nonzero()[0]
         self.join_frame, self.join_pos = self.frame[reps], self.pos[reps]
-        # Segment starts of the backward pass's per-frame and per-position
-        # sums: nodes are frame-major, and ``by_pos`` lists them
-        # position-major, each position's T nodes in a run.
-        self.frame_first = (u == 0).nonzero()[0]
-        # Position-major, an utterance's k-th node is (t, u) = (k % T, k // T).
-        q, r = np.divmod(k, T[b])
-        self.by_pos = r * W[b] + q + start[b]
-        runs = T.repeat(W)
-        self.pos_first = runs.cumsum() - runs
+        # First use depends on u alone, so every frame of an utterance has
+        # the same joins, in the same order.
+        join0 = joins[start]
+        self._order((join0[1:] - join0[:-1]) // T, join0[:-1])
         cuts, nodes = [0], 0
         for i, size in enumerate(sizes.tolist()):
             if nodes and nodes + size > _GROUP_NODES:
@@ -309,9 +306,24 @@ class BatchLayout:
         j = joins[n]
         self.groups = list(zip(n[:-1], n[1:], m[:-1], m[1:]))
         self.join_groups = list(zip(j[:-1], j[1:]))
-        self.max_group = int((n[1:] - n[:-1]).max())
         self.max_join_group = int((j[1:] - j[:-1]).max())
         self._cells = None
+
+    def _order(self, R, join0):
+        """The backward's segment tables, for utterances of R joins a frame
+        whose joins start at ``join0``: utterance b's k-th join is (t, r) =
+        divmod(k, R_b), frame-major.  ``frame_first`` is each frame's first
+        join; ``by_pos`` lists the joins position-major, (r, t) = divmod(k,
+        T_b), each id's T_b joins in a run that starts at ``pos_first``; and
+        ``use_pos`` is each run's position, its id's first use."""
+        runs = R.repeat(self.T)
+        self.frame_first = runs.cumsum() - runs
+        b = np.arange(R.size).repeat(R * self.T)
+        r, t = np.divmod(np.arange(b.size) - join0[b], self.T[b])
+        self.by_pos = join0[b] + t * R[b] + r
+        runs = self.T.repeat(R)
+        self.pos_first = runs.cumsum() - runs
+        self.use_pos = self.join_pos[self.by_pos[self.pos_first]]
 
     def cells(self, rows, width):
         """The flat offsets of every node's blank column, and of the label
@@ -408,8 +420,7 @@ def _kept_softmax(logits, scratch, out=None):
 
 
 def _work(rows, enc):
-    """Two (rows, H) buffers that ``_join`` and ``_backward`` reuse across
-    groups."""
+    """Two (rows, H) buffers that ``_join`` reuses across groups."""
     return np.empty((2, rows, enc.shape[1]))
 
 
@@ -422,16 +433,16 @@ class StepActivations:
     (b, t, id) of the batch (``BatchLayout.node_join``), in join order, its
     joiner activations z (H floats) and its row softmax (V + 1 floats; the
     forward computes it along vectors of a group's joins,
-    ``_kept_softmax``).  The backward reads each node's z and softmax rows
-    from its join.
+    ``_kept_softmax``).  The backward builds each join's logit gradient in
+    its softmax row and 1 - z^2 in its z row.
 
     The buffers are allocated once and reused at every step; they grow to
     the most joins of any batch the run draws.  A backward consumes what its
-    forward kept: it must follow that forward, with the same model and
-    layout and before the parameters change.  The scratch buffers of both
-    passes stay per call (``_work``): held for a run, they would also be
-    held through the DP, where they raised the ``corruption`` benchmark's
-    peak RSS by 0.7 MB and saved at most 2% of a stacked step.
+    forward kept, and overwrites it: it must follow that forward, with the
+    same model and layout and before the parameters change.  The scratch
+    buffers of both passes stay per call (``_work``): held for a run, they
+    would also be held through the DP, where they raised the ``corruption``
+    benchmark's peak RSS by 0.7 MB and saved at most 2% of a stacked step.
     """
 
     def __init__(self, model: TransducerModel):
@@ -539,43 +550,41 @@ def _backward(
     model: TransducerModel, layout: BatchLayout, dlogit_rows, kept: StepActivations
 ) -> np.ndarray:
     """Chain rule from per-node lattice gradients to the parameters, one
-    pass per group; ``dlogit_rows(softmax, n0, n1, m0, m1)`` returns the
-    (n1 - n0, V+1) gradient of a group's logits through the row
-    log-softmax, dlogp - softmax * sum(dlogp) per row, and may build it in
-    ``softmax``, the group's row softmax.  Exact, float64.
+    pass per group, over the group's joins; ``dlogit_rows(softmax, n0, n1,
+    m0, m1, j0)`` returns the (j1 - j0, V+1) gradient of the logits of joins
+    j0.. through the row log-softmax, the sum over each join's nodes of
+    dlogp - softmax * sum(dlogp), and may build it in ``softmax``, the
+    joins' row softmax.  Exact, float64.
 
-    The encoder and predictor state come from ``kept``, a
-    ``StepActivations`` filled by the forward of this model and layout, and
-    so do each node's joiner activations and row softmax, gathered from its
-    join: no joiner product or softmax runs.  Past the gather, the products
-    are those of a per-node pass on the same operands, so they give its
-    bits; dlogit is not summed over a join first, which would reassociate
-    the sums.
+    The encoder and predictor state, and every join's joiner activations z
+    and row softmax, come from ``kept``, a ``StepActivations`` filled by the
+    forward of this model and layout, which this pass overwrites: no joiner
+    product or softmax runs.  A join's nodes share its frame, so the
+    encoder sums are those of the nodes, and its predictor input, so its
+    predictor gradient goes to its id's first use (``use_pos``) and the
+    other positions get 0; the same sums, regrouped.
     """
     p, enc, rows, pred = kept._release(model, layout)
-    work = _work(layout.max_group, enc)
-    node_softmax = np.empty((layout.max_group, kept.softmax.shape[1]))
+    work = np.empty((layout.max_join_group, enc.shape[1]))
     grad = np.zeros_like(model.params)
     g = _views(grad, model._layout)
     denc = np.empty_like(enc)
-    dpred = np.empty_like(pred)
-    for n0, n1, m0, m1 in layout.groups:
-        joins = layout.node_join[n0:n1]
-        softmax = np.take(kept.softmax, joins, axis=0, out=node_softmax[: n1 - n0], mode="clip")
-        z = np.take(kept.z, joins, axis=0, out=work[0][: n1 - n0], mode="clip")
-        dlogit = dlogit_rows(softmax, n0, n1, m0, m1)
+    dpred = np.zeros_like(pred)
+    for (n0, n1, m0, m1), (j0, j1) in zip(layout.groups, layout.join_groups):
+        dlogit = dlogit_rows(kept.softmax[j0:j1], n0, n1, m0, m1, j0)
+        z = kept.z[j0:j1]
         g["join_w"] += dlogit.T @ z
         g["join_b"] += dlogit.sum(axis=0)
-        # dpre = dz * (1 - z^2), in ``z`` and the second work buffer.
-        dpre = np.matmul(dlogit, p["join_w"], out=work[1][: n1 - n0])
+        # dpre = dz * (1 - z^2), in the work buffer; 1 - z^2 in ``z``.
+        dpre = np.matmul(dlogit, p["join_w"], out=work[: j1 - j0])
         np.multiply(z, z, out=z)
         np.subtract(1.0, z, out=z)
         dpre *= z
-        f0, f1 = layout.frame[n0], layout.frame[n1 - 1] + 1
-        denc[f0:f1] = np.add.reduceat(dpre, layout.frame_first[f0:f1] - n0, axis=0)
-        q0, q1 = layout.pos[n0], layout.pos[n1 - 1] + 1
-        by_pos = np.take(dpre, layout.by_pos[n0:n1] - n0, axis=0, out=z, mode="clip")
-        dpred[q0:q1] = np.add.reduceat(by_pos, layout.pos_first[q0:q1] - n0, axis=0)
+        f0, f1 = layout.frame_first.searchsorted((j0, j1))
+        denc[f0:f1] = np.add.reduceat(dpre, layout.frame_first[f0:f1] - j0, axis=0)
+        s0, s1 = layout.pos_first.searchsorted((j0, j1))
+        by_pos = np.take(dpre, layout.by_pos[j0:j1] - j0, axis=0, out=z, mode="clip")
+        dpred[layout.use_pos[s0:s1]] = np.add.reduceat(by_pos, layout.pos_first[s0:s1] - j0, axis=0)
     denc_pre = denc * (1.0 - enc * enc)
     g["enc_w"][...] = denc_pre.T @ layout.feats
     g["enc_b"][...] = denc_pre.sum(axis=0)
@@ -614,10 +623,11 @@ def backward_columns(
     Equal to the chain rule of each utterance's dense lattice gradient
     (``kernels.dense_grad``) up to matrix-product rounding, without
     building it: a node's dense row has two entries at most, its blank and
-    its label column, so its logit gradient is built from those two, cell
-    for cell what the dense rule gives on the same layout.  ``kept`` holds
-    the activations that ``forward_columns`` kept for this model and layout
-    (a DataError if it holds none), which this call consumes.
+    its label column, so each join's logit gradient is built from those of
+    its nodes, summed in node order, cell for cell what the dense rule
+    gives on the same layout (``_backward``).  ``kept`` holds the
+    activations that ``forward_columns`` kept for this model and layout (a
+    DataError if it holds none), which this call consumes and overwrites.
     """
     gb = np.asarray(g_blank, dtype=np.float64)
     ge = np.asarray(g_emit, dtype=np.float64)
@@ -626,20 +636,22 @@ def backward_columns(
     blank_at, emit_at = layout.cells(rows, width)
     gb, ge = gb.reshape(-1)[row0 * width :], ge.reshape(-1)[row0 * width :]
 
-    def dlogit_rows(softmax, n0, n1, m0, m1):
+    def dlogit_rows(softmax, n0, n1, m0, m1, j0):
         # A node's dlogp row holds two entries at most, its blank column and
-        # (u < U) its label column, so NumPy's row sum of it is their sum,
-        # and dlogp - softmax * sum is softmax * (-sum) plus the two entries,
-        # cell for cell (up to the sign of a zero).
+        # (u < U) its label column, so NumPy's row sum of it is their sum.
+        # A join's dlogit is then softmax * -(its nodes' row sums, summed)
+        # plus its nodes' entries, summed cell by cell, in node order.
         blank = gb[blank_at[n0:n1]]
-        r = layout.emit_rows[m0:m1] - n0
         label = ge[emit_at[m0:m1]]
         total = blank.copy()
-        total[r] += label
+        total[layout.emit_rows[m0:m1] - n0] += label
         np.negative(total, out=total)
-        softmax *= total[:, None]
-        softmax[:, -1] += blank
-        softmax[r, layout.emit_label[m0:m1]] += label
+        joins, nsym = softmax.shape
+        node_join = layout.node_join[n0:n1] - j0
+        softmax *= np.bincount(node_join, total, joins)[:, None]
+        label_at = (layout.emit_join[m0:m1] - j0) * nsym + layout.emit_label[m0:m1]
+        cells = np.concatenate((node_join * nsym + (nsym - 1), label_at))
+        softmax += np.bincount(cells, np.concatenate((blank, label)), softmax.size).reshape(joins, nsym)
         return softmax
 
     return _backward(model, layout, dlogit_rows, kept)

@@ -365,16 +365,24 @@ def model_backward(model, features, tokens, dL_dlogp):
         raise DataError(f"lattice gradient has shape {dlogp.shape}, expected {shape}")
     kept = StepActivations(model)
     forward_columns(model, layout, keep=kept)
-    return _backward(model, layout, dense_dlogit_rows(dlogp.reshape(-1, shape[2])), kept)
+    return _backward(model, layout, dense_dlogit_rows(layout, dlogp.reshape(-1, shape[2])), kept)
 
 
-def dense_dlogit_rows(dlogp):
+def dense_dlogit_rows(layout, dlogp):
     """``model._backward``'s ``dlogit_rows`` for dense (nodes, V+1) lattice
-    gradient rows ``dlogp``: dlogp - softmax * sum(dlogp) per row."""
+    gradient rows ``dlogp`` of the layout's nodes: per join, the sum over
+    its nodes of dlogp - softmax * sum(dlogp), as the sum of their rows
+    minus softmax times the sum of their row sums, each summed in node
+    order."""
 
-    def dlogit_rows(softmax, n0, n1, m0, m1):
-        dlogit = dlogp[n0:n1].copy()
-        softmax *= dlogit.sum(axis=-1, keepdims=True)
+    def dlogit_rows(softmax, n0, n1, m0, m1, j0):
+        rows = dlogp[n0:n1]
+        joins = layout.node_join[n0:n1] - j0
+        dlogit = np.zeros_like(softmax)
+        np.add.at(dlogit, joins, rows)
+        sums = np.zeros(softmax.shape[0])
+        np.add.at(sums, joins, rows.sum(axis=-1))
+        softmax *= sums[:, None]
         dlogit -= softmax
         return dlogit
 
@@ -397,7 +405,9 @@ def per_node(layout):
     own.node_join, own.emit_join = np.arange(layout.frame.size), layout.emit_rows
     own.join_frame, own.join_pos = layout.frame, layout.pos
     own.join_groups = [(n0, n1) for n0, n1, _, _ in layout.groups]
-    own.max_join_group = layout.max_group
+    own.max_join_group = max(n1 - n0 for n0, n1 in own.join_groups)
+    sizes = layout.T * (layout.U + 1)
+    own._order(layout.U + 1, sizes.cumsum() - sizes)
     return own
 
 
@@ -414,10 +424,11 @@ def forward_columns_per_node(model, layout, keep=None):
     blank_at, emit_at = layout.cells(rows, width)
     encoded = _encode(model, layout)
     p, enc, _, pred = encoded
-    work = _work(layout.max_group, enc)
+    most = max(n1 - n0 for n0, n1, _, _ in layout.groups)
+    work = _work(most, enc)
     if keep is not None:
         keep._hold(model, layout, encoded)
-    scratch = np.empty((model.vocab_size + 1, layout.max_group))
+    scratch = np.empty((model.vocab_size + 1, most))
     for n0, n1, m0, m1 in layout.groups:
         z = work[0] if keep is None else keep.z[n0:n1]
         _, logits = _join(p, enc, pred, layout.frame[n0:n1], layout.pos[n0:n1], z, work[1])

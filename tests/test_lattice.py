@@ -18,6 +18,8 @@ from twrnnt.lattice import (
     rnnt_loss,
     rnnt_loss_grad,
 )
+from twrnnt.metrics import wer
+from twrnnt.model import BatchLayout, TransducerModel
 from twrnnt.oracle import exact_sequence_logp
 
 
@@ -43,6 +45,27 @@ class TestVocabularyAndLabels:
 
     def test_labels_may_be_longer_than_frames(self):
         assert as_labels([0, 1, 0, 1], Vocabulary(2)).size == 4
+
+    @pytest.mark.parametrize(
+        "labels",
+        [[1.5], [1.0, 2.0], [True, 2], [np.True_, 1], ["3"], [1, "3"], np.array([1.0, 2.0]), np.array([True])],
+        ids=["float", "integral_floats", "bool", "numpy_bool", "str", "int_and_str", "float_array", "bool_array"],
+    )
+    def test_non_integer_labels_are_refused(self, labels):
+        # np.asarray(..., dtype=np.int64) would truncate, cast or parse them;
+        # the model's layout and the error rate refuse them as well.
+        with pytest.raises(DataError, match="labels must be integers"):
+            as_labels(labels)
+        with pytest.raises(DataError, match="labels must be integers"):
+            wer(labels, [1])
+        model = TransducerModel.zeros(2, 3, 4)
+        with pytest.raises(DataError, match="^utterance 0: labels must be integers"):
+            BatchLayout(model, [np.zeros((3, 2))], [labels])
+
+    def test_empty_labels_are_valid(self):
+        for empty in ([], (), np.zeros(0)):
+            labels = as_labels(empty)
+            assert labels.dtype == np.int64 and labels.size == 0
 
 
 class TestNormalizeLogits:

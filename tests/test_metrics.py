@@ -88,6 +88,14 @@ class TestCorpusWer:
         with pytest.raises(DataError, match="no reference tokens"):
             corpus_wer([[1]], [[]])
 
+    @pytest.mark.parametrize("fn", [corpus_wer, edit_distances])
+    def test_unequal_counts_are_refused(self, fn):
+        # zip would pair the first ones and drop the rest unseen.
+        with pytest.raises(DataError, match="^2 hypotheses for 1 references"):
+            fn([[1, 2], [3]], [[1, 2]])
+        with pytest.raises(DataError, match="^1 hypotheses for 2 references"):
+            fn([[1, 2]], [[1, 2], [3]])
+
 
 class TestEditDistances:
     @settings(PROPERTY, max_examples=100)

@@ -81,12 +81,13 @@ class TestForward:
 
 
 class TestBackward:
-    def test_full_pipeline_finite_differences(self):
+    @staticmethod
+    def check_full_pipeline(y, coordinates):
         # d(weighted loss)/d(params) through forward + lattice grad, checked
         # coordinate-by-coordinate against central differences.
         m, rng = make_model(seed=4, D=2, H=4, V=3)
         feats = rng.normal(size=(4, 2))
-        y = np.array([0, 2, 1])
+        y = np.array(y)
         w = TokenWeights(
             lambdas=np.array([1.5, 0.5, 1.0]),
             config=WeightConfig(),
@@ -100,7 +101,7 @@ class TestBackward:
         _, dlogp = weighted_loss_and_grad(lat, y, w)
         analytic = model_backward(m, feats, y, dlogp)
         h = 1e-5
-        idx = rng.choice(m.params.size, size=10, replace=False)
+        idx = rng.choice(m.params.size, size=coordinates or m.params.size, replace=False)
         for i in idx:
             p = m.params.copy()
             p[i] += h
@@ -110,6 +111,18 @@ class TestBackward:
             numeric = (hi - lo) / (2 * h)
             rel = abs(analytic[i] - numeric) / max(abs(analytic[i]), abs(numeric), 1e-6)
             assert rel < 1e-3
+        return BatchLayout(m, [feats], [y])
+
+    def test_full_pipeline_finite_differences(self):
+        self.check_full_pipeline([0, 2, 1], 10)
+
+    def test_full_pipeline_finite_differences_with_shared_joins(self):
+        # Token 1 is the predictor input at u = 1 and u = 3, so the nodes of
+        # those levels share each frame's join: the backward sums their
+        # gradients there and gives the predictor gradient of both uses to
+        # the first.  Every coordinate is checked.
+        layout = self.check_full_pipeline([1, 2, 1], None)
+        assert layout.join_frame.size == 4 * 3 < layout.frame.size
 
     def test_zero_lattice_gradient_gives_zero_param_gradient(self):
         m, rng = make_model(seed=5)
@@ -417,7 +430,7 @@ class TestTwoEntryBackward:
             for b, (T, y) in enumerate(zip(layout.T, tokens))
         ])
         forward_columns(model, layout, keep=keep)
-        want = model_module._backward(model, layout, references.dense_dlogit_rows(dense), keep)
+        want = model_module._backward(model, layout, references.dense_dlogit_rows(layout, dense), keep)
         np.testing.assert_array_equal(got, want)
 
 
@@ -453,7 +466,7 @@ class TestOneBackwardPath:
             dlogp = rng.normal(size=(T, U + 1, 17))
             layout = BatchLayout(model, [feats], [y])
             forward_columns(model, layout, keep=keep)
-            rows = references.dense_dlogit_rows(dlogp.reshape(-1, 17))
+            rows = references.dense_dlogit_rows(layout, dlogp.reshape(-1, 17))
             want = model_module._backward(model, layout, rows, keep)
             np.testing.assert_array_equal(model_backward(model, feats, y, dlogp), want)
 
@@ -467,13 +480,16 @@ def smallest_product(layout):
 class TestJoins:
     """The nodes (b, t, u) of one utterance and frame whose predictor inputs
     have one id share a join (b, t, id): ``forward_columns`` runs the joiner
-    once per join, and ``backward_columns`` reads each node's rows from its
-    join.  Both equal the per-node passes of
+    once per join, and ``backward_columns`` sums each join's node gradients
+    before the joiner's chain rule.  The forward equals the per-node pass of
     ``references.forward_columns_per_node``, with ==, when every node group
     and join group has at least 128 rows.  A product of fewer rows may take
     OpenBLAS's small-matrix path, whose rows depend on the product's height
     (ROADMAP item 3), so there a join product's rows may differ from the
-    per-node product's in the last bit, and the passes agree to 1e-12."""
+    per-node product's in the last bit, and the passes agree to 1e-12.  The
+    backward's sums over a join reassociate the per-node sums, so its
+    gradient agrees with the per-node one to 1e-12 of its largest entry,
+    and equals it, with ==, where no join is shared."""
 
     # Every node group and join group has at least 128 rows.
     LARGE = {
@@ -507,6 +523,21 @@ class TestJoins:
         (cols, grad), (want, want_grad) = self.passes(model, layout, 91)
         np.testing.assert_array_equal(cols.blank, want.blank)
         np.testing.assert_array_equal(cols.emit, want.emit)
+        assert np.max(np.abs(grad - want_grad)) <= 1e-12 * np.max(np.abs(want_grad))
+
+    @pytest.mark.parametrize("shapes", [[(11, 6), (1, 0), (9, 15), (4, 1)], [(70, 16), (30, 12), (75, 16)]])
+    def test_equals_per_node_passes_without_shared_joins(self, shapes):
+        # Every join is one node, so each join's sums are its node's terms
+        # and the products are the per-node ones: == at any group size.
+        rng = np.random.default_rng(95)
+        model = TransducerModel.random(8, 32, 16, rng)
+        feats = [rng.normal(size=(T, 8)) for T, _ in shapes]
+        tokens = [rng.permutation(16)[:U] for _, U in shapes]
+        layout = BatchLayout(model, feats, tokens)
+        assert layout.join_frame.size == layout.frame.size
+        (cols, grad), (want, want_grad) = self.passes(model, layout, 96)
+        np.testing.assert_array_equal(cols.blank, want.blank)
+        np.testing.assert_array_equal(cols.emit, want.emit)
         np.testing.assert_array_equal(grad, want_grad)
 
     @settings(PROPERTY, max_examples=25)
@@ -522,8 +553,6 @@ class TestJoins:
             if smallest_product(layout) >= 128:
                 np.testing.assert_array_equal(got, ref)
             assert np.max(np.abs(got[owned] - ref[owned]), initial=0.0) <= 1e-12
-        if smallest_product(layout) >= 128:
-            np.testing.assert_array_equal(grad, want_grad)
         assert np.max(np.abs(grad - want_grad)) <= 1e-12 * np.max(np.abs(want_grad))
 
     def test_one_join_per_node_without_repeated_inputs(self):
@@ -567,6 +596,14 @@ class TestJoins:
         # Join groups cover the joins of their node groups, in order.
         for (n0, n1, _, _), (j0, j1) in zip(layout.groups, layout.join_groups):
             assert joins[n0] == j0 and joins[n0:n1].max() == j1 - 1
+        # The backward's tables: joins are frame-major, and ``by_pos`` lists
+        # them position-major, each first use's joins in a run, in frame order.
+        frames = layout.join_frame
+        assert np.all(frames[1:] >= frames[:-1])
+        np.testing.assert_array_equal(layout.frame_first, frames.searchsorted(np.arange(layout.feats.shape[0])))
+        np.testing.assert_array_equal(layout.by_pos, np.lexsort((frames, layout.join_pos)))
+        np.testing.assert_array_equal(layout.use_pos, np.unique(layout.join_pos))
+        np.testing.assert_array_equal(layout.pos_first, layout.join_pos[layout.by_pos].searchsorted(layout.use_pos))
 
 
 def test_sum_by_id_makes_the_additions_of_add_at():

@@ -901,8 +901,8 @@ class TestCorpusWeights:
 
 class TestKeptActivations:
     """A training step's forward keeps the joiner activations and the row
-    softmax of every join (b, t, id) of its batch, and its backward reads
-    each node's rows from its join and runs no joiner pass.  Columns,
+    softmax of every join (b, t, id) of its batch, and its backward works
+    in those rows and runs no joiner pass.  Columns,
     losses and gradients must equal those of passes that keep nothing, or
     keep their activations in fresh buffers."""
 
