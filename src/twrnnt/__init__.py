@@ -8,9 +8,7 @@ and label-corruption protocols on synthetic data.
 
 from .conditionals import (
     ConditionalProfile,
-    EmissionForward,
     conditional_profile,
-    emission_forward,
     next_token_distribution,
 )
 from .errors import ConfigError, DataError, NumericalError, TwrnntError
@@ -22,7 +20,6 @@ from .lattice import (
     backward,
     forward,
     lattice_from_json,
-    lattice_to_json,
     normalize_logits,
     rnnt_loss,
     rnnt_loss_grad,
@@ -42,7 +39,6 @@ __all__ = [
     "ConditionalProfile",
     "ConfigError",
     "DataError",
-    "EmissionForward",
     "ForwardBackwardTables",
     "NumericalError",
     "PosteriorLattice",
@@ -54,10 +50,8 @@ __all__ = [
     "backward",
     "compute_weights",
     "conditional_profile",
-    "emission_forward",
     "forward",
     "lattice_from_json",
-    "lattice_to_json",
     "next_token_distribution",
     "normalize_logits",
     "rnnt_loss",

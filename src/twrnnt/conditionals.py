@@ -22,33 +22,15 @@ import numpy as np
 from . import kernels
 from .errors import DataError, NumericalError
 from .lattice import PosteriorLattice, _check_dims, as_labels
+from .model import _check_count
 
 __all__ = [
-    "EmissionForward",
     "ConditionalProfile",
-    "emission_forward",
     "conditional_profile",
     "padded_profiles",
     "next_token_distribution",
     "profile_to_json",
-    "profile_from_json",
 ]
-
-
-@dataclass(frozen=True)
-class EmissionForward:
-    """Joint emission-time masses for one (lattice, labels) pair.
-
-    A[t, u-1] (shape (T, U)) is the log joint probability of the prefix
-    y[:u] with its last token emitted exactly at frame t.  prefix_logp[u]
-    is the log prefix mass logsumexp_t A[t, u-1]; prefix_logp[0] = 0 and
-    the vector is non-increasing.  Both come from the emission sweep, the
-    same recursion whose running table is the forward table alpha of
-    ``lattice.forward``.
-    """
-
-    A: np.ndarray
-    prefix_logp: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -77,14 +59,6 @@ def _columns(lattice: PosteriorLattice, y):
         raise DataError("conditional computation needs U >= 1 (no tokens to condition on)")
     _check_dims(lattice, labels)
     return kernels.PaddedColumns.of(lattice.logp, labels)
-
-
-def emission_forward(lattice: PosteriorLattice, y) -> EmissionForward:
-    """Emission-time forward table for y over the lattice, O(T*U) via the
-    running-prefix form of the blank-run sums."""
-    A, _, prefix, _ = _columns(lattice, y).sweep()
-    A = kernels.grid(A, 0, lattice.T, lattice.U + 1)[:, 1:]
-    return EmissionForward(A=A, prefix_logp=prefix[0].copy())
 
 
 def conditional_profile(lattice: PosteriorLattice, y) -> ConditionalProfile:
@@ -132,6 +106,7 @@ def next_token_distribution(lattice: PosteriorLattice, prefix, u: int) -> np.nda
     full lattice).
     """
     labels = as_labels(prefix)
+    _check_count(u, "position u")
     if u < 1:
         raise DataError(f"position u must be >= 1, got {u}")
     if u - 1 > labels.size:
@@ -171,15 +146,3 @@ def profile_to_json(profile: ConditionalProfile) -> str:
             "final_blank_logp": float(profile.final_blank_logp),
         }
     )
-
-
-def profile_from_json(obj) -> ConditionalProfile:
-    if isinstance(obj, (str, bytes)):
-        obj = json.loads(obj)
-    try:
-        return ConditionalProfile(
-            conditionals=np.asarray(obj["conditionals"], dtype=np.float64),
-            final_blank_logp=float(obj["final_blank_logp"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"malformed conditional profile JSON: {exc}") from exc

@@ -1,19 +1,21 @@
 """Transcript corruption simulating human annotation errors.
 
-Each token is independently corrupted with probability ``error_rate`` by one
-of three error types chosen uniformly: repeating the token, omitting it, or
-substituting a confusable token.  "Confusable" for synthetic integer tokens
-means nearest prototype vector by Euclidean distance (the stand-in for
-similar-sounding words); without prototypes the substitute is uniform over
-the other tokens.
+Each token is independently corrupted with a per-token probability by one
+of the three ``ERROR_TYPES`` chosen uniformly: repeating the token,
+omitting it, or substituting a confusable token.  "Confusable" for
+synthetic integer tokens means nearest prototype vector by Euclidean
+distance (the stand-in for similar-sounding words); without prototypes the
+substitute is uniform over the other tokens.
 
-Corpus-level corruption is calibrated: adjacent errors partially merge under
-Levenshtein alignment (a repeat next to an omit scores as one substitution),
-so the raw per-token rate understates the resulting reference WER by several
-absolute points at high levels.  ``corrupt_corpus`` therefore runs a small
-deterministic pilot loop that tunes the internal per-token probability until
+``corrupt_corpus`` corrupts a list of transcripts from one seeded stream.
+Its corruption is calibrated: adjacent errors partially merge under
+Levenshtein alignment (a repeat next to an omit scores as one
+substitution), so the raw per-token rate understates the resulting
+reference WER by several absolute points at high levels.  A small
+deterministic pilot loop therefore tunes the per-token probability until
 the measured reference WER matches ``error_rate``, which is what the error
-level means downstream.
+level means downstream; ``calibrate=False`` applies ``error_rate`` as the
+raw per-token probability.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .lattice import Vocabulary, as_labels
 from .metrics import edit_distances
 from .seeds import stream
 
-__all__ = ["ERROR_TYPES", "CorruptionConfig", "corrupt_transcript", "corrupt_corpus"]
+__all__ = ["ERROR_TYPES", "CorruptionConfig", "corrupt_corpus"]
 
 ERROR_TYPES = ("repeat", "omit", "substitute")
 
@@ -37,17 +39,10 @@ ERROR_TYPES = ("repeat", "omit", "substitute")
 class CorruptionConfig:
     error_rate: float
     rng_seed: int = 0
-    error_types: tuple = ERROR_TYPES
 
     def __post_init__(self):
         if not 0.0 <= self.error_rate <= 1.0:
             raise DataError(f"error_rate must be in [0, 1], got {self.error_rate}")
-        bad = [t for t in self.error_types if t not in ERROR_TYPES]
-        if bad or not self.error_types:
-            raise DataError(
-                f"error_types must be a nonempty subset of {ERROR_TYPES}, "
-                f"got {self.error_types}"
-            )
 
 
 def _nearest_tokens(prototypes: np.ndarray) -> np.ndarray:
@@ -95,40 +90,18 @@ def _substitute(token: int, vocab: Vocabulary, nearest, rng) -> int:
     return int(rng.choice(nearest[token]))
 
 
-def corrupt_transcript(
-    y,
-    cfg: CorruptionConfig,
-    vocab: Vocabulary,
-    prototypes: Optional[np.ndarray] = None,
-    rng: Optional[np.random.Generator] = None,
-    rate: Optional[float] = None,
-):
-    """Corrupt one label sequence with the raw per-token mechanism; an empty
-    result is legal (all tokens omitted), and an empty sequence comes back
-    unchanged.
-
-    Pass an explicit ``rng`` when corrupting a corpus so utterances draw
-    from one stream; otherwise a fresh generator is seeded from the config.
-    ``rate`` overrides the per-token probability (used by the corpus-level
-    calibration); it defaults to ``cfg.error_rate``.
-    """
-    if rng is None:
-        rng = np.random.default_rng(cfg.rng_seed)
-    q = cfg.error_rate if rate is None else rate
-    return _corrupt(as_labels(y, vocab), cfg, vocab, _substitutes(prototypes, vocab), rng, q)
-
-
-def _corrupt(labels, cfg, vocab, nearest, rng, q):
-    """``corrupt_transcript`` of checked labels, given the ``_substitutes``
-    table ``nearest`` (or None) and the per-token probability ``q``.  An
-    empty transcript comes back unchanged and draws nothing from ``rng``."""
+def _corrupt(labels, vocab, nearest, rng, q):
+    """One checked transcript corrupted token by token with probability
+    ``q``, drawing from ``rng``, given the ``_substitutes`` table
+    ``nearest`` (or None).  The result may be empty (every token omitted);
+    an empty transcript comes back unchanged and draws nothing."""
     out = []
     for token in labels:
         token = int(token)
         if rng.random() >= q:
             out.append(token)
             continue
-        kind = cfg.error_types[int(rng.integers(0, len(cfg.error_types)))]
+        kind = ERROR_TYPES[int(rng.integers(0, len(ERROR_TYPES)))]
         if kind == "repeat":
             out.extend((token, token))
         elif kind == "omit":
@@ -138,8 +111,8 @@ def _corrupt(labels, cfg, vocab, nearest, rng, q):
     return np.asarray(out, dtype=np.int64)
 
 
-def _corrupt_all(transcripts, cfg, vocab, nearest, rng, rate):
-    return [_corrupt(t, cfg, vocab, nearest, rng, rate) for t in transcripts]
+def _corrupt_all(transcripts, vocab, nearest, rng, rate):
+    return [_corrupt(t, vocab, nearest, rng, rate) for t in transcripts]
 
 
 def _measured_wer(corrupted, references) -> float:
@@ -162,7 +135,7 @@ def _calibrated_rate(transcripts, cfg, vocab, nearest) -> float:
             rng = stream(cfg.rng_seed, "corruption-pilot", round_, pilot)
             measures.append(
                 _measured_wer(
-                    _corrupt_all(transcripts, cfg, vocab, nearest, rng, q),
+                    _corrupt_all(transcripts, vocab, nearest, rng, q),
                     transcripts,
                 )
             )
@@ -189,4 +162,4 @@ def corrupt_corpus(utterance_tokens, cfg, vocab, prototypes=None, calibrate=True
     nearest = _substitutes(prototypes, vocab)
     rate = _calibrated_rate(transcripts, cfg, vocab, nearest) if calibrate else cfg.error_rate
     rng = np.random.default_rng(cfg.rng_seed)
-    return _corrupt_all(transcripts, cfg, vocab, nearest, rng, rate)
+    return _corrupt_all(transcripts, vocab, nearest, rng, rate)

@@ -15,6 +15,7 @@ Identical specs produce byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
@@ -70,8 +71,8 @@ class SyntheticSpec:
                 f"frames-per-token range [{self.min_frames_per_token}, "
                 f"{self.max_frames_per_token}] invalid"
             )
-        if self.noise_level < 0:
-            raise DataError(f"noise_level must be >= 0, got {self.noise_level}")
+        if not 0 <= self.noise_level < math.inf:  # NaN fails too
+            raise DataError(f"noise_level must be finite and >= 0, got {self.noise_level}")
         for name in SPLITS:
             if getattr(self, f"n_{name}") < 0:
                 raise DataError(f"split size n_{name} must be >= 0")
@@ -227,6 +228,10 @@ def read_dataset(path):
 
 def dataset_vocab_size(meta: dict) -> int:
     try:
-        return int(meta["spec"]["vocab_size"])
-    except (KeyError, TypeError, ValueError) as exc:
+        size = meta["spec"]["vocab_size"]
+    except (KeyError, TypeError) as exc:
         raise DataError(f"dataset header lacks spec.vocab_size: {exc}") from exc
+    # JSON booleans are ints to Python; neither they nor floats are sizes.
+    if type(size) is not int or size < 1:
+        raise DataError(f"dataset header spec.vocab_size must be an integer >= 1, got {size!r}")
+    return size

@@ -33,7 +33,6 @@ __all__ = [
     "backward",
     "rnnt_loss",
     "rnnt_loss_grad",
-    "lattice_to_json",
     "lattice_from_json",
 ]
 
@@ -244,23 +243,6 @@ def rnnt_loss_grad(lattice: PosteriorLattice, y) -> np.ndarray:
     return kernels.dense_grad(g_blank, g_emit, 0, lattice.T, labels, lattice.logp.shape[2])
 
 
-def lattice_to_json(lattice: PosteriorLattice, grad: Optional[np.ndarray] = None) -> str:
-    """Serialize to the interchange form {"t", "u", "v", "logp" flat row-major}.
-
-    -inf entries are written as JSON ``-Infinity`` (Python's json dialect).
-    A gradient table of the same shape may ride along under "grad".
-    """
-    obj = {
-        "t": lattice.T,
-        "u": lattice.U,
-        "v": lattice.vocab.size,
-        "logp": [float(x) for x in lattice.logp.ravel(order="C")],
-    }
-    if grad is not None:
-        obj["grad"] = [float(x) for x in np.asarray(grad).ravel(order="C")]
-    return json.dumps(obj)
-
-
 def lattice_from_json(obj) -> PosteriorLattice:
     """Parse the interchange form; accepts a JSON string or a decoded dict."""
     if isinstance(obj, (str, bytes)):
@@ -270,7 +252,11 @@ def lattice_from_json(obj) -> PosteriorLattice:
         # JSON booleans are ints to Python; neither they nor floats are sizes.
         if not all(type(n) is int for n in (T, U, V)):
             raise ValueError(f"t, u and v must be integers, got {T!r}, {U!r}, {V!r}")
-        flat = np.asarray(obj["logp"], dtype=np.float64)
+        # Nor are booleans or strings log-probabilities, though NumPy reads them as such.
+        logp = obj["logp"]
+        if type(logp) is not list or not all(type(x) in (int, float) for x in logp):
+            raise ValueError("logp must be a flat list of numbers")
+        flat = np.asarray(logp, dtype=np.float64)
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed lattice JSON: {exc}") from exc
     if T < 1 or U < 0 or V < 1:

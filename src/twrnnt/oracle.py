@@ -4,9 +4,10 @@ Everything here trades speed for transparency: alignments are enumerated
 one by one and probabilities are summed in sorted order.  Shipped (not
 test-only) so that ``twrnnt loss-check`` can vet serialized lattices from
 any source against these references.  The slow gradient references (the
-occupancy gradient and central finite differences) and the other slow DP
-forms, which only the tests and the kernel benchmark use, live in
-``tests/references.py``.
+occupancy gradient and central finite differences), the other slow DP
+forms and the oracle pieces that ``loss-check`` does not print (an
+alignment's frames, the brute-force final-blank term), which only the
+tests and the kernel benchmark use, live in ``tests/references.py``.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ __all__ = [
     "exact_sequence_logp",
     "exact_prefix_logp",
     "exact_conditionals",
-    "exact_final_blank_logp",
 ]
 
 BLANK_STEP = 0
@@ -45,16 +45,6 @@ class AlignmentPath:
     terminates the path at (T-1, U)) interleaved with U emissions."""
 
     steps: tuple
-
-    def frames(self):
-        """Frame index occupied after each step (terminal blank exits to T)."""
-        t = 0
-        out = []
-        for s in self.steps:
-            if s == BLANK_STEP:
-                t += 1
-            out.append(t)
-        return out
 
 
 def path_count(T: int, U: int) -> int:
@@ -179,14 +169,3 @@ def exact_conditionals(lattice: PosteriorLattice, y) -> np.ndarray:
         out[u - 1] = np.exp(cur - prev)
         prev = cur
     return out
-
-
-def exact_final_blank_logp(lattice: PosteriorLattice, y) -> float:
-    """log P(terminate | y emitted): complete-sequence mass over prefix mass."""
-    labels = as_labels(y)
-    seq = exact_sequence_logp(lattice, labels)
-    pre = exact_prefix_logp(lattice, labels, labels.size)
-    if pre == -np.inf:
-        raise NumericalError("full prefix has zero probability")
-    return seq - pre
-

@@ -93,11 +93,10 @@ class TrainConfig:
             raise DataError("epochs, batch_size and dim_hidden must be >= 1")
         if self.max_symbols_per_frame < 1:
             raise DataError(f"max_symbols_per_frame must be >= 1, got {self.max_symbols_per_frame}")
-        if not self.alpha >= 0:
-            raise DataError(f"alpha must be >= 0, got {self.alpha}")
-        if not self.final_blank_weight >= 0:
-            raise DataError(f"final_blank_weight must be >= 0, got {self.final_blank_weight}")
         # Negated comparisons, so that NaN fails them too.
+        for name in ("alpha", "final_blank_weight"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise DataError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
         if not 0 < self.lr < math.inf:
             raise DataError(f"lr must be positive and finite, got {self.lr}")
         if not math.isfinite(self.init_scale):
@@ -484,12 +483,10 @@ def train_model(
     init_rng,
     order_rng,
     init_model: Optional[TransducerModel] = None,
-    pseudo: Optional[Sequence[Utterance]] = None,
-    mix_ratio=(1, 9),
 ) -> TrainResult:
-    """One Adam training run: ``train_runs`` of one group of the one
-    config ``cfg``."""
-    group = RunGroup(utterances, [cfg], init_rng, order_rng, init_model, pseudo, mix_ratio)
+    """One Adam training run on epoch shuffles of ``utterances``:
+    ``train_runs`` of one group of the one config ``cfg``."""
+    group = RunGroup(utterances, [cfg], init_rng, order_rng, init_model)
     return train_runs([group], dim_features, vocab_size)[0][0]
 
 

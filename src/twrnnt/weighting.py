@@ -14,6 +14,7 @@ exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence, Union
 
@@ -45,8 +46,10 @@ class WeightConfig:
     final_blank_weight: float = 1.0
 
     def __post_init__(self):
-        if not self.alpha >= 0:
-            raise DataError(f"alpha must be nonnegative, got {self.alpha}")
+        # Negated comparisons, so that NaN fails them too.
+        for name in ("alpha", "final_blank_weight"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise DataError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -64,9 +67,8 @@ class TokenWeights:
         return len(self.lambdas)
 
     @classmethod
-    def uniform(cls, n: int, config: WeightConfig | None = None) -> "TokenWeights":
-        cfg = config or WeightConfig(alpha=0.0)
-        return cls(lambdas=np.ones(n), config=cfg)
+    def uniform(cls, n: int) -> "TokenWeights":
+        return cls(lambdas=np.ones(n), config=WeightConfig(alpha=0.0))
 
 
 def _confidence_array(c) -> np.ndarray:
@@ -153,7 +155,8 @@ def compute_weights(
 def _padded_weights(weights, U):
     """Token weights of a padded batch as a zero-padded (B, Umax) table, and
     the sentence-end weights (B,).  ``weights`` holds one TokenWeights per
-    label count in ``U``; mis-sized or negative weights raise DataError."""
+    label count in ``U``; mis-sized, negative or non-finite weights raise
+    DataError."""
     U = np.asarray(U, dtype=np.int64)
     if len(weights) != U.size:
         raise DataError(f"{len(weights)} weight vectors for {U.size} utterances")
@@ -163,8 +166,8 @@ def _padded_weights(weights, U):
         b = int(np.argmax(sizes != U))
         raise DataError(f"weights/labels mismatch: {sizes[b]} weights for {U[b]} tokens")
     flat = np.concatenate(rows)
-    if np.any(flat < 0):
-        raise DataError("token weights must be nonnegative")
+    if not np.all((flat >= 0) & (flat < np.inf)):  # NaN fails both
+        raise DataError("token weights must be finite and nonnegative")
     lam = np.zeros((U.size, int(U.max())))
     lam[np.arange(lam.shape[1]) < U[:, None]] = flat
     w_fb = np.array([float(w.config.final_blank_weight) for w in weights])

@@ -5,9 +5,11 @@ import copy
 
 import numpy as np
 
+from twrnnt.conditionals import _columns
+from twrnnt.corruption import ERROR_TYPES
 from twrnnt.errors import DataError, NumericalError
 from twrnnt.lattice import PosteriorLattice, _check_dims, as_labels, backward, forward
-from twrnnt.kernels import PaddedColumns
+from twrnnt.kernels import PaddedColumns, grid
 from twrnnt.model import (
     BatchLayout,
     StepActivations,
@@ -19,6 +21,7 @@ from twrnnt.model import (
     backward_columns,
     forward_columns,
 )
+from twrnnt.oracle import BLANK_STEP, exact_prefix_logp, exact_sequence_logp
 from twrnnt.seeds import stream
 from twrnnt.training import _confidences_of, _run_name
 from twrnnt.weighting import _underflow_message
@@ -176,14 +179,14 @@ def _substitute(token, vocab, prototypes, rng):
     return int(rng.choice(candidates))
 
 
-def _corrupt_transcript(labels, cfg, vocab, prototypes, rng, q):
+def _corrupt_transcript(labels, error_types, vocab, prototypes, rng, q):
     out = []
     for token in labels:
         token = int(token)
         if rng.random() >= q:
             out.append(token)
             continue
-        kind = cfg.error_types[int(rng.integers(0, len(cfg.error_types)))]
+        kind = error_types[int(rng.integers(0, len(error_types)))]
         if kind == "repeat":
             out.extend((token, token))
         elif kind == "omit":
@@ -193,16 +196,19 @@ def _corrupt_transcript(labels, cfg, vocab, prototypes, rng, q):
     return np.asarray(out, dtype=np.int64)
 
 
-def corrupt_corpus(utterance_tokens, cfg, vocab, prototypes=None, calibrate=True):
+def corrupt_corpus(
+    utterance_tokens, cfg, vocab, prototypes=None, calibrate=True, error_types=ERROR_TYPES
+):
     """``corruption.corrupt_corpus`` as first written, with the prototype
     distance matrix rebuilt for every substitution, and the calibration's
-    error rate measured with ``wer_counts``."""
+    error rate measured with ``wer_counts``.  ``error_types`` stands for
+    the ``corruption.ERROR_TYPES`` that the draws pick from."""
     transcripts = [as_labels(t, vocab) for t in utterance_tokens]
     if not any(t.size for t in transcripts):
         raise DataError("cannot corrupt a corpus with no tokens")
 
     def corrupt_all(rng, q):
-        return [_corrupt_transcript(t, cfg, vocab, prototypes, rng, q) for t in transcripts]
+        return [_corrupt_transcript(t, error_types, vocab, prototypes, rng, q) for t in transcripts]
 
     target = q = cfg.error_rate
     for round_ in range(6 if calibrate and target > 0.0 else 0):
@@ -218,6 +224,43 @@ def corrupt_corpus(utterance_tokens, cfg, vocab, prototypes=None, calibrate=True
         if q == 1.0 and measured < target:
             break
     return corrupt_all(np.random.default_rng(cfg.rng_seed), q)
+
+
+def emission_forward(lattice: PosteriorLattice, y):
+    """The emission-time forward table of y over the lattice, from the
+    emission sweep, as (A, prefix_logp).
+
+    A[t, u-1] (shape (T, U)) is the log joint probability of the prefix
+    y[:u] with its last token emitted exactly at frame t.  prefix_logp[u]
+    is the log prefix mass logsumexp_t A[t, u-1]; prefix_logp[0] = 0 and
+    the vector is non-increasing.  Refuses what ``conditional_profile``
+    refuses: no tokens, or labels that do not fit the lattice.
+    """
+    A, _, prefix, _ = _columns(lattice, y).sweep()
+    return grid(A, 0, lattice.T, lattice.U + 1)[:, 1:], prefix[0].copy()
+
+
+def path_frames(path):
+    """Frame index occupied after each step of an ``oracle.AlignmentPath``
+    (the terminal blank exits to T)."""
+    t = 0
+    out = []
+    for s in path.steps:
+        if s == BLANK_STEP:
+            t += 1
+        out.append(t)
+    return out
+
+
+def exact_final_blank_logp(lattice: PosteriorLattice, y) -> float:
+    """log P(terminate | y emitted) by brute force: complete-sequence mass
+    over prefix mass."""
+    labels = as_labels(y)
+    seq = exact_sequence_logp(lattice, labels)
+    pre = exact_prefix_logp(lattice, labels, labels.size)
+    if pre == -np.inf:
+        raise NumericalError("full prefix has zero probability")
+    return seq - pre
 
 
 def emission_sweep_quadratic(lattice: PosteriorLattice, y):

@@ -1,5 +1,7 @@
 import io
 import json
+import runpy
+import shutil
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields, replace
 from pathlib import Path
@@ -590,6 +592,28 @@ class TestLossCheck:
         assert code == 3
         message = json.loads(err.strip())["message"]
         assert "row (t=1, u=0)" in message and "above 1" in message
+
+    @pytest.mark.parametrize(
+        "logp",
+        [["-0.6931471805599453", "-0.6931471805599453"], [False, -1000.0]],
+        ids=["strings", "boolean"],
+    )
+    def test_non_numeric_logp_exits_3(self, tmp_path, capsys, logp):
+        # NumPy reads a numeric string as its number and false as 0.0, so
+        # both payloads are well-formed T = 1, U = 0, |V| = 1 lattices to it.
+        f = tmp_path / "not_numbers.json"
+        f.write_text(json.dumps({"t": 1, "u": 0, "v": 1, "logp": logp}))
+        code, _, err = run(capsys, ["loss-check", str(f)])
+        assert code == 3 and "Traceback" not in err
+        assert "logp must be a flat list of numbers" in json.loads(err.strip())["message"]
+
+    def test_fixture_is_what_its_script_writes(self, tmp_path):
+        # The script is the one writer of the interchange form.  A copy
+        # writes beside itself, so the committed fixture is only read.
+        script = tmp_path / "make_loss_check_fixture.py"
+        shutil.copy(FIXTURE.parent / script.name, script)
+        runpy.run_path(str(script), run_name="__main__")
+        assert (tmp_path / FIXTURE.name).read_bytes() == FIXTURE.read_bytes()
 
     def test_boolean_dimensions_exit_3(self, tmp_path, capsys):
         # JSON true and false are not sizes, though Python takes them for

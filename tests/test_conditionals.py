@@ -1,42 +1,36 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given
 
 from conftest import PROPERTY, cases, random_instance_nonempty, random_lattice
-from references import emission_sweep_quadratic
-from twrnnt.conditionals import (
-    conditional_profile,
-    emission_forward,
-    next_token_distribution,
-    profile_from_json,
-    profile_to_json,
-)
+from references import emission_forward, emission_sweep_quadratic, exact_final_blank_logp
+from twrnnt.conditionals import conditional_profile, next_token_distribution, profile_to_json
 from twrnnt.errors import DataError, NumericalError
 from twrnnt.lattice import PosteriorLattice, rnnt_loss
-from twrnnt.oracle import (
-    exact_conditionals,
-    exact_final_blank_logp,
-    exact_prefix_logp,
-    exact_sequence_logp,
-)
+from twrnnt.oracle import exact_conditionals, exact_prefix_logp, exact_sequence_logp
 
 
 class TestEmissionForward:
+    """The emission sweep's table A and prefix masses, read through
+    ``references.emission_forward``."""
+
     def test_single_cell_boundary(self):
         rng = np.random.default_rng(40)
         lat = random_lattice(rng, 1, 1, 3)
-        ef = emission_forward(lat, [2])
+        A, prefix_logp = emission_forward(lat, [2])
         # No blank run fits in one frame: the mass is the bare emission.
-        assert ef.A[0, 0] == pytest.approx(lat.logp[0, 0, 2], abs=1e-12)
+        assert A[0, 0] == pytest.approx(lat.logp[0, 0, 2], abs=1e-12)
 
     def test_first_row_is_blanks_then_emission(self):
         rng = np.random.default_rng(41)
         lat = random_lattice(rng, 4, 2, 3)
         y = [1, 0]
-        ef = emission_forward(lat, y)
+        A, prefix_logp = emission_forward(lat, y)
         for t in range(4):
             expected = np.sum(lat.logp[:t, 0, 3]) + lat.logp[t, 0, 1]
-            assert ef.A[t, 0] == pytest.approx(expected, abs=1e-12)
+            assert A[t, 0] == pytest.approx(expected, abs=1e-12)
 
     def test_figure_style_partial_paths(self):
         # T=4, U=2: the mass of emitting the second token at frame t sums,
@@ -45,7 +39,7 @@ class TestEmissionForward:
         rng = np.random.default_rng(42)
         lat = random_lattice(rng, 4, 2, 4)
         y = [2, 0]
-        ef = emission_forward(lat, y)
+        A, prefix_logp = emission_forward(lat, y)
         for t in range(4):
             parts = []
             for tp in range(t + 1):
@@ -55,15 +49,15 @@ class TestEmissionForward:
                 logp += lat.logp[t, 1, 0]  # second token at frame t
                 parts.append(logp)
             expected = np.logaddexp.reduce(sorted(parts))
-            assert ef.A[t, 1] == pytest.approx(expected, abs=1e-12)
+            assert A[t, 1] == pytest.approx(expected, abs=1e-12)
 
     def test_prefix_mass_matches_oracle(self):
         rng = np.random.default_rng(43)
         lat = random_lattice(rng, 5, 3, 3)
         y = np.array([0, 2, 1])
-        ef = emission_forward(lat, y)
+        A, prefix_logp = emission_forward(lat, y)
         for u in range(1, 4):
-            assert np.exp(ef.prefix_logp[u]) == pytest.approx(
+            assert np.exp(prefix_logp[u]) == pytest.approx(
                 np.exp(exact_prefix_logp(lat, y, u)), abs=1e-10
             )
 
@@ -71,8 +65,8 @@ class TestEmissionForward:
         rng = np.random.default_rng(44)
         for _ in range(50):
             lat, y = random_instance_nonempty(rng)
-            ef = emission_forward(lat, y)
-            mass = np.exp(ef.prefix_logp)
+            A, prefix_logp = emission_forward(lat, y)
+            mass = np.exp(prefix_logp)
             assert np.all(np.diff(mass) <= 1e-15)
 
     def test_rejects_empty_sequence(self):
@@ -91,13 +85,13 @@ class TestEmissionForward:
         rng = np.random.default_rng(47)
         for _ in range(50):
             lat, y = random_instance_nonempty(rng)
-            fast = emission_forward(lat, y)
+            fast_A, fast_prefix = emission_forward(lat, y)
             slow_A, slow_prefix, _ = emission_sweep_quadratic(lat, y)
             slow_A = slow_A[:, 1:]
-            finite = np.isfinite(fast.A)
+            finite = np.isfinite(fast_A)
             assert np.array_equal(finite, np.isfinite(slow_A))
-            assert np.max(np.abs(fast.A[finite] - slow_A[finite])) < 1e-12
-            assert np.max(np.abs(fast.prefix_logp - slow_prefix)) < 1e-12
+            assert np.max(np.abs(fast_A[finite] - slow_A[finite])) < 1e-12
+            assert np.max(np.abs(fast_prefix - slow_prefix)) < 1e-12
 
 
 class TestConditionalProfile:
@@ -143,13 +137,14 @@ class TestConditionalProfile:
         with pytest.raises(NumericalError, match="zero probability"):
             conditional_profile(lat, [0])
 
-    def test_json_round_trip(self):
+    def test_json_record_fields(self):
         rng = np.random.default_rng(52)
         lat = random_lattice(rng, 3, 2, 3)
         prof = conditional_profile(lat, [0, 1])
-        back = profile_from_json(profile_to_json(prof))
-        np.testing.assert_array_equal(back.conditionals, prof.conditionals)
-        assert back.final_blank_logp == prof.final_blank_logp
+        record = json.loads(profile_to_json(prof))
+        assert sorted(record) == ["conditionals", "final_blank_logp"]
+        np.testing.assert_array_equal(record["conditionals"], prof.conditionals)
+        assert record["final_blank_logp"] == prof.final_blank_logp
 
 
 class TestNextTokenDistribution:
@@ -198,6 +193,19 @@ class TestNextTokenDistribution:
         lat = PosteriorLattice(logp)
         with pytest.raises(NumericalError, match="zero probability"):
             next_token_distribution(lat, [0], 2)
+
+    @pytest.mark.parametrize("u", [True, 1.5, 2.0, "2"])
+    def test_position_must_be_an_integer(self, u):
+        # Python takes True for 1; a float is no position, even 2.0.
+        lat = random_lattice(np.random.default_rng(57), 2, 1, 2)
+        with pytest.raises(DataError, match="position u must be an integer"):
+            next_token_distribution(lat, [0], u)
+
+    def test_numpy_integer_position(self):
+        lat = random_lattice(np.random.default_rng(58), 3, 2, 3)
+        np.testing.assert_array_equal(
+            next_token_distribution(lat, [0], np.int64(2)), next_token_distribution(lat, [0], 2)
+        )
 
     def test_position_validation(self):
         rng = np.random.default_rng(56)

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,42 +8,58 @@ from hypothesis import strategies as st
 
 import references
 from conftest import PROPERTY
-from twrnnt.corruption import CorruptionConfig, corrupt_corpus, corrupt_transcript
+from twrnnt import corruption
+from twrnnt.corruption import CorruptionConfig, corrupt_corpus
 from twrnnt.errors import DataError
 from twrnnt.lattice import Vocabulary
 from twrnnt.metrics import wer
+
+
+def corrupt_one(y, cfg, vocab, prototypes=None):
+    """One transcript corrupted at the raw rate ``cfg.error_rate``: the
+    corpus of one, drawn from ``default_rng(cfg.rng_seed)``."""
+    return corrupt_corpus([y], cfg, vocab, prototypes, calibrate=False)[0]
+
+
+@pytest.fixture
+def only(monkeypatch):
+    """Restrict the error types that corruption draws from, as in
+    ``only("repeat")``."""
+    return lambda *types: monkeypatch.setattr(corruption, "ERROR_TYPES", types)
 
 
 class TestCorruptTranscript:
     def test_zero_rate_is_identity(self):
         cfg = CorruptionConfig(error_rate=0.0, rng_seed=1)
         y = np.array([3, 1, 4, 1, 5])
-        out = corrupt_transcript(y, cfg, Vocabulary(8))
+        out = corrupt_one(y, cfg, Vocabulary(8))
         np.testing.assert_array_equal(out, y)
 
-    def test_forced_repeat_duplicates_every_token(self):
-        cfg = CorruptionConfig(error_rate=1.0, rng_seed=1, error_types=("repeat",))
-        out = corrupt_transcript([0, 1], cfg, Vocabulary(4))
+    def test_forced_repeat_duplicates_every_token(self, only):
+        only("repeat")
+        out = corrupt_one([0, 1], CorruptionConfig(error_rate=1.0, rng_seed=1), Vocabulary(4))
         assert out.tolist() == [0, 0, 1, 1]
 
-    def test_forced_omit_empties(self):
-        cfg = CorruptionConfig(error_rate=1.0, rng_seed=1, error_types=("omit",))
-        out = corrupt_transcript([2, 3], cfg, Vocabulary(4))
+    def test_forced_omit_empties(self, only):
+        only("omit")
+        out = corrupt_one([2, 3], CorruptionConfig(error_rate=1.0, rng_seed=1), Vocabulary(4))
         assert out.size == 0
 
-    def test_substitute_is_distinct_and_in_vocab(self):
-        cfg = CorruptionConfig(error_rate=1.0, rng_seed=2, error_types=("substitute",))
+    def test_substitute_is_distinct_and_in_vocab(self, only):
+        only("substitute")
+        cfg = CorruptionConfig(error_rate=1.0, rng_seed=2)
         vocab = Vocabulary(6)
         y = np.array([0, 1, 2, 3, 4, 5])
-        out = corrupt_transcript(y, cfg, vocab)
+        out = corrupt_one(y, cfg, vocab)
         assert out.size == y.size
         assert np.all(out != y)
         assert np.all((out >= 0) & (out < 6))
 
-    def test_substitute_picks_nearest_prototype(self):
+    def test_substitute_picks_nearest_prototype(self, only):
+        only("substitute")
         protos = np.array([[0.0], [0.1], [5.0]])
-        cfg = CorruptionConfig(error_rate=1.0, rng_seed=3, error_types=("substitute",))
-        out = corrupt_transcript([0], cfg, Vocabulary(3), prototypes=protos)
+        cfg = CorruptionConfig(error_rate=1.0, rng_seed=3)
+        out = corrupt_one([0], cfg, Vocabulary(3), prototypes=protos)
         assert out.tolist() == [1]  # token 1 is nearest to token 0
 
     @pytest.mark.parametrize(
@@ -50,25 +67,27 @@ class TestCorruptTranscript:
         ids=["not_numbers", "too_few_rows", "nan", "one_dimensional"],
     )
     def test_malformed_prototypes_rejected(self, protos):
-        cfg = CorruptionConfig(error_rate=1.0, rng_seed=3, error_types=("substitute",))
+        cfg = CorruptionConfig(error_rate=1.0, rng_seed=3)
         with pytest.raises(DataError, match="prototypes must be"):
             corrupt_corpus([[0, 1]], cfg, Vocabulary(3), prototypes=protos)
 
     def test_empty_transcript_unchanged(self):
-        out = corrupt_transcript([], CorruptionConfig(1.0), Vocabulary(2))
+        # A corpus needs a token somewhere; the empty transcript rides
+        # next to one.
+        out = corrupt_corpus([[], [1]], CorruptionConfig(1.0), Vocabulary(2), calibrate=False)[0]
         assert out.dtype == np.int64 and out.size == 0
 
     def test_bad_config_rejected(self):
         with pytest.raises(DataError):
             CorruptionConfig(error_rate=1.5)
         with pytest.raises(DataError):
-            CorruptionConfig(error_rate=0.5, error_types=("typo",))
+            CorruptionConfig(error_rate=float("nan"))
 
     def test_seed_determinism(self):
         cfg = CorruptionConfig(error_rate=0.6, rng_seed=11)
         y = np.arange(10) % 4
-        a = corrupt_transcript(y, cfg, Vocabulary(4))
-        b = corrupt_transcript(y, cfg, Vocabulary(4))
+        a = corrupt_one(y, cfg, Vocabulary(4))
+        b = corrupt_one(y, cfg, Vocabulary(4))
         np.testing.assert_array_equal(a, b)
 
 
@@ -186,36 +205,40 @@ class TestSubstituteCandidates:
 
     @pytest.mark.parametrize("kind", ["none", "distinct", "tied"])
     @pytest.mark.parametrize("level", [0.1, 0.3, 0.6])
-    def test_corpus_equals_reference(self, kind, level):
+    def test_corpus_equals_reference(self, kind, level, only):
+        only("substitute", "omit")
         rng = np.random.default_rng(140)
         refs = [rng.integers(0, 16, size=rng.integers(0, 9)) for _ in range(80)]
         vocab = Vocabulary(16)
         for seed in (0, 11, 12345):
             protos = self.prototypes(kind, seed)
-            cfg = CorruptionConfig(error_rate=level, rng_seed=seed, error_types=("substitute", "omit"))
+            cfg = CorruptionConfig(error_rate=level, rng_seed=seed)
             got = corrupt_corpus(refs, cfg, vocab, prototypes=protos)
-            want = references.corrupt_corpus(refs, cfg, vocab, prototypes=protos)
+            want = references.corrupt_corpus(
+                refs, cfg, vocab, prototypes=protos, error_types=("substitute", "omit")
+            )
             assert [t.tolist() for t in got] == [t.tolist() for t in want]
-            # corrupt_transcript draws the same way, one transcript at a time.
-            one = corrupt_transcript(refs[0], cfg, vocab, prototypes=protos, rate=1.0)
+            # A transcript alone draws the same way, at the raw rate.
+            one = corrupt_one(refs[0], replace(cfg, error_rate=1.0), vocab, prototypes=protos)
             want = references._corrupt_transcript(
-                refs[0], cfg, vocab, protos, np.random.default_rng(seed), 1.0
+                refs[0], ("substitute", "omit"), vocab, protos, np.random.default_rng(seed), 1.0
             )
             assert one.tolist() == want.tolist()
 
-    def test_one_token_vocabulary_substitutes_itself_without_warning(self):
-        cfg = CorruptionConfig(error_rate=1.0, rng_seed=5, error_types=("substitute",))
+    def test_one_token_vocabulary_substitutes_itself_without_warning(self, only):
+        only("substitute")
+        cfg = CorruptionConfig(error_rate=1.0, rng_seed=5)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = corrupt_transcript([0, 0, 0], cfg, Vocabulary(1), prototypes=[[0.3, 1.0]])
+            out = corrupt_one([0, 0, 0], cfg, Vocabulary(1), prototypes=[[0.3, 1.0]])
         assert out.tolist() == [0, 0, 0]
 
-    def test_ties_are_drawn_among_every_nearest(self):
+    def test_ties_are_drawn_among_every_nearest(self, only):
+        only("substitute")
         protos = self.prototypes("tied", 3)
         vocab = Vocabulary(16)
-        cfg = CorruptionConfig(error_rate=1.0, rng_seed=4, error_types=("substitute",))
         subs = {
-            int(corrupt_transcript([7], cfg, vocab, prototypes=protos, rng=np.random.default_rng(s))[0])
+            int(corrupt_one([7], CorruptionConfig(error_rate=1.0, rng_seed=s), vocab, prototypes=protos)[0])
             for s in range(60)
         }
         assert subs == {3, 5, 9}

@@ -4,6 +4,7 @@ import pytest
 from twrnnt.datagen import (
     SyntheticSpec,
     Utterance,
+    dataset_vocab_size,
     generate_synthetic_dataset,
     read_dataset,
     write_dataset,
@@ -75,8 +76,19 @@ class TestGeneration:
         with pytest.raises(DataError):
             SyntheticSpec(noise_level=-0.1)
 
+    @pytest.mark.parametrize("noise", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_noise_level_must_be_finite(self, noise):
+        with pytest.raises(DataError, match="noise_level must be finite and >= 0"):
+            SyntheticSpec(noise_level=noise)
+
 
 class TestDatasetIO:
+    @pytest.mark.parametrize("size", [16.5, True, 0, -3, "16"])
+    def test_header_vocab_size_must_be_a_positive_integer(self, size):
+        # int() would read 16.5 as 16 and true as 1; neither is a size.
+        with pytest.raises(DataError, match="vocab_size must be an integer >= 1"):
+            dataset_vocab_size({"spec": {"vocab_size": size}})
+
     def test_round_trip_with_optional_fields(self, tmp_path):
         utt = Utterance(
             id="x-1",

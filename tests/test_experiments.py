@@ -18,7 +18,7 @@ from twrnnt.experiments import (
 from twrnnt.lattice import Vocabulary
 from twrnnt.model import greedy_decode
 from twrnnt.seeds import stream
-from twrnnt.training import TrainConfig, evaluate_wer, score_confidences, train_model
+from twrnnt.training import RunGroup, TrainConfig, evaluate_wer, score_confidences, train_model, train_runs
 
 
 @pytest.fixture(scope="module")
@@ -238,9 +238,9 @@ class TestCleanTeacherControl:
 
 
 def solo(utts, cfg, root_seed, tag, **kwargs):
-    return train_model(
-        utts, 8, 16, cfg, stream(root_seed, "init", *tag), stream(root_seed, "order", *tag), **kwargs
-    )
+    """One run of ``cfg``, trained alone; ``kwargs`` go to its ``RunGroup``."""
+    group = RunGroup(utts, [cfg], stream(root_seed, "init", *tag), stream(root_seed, "order", *tag), **kwargs)
+    return train_runs([group], 8, 16)[0][0]
 
 
 def best(trials):

@@ -13,7 +13,6 @@ from twrnnt.lattice import (
     backward,
     forward,
     lattice_from_json,
-    lattice_to_json,
     normalize_logits,
     rnnt_loss,
     rnnt_loss_grad,
@@ -226,26 +225,35 @@ class TestRnntLossGrad:
         assert np.all(g[:, :, 3] == 0.0)
 
 
+def interchange(lat):
+    """The lattice interchange form, built as
+    ``fixtures/make_loss_check_fixture.py`` builds it."""
+    return {"t": lat.T, "u": lat.U, "v": lat.vocab.size, "logp": [float(x) for x in lat.logp.ravel()]}
+
+
 class TestSerialization:
     def test_round_trip(self):
         rng = np.random.default_rng(35)
         lat = random_lattice(rng, 3, 2, 3)
-        back = lattice_from_json(lattice_to_json(lat))
+        back = lattice_from_json(json.dumps(interchange(lat)))
         np.testing.assert_array_equal(back.logp, lat.logp)
 
     def test_neg_inf_survives(self):
         with np.errstate(divide="ignore"):
             logp = np.log(np.array([[[0.5, 0.5, 0.0], [0.0, 0.0, 1.0]]]))
         lat = PosteriorLattice(logp)
-        back = lattice_from_json(lattice_to_json(lat))
+        back = lattice_from_json(json.dumps(interchange(lat)))
         np.testing.assert_array_equal(back.logp, lat.logp)
 
-    def test_grad_rides_along(self):
-        rng = np.random.default_rng(36)
-        lat = random_lattice(rng, 2, 1, 2)
-        g = rnnt_loss_grad(lat, [0])
-        obj = json.loads(lattice_to_json(lat, grad=g))
-        assert np.allclose(np.asarray(obj["grad"]).reshape(g.shape), g)
+    @pytest.mark.parametrize(
+        "logp",
+        [["-0.5", -1.0], [True, -1.0], [None, -1.0], [[-0.5], -1.0], "-0.5", {"0": -0.5}],
+        ids=["string", "boolean", "null", "nested", "not_a_list", "object"],
+    )
+    def test_non_numeric_logp_rejected(self, logp):
+        # NumPy reads "-0.5" as -0.5 and true as 1.0; neither is a number in JSON.
+        with pytest.raises(DataError, match="logp must be a flat list of numbers"):
+            lattice_from_json({"t": 1, "u": 0, "v": 1, "logp": logp})
 
     def test_size_mismatch_rejected(self):
         with pytest.raises(DataError, match="entries"):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import capped_lattice, random_instance, random_lattice
-from references import finite_diff_grad
+from references import exact_final_blank_logp, finite_diff_grad, path_frames
 from twrnnt.errors import DataError
 from twrnnt.lattice import PosteriorLattice, normalize_logits
 from twrnnt.oracle import (
@@ -12,7 +12,6 @@ from twrnnt.oracle import (
     EMIT_STEP,
     enumerate_paths,
     exact_conditionals,
-    exact_final_blank_logp,
     exact_prefix_logp,
     exact_sequence_logp,
     path_count,
@@ -30,7 +29,7 @@ class TestEnumeration:
         # One start position per frame: four panels, four paths.
         paths = enumerate_paths(4, 1)
         assert len(paths) == 4
-        emit_frames = sorted(p.frames()[p.steps.index(EMIT_STEP)] for p in paths)
+        emit_frames = sorted(path_frames(p)[p.steps.index(EMIT_STEP)] for p in paths)
         assert emit_frames == [0, 1, 2, 3]
 
     def test_combinatorial_count(self):
@@ -50,7 +49,7 @@ class TestEnumeration:
                 assert sum(1 for s in p.steps if s == BLANK_STEP) == T
                 assert sum(1 for s in p.steps if s == EMIT_STEP) == U
                 assert p.steps[-1] == BLANK_STEP
-                assert max(p.frames()) == T  # terminal blank exits the lattice
+                assert max(path_frames(p)) == T  # terminal blank exits the lattice
 
     def test_guard(self):
         with pytest.raises(DataError, match="guard"):

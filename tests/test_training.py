@@ -195,6 +195,15 @@ class TestTrainingLoop:
         with pytest.raises(DataError, match=f"^{field} must be"):
             TrainConfig(**{field: value})
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("alpha", np.inf), ("alpha", np.nan), ("alpha", -1.0),
+         ("final_blank_weight", np.inf), ("final_blank_weight", np.nan), ("final_blank_weight", -0.5)],
+    )
+    def test_config_refuses_what_the_cli_refuses(self, field, value):
+        with pytest.raises(DataError, match=f"^{field} must be finite and >= 0"):
+            TrainConfig(**{field: value})
+
     def test_deterministic_given_streams(self, small_data):
         cfg = TrainConfig(epochs=2, batch_size=8)
         runs = [
@@ -420,10 +429,10 @@ class TestRunSetup:
         cfg = TrainConfig(epochs=2, batch_size=8, mode=mode, alpha=2.0, final_blank_weight=0.5)
         init = TransducerModel.random(8, 16, 16, np.random.default_rng(51))
         before = init.params.copy()
-        res = train_model(
-            labeled, 8, 16, cfg, stream(52, "init"), stream(52, "order"),
-            init_model=init, pseudo=pseudo,
+        group = RunGroup(
+            labeled, [cfg], stream(52, "init"), stream(52, "order"), init_model=init, pseudo=pseudo
         )
+        ((res,),) = train_runs([group], 8, 16)
         np.testing.assert_array_equal(init.params, before)  # init_model is copied
         ref_model, ref_losses = reference_train(labeled, pseudo, cfg, init, stream(52, "order"))
         assert len(res.batch_losses) == len(ref_losses) > 4
@@ -454,7 +463,8 @@ class TestRunSetup:
         with pytest.raises(DataError, match=f"utterance {utts[-1].id}: "):
             train_model(utts, 8, 16, cfg, stream(54, "init"), stream(54, "order"))
         with pytest.raises(DataError, match=f"utterance {utts[-1].id}: "):
-            train_model(utts[:2], 8, 16, cfg, stream(54, "init"), stream(54, "order"), pseudo=utts[2:])
+            mixed = RunGroup(utts[:2], [cfg], stream(54, "init"), stream(54, "order"), pseudo=utts[2:])
+            train_runs([mixed], 8, 16)
         assert updates == []
 
     @pytest.mark.parametrize(
@@ -468,9 +478,10 @@ class TestRunSetup:
         monkeypatch.setattr(training_mod, "PackedUtterances", lambda *args: packed.append(1) or pack(*args))
         utts = small_data["train"][:8]
         with pytest.raises(DataError, match="mix_ratio must be finite"):
-            train_model(
-                utts[:4], 8, 16, TrainConfig(epochs=1), stream(55, "init"), stream(55, "order"),
-                pseudo=utts[4:], mix_ratio=ratio,
+            train_runs(
+                [RunGroup(utts[:4], [TrainConfig(epochs=1)], stream(55, "init"), stream(55, "order"),
+                          pseudo=utts[4:], mix_ratio=ratio)],
+                8, 16,
             )
         assert packed == []
 

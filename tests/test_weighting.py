@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from conftest import random_instance, random_instance_nonempty, random_lattice
-from references import finite_diff_grad
+from references import exact_final_blank_logp, finite_diff_grad
 from twrnnt.conditionals import conditional_profile
 from twrnnt.errors import DataError, NumericalError
 from twrnnt.lattice import rnnt_loss, rnnt_loss_grad
-from twrnnt.oracle import exact_conditionals, exact_final_blank_logp
+from twrnnt.oracle import exact_conditionals
 from twrnnt.weighting import (
     TokenWeights,
     WeightConfig,
@@ -85,6 +85,17 @@ class TestComputeWeights:
             WeightConfig(alpha=-1.0)
 
     @pytest.mark.parametrize(
+        "field, value",
+        [("alpha", np.inf), ("alpha", np.nan), ("final_blank_weight", -1.0),
+         ("final_blank_weight", np.nan), ("final_blank_weight", np.inf)],
+    )
+    def test_config_refuses_what_the_cli_refuses(self, field, value):
+        # The CLI's rule, finite and >= 0: a negative sentence-end weight
+        # would reward an unlikely end of the sequence.
+        with pytest.raises(DataError, match=f"^{field} must be finite and >= 0"):
+            WeightConfig(**{field: value})
+
+    @pytest.mark.parametrize(
         "confidences, config, names",
         [
             (np.array([1e-60, 1e-70]), WeightConfig(alpha=6.0), "0"),
@@ -159,6 +170,16 @@ class TestWeightedLoss:
         w = TokenWeights.uniform(1)
         with pytest.raises(DataError, match="mismatch"):
             weighted_rnnt_loss(lat, [0, 1], w)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0], ids=["nan", "inf", "negative"])
+    def test_non_finite_or_negative_weights_rejected(self, bad):
+        # ``nan < 0`` is False, so a sign check alone passes NaN.
+        rng = np.random.default_rng(75)
+        lat = random_lattice(rng, 3, 2, 2)
+        w = TokenWeights(lambdas=np.array([bad, 1.0]))
+        for f in (weighted_rnnt_loss, weighted_rnnt_loss_grad):
+            with pytest.raises(DataError, match="token weights must be finite and nonnegative"):
+                f(lat, [0, 1], w)
 
     def test_matches_profile_formula(self):
         rng = np.random.default_rng(68)
