@@ -28,7 +28,7 @@ from .datagen import (
     read_dataset,
     write_dataset,
 )
-from .errors import ConfigError, DataError, NumericalError, TwrnntError
+from .errors import ConfigError, DataError, NumericalError, TwrnntError, check_list
 from .experiments import (
     GenerationConfig,
     format_table,
@@ -37,7 +37,7 @@ from .experiments import (
     run_corruption_experiment,
     run_pseudo_labeling,
 )
-from .lattice import Vocabulary, lattice_from_json, rnnt_loss
+from .lattice import Vocabulary, as_labels, lattice_from_json, rnnt_loss
 from .metrics import corpus_wer
 from .model import load_checkpoint, save_checkpoint
 from .oracle import MAX_PATHS, exact_conditionals, exact_sequence_logp, path_count
@@ -45,8 +45,8 @@ from .seeds import stream
 from .training import TrainConfig, decode_corpus, score_confidences, train_model
 from .weighting import (
     WeightConfig,
-    _confidence_array,
     compute_weights,
+    confidence_array,
     packed_weights,
     weighted_rnnt_loss,
 )
@@ -163,7 +163,7 @@ def cmd_decode(args) -> int:
 def _utterance_lambdas(utt, alpha) -> np.ndarray:
     """The utterance's token weights, normalized to mean 1 over the
     utterance; weights that underflow raise NumericalError naming it."""
-    powered = _confidence_array(utt.confidences) ** alpha
+    powered = confidence_array(utt.confidences) ** alpha
     if not powered.size:
         return powered
     return packed_weights(powered, [float(np.sum(powered))], alpha, [utt.id])
@@ -186,10 +186,9 @@ def cmd_corrupt(args) -> int:
     cfg = _effective_config(args)
     meta, utts = read_dataset(_require_file(args.data, "dataset"))
     vocab = Vocabulary(dataset_vocab_size(meta))
-    ccfg = CorruptionConfig(error_rate=cfg["error_rate"], rng_seed=cfg["seed"])
     corrupted = corrupt_corpus(
         [u.tokens for u in utts],
-        ccfg,
+        _from_config(CorruptionConfig, cfg, rng_seed="seed"),
         vocab,
         prototypes=meta.get("prototypes"),
         calibrate=cfg["calibrate_corruption"],
@@ -231,12 +230,8 @@ def cmd_run_corruption(args) -> int:
 def cmd_run_pseudolabel(args) -> int:
     cfg = _effective_config(args)
     meta, splits = _load_split_dir(cfg)
-    gen = GenerationConfig(
-        rounds=cfg["rounds"],
-        alpha_grid=tuple(cfg["alpha_grid"]),
-        labeled_to_pseudo_ratio=(cfg["ratio_labeled"], cfg["ratio_pseudo"]),
-        modes=tuple(cfg["modes"]),
-    )
+    ratio = (cfg["ratio_labeled"], cfg["ratio_pseudo"])  # one field, fed by two keys
+    gen = _from_config(GenerationConfig, dict(cfg, labeled_to_pseudo_ratio=ratio))
     report = run_pseudo_labeling(
         splits["train"],
         splits["pretrain"],  # the pretrain split doubles as the unlabeled pool
@@ -277,15 +272,7 @@ def cmd_loss_check(args) -> int:
             f"{path}: row (t={t}, u={u}) has probability mass above 1 "
             f"(log-sum-exp {lse[t, u]:.3e} > 1e-12)"
         )
-    tokens = obj.get("tokens", [])
-    if not isinstance(tokens, list) or not all(
-        type(k) is int and 0 <= k < lattice.blank for k in tokens
-    ):
-        raise DataError(
-            f"{path}: tokens must be a list of integers in 0..{lattice.blank - 1}, "
-            f"got {tokens!r}"
-        )
-    tokens = np.asarray(tokens, dtype=np.int64)
+    tokens = as_labels(check_list(obj.get("tokens", []), "tokens", integer=True), lattice.vocab)
     print(
         f"lattice: T={lattice.T} U={lattice.U} |V|={lattice.vocab.size}  "
         f"row normalization error {lattice.row_normalization_error():.3e}"

@@ -20,9 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import DataError, NumericalError
-from .lattice import PosteriorLattice, _check_dims, as_labels
-from .model import _check_count
+from .errors import DataError, NumericalError, check_count
+from .lattice import PosteriorLattice, as_labels, check_dims
 
 __all__ = [
     "ConditionalProfile",
@@ -57,7 +56,7 @@ def _columns(lattice: PosteriorLattice, y):
     labels = as_labels(y)
     if labels.size == 0:
         raise DataError("conditional computation needs U >= 1 (no tokens to condition on)")
-    _check_dims(lattice, labels)
+    check_dims(lattice, labels)
     return kernels.PaddedColumns.of(lattice.logp, labels)
 
 
@@ -106,9 +105,7 @@ def next_token_distribution(lattice: PosteriorLattice, prefix, u: int) -> np.nda
     full lattice).
     """
     labels = as_labels(prefix)
-    _check_count(u, "position u")
-    if u < 1:
-        raise DataError(f"position u must be >= 1, got {u}")
+    check_count(u, "position u", 1)
     if u - 1 > labels.size:
         raise DataError(
             f"position u={u} needs a prefix of {u - 1} tokens, got {labels.size}"

@@ -2,19 +2,26 @@
 
 Configs are flat JSON objects; every key has a declared type and default,
 unknown keys are rejected, and every key can be overridden from the command
-line (``--max-tokens 12``, ``--alpha-grid 2,6``).  Paths are validated
-before any work starts.  A canonical hash of the effective config goes into
-every output artifact's provenance block.
+line (``--max-tokens 12``, ``--alpha-grid 2,6``).  A key that feeds a field
+of ``TrainConfig``, ``SyntheticSpec``, ``CorruptionConfig`` or
+``GenerationConfig`` follows the rule that the field states; of the
+numeric keys, only ``levels`` (each entry an ``error_rate``) and ``seeds``
+feed none.  Paths are validated before any work starts.  A canonical hash
+of the effective config goes into every output artifact's provenance block.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
+from dataclasses import fields
 from pathlib import Path
 
-from .errors import ConfigError
+from .corruption import CorruptionConfig
+from .datagen import SyntheticSpec
+from .errors import ConfigError, DataError, check_count, check_each, rule_of
+from .experiments import GenerationConfig
+from .training import TrainConfig
 
 CONFIG_SCHEMA_VERSION = 1
 
@@ -139,48 +146,34 @@ def load_config(path=None, overrides=None) -> dict:
     return cfg
 
 
+# (key, class, field): config keys that feed a dataclass field of another
+# name, or of a class the config does not build whole.
+_FEEDS = (
+    ("base_epochs", TrainConfig, "epochs"),
+    ("seed", CorruptionConfig, "rng_seed"),
+    ("error_rate", CorruptionConfig, "error_rate"),
+    ("rounds", GenerationConfig, "rounds"),
+    ("alpha_grid", GenerationConfig, "alpha_grid"),
+    ("modes", GenerationConfig, "modes"),
+)
+
+
 def _validate(cfg: dict) -> None:
-    if cfg["mode"] not in ("standard", "utterance_weights", "token_weights"):
-        raise ConfigError(f"mode must be a known training mode, got {cfg['mode']!r}")
-    for key in ("levels", "alpha_grid", "seeds", "modes"):
-        if not cfg[key]:
-            raise ConfigError(f"config key {key!r} must be nonempty")
-    for m in cfg["modes"]:
-        if m not in ("standard", "utterance_weights", "token_weights"):
-            raise ConfigError(f"unknown mode in modes: {m!r}")
-    for level in cfg["levels"]:
-        if not 0.0 <= level <= 1.0:
-            raise ConfigError(f"config key 'levels': corruption level {level} outside [0, 1]")
-    if not 0.0 <= cfg["error_rate"] <= 1.0:
-        raise ConfigError(f"error_rate {cfg['error_rate']} outside [0, 1]")
-    for key in (
-        "dim_features", "dim_hidden", "vocab_size", "epochs", "base_epochs", "batch_size",
-        "max_symbols_per_frame", "rounds", "min_tokens", "min_frames_per_token",
-    ):
-        if cfg[key] < 1:
-            raise ConfigError(f"config key {key!r} must be >= 1, got {cfg[key]}")
-    for key in ("seed", "n_train", "n_valid", "n_test", "n_pretrain", "ratio_labeled", "ratio_pseudo"):
-        if cfg[key] < 0:
-            raise ConfigError(f"config key {key!r} must be >= 0, got {cfg[key]}")
-    for seed in cfg["seeds"]:
-        if seed < 0:
-            raise ConfigError(f"seeds must be >= 0, got {seed}")
-    if cfg["ratio_labeled"] + cfg["ratio_pseudo"] == 0:
-        raise ConfigError("ratio_labeled and ratio_pseudo must not both be 0")
-    for lo, hi in (("min_tokens", "max_tokens"), ("min_frames_per_token", "max_frames_per_token")):
-        if cfg[hi] < cfg[lo]:
-            raise ConfigError(f"config key {hi!r} ({cfg[hi]}) is below {lo!r} ({cfg[lo]})")
-    # Negated comparisons, so that NaN fails them too.
-    for key in ("alpha", "final_blank_weight", "noise_level"):
-        if not 0.0 <= cfg[key] < math.inf:
-            raise ConfigError(f"config key {key!r} must be finite and >= 0, got {cfg[key]}")
-    for alpha in cfg["alpha_grid"]:
-        if not 0.0 <= alpha < math.inf:
-            raise ConfigError(f"alpha_grid entries must be finite and >= 0, got {alpha}")
-    if not 0.0 < cfg["lr"] < math.inf:
-        raise ConfigError(f"config key 'lr' must be positive and finite, got {cfg['lr']}")
-    if not math.isfinite(cfg["init_scale"]):
-        raise ConfigError(f"config key 'init_scale' must be finite, got {cfg['init_scale']}")
+    """Hold each key to the rule of the dataclass field it feeds, naming the
+    key: build the classes whose fields share the keys' names, and apply
+    ``_FEEDS``.  ``levels`` and ``seeds`` feed no field."""
+    pair = ("ratio_labeled", "ratio_pseudo")
+    try:
+        for cls in (TrainConfig, SyntheticSpec):
+            cls(**{f.name: cfg[f.name] for f in fields(cls)})
+        for key, cls, name in _FEEDS:
+            rule_of(cls, name)(cfg[key], key)
+        ratio = rule_of(GenerationConfig, "labeled_to_pseudo_ratio")
+        ratio(tuple(cfg[k] for k in pair), " and ".join(pair))
+        check_each(cfg["levels"], "levels", rule_of(CorruptionConfig, "error_rate"))
+        check_each(cfg["seeds"], "seeds", check_count)
+    except DataError as exc:
+        raise ConfigError(f"config key {exc}") from None
 
 
 def config_hash(cfg: dict) -> str:

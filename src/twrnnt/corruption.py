@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, check_count, check_fields, check_list, check_real, checked
 from .lattice import Vocabulary, as_labels
 from .metrics import edit_distances
 from .seeds import stream
@@ -37,12 +37,10 @@ ERROR_TYPES = ("repeat", "omit", "substitute")
 
 @dataclass(frozen=True)
 class CorruptionConfig:
-    error_rate: float
-    rng_seed: int = 0
+    error_rate: float = checked(check_real, low=0.0, high=1.0)
+    rng_seed: int = checked(check_count, 0)
 
-    def __post_init__(self):
-        if not 0.0 <= self.error_rate <= 1.0:
-            raise DataError(f"error_rate must be in [0, 1], got {self.error_rate}")
+    __post_init__ = check_fields
 
 
 def _nearest_tokens(prototypes: np.ndarray) -> np.ndarray:
@@ -61,10 +59,8 @@ def _substitutes(prototypes, vocab: Vocabulary) -> Optional[list]:
     prototypes."""
     if prototypes is None:
         return None
-    try:
-        table = np.asarray(prototypes, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"prototypes must be a table of numbers: {exc}") from None
+    rows = prototypes if isinstance(prototypes, list) else np.asarray(prototypes).tolist()
+    table = check_list(rows, "prototypes", nested=True)
     if table.ndim != 2 or table.shape[0] != vocab.size or not np.isfinite(table).all():
         raise DataError(
             f"prototypes must be a finite table with one row per token ({vocab.size}), "

@@ -15,14 +15,13 @@ Identical specs produce byte-identical files.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, check_choice, check_count, check_fields, check_list, check_real, checked
 from .seeds import stream
 
 __all__ = [
@@ -41,41 +40,29 @@ DATASET_SCHEMA_VERSION = 1
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    n_train: int = 500
-    n_valid: int = 100
-    n_test: int = 100
-    n_pretrain: int = 300
-    dim_features: int = 8
-    vocab_size: int = 16
-    min_tokens: int = 3
-    max_tokens: int = 8
-    min_frames_per_token: int = 1
-    max_frames_per_token: int = 3
-    noise_level: float = 0.3
-    seed: int = 0
+    n_train: int = checked(check_count, 500)
+    n_valid: int = checked(check_count, 100)
+    n_test: int = checked(check_count, 100)
+    n_pretrain: int = checked(check_count, 300)
+    dim_features: int = checked(check_count, 8, low=1)
+    vocab_size: int = checked(check_count, 16, low=1)
+    min_tokens: int = checked(check_count, 3, low=1)
+    max_tokens: int = checked(check_count, 8, low=1)
+    min_frames_per_token: int = checked(check_count, 1, low=1)
+    max_frames_per_token: int = checked(check_count, 3, low=1)
+    noise_level: float = checked(check_real, 0.3, low=0.0)
+    seed: int = checked(check_count, 0)
     # Adjacent repeated tokens are inherently ambiguous for a transducer
     # whose predictor sees only the previous token (blank vs. re-emit look
     # identical), so clean sequences avoid them by default; corruption can
     # still introduce them as deliberate errors.
-    allow_repeats: bool = False
+    allow_repeats: bool = checked(check_choice, False, choices=(False, True))
 
     def __post_init__(self):
-        if self.vocab_size < 1 or self.dim_features < 1:
-            raise DataError("vocab_size and dim_features must be positive")
-        if not 1 <= self.min_tokens <= self.max_tokens:
-            raise DataError(
-                f"token length range [{self.min_tokens}, {self.max_tokens}] invalid"
-            )
-        if not 1 <= self.min_frames_per_token <= self.max_frames_per_token:
-            raise DataError(
-                f"frames-per-token range [{self.min_frames_per_token}, "
-                f"{self.max_frames_per_token}] invalid"
-            )
-        if not 0 <= self.noise_level < math.inf:  # NaN fails too
-            raise DataError(f"noise_level must be finite and >= 0, got {self.noise_level}")
-        for name in SPLITS:
-            if getattr(self, f"n_{name}") < 0:
-                raise DataError(f"split size n_{name} must be >= 0")
+        check_fields(self)
+        for lo, hi in (("min_tokens", "max_tokens"), ("min_frames_per_token", "max_frames_per_token")):
+            if getattr(self, hi) < getattr(self, lo):
+                raise DataError(f"{hi} ({getattr(self, hi)}) is below {lo} ({getattr(self, lo)})")
 
 
 @dataclass
@@ -101,26 +88,14 @@ class Utterance:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Utterance":
         try:
-            tokens = obj["tokens"]
-            # JSON numbers may be floats or exceed int64; neither is a token.
-            if not isinstance(tokens, list) or not all(type(t) is int for t in tokens):
-                raise ValueError(f"tokens must be a list of integers, got {tokens!r}")
             return cls(
                 id=str(obj["id"]),
-                features=np.asarray(obj["features"], dtype=np.float64),
-                tokens=np.asarray(tokens, dtype=np.int64),
-                confidences=(
-                    np.asarray(obj["confidences"], dtype=np.float64)
-                    if "confidences" in obj
-                    else None
-                ),
-                lam=(
-                    np.asarray(obj["lambda"], dtype=np.float64)
-                    if "lambda" in obj
-                    else None
-                ),
+                features=check_list(obj["features"], "features", nested=True),
+                tokens=check_list(obj["tokens"], "tokens", integer=True),
+                confidences=check_list(obj["confidences"], "confidences") if "confidences" in obj else None,
+                lam=check_list(obj["lambda"], "lambda") if "lambda" in obj else None,
             )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError) as exc:
             raise DataError(f"malformed utterance record: {exc}") from exc
 
 
@@ -231,7 +206,4 @@ def dataset_vocab_size(meta: dict) -> int:
         size = meta["spec"]["vocab_size"]
     except (KeyError, TypeError) as exc:
         raise DataError(f"dataset header lacks spec.vocab_size: {exc}") from exc
-    # JSON booleans are ints to Python; neither they nor floats are sizes.
-    if type(size) is not int or size < 1:
-        raise DataError(f"dataset header spec.vocab_size must be an integer >= 1, got {size!r}")
-    return size
+    return check_count(size, "dataset header spec.vocab_size", 1)

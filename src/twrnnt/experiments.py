@@ -29,7 +29,9 @@ import numpy as np
 
 from .corruption import CorruptionConfig, corrupt_corpus
 from .datagen import Utterance, dataset_vocab_size
-from .errors import DataError
+from .errors import (
+    DataError, check_choice, check_count, check_each, check_fields, check_real, checked, rule_of,
+)
 from .lattice import Vocabulary
 from .model import TransducerModel
 from .seeds import stream
@@ -37,7 +39,6 @@ from .training import (
     MODES,
     RunGroup,
     TrainConfig,
-    _check_mix_ratio,
     decode_corpus,
     evaluate_wer,
     score_confidences,
@@ -60,20 +61,12 @@ class GenerationConfig:
     """Pseudo-labeling schedule: rounds, exponent grid, mixing ratio, and
     which training modes to compare."""
 
-    rounds: int = 3
-    alpha_grid: tuple = (1.0, 2.0, 4.0, 6.0, 8.0)
-    labeled_to_pseudo_ratio: tuple = (1, 9)
-    modes: tuple = MODES
+    rounds: int = checked(check_count, 3, low=1)
+    alpha_grid: tuple = checked(check_each, (1.0, 2.0, 4.0, 6.0, 8.0), check=check_real, low=0.0)
+    labeled_to_pseudo_ratio: tuple = checked(rule_of(RunGroup, "mix_ratio"), (1, 9))
+    modes: tuple = checked(check_each, MODES, check=check_choice, choices=MODES)
 
-    def __post_init__(self):
-        if self.rounds < 1:
-            raise DataError(f"rounds must be >= 1, got {self.rounds}")
-        if not self.alpha_grid:
-            raise DataError("alpha_grid must be nonempty")
-        bad = [m for m in self.modes if m not in MODES]
-        if bad or not self.modes:
-            raise DataError(f"modes must be a nonempty subset of {MODES}, got {bad}")
-        _check_mix_ratio(self.labeled_to_pseudo_ratio, "labeled_to_pseudo_ratio")
+    __post_init__ = check_fields
 
 
 @dataclass
@@ -118,6 +111,12 @@ def report_from_json(text) -> ExperimentReport:
         )
     except KeyError as exc:
         raise DataError(f"malformed report JSON: missing {exc}") from exc
+
+
+def _check_seeds(seeds, root_seed) -> None:
+    """Refuse seeds and a root seed that are not integers >= 0."""
+    check_each(seeds, "seeds", check_count)
+    check_count(root_seed, "root_seed")
 
 
 def _mean(xs) -> float:
@@ -222,11 +221,11 @@ def run_corruption_experiment(
     for name in ("train", "valid", "test", "pretrain"):
         if name not in splits or not splits[name]:
             raise DataError(f"corruption experiment needs a nonempty {name!r} split")
-    bad = [m for m in modes if m not in MODES]
-    if bad:
-        raise DataError(f"unknown modes {bad}")
-    if not alpha_grid:
-        raise DataError("alpha_grid must be nonempty")
+    # Every argument is checked here, before the first run trains.
+    check_each(levels, "levels", rule_of(CorruptionConfig, "error_rate"))
+    rule_of(GenerationConfig, "modes")(modes, "modes")
+    rule_of(GenerationConfig, "alpha_grid")(alpha_grid, "alpha_grid")
+    _check_seeds(seeds, root_seed)
     train, valid, test, pretrain = (
         splits["train"],
         splits["valid"],
@@ -320,6 +319,7 @@ def run_pseudo_labeling(
     """
     if not labeled or not unlabeled:
         raise DataError("pseudo-labeling needs nonempty labeled and unlabeled splits")
+    _check_seeds(seeds, root_seed)
     vocab_size = dataset_vocab_size(meta)
     dims = (labeled[0].features.shape[1], vocab_size)
     max_sym = train_cfg.max_symbols_per_frame

@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from . import kernels
-from .errors import DataError, NumericalError
+from .errors import DataError, NumericalError, check_count, check_list
 
 __all__ = [
     "Vocabulary",
@@ -45,8 +45,7 @@ class Vocabulary:
     size: int
 
     def __post_init__(self):
-        if self.size < 1:
-            raise DataError(f"vocabulary size must be >= 1, got {self.size}")
+        check_count(self.size, "vocabulary size", 1)
 
     @property
     def blank(self) -> int:
@@ -57,7 +56,7 @@ class Vocabulary:
         return self.size + 1
 
 
-def _integer_labels(tokens) -> np.ndarray:
+def integer_labels(tokens) -> np.ndarray:
     """A 1-D sequence of integers as a contiguous int64 array; a DataError
     for any other shape or element type (floats, strings and bools too,
     which ``np.asarray`` would truncate or cast).  An empty one is valid."""
@@ -75,11 +74,11 @@ def _integer_labels(tokens) -> np.ndarray:
 def as_labels(tokens, vocab: Optional[Vocabulary] = None) -> np.ndarray:
     """Validate and convert a label sequence to a contiguous int64 array.
 
-    Labels must be integers (``_integer_labels``), nonnegative and, when a
+    Labels must be integers (``integer_labels``), nonnegative and, when a
     vocabulary is given, strictly below the blank index.  Length may exceed
     the frame count (transducers permit multiple emissions per frame).
     """
-    arr = _integer_labels(tokens)
+    arr = integer_labels(tokens)
     if arr.size and arr.min() < 0:
         raise DataError(f"negative token index {int(arr.min())} in label sequence")
     if vocab is not None and arr.size and arr.max() >= vocab.size:
@@ -184,7 +183,7 @@ def _row_logsumexp(raw: np.ndarray) -> np.ndarray:
     return m + np.log(np.sum(np.exp(raw - m), axis=-1, keepdims=True))
 
 
-def _check_dims(lattice: PosteriorLattice, labels: np.ndarray) -> None:
+def check_dims(lattice: PosteriorLattice, labels: np.ndarray) -> None:
     if lattice.U != labels.size:
         raise DataError(
             f"label/lattice mismatch: lattice has (T={lattice.T}, U={lattice.U}) "
@@ -204,7 +203,7 @@ def forward(lattice: PosteriorLattice, y) -> ForwardBackwardTables:
     the loss (it terminates every complete path).
     """
     labels = as_labels(y)
-    _check_dims(lattice, labels)
+    check_dims(lattice, labels)
     _, R, _, loglik = kernels.PaddedColumns.of(lattice.logp, labels).sweep()
     alpha = kernels.grid(R, 0, lattice.T, labels.size + 1)
     return ForwardBackwardTables(alpha=alpha, beta=None, loglik=float(loglik[0]))
@@ -213,7 +212,7 @@ def forward(lattice: PosteriorLattice, y) -> ForwardBackwardTables:
 def backward(lattice: PosteriorLattice, y) -> ForwardBackwardTables:
     """Suffix sweep mirroring ``forward``; beta[T-1, U] = logp[T-1, U, blank]."""
     labels = as_labels(y)
-    _check_dims(lattice, labels)
+    check_dims(lattice, labels)
     beta, loglik = kernels.backward_fill(lattice.logp, labels)
     return ForwardBackwardTables(alpha=None, beta=beta, loglik=float(loglik))
 
@@ -231,7 +230,7 @@ def rnnt_loss_grad(lattice: PosteriorLattice, y) -> np.ndarray:
     final-blank cell always gets -1.
     """
     labels = as_labels(y)
-    _check_dims(lattice, labels)
+    check_dims(lattice, labels)
     cols = kernels.PaddedColumns.of(lattice.logp, labels)
     sweep = cols.sweep()
     if sweep[3][0] == -np.inf:
@@ -248,19 +247,10 @@ def lattice_from_json(obj) -> PosteriorLattice:
     if isinstance(obj, (str, bytes)):
         obj = json.loads(obj)
     try:
-        T, U, V = (obj[k] for k in ("t", "u", "v"))
-        # JSON booleans are ints to Python; neither they nor floats are sizes.
-        if not all(type(n) is int for n in (T, U, V)):
-            raise ValueError(f"t, u and v must be integers, got {T!r}, {U!r}, {V!r}")
-        # Nor are booleans or strings log-probabilities, though NumPy reads them as such.
-        logp = obj["logp"]
-        if type(logp) is not list or not all(type(x) in (int, float) for x in logp):
-            raise ValueError("logp must be a flat list of numbers")
-        flat = np.asarray(logp, dtype=np.float64)
-    except (KeyError, TypeError, ValueError) as exc:
+        T, U, V = (check_count(obj[k], k, low) for k, low in (("t", 1), ("u", 0), ("v", 1)))
+        flat = check_list(obj["logp"], "logp")
+    except (KeyError, TypeError) as exc:
         raise DataError(f"malformed lattice JSON: {exc}") from exc
-    if T < 1 or U < 0 or V < 1:
-        raise DataError(f"lattice JSON needs t >= 1, u >= 0, v >= 1; got t={T}, u={U}, v={V}")
     expected = T * (U + 1) * (V + 1)
     if flat.size != expected:
         raise DataError(

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .lattice import _integer_labels
+from .lattice import integer_labels
 
 __all__ = ["WerResult", "wer", "edit_distances", "corpus_wer"]
 
@@ -38,7 +38,7 @@ def wer(hyp, ref) -> WerResult:
     An empty reference against a nonempty hypothesis has no meaningful rate
     and is rejected, and so are labels that are not integers.
     """
-    h, r = _integer_labels(hyp), _integer_labels(ref)
+    h, r = integer_labels(hyp), integer_labels(ref)
     if not r.size and h.size:
         raise DataError("empty reference: error rate is undefined")
     n, m = r.size, h.size
@@ -66,7 +66,7 @@ def wer(hyp, ref) -> WerResult:
 def _padded(seqs):
     """Token sequences as rows of one zero-padded int64 table, and their
     lengths."""
-    seqs = [_integer_labels(s) for s in seqs]
+    seqs = [integer_labels(s) for s in seqs]
     n = np.array([s.size for s in seqs], dtype=np.int64)
     table = np.zeros((n.size, int(n.max(initial=0))), dtype=np.int64)
     if n.sum():

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DataError, NumericalError
+from .errors import DataError, NumericalError, check_count, check_list
 from .kernels import PaddedColumns
 from .lattice import PosteriorLattice, Vocabulary, as_labels, normalize_logits
 
@@ -120,14 +120,6 @@ class TransducerModel:
     ) -> "TransducerModel":
         n = param_count(dim_in, dim_hidden, vocab_size)
         return cls(dim_in, dim_hidden, vocab_size, scale * rng.normal(size=n))
-
-
-def _check_count(value, name: str) -> None:
-    """Refuse a size or count that is not a Python or NumPy integer; a bool
-    is refused too, though Python counts it as one.  ``greedy_decode`` runs
-    this once per utterance, so the common case is one type comparison."""
-    if type(value) is not int and not isinstance(value, np.integer):
-        raise DataError(f"{name} must be an integer, got {value!r}")
 
 
 def _check_features(model: TransducerModel, features) -> np.ndarray:
@@ -716,11 +708,7 @@ def greedy_decode(
     Confidence scores for pseudo-labels are NOT taken from this pass; score
     the hypothesis with ``training.score_confidences`` afterwards.
     """
-    _check_count(max_symbols_per_frame, "max_symbols_per_frame")
-    if max_symbols_per_frame < 1:
-        raise DataError(
-            f"max_symbols_per_frame must be >= 1, got {max_symbols_per_frame}"
-        )
+    check_count(max_symbols_per_frame, "max_symbols_per_frame", 1)
     feats = _check_features(model, features)
     enc = np.tanh(feats @ model.slice("enc_w").T + model.slice("enc_b"))
     pred_w, pred_b = model.slice("pred_w"), model.slice("pred_b")
@@ -791,12 +779,8 @@ def load_checkpoint(path):
             f"unsupported checkpoint format_version {obj.get('format_version')!r}"
         )
     try:
-        model = TransducerModel(
-            dim_in=int(obj["dim_in"]),
-            dim_hidden=int(obj["dim_hidden"]),
-            vocab_size=int(obj["vocab_size"]),
-            params=np.asarray(obj["params"], dtype=np.float64),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"{path}: malformed checkpoint: {exc!r}") from None
+        dims = {k: check_count(obj.get(k), k, 1) for k in ("dim_in", "dim_hidden", "vocab_size")}
+        model = TransducerModel(**dims, params=check_list(obj.get("params"), "params"))
+    except DataError as exc:
+        raise DataError(f"{path}: malformed checkpoint: {exc}") from None
     return model, obj.get("meta", {})

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, NumericalError
-from .lattice import PosteriorLattice, _check_dims, as_labels
+from .errors import DataError, NumericalError, check_count
+from .lattice import PosteriorLattice, as_labels, check_dims
 
 __all__ = [
     "BLANK_STEP",
@@ -118,7 +118,7 @@ def _sorted_logsumexp(values) -> float:
 def exact_sequence_logp(lattice: PosteriorLattice, y) -> float:
     """log P(y | x) by brute-force summation over every complete alignment."""
     labels = as_labels(y)
-    _check_dims(lattice, labels)
+    check_dims(lattice, labels)
     paths = enumerate_paths(lattice.T, labels.size)
     return _sorted_logsumexp(path_logp(lattice, labels, p) for p in paths)
 
@@ -126,8 +126,7 @@ def exact_sequence_logp(lattice: PosteriorLattice, y) -> float:
 def _enumerate_partial(T: int, u: int):
     """All partial alignments emitting exactly u labels, ending on the u-th
     emission (any number of preceding blanks, never past frame T-1)."""
-    if u < 1:
-        raise DataError(f"partial alignments need u >= 1, got {u}")
+    check_count(u, "partial alignment length u", 1)
     _check_guard(T, u)
     done = []
     stack = [(0, 0, ())]

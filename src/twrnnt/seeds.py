@@ -14,6 +14,8 @@ import zlib
 
 import numpy as np
 
+from .errors import check_count
+
 
 def _key_word(part) -> int:
     if isinstance(part, str):
@@ -22,8 +24,9 @@ def _key_word(part) -> int:
 
 
 def seed_sequence(root_seed: int, *path) -> np.random.SeedSequence:
+    """The seed sequence of stream ``path`` under ``root_seed``, an integer >= 0."""
     return np.random.SeedSequence(
-        entropy=int(root_seed), spawn_key=tuple(_key_word(p) for p in path)
+        entropy=int(check_count(root_seed, "root seed")), spawn_key=tuple(_key_word(p) for p in path)
     )
 
 

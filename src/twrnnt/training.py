@@ -21,7 +21,6 @@ group of one.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields, replace
 from typing import Any, Optional, Sequence
 
@@ -29,7 +28,9 @@ import numpy as np
 
 from .conditionals import padded_profiles
 from .datagen import Utterance
-from .errors import DataError, NumericalError
+from .errors import (
+    DataError, NumericalError, check_choice, check_count, check_each, check_fields, check_real, checked,
+)
 from .kernels import PaddedColumns
 from .metrics import corpus_wer
 from .model import (
@@ -37,14 +38,13 @@ from .model import (
     PackedUtterances,
     StepActivations,
     TransducerModel,
-    _check_count,
     _ranges,
     adam_update,
     backward_columns,
     forward_columns,
     greedy_decode,
 )
-from .weighting import _confidence_array, _underflow_message, packed_weights, padded_loss_and_grad
+from .weighting import _underflow_message, confidence_array, packed_weights, padded_loss_and_grad
 
 __all__ = [
     "MODES",
@@ -74,33 +74,17 @@ _SCORE_CHUNK = 16
 
 @dataclass(frozen=True)
 class TrainConfig:
-    epochs: int = 10
-    batch_size: int = 8
-    lr: float = 1e-2
-    dim_hidden: int = 32
-    mode: str = "standard"
-    alpha: float = 1.0
-    final_blank_weight: float = 1.0
-    max_symbols_per_frame: int = 4
-    init_scale: float = 0.5
+    epochs: int = checked(check_count, 10, low=1)
+    batch_size: int = checked(check_count, 8, low=1)
+    lr: float = checked(check_real, 1e-2, low=0.0, open_low=True)
+    dim_hidden: int = checked(check_count, 32, low=1)
+    mode: str = checked(check_choice, "standard", choices=MODES)
+    alpha: float = checked(check_real, 1.0, low=0.0)
+    final_blank_weight: float = checked(check_real, 1.0, low=0.0)
+    max_symbols_per_frame: int = checked(check_count, 4, low=1)
+    init_scale: float = checked(check_real, 0.5)
 
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise DataError(f"mode must be one of {MODES}, got {self.mode!r}")
-        for name in ("epochs", "batch_size", "dim_hidden", "max_symbols_per_frame"):
-            _check_count(getattr(self, name), name)
-        if self.epochs < 1 or self.batch_size < 1 or self.dim_hidden < 1:
-            raise DataError("epochs, batch_size and dim_hidden must be >= 1")
-        if self.max_symbols_per_frame < 1:
-            raise DataError(f"max_symbols_per_frame must be >= 1, got {self.max_symbols_per_frame}")
-        # Negated comparisons, so that NaN fails them too.
-        for name in ("alpha", "final_blank_weight"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise DataError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
-        if not 0 < self.lr < math.inf:
-            raise DataError(f"lr must be positive and finite, got {self.lr}")
-        if not math.isfinite(self.init_scale):
-            raise DataError(f"init_scale must be finite, got {self.init_scale}")
+    __post_init__ = check_fields
 
 
 @dataclass
@@ -120,7 +104,7 @@ def _confidences_of(utt: Utterance) -> np.ndarray:
             f"{utt.tokens.size} tokens"
         )
     try:
-        return _confidence_array(utt.confidences)
+        return confidence_array(utt.confidences)
     except DataError as err:
         raise DataError(f"utterance {utt.id}: {err}") from None
 
@@ -284,8 +268,7 @@ def mixed_batch_iterator(
     """
     if not labeled or not pseudo:
         raise DataError("mixed batches need both a labeled and a pseudo pool")
-    _check_mix_ratio(ratio, "ratio")
-    return _mixed_batches(len(labeled), len(pseudo), cfg, rng, ratio[1] / (ratio[0] + ratio[1]))
+    return _mixed_batches(len(labeled), len(pseudo), cfg, rng, _pseudo_share(ratio, "ratio"))
 
 
 def _mixed_batches(n_labeled, n_pseudo, cfg, rng, p_pseudo):
@@ -305,12 +288,13 @@ def _run_name(cfg: TrainConfig) -> str:
     return f"{cfg.mode} at alpha {cfg.alpha:g}"
 
 
-def _check_mix_ratio(ratio, name="mix_ratio") -> None:
-    """Refuse a labeled:pseudo ratio that is not two finite, nonnegative
-    numbers with a positive sum."""
-    lo, hi = ratio
-    if not (0 <= lo < math.inf and 0 <= hi < math.inf and lo + hi > 0):
-        raise DataError(f"{name} must be finite, nonnegative and not all 0, got {ratio}")
+def _pseudo_share(ratio, name) -> float:
+    """The pseudo-labeled share of draws at a labeled:pseudo ``ratio`` of two
+    finite numbers >= 0, not both 0: the rule of ``RunGroup.mix_ratio``."""
+    check_each(ratio, name, check_real, low=0.0)
+    if len(ratio) != 2 or not sum(ratio) > 0:
+        raise DataError(f"{name} must be finite and two numbers >= 0, not both 0, got {ratio!r}")
+    return ratio[1] / (ratio[0] + ratio[1])
 
 
 @dataclass(frozen=True)
@@ -333,7 +317,9 @@ class RunGroup:
     order_rng: Any
     init_model: Optional[TransducerModel] = None
     pseudo: Optional[Sequence[Utterance]] = None
-    mix_ratio: tuple = (1, 9)
+    mix_ratio: tuple = checked(_pseudo_share, (1, 9))
+
+    __post_init__ = check_fields
 
 
 class _Group:
@@ -367,7 +353,6 @@ def _check_groups(groups) -> None:
             raise DataError(f"run group {g} has no training configs")
         if not group.utterances:
             raise DataError(f"run group {g} has no training utterances")
-        _check_mix_ratio(group.mix_ratio)
         cfg = group.cfgs[0]
         for other in group.cfgs[1:]:
             differ = [

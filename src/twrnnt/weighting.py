@@ -14,7 +14,6 @@ exactly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Sequence, Union
 
@@ -22,8 +21,8 @@ import numpy as np
 
 from . import kernels
 from .conditionals import ConditionalProfile
-from .errors import DataError, NumericalError
-from .lattice import PosteriorLattice, _check_dims, as_labels
+from .errors import DataError, NumericalError, check_fields, check_real, checked
+from .lattice import PosteriorLattice, as_labels, check_dims
 
 __all__ = [
     "WeightConfig",
@@ -42,14 +41,10 @@ class WeightConfig:
     """Exponent for turning confidences into weights, and the sentence-end
     term's weight."""
 
-    alpha: float = 1.0
-    final_blank_weight: float = 1.0
+    alpha: float = checked(check_real, 1.0, low=0.0)
+    final_blank_weight: float = checked(check_real, 1.0, low=0.0)
 
-    def __post_init__(self):
-        # Negated comparisons, so that NaN fails them too.
-        for name in ("alpha", "final_blank_weight"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise DataError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
@@ -71,7 +66,7 @@ class TokenWeights:
         return cls(lambdas=np.ones(n), config=WeightConfig(alpha=0.0))
 
 
-def _confidence_array(c) -> np.ndarray:
+def confidence_array(c) -> np.ndarray:
     if isinstance(c, ConditionalProfile):
         arr = np.asarray(c.conditionals, dtype=np.float64)
     else:
@@ -140,7 +135,7 @@ def compute_weights(
     profiles = [confidences] if single else list(confidences)
     if not profiles:
         raise DataError("empty confidence scope: nothing to weight")
-    powered = [_confidence_array(p) ** config.alpha for p in profiles]
+    powered = [confidence_array(p) ** config.alpha for p in profiles]
     sizes = [p.size for p in powered]
     if sum(sizes) == 0:
         raise DataError("empty confidence scope: zero tokens across utterances")
@@ -176,7 +171,7 @@ def _padded_weights(weights, U):
 
 def _prepare(lattice: PosteriorLattice, y, weights: TokenWeights):
     labels = as_labels(y)
-    _check_dims(lattice, labels)
+    check_dims(lattice, labels)
     return labels, *_padded_weights([weights], [labels.size])
 
 

@@ -1,7 +1,9 @@
-"""Shared helpers: seeded random lattice/label instances, and the
-hypothesis strategy and settings of the property tests."""
+"""Shared helpers: seeded random lattice/label instances, the hypothesis
+strategy and settings of the property tests, and the floating-point state
+every test runs in."""
 
 import numpy as np
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -9,6 +11,15 @@ from hypothesis.extra import numpy as hnp
 from twrnnt.lattice import PosteriorLattice, normalize_logits
 
 PROPERTY = settings(max_examples=50, deadline=None, derandomize=True, database=None)
+
+
+@pytest.fixture(autouse=True, scope="session")
+def floating_point_events_raise():
+    """Divide-by-zero, overflow and invalid operations raise in every test
+    and fixture, so that a new silent NaN or overflow fails; code that means
+    one says so with its own ``np.errstate``.  Underflow stays silent."""
+    with np.errstate(all="raise", under="ignore"):
+        yield
 
 
 def random_lattice(rng, T, U, V, scale=1.5):

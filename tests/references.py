@@ -8,7 +8,7 @@ import numpy as np
 from twrnnt.conditionals import _columns
 from twrnnt.corruption import ERROR_TYPES
 from twrnnt.errors import DataError, NumericalError
-from twrnnt.lattice import PosteriorLattice, _check_dims, as_labels, backward, forward
+from twrnnt.lattice import PosteriorLattice, as_labels, backward, check_dims, forward
 from twrnnt.kernels import PaddedColumns, grid
 from twrnnt.model import (
     BatchLayout,
@@ -274,7 +274,7 @@ def emission_sweep_quadratic(lattice: PosteriorLattice, y):
     running prefix.
     """
     labels = as_labels(y)
-    _check_dims(lattice, labels)
+    check_dims(lattice, labels)
     logp = lattice.logp
     T, U, blank = lattice.T, lattice.U, lattice.blank
     A = np.full((T, U + 1), -np.inf)

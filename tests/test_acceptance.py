@@ -5,16 +5,17 @@ per criterion.  The experiment criteria (8, 9) train real models at desk
 scale and take a few minutes; everything else is fast.
 """
 
+import json
 import time
 
 import numpy as np
 import pytest
 
+import pins
 from conftest import capped_lattice, random_instance, random_lattice
 from references import finite_diff_grad, model_backward
 from twrnnt.conditionals import conditional_profile, next_token_distribution
 from twrnnt.corruption import CorruptionConfig, corrupt_corpus
-from twrnnt.datagen import SyntheticSpec, generate_synthetic_dataset, read_dataset
 from twrnnt.experiments import (
     GenerationConfig,
     report_to_json,
@@ -50,16 +51,7 @@ def instances():
 
 @pytest.fixture(scope="module")
 def desk_data(tmp_path_factory):
-    spec = SyntheticSpec(
-        n_train=500, n_valid=100, n_test=150, n_pretrain=400,
-        dim_features=8, vocab_size=16, noise_level=0.3, seed=13,
-    )
-    paths = generate_synthetic_dataset(spec, tmp_path_factory.mktemp("desk"))
-    splits = {}
-    meta = None
-    for name, p in paths.items():
-        meta, splits[name] = read_dataset(p)
-    return meta, splits
+    return pins.desk_data(tmp_path_factory.mktemp("desk"))
 
 
 def test_criterion_01_oracle_equivalence(instances):
@@ -258,31 +250,20 @@ def test_criterion_07_corruption_calibration():
 
 
 @pytest.fixture(scope="module")
-def corruption_report(desk_data):
-    meta, splits = desk_data
+def corruption_run(desk_data):
+    """The criterion 8 report, with loss traces, and its wall time."""
     t0 = time.time()
-    rep = run_corruption_experiment(
-        splits,
-        meta,
-        levels=[0.3],
-        modes=("standard", "utterance_weights", "token_weights"),
-        train_cfg=TrainConfig(epochs=10, batch_size=8, lr=1e-2, dim_hidden=32),
-        alpha_grid=(2.0, 6.0),
-        seeds=(0, 1, 2),
-        root_seed=42,
-        teacher_cfg=TrainConfig(epochs=14, batch_size=8, lr=1e-2, dim_hidden=32),
-    )
-    rep.provenance["elapsed_seconds"] = time.time() - t0
-    return rep
+    rep = pins.corruption_report(*desk_data)
+    return rep, time.time() - t0
 
 
-def test_criterion_08_directional_recovery(corruption_report):
-    row = corruption_report.rows[0]
+def test_criterion_08_directional_recovery(corruption_run):
+    report, elapsed = corruption_run
+    row = report.rows[0]
     std = row["modes"]["standard"]["wer"]
     utt = row["modes"]["utterance_weights"]["wer"]
     tok = row["modes"]["token_weights"]["wer"]
     rec = row["recovered"]["token_weights"]
-    elapsed = corruption_report.provenance["elapsed_seconds"]
     report_line(
         8,
         "30% corruption: token < utterance < standard, token recovery > 0.3",
@@ -293,22 +274,7 @@ def test_criterion_08_directional_recovery(corruption_report):
 
 @pytest.fixture(scope="module")
 def pseudo_report(desk_data):
-    meta, splits = desk_data
-    labeled = splits["train"][:100]
-    unlabeled = splits["pretrain"]
-    gen = GenerationConfig(rounds=3, alpha_grid=(2.0, 6.0), labeled_to_pseudo_ratio=(1, 9))
-    return run_pseudo_labeling(
-        labeled,
-        unlabeled,
-        splits["valid"],
-        splits["test"],
-        meta,
-        gen,
-        TrainConfig(epochs=10, batch_size=8, lr=1e-2, dim_hidden=32),
-        seeds=(0, 1, 2),
-        root_seed=42,
-        base_cfg=TrainConfig(epochs=25, batch_size=8, lr=1e-2, dim_hidden=32),
-    )
+    return pins.pseudo_report(*desk_data)
 
 
 def test_criterion_09_directional_pseudo_labeling(pseudo_report):
@@ -358,3 +324,16 @@ def test_criterion_10_reproducibility(desk_data):
         run_pseudo_labeling(**kwargs)
     )
     report_line(10, "identical configs and seeds give identical reports", same_corr and same_gen)
+
+
+def test_reports_match_their_pins(corruption_run, pseudo_report):
+    # A change that moves the reports on purpose regenerates the pins with
+    # fixtures/make_report_pins.py, in the same commit.
+    pinned = json.loads(pins.PINS.read_text())
+    lines = pins.moved("criterion 8", pinned["criterion_08"], corruption_run[0])
+    lines += pins.moved("criterion 9", pinned["criterion_09"], pseudo_report)
+    ran = pins.platform()
+    assert not lines, (
+        f"reports moved from their pins (pinned with NumPy {pinned['numpy']}, {pinned['blas']}; "
+        f"run with NumPy {ran['numpy']}, {ran['blas']}):\n" + "\n".join(lines)
+    )

@@ -607,6 +607,20 @@ class TestLossCheck:
         assert code == 3 and "Traceback" not in err
         assert "logp must be a flat list of numbers" in json.loads(err.strip())["message"]
 
+    @pytest.mark.parametrize(
+        "tokens, expected",
+        [([True], "tokens must be a flat list of integers >= 0, got bool entries"),
+         (["0"], "tokens must be a flat list of integers >= 0, got str entries"),
+         ([1], "token index 1 outside vocabulary of size 1")],
+        ids=["boolean", "string", "outside_vocabulary"],
+    )
+    def test_bad_tokens_exit_3(self, tmp_path, capsys, tokens, expected):
+        f = tmp_path / "tokens.json"
+        half = -0.6931471805599453
+        f.write_text(json.dumps({"t": 1, "u": 1, "v": 1, "logp": [half] * 4, "tokens": tokens}))
+        code, _, err = run(capsys, ["loss-check", str(f)])
+        assert code == 3 and expected in json.loads(err.strip())["message"]
+
     def test_fixture_is_what_its_script_writes(self, tmp_path):
         # The script is the one writer of the interchange form.  A copy
         # writes beside itself, so the committed fixture is only read.
@@ -624,7 +638,7 @@ class TestLossCheck:
         assert code == 3 and "Traceback" not in err
         (line,) = err.strip().splitlines()
         message = json.loads(line)
-        assert message["error"] == "data" and "must be integers" in message["message"]
+        assert message["error"] == "data" and "t must be an integer >= 1, got True" in message["message"]
 
     @PROPERTY
     @given(case=loss_check_payloads())

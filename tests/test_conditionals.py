@@ -210,7 +210,7 @@ class TestNextTokenDistribution:
     def test_position_validation(self):
         rng = np.random.default_rng(56)
         lat = random_lattice(rng, 2, 1, 2)
-        with pytest.raises(DataError, match="u must be >= 1"):
+        with pytest.raises(DataError, match="^position u must be an integer >= 1, got 0$"):
             next_token_distribution(lat, [], 0)
         with pytest.raises(DataError, match="prefix"):
             next_token_distribution(lat, [], 3)

@@ -386,3 +386,32 @@ class TestEngineCalls:
             replace(FAST, epochs=8), seeds=(0, 2), root_seed=13, base_cfg=TrainConfig(epochs=10),
         )
         assert calls == [2, 1, 3, 1, 3]
+
+    @pytest.mark.parametrize(
+        "arg, value",
+        [("levels", [0.2, 1.5]), ("levels", []), ("alpha_grid", (2.0, -1.0)), ("alpha_grid", (np.nan,)),
+         ("modes", ("standard", "bogus")), ("seeds", (0, 1.5)), ("seeds", (True,)), ("seeds", (-1,)),
+         ("root_seed", 1.5), ("root_seed", True), ("root_seed", -1)],
+    )
+    def test_corruption_checks_its_arguments_before_training(self, tiny_data, calls, arg, value):
+        # A level of 1.5 was refused only after the teacher and every clean
+        # run had trained; a fractional or boolean seed ran as an integer.
+        meta, splits = tiny_data
+        kwargs = dict(
+            levels=[0.2], modes=MODES3, train_cfg=replace(FAST, epochs=1), alpha_grid=(2.0,),
+            seeds=(0,), root_seed=3,
+        )
+        with pytest.raises(DataError, match=f"^{arg} must"):
+            run_corruption_experiment(splits, meta, **{**kwargs, arg: value})
+        assert calls == []
+
+    @pytest.mark.parametrize("arg, value", [("seeds", (0, 2.5)), ("seeds", ()), ("root_seed", False)])
+    def test_pseudo_labeling_checks_its_seeds_before_training(self, tiny_data, calls, arg, value):
+        meta, splits = tiny_data
+        with pytest.raises(DataError, match=f"^{arg} must"):
+            run_pseudo_labeling(
+                splits["train"], splits["pretrain"], splits["valid"], splits["test"], meta,
+                GenerationConfig(rounds=1, alpha_grid=(2.0,)), replace(FAST, epochs=1),
+                **{"seeds": (0,), "root_seed": 3, arg: value},
+            )
+        assert calls == []

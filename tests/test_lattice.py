@@ -35,7 +35,7 @@ class TestVocabularyAndLabels:
         assert v.num_symbols == 6
 
     def test_size_must_be_positive(self):
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="^vocabulary size must be an integer >= 1, got 0$"):
             Vocabulary(0)
 
     def test_labels_reject_blank_index(self):

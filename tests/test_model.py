@@ -715,7 +715,7 @@ class TestGreedyDecode:
     @pytest.mark.parametrize("cap", [2.5, 4.0, True, "4"])
     def test_cap_must_be_an_integer(self, cap):
         m = TransducerModel.zeros(1, 2, 2)
-        with pytest.raises(DataError, match=f"^max_symbols_per_frame must be an integer, got {cap!r}$"):
+        with pytest.raises(DataError, match=f"^max_symbols_per_frame must be an integer >= 1, got {cap!r}$"):
             greedy_decode(m, np.zeros((2, 1)), max_symbols_per_frame=cap)
 
     def test_cap_forces_termination(self):

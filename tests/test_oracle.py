@@ -72,6 +72,13 @@ class TestExactProbabilities:
             lat.logp[0, 0, 2], abs=1e-12
         )
 
+    @pytest.mark.parametrize("u", [1.5, True])
+    def test_prefix_length_must_be_an_integer(self, u):
+        # 1.5 once failed with a bare TypeError deep in the enumeration.
+        lat = random_lattice(np.random.default_rng(8), 2, 2, 3)
+        with pytest.raises(DataError, match=f"^partial alignment length u must be an integer >= 1, got {u!r}$"):
+            exact_prefix_logp(lat, [0, 1], u)
+
     def test_uniform_lattice_is_symmetric_in_token_choice(self):
         # With identical rows the conditionals cannot depend on which tokens
         # the sequence contains, only on position (later tokens have fewer

@@ -183,7 +183,7 @@ class TestTrainingLoop:
          ("max_symbols_per_frame", False)],
     )
     def test_config_rejects_non_integer_sizes(self, field, value):
-        with pytest.raises(DataError, match=f"^{field} must be an integer, got {value!r}$"):
+        with pytest.raises(DataError, match=f"^{field} must be an integer >= 1, got {value!r}$"):
             TrainConfig(**{field: value})
 
     @pytest.mark.parametrize(
