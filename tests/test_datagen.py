@@ -1,3 +1,6 @@
+import hashlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -29,6 +32,30 @@ class TestGeneration:
         p2 = generate_synthetic_dataset(SMALL, tmp_path / "b")
         for split in p1:
             assert p1[split].read_bytes() == p2[split].read_bytes()
+
+    # sha256 of every split that ``SMALL`` writes, without and with repeats.
+    SPLIT_SHA256 = {
+        False: {
+            "train": "8e7a95e7692694ec17b2f97bac15472f144b91abcbb30d25d2fa98b0228a7a27",
+            "valid": "4fd819c9bfacb5889f05e241aaa7b424eaeb5d110ad34c09e6ea93f8da0d85c0",
+            "test": "7506a411da56fc619a99a8530712252e208cea4d8af371ce3d449fdc3f15a44a",
+            "pretrain": "4fb7f2fcb54f6b876976ee9acf38d2f4f703b14f6b3dc5e78aea307f04fa1091",
+        },
+        True: {
+            "train": "905da6330ec58d9763eb246f69f018b5472923ff10a544e2369589fe8fe01bfc",
+            "valid": "16ba257e8d8de6e1118437e5230e4fc2dbefe181615a9ce28484c81bbc2fb04c",
+            "test": "2afeed71201b8fbd7ebd88936de43bba6ae9857eed63233e8fab43f6394f5480",
+            "pretrain": "8fa4fedf6eb539174598c8990727881a4f103c0ab7e12b5e556b4095e0b02e6b",
+        },
+    }
+
+    @pytest.mark.parametrize("allow_repeats", [False, True])
+    def test_files_keep_their_bytes(self, tmp_path, allow_repeats):
+        # Every experiment's data comes from this generator, so a change to
+        # how it draws or writes must not move a byte of what it writes.
+        paths = generate_synthetic_dataset(replace(SMALL, allow_repeats=allow_repeats), tmp_path)
+        got = {split: hashlib.sha256(path.read_bytes()).hexdigest() for split, path in paths.items()}
+        assert got == self.SPLIT_SHA256[allow_repeats]
 
     def test_different_seed_differs(self, tmp_path):
         p1 = generate_synthetic_dataset(SMALL, tmp_path / "a")
