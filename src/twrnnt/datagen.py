@@ -21,7 +21,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DataError, check_choice, check_count, check_fields, check_list, check_real, checked
+from .errors import (
+    DataError, check_choice, check_count, check_fields, check_list, check_real, check_string, checked,
+)
 from .seeds import stream
 
 __all__ = [
@@ -65,6 +67,12 @@ class SyntheticSpec:
                 raise DataError(f"{hi} ({getattr(self, hi)}) is below {lo} ({getattr(self, lo)})")
 
 
+def _floats(values) -> list:
+    """``values`` as (nested) lists of Python floats, which JSON writes as
+    ``float`` does."""
+    return np.asarray(values, dtype=np.float64).tolist()
+
+
 @dataclass
 class Utterance:
     id: str
@@ -76,20 +84,20 @@ class Utterance:
     def to_json_obj(self) -> dict:
         obj = {
             "id": self.id,
-            "features": [[float(x) for x in row] for row in self.features],
-            "tokens": [int(t) for t in self.tokens],
+            "features": _floats(self.features),
+            "tokens": np.asarray(self.tokens, dtype=np.int64).tolist(),
         }
         if self.confidences is not None:
-            obj["confidences"] = [float(c) for c in self.confidences]
+            obj["confidences"] = _floats(self.confidences)
         if self.lam is not None:
-            obj["lambda"] = [float(w) for w in self.lam]
+            obj["lambda"] = _floats(self.lam)
         return obj
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Utterance":
         try:
             return cls(
-                id=str(obj["id"]),
+                id=check_string(obj["id"], "id"),
                 features=check_list(obj["features"], "features", nested=True),
                 tokens=check_list(obj["tokens"], "tokens", integer=True),
                 confidences=check_list(obj["confidences"], "confidences") if "confidences" in obj else None,
@@ -125,15 +133,16 @@ def _generate_split(spec: SyntheticSpec, prototypes, split: str, n: int):
             reps = int(
                 rng.integers(spec.min_frames_per_token, spec.max_frames_per_token + 1)
             )
-            for _ in range(reps):
-                frames.append(
-                    prototypes[tok]
-                    + spec.noise_level * rng.normal(size=spec.dim_features)
-                )
+            # One draw of reps frames takes the stream's values in the order
+            # that reps draws of one frame take them.
+            frames.append(
+                prototypes[tok]
+                + spec.noise_level * rng.normal(size=(reps, spec.dim_features))
+            )
         utts.append(
             Utterance(
                 id=f"{split}-{i:06d}",
-                features=np.asarray(frames),
+                features=np.concatenate(frames),
                 tokens=tokens.astype(np.int64),
             )
         )
@@ -151,7 +160,7 @@ def generate_synthetic_dataset(spec: SyntheticSpec, out_dir, provenance=None):
         "schema_version": DATASET_SCHEMA_VERSION,
         "kind": "twrnnt-dataset",
         "spec": asdict(spec),
-        "prototypes": [[float(x) for x in row] for row in prototypes],
+        "prototypes": _floats(prototypes),
         "provenance": provenance or {},
     }
     paths = {}

@@ -63,6 +63,13 @@ def check_choice(value, name, choices):
     return value
 
 
+def check_string(value, name):
+    """``value`` if it is a string; any other JSON value is refused, not cast."""
+    if type(value) is not str:
+        raise DataError(f"{name} must be a string, got {value!r}")
+    return value
+
+
 def check_each(values, name, check, **bounds):
     """``values`` if it is a nonempty list or tuple whose every entry passes
     ``check(entry, name, **bounds)``."""

@@ -5,7 +5,9 @@ parameter gradient fits in one page and can be finite-difference checked.
 Parameters live in one flat float64 vector with named slices, which keeps
 optimizers and checkpoints trivial.  The predictor conditions on the
 previous token only (row ``vocab_size`` of the embedding table is the
-begin-of-sequence input used at u = 0).
+begin-of-sequence input used at u = 0), so its outputs are one (V + 1, H)
+table, computed once per forward or decode, which the joiner, the backward
+and the decoder read by id.
 """
 
 from __future__ import annotations
@@ -166,10 +168,11 @@ class PackedUtterances:
 
     The predictor sees only the previous token, so two positions of one
     utterance with the same id feed the joiner the same input at every
-    frame.  ``first_use`` gives, for each position, the level u of the first
-    position of its utterance with the same id: the joins (b, t, id) of an
-    utterance are numbered in first-use order, and one without a repeated
-    input has one join per node, in node order.
+    frame.  An utterance's ``R`` distinct ids, in order of first use, are
+    the predictor inputs of its joins at each frame: ``is_first`` marks the
+    position of each id's first use, and ``rank`` gives each position the
+    index r of its id among them.  So an utterance without a repeated input
+    has R = U + 1, and ``rank`` is its positions' levels u.
 
     ``names`` label the utterances in error messages (default: their
     positions).  Non-finite or mis-shaped features and out-of-range labels
@@ -201,11 +204,15 @@ class PackedUtterances:
         self.frame0 = np.cumsum(self.T) - self.T
         self.pos0 = np.cumsum(self.U + 1) - (self.U + 1)
         # One key per (utterance, id); np.unique's index of a key is its
-        # first position.
+        # first position.  ``seen`` counts the first uses up to each position.
         utt = np.arange(self.T.size).repeat(self.U + 1)
         keys = utt * (model.vocab_size + 1) + self.ids
         _, first, key = np.unique(keys, return_index=True, return_inverse=True)
-        self.first_use = first[key] - self.pos0[utt]
+        first = first[key]
+        self.is_first = first == np.arange(first.size)
+        seen = self.is_first.cumsum()
+        self.rank = seen[first] - seen[self.pos0][utt]
+        self.R = seen[self.pos0 + self.U] - seen[self.pos0] + 1
 
 
 class BatchLayout:
@@ -213,26 +220,27 @@ class BatchLayout:
     fastest, for ``forward_columns`` and ``backward_columns``.
 
     Node n joins encoder frame ``frame[n]`` of the stacked ``feats`` with
-    predictor position ``pos[n]`` of the stacked predictor inputs ``ids``
-    (BOS, then the labels, per utterance).  Node (b, t, u) has diagonal
-    ``diag`` = t + u, row ``row`` = b and level ``level`` = u: in the
-    diagonal-major column tables of ``kernels.PaddedColumns`` its blank
-    column sits at [t + u, b, u] and its label column one cell on, at
-    [t + u, b, u + 1] (``cells`` gives their flat offsets when the batch is
-    rows row0.. of larger tables); ``emit_rows`` are the nodes with u < U
-    and ``emit_label`` their labels.
+    the predictor input of level u: BOS at u = 0, then the labels.  Node
+    (b, t, u) has diagonal ``diag`` = t + u, row ``row`` = b and level
+    ``level`` = u: in the diagonal-major column tables of
+    ``kernels.PaddedColumns`` its blank column sits at [t + u, b, u] and its
+    label column one cell on, at [t + u, b, u + 1] (``cells`` gives their
+    flat offsets when the batch is rows row0.. of larger tables);
+    ``emit_rows`` are the nodes with u < U and ``emit_label`` their labels.
     ``groups`` holds (n0, n1, m0, m1) ranges of nodes and emit rows for runs
     of consecutive utterances with at most ``_GROUP_NODES`` nodes, or one
     larger utterance.
 
     Nodes of one utterance and frame whose predictor inputs have one id
-    share a join (b, t, id) (``PackedUtterances.first_use``): node n reads
-    the joiner's output of join ``node_join[n]``, and ``emit_join`` are the
-    joins of ``emit_rows``.  Join j joins frame ``join_frame[j]`` with
-    position ``join_pos[j]``, its id's first use; joins follow their first
-    nodes, so ``join_groups`` holds one (j0, j1) range per node group, and
-    every frame of an utterance has the same joins (``_order`` lays out the
-    backward's per-frame and per-position sums over them).
+    share a join (b, t, id).  Utterance b has ``R[b]`` distinct ids
+    (``PackedUtterances.rank``), so its joins are a (T_b, R_b) grid,
+    frame-major from ``join0[b]``: join join0[b] + t * R_b + r is cell (t,
+    r), which joins frame ``join_frame[j]`` with the predictor input of id
+    ``join_id[j]``, the utterance's r-th id in order of first use.  Node n
+    reads the joiner's output of join ``node_join[n]``, and ``emit_join``
+    are the joins of ``emit_rows``; ``join_groups`` holds the (j0, j1)
+    range of joins of each node group, and ``utt_groups`` its (b0, b1)
+    range of utterances.
 
     ``BatchLayout(model, features, tokens)`` checks and packs its arguments;
     ``BatchLayout.of(packed, idx)`` lays out utterances ``idx`` (repeats
@@ -253,39 +261,30 @@ class BatchLayout:
         # Array methods rather than their np.* wrappers: a desk batch has
         # about 650 nodes, where the wrappers' call overhead is a good part
         # of each operation's cost.
-        self.T, self.U = T, U = packed.T[idx], packed.U[idx]
+        self.T, self.U, self.R = T, U, R = packed.T[idx], packed.U[idx], packed.R[idx]
         W = U + 1
         sizes = T * W
         self.feats = packed.feats[_ranges(packed.frame0[idx], T)]
-        positions = _ranges(packed.pos0[idx], W)
-        self.ids = packed.ids[positions]
         start = np.zeros(sizes.size + 1, dtype=np.int64)
         sizes.cumsum(out=start[1:])
         b = np.arange(sizes.size).repeat(sizes)
-        node = np.arange(start[-1])
-        k = node - start[b]  # node index within its utterance
+        k = np.arange(start[-1]) - start[b]  # node index within its utterance
         t, u = np.divmod(k, W[b])
         self.frame = (T.cumsum() - T)[b] + t
-        self.pos = (W.cumsum() - W)[b] + u
+        pos = packed.pos0[idx][b] + u  # the node's position in ``packed``
         self.diag, self.row, self.level = t + u, b, u
         emit = u < U[b]
         self.emit_rows = emit.nonzero()[0]
-        self.emit_label = self.ids[self.pos[emit] + 1]
-        # A node represents its join (b, t, id) when u is its id's first
-        # use, and node n joins as node n - u + first_use does; joins are
-        # numbered by their representatives, joins[n] of them before node n.
-        first = packed.first_use[positions][self.pos]
-        rep = first == u
-        joins = np.zeros(rep.size + 1, dtype=np.int64)
-        rep.cumsum(out=joins[1:])
-        self.node_join = joins[node - u + first]
+        self.emit_label = packed.ids[pos[self.emit_rows] + 1]
+        joins = np.zeros(sizes.size + 1, dtype=np.int64)
+        (T * R).cumsum(out=joins[1:])
+        self.join0 = joins[:-1]
+        self.node_join = self.join0[b] + t * R[b] + packed.rank[pos]
         self.emit_join = self.node_join[self.emit_rows]
-        reps = rep.nonzero()[0]
-        self.join_frame, self.join_pos = self.frame[reps], self.pos[reps]
-        # First use depends on u alone, so every frame of an utterance has
-        # the same joins, in the same order.
-        join0 = joins[start]
-        self._order((join0[1:] - join0[:-1]) // T, join0[:-1])
+        # The nodes of first uses, in node order, are the joins in join
+        # order: frame by frame, each frame's ids in order of first use.
+        reps = packed.is_first[pos].nonzero()[0]
+        self.join_frame, self.join_id = self.frame[reps], packed.ids[pos[reps]]
         cuts, nodes = [0], 0
         for i, size in enumerate(sizes.tolist()):
             if nodes and nodes + size > _GROUP_NODES:
@@ -295,27 +294,12 @@ class BatchLayout:
         cuts.append(sizes.size)
         n = start[cuts]
         m = self.emit_rows.searchsorted(n)
-        j = joins[n]
+        j = joins[cuts]
         self.groups = list(zip(n[:-1], n[1:], m[:-1], m[1:]))
         self.join_groups = list(zip(j[:-1], j[1:]))
+        self.utt_groups = list(zip(cuts[:-1], cuts[1:]))
         self.max_join_group = int((j[1:] - j[:-1]).max())
         self._cells = None
-
-    def _order(self, R, join0):
-        """The backward's segment tables, for utterances of R joins a frame
-        whose joins start at ``join0``: utterance b's k-th join is (t, r) =
-        divmod(k, R_b), frame-major.  ``frame_first`` is each frame's first
-        join; ``by_pos`` lists the joins position-major, (r, t) = divmod(k,
-        T_b), each id's T_b joins in a run that starts at ``pos_first``; and
-        ``use_pos`` is each run's position, its id's first use."""
-        runs = R.repeat(self.T)
-        self.frame_first = runs.cumsum() - runs
-        b = np.arange(R.size).repeat(R * self.T)
-        r, t = np.divmod(np.arange(b.size) - join0[b], self.T[b])
-        self.by_pos = join0[b] + t * R[b] + r
-        runs = self.T.repeat(R)
-        self.pos_first = runs.cumsum() - runs
-        self.use_pos = self.join_pos[self.by_pos[self.pos_first]]
 
     def cells(self, rows, width):
         """The flat offsets of every node's blank column, and of the label
@@ -332,27 +316,27 @@ class BatchLayout:
         return self._cells[1:]
 
 
-def _encode(model: TransducerModel, layout: BatchLayout):
-    """The parameter views, the encoder output of every frame, and the
-    predictor inputs and outputs of every label position."""
+def _encode(model: TransducerModel, feats):
+    """The parameter views, the encoder output of every frame of ``feats``,
+    and the predictor table: row i is the predictor's output for input id i
+    (token i, or BOS at i = V), tanh(emb[i] @ pred_w.T + pred_b)."""
     p = model._views
-    enc = np.tanh(layout.feats @ p["enc_w"].T + p["enc_b"])
-    rows = p["emb"][layout.ids]
-    pred = np.tanh(rows @ p["pred_w"].T + p["pred_b"])
-    return p, enc, rows, pred
+    enc = np.tanh(feats @ p["enc_w"].T + p["enc_b"])
+    tab = np.tanh(p["emb"] @ p["pred_w"].T + p["pred_b"])
+    return p, enc, tab
 
 
-def _join(p, enc, pred, frames, positions, z, scratch):
-    """Joiner activations z = tanh(enc[frames] + pred[positions]), written
-    to the first rows of ``z``, and their raw logits; ``scratch`` is a
-    buffer of as many rows, so that a group's large temporaries are
-    allocated once per pass."""
+def _join(p, enc, tab, frames, ids, z, scratch):
+    """Joiner activations z = tanh(enc[frames] + tab[ids]), written to the
+    first rows of ``z``, and their raw logits; ``scratch`` is a buffer of
+    as many rows, so that a group's large temporaries are allocated once per
+    pass."""
     n = frames.size
     z, scratch = z[:n], scratch[:n]
     # The layout's indices are in range by construction; mode="clip" spares
     # np.take the buffered copy it makes to check them.
     np.take(enc, frames, axis=0, out=z, mode="clip")
-    z += np.take(pred, positions, axis=0, out=scratch, mode="clip")
+    z += np.take(tab, ids, axis=0, out=scratch, mode="clip")
     np.tanh(z, out=z)
     logits = z @ p["join_w"].T
     logits += p["join_b"]
@@ -421,7 +405,7 @@ class StepActivations:
     (``_backward``) that follows it, so that the backward does not run the
     joiner again.  Every backward follows its kept forward; a training run
     reuses its own at every step.  It holds the parameter views, the
-    encoder output, the predictor inputs and outputs, and for every join
+    encoder output, the predictor table (``_encode``), and for every join
     (b, t, id) of the batch (``BatchLayout.node_join``), in join order, its
     joiner activations z (H floats) and its row softmax (V + 1 floats; the
     forward computes it along vectors of a group's joins,
@@ -453,8 +437,8 @@ class StepActivations:
             self.softmax = np.empty((joins, self.softmax.shape[1]))
 
     def _release(self, model, layout):
-        """The kept encoder and predictor state of this model and layout,
-        which the caller then consumes."""
+        """The kept parameter views, encoder output and predictor table of
+        this model and layout, which the caller then consumes."""
         held = self._held
         if held is None or held[0] is not model or held[1] is not layout:
             raise DataError("no activations kept by a forward of this model and batch")
@@ -466,8 +450,9 @@ def model_forward(model: TransducerModel, features, tokens) -> PosteriorLattice:
     """Joint logits for every (t, u) node, log-softmax normalized.  The
     single-utterance case of ``forward_columns``."""
     layout = BatchLayout(model, [features], [tokens])
-    p, enc, _, pred = _encode(model, layout)
-    _, logits = _join(p, enc, pred, layout.frame, layout.pos, *_work(layout.frame.size, enc))
+    p, enc, tab = _encode(model, layout.feats)
+    ids = layout.join_id[layout.node_join]
+    _, logits = _join(p, enc, tab, layout.frame, ids, *_work(layout.frame.size, enc))
     T, U = int(layout.T[0]), int(layout.U[0])
     return normalize_logits(logits.reshape(T, U + 1, -1))
 
@@ -520,16 +505,15 @@ def forward_columns(
     _, rows, width = cols.blank.shape
     blank, emit = cols.blank.reshape(-1)[row0 * width :], cols.emit.reshape(-1)[row0 * width :]
     blank_at, emit_at = layout.cells(rows, width)
-    encoded = _encode(model, layout)
-    p, enc, _, pred = encoded
+    encoded = _encode(model, layout.feats)
+    p, enc, tab = encoded
     work = _work(layout.max_join_group, enc)
     if keep is not None:
         keep._hold(model, layout, encoded)
     scratch = np.empty((model.vocab_size + 1, layout.max_join_group))
     for (n0, n1, m0, m1), (j0, j1) in zip(layout.groups, layout.join_groups):
         z = work[0] if keep is None else keep.z[j0:j1]
-        frames, positions = layout.join_frame[j0:j1], layout.join_pos[j0:j1]
-        _, logits = _join(p, enc, pred, frames, positions, z, work[1])
+        _, logits = _join(p, enc, tab, layout.join_frame[j0:j1], layout.join_id[j0:j1], z, work[1])
         lse = _kept_softmax(logits, scratch, None if keep is None else keep.softmax[j0:j1])
         blank_lp = logits[:, -1] - lse
         blank[blank_at[n0:n1]] = blank_lp[layout.node_join[n0:n1] - j0]
@@ -548,53 +532,56 @@ def _backward(
     dlogp - softmax * sum(dlogp), and may build it in ``softmax``, the
     joins' row softmax.  Exact, float64.
 
-    The encoder and predictor state, and every join's joiner activations z
-    and row softmax, come from ``kept``, a ``StepActivations`` filled by the
-    forward of this model and layout, which this pass overwrites: no joiner
-    product or softmax runs.  A join's nodes share its frame, so the
-    encoder sums are those of the nodes, and its predictor input, so its
-    predictor gradient goes to its id's first use (``use_pos``) and the
-    other positions get 0; the same sums, regrouped.
+    The parameter views, encoder output and predictor table, and every
+    join's joiner activations z and row softmax, come from ``kept``, a
+    ``StepActivations`` filled by the forward of this model and layout,
+    which this pass overwrites: no joiner product or softmax runs.  Each
+    utterance's joins are its (T_b, R_b) grid (``BatchLayout``), so the sum
+    over a grid row is the gradient of its frame's encoder output, and the
+    sum over a column that of its id's row of the predictor table.  The
+    predictor gradient then takes products of the table's V + 1 rows.
     """
-    p, enc, rows, pred = kept._release(model, layout)
+    p, enc, tab = kept._release(model, layout)
     work = np.empty((layout.max_join_group, enc.shape[1]))
     grad = np.zeros_like(model.params)
     g = _views(grad, model._layout)
     denc = np.empty_like(enc)
-    dpred = np.zeros_like(pred)
-    for (n0, n1, m0, m1), (j0, j1) in zip(layout.groups, layout.join_groups):
+    dcol = np.empty((int(layout.R.sum()), enc.shape[1]))
+    T, R, join0 = layout.T.tolist(), layout.R.tolist(), layout.join0.tolist()
+    frame0, col0 = (layout.T.cumsum() - layout.T).tolist(), (layout.R.cumsum() - layout.R).tolist()
+    for (n0, n1, m0, m1), (j0, j1), (b0, b1) in zip(layout.groups, layout.join_groups, layout.utt_groups):
         dlogit = dlogit_rows(kept.softmax[j0:j1], n0, n1, m0, m1, j0)
         z = kept.z[j0:j1]
         g["join_w"] += dlogit.T @ z
-        g["join_b"] += dlogit.sum(axis=0)
+        # As dlogit.sum(axis=0), bit for bit, and 3x faster at 1,000 joins.
+        g["join_b"] += np.einsum("jk->k", dlogit)
         # dpre = dz * (1 - z^2), in the work buffer; 1 - z^2 in ``z``.
         dpre = np.matmul(dlogit, p["join_w"], out=work[: j1 - j0])
         np.multiply(z, z, out=z)
         np.subtract(1.0, z, out=z)
         dpre *= z
-        f0, f1 = layout.frame_first.searchsorted((j0, j1))
-        denc[f0:f1] = np.add.reduceat(dpre, layout.frame_first[f0:f1] - j0, axis=0)
-        s0, s1 = layout.pos_first.searchsorted((j0, j1))
-        by_pos = np.take(dpre, layout.by_pos[j0:j1] - j0, axis=0, out=z, mode="clip")
-        dpred[layout.use_pos[s0:s1]] = np.add.reduceat(by_pos, layout.pos_first[s0:s1] - j0, axis=0)
+        for b in range(b0, b1):
+            grid = dpre[join0[b] - j0 : join0[b] - j0 + T[b] * R[b]].reshape(T[b], R[b], -1)
+            # Each frame's sum over its R_b joins.  einsum adds them in the
+            # order of grid.sum(axis=1), bit for bit, but its inner loop
+            # runs along a row of H, not down a column: 2x faster at R = 13.
+            np.einsum("trh->th", grid, out=denc[frame0[b] : frame0[b] + T[b]])
+            grid.sum(axis=0, out=dcol[col0[b] : col0[b] + R[b]])
     denc_pre = denc * (1.0 - enc * enc)
     g["enc_w"][...] = denc_pre.T @ layout.feats
     g["enc_b"][...] = denc_pre.sum(axis=0)
-    dpred_pre = dpred * (1.0 - pred * pred)
-    g["pred_w"][...] = dpred_pre.T @ rows
-    g["pred_b"][...] = dpred_pre.sum(axis=0)
-    g["emb"][...] = _sum_by_id(layout.ids, dpred_pre @ p["pred_w"], g["emb"].shape[0])
+    # Column r of utterance b has the id of its join join0[b] + r.  Ids may
+    # repeat across utterances (and in ``tests/references.per_node`` within
+    # one), so each goes to its row of the table by a one-hot product.
+    ids = layout.join_id[_ranges(layout.join0, layout.R)]
+    onehot = np.zeros((tab.shape[0], ids.size))
+    onehot[ids, np.arange(ids.size)] = 1.0
+    dtab = onehot @ dcol
+    dtab *= 1.0 - tab * tab
+    g["pred_w"][...] = dtab.T @ p["emb"]
+    g["pred_b"][...] = dtab.sum(axis=0)
+    g["emb"][...] = dtab @ p["pred_w"]
     return grad
-
-
-def _sum_by_id(ids, rows, num_ids) -> np.ndarray:
-    """A (num_ids, H) table whose row i sums the ``rows`` (n, H) of the
-    positions with ids == i, each cell from 0.0 in position order: the
-    additions of ``np.add.at(zeros, ids, rows)``, by one ``np.bincount``
-    over the (id, h) cells."""
-    H = rows.shape[1]
-    cells = (ids[:, None] * H + np.arange(H)).reshape(-1)
-    return np.bincount(cells, rows.reshape(-1), num_ids * H).reshape(num_ids, H)
 
 
 def backward_columns(
@@ -693,9 +680,11 @@ def greedy_decode(
     the next frame.  Returns (tokens, clean) where ``clean`` is False when
     any frame hit the emission cap.
 
-    The decode runs ahead.  The predictor state changes only when a label is
-    emitted, so once blank has won under a state (and at BOS), one joiner
-    pass scores every remaining frame under it, and the decode jumps to the
+    The predictor state is the row of the last emitted id (BOS at first) in
+    the predictor table of ``_encode``, computed once per decode.  The
+    decode runs ahead.  The state changes only when a label is emitted, so
+    once blank has won under a state (and at BOS), one joiner pass scores
+    every remaining frame under it, and the decode jumps to the
     first frame where a label wins, or ends if none does.  A state set by an
     emission is scored at its own frame only, since "emit again here?" is
     the one question it must answer there; after a cap-forced advance, at
@@ -710,16 +699,10 @@ def greedy_decode(
     """
     check_count(max_symbols_per_frame, "max_symbols_per_frame", 1)
     feats = _check_features(model, features)
-    enc = np.tanh(feats @ model.slice("enc_w").T + model.slice("enc_b"))
-    pred_w, pred_b = model.slice("pred_w"), model.slice("pred_b")
-    join_w, join_b = model.slice("join_w"), model.slice("join_b")
-    emb = model.slice("emb")
+    p, enc, tab = _encode(model, feats)
+    join_w, join_b = p["join_w"], p["join_b"]
     blank = model.vocab_size
-
-    def pred_state(token_id):
-        return np.tanh(pred_w @ emb[token_id] + pred_b)
-
-    cur = pred_state(model.bos)
+    cur = tab[model.bos]
     out = []
     clean = True
     t, T = 0, feats.shape[0]
@@ -740,7 +723,7 @@ def greedy_decode(
                 t, emitted, ahead = t + 1, 0, True
                 continue
         out.append(k)
-        cur = pred_state(k)
+        cur = tab[k]
         ahead = False
         emitted += 1
         if emitted >= max_symbols_per_frame:

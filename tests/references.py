@@ -443,14 +443,16 @@ def fresh_backward(model, layout, g_blank, g_emit, row0=0):
 
 def per_node(layout):
     """A copy of ``layout`` in which every node is its own join, as in the
-    passes before nodes shared their joins (b, t, id)."""
+    passes before nodes shared their joins (b, t, id): each utterance's
+    grid has R = U + 1 columns, one per level, whose ids may repeat."""
     own = copy.copy(layout)
     own.node_join, own.emit_join = np.arange(layout.frame.size), layout.emit_rows
-    own.join_frame, own.join_pos = layout.frame, layout.pos
+    own.join_frame, own.join_id = layout.frame, layout.join_id[layout.node_join]
+    own.R = layout.U + 1
+    sizes = layout.T * own.R
+    own.join0 = sizes.cumsum() - sizes
     own.join_groups = [(n0, n1) for n0, n1, _, _ in layout.groups]
     own.max_join_group = max(n1 - n0 for n0, n1 in own.join_groups)
-    sizes = layout.T * (layout.U + 1)
-    own._order(layout.U + 1, sizes.cumsum() - sizes)
     return own
 
 
@@ -465,8 +467,8 @@ def forward_columns_per_node(model, layout, keep=None):
     _, rows, width = cols.blank.shape
     blank, emit = cols.blank.reshape(-1), cols.emit.reshape(-1)
     blank_at, emit_at = layout.cells(rows, width)
-    encoded = _encode(model, layout)
-    p, enc, _, pred = encoded
+    encoded = _encode(model, layout.feats)
+    p, enc, tab = encoded
     most = max(n1 - n0 for n0, n1, _, _ in layout.groups)
     work = _work(most, enc)
     if keep is not None:
@@ -474,7 +476,8 @@ def forward_columns_per_node(model, layout, keep=None):
     scratch = np.empty((model.vocab_size + 1, most))
     for n0, n1, m0, m1 in layout.groups:
         z = work[0] if keep is None else keep.z[n0:n1]
-        _, logits = _join(p, enc, pred, layout.frame[n0:n1], layout.pos[n0:n1], z, work[1])
+        ids = layout.join_id[layout.node_join[n0:n1]]
+        _, logits = _join(p, enc, tab, layout.frame[n0:n1], ids, z, work[1])
         lse = _kept_softmax(logits, scratch, None if keep is None else keep.softmax[n0:n1])
         blank[blank_at[n0:n1]] = logits[:, -1] - lse
         r = layout.emit_rows[m0:m1] - n0

@@ -195,6 +195,25 @@ def test_integer_record_field_refuses_what_is_no_count(tmp_path_factory, name, d
         read_field(tmp_path_factory.mktemp("record"), name, value)
 
 
+# String record fields: an id names its utterance in errors and in output.
+STRING_RECORD_FIELDS = ["id"]
+
+
+@pytest.mark.parametrize("name", STRING_RECORD_FIELDS)
+@PROPERTY
+@given(data=st.data())
+def test_string_record_field_refuses_what_is_no_string(tmp_path_factory, name, data):
+    # No cast: null, true, 3.5 and [1] must not load as "None", "True",
+    # "3.5" and "[1]", nor 1 as the id "1".
+    value = data.draw(st.sampled_from([None, True, False, 1, 3.5, NAN, INF, [1], ["u"], {"u": 1}]))
+    with pytest.raises(DataError, match=f"^{name} must be a string, got"):
+        read_field(tmp_path_factory.mktemp("record"), name, value)
+
+
+def test_string_record_field_keeps_its_string():
+    assert Utterance.from_json_obj({**UTTERANCE, "id": "1"}).id == "1"
+
+
 REAL_RECORD_FIELDS = ["features", "confidences", "lambda", "logp", "params"]
 
 

@@ -9,6 +9,7 @@ import references
 from conftest import PROPERTY
 from references import model_backward
 from twrnnt import model as model_module
+from twrnnt.datagen import SyntheticSpec, generate_synthetic_dataset, read_dataset
 from twrnnt.errors import DataError, NumericalError
 from twrnnt.kernels import PaddedColumns, dense_grad
 from twrnnt.lattice import _row_logsumexp
@@ -26,6 +27,8 @@ from twrnnt.model import (
     param_count,
     save_checkpoint,
 )
+from twrnnt.seeds import stream
+from twrnnt.training import TrainConfig, train_model
 from twrnnt.weighting import TokenWeights, WeightConfig, weighted_loss_and_grad, weighted_rnnt_loss
 
 
@@ -376,13 +379,13 @@ class TestKeptSoftmax:
         want = forward_columns(model, layout)
         np.testing.assert_array_equal(cols.blank, want.blank)
         np.testing.assert_array_equal(cols.emit, want.emit)
-        p, enc, _, pred = model_module._encode(model, layout)
+        p, enc, tab = model_module._encode(model, layout.feats)
         work = model_module._work(layout.max_join_group, enc)
         assert len(layout.groups) > 1 or case == "desk"
         assert layout.join_frame.size < layout.frame.size  # some nodes share a join
         for j0, j1 in layout.join_groups:
-            frames, positions = layout.join_frame[j0:j1], layout.join_pos[j0:j1]
-            z, logits = model_module._join(p, enc, pred, frames, positions, *work)
+            frames, ids = layout.join_frame[j0:j1], layout.join_id[j0:j1]
+            z, logits = model_module._join(p, enc, tab, frames, ids, *work)
             np.testing.assert_array_equal(keep.z[j0:j1], z)
             softmax = np.empty_like(logits)
             m, s = references.softmax(logits, softmax)
@@ -514,6 +517,19 @@ class TestJoins:
         want, want_grad = references.per_node_passes(model, layout, g_blank, g_emit)
         return (cols, grad), (want, want_grad)
 
+    @staticmethod
+    def assert_close(cols, grad, want, want_grad, exact_columns=False):
+        """Columns within 1e-12 of the per-node ones (== with
+        ``exact_columns``), and the gradient within 1e-12 of its largest
+        entry."""
+        for got, ref in ((cols.blank, want.blank), (cols.emit, want.emit)):
+            owned = np.isfinite(ref)
+            np.testing.assert_array_equal(np.isfinite(got), owned)
+            if exact_columns:
+                np.testing.assert_array_equal(got, ref)
+            assert np.max(np.abs(got[owned] - ref[owned]), initial=0.0) <= 1e-12
+        assert np.max(np.abs(grad - want_grad)) <= 1e-12 * np.max(np.abs(want_grad))
+
     @pytest.mark.parametrize("case", sorted(LARGE))
     def test_equals_per_node_passes(self, case):
         shapes, same_token = self.LARGE[case]
@@ -547,76 +563,114 @@ class TestJoins:
         seed, shapes = case
         model, layout, _ = layout_of(shapes, seed, same_token=same_token)
         (cols, grad), (want, want_grad) = self.passes(model, layout, seed + 1)
-        for got, ref in ((cols.blank, want.blank), (cols.emit, want.emit)):
-            owned = np.isfinite(ref)
-            np.testing.assert_array_equal(np.isfinite(got), owned)
-            if smallest_product(layout) >= 128:
-                np.testing.assert_array_equal(got, ref)
-            assert np.max(np.abs(got[owned] - ref[owned]), initial=0.0) <= 1e-12
-        assert np.max(np.abs(grad - want_grad)) <= 1e-12 * np.max(np.abs(want_grad))
+        self.assert_close(cols, grad, want, want_grad, smallest_product(layout) >= 128)
+
+    # Backward edge cases: (T, U) shapes, how transcripts are drawn, and
+    # the indices of ``BatchLayout.of``.
+    EDGES = {
+        "t1": ([(1, 6), (1, 0), (1, 1)], "random", None),
+        "u0": ([(9, 0), (1, 0), (4, 0)], "random", None),
+        "u_above_t": ([(2, 9), (3, 16), (1, 4)], "random", None),
+        "one_repeated_id": ([(7, 5), (12, 8)], "one_repeat", None),
+        "all_ids_distinct": ([(11, 6), (9, 15), (4, 1)], "distinct", None),
+        "several_utterances_one_group": ([(11, 6), (9, 5), (14, 7), (8, 3), (12, 0), (10, 8)], "random", None),
+        "one_utterance_above_group_bound": ([(75, 30)], "random", None),
+        "repeated_indices": ([(11, 6), (9, 5), (14, 7)], "random", [2, 0, 2, 1, 0, 2]),
+    }
+
+    @staticmethod
+    def transcript(rng, U, kind, V=16):
+        """U labels: random, all distinct, or distinct but for one id used twice."""
+        if kind == "random":
+            return rng.integers(0, V, size=U)
+        y = rng.permutation(V)[:U]
+        if kind == "one_repeat":
+            y[-1] = y[0]
+        return y
+
+    @pytest.mark.parametrize("case", sorted(EDGES))
+    def test_backward_close_to_per_node(self, case):
+        shapes, kind, idx = self.EDGES[case]
+        rng = np.random.default_rng(97)
+        model = TransducerModel.random(8, 32, 16, rng)
+        feats = [rng.normal(size=(T, 8)) for T, _ in shapes]
+        tokens = [self.transcript(rng, U, kind) for _, U in shapes]
+        idx = list(range(len(shapes))) if idx is None else idx
+        layout = BatchLayout.of(PackedUtterances(model, feats, tokens), idx)
+        repeats = {"one_repeated_id": 1, "all_ids_distinct": 0}
+        if case in repeats:
+            assert (layout.U + 1 - layout.R).tolist() == [repeats[case]] * len(idx)
+        if case == "one_utterance_above_group_bound":
+            assert layout.frame.size > model_module._GROUP_NODES and len(layout.groups) == 1
+        if case == "several_utterances_one_group":
+            assert len(layout.groups) == 1
+        (cols, grad), (want, want_grad) = self.passes(model, layout, 98)
+        self.assert_close(cols, grad, want, want_grad)
+
+    @staticmethod
+    def node_ids(layout, tokens, idx, bos):
+        """Each node's predictor input id, from its transcript: BOS, then
+        its labels, at every frame."""
+        return np.concatenate([np.tile(np.append(bos, tokens[i]), T) for i, T in zip(idx, layout.T.tolist())])
 
     def test_one_join_per_node_without_repeated_inputs(self):
         # Transcripts without a repeated token (BOS is an id of its own):
-        # every node is its own join, in node order.
+        # every utterance's grid has R = U + 1 columns, so every node is its
+        # own join, in node order.
         rng = np.random.default_rng(92)
         shapes = [(11, 6), (1, 0), (9, 15), (70, 16), (4, 1)]
         model = TransducerModel.random(8, 4, 16, rng)
         feats = [rng.normal(size=(T, 8)) for T, _ in shapes]
         tokens = [rng.permutation(16)[:U] for _, U in shapes]
         packed = PackedUtterances(model, feats, tokens)
-        np.testing.assert_array_equal(packed.first_use, np.concatenate([np.arange(U + 1) for _, U in shapes]))
-        layout = BatchLayout.of(packed, [3, 0, 1, 2, 4])
+        np.testing.assert_array_equal(packed.rank, np.concatenate([np.arange(U + 1) for _, U in shapes]))
+        np.testing.assert_array_equal(packed.R, [U + 1 for _, U in shapes])
+        idx = [3, 0, 1, 2, 4]
+        layout = BatchLayout.of(packed, idx)
+        np.testing.assert_array_equal(layout.R, layout.U + 1)
+        sizes = layout.T * (layout.U + 1)
+        np.testing.assert_array_equal(layout.join0, sizes.cumsum() - sizes)
         np.testing.assert_array_equal(layout.node_join, np.arange(layout.frame.size))
         np.testing.assert_array_equal(layout.emit_join, layout.emit_rows)
         np.testing.assert_array_equal(layout.join_frame, layout.frame)
-        np.testing.assert_array_equal(layout.join_pos, layout.pos)
+        np.testing.assert_array_equal(layout.join_id, self.node_ids(layout, tokens, idx, model.bos))
         assert layout.join_groups == [(n0, n1) for n0, n1, _, _ in layout.groups]
 
     @pytest.mark.parametrize("same_token", [False, True])
     def test_joins_are_the_distinct_frame_id_pairs(self, same_token):
-        # Each node's join has its frame and its predictor input's id; the
-        # joins are the distinct (frame, id) pairs of the batch, each at its
-        # first use, and none is shared across utterances, even by a
-        # repeated one.
+        # Each node's join has its frame and its predictor input's id.  Join
+        # join0[b] + t * R_b + r is cell (t, r) of utterance b's grid: its
+        # frame t and its r-th distinct id in order of first use.  The cells
+        # of all grids are the joins, each once, and map one to one onto
+        # the distinct (frame, id) pairs of the batch; none is shared
+        # across utterances, even by a repeated one.
         rng = np.random.default_rng(94)
         model = TransducerModel.random(8, 4, 16, rng)
         shapes = [(11, 6), (9, 0), (14, 7), (75, 25), (1, 4)]
         feats = [rng.normal(size=(T, 8)) for T, _ in shapes]
         tokens = [np.full(U, U % 16) if same_token else rng.integers(0, 4, size=U) for _, U in shapes]
-        layout = BatchLayout.of(PackedUtterances(model, feats, tokens), [3, 0, 1, 3, 2, 4])
+        idx = [3, 0, 1, 3, 2, 4]
+        layout = BatchLayout.of(PackedUtterances(model, feats, tokens), idx)
         joins = layout.node_join
+        ids = self.node_ids(layout, tokens, idx, model.bos)
         np.testing.assert_array_equal(layout.join_frame[joins], layout.frame)
-        np.testing.assert_array_equal(layout.ids[layout.join_pos[joins]], layout.ids[layout.pos])
-        pairs = np.unique(layout.frame * 17 + layout.ids[layout.pos])
+        np.testing.assert_array_equal(layout.join_id[joins], ids)
+        pairs = np.unique(layout.frame * 17 + ids)
         assert pairs.size == layout.join_frame.size < layout.frame.size
-        first = np.full(layout.join_frame.size, layout.pos.max() + 1)
-        np.minimum.at(first, joins, layout.pos)
-        np.testing.assert_array_equal(layout.join_pos, first)
+        cells = []
+        for b, (i, T, R) in enumerate(zip(idx, layout.T.tolist(), layout.R.tolist())):
+            distinct = list(dict.fromkeys([model.bos] + tokens[i].tolist()))
+            assert R == len(distinct)
+            grid = layout.join0[b] + np.arange(T)[:, None] * R + np.arange(R)
+            frame0 = int(layout.T[:b].sum())
+            np.testing.assert_array_equal(layout.join_frame[grid], np.broadcast_to(frame0 + np.arange(T)[:, None], (T, R)))
+            np.testing.assert_array_equal(layout.join_id[grid], np.broadcast_to(distinct, (T, R)))
+            cells.append(grid.ravel())
+        np.testing.assert_array_equal(np.concatenate(cells), np.arange(layout.join_frame.size))
         np.testing.assert_array_equal(layout.emit_join, joins[layout.emit_rows])
         # Join groups cover the joins of their node groups, in order.
         for (n0, n1, _, _), (j0, j1) in zip(layout.groups, layout.join_groups):
             assert joins[n0] == j0 and joins[n0:n1].max() == j1 - 1
-        # The backward's tables: joins are frame-major, and ``by_pos`` lists
-        # them position-major, each first use's joins in a run, in frame order.
-        frames = layout.join_frame
-        assert np.all(frames[1:] >= frames[:-1])
-        np.testing.assert_array_equal(layout.frame_first, frames.searchsorted(np.arange(layout.feats.shape[0])))
-        np.testing.assert_array_equal(layout.by_pos, np.lexsort((frames, layout.join_pos)))
-        np.testing.assert_array_equal(layout.use_pos, np.unique(layout.join_pos))
-        np.testing.assert_array_equal(layout.pos_first, layout.join_pos[layout.by_pos].searchsorted(layout.use_pos))
-
-
-def test_sum_by_id_makes_the_additions_of_add_at():
-    # Repeated ids in a scattered order, with values whose sums depend on
-    # the order of the additions.
-    rng = np.random.default_rng(84)
-    ids = rng.integers(0, 6, size=200)
-    rows = rng.choice([-1.0, 1.0], size=(200, 5)) * 10.0 ** rng.uniform(-8, 8, size=(200, 5))
-    want = np.zeros((7, 5))
-    np.add.at(want, ids, rows)
-    got = model_module._sum_by_id(ids, rows, 7)
-    np.testing.assert_array_equal(got, want)
-    assert not got[6].any()
 
 
 def adam_buffers(model):
@@ -787,6 +841,25 @@ class TestGreedyDecode:
         a, _ = greedy_decode(m, feats)
         b, _ = greedy_decode(m, feats)
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("epochs, cap", [(14, 4), (3, 1)], ids=["trained", "undertrained_cap1"])
+    def test_pool_equals_frame_by_frame_reference(self, tmp_path, epochs, cap):
+        # A desk teacher decodes a pool of 300 desk utterances.  The decode
+        # reads predictor states from the rows of one table product, the
+        # reference from one matrix-vector product per emission, so a near
+        # tie could flip a token; none may.  After 14 epochs (the criterion
+        # 8 teacher's) the decodes are clean; after 3, at a cap of 1, some
+        # hit the cap and some do not.
+        spec = SyntheticSpec(n_train=300, n_valid=0, n_test=0, n_pretrain=100, seed=5)
+        paths = generate_synthetic_dataset(spec, tmp_path)
+        pool, pretrain = read_dataset(paths["train"])[1], read_dataset(paths["pretrain"])[1]
+        cfg = TrainConfig(epochs=epochs, batch_size=8, lr=1e-2, dim_hidden=32)
+        teacher = train_model(pretrain, 8, 16, cfg, stream(5, "init"), stream(5, "order")).model
+        got = [greedy_decode(teacher, u.features, cap) for u in pool]
+        want = [references.greedy_decode(teacher, u.features, cap) for u in pool]
+        assert [(y.tolist(), clean) for y, clean in got] == [(y.tolist(), clean) for y, clean in want]
+        unclean = sum(not clean for _, clean in got)
+        assert sum(y.size for y, _ in got) > 300 and (0 < unclean < 300 if cap == 1 else unclean == 0)
 
 
 class TestCheckpoints:

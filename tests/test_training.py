@@ -962,11 +962,11 @@ class TestKeptActivations:
                 # The kept z and softmax of every join, against the joiner
                 # run again on each group's joins.
                 assert keep.softmax.shape[0] == keep.z.shape[0] >= J
-                p, enc, _, pred = model_module._encode(model, layout)
+                p, enc, tab = model_module._encode(model, layout.feats)
                 for j0, j1 in layout.join_groups:
-                    frames, positions = layout.join_frame[j0:j1], layout.join_pos[j0:j1]
+                    frames, ids = layout.join_frame[j0:j1], layout.join_id[j0:j1]
                     work = model_module._work(j1 - j0, enc)
-                    z, logits = model_module._join(p, enc, pred, frames, positions, *work)
+                    z, logits = model_module._join(p, enc, tab, frames, ids, *work)
                     softmax = np.empty_like(logits)
                     references.softmax(logits, softmax)
                     np.testing.assert_array_equal(keep.z[j0:j1], z)
