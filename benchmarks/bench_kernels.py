@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Verify, then time, each stage that training, scoring and decoding run.
 
-The sections: the DP kernels, the grouped model forward and backward, a
-stacked training step, confidence scoring and greedy decoding, on desk
-(T ~ 11, U ~ 6) and long (T ~ 75, U ~ 25) data.  Each checks the product's
-output against ``tests/references.py`` or its per-utterance form (the
-check's docstring gives the tolerance), exits on a mismatch, and then times
-the product alone, in microseconds.  Run from the repo root:
+The sections: the DP kernels, the grouped model forward and backward, the
+backward of a group of runs, a stacked training step, confidence scoring
+and greedy decoding, on desk (T ~ 11, U ~ 6) and long (T ~ 75, U ~ 25)
+data.  Each checks the product's output against ``tests/references.py`` or
+its per-utterance form (the check's docstring gives the tolerance), exits
+on a mismatch, and then times the product alone, in microseconds.  Run
+from the repo root:
 
     python3 benchmarks/bench_kernels.py [--frames 50 --labels 20 --vocab 32 --repeats 30]
 """
@@ -31,7 +32,7 @@ from twrnnt.training import TrainConfig, _batch_loss_and_grad, _Corpus, score_co
 from twrnnt.weighting import TokenWeights, WeightConfig, padded_loss_and_grad, weighted_loss_and_grad
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
-from references import CorpusWeights, emission_sweep_scalar, loglik_grad, model_backward  # noqa: E402
+from references import CorpusWeights, emission_sweep_scalar, loglik_grad, model_backward, one_run_backwards  # noqa: E402
 from references import greedy_decode as reference_decode, weighted_grad_scalar  # noqa: E402
 
 TOL = 1e-9
@@ -162,7 +163,7 @@ def verify_model(name, model, feats, tokens):
     ``MODEL_TOL`` of ``model_forward``'s, and the gradient of its standard
     loss within ``MODEL_TOL`` of the sum of ``model_backward``'s, relative to
     its largest entry.  Exit on failure; return the column gradients."""
-    layout, keep = BatchLayout(model, feats, tokens), StepActivations(model)
+    layout, keep = BatchLayout(model, feats, tokens), StepActivations([model])
     cols = forward_columns(model, layout, keep=keep)
     lam = (np.arange(layout.U.max()) < layout.U[:, None]).astype(np.float64)
     _, g_blank, g_emit = padded_loss_and_grad(cols, lam, np.ones(len(feats)))
@@ -175,7 +176,7 @@ def verify_model(name, model, feats, tokens):
         if not np.array_equal(owned, np.isfinite(got)):
             raise SystemExit(f"{name}: grouped columns are padded differently")
         col_gap = max(col_gap, float(np.max(np.abs(got[owned] - want[owned]), initial=0.0)))
-    grad = backward_columns(model, layout, g_blank, g_emit, keep)
+    (grad,) = backward_columns(keep, layout, g_blank, g_emit)
     want = sum(
         model_backward(model, f, y, kernels.dense_grad(g_blank, g_emit, b, len(f), y, model.vocab_size + 1))
         for b, (f, y) in enumerate(zip(feats, tokens))
@@ -188,13 +189,13 @@ def verify_model(name, model, feats, tokens):
 def time_passes(model, feats, tokens, g_blank, g_emit, repeats):
     """Seconds per call of the forward (layout included) and of the backward
     that follows it, timed apart over the same calls after one warmup."""
-    keep, forward, backward = StepActivations(model), 0.0, 0.0
+    keep, forward, backward = StepActivations([model]), 0.0, 0.0
     for i in range(repeats + 1):
         t0 = time.perf_counter()
         layout = BatchLayout(model, feats, tokens)
         forward_columns(model, layout, keep=keep)
         t1 = time.perf_counter()
-        backward_columns(model, layout, g_blank, g_emit, keep)
+        backward_columns(keep, layout, g_blank, g_emit)
         if i:
             forward, backward = forward + t1 - t0, backward + time.perf_counter() - t1
     return forward / repeats, backward / repeats
@@ -212,6 +213,49 @@ def model_section(args):
     title = (f"grouped model forward (layout included) and backward, B={BATCH}, dims (D, H, |V|) = {MODEL_DIMS}, "
              f"{args.repeats} repeats; joins/node = joiner rows (b, t, previous token) per lattice node")
     return title, ["batch", "forward us/utt", "backward us/utt", "joins/node"], rows
+
+
+def timed_backward(kept, layout, g_blank, g_emit, row0=0):
+    """Seconds of the backward of ``kept``'s runs after their forwards, and
+    its gradient rows."""
+    for model in kept.models:
+        forward_columns(model, layout, keep=kept)
+    t0 = time.perf_counter()
+    grad = backward_columns(kept, layout, g_blank, g_emit, row0)
+    return time.perf_counter() - t0, grad
+
+
+def group_section(args):
+    """Verify, then time, the backward of a group of K runs of different
+    parameters on one batch, against K groups of one on the same rows of
+    the column gradients: the gradient rows must be equal, with ==.  Each
+    repeat times the group's backward and the sum of the K one-run
+    backwards, each after its runs' forwards (untimed)."""
+    rows = []
+    for name, K in (("desk T~11 U~6", 1), ("desk T~11 U~6", 5), ("long T~75 U~25", 1)):
+        _, feats, tokens = model_batch(*MODEL_BATCHES[name])
+        rng = np.random.default_rng(K)
+        models = [TransducerModel.random(*MODEL_DIMS, rng) for _ in range(K)]
+        layout = BatchLayout(models[0], feats, tokens)
+        cols = kernels.PaddedColumns(np.tile(layout.T, K), np.tile(layout.U, K))
+        for k, model in enumerate(models):
+            forward_columns(model, layout, out=cols, row0=k * BATCH)
+        g_blank, g_emit = (np.where(np.isfinite(t), rng.normal(size=t.shape), 0.0) for t in (cols.blank, cols.emit))
+        group, single = StepActivations(models), [StepActivations([model]) for model in models]
+        _, grad = timed_backward(group, layout, g_blank, g_emit)
+        if not np.array_equal(grad, one_run_backwards(models, layout, g_blank, g_emit)):
+            raise SystemExit(f"{name} K={K}: group backward differs from {K} one-run backwards")
+        print(f"{name} K={K}: group backward == {K} one-run backwards")
+        sides = {"group": [(group, 0)], "per-run": [(one, k * BATCH) for k, one in enumerate(single)]}
+        seconds = dict.fromkeys(sides, 0.0)
+        for i in range(args.repeats):  # alternating which side is timed first
+            for side in sorted(sides, reverse=i % 2 == 1):
+                seconds[side] += sum(timed_backward(kept, layout, g_blank, g_emit, row0)[0] for kept, row0 in sides[side])
+        group_s, per_run_s = seconds["group"], seconds["per-run"]
+        rows.append((name, f"K={K}", group_s / args.repeats * 1e6, per_run_s / args.repeats * 1e6, group_s / per_run_s))
+    title = (f"backward of a group of K runs on one batch, B={BATCH}, {args.repeats} repeats; "
+             f"per-run = the sum of K one-run backwards")
+    return title, ["batch", "runs", "group us", "per-run us", "group/per-run"], rows
 
 
 def scored(name, seeds, seed):
@@ -263,7 +307,7 @@ def step_section(args):
         batches = [rng.permutation(len(utts))[:BATCH] for _ in range(10)]
         models = [TransducerModel(D, H, V, init.params.copy()) for _ in range(K)]
         corpus = _Corpus(models[0], utts, cfgs[:K])
-        kept, grad = [StepActivations(model) for model in models], np.empty((K, init.params.size))
+        kept, grad = [StepActivations(models)], np.empty((K, init.params.size))
         verify_step(f"{name} K={K}", models, corpus, utts, batches[0], kept)
 
         def steps():
@@ -333,7 +377,7 @@ def decode_section(args):
     return f"greedy decoding, {args.repeats} repeats", ["case", "tokens", "us/utt"], rows
 
 
-SECTIONS = (dp_section, model_section, step_section, score_section, decode_section)
+SECTIONS = (dp_section, model_section, group_section, step_section, score_section, decode_section)
 
 
 def print_table(title, header, rows):

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DataError, NumericalError, check_count, check_list
+from .errors import DataError, NumericalError, check_count, check_list, check_real
 from .kernels import PaddedColumns
 from .lattice import PosteriorLattice, Vocabulary, as_labels, normalize_logits
 
@@ -67,9 +67,10 @@ def param_count(dim_in: int, dim_hidden: int, vocab_size: int) -> int:
 
 
 def _views(flat: np.ndarray, layout) -> dict:
-    """Name -> shaped view into a flat vector laid out by ``param_layout``."""
+    """Name -> shaped view into a flat vector laid out by ``param_layout``,
+    or into every row of a stack of them: (..., P) gives (...) + shape."""
     return {
-        name: flat[start:stop].reshape(shape)
+        name: flat[..., start:stop].reshape(flat.shape[:-1] + shape)
         for name, (start, stop, shape) in layout.items()
     }
 
@@ -149,9 +150,9 @@ def _check_features(model: TransducerModel, features) -> np.ndarray:
 # joiner activations z and the row softmax of every join (b, t, id) of the
 # batch: H + V + 1 floats a join, 49 at H = 32 and V = 16.  That is 0.2 MB a
 # run for a desk batch (0.86-0.96 joins a node) and 3.4 MB for a batch of 8
-# long lattices (about 15,900 nodes, 0.54 joins a node).  The backward
-# overwrites them in place, one group of joins at a time, so its one
-# scratch buffer stays bounded by the group size.
+# long lattices (about 15,900 nodes, 0.54 joins a node).  Each run's joiner
+# backward overwrites them in place, one group of joins at a time, so its
+# one scratch buffer stays bounded by the group size.
 _GROUP_NODES = 2048
 
 
@@ -239,12 +240,13 @@ class BatchLayout:
     ``join_id[j]``, the utterance's r-th id in order of first use.  Node n
     reads the joiner's output of join ``node_join[n]``, and ``emit_join``
     are the joins of ``emit_rows``; ``join_groups`` holds the (j0, j1)
-    range of joins of each node group, and ``utt_groups`` its (b0, b1)
-    range of utterances.
+    range of joins of each node group.
 
     ``BatchLayout(model, features, tokens)`` checks and packs its arguments;
     ``BatchLayout.of(packed, idx)`` lays out utterances ``idx`` (repeats
-    allowed) of a ``PackedUtterances`` without checking them again.
+    allowed) of a ``PackedUtterances`` without checking them again; ``idx``
+    must be a nonempty 1-D array of integers in [0, n) for n packed
+    utterances, which is not cast or wrapped (a DataError otherwise).
     """
 
     def __init__(self, model: TransducerModel, features, tokens):
@@ -253,8 +255,11 @@ class BatchLayout:
 
     @classmethod
     def of(cls, packed: PackedUtterances, idx) -> "BatchLayout":
+        idx, n = np.asarray(idx), packed.T.size
+        if idx.dtype.kind not in "iu" or idx.ndim != 1 or not idx.size or idx.min() < 0 or idx.max() >= n:
+            raise DataError(f"idx must be a nonempty 1-D array of integers in [0, {n}), got {idx!r}")
         layout = cls.__new__(cls)
-        layout._fill(packed, np.asarray(idx, dtype=np.int64))
+        layout._fill(packed, idx.astype(np.int64, copy=False))
         return layout
 
     def _fill(self, packed: PackedUtterances, idx):
@@ -297,7 +302,6 @@ class BatchLayout:
         j = joins[cuts]
         self.groups = list(zip(n[:-1], n[1:], m[:-1], m[1:]))
         self.join_groups = list(zip(j[:-1], j[1:]))
-        self.utt_groups = list(zip(cuts[:-1], cuts[1:]))
         self.max_join_group = int((j[1:] - j[:-1]).max())
         self._cells = None
 
@@ -401,49 +405,67 @@ def _work(rows, enc):
 
 
 class StepActivations:
-    """What a forward (``forward_columns``) keeps for the backward
-    (``_backward``) that follows it, so that the backward does not run the
-    joiner again.  Every backward follows its kept forward; a training run
-    reuses its own at every step.  It holds the parameter views, the
-    encoder output, the predictor table (``_encode``), and for every join
-    (b, t, id) of the batch (``BatchLayout.node_join``), in join order, its
-    joiner activations z (H floats) and its row softmax (V + 1 floats; the
-    forward computes it along vectors of a group's joins,
+    """What the forwards of a group of K runs on one batch
+    (``forward_columns``) keep for the one backward that follows them
+    (``_backward``), so that the backward does not run the joiner again.
+    The runs are ``models``, K distinct models of one shape; a training run
+    group keeps one and reuses it at every step, as its runs share each
+    step's layout.  Row k holds what run k's forward kept: its parameters
+    (row k of ``params``, whose (K, .) views the backward's stacked
+    products read), its encoder output and predictor table (``_encode``),
+    and for every join (b, t, id) of the batch (``BatchLayout.node_join``),
+    in join order, its joiner activations z (H floats, in the (K, joins, H)
+    ``z``) and its row softmax (V + 1 floats, in the (K, joins, V + 1)
+    ``softmax``, computed along vectors of a group's joins,
     ``_kept_softmax``).  The backward builds each join's logit gradient in
-    its softmax row and 1 - z^2 in its z row.
+    its softmax row and the gradient of its joiner input in its z row.
 
     The buffers are allocated once and reused at every step; they grow to
-    the most joins of any batch the run draws.  A backward consumes what its
-    forward kept, and overwrites it: it must follow that forward, with the
-    same model and layout and before the parameters change.  The scratch
-    buffers of both passes stay per call (``_work``): held for a run, they
-    would also be held through the DP, where they raised the ``corruption``
-    benchmark's peak RSS by 0.7 MB and saved at most 2% of a stacked step.
+    the most joins of any batch the group draws.  The backward consumes
+    what the forwards kept, and overwrites it: it must follow a forward of
+    every run on the same layout, before the parameters change.  A forward
+    on another layout starts a new step, and drops what the other runs
+    kept.  The scratch buffers of both passes stay per call (``_work``):
+    held for a run, they would also be held through the DP, where they
+    raised the ``corruption`` benchmark's peak RSS by 0.7 MB and saved at
+    most 2% of a stacked step.
     """
 
-    def __init__(self, model: TransducerModel):
-        H, V = model.dim_hidden, model.vocab_size
-        self.z = np.empty((0, H))
-        self.softmax = np.empty((0, V + 1))
-        self._held = None
+    def __init__(self, models):
+        self.models = list(models)
+        K, shape = len(self.models), self.models[0]
+        self.params = np.empty((K, shape.params.size))
+        self._views = _views(self.params, shape._layout)
+        self.z = np.empty((K, 0, shape.dim_hidden))
+        self.softmax = np.empty((K, 0, shape.vocab_size + 1))
+        self._layout, self._held = None, []
 
-    def _hold(self, model, layout, encoded) -> None:
-        """Record a forward's network state and make room for the z and
-        softmax of every join."""
-        self._held = (model, layout, encoded)
-        joins = layout.join_frame.size
-        if self.softmax.shape[0] < joins:
-            self.z = np.empty((joins, self.z.shape[1]))
-            self.softmax = np.empty((joins, self.softmax.shape[1]))
+    def _hold(self, model, layout, encoded) -> int:
+        """Record run ``model``'s parameters and its encoder output and
+        predictor table on ``layout``, make room for the z and softmax of
+        every join, and return the run's row k."""
+        k = next((k for k, run in enumerate(self.models) if run is model), None)
+        if k is None:
+            raise DataError("the model is not one of the runs whose activations are kept")
+        if self._layout is not layout:
+            self._layout, self._held = layout, [None] * len(self.models)
+            (K, _, H), V1, joins = self.z.shape, self.softmax.shape[2], layout.join_frame.size
+            if self.softmax.shape[1] < joins:
+                # Freed first, so that the group's old and new buffers never
+                # take memory at once (0.3 MB of a corruption round's traced peak).
+                self.z = self.softmax = None
+                self.z, self.softmax = np.empty((K, joins, H)), np.empty((K, joins, V1))
+        self.params[k] = model.params
+        self._held[k] = encoded
+        return k
 
-    def _release(self, model, layout):
-        """The kept parameter views, encoder output and predictor table of
-        this model and layout, which the caller then consumes."""
-        held = self._held
-        if held is None or held[0] is not model or held[1] is not layout:
-            raise DataError("no activations kept by a forward of this model and batch")
-        self._held = None
-        return held[2]
+    def _release(self, layout):
+        """Each run's kept encoder output and predictor table on this
+        layout, which the caller then consumes."""
+        if self._layout is not layout or None in self._held:
+            raise DataError("no activations kept by a forward of every run on this batch")
+        self._layout = None
+        return self._held
 
 
 def model_forward(model: TransducerModel, features, tokens) -> PosteriorLattice:
@@ -457,11 +479,11 @@ def model_forward(model: TransducerModel, features, tokens) -> PosteriorLattice:
     return normalize_logits(logits.reshape(T, U + 1, -1))
 
 
-def _check_tables(layout: BatchLayout, blank, emit, what, row0):
+def _check_tables(layout: BatchLayout, blank, emit, what, row0, runs=1):
     """Raise a DataError unless the diagonal-major ``blank`` and ``emit``
-    tables have one shape and can hold the layout's batch at rows row0..:
-    at least the diagonals and levels it needs."""
-    B, Tmax, Umax = layout.T.size, int(layout.T.max()), int(layout.U.max())
+    tables have one shape and can hold the layout's batch at rows row0..,
+    once per run: at least the diagonals and levels it needs."""
+    B, Tmax, Umax = layout.T.size * runs, int(layout.T.max()), int(layout.U.max())
     D, rows, W = blank.shape if blank.ndim == 3 else (0, 0, 0)
     if emit.shape != blank.shape or D < Tmax + Umax or not 0 <= row0 <= rows - B or W <= Umax:
         raise DataError(
@@ -497,24 +519,24 @@ def forward_columns(
     ``row0`` must be 0.  Each group's log-normaliser m + log(s) comes from
     ``_kept_softmax``, which equals ``lattice._row_logsumexp`` bit for bit.
     ``keep``, if given, keeps this pass's activations for
-    ``backward_columns`` (``StepActivations``), the z and row softmax of
-    every join included; the columns are the same either way.
+    ``backward_columns`` in the row of ``keep`` that is this model's run
+    (``StepActivations``), the z and row softmax of every join included;
+    the columns are the same either way.
     """
     cols = PaddedColumns(layout.T, layout.U) if out is None else out
     _check_tables(layout, cols.blank, cols.emit, "column tables", row0)
     _, rows, width = cols.blank.shape
     blank, emit = cols.blank.reshape(-1)[row0 * width :], cols.emit.reshape(-1)[row0 * width :]
     blank_at, emit_at = layout.cells(rows, width)
-    encoded = _encode(model, layout.feats)
-    p, enc, tab = encoded
+    p, enc, tab = _encode(model, layout.feats)
     work = _work(layout.max_join_group, enc)
     if keep is not None:
-        keep._hold(model, layout, encoded)
+        k = keep._hold(model, layout, (enc, tab))
     scratch = np.empty((model.vocab_size + 1, layout.max_join_group))
     for (n0, n1, m0, m1), (j0, j1) in zip(layout.groups, layout.join_groups):
-        z = work[0] if keep is None else keep.z[j0:j1]
+        z = work[0] if keep is None else keep.z[k, j0:j1]
         _, logits = _join(p, enc, tab, layout.join_frame[j0:j1], layout.join_id[j0:j1], z, work[1])
-        lse = _kept_softmax(logits, scratch, None if keep is None else keep.softmax[j0:j1])
+        lse = _kept_softmax(logits, scratch, None if keep is None else keep.softmax[k, j0:j1])
         blank_lp = logits[:, -1] - lse
         blank[blank_at[n0:n1]] = blank_lp[layout.node_join[n0:n1] - j0]
         r = layout.emit_join[m0:m1] - j0
@@ -522,82 +544,84 @@ def forward_columns(
     return cols
 
 
-def _backward(
-    model: TransducerModel, layout: BatchLayout, dlogit_rows, kept: StepActivations
-) -> np.ndarray:
-    """Chain rule from per-node lattice gradients to the parameters, one
-    pass per group, over the group's joins; ``dlogit_rows(softmax, n0, n1,
-    m0, m1, j0)`` returns the (j1 - j0, V+1) gradient of the logits of joins
-    j0.. through the row log-softmax, the sum over each join's nodes of
-    dlogp - softmax * sum(dlogp), and may build it in ``softmax``, the
-    joins' row softmax.  Exact, float64.
+def _backward(kept: StepActivations, layout: BatchLayout, dlogit_rows) -> np.ndarray:
+    """Chain rule from per-node lattice gradients to the parameters of the
+    K runs of ``kept``, as their (K, P) gradient rows.  Exact, float64.
+    ``dlogit_rows(k, softmax, n0, n1, m0, m1, j0)`` returns the (j1 - j0,
+    V+1) gradient of run k's logits of joins j0.. through the row
+    log-softmax, the sum over each join's nodes of dlogp - softmax *
+    sum(dlogp), and may build it in ``softmax``, the joins' row softmax.
 
-    The parameter views, encoder output and predictor table, and every
-    join's joiner activations z and row softmax, come from ``kept``, a
-    ``StepActivations`` filled by the forward of this model and layout,
+    The encoder outputs and predictor tables, and every join's joiner
+    activations z and row softmax, come from ``kept``, a
+    ``StepActivations`` filled by the forward of each run on this layout,
     which this pass overwrites: no joiner product or softmax runs.  Each
+    run's joiner backward goes one group of joins at a time, and leaves the
+    gradient of each join's joiner input, dpre = (1 - z^2) * dz, in its z
+    row.  Then one pass over the utterances serves all K runs: each
     utterance's joins are its (T_b, R_b) grid (``BatchLayout``), so the sum
     over a grid row is the gradient of its frame's encoder output, and the
     sum over a column that of its id's row of the predictor table.  The
-    predictor gradient then takes products of the table's V + 1 rows.
+    encoder and predictor gradients then take stacked (K, ., .) products,
+    those of the predictor over the table's V + 1 rows.  Each run's row
+    equals that of a group of one, bit for bit.
     """
-    p, enc, tab = kept._release(model, layout)
-    work = np.empty((layout.max_join_group, enc.shape[1]))
-    grad = np.zeros_like(model.params)
-    g = _views(grad, model._layout)
-    denc = np.empty_like(enc)
-    dcol = np.empty((int(layout.R.sum()), enc.shape[1]))
+    held = kept._release(layout)
+    p, K, H = kept._views, len(held), kept.z.shape[2]
+    work = np.empty((layout.max_join_group, H))
+    grad = np.zeros(kept.params.shape)
+    g = _views(grad, kept.models[0]._layout)
+    for k in range(K):
+        for (n0, n1, m0, m1), (j0, j1) in zip(layout.groups, layout.join_groups):
+            dlogit = dlogit_rows(k, kept.softmax[k, j0:j1], n0, n1, m0, m1, j0)
+            z = kept.z[k, j0:j1]
+            g["join_w"][k] += dlogit.T @ z
+            # As dlogit.sum(axis=0), bit for bit, and 3x faster at 1,000 joins.
+            g["join_b"][k] += np.einsum("jk->k", dlogit)
+            # dz in the work buffer, then dpre = (1 - z^2) * dz in ``z``.
+            dz = np.matmul(dlogit, p["join_w"][k], out=work[: j1 - j0])
+            np.multiply(z, z, out=z)
+            np.subtract(1.0, z, out=z)
+            z *= dz
+    denc = np.empty((K, layout.feats.shape[0], H))
+    dcol = np.empty((K, int(layout.R.sum()), H))
     T, R, join0 = layout.T.tolist(), layout.R.tolist(), layout.join0.tolist()
     frame0, col0 = (layout.T.cumsum() - layout.T).tolist(), (layout.R.cumsum() - layout.R).tolist()
-    for (n0, n1, m0, m1), (j0, j1), (b0, b1) in zip(layout.groups, layout.join_groups, layout.utt_groups):
-        dlogit = dlogit_rows(kept.softmax[j0:j1], n0, n1, m0, m1, j0)
-        z = kept.z[j0:j1]
-        g["join_w"] += dlogit.T @ z
-        # As dlogit.sum(axis=0), bit for bit, and 3x faster at 1,000 joins.
-        g["join_b"] += np.einsum("jk->k", dlogit)
-        # dpre = dz * (1 - z^2), in the work buffer; 1 - z^2 in ``z``.
-        dpre = np.matmul(dlogit, p["join_w"], out=work[: j1 - j0])
-        np.multiply(z, z, out=z)
-        np.subtract(1.0, z, out=z)
-        dpre *= z
-        for b in range(b0, b1):
-            grid = dpre[join0[b] - j0 : join0[b] - j0 + T[b] * R[b]].reshape(T[b], R[b], -1)
-            # Each frame's sum over its R_b joins.  einsum adds them in the
-            # order of grid.sum(axis=1), bit for bit, but its inner loop
-            # runs along a row of H, not down a column: 2x faster at R = 13.
-            np.einsum("trh->th", grid, out=denc[frame0[b] : frame0[b] + T[b]])
-            grid.sum(axis=0, out=dcol[col0[b] : col0[b] + R[b]])
-    denc_pre = denc * (1.0 - enc * enc)
-    g["enc_w"][...] = denc_pre.T @ layout.feats
-    g["enc_b"][...] = denc_pre.sum(axis=0)
+    for b in range(len(T)):
+        grid = kept.z[:, join0[b] : join0[b] + T[b] * R[b]].reshape(K, T[b], R[b], H)
+        # Each frame's sum over its R_b joins.  einsum adds them in the
+        # order of grid.sum(axis=2), bit for bit, but its inner loop runs
+        # along a row of H, not down a column: 2x faster at R = 13.
+        np.einsum("ktrh->kth", grid, out=denc[:, frame0[b] : frame0[b] + T[b]])
+        grid.sum(axis=1, out=dcol[:, col0[b] : col0[b] + R[b]])
+    for k, (enc, _) in enumerate(held):
+        denc[k] *= 1.0 - enc * enc
+    g["enc_w"][...] = denc.transpose(0, 2, 1) @ layout.feats
+    g["enc_b"][...] = denc.sum(axis=1)
     # Column r of utterance b has the id of its join join0[b] + r.  Ids may
     # repeat across utterances (and in ``tests/references.per_node`` within
     # one), so each goes to its row of the table by a one-hot product.
     ids = layout.join_id[_ranges(layout.join0, layout.R)]
-    onehot = np.zeros((tab.shape[0], ids.size))
+    onehot = np.zeros((p["emb"].shape[1], ids.size))
     onehot[ids, np.arange(ids.size)] = 1.0
     dtab = onehot @ dcol
-    dtab *= 1.0 - tab * tab
-    g["pred_w"][...] = dtab.T @ p["emb"]
-    g["pred_b"][...] = dtab.sum(axis=0)
+    for k, (_, tab) in enumerate(held):
+        dtab[k] *= 1.0 - tab * tab
+    g["pred_w"][...] = dtab.transpose(0, 2, 1) @ p["emb"]
+    g["pred_b"][...] = dtab.sum(axis=1)
     g["emb"][...] = dtab @ p["pred_w"]
     return grad
 
 
-def backward_columns(
-    model: TransducerModel,
-    layout: BatchLayout,
-    g_blank,
-    g_emit,
-    kept: StepActivations,
-    row0: int = 0,
-) -> np.ndarray:
-    """Parameter gradient of a batch loss, given its gradients with respect
-    to the padded blank and label columns (``kernels.weighted_grad``), in
-    two diagonal-major tables of one shape whose rows row0.. are the
-    layout's batch.  The tables may hold more rows, diagonals and levels
-    (such as a lockstep step's, padded to its longest utterances); the
-    batch's cells are read where they are, without copying its rows out.
+def backward_columns(kept: StepActivations, layout: BatchLayout, g_blank, g_emit, row0=0) -> np.ndarray:
+    """Parameter gradients of the K runs of ``kept``, as (K, P) rows, each
+    of its run's batch loss, given the loss gradients with respect to the
+    padded blank and label columns (``kernels.weighted_grad``), in two
+    diagonal-major tables of one shape whose rows row0 + k * B.. are run
+    k's batch of B utterances.  The tables may hold more rows, diagonals
+    and levels (such as a lockstep step's, padded to its longest
+    utterances); each batch's cells are read where they are, without
+    copying its rows out.
 
     Equal to the chain rule of each utterance's dense lattice gradient
     (``kernels.dense_grad``) up to matrix-product rounding, without
@@ -605,23 +629,24 @@ def backward_columns(
     its label column, so each join's logit gradient is built from those of
     its nodes, summed in node order, cell for cell what the dense rule
     gives on the same layout (``_backward``).  ``kept`` holds the
-    activations that ``forward_columns`` kept for this model and layout (a
-    DataError if it holds none), which this call consumes and overwrites.
+    activations that ``forward_columns`` kept for each run on this layout
+    (a DataError if it does not), which this call consumes and overwrites.
     """
     gb = np.asarray(g_blank, dtype=np.float64)
     ge = np.asarray(g_emit, dtype=np.float64)
-    _check_tables(layout, gb, ge, "column gradients", row0)
+    _check_tables(layout, gb, ge, "column gradients", row0, len(kept.models))
     _, rows, width = gb.shape
     blank_at, emit_at = layout.cells(rows, width)
-    gb, ge = gb.reshape(-1)[row0 * width :], ge.reshape(-1)[row0 * width :]
+    gb, ge = gb.reshape(-1), ge.reshape(-1)
 
-    def dlogit_rows(softmax, n0, n1, m0, m1, j0):
+    def dlogit_rows(k, softmax, n0, n1, m0, m1, j0):
         # A node's dlogp row holds two entries at most, its blank column and
         # (u < U) its label column, so NumPy's row sum of it is their sum.
         # A join's dlogit is then softmax * -(its nodes' row sums, summed)
         # plus its nodes' entries, summed cell by cell, in node order.
-        blank = gb[blank_at[n0:n1]]
-        label = ge[emit_at[m0:m1]]
+        at = (row0 + k * layout.T.size) * width
+        blank = gb[at:][blank_at[n0:n1]]
+        label = ge[at:][emit_at[m0:m1]]
         total = blank.copy()
         total[layout.emit_rows[m0:m1] - n0] += label
         np.negative(total, out=total)
@@ -633,7 +658,7 @@ def backward_columns(
         softmax += np.bincount(cells, np.concatenate((blank, label)), softmax.size).reshape(joins, nsym)
         return softmax
 
-    return _backward(model, layout, dlogit_rows, kept)
+    return _backward(kept, layout, dlogit_rows)
 
 
 def _finite_grad(grad) -> np.ndarray:
@@ -658,8 +683,16 @@ def adam_update(params, m, v, grad, step: int, lr) -> None:
     ``params`` and its moments ``m`` and ``v``, in place; any shape,
     elementwise.  ``lr`` is a number, or a (K, 1) column with one rate per
     row of (K, P) parameters; each row then takes the same multiply as a
-    scalar update at its rate.  A non-finite gradient raises
-    NumericalError before anything is touched."""
+    scalar update at its rate.  A ``step`` that is no integer >= 1, or an
+    ``lr`` that is no finite number > 0 (nor such a column), raises
+    DataError, and a non-finite gradient NumericalError, before anything
+    is touched."""
+    check_count(step, "step", 1)
+    column = params.shape[:-1] + (1,)
+    if type(lr) is not np.ndarray:
+        check_real(lr, "lr", low=0.0, open_low=True)
+    elif lr.dtype.kind not in "iuf" or lr.shape != column or not 0 < lr.min() <= lr.max() < np.inf:
+        raise DataError(f"lr must be finite and > 0, or a {column} column of such, got {lr!r}")
     g = _finite_grad(grad)
     m *= _ADAM_BETA1
     m += (1.0 - _ADAM_BETA1) * g

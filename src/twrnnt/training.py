@@ -200,13 +200,14 @@ def _batch_loss_and_grad(models, batches, grad, kept) -> list:
     ``grad[k]``.
 
     ``batches`` holds one (corpus, idx) pair per run group: utterances
-    ``idx`` of the corpus, for the next ``len(corpus.cfgs)`` models.  Each
-    group lays out its batch once.  Every run's grouped model forward
-    writes its rows of one padded column batch, padded to the groups'
-    longest utterances and transcripts, the DP runs once over all of them,
-    and each run's grouped model backward reads its rows of the column
-    gradients where they are, from what its forward kept in ``kept``, one
-    ``StepActivations`` per run.
+    ``idx`` of the corpus, for the next ``len(corpus.cfgs)`` models, the
+    runs of the group's ``StepActivations`` in ``kept``.  Each group lays
+    out its batch once.  Every run's grouped model forward writes its rows
+    of one padded column batch, padded to the groups' longest utterances
+    and transcripts, and keeps its activations in its row of its group's
+    ``StepActivations``; the DP runs once over all of them; and one
+    grouped model backward per group reads its runs' rows of the column
+    gradients where they are.
     """
     layouts = [BatchLayout.of(corpus.packed, idx) for corpus, idx in batches]
     # Run k's layout, and its rows row0[k]..row0[k + 1] - 1 of the padded
@@ -222,23 +223,26 @@ def _batch_loss_and_grad(models, batches, grad, kept) -> list:
     lam = np.zeros((row0[-1], cols.blank.shape[2] - 1))
     w_fb = np.empty(row0[-1])
     k0 = 0  # the group's first run
-    for (corpus, idx), layout in zip(batches, layouts):
+    for (corpus, idx), layout, keep in zip(batches, layouts, kept):
         K, B = len(corpus.cfgs), layout.T.size
         rows = slice(row0[k0], row0[k0 + K])
         corpus.weights(idx, layout, lam[rows].reshape(K, B, lam.shape[1]), w_fb[rows].reshape(K, B))
+        for k in range(k0, k0 + K):
+            forward_columns(models[k], layout, out=cols, keep=keep, row0=row0[k])
         k0 += K
-    for k, layout in enumerate(run_layouts):
-        forward_columns(models[k], layout, out=cols, keep=kept[k], row0=row0[k])
     losses, g_blank, g_emit = padded_loss_and_grad(cols, lam, w_fb)
     out = []
-    for k, layout in enumerate(run_layouts):
-        total_tokens = max(1, int(layout.U.sum()))
-        loss = 0.0
-        for loss_u in losses[row0[k] : row0[k + 1]]:  # a plain sequential sum
-            loss += loss_u
-        out.append(loss / total_tokens)
-        grad[k] = backward_columns(models[k], layout, g_blank, g_emit, kept[k], row0[k])
-        grad[k] /= total_tokens
+    k0 = 0
+    for layout, keep in zip(layouts, kept):
+        K, total_tokens = len(keep.models), max(1, int(layout.U.sum()))
+        for k in range(k0, k0 + K):
+            loss = 0.0
+            for loss_u in losses[row0[k] : row0[k + 1]]:  # a plain sequential sum
+                loss += loss_u
+            out.append(loss / total_tokens)
+        grad[k0 : k0 + K] = backward_columns(keep, layout, g_blank, g_emit, row0[k0])
+        grad[k0 : k0 + K] /= total_tokens
+        k0 += K
     return out
 
 
@@ -382,12 +386,13 @@ def train_runs(groups: Sequence[RunGroup], dim_features: int, vocab_size: int) -
     Each group's init is drawn and its batch order consumed once, and its
     corpus packed once.  At each step every group that still has batches
     lays out its batch once; one DP pass covers every live run's lattices,
-    padded to the longest, and one Adam update their stacked (K, P)
-    parameters, with a (K, 1) column of the runs' learning rates.  Groups
-    are stacked longest first, so the live runs are always the leading
-    rows, and a group drops out when its batches run out.  Each run's
-    backward reuses the activations its forward kept
-    (``model.StepActivations``), whose buffers live for this call.
+    padded to the longest, one backward per group its runs, and one Adam
+    update their stacked (K, P) parameters, with a (K, 1) column of the
+    runs' learning rates.  Groups are stacked longest first, so the live
+    runs are always the leading rows, and a group drops out when its
+    batches run out.  Each group's backward reuses the activations its
+    runs' forwards kept (one ``model.StepActivations`` per group), whose
+    buffers live for this call.
 
     Every utterance of every group is checked before the first step: bad
     features, labels or (in the weighted modes) confidences raise a
@@ -417,7 +422,8 @@ def train_runs(groups: Sequence[RunGroup], dim_features: int, vocab_size: int) -
     shape = stacked[0].init
     models = [TransducerModel(shape.dim_in, shape.dim_hidden, shape.vocab_size, row) for row in params]
     m, v, grad = np.zeros_like(params), np.zeros_like(params), np.empty_like(params)
-    kept = [StepActivations(model) for model in models]
+    runs = iter(models)
+    kept = [StepActivations([next(runs) for _ in s.cfgs]) for s in stacked]
     lr = np.array([[cfg.lr] for s in stacked for cfg in s.cfgs])
     names = [
         f"training diverged ({_run_name(cfg)}) in run group {s.index}" for s in stacked for cfg in s.cfgs
@@ -428,7 +434,7 @@ def train_runs(groups: Sequence[RunGroup], dim_features: int, vocab_size: int) -
         while live[-1].steps < step:
             n -= len(live.pop().cfgs)
         batches = [(s.corpus, next(s.batches)) for s in live]
-        losses = _batch_loss_and_grad(models[:n], batches, grad[:n], kept[:n])
+        losses = _batch_loss_and_grad(models[:n], batches, grad[:n], kept[: len(live)])
         for k, loss in enumerate(losses):
             if not np.isfinite(loss):
                 raise NumericalError(f"{names[k]}: batch loss {loss!r}")

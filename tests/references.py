@@ -406,20 +406,20 @@ def model_backward(model, features, tokens, dL_dlogp):
     shape = (int(layout.T[0]), int(layout.U[0]) + 1, model.vocab_size + 1)
     if dlogp.shape != shape:
         raise DataError(f"lattice gradient has shape {dlogp.shape}, expected {shape}")
-    kept = StepActivations(model)
+    kept = StepActivations([model])
     forward_columns(model, layout, keep=kept)
-    return _backward(model, layout, dense_dlogit_rows(layout, dlogp.reshape(-1, shape[2])), kept)
+    return _backward(kept, layout, dense_dlogit_rows(layout, [dlogp.reshape(-1, shape[2])]))[0]
 
 
 def dense_dlogit_rows(layout, dlogp):
     """``model._backward``'s ``dlogit_rows`` for dense (nodes, V+1) lattice
-    gradient rows ``dlogp`` of the layout's nodes: per join, the sum over
-    its nodes of dlogp - softmax * sum(dlogp), as the sum of their rows
-    minus softmax times the sum of their row sums, each summed in node
-    order."""
+    gradient rows ``dlogp[k]`` of run k on the layout's nodes: per join,
+    the sum over its nodes of dlogp - softmax * sum(dlogp), as the sum of
+    their rows minus softmax times the sum of their row sums, each summed
+    in node order."""
 
-    def dlogit_rows(softmax, n0, n1, m0, m1, j0):
-        rows = dlogp[n0:n1]
+    def dlogit_rows(k, softmax, n0, n1, m0, m1, j0):
+        rows = dlogp[k][n0:n1]
         joins = layout.node_join[n0:n1] - j0
         dlogit = np.zeros_like(softmax)
         np.add.at(dlogit, joins, rows)
@@ -432,13 +432,22 @@ def dense_dlogit_rows(layout, dlogp):
     return dlogit_rows
 
 
-def fresh_backward(model, layout, g_blank, g_emit, row0=0):
-    """``model.backward_columns`` after a forward that keeps its activations
-    in fresh buffers, for comparison with a backward whose forward kept
-    them in buffers reused across steps."""
-    kept = StepActivations(model)
-    forward_columns(model, layout, keep=kept)
-    return backward_columns(model, layout, g_blank, g_emit, kept, row0)
+def fresh_backward(models, layout, g_blank, g_emit, row0=0):
+    """``model.backward_columns`` of the group of ``models`` after forwards
+    that keep their activations in fresh buffers, for comparison with a
+    backward whose forwards kept them in buffers reused across steps."""
+    kept = StepActivations(models)
+    for model in models:
+        forward_columns(model, layout, keep=kept)
+    return backward_columns(kept, layout, g_blank, g_emit, row0)
+
+
+def one_run_backwards(models, layout, g_blank, g_emit, row0=0):
+    """The (K, P) gradients of K groups of one on the runs' rows row0 +
+    k * B.. of the column gradients: the reference for a group backward."""
+    B = layout.T.size
+    return np.stack([fresh_backward([model], layout, g_blank, g_emit, row0 + k * B)[0]
+                     for k, model in enumerate(models)])
 
 
 def per_node(layout):
@@ -467,18 +476,17 @@ def forward_columns_per_node(model, layout, keep=None):
     _, rows, width = cols.blank.shape
     blank, emit = cols.blank.reshape(-1), cols.emit.reshape(-1)
     blank_at, emit_at = layout.cells(rows, width)
-    encoded = _encode(model, layout.feats)
-    p, enc, tab = encoded
+    p, enc, tab = _encode(model, layout.feats)
     most = max(n1 - n0 for n0, n1, _, _ in layout.groups)
     work = _work(most, enc)
     if keep is not None:
-        keep._hold(model, layout, encoded)
+        k = keep._hold(model, layout, (enc, tab))
     scratch = np.empty((model.vocab_size + 1, most))
     for n0, n1, m0, m1 in layout.groups:
-        z = work[0] if keep is None else keep.z[n0:n1]
+        z = work[0] if keep is None else keep.z[k, n0:n1]
         ids = layout.join_id[layout.node_join[n0:n1]]
         _, logits = _join(p, enc, tab, layout.frame[n0:n1], ids, z, work[1])
-        lse = _kept_softmax(logits, scratch, None if keep is None else keep.softmax[n0:n1])
+        lse = _kept_softmax(logits, scratch, None if keep is None else keep.softmax[k, n0:n1])
         blank[blank_at[n0:n1]] = logits[:, -1] - lse
         r = layout.emit_rows[m0:m1] - n0
         emit[emit_at[m0:m1]] = logits[r, layout.emit_label[m0:m1]] - lse[r]
@@ -489,9 +497,9 @@ def per_node_passes(model, layout, g_blank, g_emit):
     """The columns of ``forward_columns_per_node`` and the gradient of
     ``model.backward_columns`` after it, both per node."""
     own = per_node(layout)
-    keep = StepActivations(model)
+    keep = StepActivations([model])
     cols = forward_columns_per_node(model, own, keep=keep)
-    return cols, backward_columns(model, own, g_blank, g_emit, keep)
+    return cols, backward_columns(keep, own, g_blank, g_emit)[0]
 
 
 def finite_diff_grad(f, lattice: PosteriorLattice, step: float = 1e-6) -> np.ndarray:

@@ -177,7 +177,7 @@ class TestGroupedPasses:
         feats = [rng.normal(size=(T, 3)) for T, _ in shapes]
         tokens = [rng.integers(0, V, size=U) for _, U in shapes]
         layout = BatchLayout(model, feats, tokens)
-        keep = StepActivations(model)
+        keep = StepActivations([model])
         cols = forward_columns(model, layout, keep=keep)
         ref = PaddedColumns([T for T, _ in shapes], [U for _, U in shapes])
         for b, (f, y) in enumerate(zip(feats, tokens)):
@@ -190,7 +190,7 @@ class TestGroupedPasses:
 
         g_blank = np.where(np.isfinite(ref.blank), rng.normal(size=ref.blank.shape), 0.0)
         g_emit = np.where(np.isfinite(ref.emit), rng.normal(size=ref.emit.shape), 0.0)
-        grad = backward_columns(model, layout, g_blank, g_emit, keep)
+        (grad,) = backward_columns(keep, layout, g_blank, g_emit)
         want = np.zeros_like(model.params)
         for b, (f, y) in enumerate(zip(feats, tokens)):
             T = f.shape[0]
@@ -237,13 +237,13 @@ class TestGroupedPasses:
         wide = PaddedColumns(T, U)
         assert wide.blank.shape == (9 + 6, 5, 7)
         row0 = [0, 3]
-        kept = [StepActivations(model) for _ in batches]
+        kept = [StepActivations([model]) for _ in batches]
         for layout, r, keep in zip(batches, row0, kept):
             forward_columns(model, layout, out=wide, keep=keep, row0=r)
         g_blank = np.where(np.isfinite(wide.blank), rng.normal(size=wide.blank.shape), 0.0)
         g_emit = np.where(np.isfinite(wide.emit), rng.normal(size=wide.emit.shape), 0.0)
         for layout, r, keep in zip(batches, row0, kept):
-            own_keep = StepActivations(model)
+            own_keep = StepActivations([model])
             own = forward_columns(model, layout, keep=own_keep)
             D, B, W = own.blank.shape
             rows = slice(r, r + B)
@@ -251,20 +251,18 @@ class TestGroupedPasses:
             np.testing.assert_array_equal(wide.emit[:D, rows, :W], own.emit)
             assert np.all(wide.blank[D:, rows] == -np.inf) and np.all(wide.blank[:, rows, W:] == -np.inf)
             np.testing.assert_array_equal(
-                backward_columns(model, layout, g_blank, g_emit, keep, row0=r),
-                backward_columns(
-                    model, layout, g_blank[:D, rows, :W].copy(), g_emit[:D, rows, :W].copy(), own_keep
-                ),
+                backward_columns(keep, layout, g_blank, g_emit, row0=r),
+                backward_columns(own_keep, layout, g_blank[:D, rows, :W].copy(), g_emit[:D, rows, :W].copy()),
             )
-        keep = StepActivations(model)
+        keep = StepActivations([model])
         forward_columns(model, batches[1], keep=keep)
         for row0 in (4, -1):
             with pytest.raises(DataError, match="column gradients have shapes"):
-                backward_columns(model, batches[1], g_blank, g_emit, keep, row0=row0)
+                backward_columns(keep, batches[1], g_blank, g_emit, row0=row0)
         with pytest.raises(DataError, match="column gradients have shapes"):
-            backward_columns(model, batches[1], g_blank[:, :, :6], g_emit[:, :, :6], keep, row0=3)
+            backward_columns(keep, batches[1], g_blank[:, :, :6], g_emit[:, :, :6], row0=3)
         with pytest.raises(DataError, match="column gradients have shapes"):
-            backward_columns(model, batches[1], g_blank, g_emit[:, :, :6], keep, row0=3)
+            backward_columns(keep, batches[1], g_blank, g_emit[:, :, :6], row0=3)
 
     def test_groups_are_runs_within_the_node_bound(self):
         # Node counts 600, 800, 600, 1 fit one group of 2001 <= 2048 nodes;
@@ -303,6 +301,24 @@ class TestGroupedPasses:
         for name, value in own.items():
             equal = value == packed[name] if name == "groups" else np.array_equal(value, packed[name])
             assert equal, name
+
+
+    @pytest.mark.parametrize(
+        "idx",
+        [[True], [0.5], [-1], [], [5], [0, 2], np.array([[0, 1]]), 1, np.array([0.0, 1.0]), ["0"], None],
+        ids=["bool", "fraction", "negative", "empty", "beyond", "one_beyond", "2d", "scalar", "floats", "strings",
+             "none"],
+    )
+    def test_packed_layout_refuses_what_is_no_index(self, idx):
+        # [True] laid out utterance 1, [0.5] utterance 0 and [-1] wrapped to
+        # the last one; [] and [5] raised a bare IndexError.
+        rng = np.random.default_rng(10)
+        model = TransducerModel.random(3, 4, 5, rng)
+        packed = PackedUtterances(model, [rng.normal(size=(T, 3)) for T in (4, 6)], [[1, 2], [3]])
+        with pytest.raises(DataError, match=r"^idx must be a nonempty 1-D array of integers in \[0, 2\), got"):
+            BatchLayout.of(packed, idx)
+        for ok in ([1, 0, 1], np.array([1], dtype=np.int32), np.array([0, 1], dtype=np.uint8)):
+            np.testing.assert_array_equal(BatchLayout.of(packed, ok).T, packed.T[np.asarray(ok)])
 
 
 class TestPairwiseSum:
@@ -374,7 +390,7 @@ class TestKeptSoftmax:
         # take from ``_kept_softmax`` equals ``_row_logsumexp``, with or
         # without the softmax.
         model, layout, _ = layout_of(SHORT_ROW_BATCHES[case], 81)
-        keep = StepActivations(model)
+        keep = StepActivations([model])
         cols = forward_columns(model, layout, keep=keep)
         want = forward_columns(model, layout)
         np.testing.assert_array_equal(cols.blank, want.blank)
@@ -386,10 +402,10 @@ class TestKeptSoftmax:
         for j0, j1 in layout.join_groups:
             frames, ids = layout.join_frame[j0:j1], layout.join_id[j0:j1]
             z, logits = model_module._join(p, enc, tab, frames, ids, *work)
-            np.testing.assert_array_equal(keep.z[j0:j1], z)
+            np.testing.assert_array_equal(keep.z[0, j0:j1], z)
             softmax = np.empty_like(logits)
             m, s = references.softmax(logits, softmax)
-            np.testing.assert_array_equal(keep.softmax[j0:j1], softmax)
+            np.testing.assert_array_equal(keep.softmax[0, j0:j1], softmax)
             scratch = np.empty((model.vocab_size + 1, j1 - j0))
             lse = model_module._kept_softmax(logits, scratch, np.empty_like(logits))
             np.testing.assert_array_equal(lse, (m + np.log(s))[:, 0])
@@ -409,7 +425,7 @@ class TestTwoEntryBackward:
         # made its columns, or of a second forward into fresh buffers.
         V = 16
         model, layout, tokens = layout_of(SHORT_ROW_BATCHES[case], 82, V)
-        keep = StepActivations(model)
+        keep = StepActivations([model])
         cols = forward_columns(model, layout, keep=keep if kept else None)
         # Hard zeros: the first frame's blank at level 0 and the last
         # frame's first label, so some cells are unreachable and some
@@ -425,15 +441,15 @@ class TestTwoEntryBackward:
         g_blank, g_emit = cols.grad(sweep, lam, np.full(layout.T.size, 0.7))
         assert (g_blank == 0).any() and (g_emit != 0).any()
         if kept:
-            got = backward_columns(model, layout, g_blank, g_emit, keep)
+            got = backward_columns(keep, layout, g_blank, g_emit)
         else:
-            got = references.fresh_backward(model, layout, g_blank, g_emit)
+            got = references.fresh_backward([model], layout, g_blank, g_emit)
         dense = np.concatenate([
             dense_grad(g_blank, g_emit, b, int(T), y, V + 1).reshape(-1, V + 1)
             for b, (T, y) in enumerate(zip(layout.T, tokens))
         ])
         forward_columns(model, layout, keep=keep)
-        want = model_module._backward(model, layout, references.dense_dlogit_rows(layout, dense), keep)
+        want = model_module._backward(keep, layout, references.dense_dlogit_rows(layout, [dense]))
         np.testing.assert_array_equal(got, want)
 
 
@@ -447,31 +463,135 @@ class TestOneBackwardPath:
     @pytest.mark.parametrize("case", sorted(SHORT_ROW_BATCHES))
     def test_backward_columns_without_kept(self, case):
         model, layout, _ = layout_of(SHORT_ROW_BATCHES[case], 85)
-        keep = StepActivations(model)
+        keep = StepActivations([model])
         cols = forward_columns(model, layout, keep=keep)
         rng = np.random.default_rng(86)
         g_blank = np.where(np.isfinite(cols.blank), rng.normal(size=cols.blank.shape), 0.0)
         g_emit = np.where(np.isfinite(cols.emit), rng.normal(size=cols.emit.shape), 0.0)
         with pytest.raises(TypeError):
-            backward_columns(model, layout, g_blank, g_emit)
+            backward_columns(layout, g_blank, g_emit)
         with pytest.raises(DataError, match="no activations kept"):
-            backward_columns(model, layout, g_blank, g_emit, StepActivations(model))
-        want = backward_columns(model, layout, g_blank, g_emit, keep)
-        np.testing.assert_array_equal(references.fresh_backward(model, layout, g_blank, g_emit), want)
+            backward_columns(StepActivations([model]), layout, g_blank, g_emit)
+        want = backward_columns(keep, layout, g_blank, g_emit)
+        np.testing.assert_array_equal(references.fresh_backward([model], layout, g_blank, g_emit), want)
 
     @pytest.mark.parametrize("case", sorted(SHORT_ROW_BATCHES))
     def test_model_backward(self, case):
         model, _, _ = layout_of(SHORT_ROW_BATCHES[case], 87)
         rng = np.random.default_rng(88)
-        keep = StepActivations(model)  # reused, and grown, across the utterances
+        keep = StepActivations([model])  # reused, and grown, across the utterances
         for T, U in SHORT_ROW_BATCHES[case]:
             feats, y = rng.normal(size=(T, 8)), rng.integers(0, 16, size=U)
             dlogp = rng.normal(size=(T, U + 1, 17))
             layout = BatchLayout(model, [feats], [y])
             forward_columns(model, layout, keep=keep)
-            rows = references.dense_dlogit_rows(layout, dlogp.reshape(-1, 17))
-            want = model_module._backward(model, layout, rows, keep)
+            rows = references.dense_dlogit_rows(layout, [dlogp.reshape(-1, 17)])
+            (want,) = model_module._backward(keep, layout, rows)
             np.testing.assert_array_equal(model_backward(model, feats, y, dlogp), want)
+
+
+class TestGroupBackward:
+    """One backward serves a group of K runs of different parameters on one
+    batch (``StepActivations`` of K models): each run's gradient row equals,
+    with ==, the backward of a group of one on that run's rows of the
+    column gradients (``references.one_run_backwards``)."""
+
+    # (T, U) shapes, the vocabulary the labels are drawn from (a small one
+    # repeats ids), and the indices of ``BatchLayout.of``.
+    CASES = {
+        # T = 1, U = 0 (R = 1), and ids repeated within transcripts.
+        "t1_u0_repeated_ids": ([(1, 0), (1, 4), (6, 0), (9, 7), (1, 1)], 2, None),
+        "repeated_indices": ([(11, 6), (9, 5), (14, 7)], 16, [2, 0, 2, 1, 0, 2]),
+        # Long lattices over several node groups.
+        "several_groups": ([(75, 25), (60, 20), (3, 7), (70, 30)], 16, None),
+    }
+
+    @staticmethod
+    def runs(K, shapes, V, idx, seed):
+        """K seeded models and the layout of utterances ``idx``."""
+        rng = np.random.default_rng(seed)
+        models = [TransducerModel.random(8, 32, 16, rng) for _ in range(K)]
+        feats = [rng.normal(size=(T, 8)) for T, _ in shapes]
+        tokens = [rng.integers(0, V, size=U) for _, U in shapes]
+        idx = list(range(len(shapes))) if idx is None else idx
+        return models, BatchLayout.of(PackedUtterances(models[0], feats, tokens), idx), rng
+
+    @staticmethod
+    def step(models, layout, kept, rng, lead=1):
+        """Forwards of the runs into rows lead * B.. of one padded batch, in
+        reverse order, keeping their activations in ``kept``, and seeded
+        column gradients of that batch."""
+        K, B = len(models), layout.T.size
+        cols = PaddedColumns(np.tile(layout.T, K + lead), np.tile(layout.U, K + lead))
+        for k in reversed(range(K)):
+            forward_columns(models[k], layout, out=cols, keep=kept, row0=(k + lead) * B)
+        g_blank = np.where(np.isfinite(cols.blank), rng.normal(size=cols.blank.shape), 0.0)
+        g_emit = np.where(np.isfinite(cols.emit), rng.normal(size=cols.emit.shape), 0.0)
+        return g_blank, g_emit
+
+    @pytest.mark.parametrize("K", [1, 2, 5])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_equals_one_run_backwards(self, case, K):
+        models, layout, rng = self.runs(K, *self.CASES[case], 100 + K)
+        if case == "several_groups":
+            assert len(layout.groups) > 1 and layout.frame.size > model_module._GROUP_NODES
+        if case == "t1_u0_repeated_ids":
+            assert 1 in layout.T and 1 in layout.R and (layout.R < layout.U + 1).any()
+        kept = StepActivations(models)
+        B = layout.T.size
+        g_blank, g_emit = self.step(models, layout, kept, rng)
+        got = backward_columns(kept, layout, g_blank, g_emit, row0=B)
+        assert got.shape == (K, models[0].params.size)
+        np.testing.assert_array_equal(got, references.one_run_backwards(models, layout, g_blank, g_emit, row0=B))
+
+    def test_buffers_reused_as_joins_grow(self):
+        # One group's buffers serve every step: they grow with the most
+        # joins of any batch, and a smaller batch reuses their first rows.
+        shapes = [(11, 6), (9, 5), (14, 7), (75, 25), (1, 0), (60, 20)]
+        models, _, rng = self.runs(3, shapes, 16, None, 104)
+        packed = PackedUtterances(models[0], [rng.normal(size=(T, 8)) for T, _ in shapes],
+                                  [rng.integers(0, 16, size=U) for _, U in shapes])
+        kept = StepActivations(models)
+        sizes = []
+        for idx in ([0, 1], [0, 1, 2], [3, 4], [4], [5, 3, 0]):
+            layout = BatchLayout.of(packed, idx)
+            g_blank, g_emit = self.step(models, layout, kept, rng, lead=0)
+            sizes.append(kept.z.shape[1])
+            assert kept.softmax.shape[:2] == kept.z.shape[:2] == (3, max(sizes))
+            got = backward_columns(kept, layout, g_blank, g_emit)
+            np.testing.assert_array_equal(got, references.one_run_backwards(models, layout, g_blank, g_emit))
+        assert sizes[0] < sizes[1] < sizes[2] == sizes[3] < sizes[4]
+
+    def test_backward_needs_a_forward_of_every_run_on_its_layout(self):
+        models, layout, rng = self.runs(2, [(11, 6), (9, 5)], 16, None, 105)
+        other = BatchLayout.of(PackedUtterances(models[0], [layout.feats[:11], layout.feats[11:]],
+                                                [[1, 2], [3]]), [0, 1])
+        kept = StepActivations(models)
+        g_blank, g_emit = self.step(models, layout, StepActivations(models), rng, lead=0)
+        with pytest.raises(DataError, match="no activations kept"):  # no forward
+            backward_columns(kept, layout, g_blank, g_emit)
+        forward_columns(models[1], layout, keep=kept)
+        with pytest.raises(DataError, match="no activations kept"):  # run 0 not forwarded
+            backward_columns(kept, layout, g_blank, g_emit)
+        forward_columns(models[0], other, keep=kept)  # a new step drops run 1's
+        forward_columns(models[1], layout, keep=kept)
+        for lay in (layout, other):
+            with pytest.raises(DataError, match="no activations kept"):
+                backward_columns(kept, lay, g_blank, g_emit)
+        with pytest.raises(DataError, match="not one of the runs"):
+            forward_columns(TransducerModel(8, 32, 16, models[0].params.copy()), layout, keep=kept)
+        for model in models:
+            forward_columns(model, layout, keep=kept)
+        with pytest.raises(DataError, match="no activations kept"):  # another layout
+            backward_columns(kept, other, g_blank, g_emit)
+        for model in models:
+            forward_columns(model, layout, keep=kept)
+        np.testing.assert_array_equal(
+            backward_columns(kept, layout, g_blank, g_emit),
+            references.one_run_backwards(models, layout, g_blank, g_emit),
+        )
+        with pytest.raises(DataError, match="no activations kept"):  # consumed
+            backward_columns(kept, layout, g_blank, g_emit)
 
 
 def smallest_product(layout):
@@ -508,12 +628,12 @@ class TestJoins:
     def passes(model, layout, seed):
         """The product's columns and gradient, and the per-node ones, under
         seeded column gradients."""
-        keep = StepActivations(model)
+        keep = StepActivations([model])
         cols = forward_columns(model, layout, keep=keep)
         rng = np.random.default_rng(seed)
         g_blank = np.where(np.isfinite(cols.blank), rng.normal(size=cols.blank.shape), 0.0)
         g_emit = np.where(np.isfinite(cols.emit), rng.normal(size=cols.emit.shape), 0.0)
-        grad = backward_columns(model, layout, g_blank, g_emit, keep)
+        (grad,) = backward_columns(keep, layout, g_blank, g_emit)
         want, want_grad = references.per_node_passes(model, layout, g_blank, g_emit)
         return (cols, grad), (want, want_grad)
 
@@ -727,6 +847,48 @@ class TestOptimizers:
         with pytest.raises(NumericalError):
             adam_update(params, mom, vel, g, 1, 1e-2)
         np.testing.assert_array_equal(params, m.params)
+
+    @pytest.mark.parametrize("step", [0, -1, True, 1.5, 2.0, "1", None])
+    def test_step_must_be_an_integer_of_at_least_one(self, step):
+        # Step 0 divided by 1 - beta^0 = 0 and wrote NaN into every
+        # parameter; a bool or a float was taken as a step.
+        m, rng = make_model(seed=15)
+        params, mom, vel = adam_buffers(m)
+        with pytest.raises(DataError, match=f"^step must be an integer >= 1, got {step!r}$"):
+            adam_update(params, mom, vel, rng.normal(size=m.params.size), step, 1e-2)
+        np.testing.assert_array_equal(params, m.params)
+        np.testing.assert_array_equal(mom, 0.0)
+        np.testing.assert_array_equal(vel, 0.0)
+
+    @pytest.mark.parametrize(
+        "lr",
+        [np.nan, np.inf, 0.0, -1e-2, True, "0.01", None,
+         [[1e-2], [1e-2]], np.array([[1e-2], [np.nan]]), np.array([[np.inf], [1e-2]]), np.array([[1e-2], [-1e-2]]),
+         np.array([[1e-2], [0.0]]), np.array([[True], [True]]), np.array([1e-2, 1e-2]), np.full((3, 1), 1e-2)],
+        ids=["nan", "inf", "zero", "negative", "bool", "string", "none", "list", "nan_row", "inf_row",
+             "negative_row", "zero_row", "bool_column", "flat", "three_rows"],
+    )
+    def test_rate_must_be_finite_and_positive(self, lr):
+        # A NaN rate poisoned the parameters, True acted as 1.0 and a
+        # negative rate ascended.  A column must hold one rate per row.
+        m, rng = make_model(seed=16)
+        params, mom, vel = (np.tile(buf, (2, 1)) for buf in adam_buffers(m))
+        before = params.copy()
+        with pytest.raises(DataError, match="^lr must be finite and > 0"):
+            adam_update(params, mom, vel, rng.normal(size=params.shape), 1, lr)
+        np.testing.assert_array_equal(params, before)
+        np.testing.assert_array_equal(mom, 0.0)
+        np.testing.assert_array_equal(vel, 0.0)
+
+    def test_integer_rates_and_steps_pass(self):
+        # NumPy integers are steps, and an int is a rate.
+        m, rng = make_model(seed=17)
+        g = rng.normal(size=m.params.size)
+        got, want = adam_buffers(m), adam_buffers(m)
+        adam_update(*got, g, np.int64(2), 1)
+        adam_update(*want, g, 2, 1.0)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf])
     def test_infinite_gradient_raises_without_update(self, bad):

@@ -61,7 +61,7 @@ def batch_step(model, batch, cfg):
     """Loss and gradient of one batch, through the training corpus."""
     grad = np.empty((1, model.params.size))
     corpus = _Corpus(model, batch, [cfg])
-    (loss,) = _batch_loss_and_grad([model], [(corpus, np.arange(len(batch)))], grad, [StepActivations(model)])
+    (loss,) = _batch_loss_and_grad([model], [(corpus, np.arange(len(batch)))], grad, [StepActivations([model])])
     return loss, grad[0]
 
 
@@ -121,13 +121,13 @@ def reference_train(labeled, pseudo, cfg, init, order_rng):
     for step, batch in enumerate(reference_batches(labeled, pseudo, cfg, order_rng), start=1):
         layout = BatchLayout(model, [u.features for u in batch], [u.tokens for u in batch])
         lam, w_fb = _padded_weights(reference_batch_weights(batch, cfg), layout.U)
-        keep = StepActivations(model)
+        keep = StepActivations([model])
         losses_u, g_blank, g_emit = padded_loss_and_grad(forward_columns(model, layout, keep=keep), lam, w_fb)
         loss = 0.0
         for loss_u in losses_u:
             loss += loss_u
         tokens = max(1, sum(u.tokens.size for u in batch))
-        grad = backward_columns(model, layout, g_blank, g_emit, keep)
+        (grad,) = backward_columns(keep, layout, g_blank, g_emit)
         grad /= tokens
         adam_update(params, m, v, grad, step, cfg.lr)
         losses.append(loss / tokens)
@@ -911,11 +911,12 @@ class TestCorpusWeights:
 
 
 class TestKeptActivations:
-    """A training step's forward keeps the joiner activations and the row
-    softmax of every join (b, t, id) of its batch, and its backward works
-    in those rows and runs no joiner pass.  Columns,
-    losses and gradients must equal those of passes that keep nothing, or
-    keep their activations in fresh buffers."""
+    """A training step's forwards keep, in their run group's one
+    ``StepActivations``, the joiner activations and the row softmax of
+    every join (b, t, id) of its batch, and the group's one backward works
+    in those rows and runs no joiner pass.  Columns, losses and gradients
+    must equal those of passes that keep nothing, or keep their
+    activations in fresh buffers."""
 
     # (shapes, node groups of the first layout): a desk batch that fits
     # whole, a long batch of five groups, and one whose first utterance
@@ -946,7 +947,7 @@ class TestKeptActivations:
     def test_kept_equals_recomputed(self, case):
         shapes, groups = self.BATCHES[case]
         utts, models, corpus = self.runs(shapes, 70)
-        kept = [StepActivations(model) for model in models]
+        kept = StepActivations(models)
         scores = score_confidences(models[0], utts)
         n = len(utts)
         rng = np.random.default_rng(71)
@@ -954,14 +955,15 @@ class TestKeptActivations:
             layout = BatchLayout.of(corpus.packed, idx)
             assert step or len(layout.groups) == groups
             J = layout.join_frame.size
-            for model, keep in zip(models, kept):
-                cols = forward_columns(model, layout, keep=keep)
+            tables = []
+            for k, model in enumerate(models):
+                cols = forward_columns(model, layout, keep=kept)
                 want = forward_columns(model, layout)
                 np.testing.assert_array_equal(cols.blank, want.blank)
                 np.testing.assert_array_equal(cols.emit, want.emit)
                 # The kept z and softmax of every join, against the joiner
                 # run again on each group's joins.
-                assert keep.softmax.shape[0] == keep.z.shape[0] >= J
+                assert kept.softmax.shape[:2] == kept.z.shape[:2] and kept.z.shape[1] >= J
                 p, enc, tab = model_module._encode(model, layout.feats)
                 for j0, j1 in layout.join_groups:
                     frames, ids = layout.join_frame[j0:j1], layout.join_id[j0:j1]
@@ -969,20 +971,23 @@ class TestKeptActivations:
                     z, logits = model_module._join(p, enc, tab, frames, ids, *work)
                     softmax = np.empty_like(logits)
                     references.softmax(logits, softmax)
-                    np.testing.assert_array_equal(keep.z[j0:j1], z)
-                    np.testing.assert_array_equal(keep.softmax[j0:j1], softmax)
+                    np.testing.assert_array_equal(kept.z[k, j0:j1], z)
+                    np.testing.assert_array_equal(kept.softmax[k, j0:j1], softmax)
                 g_blank = np.where(np.isfinite(cols.blank), rng.normal(size=cols.blank.shape), 0.0)
                 g_emit = np.where(np.isfinite(cols.emit), rng.normal(size=cols.emit.shape), 0.0)
-                np.testing.assert_array_equal(
-                    backward_columns(model, layout, g_blank, g_emit, keep),
-                    references.fresh_backward(model, layout, g_blank, g_emit),
-                )
+                tables.append((g_blank, g_emit))
+            # Each run's column gradients are its rows of one table.
+            g_blank, g_emit = (np.concatenate(t, axis=1) for t in zip(*tables))
+            np.testing.assert_array_equal(
+                backward_columns(kept, layout, g_blank, g_emit),
+                references.fresh_backward(models, layout, g_blank, g_emit),
+            )
             # The stacked step of the three runs, reused buffers against fresh ones.
             grad = np.empty((len(models), models[0].params.size))
             want = np.empty_like(grad)
-            losses = _batch_loss_and_grad(models, [(corpus, idx)], grad, kept)
-            fresh = [StepActivations(model) for model in models]
-            assert losses == _batch_loss_and_grad(models, [(corpus, idx)], want, fresh)
+            losses = _batch_loss_and_grad(models, [(corpus, idx)], grad, [kept])
+            fresh = StepActivations(models)
+            assert losses == _batch_loss_and_grad(models, [(corpus, idx)], want, [fresh])
             np.testing.assert_array_equal(grad, want)
         # Scoring keeps nothing and is not affected by what training kept.
         for got, before in zip(score_confidences(models[0], utts), scores):
@@ -1009,7 +1014,7 @@ class TestKeptActivations:
 
         for name in calls:
             monkeypatch.setattr(model_module, name, counted(name))
-        kept = [StepActivations(model) for model in models]
+        kept = StepActivations(models)
         rng = np.random.default_rng(74)
         n = len(utts)
         for idx in (np.array([n - 1, 0, 1]), np.arange(n), np.arange(n)[::-1]):
@@ -1017,31 +1022,31 @@ class TestKeptActivations:
             G, N = len(layout.groups), layout.frame.size
             assert layout.join_frame.size < N
             tables = []
-            for model, keep in zip(models, kept):
-                cols = forward_columns(model, layout, keep=keep)
+            for k, model in enumerate(models):
+                cols = forward_columns(model, layout, keep=kept)
                 softmax = np.concatenate([
                     np.exp(model_forward(model, utts[b].features, utts[b].tokens).logp)
                     .reshape(-1, model.vocab_size + 1)
                     for b in idx
                 ])
-                np.testing.assert_allclose(keep.softmax[layout.node_join], softmax, rtol=1e-12, atol=1e-15)
+                np.testing.assert_allclose(kept.softmax[k, layout.node_join], softmax, rtol=1e-12, atol=1e-15)
                 g_blank = np.where(np.isfinite(cols.blank), rng.normal(size=cols.blank.shape), 0.0)
                 g_emit = np.where(np.isfinite(cols.emit), rng.normal(size=cols.emit.shape), 0.0)
                 tables.append((g_blank, g_emit))
+            g_blank, g_emit = (np.concatenate(t, axis=1) for t in zip(*tables))
             calls.update(dict.fromkeys(calls, 0))
-            grads = [backward_columns(model, layout, *t, keep) for model, t, keep in zip(models, tables, kept)]
+            grads = backward_columns(kept, layout, g_blank, g_emit)
             assert calls == {"_kept_softmax": 0, "_join": 0}
-            for model, t, got in zip(models, tables, grads):
-                np.testing.assert_array_equal(got, references.fresh_backward(model, layout, *t))
+            np.testing.assert_array_equal(grads, references.fresh_backward(models, layout, g_blank, g_emit))
             # The stacked step: only its forward runs the joiner and softmax,
             # once per group of joins.
             grad = np.empty((len(models), models[0].params.size))
             want = np.empty_like(grad)
             calls.update(dict.fromkeys(calls, 0))
-            losses = _batch_loss_and_grad(models, [(corpus, idx)], grad, kept)
+            losses = _batch_loss_and_grad(models, [(corpus, idx)], grad, [kept])
             assert calls["_kept_softmax"] == calls["_join"] == 3 * G
-            fresh = [StepActivations(model) for model in models]
-            assert losses == _batch_loss_and_grad(models, [(corpus, idx)], want, fresh)
+            fresh = StepActivations(models)
+            assert losses == _batch_loss_and_grad(models, [(corpus, idx)], want, [fresh])
             np.testing.assert_array_equal(grad, want)
 
     def test_backward_needs_its_own_forward(self):
@@ -1049,12 +1054,13 @@ class TestKeptActivations:
         _, models, corpus = self.runs(shapes, 72)
         layout = BatchLayout.of(corpus.packed, [0, 1])
         other = BatchLayout.of(corpus.packed, [0, 1])
-        keep = StepActivations(models[0])
+        keep = StepActivations(models[:1])
         cols = forward_columns(models[0], layout, keep=keep)
         g_blank, g_emit = np.isfinite(cols.blank) * 0.5, np.isfinite(cols.emit) * 0.5
-        for model, lay in ((models[1], layout), (models[0], other)):
-            with pytest.raises(DataError, match="no activations kept"):
-                backward_columns(model, lay, g_blank, g_emit, keep)
-        backward_columns(models[0], layout, g_blank, g_emit, keep)
+        with pytest.raises(DataError, match="no activations kept"):
+            backward_columns(keep, other, g_blank, g_emit)
+        with pytest.raises(DataError, match="not one of the runs"):
+            forward_columns(models[1], layout, keep=keep)
+        backward_columns(keep, layout, g_blank, g_emit)
         with pytest.raises(DataError, match="no activations kept"):  # consumed
-            backward_columns(models[0], layout, g_blank, g_emit, keep)
+            backward_columns(keep, layout, g_blank, g_emit)
